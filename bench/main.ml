@@ -870,6 +870,32 @@ let table3 () =
    their JSON records then go to temp files to keep checkouts clean. *)
 let smoke_mode = ref false
 
+(* The serving tree as [bench distill] fits it: harvest the actor over a
+   stratified link set, then fit; returns the harvest, the tree and both
+   wall times. *)
+let distill_actor actor =
+  let harvest_cfgs =
+    (* one shared decision interval: the batched fleet harvest needs a
+       homogeneous tick across flows *)
+    Array.of_list
+      (List.map
+         (fun cfg -> { cfg with Canopy_orca.Agent_env.interval_ms = Some 40 })
+         (Trainer.env_pool
+            ~n:(if !smoke_mode then 2 else 6)
+            ~duration_ms:(if !smoke_mode then 2_000 else 8_000)
+            ~seed:7 ()))
+  in
+  let t0 = Unix.gettimeofday () in
+  let xs, ys = Canopy_distill.Harvest.collect ~actor harvest_cfgs in
+  let harvest_wall = Unix.gettimeofday () -. t0 in
+  let t0 = Unix.gettimeofday () in
+  let tree =
+    Canopy_distill.Fit.fit
+      ~config:{ Canopy_distill.Fit.default_config with max_leaves = 64 }
+      ~xs ~ys ()
+  in
+  (xs, ys, tree, harvest_wall, Unix.gettimeofday () -. t0)
+
 (* ------------------------------------------------------------------ *)
 (* kernels: batched vs per-sample training kernels (BENCH_train_step) *)
 
@@ -1085,10 +1111,13 @@ let kernels () =
   Format.printf "wrote %s@." json_path
 
 (* ------------------------------------------------------------------ *)
-(* certify: batched IR engine vs per-slice reference (BENCH_certify) *)
+(* certify: batched IR engine vs per-slice reference, and the distilled
+   tree's exact vs conservative certificates (BENCH_certify) *)
 
 let certify_bench () =
-  header "certify: batched verifier IR vs per-slice reference";
+  header
+    "certify: batched verifier IR vs per-slice reference; exact vs \
+     conservative tree";
   let open Bechamel in
   let state_dim = history * Canopy_orca.Observation.feature_count in
   let property = Property.performance () in
@@ -1124,6 +1153,23 @@ let certify_bench () =
   let engines =
     [ ("batched", Certify.Batched); ("per_slice", Certify.Per_slice) ]
   in
+  (* Tree certificates as evaluation builds them: 50 components per case
+     on a harvested state, over the tree [bench distill] fits from the
+     trained actor. Smoke distills an untrained actor instead, so it needs
+     no training run. *)
+  let xs, _, tree, _, _ =
+    distill_actor
+      (if !smoke_mode then
+         Canopy_nn.Mlp.actor ~rng:(Canopy_util.Prng.create 9) ~in_dim:state_dim
+           ~hidden:64 ~out_dim:1
+       else (canopy_perf ()).actor)
+  in
+  let tree_state = Canopy_tensor.Mat.(row xs (rows xs / 2)) in
+  let make_tree_cert ~conservative () =
+    ignore
+      (Certify.certify_tree ~conservative ~tree ~property ~n_components:50
+         ~history ~state:tree_state ~cwnd_tcp:100. ~prev_cwnd:90. ())
+  in
   let tests =
     List.concat_map
       (fun (ename, engine) ->
@@ -1147,6 +1193,10 @@ let certify_bench () =
               ~n_components:20 );
         ])
       engines
+    @ [
+        ("cert_tree_N50_exact", make_tree_cert ~conservative:false);
+        ("cert_tree_N50_conservative", make_tree_cert ~conservative:true);
+      ]
   in
   let grouped =
     Test.make_grouped ~name:"certify"
@@ -1220,9 +1270,12 @@ let certify_bench () =
   json_write json_path (fun buf ->
       Printf.bprintf buf
         "{\n  \"bench\": \"certify\",\n  \"mode\": %S,\n  \"hidden\": 256,\n\
-        \  \"train_hidden\": 64,\n  \"state_dim\": %d,\n  \"entries\": [\n"
+        \  \"train_hidden\": 64,\n  \"state_dim\": %d,\n\
+        \  \"tree_leaves\": %d,\n  \"tree_depth\": %d,\n  \"entries\": [\n"
         (if !smoke_mode then "smoke" else "full")
-        state_dim;
+        state_dim
+        (Canopy_distill.Tree.n_leaves tree)
+        (Canopy_distill.Tree.depth tree);
       let last = List.length measured - 1 in
       List.iteri
         (fun i (name, ns) ->
@@ -1858,27 +1911,8 @@ let distill_bench () =
   let model = canopy_perf () in
   let actor = model.actor in
   let num_cores = Domain.recommended_domain_count () in
-  (* -- distillation cost: harvest the served policy over a stratified
-     link set, then fit the tree; both walls are part of the record. *)
-  let harvest_cfgs =
-    (* one shared decision interval: the batched fleet harvest needs a
-       homogeneous tick across flows *)
-    Array.of_list
-      (List.map
-         (fun cfg -> { cfg with Canopy_orca.Agent_env.interval_ms = Some 40 })
-         (Trainer.env_pool
-            ~n:(if !smoke_mode then 2 else 6)
-            ~duration_ms:(if !smoke_mode then 2_000 else 8_000)
-            ~seed:7 ()))
-  in
-  let t0 = Unix.gettimeofday () in
-  let xs, ys = Canopy_distill.Harvest.collect ~actor harvest_cfgs in
-  let harvest_wall = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  let tree =
-    Fit.fit ~config:{ Fit.default_config with max_leaves = 64 } ~xs ~ys ()
-  in
-  let fit_wall = Unix.gettimeofday () -. t0 in
+  (* -- distillation cost: both walls are part of the record. *)
+  let xs, ys, tree, harvest_wall, fit_wall = distill_actor actor in
   let fidelity = Fit.mse tree ~xs ~ys in
   Format.printf
     "distilled %d states -> %d leaves (depth %d) in %.2fs harvest + %.2fs \

@@ -7,12 +7,12 @@
    abstract element through F, and report any escape. A single violation
    means the verifier's certificates cannot be trusted.
 
-   Scalar interval transformers are checked with *exact* containment:
-   IEEE-754 rounding is monotone, so a sound implementation passes
-   bit-for-bit and any escape is a real bug. Matrix and network passes
-   accumulate sums in an order that may differ between the concrete and
-   abstract paths, so those use a 1e-9 relative tolerance to avoid
-   crying wolf on reassociation noise. *)
+   Scalar interval transformers and the distilled tree's bound are
+   checked with *exact* containment: IEEE-754 rounding is monotone, so a
+   sound implementation passes bit-for-bit and any escape is a real bug.
+   Matrix and network passes accumulate sums in an order that may differ
+   between the concrete and abstract paths, so those use a 1e-9 relative
+   tolerance to avoid crying wolf on reassociation noise. *)
 
 open Canopy_tensor
 open Canopy_absint
@@ -381,6 +381,63 @@ let zono_affine_check rng trial =
             (Format.asprintf "%a" Box.pp conc);
       }
 
+(* --- distilled tree ------------------------------------------------------ *)
+
+(* Random complete tree of random depth in heap order (node i's children
+   at 2i+1 and 2i+2). Split features come from at most three dimensions,
+   so paths repeat them and some contradict themselves, leaving dead
+   leaves; a fifth of the coefficients are zero. The splits are returned
+   beside the tree. *)
+let random_tree rng =
+  let in_dim = 2 + Prng.int rng 4 in
+  let internal = (1 lsl (1 + Prng.int rng 5)) - 1 in
+  let n = (2 * internal) + 1 and n_leaves = internal + 1 in
+  let feature = Array.init internal (fun _ -> Prng.int rng (min in_dim 3)) in
+  let threshold = Array.init internal (fun _ -> Prng.uniform rng (-2.) 2.) in
+  let coef =
+    Array.init (n_leaves * in_dim) (fun _ ->
+        if Prng.float rng 1. < 0.2 then 0. else Prng.uniform rng (-3.) 3.)
+  in
+  let bias = Array.init n_leaves (fun _ -> Prng.uniform rng (-1.) 1.) in
+  let node f ~leaf i = if i < internal then f i else leaf in
+  let tree =
+    Canopy_distill.Tree.build ~in_dim ~coef ~bias
+      ~feature:(Array.init n (node (Array.get feature) ~leaf:(-1)))
+      ~threshold:(Array.init n (node (Array.get threshold) ~leaf:0.))
+      ~left:(Array.init n (node (fun i -> (2 * i) + 1) ~leaf:0))
+      ~right:(Array.init n (node (fun i -> (2 * i) + 2) ~leaf:0))
+      ~leaf:(Array.init n (fun i -> if i < internal then -1 else i - internal))
+  in
+  (tree, feature, threshold)
+
+(* The exact bound accumulates each leaf's terms in [predict]'s order, so
+   monotone rounding makes containment exact: no tolerance. Half the
+   boxes pin one split feature to its threshold, a closed-boundary tie
+   that both neighbouring cells must hold. *)
+let tree_exact_check rng trial =
+  let tree, feature, threshold = random_tree rng in
+  let box = gen_box rng ~dim:(Canopy_distill.Tree.in_dim tree) in
+  let box =
+    if Prng.bool rng then
+      let k = Prng.int rng (Array.length feature) in
+      Box.with_dimension box feature.(k) (Interval.of_point threshold.(k))
+    else box
+  in
+  let x = Box.sample rng box in
+  let out = Canopy_distill.Tree.output_interval tree (Box.to_intervals box) in
+  let y = Canopy_distill.Tree.predict tree x in
+  if Interval.contains out y then None
+  else
+    Some
+      {
+        op = "tree.exact";
+        trial;
+        seed = 0;
+        detail =
+          Printf.sprintf "tree.exact: predict %.17g escapes %s for x (%s)" y
+            (iv out) (pp_vec x);
+      }
+
 (* --- the op table ------------------------------------------------------ *)
 
 let leaky_slope = 0.01
@@ -432,6 +489,7 @@ let ops : (string * (Prng.t -> int -> violation option)) list =
     ("anet.propagate", anet_propagate_check);
     ("anet.ibp.batched", anet_batched_check);
     ("anet.zonotope", anet_zono_check);
+    ("tree.exact", tree_exact_check);
   ]
 
 let op_names = List.map fst ops

@@ -2,15 +2,16 @@
 
     For every primitive abstract transformer F in [lib/absint] (interval
     arithmetic, box affine maps, zonotope relaxations, and the full
-    IBP/zonotope passes over random MLPs), samples concrete points x
-    inside random abstract inputs X and asserts [f(x) ∈ γ(F(X))]. Any
+    IBP/zonotope passes over random MLPs), and for the distilled tree's
+    exact bound over random trees, samples concrete points x inside
+    random abstract inputs X and asserts [f(x) ∈ γ(F(X))]. Any
     escape is reported with the offending op, the inputs, the witness
     point and the run seed, so it can be replayed deterministically.
 
-    Scalar interval transformers are checked with exact containment
-    (IEEE-754 rounding is monotone, so an escape is a real soundness
-    bug); matrix and network passes allow a 1e-9 relative tolerance for
-    reassociation noise. *)
+    Scalar interval transformers and the tree bound are checked with
+    exact containment (IEEE-754 rounding is monotone, so an escape is a
+    real soundness bug); matrix and network passes allow a 1e-9 relative
+    tolerance for reassociation noise. *)
 
 type violation = { op : string; trial : int; seed : int; detail : string }
 
@@ -22,7 +23,8 @@ type result = {
 }
 
 val op_names : string list
-(** The audited transformers, e.g. ["interval.mul"], ["ibp.mlp"]. *)
+(** The audited transformers, e.g. ["interval.mul"], ["ibp.mlp"],
+    ["tree.exact"]. *)
 
 val run : ?seed:int -> ?max_report:int -> samples:int -> unit -> result
 (** Distribute [samples] point checks round-robin over all transformers.

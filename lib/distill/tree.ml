@@ -36,6 +36,7 @@ let validate ~in_dim ~feature ~threshold ~left ~right ~leaf ~coef ~bias =
   if Array.length coef <> l * in_dim then
     invalid_arg "Tree.build: coef length mismatch";
   let seen_leaf = Array.make (max l 1) false in
+  let parents = Array.make n 0 in
   for i = 0 to n - 1 do
     if feature.(i) >= 0 then begin
       if feature.(i) >= in_dim then
@@ -43,10 +44,13 @@ let validate ~in_dim ~feature ~threshold ~left ~right ~leaf ~coef ~bias =
       if Float.is_nan threshold.(i) then
         invalid_arg "Tree.build: NaN threshold";
       (* Children strictly after the parent: guarantees the compare chain
-         terminates and the tree is a DAG rooted at node 0. *)
+         terminates and no path returns to node 0. *)
       if left.(i) <= i || left.(i) >= n || right.(i) <= i || right.(i) >= n
       then invalid_arg "Tree.build: child index out of range";
-      if leaf.(i) <> -1 then invalid_arg "Tree.build: internal node with leaf id"
+      if leaf.(i) <> -1 then
+        invalid_arg "Tree.build: internal node with leaf id";
+      parents.(left.(i)) <- parents.(left.(i)) + 1;
+      parents.(right.(i)) <- parents.(right.(i)) + 1
     end
     else begin
       if feature.(i) <> -1 then invalid_arg "Tree.build: bad feature marker";
@@ -58,6 +62,13 @@ let validate ~in_dim ~feature ~threshold ~left ~right ~leaf ~coef ~bias =
   done;
   for j = 0 to l - 1 do
     if not seen_leaf.(j) then invalid_arg "Tree.build: unreferenced leaf model"
+  done;
+  (* Exactly one parent per non-root node makes the graph a tree rooted at
+     node 0: every leaf has one root path, hence one cell.  A shared child
+     would sit in several cells at once, and an orphan in none. *)
+  for i = 1 to n - 1 do
+    if parents.(i) <> 1 then
+      invalid_arg "Tree.build: node without exactly one parent"
   done
 
 let build ~in_dim ~feature ~threshold ~left ~right ~leaf ~coef ~bias =
@@ -144,97 +155,84 @@ let predict_rows_into ~dst t x =
   | None -> body ~lo:0 ~hi:rows
 
 (* ------------------------------------------------------------------ *)
-(* Leaf cells and exact interval bounds                                *)
+(* Interval bounds                                                     *)
 
-let leaf_node_index t ~leaf =
-  let found = ref (-1) in
-  for i = 0 to n_nodes t - 1 do
-    if t.leaf.(i) = leaf then found := i
-  done;
-  if !found < 0 then invalid_arg "Tree.leaf_cell: leaf out of range";
-  !found
-
-let leaf_cell t ~leaf =
-  let target = leaf_node_index t ~leaf in
-  let lo = Array.make t.in_dim neg_infinity in
-  let hi = Array.make t.in_dim infinity in
-  (* Walk down from the root, following the unique path to [target].
-     Node indices increase along any path, so [target] is under node [i]
-     iff i <= target and target is reachable; we recompute reachability
-     with a descent that picks whichever child's subtree contains the
-     target node.  Subtrees are contiguous?  Not guaranteed — instead mark
-     ancestors with a reverse pass. *)
-  let n = n_nodes t in
-  let on_path = Array.make n false in
-  on_path.(target) <- true;
-  for i = n - 1 downto 0 do
-    if t.feature.(i) >= 0 && (on_path.(t.left.(i)) || on_path.(t.right.(i)))
-    then on_path.(i) <- true
-  done;
-  let i = ref 0 in
-  while !i <> target do
-    let f = t.feature.(!i) and thr = t.threshold.(!i) in
-    if on_path.(t.left.(!i)) then begin
-      (* closed on both sides: boundary points stay in both cells *)
-      if thr < hi.(f) then hi.(f) <- thr;
-      i := t.left.(!i)
-    end
-    else begin
-      if thr > lo.(f) then lo.(f) <- thr;
-      i := t.right.(!i)
-    end
-  done;
-  Array.init t.in_dim (fun j -> Interval.make lo.(j) hi.(j))
-
-(* Tight bound of [bias + coef . x] over a box: each term's extremum is at
-   an endpoint, accumulated in the same order as [predict_into], so the
-   bound equals the float evaluation at the minimizing/maximizing corner. *)
-let affine_bound t ~leaf box =
-  let base = leaf * t.in_dim in
-  let lo = ref t.bias.(leaf) and hi = ref t.bias.(leaf) in
-  for j = 0 to t.in_dim - 1 do
-    let c = t.coef.(base + j) in
-    (* zero coefficients contribute exactly 0 even over infinite cells
-       (0 * inf would otherwise poison the bound with NaN) *)
-    let a, b =
-      if c = 0. then (0., 0.)
-      else
-        let a = c *. Interval.lo box.(j) and b = c *. Interval.hi box.(j) in
-        if a <= b then (a, b) else (b, a)
-    in
-    lo := !lo +. a;
-    hi := !hi +. b
-  done;
-  Interval.make !lo !hi
-
+(* One depth-first descent from the root carries the current cell in
+   [cell_lo]/[cell_hi], closed on both sides (the boundary x = threshold
+   belongs to both children: a measure-zero over-approximation that keeps
+   every bound sound), tightened on the way down and restored on the way
+   back.  A child is pruned as soon as its cell misses the box on the
+   split feature; cells only shrink going down, so no pruned subtree holds
+   a leaf whose cell meets the box, and a leaf on a contradictory path is
+   never reached.  At a reached leaf every dimension meets the box: the
+   tightened ones were checked after their last split, the rest are
+   unconstrained.  With [~exact:false] the cell stays unconstrained and
+   every leaf is bounded over the whole box. *)
 let output_interval ?(exact = true) t box =
   if Array.length box <> t.in_dim then
     invalid_arg "Tree.output_interval: bad box dim";
-  let acc = ref None in
-  let join iv =
-    acc := Some (match !acc with None -> iv | Some a -> Interval.hull a iv)
+  let d = t.in_dim in
+  let cell_lo = Array.make d neg_infinity in
+  let cell_hi = Array.make d infinity in
+  (* running hull; min/max fold in any leaf order to the same bits *)
+  let out = [| infinity; neg_infinity |] in
+  (* Tight bound of [bias + coef . x] over box ∩ cell: each term's
+     extremum is at an endpoint, accumulated in the same order as
+     [predict_into], so the bound equals the float evaluation at the
+     minimizing/maximizing corner. *)
+  let bound_leaf l =
+    let base = l * d in
+    let acc_lo = ref t.bias.(l) and acc_hi = ref t.bias.(l) in
+    for j = 0 to d - 1 do
+      let c = t.coef.(base + j) in
+      (* zero coefficients contribute exactly 0 even where box ∩ cell is
+         unbounded (0 * inf would otherwise poison the bound with NaN) *)
+      if c = 0. then begin
+        acc_lo := !acc_lo +. 0.;
+        acc_hi := !acc_hi +. 0.
+      end
+      else begin
+        let a = c *. Float.max (Interval.lo box.(j)) cell_lo.(j)
+        and b = c *. Float.min (Interval.hi box.(j)) cell_hi.(j) in
+        if a <= b then begin
+          acc_lo := !acc_lo +. a;
+          acc_hi := !acc_hi +. b
+        end
+        else begin
+          acc_lo := !acc_lo +. b;
+          acc_hi := !acc_hi +. a
+        end
+      end
+    done;
+    out.(0) <- Float.min out.(0) !acc_lo;
+    out.(1) <- Float.max out.(1) !acc_hi
   in
-  for l = 0 to n_leaves t - 1 do
-    if exact then begin
-      let cell = leaf_cell t ~leaf:l in
-      let clipped = Array.make t.in_dim (Interval.of_point 0.) in
-      let reachable = ref true in
-      (try
-         for j = 0 to t.in_dim - 1 do
-           match Interval.intersect box.(j) cell.(j) with
-           | Some iv -> clipped.(j) <- iv
-           | None ->
-               reachable := false;
-               raise Exit
-         done
-       with Exit -> ());
-      if !reachable then join (affine_bound t ~leaf:l clipped)
+  let meets f =
+    Float.max (Interval.lo box.(f)) cell_lo.(f)
+    <= Float.min (Interval.hi box.(f)) cell_hi.(f)
+  in
+  let rec descend i =
+    let f = t.feature.(i) in
+    if f < 0 then bound_leaf t.leaf.(i)
+    else begin
+      let thr = t.threshold.(i) in
+      let saved = cell_hi.(f) in
+      if thr < saved then cell_hi.(f) <- thr;
+      if meets f then descend t.left.(i);
+      cell_hi.(f) <- saved;
+      let saved = cell_lo.(f) in
+      if thr > saved then cell_lo.(f) <- thr;
+      if meets f then descend t.right.(i);
+      cell_lo.(f) <- saved
     end
-    else join (affine_bound t ~leaf:l box)
-  done;
-  match !acc with
-  | Some iv -> iv
-  | None -> assert false (* cells cover R^in_dim, so some leaf intersects *)
+  in
+  if exact then descend 0
+  else
+    for l = 0 to n_leaves t - 1 do
+      bound_leaf l
+    done;
+  (* some leaf is always reached: the one [predict] routes any box point to *)
+  Interval.make out.(0) out.(1)
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint format: "canopy-tree v1" (hex floats, strict parse)      *)

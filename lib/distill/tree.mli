@@ -41,7 +41,9 @@ val build :
     leaf whose model index is [leaf.(i)].  [coef] is row-major
     [n_leaves * in_dim]; [bias] has length [n_leaves].  Children must have
     larger indices than their parent (node [0] is the root) so evaluation
-    terminates; raises [Invalid_argument] on any structural violation. *)
+    terminates, and every other node must have exactly one parent, so the
+    nodes form a tree and each leaf has one root path.  Raises
+    [Invalid_argument] on any structural violation. *)
 
 val constant : in_dim:int -> float -> t
 (** Single-leaf tree returning the given constant. *)
@@ -60,13 +62,6 @@ val predict_rows_into : dst:Canopy_tensor.Mat.t -> t -> Canopy_tensor.Mat.t -> u
     batches; bit-identical to the sequential loop (and to [predict] per
     row) at any domain count. *)
 
-val leaf_cell : t -> leaf:int -> Canopy_absint.Interval.t array
-(** The axis-aligned box of leaf [leaf]: per input dimension, the interval
-    implied by the split constraints on the root path (unconstrained
-    dimensions are [(-inf, +inf)]).  Cells are closed on both sides — the
-    shared boundary [x = threshold] belongs to both children — a
-    measure-zero over-approximation that keeps every bound sound. *)
-
 val leaf_of : t -> float array -> int
 (** Index of the leaf that [predict] routes [x] to. *)
 
@@ -74,13 +69,23 @@ val output_interval :
   ?exact:bool -> t -> Canopy_absint.Interval.t array -> Canopy_absint.Interval.t
 (** Bound the tree output over the input box (length [in_dim]).
 
-    With [~exact:true] (default), each leaf's affine model is bounded over
-    the {e intersection} of the input box with the leaf's cell — tight for
-    one affine stage, so the result is the exact hull of reachable leaf
-    ranges (up to closed-boundary ties).  With [~exact:false] every leaf is
+    Each leaf's region is an axis-aligned cell, the conjunction of the
+    split half-spaces on its root path, closed on both sides: the boundary
+    [x = threshold] belongs to both children, a measure-zero
+    over-approximation that keeps every bound sound.
+
+    With [~exact:true] (default), one depth-first descent from the root
+    tightens the cell split by split and prunes every subtree whose cell
+    misses the box; each reached leaf's affine model is bounded over the
+    {e intersection} of the box with its cell — tight for one affine
+    stage, accumulated in [predict]'s term order — so the result is the
+    exact hull of reachable leaf ranges (up to closed-boundary ties).
+    Leaves on contradictory paths are never reached.  Cost: O(visited
+    nodes + reached leaves * in_dim).  With [~exact:false] every leaf is
     bounded over the whole input box with no cell intersection — the
-    conservative reading a structure-blind engine would produce.  The exact
-    interval is always contained in the conservative one. *)
+    conservative reading a structure-blind engine would produce, O(n_leaves
+    * in_dim).  The exact interval is always contained in the conservative
+    one. *)
 
 val to_string : t -> string
 (** Serialize in the ["canopy-tree v1"] checkpoint format: a magic line,

@@ -1,8 +1,9 @@
 (* Tests for the symbolic distillation stack: checkpoint round-trips,
-   exactness/soundness of the per-leaf interval bounds (grid-sampling
-   audit over random boxes), fidelity against the committed fixture
-   actor, bit-equality of batched tree serving across domain counts, and
-   scalar-vs-fleet serving agreement for both policy kinds. *)
+   exactness/soundness of the per-leaf interval bounds (bit-equality with
+   an all-leaves reference and a sampling audit over random boxes),
+   fidelity against the committed fixture actor, bit-equality of batched
+   tree serving across domain counts, and scalar-vs-fleet serving
+   agreement for both policy kinds. *)
 
 module Tree = Canopy_distill.Tree
 module Fit = Canopy_distill.Fit
@@ -164,35 +165,258 @@ let test_checkpoint_rejects_corruption () =
     (replace ~bad:"0x0p+0 0x1p-3 0x0p+0" ~by:"0x0p+0 0x1p-3");
   rejects "child before parent"
     (replace ~bad:"split 0 0x1p-1 1 2" ~by:"split 0 0x1p-1 0 2");
+  (* nodes 1 and 2 both route left to node 3: a DAG, not a tree *)
+  rejects "shared child"
+    "canopy-tree v1\n\
+     in_dim 2\n\
+     nodes 6\n\
+     leaves 3\n\
+     split 0 0x0p+0 1 2\n\
+     split 1 -0x1p-1 3 4\n\
+     split 1 -0x1p-1 3 5\n\
+     leaf 0\n\
+     leaf 1\n\
+     leaf 2\n\
+     0x0p+0 0x0p+0 0x0p+0\n\
+     0x0p+0 0x0p+0 0x1p+0\n\
+     0x0p+0 0x0p+0 -0x1p+0\n";
   rejects "bad count" (replace ~bad:"nodes 3" ~by:"nodes 4");
   rejects "malformed count" (replace ~bad:"in_dim 2" ~by:"in_dim two")
 
 (* ------------------------------------------------------------------ *)
-(* Leaf-bound exactness: sampling audit over random boxes *)
+(* Reference bound: every leaf's cell rebuilt from its root path, then
+   the leaf model bounded over box ∩ cell, leaf by leaf.  The tree's
+   arrays are read back from its checkpoint text (hex floats, exact). *)
 
-let test_output_interval_sound_and_exact () =
-  let tree, _, _ = fitted_tree ~seed:11 () in
+type nodes = {
+  feature : int array;
+  threshold : float array;
+  left : int array;
+  right : int array;
+  leaf : int array;
+  coef : float array;
+  bias : float array;
+}
+
+let nodes_of tree =
+  let lines =
+    Array.of_list (String.split_on_char '\n' (Tree.to_string tree))
+  in
+  let n = Tree.n_nodes tree and l = Tree.n_leaves tree in
   let d = Tree.in_dim tree in
+  let words k = String.split_on_char ' ' lines.(k) in
+  let t =
+    {
+      feature = Array.make n (-1);
+      threshold = Array.make n 0.;
+      left = Array.make n 0;
+      right = Array.make n 0;
+      leaf = Array.make n (-1);
+      coef = Array.make (l * d) 0.;
+      bias = Array.make l 0.;
+    }
+  in
+  (* magic and three header lines, then one line per node *)
+  for i = 0 to n - 1 do
+    match words (4 + i) with
+    | [ "split"; f; thr; lc; rc ] ->
+        t.feature.(i) <- int_of_string f;
+        t.threshold.(i) <- float_of_string thr;
+        t.left.(i) <- int_of_string lc;
+        t.right.(i) <- int_of_string rc
+    | [ "leaf"; id ] -> t.leaf.(i) <- int_of_string id
+    | _ -> Alcotest.fail "nodes_of: malformed node line"
+  done;
+  for li = 0 to l - 1 do
+    List.iteri
+      (fun j w ->
+        if j < d then t.coef.((li * d) + j) <- float_of_string w
+        else t.bias.(li) <- float_of_string w)
+      (words (4 + n + li))
+  done;
+  t
+
+(* The leaf's closed cell: per dimension, the interval implied by the
+   split constraints on its root path. *)
+let leaf_cell t ~d ~leaf =
+  let n = Array.length t.feature in
+  let target = ref (-1) in
+  Array.iteri (fun i l -> if l = leaf then target := i) t.leaf;
+  let target = !target in
+  let lo = Array.make d neg_infinity and hi = Array.make d infinity in
+  (* ancestors of [target], marked by a reverse pass (children follow
+     their parents) *)
+  let on_path = Array.make n false in
+  on_path.(target) <- true;
+  for i = n - 1 downto 0 do
+    if t.feature.(i) >= 0 && (on_path.(t.left.(i)) || on_path.(t.right.(i)))
+    then on_path.(i) <- true
+  done;
+  let i = ref 0 in
+  while !i <> target do
+    let f = t.feature.(!i) and thr = t.threshold.(!i) in
+    if on_path.(t.left.(!i)) then begin
+      if thr < hi.(f) then hi.(f) <- thr;
+      i := t.left.(!i)
+    end
+    else begin
+      if thr > lo.(f) then lo.(f) <- thr;
+      i := t.right.(!i)
+    end
+  done;
+  Array.init d (fun j -> Interval.make lo.(j) hi.(j))
+
+(* bias + coef . x over a box, term by term in predict's order *)
+let affine_bound t ~d ~leaf box =
+  let lo = ref t.bias.(leaf) and hi = ref t.bias.(leaf) in
+  for j = 0 to d - 1 do
+    let c = t.coef.((leaf * d) + j) in
+    let a, b =
+      if c = 0. then (0., 0.)
+      else
+        let a = c *. Interval.lo box.(j) and b = c *. Interval.hi box.(j) in
+        if a <= b then (a, b) else (b, a)
+    in
+    lo := !lo +. a;
+    hi := !hi +. b
+  done;
+  Interval.make !lo !hi
+
+let reference_interval ~exact t ~d box =
+  let acc = ref None in
+  for leaf = 0 to Array.length t.bias - 1 do
+    let clipped =
+      if not exact then Some box
+      else
+        let parts =
+          Array.map2 Interval.intersect box (leaf_cell t ~d ~leaf)
+        in
+        if Array.for_all Option.is_some parts then
+          Some (Array.map Option.get parts)
+        else None
+    in
+    Option.iter
+      (fun clipped ->
+        let iv = affine_bound t ~d ~leaf clipped in
+        acc :=
+          Some (match !acc with None -> iv | Some a -> Interval.hull a iv))
+      clipped
+  done;
+  Option.get !acc
+
+(* ------------------------------------------------------------------ *)
+(* Leaf-bound exactness: reference bit-equality and sampling audit *)
+
+let same_bits a b =
+  Int64.bits_of_float (Interval.lo a) = Int64.bits_of_float (Interval.lo b)
+  && Int64.bits_of_float (Interval.hi a) = Int64.bits_of_float (Interval.hi b)
+
+(* Three box families, in turn: random cubes; certificate-shaped boxes (a
+   point except over the delay dimensions, as Certify builds them); and
+   boxes whose endpoints sit exactly on split thresholds, where the closed
+   cells of two neighbouring leaves tie. *)
+let test_output_interval_sound_and_exact () =
+  let history = 5 in
+  let d = history * Canopy_orca.Observation.feature_count in
+  let tree, _, _ = fitted_tree ~d ~seed:11 () in
+  let t = nodes_of tree in
+  let delay = Certify.delay_indices ~history in
+  let splits_on =
+    Array.init d (fun f ->
+        List.filteri (fun i _ -> t.feature.(i) = f) (Array.to_list t.threshold)
+        |> Array.of_list)
+  in
   let rng = Prng.create 13 in
-  for _ = 1 to 10_000 do
+  let cube () =
     let center = Array.init d (fun _ -> Prng.float rng 1.) in
     let radius = 0.25 *. Prng.float rng 1. in
-    let box =
-      Array.init d (fun j ->
-          Interval.make (center.(j) -. radius) (center.(j) +. radius))
-    in
+    Array.init d (fun j ->
+        Interval.make (center.(j) -. radius) (center.(j) +. radius))
+  in
+  let certificate_shaped () =
+    let lo = Prng.float rng 1. in
+    let slice = Interval.make lo (lo +. (0.5 *. Prng.float rng 1.)) in
+    Array.init d (fun j ->
+        if List.mem j delay then slice
+        else Interval.of_point (Prng.float rng 1.))
+  in
+  let on_thresholds () =
+    let pick ts = ts.(Prng.int rng (Array.length ts)) in
+    Array.init d (fun j ->
+        let ts = splits_on.(j) in
+        if Array.length ts = 0 then Interval.of_point (Prng.float rng 1.)
+        else
+          let a = pick ts and b = pick ts in
+          Interval.make (Float.min a b) (Float.max a b))
+  in
+  let families = [| cube; certificate_shaped; on_thresholds |] in
+  for i = 1 to 10_000 do
+    let box = families.(i mod 3) () in
     let exact = Tree.output_interval ~exact:true tree box in
     let conservative = Tree.output_interval ~exact:false tree box in
-    (* soundness: every sampled point's prediction lies in the bound *)
+    check_bool "exact bits equal the reference" true
+      (same_bits exact (reference_interval ~exact:true t ~d box));
+    check_bool "conservative bits equal the reference" true
+      (same_bits conservative (reference_interval ~exact:false t ~d box));
+    (* soundness: every sampled point's prediction lies in the bound;
+       half the coordinates snap to a box endpoint, hitting the ties *)
     for _ = 1 to 8 do
-      let x = Array.init d (fun j -> Interval.sample rng box.(j)) in
+      let x =
+        Array.init d (fun j ->
+            match Prng.int rng 4 with
+            | 0 -> Interval.lo box.(j)
+            | 1 -> Interval.hi box.(j)
+            | _ -> Interval.sample rng box.(j))
+      in
       check_bool "sampled prediction inside exact bound" true
         (Interval.contains exact (Tree.predict tree x))
     done;
     (* the exact reading never widens past the conservative one *)
     check_bool "exact subset of conservative" true
       (Interval.subset exact conservative)
-  done
+  done;
+  (* zero coefficients add +0. like the reference, so a -0. bias reads
+     as +0. (the fitted tree has no zero coefficient to show it) *)
+  let zero = Tree.constant ~in_dim:d (-0.) and box = cube () in
+  check_bool "signed zero as the reference" true
+    (same_bits
+       (Tree.output_interval zero box)
+       (reference_interval ~exact:true (nodes_of zero) ~d box))
+
+(* A leaf whose root path contradicts itself (left on x0 < 0, then right
+   on x0 >= 1) has an empty cell.  It is never reached: its model must
+   not widen the bound, and its empty cell must not make bounding or
+   certification fail. *)
+let test_output_interval_dead_leaf () =
+  let d = 5 * Canopy_orca.Observation.feature_count in
+  (* leaf 0: x0; leaf 1 (dead): 100; leaf 2: x1 *)
+  let coef = Array.make (3 * d) 0. in
+  coef.(0) <- 1.;
+  coef.((2 * d) + 1) <- 1.;
+  let tree =
+    Tree.build ~in_dim:d ~feature:[| 0; 0; -1; -1; -1 |]
+      ~threshold:[| 0.; 1.; 0.; 0.; 0. |] ~left:[| 1; 2; 0; 0; 0 |]
+      ~right:[| 4; 3; 0; 0; 0 |] ~leaf:[| -1; -1; 0; 1; 2 |] ~coef
+      ~bias:[| 0.; 100.; 0. |]
+  in
+  let box =
+    Array.init d (fun j ->
+        match j with
+        | 0 -> Interval.make (-1.) 2.
+        | 1 -> Interval.make (-1.) 1.
+        | _ -> Interval.of_point 0.)
+  in
+  let exact = Tree.output_interval tree box in
+  check_bool "hull of the reachable leaves" true
+    (Interval.lo exact = -1. && Interval.hi exact = 1.);
+  check_bool "conservative reading still counts the dead leaf" true
+    (Interval.hi (Tree.output_interval ~exact:false tree box) = 100.);
+  let c =
+    Certify.certify_tree ~tree ~property:(Property.performance ())
+      ~n_components:5 ~history:5 ~state:(Array.make d 0.5) ~cwnd_tcp:80.
+      ~prev_cwnd:80. ()
+  in
+  check_int "certifies every component" 10 (Array.length c.Certify.components)
 
 (* A degenerate (point) box must produce a degenerate bound that equals
    the concrete prediction to the bit — the "exact" in exact
@@ -453,6 +677,9 @@ let suite =
     ( "output interval sound + exact (10k boxes)",
       `Quick,
       test_output_interval_sound_and_exact );
+    ( "output interval skips dead leaves",
+      `Quick,
+      test_output_interval_dead_leaf );
     ("point box bit-exact", `Quick, test_point_box_bit_exact);
     ("fidelity vs fixture actor", `Quick, test_fidelity_fixture_actor);
     ( "certify_tree exact dominates conservative",
