@@ -1741,7 +1741,9 @@ let fleet_bench () =
   in
   (* 6 flows, one with wireless-style impairments (loss + jitter +
      reordering) so the per-flow PRNG stream, the jittered-return-path
-     resort and the reorder hold-back are all in the comparison. *)
+     resort and the reorder hold-back are all in the comparison: the
+     6-flow fleet must equal 6 one-flow fleets, i.e. flows are
+     independent. *)
   let probe_cfgs =
     Array.init 6 (fun i ->
         let impair =
@@ -1829,9 +1831,10 @@ let fleet_bench () =
           counts)
       sizes
   in
-  (* Scalar baseline at the smallest size: the same episodes driven one
-     [Agent_env] at a time with per-flow [Mlp.forward] inference — what
-     the fleet's batching replaces. *)
+  (* Scalar baseline at the smallest size: the same episodes as N
+     one-flow fleets, stepped one [Agent_env] view at a time with
+     per-flow [Mlp.forward] inference — what the fleet's batching
+     replaces. *)
   let base_n, base_dur = List.hd sizes in
   let scalar_wall =
     let cfgs = Array.init base_n (mk_cfg ~duration_ms:base_dur) in

@@ -82,7 +82,7 @@ let canopy_controller () =
           (Canopy_nn.Mlp.forward actor state).(0)
       in
       let enforced =
-        Canopy_orca.Agent_env.cwnd_of_action ~action:a
+        Canopy_orca.Fleet_env.cwnd_of_action ~action:a
           ~cwnd_tcp:(Canopy_cc.Cubic.cwnd cubic)
       in
       Canopy_cc.Cubic.force_cwnd cubic enforced

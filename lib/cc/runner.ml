@@ -1,4 +1,5 @@
 module Env = Canopy_netsim.Env
+module Fleet = Canopy_netsim.Fleet
 module Stats = Canopy_util.Stats
 
 type metrics = {
@@ -51,7 +52,7 @@ let run ?series_bin_ms ?(impairments = Env.no_impairments) ~trace ~min_rtt_ms
       impairments;
     }
   in
-  let env = Env.create cfg in
+  let fleet = Fleet.create [| cfg |] in
   (* Per-bin series accumulators. *)
   let bin_ms = Option.value ~default:0 series_bin_ms in
   let nbins = if bin_ms > 0 then (duration_ms + bin_ms - 1) / bin_ms else 0 in
@@ -76,33 +77,40 @@ let run ?series_bin_ms ?(impairments = Env.no_impairments) ~trace ~min_rtt_ms
       }
   in
   let handlers = Env.chain (Controller.handlers controller) series_handlers in
-  for ms = 1 to duration_ms do
-    Env.tick env handlers;
-    Env.set_cwnd env (controller.Controller.cwnd ());
+  (* After every millisecond: apply the controller's window, then sample
+     the series. *)
+  let ms = ref 0 in
+  let after_tick _ =
+    incr ms;
+    Fleet.set_cwnd fleet ~flow:0 (controller.Controller.cwnd ());
     if bin_ms > 0 then begin
-      let b = bin_of ms in
-      cwnd_bins.(b) <- Env.cwnd env;
+      let b = bin_of !ms in
+      cwnd_bins.(b) <- Fleet.cwnd fleet ~flow:0;
       cap_bins.(b) <-
-        cap_bins.(b) +. Canopy_trace.Trace.mbps_at trace (ms - 1)
+        cap_bins.(b) +. Canopy_trace.Trace.mbps_at trace (!ms - 1)
     end
-  done;
-  let st = Env.stats env in
-  let qdelays = Env.qdelay_array_ms env in
-  let rtts = Canopy_util.Fbuf.to_array st.rtt_samples in
+  in
+  Fleet.run ~after_tick fleet [| handlers |] ~ms:duration_ms;
+  let st = Fleet.stats fleet ~flow:0 in
+  let qdelays = Fleet.qdelay_array_ms fleet ~flow:0 in
+  (* Delays and RTTs are whole milliseconds, so these means are exact
+     integer sums divided once: the same bits as a fold over the per-ack
+     samples in arrival order. *)
+  let rtts = Array.map (fun q -> q +. float_of_int min_rtt_ms) qdelays in
   let metrics =
     {
       scheme = controller.Controller.name;
       trace = Canopy_trace.Trace.name trace;
-      utilization = Env.utilization env;
+      utilization = Fleet.utilization fleet ~flow:0;
       avg_throughput_mbps =
         float_of_int st.delivered
         *. float_of_int Env.default_mtu *. 8. /. 1e6
         /. (float_of_int duration_ms /. 1000.);
-      avg_qdelay_ms = Stats.mean qdelays;
+      avg_qdelay_ms = Fleet.avg_qdelay_ms fleet ~flow:0;
       p95_qdelay_ms =
         (if Array.length qdelays = 0 then 0. else Stats.percentile qdelays 95.);
       avg_rtt_ms = Stats.mean rtts;
-      loss_rate = Env.loss_rate env;
+      loss_rate = Fleet.loss_rate fleet ~flow:0;
       delivered_pkts = st.delivered;
       dropped_pkts = st.dropped;
     }

@@ -1,7 +1,7 @@
 open Canopy_nn
 open Canopy_absint
 module Observation = Canopy_orca.Observation
-module Agent_env = Canopy_orca.Agent_env
+module Fleet_env = Canopy_orca.Fleet_env
 
 type domain = Box_domain | Zonotope_domain
 type engine = Batched | Per_slice
@@ -34,7 +34,7 @@ let delay_indices ~history =
    map a ↦ clamp(2^{2a}·CWND_TCP) is monotone non-decreasing in a. *)
 let cwnd_interval ~cwnd_tcp action =
   Interval.monotone
-    (fun a -> Agent_env.cwnd_of_action ~action:a ~cwnd_tcp)
+    (fun a -> Fleet_env.cwnd_of_action ~action:a ~cwnd_tcp)
     action
 
 (* The single domain/engine dispatch of the certification stack: certify,
@@ -151,7 +151,7 @@ let make_step_ctx ~property ~history ~state ~cwnd_tcp ~prev_cwnd
     state;
     cwnd_tcp;
     prev_cwnd;
-    cwnd_concrete = Agent_env.cwnd_of_action ~action:concrete_action ~cwnd_tcp;
+    cwnd_concrete = Fleet_env.cwnd_of_action ~action:concrete_action ~cwnd_tcp;
   }
 
 let make_ctx ~engine ~domain ~actor ~property ~history ~state ~cwnd_tcp
@@ -387,7 +387,7 @@ let refute ?(samples = 64) ~rng ~actor ~property ~history ~state ~cwnd_tcp
         Canopy_util.Mathx.clamp ~lo:(-1.) ~hi:1.
           (Mlp.forward actor candidate_state).(0)
       in
-      let w = Agent_env.cwnd_of_action ~action:a ~cwnd_tcp in
+      let w = Fleet_env.cwnd_of_action ~action:a ~cwnd_tcp in
       match component.case with
       | Property.Large_delay | Property.Small_delay -> w -. prev_cwnd
       | Property.Noise ->
@@ -395,7 +395,7 @@ let refute ?(samples = 64) ~rng ~actor ~property ~history ~state ~cwnd_tcp
             Canopy_util.Mathx.clamp ~lo:(-1.) ~hi:1.
               (Mlp.forward actor state).(0)
           in
-          let w0 = Agent_env.cwnd_of_action ~action:a0 ~cwnd_tcp in
+          let w0 = Fleet_env.cwnd_of_action ~action:a0 ~cwnd_tcp in
           (w -. w0) /. w0
     in
     let candidate_of value =

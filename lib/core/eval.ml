@@ -1,4 +1,5 @@
 module Agent_env = Canopy_orca.Agent_env
+module Fleet_env = Canopy_orca.Fleet_env
 module Observation = Canopy_orca.Observation
 module Monitor = Canopy_orca.Monitor
 module Multiflow = Canopy_netsim.Multiflow
@@ -446,7 +447,7 @@ let eval_coexist ?(history = 5) ?interval_ms ?arrivals ~flows link =
             let st = Option.get canopy.(i) in
             let action = clamp out.(row) in
             let cwnd_tcp = Canopy_cc.Cubic.cwnd st.cc_cubic in
-            let enforced = Agent_env.cwnd_of_action ~action ~cwnd_tcp in
+            let enforced = Fleet_env.cwnd_of_action ~action ~cwnd_tcp in
             Canopy_cc.Cubic.force_cwnd st.cc_cubic enforced;
             Multiflow.set_cwnd mf ~flow:i enforced;
             st.cc_enforced <- enforced)
@@ -454,7 +455,7 @@ let eval_coexist ?(history = 5) ?interval_ms ?arrivals ~flows link =
       groups
   in
   (* Close the interval: take each Canopy flow's observation and push
-     its feature frame (same sequencing as [Agent_env.step]). *)
+     its feature frame (same sequencing as [Fleet_env.step]). *)
   let take_observations () =
     Array.iter
       (fun st ->

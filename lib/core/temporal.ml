@@ -1,7 +1,7 @@
 open Canopy_nn
 open Canopy_absint
 module Observation = Canopy_orca.Observation
-module Agent_env = Canopy_orca.Agent_env
+module Fleet_env = Canopy_orca.Fleet_env
 
 type env_model = { cwnd_tcp_drift : float; feature_slack : float }
 
@@ -37,10 +37,10 @@ let cwnd_interval ~cwnd_tcp action =
   let factor = Interval.pow2 (Interval.scale 2. action) in
   let raw = Interval.mul factor cwnd_tcp in
   Interval.make
-    (Canopy_util.Mathx.clamp ~lo:Agent_env.min_enforced
-       ~hi:Agent_env.max_enforced (Interval.lo raw))
-    (Canopy_util.Mathx.clamp ~lo:Agent_env.min_enforced
-       ~hi:Agent_env.max_enforced (Interval.hi raw))
+    (Canopy_util.Mathx.clamp ~lo:Fleet_env.min_enforced
+       ~hi:Fleet_env.max_enforced (Interval.lo raw))
+    (Canopy_util.Mathx.clamp ~lo:Fleet_env.min_enforced
+       ~hi:Fleet_env.max_enforced (Interval.hi raw))
 
 let verify ?(env_model = default_env_model) ?(engine = Certify.Batched)
     ?(domain = Certify.Box_domain) ~actor ~property ~case ~horizon ~history

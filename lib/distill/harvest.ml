@@ -1,14 +1,8 @@
 module Mat = Canopy_tensor.Mat
 module Mlp = Canopy_nn.Mlp
-module Agent_env = Canopy_orca.Agent_env
 module Fleet_env = Canopy_orca.Fleet_env
 
 let clamp_action = Canopy_util.Mathx.clamp ~lo:(-1.) ~hi:1.
-
-(* Mirrors [Fleet_env]'s interval derivation so a mixed config pool can
-   be pre-grouped instead of tripping its homogeneity check. *)
-let interval_of (cfg : Agent_env.config) =
-  match cfg.interval_ms with Some ms -> ms | None -> max 20 cfg.min_rtt_ms
 
 let collect_group ~limit_ticks ~actor cfgs =
   let env = Fleet_env.create cfgs in
@@ -63,7 +57,7 @@ let collect ?(limit_ticks = max_int) ~actor cfgs =
   let order = ref [] in
   Array.iter
     (fun cfg ->
-      let k = interval_of cfg in
+      let k = Fleet_env.interval_of cfg in
       match Hashtbl.find_opt by_interval k with
       | Some group -> group := cfg :: !group
       | None ->

@@ -9,7 +9,7 @@
 val collect :
   ?limit_ticks:int ->
   actor:Canopy_nn.Mlp.t ->
-  Canopy_orca.Agent_env.config array ->
+  Canopy_orca.Fleet_env.config array ->
   Canopy_tensor.Mat.t * float array
 (** [collect ~actor cfgs] returns [(xs, ys)]: one row of [xs] per flow per
     decision tick (flows vary fastest) and the matching clamped actions in

@@ -1,18 +1,23 @@
-(** Millisecond-granularity bottleneck-link emulator.
+(** Shared types of the millisecond-granularity bottleneck-link model.
 
-    Reproduces the Mahimahi link model the paper evaluates on: a
-    trace-driven bottleneck where each millisecond offers a number of
-    MTU-sized packet delivery opportunities (wasted when the queue is
-    empty), a droptail FIFO buffer in front of it, and a fixed propagation
-    delay so that [RTT = minRTT + queueing delay]. The reverse (ACK) path
-    is uncongested.
+    The model is the Mahimahi link the paper evaluates on: a trace-driven
+    bottleneck where each millisecond offers a number of MTU-sized packet
+    delivery opportunities (wasted when the queue is empty), a droptail
+    FIFO buffer in front of it, and a fixed propagation delay so that
+    [RTT = minRTT + queueing delay]. The reverse (ACK) path is
+    uncongested.
 
     The sender transmits whenever fewer packets are in flight than the
     current congestion window; the window itself is set from outside each
     tick, which is what lets a learned controller override its TCP
     backbone's suggestion (Eq. 1). Packets dropped at the queue surface to
     the sender as a loss event one minRTT later, approximating dup-ACK
-    detection. *)
+    detection.
+
+    {!Fleet} is the simulator: it advances any number of independent
+    links, and a one-flow fleet is the scalar link. This module holds what
+    its callers share: the per-link configuration, the ack/loss event
+    handlers and the cumulative counters. *)
 
 type ack = {
   now_ms : int;  (** time the ACK reaches the sender *)
@@ -62,43 +67,10 @@ val default_mtu : int
 val bdp_pkts : mbps:float -> min_rtt_ms:int -> mtu_bytes:int -> int
 (** Bandwidth-delay product in packets, at least 1. *)
 
-type t
-
-val create : config -> t
-val config : t -> config
-val now_ms : t -> int
-
-val cwnd : t -> float
-val set_cwnd : t -> float -> unit
-(** Clamped below at 1 packet. *)
-
-val inflight : t -> int
-val queue_len : t -> int
-
-val tick : t -> handlers -> unit
-(** Advance the simulation by one millisecond: deliver due ACKs and loss
-    notifications (invoking the handlers), drain the bottleneck according
-    to the trace, then let the sender fill the window. *)
-
-val run : t -> handlers -> ms:int -> unit
-(** [tick] repeated [ms] times. *)
-
-(** Cumulative counters since creation. *)
+(** Cumulative counters of one link since creation. *)
 type stats = {
   sent : int;
   delivered : int;
   dropped : int;
   capacity_pkts : float;  (** delivery opportunities offered by the trace *)
-  rtt_samples : Canopy_util.Fbuf.t;  (** per-ACK RTT in ms *)
 }
-
-val stats : t -> stats
-val utilization : t -> float
-(** Delivered packets over offered capacity so far; 0 before any tick. *)
-
-val loss_rate : t -> float
-(** Dropped over sent; 0 before any send. *)
-
-val avg_qdelay_ms : t -> float
-val qdelay_array_ms : t -> float array
-(** Per-ACK queueing delay samples (RTT − minRTT). *)

@@ -1,27 +1,30 @@
-(* Struct-of-arrays fleet of independent bottleneck links.
+(* Struct-of-arrays fleet of independent bottleneck links: the link
+   simulator. A one-flow fleet is the scalar link, so the TCP baselines,
+   the Orca episode and the serving fleet all step the same code.
 
-   Each flow is an exact transliteration of [Env]: same state, same
-   tick order (process return path, sender fill, drain bottleneck), the
-   same float-operation order, and the same per-flow PRNG streams — a
-   fleet of N links reproduces N [Env]s bit-for-bit (see
-   test/test_fleet.ml). What changes is the layout and the driver: all
-   per-flow scalars live in flat arrays indexed by flow, the bottleneck
-   queue and the return path are per-flow int rings carved out of
-   per-flow arrays, and [run] advances every flow through a whole block
-   of milliseconds at once so the per-flow loop can be chunked over
-   [Canopy_util.Pool] (flows never share state, so parallel execution
-   is bit-identical to sequential by construction).
+   Per flow and per millisecond the phases run in the Mahimahi order
+   (process the return path, sender fill, drain the bottleneck), with a
+   per-flow PRNG stream for the impairments. All per-flow scalars live in
+   flat arrays indexed by flow, the bottleneck queue and the return path
+   are per-flow int rings, and [run] advances every flow through a whole
+   block of milliseconds at once so the per-flow loop can be chunked over
+   [Canopy_util.Pool] (flows never share state, so parallel execution is
+   bit-identical to sequential by construction).
 
    Trace lookups are hoisted: [run] precomputes one packets-per-ms table
    per trace family (links sharing a trace by physical equality) and
    every flow of the family reads the shared table instead of calling
-   [Trace.packets_per_ms] per flow per millisecond. *)
+   [Trace.packets_per_ms] per flow per millisecond.
+
+   Queueing delays are kept as an exact per-flow histogram: RTTs are
+   whole milliseconds, so one int bin per millisecond of RTT - minRTT
+   reproduces the sample multiset in O(max delay) memory. *)
 
 module Trace = Canopy_trace.Trace
 module Prng = Canopy_util.Prng
 module Pool = Canopy_util.Pool
 
-(* Return-path event kinds (Env.return_event flattened to ints). *)
+(* Return-path event kinds. *)
 let ev_ack = 0
 let ev_loss = 1
 
@@ -49,7 +52,10 @@ type t = {
   dropped : int array;
   credit : float array;
   capacity_pkts : float array;
-  qdelay_sum_ms : float array;
+  (* queueing-delay histogram: [qd_hist.(i).(q)] counts flow i's acks
+     with RTT - minRTT = q ms; the outer slots are replaced on growth *)
+  qd_hist : int array array;
+  qd_sum_ms : int array;
   last_scheduled : int array;
   (* bottleneck queue: per-flow fixed-capacity ring of (seq, sent_ms);
      capacity = buffer_pkts, the droptail bound *)
@@ -132,7 +138,8 @@ let create cfgs =
     dropped = Array.make n 0;
     credit = Array.make n 0.;
     capacity_pkts = Array.make n 0.;
-    qdelay_sum_ms = Array.make n 0.;
+    qd_hist = Array.init n (fun _ -> [||]);
+    qd_sum_ms = Array.make n 0;
     last_scheduled = Array.make n 0;
     q_seq = Array.map (fun (c : Env.config) -> Array.make c.buffer_pkts 0) cfgs;
     q_sent = Array.map (fun (c : Env.config) -> Array.make c.buffer_pkts 0) cfgs;
@@ -189,10 +196,11 @@ let ret_push t i arrival kind seq sent_ms =
   t.r_sent.(i).(tail) <- sent_ms;
   t.r_len.(i) <- t.r_len.(i) + 1
 
-(* Mirror of [Env.schedule]: O(1) watermark append in the jitter-free
-   case; under jitter, rebuild in exactly the order Env produces (the
-   new event consed ahead of the FIFO contents, then stable-sorted by
-   arrival — the watermark itself is left untouched, as in Env). *)
+(* Sorted insertion: with ACK jitter the return path is no longer
+   monotone in arrival time. O(1) watermark append in the jitter-free
+   case; otherwise rebuild with the new event ahead of the ring
+   contents, stable-sorted by arrival (the watermark is left
+   untouched). *)
 let schedule t i arrival kind seq sent_ms =
   if arrival >= t.last_scheduled.(i) then begin
     t.last_scheduled.(i) <- arrival;
@@ -218,7 +226,22 @@ let schedule t i arrival kind seq sent_ms =
   end
 
 (* ------------------------------------------------------------------ *)
-(* One millisecond of one flow — the three phases of [Env.tick] *)
+(* One millisecond of one flow *)
+
+(* Slow path of the histogram bump: a delay past the last bin. Bins at
+   least double, rounded up to a multiple of 32, so a flow regrows
+   O(log max delay) times. Fixed-size steps would copy O(max delay²)
+   words per flow while the interval runs: on a 264-flow serving episode
+   that garbage costs an extra major GC cycle and more peak heap than
+   doubling's overshoot. *)
+let bump_grown_bins t i q =
+  if q < 0 then failwith "Fleet: RTT below minRTT";
+  let bins = t.qd_hist.(i) in
+  let want = max (q + 1) (2 * Array.length bins) in
+  let grown = Array.make ((want + 31) / 32 * 32) 0 in
+  Array.blit bins 0 grown 0 (Array.length bins);
+  grown.(q) <- 1;
+  t.qd_hist.(i) <- grown
 
 let process_return_path t (handlers : Env.handlers array) i ~now =
   let continue = ref true in
@@ -236,12 +259,11 @@ let process_return_path t (handlers : Env.handlers array) i ~now =
         t.inflight.(i) <- max 0 (t.inflight.(i) - 1);
         t.delivered.(i) <- t.delivered.(i) + 1;
         let rtt = now - sent_ms in
-        (* Running queueing-delay sum in ack order: dividing by the
-           delivered count reproduces [Env.avg_qdelay_ms]'s
-           fold-over-samples bitwise. *)
-        t.qdelay_sum_ms.(i) <-
-          t.qdelay_sum_ms.(i)
-          +. Float.max 0. (float_of_int rtt -. float_of_int t.min_rtt.(i));
+        let q = rtt - t.min_rtt.(i) in
+        let bins = t.qd_hist.(i) in
+        if q >= 0 && q < Array.length bins then bins.(q) <- bins.(q) + 1
+        else bump_grown_bins t i q;
+        t.qd_sum_ms.(i) <- t.qd_sum_ms.(i) + q;
         handlers.(i).Env.on_ack
           { Env.now_ms = now; seq; rtt_ms = rtt; delivered = t.delivered.(i) }
       end
@@ -267,6 +289,8 @@ let sender_fill t i ~now =
       t.q_len.(i) <- t.q_len.(i) + 1
     end
     else begin
+      (* Droptail: the sender learns about the loss one minRTT later,
+         approximating dup-ACK detection. *)
       t.dropped.(i) <- t.dropped.(i) + 1;
       schedule t i (now + t.min_rtt.(i)) ev_loss 0 0
     end
@@ -286,15 +310,20 @@ let drain_bottleneck t i ~now ~ppms =
     t.q_len.(i) <- t.q_len.(i) - 1;
     if t.random_loss.(i) > 0. && Prng.float t.rng.(i) 1. < t.random_loss.(i)
     then begin
+      (* non-congestive (e.g. wireless) loss after the bottleneck *)
       t.dropped.(i) <- t.dropped.(i) + 1;
       schedule t i (now + t.min_rtt.(i)) ev_loss 0 0
     end
     else begin
+      (* The ACK returns minRTT after the dequeue instant, plus any
+         return-path jitter. *)
       let jitter =
         if t.jitter.(i) = 0 then 0 else Prng.int t.rng.(i) (t.jitter.(i) + 1)
       in
-      (* Same gated draw order as [Env.drain_bottleneck]: jitter, then
-         reordering — the per-flow PRNG streams stay aligned bitwise. *)
+      (* Reordering: with probability [reorder_prob] the feedback is held
+         back an extra [reorder_ms], so later packets' ACKs overtake it.
+         Both draws are gated on their knobs, so a reorder-free config
+         consumes exactly the reorder-free PRNG stream. *)
       let reorder =
         if
           t.reorder_prob.(i) > 0.
@@ -308,7 +337,9 @@ let drain_bottleneck t i ~now ~ppms =
 
 let tick_flow t handlers i ~now ~ppms =
   process_return_path t handlers i ~now;
-  (* Fill before draining (Mahimahi semantics), as in [Env.tick]. *)
+  (* Fill before draining so a packet can use a delivery opportunity in
+     the millisecond it arrives (Mahimahi semantics): an uncongested path
+     then yields RTT = minRTT exactly. *)
   sender_fill t i ~now;
   drain_bottleneck t i ~now ~ppms
 
@@ -322,7 +353,10 @@ let par_threshold = 16_384
    scheduling — and the per-flow stepping itself is flow-local, so any
    chunking (including none) produces identical bits. *)
 let plan_chunk ~n ~ms =
-  if Pool.in_task () then None
+  (* A lone flow never touches the pool, so scalar callers neither spawn
+     it nor hand their flow to a worker. *)
+  if n < 2 then None
+  else if Pool.in_task () then None
   else if Pool.domains (Pool.default ()) < 2 then None
   else if n * ms < par_threshold then None
   else Some (max 1 (8_192 / max 1 ms))
@@ -357,10 +391,16 @@ let run ?after_tick t handlers ~ms =
     t.now_ms <- now0 + ms
   end
 
-let tick ?after_tick t handlers = run ?after_tick t handlers ~ms:1
-
 (* ------------------------------------------------------------------ *)
-(* Per-flow metrics (matching Env's definitions bitwise) *)
+(* Per-flow metrics *)
+
+let stats t ~flow =
+  {
+    Env.sent = t.sent.(flow);
+    delivered = t.delivered.(flow);
+    dropped = t.dropped.(flow);
+    capacity_pkts = t.capacity_pkts.(flow);
+  }
 
 let utilization t ~flow =
   if t.capacity_pkts.(flow) <= 0. then 0.
@@ -372,7 +412,17 @@ let loss_rate t ~flow =
 
 let avg_qdelay_ms t ~flow =
   if t.delivered.(flow) = 0 then 0.
-  else t.qdelay_sum_ms.(flow) /. float_of_int t.delivered.(flow)
+  else float_of_int t.qd_sum_ms.(flow) /. float_of_int t.delivered.(flow)
+
+let qdelay_array_ms t ~flow =
+  let out = Array.make t.delivered.(flow) 0. in
+  let k = ref 0 in
+  Array.iteri
+    (fun q count ->
+      Array.fill out !k count (float_of_int q);
+      k := !k + count)
+    t.qd_hist.(flow);
+  out
 
 let throughput_mbps t ~flow =
   if t.now_ms = 0 then 0.

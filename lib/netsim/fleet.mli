@@ -1,13 +1,12 @@
-(** Struct-of-arrays fleet of independent bottleneck links.
+(** Struct-of-arrays fleet of independent bottleneck links: the link
+    simulator of the {!Env} model.
 
-    A fleet holds thousands of {!Env}-equivalent links in flat per-flow
-    arrays (cwnd/inflight/seq/delivered/dropped/credit plus ring-buffer
+    A fleet holds any number of links in flat per-flow arrays
+    (cwnd/inflight/seq/delivered/dropped/credit plus ring-buffer
     bottleneck queues and return paths) and advances all of them through
-    blocks of milliseconds at once. Per-flow stepping is an exact
-    transliteration of [Env.tick] — same phase order, same
-    float-operation order, same per-flow PRNG streams — so a fleet of N
-    links reproduces N scalar [Env]s bit-for-bit; the determinism tests
-    pin this.
+    blocks of milliseconds at once. A one-flow fleet is the scalar link:
+    the TCP baselines ([Canopy_cc.Runner]) and the Orca episode step one,
+    and a lone flow never touches the domain pool.
 
     Links sharing a trace (by physical equality, at equal MTU) form a
     trace family: [run] computes one packets-per-ms table per family and
@@ -15,14 +14,22 @@
     millisecond. The per-flow loop is chunked over
     [Canopy_util.Pool.default ()] with pure chunking; flows share no
     mutable state, so results are bit-identical at any domain count
-    (sequential included). *)
+    (sequential included).
+
+    Queueing delays are kept as an exact per-flow histogram, one int bin
+    per whole millisecond of RTT − minRTT, grown on demand by doubling
+    (in multiples of 32 bins). RTTs are whole milliseconds, so the histogram is the sample
+    multiset: its mean, percentiles and RTT mean equal those of the
+    per-ack samples to the bit, in O(max delay) memory rather than
+    O(acks). *)
 
 type t
 
 val create : Env.config array -> t
-(** One link per config, all starting at time 0 with empty queues. Same
-    per-link validation as [Env.create]. Raises [Invalid_argument] on an
-    empty array. *)
+(** One link per config, all starting at time 0 with empty queues.
+    Raises [Invalid_argument] on an empty array or an invalid config
+    (minRTT < 2, empty buffer, non-positive MTU, initial window < 1,
+    probabilities outside \[0,1), negative delays). *)
 
 val flows : t -> int
 val now_ms : t -> int
@@ -31,7 +38,7 @@ val config : t -> flow:int -> Env.config
 val cwnd : t -> flow:int -> float
 
 val set_cwnd : t -> flow:int -> float -> unit
-(** Clamped to at least 1, as [Env.set_cwnd]. *)
+(** Clamped below at 1 packet. *)
 
 val inflight : t -> flow:int -> int
 val queue_len : t -> flow:int -> int
@@ -39,33 +46,37 @@ val queue_len : t -> flow:int -> int
 val run :
   ?after_tick:(int -> unit) -> t -> Env.handlers array -> ms:int -> unit
 (** [run t handlers ~ms] advances every flow by [ms] milliseconds;
-    [handlers.(i)] receives flow [i]'s ack/loss events exactly as the
-    corresponding [Env] would deliver them. [after_tick i] (if given)
-    runs after each of flow [i]'s milliseconds — the hook a congestion
+    [handlers.(i)] receives flow [i]'s ack/loss events. Each millisecond
+    of a flow delivers its due ACKs and loss notifications (invoking the
+    handlers), lets the sender fill the window, then drains the
+    bottleneck according to the trace. [after_tick i] (if given) runs
+    after each of flow [i]'s milliseconds — the hook a congestion
     controller backbone uses to refresh the flow's cwnd mid-interval.
     Handlers and [after_tick] execute inside pool chunks and therefore
     must touch only flow-local state (no cross-flow writes, no shared
     accumulators); this is what keeps fleet stepping race-free and
     bit-identical at any domain count. *)
 
-val tick : ?after_tick:(int -> unit) -> t -> Env.handlers array -> unit
-(** [run ~ms:1]. *)
-
-(** {2 Per-flow counters and metrics}
-
-    Definitions match [Env]'s bitwise ([utilization], [loss_rate],
-    [avg_qdelay_ms] reproduce [Env.utilization] / [Env.loss_rate] /
-    [Env.avg_qdelay_ms] exactly on identical histories). *)
+(** {2 Per-flow counters and metrics} *)
 
 val sent : t -> flow:int -> int
 val delivered : t -> flow:int -> int
 val dropped : t -> flow:int -> int
 val capacity_pkts : t -> flow:int -> float
+val stats : t -> flow:int -> Env.stats
+
 val utilization : t -> flow:int -> float
+(** Delivered packets over offered capacity so far; 0 before any tick. *)
+
 val loss_rate : t -> flow:int -> float
+(** Dropped over sent; 0 before any send. *)
 
 val avg_qdelay_ms : t -> flow:int -> float
 (** Mean queueing delay over all acked packets; [0.] before any ack. *)
+
+val qdelay_array_ms : t -> flow:int -> float array
+(** Every acked packet's queueing delay (RTT − minRTT), ascending: one
+    entry per delivered packet. *)
 
 val throughput_mbps : t -> flow:int -> float
 (** Delivered payload rate over the whole run; [0.] at time 0. *)

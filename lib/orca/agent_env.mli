@@ -1,14 +1,14 @@
-(** The Orca RL environment: a bottleneck link with a Cubic backbone whose
-    window a learned agent modulates at coarse monitoring steps.
+(** The Orca RL environment for a single flow: a one-flow view of
+    {!Fleet_env}.
 
     Each {!step} applies the agent's action [a ∈ \[-1,1\]] through Eq. 1
     ([CWND = 2^{2a} · CWND_TCP]), enforces the resulting window for one
     monitoring interval while Cubic keeps performing fine-grained control
     inside it, and returns the next agent state (the concatenated feature
     frames of the past [history] observations) together with the raw
-    reward. *)
+    reward. Every accessor reads flow 0 of the underlying fleet. *)
 
-type config = {
+type config = Fleet_env.config = {
   trace : Canopy_trace.Trace.t;
   min_rtt_ms : int;
   buffer_pkts : int;
@@ -18,7 +18,7 @@ type config = {
   delay_noise : (Canopy_util.Prng.t * float) option;
       (** multiplicative noise on the observed queueing delay *)
   impairments : Canopy_netsim.Env.impairments;
-      (** link pathologies (random loss, ACK jitter) *)
+      (** link pathologies (random loss, ACK jitter, reordering) *)
   reward : Reward.config;
 }
 
@@ -36,7 +36,8 @@ val state_dim : config -> int
 type t
 
 val create : config -> t
-val config : t -> config
+(** A fresh episode. Raises [Invalid_argument] as {!Fleet_env.create}. *)
+
 val interval_ms : t -> int
 
 val reset : t -> float array
@@ -47,40 +48,28 @@ type step_result = {
   state : float array;  (** next agent state *)
   raw_reward : float;  (** Orca reward for the elapsed interval *)
   observation : Observation.t;  (** the interval's observation *)
-  features : float array;  (** the newest normalized frame *)
   cwnd_tcp : float;  (** Cubic's suggestion before enforcement (CWND_TCP) *)
   cwnd_enforced : float;  (** the window actually applied (Eq. 1) *)
   finished : bool;  (** episode reached [duration_ms] *)
 }
 
 val step : t -> action:float -> step_result
-(** Raises [Invalid_argument] if the action is outside [\[-1,1\]] or the
-    episode already finished. *)
-
-val cwnd_of_action : action:float -> cwnd_tcp:float -> float
-(** Eq. 1 with the simulator's window clamp: monotone in [action] for a
-    fixed suggestion, which is what lets the verifier propagate action
-    intervals through it exactly. *)
-
-val min_enforced : float
-val max_enforced : float
+(** Raises [Invalid_argument] as {!Fleet_env.step}: the action is outside
+    [\[-1,1\]] or the episode already finished. *)
 
 val prev_cwnd_enforced : t -> float
-(** The window enforced during the previous step (CWND_{i−1} of the
-    performance property); equals the initial window before any step. *)
+(** {!Fleet_env.prev_cwnd_enforced}. *)
 
 val cwnd_tcp : t -> float
-(** Cubic's current window suggestion — the CWND_TCP that the next
-    {!step}'s Eq. 1 will scale. The verifier uses this to turn an
-    abstract action interval into an abstract CWND interval. *)
+(** {!Fleet_env.cwnd_tcp}: the CWND_TCP the next {!step} will scale. *)
 
 val state : t -> float array
 (** Current agent state without advancing the environment. *)
 
 val env_stats : t -> Canopy_netsim.Env.stats
 val utilization : t -> float
-val avg_qdelay_ms : t -> float
 val qdelay_array_ms : t -> float array
 val loss_rate : t -> float
+
 val thr_scale_mbps : t -> float
 (** Running THR_max used for feature normalization. *)

@@ -1,25 +1,52 @@
-(* Vectorized agent environment: N [Agent_env]-equivalent episodes over
-   one [Canopy_netsim.Fleet], with the observation assembly batched into
-   a flat [n × history × feature_count] block so a decision tick can
-   hand every flow's state to the policy as one [n × state_dim] matrix
-   (one GEMM serves the whole fleet).
+(* The Orca episode, vectorized: N episodes over one
+   [Canopy_netsim.Fleet], with the observation assembly batched into a
+   flat [n × history × feature_count] block so a decision tick can hand
+   every flow's state to the policy as one [n × state_dim] matrix (one
+   GEMM serves the whole fleet). [Agent_env] is the one-flow view.
 
-   Per flow the step sequence is exactly [Agent_env.step] — validate
-   action, read the Cubic backbone, enforce Eq. 1's window, advance the
-   link one interval with Cubic refreshing the live window after every
-   millisecond, take the monitor observation, update the throughput
-   scale, push the feature frame, score the reward — so a fleet of N
-   single-flow links reproduces N scalar [Agent_env] trajectories
-   bit-for-bit (pinned in test/test_fleet.ml). All per-flow work runs
-   inside the fleet's pool chunks; every mutable cell involved (cubic,
-   monitor, history slice, reward) is owned by exactly one flow. *)
+   Per flow a step validates the action, reads the Cubic backbone,
+   enforces Eq. 1's window, advances the link one interval with Cubic
+   refreshing the live window after every millisecond, takes the monitor
+   observation, updates the throughput scale, pushes the feature frame
+   and scores the reward. All per-flow work runs inside the fleet's pool
+   chunks; every mutable cell involved (cubic, monitor, history slice,
+   reward) is owned by exactly one flow, so flows are independent and an
+   N-flow fleet reproduces N one-flow fleets bit-for-bit. *)
 
 module Env = Canopy_netsim.Env
 module Fleet = Canopy_netsim.Fleet
 module Mat = Canopy_tensor.Mat
 
+type config = {
+  trace : Canopy_trace.Trace.t;
+  min_rtt_ms : int;
+  buffer_pkts : int;
+  duration_ms : int;
+  history : int;
+  interval_ms : int option;
+  delay_noise : (Canopy_util.Prng.t * float) option;
+  impairments : Env.impairments;
+  reward : Reward.config;
+}
+
+let interval_of cfg =
+  match cfg.interval_ms with
+  | Some ms ->
+      if ms <= 0 then invalid_arg "Fleet_env.create: interval";
+      ms
+  | None -> max 20 cfg.min_rtt_ms
+
+let max_enforced = 50_000.
+let min_enforced = 2.
+
+(* Eq. 1 plus the window clamp the simulator enforces; the verifier lifts
+   exactly this map so certificates speak about deployed behaviour. *)
+let cwnd_of_action ~action ~cwnd_tcp =
+  Canopy_util.Mathx.clamp ~lo:min_enforced ~hi:max_enforced
+    (Canopy_util.Mathx.pow2 (2. *. action) *. cwnd_tcp)
+
 type t = {
-  cfgs : Agent_env.config array;
+  cfgs : config array;
   n : int;
   history : int;
   interval_ms : int;
@@ -41,18 +68,11 @@ type t = {
   mutable finished : bool;
 }
 
-let interval_of (cfg : Agent_env.config) =
-  match cfg.interval_ms with
-  | Some ms ->
-      if ms <= 0 then invalid_arg "Fleet_env.create: interval";
-      ms
-  | None -> max 20 cfg.min_rtt_ms
-
-let create (cfgs : Agent_env.config array) =
+let create (cfgs : config array) =
   let n = Array.length cfgs in
   if n = 0 then invalid_arg "Fleet_env.create: no envs";
   Array.iter
-    (fun (cfg : Agent_env.config) ->
+    (fun (cfg : config) ->
       if cfg.history <= 0 then invalid_arg "Fleet_env.create: history";
       if cfg.duration_ms <= 0 then invalid_arg "Fleet_env.create: duration")
     cfgs;
@@ -62,7 +82,7 @@ let create (cfgs : Agent_env.config array) =
   let interval_ms = interval_of cfgs.(0) in
   let duration_ms = cfgs.(0).duration_ms in
   Array.iter
-    (fun (cfg : Agent_env.config) ->
+    (fun (cfg : config) ->
       if cfg.history <> history then
         invalid_arg "Fleet_env.create: heterogeneous history";
       if interval_of cfg <> interval_ms then
@@ -73,7 +93,7 @@ let create (cfgs : Agent_env.config array) =
   let fleet =
     Fleet.create
       (Array.map
-         (fun (cfg : Agent_env.config) ->
+         (fun (cfg : config) ->
            {
              Env.trace = cfg.trace;
              min_rtt_ms = cfg.min_rtt_ms;
@@ -87,7 +107,7 @@ let create (cfgs : Agent_env.config array) =
   let cubic = Array.init n (fun _ -> Canopy_cc.Cubic.create ()) in
   let monitor =
     Array.map
-      (fun (cfg : Agent_env.config) ->
+      (fun (cfg : config) ->
         Monitor.create ?delay_noise:cfg.delay_noise ~min_rtt_ms:cfg.min_rtt_ms
           ())
       cfgs
@@ -111,9 +131,7 @@ let create (cfgs : Agent_env.config array) =
     cubic;
     monitor;
     reward =
-      Array.map
-        (fun (cfg : Agent_env.config) -> Reward.create ~config:cfg.reward ())
-        cfgs;
+      Array.map (fun (cfg : config) -> Reward.create ~config:cfg.reward ()) cfgs;
     handlers;
     after_tick;
     hist = Array.make (n * history * Observation.feature_count) 0.;
@@ -132,10 +150,11 @@ let finished t = t.finished
 let now_ms t = Fleet.now_ms t.fleet
 let thr_scale_mbps t ~flow = t.thr_scale.(flow)
 let prev_cwnd_enforced t ~flow = t.prev_cwnd.(flow)
+let cwnd_tcp t ~flow = Canopy_cc.Cubic.cwnd t.cubic.(flow)
 
 let fc = Observation.feature_count
 
-(* Oldest-first frame order, as [Agent_env.state]'s ring concatenation. *)
+(* Oldest-first frame order. *)
 let write_state_row t i dst off =
   let hbase = i * t.history * fc in
   let head = t.hist_head.(i) in
@@ -164,7 +183,7 @@ type step_result = {
   finished : bool;
 }
 
-let step (t : t) ~actions =
+let step ?observe (t : t) ~actions =
   if t.finished then invalid_arg "Fleet_env.step: episode finished";
   if Array.length actions <> t.n then invalid_arg "Fleet_env.step: actions";
   let cwnd_tcp = Array.make t.n 0. in
@@ -174,7 +193,7 @@ let step (t : t) ~actions =
     if Float.is_nan action || action < -1. || action > 1. then
       invalid_arg "Fleet_env.step: action out of range";
     let tcp = Canopy_cc.Cubic.cwnd t.cubic.(i) in
-    let enforced = Agent_env.cwnd_of_action ~action ~cwnd_tcp:tcp in
+    let enforced = cwnd_of_action ~action ~cwnd_tcp:tcp in
     Canopy_cc.Cubic.force_cwnd t.cubic.(i) enforced;
     Fleet.set_cwnd t.fleet ~flow:i enforced;
     cwnd_tcp.(i) <- tcp;
@@ -185,9 +204,9 @@ let step (t : t) ~actions =
   let rewards = Array.make t.n 0. in
   for i = 0 to t.n - 1 do
     let obs = Monitor.take t.monitor.(i) ~now_ms:now ~cwnd_pkts:cwnd_enforced.(i) in
+    (match observe with Some f -> f i obs | None -> ());
     t.thr_scale.(i) <- Float.max t.thr_scale.(i) obs.Observation.thr_mbps;
-    (* Overwrite the oldest frame in place and advance the ring head:
-       same frame sequence as [Agent_env]'s [Ring.push]. *)
+    (* Overwrite the oldest frame in place and advance the ring head. *)
     let off = (i * t.history * fc) + (t.hist_head.(i) * fc) in
     Observation.features_into ~thr_scale_mbps:t.thr_scale.(i) obs ~dst:t.hist
       ~off;

@@ -1,23 +1,57 @@
-(** Vectorized agent environment: N [Agent_env]-equivalent episodes over
-    one [Canopy_netsim.Fleet], with batched observation assembly.
+(** The Orca RL environment, vectorized: N episodes, each a bottleneck
+    link with a Cubic backbone whose window a learned agent modulates at
+    coarse monitoring steps, over one [Canopy_netsim.Fleet].
 
-    Per flow the step sequence is exactly [Agent_env.step], so a fleet
-    of N single-flow links reproduces N scalar [Agent_env] trajectories
-    bit-for-bit. The value added is the layout: all flows' feature
-    histories live in one flat block, {!write_states} assembles the
-    whole fleet's states into one [flows × state_dim] matrix row block,
-    and {!step} takes the whole fleet's actions at once — the shape
-    [Mlp.forward_eval_into] needs to serve every flow with a single
-    GEMM per decision tick. *)
+    Each {!step} applies every flow's action [a ∈ \[-1,1\]] through
+    Eq. 1 ([CWND = 2^{2a} · CWND_TCP]), enforces the resulting window
+    for one monitoring interval while Cubic keeps performing
+    fine-grained control inside it, and scores the interval's reward.
+    The agent state of a flow is the concatenated feature frames of its
+    past [history] observations. All flows' feature histories live in
+    one flat block, {!write_states} assembles the whole fleet's states
+    into one [flows × state_dim] matrix row block, and {!step} takes the
+    whole fleet's actions at once — the shape [Mlp.forward_eval_into]
+    needs to serve every flow with a single GEMM per decision tick.
+
+    Flows are independent: an N-flow fleet reproduces N one-flow fleets
+    bit-for-bit. [Agent_env] is the one-flow view. *)
+
+type config = {
+  trace : Canopy_trace.Trace.t;
+  min_rtt_ms : int;
+  buffer_pkts : int;
+  duration_ms : int;  (** episode length *)
+  history : int;  (** k past observation frames in the state *)
+  interval_ms : int option;  (** monitoring period; default max(20, minRTT) *)
+  delay_noise : (Canopy_util.Prng.t * float) option;
+      (** multiplicative noise on the observed queueing delay *)
+  impairments : Canopy_netsim.Env.impairments;
+      (** link pathologies (random loss, ACK jitter, reordering) *)
+  reward : Reward.config;
+}
+(** One episode. *)
+
+val interval_of : config -> int
+(** The decision interval: [interval_ms], or max(20, minRTT) when unset.
+    Raises [Invalid_argument] on a non-positive interval. *)
+
+val cwnd_of_action : action:float -> cwnd_tcp:float -> float
+(** Eq. 1 with the simulator's window clamp: monotone in [action] for a
+    fixed suggestion, which is what lets the verifier propagate action
+    intervals through it exactly. *)
+
+val min_enforced : float
+val max_enforced : float
 
 type t
 
-val create : Agent_env.config array -> t
+val create : config array -> t
 (** One episode per config. All configs must agree on [history],
     decision interval and [duration_ms] (the batched tick runs the
     whole fleet on one cadence); traces, buffers, minRTTs, impairments
     and reward configs may differ per flow. Raises [Invalid_argument]
-    on an empty array or heterogeneous cadence. *)
+    on an empty array, a non-positive history, duration or interval, or
+    heterogeneous cadence. *)
 
 val flows : t -> int
 val history : t -> int
@@ -32,11 +66,19 @@ val fleet : t -> Canopy_netsim.Fleet.t
 val finished : t -> bool
 val now_ms : t -> int
 val thr_scale_mbps : t -> flow:int -> float
+(** Running THR_max used for feature normalization. *)
+
 val prev_cwnd_enforced : t -> flow:int -> float
+(** The window enforced during the previous step (CWND_{i−1} of the
+    performance property); equals the initial window before any step. *)
+
+val cwnd_tcp : t -> flow:int -> float
+(** Cubic's current window suggestion — the CWND_TCP that the next
+    {!step}'s Eq. 1 will scale. The verifier uses this to turn an
+    abstract action interval into an abstract CWND interval. *)
 
 val state : t -> flow:int -> float array
-(** Flow [flow]'s current state (oldest frame first), identical to
-    [Agent_env.state] at the same point of the episode. *)
+(** Flow [flow]'s current state (oldest frame first). *)
 
 val write_states : t -> dst:Canopy_tensor.Mat.t -> unit
 (** Write every flow's state into row [i] of [dst]
@@ -49,8 +91,12 @@ type step_result = {
   finished : bool;
 }
 
-val step : t -> actions:float array -> step_result
+val step :
+  ?observe:(int -> Observation.t -> unit) ->
+  t ->
+  actions:float array ->
+  step_result
 (** Advance every flow by one decision interval under [actions.(i)] ∈
-    [[-1,1]]. Per flow this is exactly [Agent_env.step]. Raises
-    [Invalid_argument] on a finished episode, a wrong-length array or
-    an out-of-range action. *)
+    [[-1,1]]. [observe i obs] (if given) receives flow [i]'s observation
+    of the interval. Raises [Invalid_argument] on a finished episode, a
+    wrong-length array or an out-of-range action. *)

@@ -22,7 +22,7 @@ type params = {
 type dim = { dim_name : string; lo : float; hi : float }
 
 (* The box. Bounds are chosen so every compiled scenario is a valid
-   simulator configuration (Env.create validation passes for any point)
+   simulator configuration (Fleet.create validation passes for any point)
    while still covering conditions far outside the 22-trace suite. *)
 let dims =
   [|

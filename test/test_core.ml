@@ -270,7 +270,7 @@ let test_certificate_output_bounds_sound () =
           Canopy_util.Mathx.clamp ~lo:(-1.) ~hi:1. (Mlp.forward actor s).(0)
         in
         let dcwnd =
-          Canopy_orca.Agent_env.cwnd_of_action ~action:a ~cwnd_tcp -. prev_cwnd
+          Canopy_orca.Fleet_env.cwnd_of_action ~action:a ~cwnd_tcp -. prev_cwnd
         in
         check_bool "ΔCWND inside bound" true
           (Interval.contains comp.Certify.output dcwnd)
@@ -313,7 +313,7 @@ let test_robustness_certificate_soundness () =
   let a0 =
     Canopy_util.Mathx.clamp ~lo:(-1.) ~hi:1. (Mlp.forward actor mid_state).(0)
   in
-  let cwnd0 = Canopy_orca.Agent_env.cwnd_of_action ~action:a0 ~cwnd_tcp in
+  let cwnd0 = Canopy_orca.Fleet_env.cwnd_of_action ~action:a0 ~cwnd_tcp in
   Array.iter
     (fun comp ->
       let factor_iv =
@@ -328,7 +328,7 @@ let test_robustness_certificate_soundness () =
           Canopy_util.Mathx.clamp ~lo:(-1.) ~hi:1. (Mlp.forward actor s).(0)
         in
         let change =
-          (Canopy_orca.Agent_env.cwnd_of_action ~action:a ~cwnd_tcp -. cwnd0)
+          (Canopy_orca.Fleet_env.cwnd_of_action ~action:a ~cwnd_tcp -. cwnd0)
           /. cwnd0
         in
         check_bool "CWNDCHANGE inside bound" true
@@ -813,7 +813,7 @@ let test_refute_finds_real_violation () =
         Canopy_util.Mathx.clamp ~lo:(-1.) ~hi:1.
           (Mlp.forward actor state).(0)
       in
-      let w = Canopy_orca.Agent_env.cwnd_of_action ~action:a ~cwnd_tcp:100. in
+      let w = Canopy_orca.Fleet_env.cwnd_of_action ~action:a ~cwnd_tcp:100. in
       check_float "witness replays" output (w -. 100.)
   | Certify.Unknown -> Alcotest.fail "expected a concrete violation"
 

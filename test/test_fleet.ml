@@ -1,11 +1,11 @@
-(* Tests for the vectorized fleet simulator and its serving stack:
-   bit-for-bit equivalence of [Fleet] with per-flow [Env] instances and
-   of [Fleet_env] with per-flow [Agent_env] episodes, determinism of the
-   pool-parallel advancement across domain counts, and the mixed
-   Canopy-vs-TCP coexistence harness. *)
+(* Tests for the vectorized fleet simulator and its serving stack: flow
+   independence (an N-flow [Fleet_env] equals N one-flow [Agent_env]
+   views, bit for bit), determinism of the pool-parallel advancement
+   across domain counts, and the mixed Canopy-vs-TCP coexistence
+   harness. The simulator's own trajectories are pinned by the golden
+   digests in test_golden.ml. *)
 
 module Env = Canopy_netsim.Env
-module Fleet = Canopy_netsim.Fleet
 module Trace = Canopy_trace.Trace
 module Agent_env = Canopy_orca.Agent_env
 module Fleet_env = Canopy_orca.Fleet_env
@@ -41,104 +41,8 @@ let impaired =
     seed = 11;
   }
 
-let link_cfg ?(impair = Env.no_impairments) ?(min_rtt = 40) ~duration_ms i =
-  let mbps = 12. +. (6. *. float_of_int (i mod 5)) in
-  {
-    Env.trace =
-      Trace.constant
-        ~name:(Printf.sprintf "t%d" (i mod 5))
-        ~duration_ms ~mbps;
-    min_rtt_ms = min_rtt;
-    buffer_pkts = 120;
-    mtu_bytes = Env.default_mtu;
-    initial_cwnd = 10.;
-    impairments = impair;
-  }
-
 (* ------------------------------------------------------------------ *)
-(* Fleet vs per-flow Env, bit for bit *)
-
-(* Drive N scalar [Env]s and one N-flow [Fleet] through the same cwnd
-   schedule, recording every ack and loss event, and require identical
-   event streams and identical (to the bit) counters. One flow carries
-   random loss + ACK jitter + reordering so the per-flow PRNG, the
-   jittered return-path resort and the reorder hold-back are part of the
-   comparison. *)
-let test_fleet_matches_env () =
-  let n = 5 in
-  let duration = 400 in
-  let cfgs =
-    Array.init n (fun i ->
-        link_cfg
-          ~impair:(if i = 3 then impaired else Env.no_impairments)
-          ~min_rtt:(if i = 1 then 30 else 40)
-          ~duration_ms:duration i)
-  in
-  (* Events per flow, as (now, seq, rtt, delivered) / loss-time lists. *)
-  let record () =
-    let acks = Array.make n [] and losses = Array.make n [] in
-    let handlers =
-      Array.init n (fun i ->
-          {
-            Env.on_ack =
-              (fun (a : Env.ack) ->
-                acks.(i) <-
-                  (a.Env.now_ms, a.Env.seq, a.Env.rtt_ms, a.Env.delivered)
-                  :: acks.(i));
-            on_loss = (fun ~now_ms -> losses.(i) <- now_ms :: losses.(i));
-          })
-    in
-    (acks, losses, handlers)
-  in
-  let schedule i seg = 4. +. float_of_int (((i * 7) + (seg * 13)) mod 40) in
-  (* Scalar reference. *)
-  let envs = Array.map Env.create cfgs in
-  let e_acks, e_losses, e_handlers = record () in
-  for seg = 0 to 7 do
-    Array.iteri (fun i env -> Env.set_cwnd env (schedule i seg)) envs;
-    Array.iteri (fun i env -> Env.run env e_handlers.(i) ~ms:50) envs
-  done;
-  (* Fleet under the same schedule. *)
-  let fleet = Fleet.create cfgs in
-  let f_acks, f_losses, f_handlers = record () in
-  for seg = 0 to 7 do
-    for i = 0 to n - 1 do
-      Fleet.set_cwnd fleet ~flow:i (schedule i seg)
-    done;
-    Fleet.run fleet f_handlers ~ms:50
-  done;
-  check_int "now" (Env.now_ms envs.(0)) (Fleet.now_ms fleet);
-  for i = 0 to n - 1 do
-    let tag fmt = Printf.sprintf ("flow %d: " ^^ fmt) i in
-    check_bool (tag "ack stream") true (e_acks.(i) = f_acks.(i));
-    check_bool (tag "loss stream") true (e_losses.(i) = f_losses.(i));
-    let s = Env.stats envs.(i) in
-    check_int (tag "sent") s.Env.sent (Fleet.sent fleet ~flow:i);
-    check_int (tag "delivered") s.Env.delivered (Fleet.delivered fleet ~flow:i);
-    check_int (tag "dropped") s.Env.dropped (Fleet.dropped fleet ~flow:i);
-    check_bool (tag "capacity bits") true
-      (Int64.bits_of_float s.Env.capacity_pkts
-      = Int64.bits_of_float (Fleet.capacity_pkts fleet ~flow:i));
-    check_bool (tag "cwnd bits") true
-      (Int64.bits_of_float (Env.cwnd envs.(i))
-      = Int64.bits_of_float (Fleet.cwnd fleet ~flow:i));
-    check_int (tag "inflight") (Env.inflight envs.(i))
-      (Fleet.inflight fleet ~flow:i);
-    check_int (tag "queue") (Env.queue_len envs.(i))
-      (Fleet.queue_len fleet ~flow:i);
-    check_bool (tag "utilization bits") true
-      (Int64.bits_of_float (Env.utilization envs.(i))
-      = Int64.bits_of_float (Fleet.utilization fleet ~flow:i));
-    check_bool (tag "loss rate bits") true
-      (Int64.bits_of_float (Env.loss_rate envs.(i))
-      = Int64.bits_of_float (Fleet.loss_rate fleet ~flow:i));
-    check_bool (tag "avg qdelay bits") true
-      (Int64.bits_of_float (Env.avg_qdelay_ms envs.(i))
-      = Int64.bits_of_float (Fleet.avg_qdelay_ms fleet ~flow:i))
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Fleet_env vs per-flow Agent_env, bit for bit *)
+(* Flow independence: N-flow Fleet_env vs N one-flow Agent_env views *)
 
 let agent_cfg ?(impair = Env.no_impairments) ~duration_ms i =
   let mbps = 16. +. (8. *. float_of_int (i mod 3)) in
@@ -479,8 +383,6 @@ let test_coexist_deterministic () =
 
 let suite =
   [
-    Alcotest.test_case "fleet == per-flow Env (bits)" `Quick
-      test_fleet_matches_env;
     Alcotest.test_case "fleet_env == per-flow Agent_env (bits)" `Quick
       test_fleet_env_matches_agent_env;
     Alcotest.test_case "fleet domains 2,4 == sequential" `Quick
@@ -493,10 +395,11 @@ let suite =
       test_coexist_canopy_vs_tcp_runs;
     Alcotest.test_case "coexist: degenerate mixes" `Quick
       test_coexist_degenerate_mixes;
-    Alcotest.test_case "coexist: domains 2,3 == 1 (bits)" `Quick
-      test_coexist_domains_bit_identical;
     Alcotest.test_case "coexist: staggered arrivals" `Quick
       test_coexist_arrivals;
+    (* Reproducibility checks last: across domain counts, then runs. *)
+    Alcotest.test_case "coexist: domains 2,3 == 1 (bits)" `Quick
+      test_coexist_domains_bit_identical;
     Alcotest.test_case "coexist: deterministic" `Quick
       test_coexist_deterministic;
   ]

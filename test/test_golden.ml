@@ -1,0 +1,307 @@
+(* Golden trajectory digests of the link simulator and the Orca episode.
+
+   Each digest is a CRC-32 over the Int64 bits of every number a run
+   produces, in order (integers go through [float_of_int], which is exact
+   at these magnitudes). Any change to the simulator's arithmetic, event
+   order or PRNG use moves a digest. The expected values live in
+   [fixtures/golden_sim.txt], one [key crc] pair per line; on a mismatch
+   the failure lists every differing key, and the lines to paste into
+   the fixture are printed on stdout.
+
+   Three families are pinned:
+   - [agent/...]: Orca episodes on the 22 suite traces (1 s, 2 BDP,
+     minRTT 30-50 ms), clean and impaired, driven by the committed
+     [actor_h8.ckpt]; per step the state, the action and the reward,
+     then the episode's link metrics;
+   - [runner/...]: [Runner.run] metrics and time series for five TCP
+     baselines on the same links;
+   - [fleet/...]: the ack and loss event streams and final counters of a
+     5-flow fleet under a fixed window schedule, one flow impaired. *)
+
+module Env = Canopy_netsim.Env
+module Fleet = Canopy_netsim.Fleet
+module Trace = Canopy_trace.Trace
+module Suite = Canopy_trace.Suite
+module Agent_env = Canopy_orca.Agent_env
+module Runner = Canopy_cc.Runner
+module Mlp = Canopy_nn.Mlp
+module Crc32 = Canopy_util.Crc32
+module Stats = Canopy_util.Stats
+
+let fixture name =
+  let local = Filename.concat "fixtures" name in
+  if Sys.file_exists local then local
+  else Filename.concat (Filename.concat "test" "fixtures") name
+
+let golden =
+  lazy
+    (let ic = open_in (fixture "golden_sim.txt") in
+     let tbl = Hashtbl.create 256 in
+     Fun.protect
+       ~finally:(fun () -> close_in ic)
+       (fun () ->
+         try
+           while true do
+             match String.split_on_char ' ' (String.trim (input_line ic)) with
+             | [ key; crc ] -> Hashtbl.replace tbl key crc
+             | _ -> ()
+           done
+         with End_of_file -> ());
+     tbl)
+
+(* Digest accumulator: the bits of each number, little-endian. *)
+let digest () = Buffer.create 4096
+let add_float b x = Buffer.add_int64_le b (Int64.bits_of_float x)
+let add_floats b xs = Array.iter (add_float b) xs
+let add_int b n = add_float b (float_of_int n)
+let crc b = Crc32.to_hex (Crc32.string (Buffer.contents b))
+
+(* Compare every computed (key, crc) pair of one family with the
+   fixture, and require the fixture to hold no other key of the family. *)
+let check_family ~prefix computed =
+  let tbl = Lazy.force golden in
+  let bad =
+    List.filter_map
+      (fun (key, got) ->
+        match Hashtbl.find_opt tbl key with
+        | Some want when String.equal want got -> None
+        | Some want -> Some (Printf.sprintf "%s: want %s, got %s" key want got)
+        | None -> Some (Printf.sprintf "%s: missing from fixture (got %s)" key got))
+      computed
+  in
+  let stale =
+    Hashtbl.fold
+      (fun key _ acc ->
+        if String.starts_with ~prefix key
+           && not (List.mem_assoc key computed)
+        then Printf.sprintf "%s: in fixture, not computed" key :: acc
+        else acc)
+      tbl []
+  in
+  match bad @ List.sort String.compare stale with
+  | [] -> ()
+  | errs ->
+      List.iter (fun (key, got) -> Printf.printf "%s %s\n" key got) computed;
+      Alcotest.failf "%d golden digest(s) differ:\n%s" (List.length errs)
+        (String.concat "\n" errs)
+
+(* The evaluate workload's links: the 22 suite traces at 1 s, 2 BDP,
+   minRTT spread over 30-50 ms. *)
+let suite_links () =
+  List.mapi
+    (fun i trace ->
+      let min_rtt_ms = 30 + (i mod 21) in
+      let buffer_pkts =
+        Runner.buffer_of_bdp ~bdp_multiplier:2. ~trace ~min_rtt_ms
+      in
+      (Printf.sprintf "%02d-%s" i (Trace.name trace), trace, min_rtt_ms, buffer_pkts))
+    (Suite.all ~duration_ms:1_000 ())
+
+(* Random loss, ACK jitter and reordering all on. *)
+let impaired i =
+  {
+    Env.random_loss = 0.01;
+    ack_jitter_ms = 3;
+    reorder_prob = 0.05;
+    reorder_ms = 6;
+    seed = 7 + i;
+  }
+
+let variants = [ ("clean", fun _ -> Env.no_impairments); ("impaired", impaired) ]
+
+(* ------------------------------------------------------------------ *)
+(* (a) Orca episodes *)
+
+let clamp = Canopy_util.Mathx.clamp ~lo:(-1.) ~hi:1.
+
+let agent_digest ~policy (cfg : Agent_env.config) =
+  let b = digest () in
+  let env = Agent_env.create cfg in
+  let finished = ref false in
+  while not !finished do
+    let s = Agent_env.state env in
+    let action = policy s in
+    let res = Agent_env.step env ~action in
+    add_floats b s;
+    add_float b action;
+    add_float b res.raw_reward;
+    finished := res.finished
+  done;
+  let qd = Agent_env.qdelay_array_ms env in
+  add_float b (Agent_env.utilization env);
+  add_float b (Stats.mean qd);
+  add_float b (if Array.length qd = 0 then 0. else Stats.percentile qd 95.);
+  add_float b (Agent_env.loss_rate env);
+  add_int b (Agent_env.env_stats env).Env.delivered;
+  crc b
+
+(* Clean episodes serve the actor as deployed. The fixture actor
+   saturates near a = 1 and drives the window to the 50 000-packet
+   clamp; with ACK jitter or reordering in that regime nearly every
+   return event lands out of order and re-sorts the whole return path,
+   so one impaired second would take minutes. Impaired episodes
+   therefore shift the action down by one, keeping the window at or
+   below Cubic's suggestion while the actor still sets it. *)
+let test_agent_episodes () =
+  let actor = Canopy.Trainer.load_actor (fixture "actor_h8.ckpt") in
+  let served s = clamp (Mlp.forward actor s).(0) in
+  let shifted s = clamp ((Mlp.forward actor s).(0) -. 1.) in
+  let links = suite_links () in
+  check_family ~prefix:"agent/"
+    (List.concat_map
+       (fun (variant, impair) ->
+         let policy = if String.equal variant "clean" then served else shifted in
+         List.mapi
+           (fun i (name, trace, min_rtt_ms, buffer_pkts) ->
+             let cfg =
+               {
+                 (Agent_env.default_config ~trace ~min_rtt_ms ~buffer_pkts
+                    ~duration_ms:1_000)
+                 with
+                 impairments = impair i;
+               }
+             in
+             (Printf.sprintf "agent/%s/%s" variant name, agent_digest ~policy cfg))
+           links)
+       variants)
+
+(* ------------------------------------------------------------------ *)
+(* (b) TCP baselines through Runner *)
+
+let schemes =
+  [
+    ("cubic", Canopy.Eval.cubic_scheme);
+    ("reno", fun () -> Canopy_cc.Reno.to_controller (Canopy_cc.Reno.create ()));
+    ("vegas", Canopy.Eval.vegas_scheme);
+    ("bbr", Canopy.Eval.bbr_scheme);
+    ("vivace", Canopy.Eval.vivace_scheme);
+  ]
+
+let runner_digest ~impairments ~trace ~min_rtt_ms ~buffer_pkts make =
+  let b = digest () in
+  let (m : Runner.metrics), series =
+    Runner.run ~series_bin_ms:100 ~impairments ~trace ~min_rtt_ms ~buffer_pkts
+      ~duration_ms:1_000 make
+  in
+  add_floats b
+    [|
+      m.utilization;
+      m.avg_throughput_mbps;
+      m.avg_qdelay_ms;
+      m.p95_qdelay_ms;
+      m.avg_rtt_ms;
+      m.loss_rate;
+    |];
+  add_int b m.delivered_pkts;
+  add_int b m.dropped_pkts;
+  Option.iter
+    (fun (s : Runner.series) ->
+      add_floats b s.throughput_mbps;
+      add_floats b s.capacity_mbps;
+      add_floats b s.cwnd;
+      add_floats b s.avg_qdelay_ms_bins)
+    series;
+  crc b
+
+let test_runner_metrics () =
+  let links = suite_links () in
+  check_family ~prefix:"runner/"
+    (List.concat_map
+       (fun (variant, impair) ->
+         List.concat_map
+           (fun (scheme, make) ->
+             List.mapi
+               (fun i (name, trace, min_rtt_ms, buffer_pkts) ->
+                 ( Printf.sprintf "runner/%s/%s/%s" variant scheme name,
+                   runner_digest ~impairments:(impair i) ~trace ~min_rtt_ms
+                     ~buffer_pkts make ))
+               links)
+           schemes)
+       variants)
+
+(* ------------------------------------------------------------------ *)
+(* (c) Fleet event streams *)
+
+(* Five constant-rate links, flow 1 at a shorter minRTT and flow 3
+   impaired, driven through eight 50 ms segments of a fixed window
+   schedule. *)
+let test_fleet_events () =
+  let n = 5 in
+  let cfgs =
+    Array.init n (fun i ->
+        {
+          Env.trace =
+            Trace.constant
+              ~name:(Printf.sprintf "t%d" i)
+              ~duration_ms:400
+              ~mbps:(12. +. (6. *. float_of_int i));
+          min_rtt_ms = (if i = 1 then 30 else 40);
+          buffer_pkts = 120;
+          mtu_bytes = Env.default_mtu;
+          initial_cwnd = 10.;
+          impairments =
+            (if i = 3 then
+               {
+                 Env.random_loss = 0.02;
+                 ack_jitter_ms = 3;
+                 reorder_prob = 0.1;
+                 reorder_ms = 8;
+                 seed = 11;
+               }
+             else Env.no_impairments);
+        })
+  in
+  let bufs = Array.init n (fun _ -> digest ()) in
+  let handlers =
+    Array.init n (fun i ->
+        {
+          Env.on_ack =
+            (fun (a : Env.ack) ->
+              add_float bufs.(i) 0.;
+              add_int bufs.(i) a.now_ms;
+              add_int bufs.(i) a.seq;
+              add_int bufs.(i) a.rtt_ms;
+              add_int bufs.(i) a.delivered);
+          on_loss =
+            (fun ~now_ms ->
+              add_float bufs.(i) 1.;
+              add_int bufs.(i) now_ms);
+        })
+  in
+  let fleet = Fleet.create cfgs in
+  for seg = 0 to 7 do
+    for i = 0 to n - 1 do
+      Fleet.set_cwnd fleet ~flow:i
+        (4. +. float_of_int (((i * 7) + (seg * 13)) mod 40))
+    done;
+    Fleet.run fleet handlers ~ms:50
+  done;
+  check_family ~prefix:"fleet/"
+    (List.init n (fun i ->
+         let b = bufs.(i) in
+         let flow = i in
+         add_int b (Fleet.now_ms fleet);
+         add_int b (Fleet.sent fleet ~flow);
+         add_int b (Fleet.delivered fleet ~flow);
+         add_int b (Fleet.dropped fleet ~flow);
+         add_int b (Fleet.inflight fleet ~flow);
+         add_int b (Fleet.queue_len fleet ~flow);
+         add_floats b
+           [|
+             Fleet.capacity_pkts fleet ~flow;
+             Fleet.cwnd fleet ~flow;
+             Fleet.utilization fleet ~flow;
+             Fleet.loss_rate fleet ~flow;
+             Fleet.avg_qdelay_ms fleet ~flow;
+           |];
+         (Printf.sprintf "fleet/flow%d" i, crc b)))
+
+let suite =
+  [
+    Alcotest.test_case "agent_env episodes, suite x clean/impaired" `Quick
+      test_agent_episodes;
+    Alcotest.test_case "runner metrics, five schemes x suite" `Quick
+      test_runner_metrics;
+    Alcotest.test_case "fleet event streams, five flows" `Quick
+      test_fleet_events;
+  ]

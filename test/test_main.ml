@@ -11,6 +11,7 @@ let () =
       ("netsim", Test_netsim.suite);
       ("multiflow", Test_multiflow.suite);
       ("fleet", Test_fleet.suite);
+      ("golden", Test_golden.suite);
       ("cc", Test_cc.suite);
       ("rl", Test_rl.suite);
       ("orca", Test_orca.suite);

@@ -1,10 +1,14 @@
-(* Tests for canopy_netsim: the Mahimahi-style link emulator. These pin
-   down the physical invariants the congestion controllers rely on:
-   RTT = minRTT + queueing delay, droptail loss, delivery bounded by
-   trace capacity, and ACK-clocked conservation of packets. *)
+(* Tests for canopy_netsim: the Mahimahi-style link emulator, driven as
+   one-flow fleets. These pin down the physical invariants the
+   congestion controllers rely on: RTT = minRTT + queueing delay,
+   droptail loss, delivery bounded by trace capacity, ACK-clocked
+   conservation of packets, and the exactness of the queueing-delay
+   histogram. *)
 
 module Env = Canopy_netsim.Env
+module Fleet = Canopy_netsim.Fleet
 module Trace = Canopy_trace.Trace
+module Stats = Canopy_util.Stats
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_int = Alcotest.(check int)
@@ -12,15 +16,21 @@ let check_bool = Alcotest.(check bool)
 
 let make_env ?(mbps = 12.) ?(duration = 10_000) ?(min_rtt = 20)
     ?(buffer = 100) ?(cwnd = 10.) () =
-  Env.create
-    {
-      Env.trace = Trace.constant ~name:"c" ~duration_ms:duration ~mbps;
-      min_rtt_ms = min_rtt;
-      buffer_pkts = buffer;
-      mtu_bytes = Env.default_mtu;
-      initial_cwnd = cwnd;
-      impairments = Env.no_impairments;
-    }
+  Fleet.create
+    [|
+      {
+        Env.trace = Trace.constant ~name:"c" ~duration_ms:duration ~mbps;
+        min_rtt_ms = min_rtt;
+        buffer_pkts = buffer;
+        mtu_bytes = Env.default_mtu;
+        initial_cwnd = cwnd;
+        impairments = Env.no_impairments;
+      };
+    |]
+
+let run ?(handlers = Env.null_handlers) env ~ms = Fleet.run env [| handlers |] ~ms
+let stats env = Fleet.stats env ~flow:0
+let qdelays env = Fleet.qdelay_array_ms env ~flow:0
 
 let test_bdp_pkts () =
   (* 12 Mbps × 100 ms = 1.2 Mbit = 150 kB = 100 MTU packets *)
@@ -29,25 +39,25 @@ let test_bdp_pkts () =
 
 let test_config_validation () =
   let bad f = Alcotest.check_raises "rejects" (Invalid_argument f) in
-  bad "Env.create: min_rtt_ms" (fun () ->
-      ignore (Env.create
-        { Env.trace = Trace.constant ~name:"c" ~duration_ms:10 ~mbps:1.;
-          min_rtt_ms = 1; buffer_pkts = 1; mtu_bytes = 1500;
-          initial_cwnd = 2.; impairments = Env.no_impairments }));
-  bad "Env.create: buffer_pkts" (fun () ->
-      ignore (Env.create
-        { Env.trace = Trace.constant ~name:"c" ~duration_ms:10 ~mbps:1.;
-          min_rtt_ms = 10; buffer_pkts = 0; mtu_bytes = 1500;
-          initial_cwnd = 2.; impairments = Env.no_impairments }))
+  bad "Fleet.create: min_rtt_ms" (fun () ->
+      ignore (Fleet.create
+        [| { Env.trace = Trace.constant ~name:"c" ~duration_ms:10 ~mbps:1.;
+             min_rtt_ms = 1; buffer_pkts = 1; mtu_bytes = 1500;
+             initial_cwnd = 2.; impairments = Env.no_impairments } |]));
+  bad "Fleet.create: buffer_pkts" (fun () ->
+      ignore (Fleet.create
+        [| { Env.trace = Trace.constant ~name:"c" ~duration_ms:10 ~mbps:1.;
+             min_rtt_ms = 10; buffer_pkts = 0; mtu_bytes = 1500;
+             initial_cwnd = 2.; impairments = Env.no_impairments } |]))
 
 let test_rtt_equals_min_rtt_when_uncongested () =
   (* cwnd far below BDP: queue stays empty, every RTT is exactly minRTT. *)
   let env = make_env ~mbps:48. ~min_rtt:30 ~cwnd:4. () in
-  Env.run env Env.null_handlers ~ms:2000;
-  let rtts = Canopy_util.Fbuf.to_array (Env.stats env).Env.rtt_samples in
-  check_bool "has acks" true (Array.length rtts > 0);
-  Array.iter (fun r -> check_float "rtt = minRTT" 30. r) rtts;
-  check_float "no queueing delay" 0. (Env.avg_qdelay_ms env)
+  run env ~ms:2000;
+  let qd = qdelays env in
+  check_bool "has acks" true (Array.length qd > 0);
+  Array.iter (fun q -> check_float "rtt = minRTT" 0. q) qd;
+  check_float "no queueing delay" 0. (Fleet.avg_qdelay_ms env ~flow:0)
 
 let test_first_ack_timing () =
   (* With an empty queue the first packet's ACK arrives after exactly one
@@ -61,14 +71,14 @@ let test_first_ack_timing () =
       on_loss = (fun ~now_ms:_ -> ());
     }
   in
-  Env.run env handlers ~ms:100;
+  run ~handlers env ~ms:100;
   check_int "first ack time" 26 !first_ack
 
 let test_queue_builds_when_overdriven () =
   (* cwnd far above BDP: queue fills, RTT inflates by queueing delay. *)
   let env = make_env ~mbps:12. ~min_rtt:20 ~buffer:50 ~cwnd:60. () in
-  Env.run env Env.null_handlers ~ms:3000;
-  check_bool "queueing delay appears" true (Env.avg_qdelay_ms env > 5.)
+  run env ~ms:3000;
+  check_bool "queueing delay appears" true (Fleet.avg_qdelay_ms env ~flow:0 > 5.)
 
 let test_droptail_loss () =
   (* cwnd exceeding BDP + buffer must overflow the droptail queue. *)
@@ -77,53 +87,53 @@ let test_droptail_loss () =
   let handlers =
     { Env.on_ack = (fun _ -> ()); on_loss = (fun ~now_ms:_ -> incr losses) }
   in
-  Env.run env handlers ~ms:2000;
-  check_bool "drops observed" true ((Env.stats env).Env.dropped > 0);
+  run ~handlers env ~ms:2000;
+  check_bool "drops observed" true ((stats env).Env.dropped > 0);
   (* drain in-flight loss notifications before comparing the counters *)
-  Env.set_cwnd env 1.;
-  Env.run env handlers ~ms:100;
-  check_int "handler saw every drop" (Env.stats env).Env.dropped !losses;
-  check_bool "loss rate positive" true (Env.loss_rate env > 0.)
+  Fleet.set_cwnd env ~flow:0 1.;
+  run ~handlers env ~ms:100;
+  check_int "handler saw every drop" (stats env).Env.dropped !losses;
+  check_bool "loss rate positive" true (Fleet.loss_rate env ~flow:0 > 0.)
 
 let test_no_loss_when_window_fits () =
   let env = make_env ~mbps:12. ~min_rtt:20 ~buffer:100 ~cwnd:10. () in
-  Env.run env Env.null_handlers ~ms:5000;
-  check_int "no drops" 0 (Env.stats env).Env.dropped;
-  check_float "zero loss rate" 0. (Env.loss_rate env)
+  run env ~ms:5000;
+  check_int "no drops" 0 (stats env).Env.dropped;
+  check_float "zero loss rate" 0. (Fleet.loss_rate env ~flow:0)
 
 let test_delivery_bounded_by_capacity () =
   let env = make_env ~mbps:12. ~min_rtt:20 ~cwnd:1000. ~buffer:10_000 () in
-  Env.run env Env.null_handlers ~ms:5000;
-  let st = Env.stats env in
+  run env ~ms:5000;
+  let st = stats env in
   check_bool "delivered <= capacity" true
     (float_of_int st.Env.delivered <= st.Env.capacity_pkts +. 1.);
-  check_bool "utilization <= 1" true (Env.utilization env <= 1.)
+  check_bool "utilization <= 1" true (Fleet.utilization env ~flow:0 <= 1.)
 
 let test_full_utilization_with_big_window () =
   (* A window comfortably above BDP (but inside the buffer) should keep
      the bottleneck busy: utilization near 1. *)
   let env = make_env ~mbps:12. ~min_rtt:20 ~buffer:100 ~cwnd:60. () in
-  Env.run env Env.null_handlers ~ms:10_000;
-  check_bool "near-full utilization" true (Env.utilization env > 0.95)
+  run env ~ms:10_000;
+  check_bool "near-full utilization" true (Fleet.utilization env ~flow:0 > 0.95)
 
 let test_packet_conservation () =
   (* Every sent packet is eventually delivered or dropped (after the
      pipeline drains). *)
   let env = make_env ~mbps:12. ~min_rtt:20 ~buffer:20 ~cwnd:50. () in
-  Env.run env Env.null_handlers ~ms:3000;
+  run env ~ms:3000;
   (* stop sending: shrink window to zero-ish and drain *)
-  Env.set_cwnd env 1.;
-  Env.run env Env.null_handlers ~ms:2000;
-  let st = Env.stats env in
+  Fleet.set_cwnd env ~flow:0 1.;
+  run env ~ms:2000;
+  let st = stats env in
+  let inflight = Fleet.inflight env ~flow:0 in
   check_bool "conservation" true
-    (st.Env.delivered + st.Env.dropped + Env.inflight env >= st.Env.sent);
-  check_bool "inflight small after drain" true
-    (Env.inflight env <= 2)
+    (st.Env.delivered + st.Env.dropped + inflight >= st.Env.sent);
+  check_bool "inflight small after drain" true (inflight <= 2)
 
 let test_set_cwnd_clamps () =
   let env = make_env () in
-  Env.set_cwnd env 0.1;
-  check_float "clamped to 1" 1. (Env.cwnd env)
+  Fleet.set_cwnd env ~flow:0 0.1;
+  check_float "clamped to 1" 1. (Fleet.cwnd env ~flow:0)
 
 let test_acks_monotone_time () =
   let env = make_env ~cwnd:30. () in
@@ -137,7 +147,7 @@ let test_acks_monotone_time () =
       on_loss = (fun ~now_ms:_ -> ());
     }
   in
-  Env.run env handlers ~ms:2000
+  run ~handlers env ~ms:2000
 
 let test_ack_seq_delivered_consistency () =
   let env = make_env ~cwnd:5. () in
@@ -151,40 +161,37 @@ let test_ack_seq_delivered_consistency () =
       on_loss = (fun ~now_ms:_ -> ());
     }
   in
-  Env.run env handlers ~ms:1000
+  run ~handlers env ~ms:1000
 
 let test_capacity_wasted_when_idle () =
   (* With a tiny window the trace offers more opportunities than used;
      utilization must reflect the waste rather than clamp to 1. *)
   let env = make_env ~mbps:96. ~min_rtt:40 ~cwnd:2. () in
-  Env.run env Env.null_handlers ~ms:5000;
-  check_bool "low utilization" true (Env.utilization env < 0.2)
+  run env ~ms:5000;
+  check_bool "low utilization" true (Fleet.utilization env ~flow:0 < 0.2)
+
+(* A 500 ms zero-capacity segment between two 12 Mbps ones. *)
+let blackout_cfg () =
+  {
+    Env.trace =
+      Trace.of_segments ~name:"blackout"
+        [ (1000, 12.); (500, 0.); (1000, 12.) ];
+    min_rtt_ms = 20;
+    buffer_pkts = 50;
+    mtu_bytes = Env.default_mtu;
+    initial_cwnd = 10.;
+    impairments = Env.no_impairments;
+  }
 
 let test_zero_capacity_interval () =
   (* Failure injection: a trace segment with zero capacity stalls the
      link; packets queue (or drop) and delivery resumes afterwards. *)
-  let trace =
-    Trace.of_segments ~name:"blackout"
-      [ (1000, 12.); (500, 0.); (1000, 12.) ]
-  in
-  let env =
-    Env.create
-      {
-        Env.trace;
-        min_rtt_ms = 20;
-        buffer_pkts = 50;
-        mtu_bytes = Env.default_mtu;
-        initial_cwnd = 10.;
-        impairments = Env.no_impairments;
-      }
-  in
-  Env.run env Env.null_handlers ~ms:2500;
-  let st = Env.stats env in
-  check_bool "delivered something" true (st.Env.delivered > 0);
+  let env = Fleet.create [| blackout_cfg () |] in
+  run env ~ms:2500;
+  check_bool "delivered something" true ((stats env).Env.delivered > 0);
   (* RTT spikes during blackout must exceed minRTT + 100ms *)
-  let rtts = Canopy_util.Fbuf.to_array st.Env.rtt_samples in
   check_bool "blackout inflates rtt" true
-    (Array.exists (fun r -> r > 120.) rtts)
+    (Array.exists (fun q -> q > 100.) (qdelays env))
 
 let test_chain_handlers () =
   let a = ref 0 and b = ref 0 in
@@ -192,18 +199,18 @@ let test_chain_handlers () =
     { Env.on_ack = (fun _ -> incr r); on_loss = (fun ~now_ms:_ -> ()) }
   in
   let env = make_env ~cwnd:5. () in
-  Env.run env (Env.chain (mk a) (mk b)) ~ms:500;
+  run ~handlers:(Env.chain (mk a) (mk b)) env ~ms:500;
   check_bool "both invoked" true (!a > 0);
   check_int "equally" !a !b
 
 let test_deterministic_replay () =
-  let run () =
+  let replay () =
     let env = make_env ~mbps:24. ~cwnd:40. ~buffer:30 () in
-    Env.run env Env.null_handlers ~ms:4000;
-    let st = Env.stats env in
+    run env ~ms:4000;
+    let st = stats env in
     (st.Env.sent, st.Env.delivered, st.Env.dropped)
   in
-  check_bool "identical runs" true (run () = run ())
+  check_bool "identical runs" true (replay () = replay ())
 
 let suite =
   [
@@ -226,25 +233,28 @@ let suite =
     ("deterministic replay", `Quick, test_deterministic_replay);
   ]
 
-let impaired ?(random_loss = 0.) ?(ack_jitter_ms = 0) ?(reorder_prob = 0.)
+let impaired_cfg ?(random_loss = 0.) ?(ack_jitter_ms = 0) ?(reorder_prob = 0.)
     ?(reorder_ms = 0) () =
-  Env.create
-    {
-      Env.trace = Trace.constant ~name:"c" ~duration_ms:10_000 ~mbps:24.;
-      min_rtt_ms = 20;
-      buffer_pkts = 200;
-      mtu_bytes = Env.default_mtu;
-      initial_cwnd = 20.;
-      impairments =
-        { Env.random_loss; ack_jitter_ms; reorder_prob; reorder_ms; seed = 42 };
-    }
+  {
+    Env.trace = Trace.constant ~name:"c" ~duration_ms:10_000 ~mbps:24.;
+    min_rtt_ms = 20;
+    buffer_pkts = 200;
+    mtu_bytes = Env.default_mtu;
+    initial_cwnd = 20.;
+    impairments =
+      { Env.random_loss; ack_jitter_ms; reorder_prob; reorder_ms; seed = 42 };
+  }
+
+let impaired ?random_loss ?ack_jitter_ms ?reorder_prob ?reorder_ms () =
+  Fleet.create
+    [| impaired_cfg ?random_loss ?ack_jitter_ms ?reorder_prob ?reorder_ms () |]
 
 let test_random_loss_injected () =
   (* A window that fits comfortably would see zero congestive drops; with
      random loss enabled, drops must appear at roughly the set rate. *)
   let env = impaired ~random_loss:0.02 () in
-  Env.run env Env.null_handlers ~ms:8000;
-  let st = Env.stats env in
+  run env ~ms:8000;
+  let st = stats env in
   check_bool "drops appear without congestion" true (st.Env.dropped > 0);
   let rate = float_of_int st.Env.dropped /. float_of_int st.Env.sent in
   check_bool
@@ -254,62 +264,64 @@ let test_random_loss_injected () =
 
 let test_no_impairments_no_loss () =
   let env = impaired () in
-  Env.run env Env.null_handlers ~ms:8000;
-  check_int "clean link" 0 (Env.stats env).Env.dropped
+  run env ~ms:8000;
+  check_int "clean link" 0 (stats env).Env.dropped
 
 let test_ack_jitter_spreads_rtt () =
   let env = impaired ~ack_jitter_ms:15 () in
-  Env.run env Env.null_handlers ~ms:5000;
-  let rtts = Canopy_util.Fbuf.to_array (Env.stats env).Env.rtt_samples in
-  let mn = Array.fold_left Float.min rtts.(0) rtts in
-  let mx = Array.fold_left Float.max rtts.(0) rtts in
-  check_bool "floor at minRTT" true (mn >= 20.);
+  run env ~ms:5000;
+  (* ascending RTT - minRTT samples: the floor and the ceiling *)
+  let qd = qdelays env in
+  let mn = qd.(0) and mx = qd.(Array.length qd - 1) in
+  check_bool "floor at minRTT" true (mn >= 0.);
   check_bool "jitter visible" true (mx -. mn >= 5.);
-  (* bound: minRTT + jitter + the initial window burst's queueing (the
-     20-packet initial window drains at 2 pkts/ms -> up to 10 ms) *)
-  check_bool "jitter bounded" true (mx <= 20. +. 15. +. 11.)
+  (* bound: jitter + the initial window burst's queueing (the 20-packet
+     initial window drains at 2 pkts/ms -> up to 10 ms) *)
+  check_bool "jitter bounded" true (mx <= 15. +. 11.)
 
 let test_jitter_keeps_conservation () =
   let env = impaired ~ack_jitter_ms:25 ~random_loss:0.01 () in
-  Env.run env Env.null_handlers ~ms:4000;
-  Env.set_cwnd env 1.;
-  Env.run env Env.null_handlers ~ms:1000;
-  let st = Env.stats env in
+  run env ~ms:4000;
+  Fleet.set_cwnd env ~flow:0 1.;
+  run env ~ms:1000;
+  let st = stats env in
   check_bool "conservation with impairments" true
-    (st.Env.delivered + st.Env.dropped + Env.inflight env >= st.Env.sent)
+    (st.Env.delivered + st.Env.dropped + Fleet.inflight env ~flow:0
+    >= st.Env.sent)
 
 let test_impairment_validation () =
   let mk impairments =
     ignore
-      (Env.create
-         {
-           Env.trace = Trace.constant ~name:"c" ~duration_ms:10 ~mbps:1.;
-           min_rtt_ms = 10;
-           buffer_pkts = 1;
-           mtu_bytes = 1500;
-           initial_cwnd = 2.;
-           impairments;
-         })
+      (Fleet.create
+         [|
+           {
+             Env.trace = Trace.constant ~name:"c" ~duration_ms:10 ~mbps:1.;
+             min_rtt_ms = 10;
+             buffer_pkts = 1;
+             mtu_bytes = 1500;
+             initial_cwnd = 2.;
+             impairments;
+           };
+         |])
   in
-  Alcotest.check_raises "loss prob" (Invalid_argument "Env.create: random_loss")
+  Alcotest.check_raises "loss prob" (Invalid_argument "Fleet.create: random_loss")
     (fun () -> mk { Env.no_impairments with random_loss = 1.5 });
   Alcotest.check_raises "reorder prob"
-    (Invalid_argument "Env.create: reorder_prob") (fun () ->
+    (Invalid_argument "Fleet.create: reorder_prob") (fun () ->
       mk { Env.no_impairments with reorder_prob = -0.1 });
-  Alcotest.check_raises "reorder ms" (Invalid_argument "Env.create: reorder_ms")
+  Alcotest.check_raises "reorder ms" (Invalid_argument "Fleet.create: reorder_ms")
     (fun () -> mk { Env.no_impairments with reorder_prob = 0.1; reorder_ms = -1 })
 
 let test_reorder_spreads_rtt () =
   (* Reordering holds some ACKs back by reorder_ms: the RTT distribution
      acquires a visible tail while the floor stays at minRTT. *)
   let env = impaired ~reorder_prob:0.3 ~reorder_ms:12 () in
-  Env.run env Env.null_handlers ~ms:5000;
-  let rtts = Canopy_util.Fbuf.to_array (Env.stats env).Env.rtt_samples in
-  let mn = Array.fold_left Float.min rtts.(0) rtts in
-  let mx = Array.fold_left Float.max rtts.(0) rtts in
-  check_bool "floor at minRTT" true (mn >= 20.);
+  run env ~ms:5000;
+  let qd = qdelays env in
+  let mn = qd.(0) and mx = qd.(Array.length qd - 1) in
+  check_bool "floor at minRTT" true (mn >= 0.);
   check_bool "reorder tail visible" true (mx -. mn >= 10.);
-  check_bool "no drops from reordering" true ((Env.stats env).Env.dropped = 0)
+  check_bool "no drops from reordering" true ((stats env).Env.dropped = 0)
 
 let test_reorder_out_of_order_acks () =
   (* Held-back feedback means later sequence numbers overtake earlier
@@ -326,25 +338,70 @@ let test_reorder_out_of_order_acks () =
       on_loss = (fun ~now_ms:_ -> ());
     }
   in
-  Env.run env handlers ~ms:5000;
+  run ~handlers env ~ms:5000;
   check_bool "acks overtake" true !out_of_order
 
 let test_reorder_zero_prob_noop () =
   (* reorder_prob = 0 must leave the PRNG stream untouched: the run is
      bit-identical to one with no reorder fields set at all. *)
-  let run env =
-    Env.run env Env.null_handlers ~ms:4000;
-    let st = Env.stats env in
-    (st.Env.sent, st.Env.delivered, st.Env.dropped,
-     Canopy_util.Fbuf.to_array st.Env.rtt_samples)
+  let outcome env =
+    run env ~ms:4000;
+    let st = stats env in
+    (st.Env.sent, st.Env.delivered, st.Env.dropped, qdelays env)
   in
-  let a = run (impaired ~random_loss:0.02 ~ack_jitter_ms:3 ()) in
+  let a = outcome (impaired ~random_loss:0.02 ~ack_jitter_ms:3 ()) in
   let b =
-    run
+    outcome
       (impaired ~random_loss:0.02 ~ack_jitter_ms:3 ~reorder_prob:0.
          ~reorder_ms:50 ())
   in
   check_bool "zero-prob reordering is a no-op" true (a = b)
+
+(* The histogram is the per-ack sample multiset: on a clean link, a
+   jittered and reordered one, and the blackout trace (delays past
+   500 ms, so the bins grow many times), [qdelay_array_ms] holds one
+   ascending entry per delivered packet, and its mean and p95 equal, to
+   the bit, those of the RTT - minRTT samples an [on_ack] handler sees in
+   arrival order. *)
+let test_qdelay_histogram_exact () =
+  let check_link name (cfg : Env.config) =
+    let env = Fleet.create [| cfg |] in
+    let samples = ref [] in
+    let handlers =
+      {
+        Env.null_handlers with
+        on_ack =
+          (fun ack ->
+            samples := float_of_int (ack.Env.rtt_ms - cfg.min_rtt_ms) :: !samples);
+      }
+    in
+    run ~handlers env ~ms:2500;
+    let seen = Array.of_list (List.rev !samples) in
+    let qd = qdelays env in
+    let bits x = Int64.bits_of_float x in
+    let tag what = name ^ ": " ^ what in
+    check_int (tag "one entry per delivered packet") (stats env).Env.delivered
+      (Array.length qd);
+    check_bool (tag "ascending") true
+      (Array.for_all Fun.id
+         (Array.init (max 0 (Array.length qd - 1)) (fun k -> qd.(k) <= qd.(k + 1))));
+    check_bool (tag "mean bits") true (bits (Stats.mean qd) = bits (Stats.mean seen));
+    check_bool (tag "avg_qdelay_ms bits") true
+      (bits (Fleet.avg_qdelay_ms env ~flow:0) = bits (Stats.mean seen));
+    check_bool (tag "p95 bits") true
+      (bits (Stats.percentile qd 95.) = bits (Stats.percentile seen 95.));
+    qd
+  in
+  ignore (check_link "clean" (impaired_cfg ()));
+  ignore
+    (check_link "jitter+reorder"
+       (impaired_cfg ~random_loss:0.01 ~ack_jitter_ms:7 ~reorder_prob:0.2
+          ~reorder_ms:9 ()));
+  let qd =
+    check_link "blackout"
+      { (blackout_cfg ()) with buffer_pkts = 5_000; initial_cwnd = 400. }
+  in
+  check_bool "blackout delays pass 500 ms" true (qd.(Array.length qd - 1) > 500.)
 
 let impairment_suite =
   [
@@ -356,6 +413,7 @@ let impairment_suite =
     ("reorder spreads rtt", `Quick, test_reorder_spreads_rtt);
     ("reorder out-of-order acks", `Quick, test_reorder_out_of_order_acks);
     ("reorder zero prob noop", `Quick, test_reorder_zero_prob_noop);
+    ("qdelay histogram exact", `Quick, test_qdelay_histogram_exact);
   ]
 
 let suite = suite @ impairment_suite
@@ -376,12 +434,12 @@ let qcheck_netsim =
            return (mbps, cwnd, buffer, min_rtt)))
       (fun (mbps, cwnd, buffer, min_rtt) ->
         let env = make_env ~mbps ~min_rtt ~buffer ~cwnd ~duration:4000 () in
-        Env.run env Env.null_handlers ~ms:3000;
-        let st = Env.stats env in
+        run env ~ms:3000;
+        let st = stats env in
         float_of_int st.Env.delivered <= st.Env.capacity_pkts +. 1.
-        && Env.utilization env <= 1.
-        && Env.loss_rate env >= 0.
-        && Env.loss_rate env <= 1.);
+        && Fleet.utilization env ~flow:0 <= 1.
+        && Fleet.loss_rate env ~flow:0 >= 0.
+        && Fleet.loss_rate env ~flow:0 <= 1.);
     Test.make ~name:"all RTT samples at least minRTT" ~count:50
       (make
          Gen.(
@@ -390,10 +448,13 @@ let qcheck_netsim =
            let* min_rtt = int_range 4 100 in
            return (mbps, cwnd, min_rtt)))
       (fun (mbps, cwnd, min_rtt) ->
+        (* the histogram refuses an RTT below minRTT, so a completed run
+           with one sample per ack is the property *)
         let env = make_env ~mbps ~min_rtt ~cwnd ~duration:3000 () in
-        Env.run env Env.null_handlers ~ms:2000;
-        Canopy_util.Fbuf.to_array (Env.stats env).Env.rtt_samples
-        |> Array.for_all (fun r -> r >= float_of_int min_rtt));
+        run env ~ms:2000;
+        let qd = qdelays env in
+        Array.length qd = (stats env).Env.delivered
+        && Array.for_all (fun q -> q >= 0.) qd);
   ]
 
 let suite = suite @ List.map QCheck_alcotest.to_alcotest qcheck_netsim

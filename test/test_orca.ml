@@ -226,10 +226,10 @@ let test_env_interval_default () =
 
 let test_cwnd_of_action_eq1 () =
   (* a=0 -> ×1; a=1 -> ×4; a=-1 -> ×1/4; clamped below at 2. *)
-  check_float "identity" 40. (Agent_env.cwnd_of_action ~action:0. ~cwnd_tcp:40.);
-  check_float "quadruple" 160. (Agent_env.cwnd_of_action ~action:1. ~cwnd_tcp:40.);
-  check_float "quarter" 10. (Agent_env.cwnd_of_action ~action:(-1.) ~cwnd_tcp:40.);
-  check_float "floor" 2. (Agent_env.cwnd_of_action ~action:(-1.) ~cwnd_tcp:4.)
+  check_float "identity" 40. (Fleet_env.cwnd_of_action ~action:0. ~cwnd_tcp:40.);
+  check_float "quadruple" 160. (Fleet_env.cwnd_of_action ~action:1. ~cwnd_tcp:40.);
+  check_float "quarter" 10. (Fleet_env.cwnd_of_action ~action:(-1.) ~cwnd_tcp:40.);
+  check_float "floor" 2. (Fleet_env.cwnd_of_action ~action:(-1.) ~cwnd_tcp:4.)
 
 let test_env_step_applies_eq1 () =
   let env = make_env () in
@@ -237,7 +237,7 @@ let test_env_step_applies_eq1 () =
   let suggestion = Agent_env.cwnd_tcp env in
   let res = Agent_env.step env ~action:(-1.) in
   check_float "enforced = suggestion / 4"
-    (Agent_env.cwnd_of_action ~action:(-1.) ~cwnd_tcp:suggestion)
+    (Fleet_env.cwnd_of_action ~action:(-1.) ~cwnd_tcp:suggestion)
     res.Agent_env.cwnd_enforced;
   check_float "reports suggestion" suggestion res.Agent_env.cwnd_tcp
 
@@ -252,7 +252,10 @@ let test_env_step_updates_history () =
       Observation.feature_count
   in
   Alcotest.(check (array (float 1e-12))) "newest frame at the end"
-    res.Agent_env.features newest
+    (Observation.to_features
+       ~thr_scale_mbps:(Agent_env.thr_scale_mbps env)
+       res.Agent_env.observation)
+    newest
 
 let test_env_prev_cwnd_tracking () =
   let env = make_env () in
@@ -273,14 +276,14 @@ let test_env_finishes () =
   done;
   check_int "10 intervals of 40ms" 10 !steps;
   Alcotest.check_raises "step after finish"
-    (Invalid_argument "Agent_env.step: episode finished") (fun () ->
+    (Invalid_argument "Fleet_env.step: episode finished") (fun () ->
       ignore (Agent_env.step env ~action:0.))
 
 let test_env_rejects_bad_action () =
   let env = make_env () in
   ignore (Agent_env.reset env);
   Alcotest.check_raises "action range"
-    (Invalid_argument "Agent_env.step: action out of range") (fun () ->
+    (Invalid_argument "Fleet_env.step: action out of range") (fun () ->
       ignore (Agent_env.step env ~action:1.5))
 
 let test_env_reset_reproducible () =

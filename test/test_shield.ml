@@ -4,7 +4,7 @@
 
 open Canopy
 module Observation = Canopy_orca.Observation
-module Agent_env = Canopy_orca.Agent_env
+module Fleet_env = Canopy_orca.Fleet_env
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_int = Alcotest.(check int)
@@ -65,7 +65,7 @@ let test_clamp_respects_eq1 () =
         Shield.filter sh ~state:(state_with_delay 0.8) ~cwnd_tcp ~prev_cwnd
           ~action:1.
       in
-      let w = Agent_env.cwnd_of_action ~action ~cwnd_tcp in
+      let w = Fleet_env.cwnd_of_action ~action ~cwnd_tcp in
       check_bool
         (Printf.sprintf "window bounded (tcp=%g prev=%g)" cwnd_tcp prev_cwnd)
         true
@@ -92,7 +92,7 @@ let test_clamps_shrink_under_low_delay () =
   | Shield.Clamped { case; _ } ->
       check_bool "small-delay case" true (case = Property.Small_delay)
   | Shield.Unconstrained -> Alcotest.fail "expected clamp");
-  let w = Agent_env.cwnd_of_action ~action ~cwnd_tcp:100. in
+  let w = Fleet_env.cwnd_of_action ~action ~cwnd_tcp:100. in
   check_bool "window kept" true (w >= 100. -. 1e-6)
 
 let test_allows_growth_under_low_delay () =

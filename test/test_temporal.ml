@@ -6,7 +6,7 @@ open Canopy_nn
 open Canopy_tensor
 module Interval = Canopy_absint.Interval
 module Observation = Canopy_orca.Observation
-module Agent_env = Canopy_orca.Agent_env
+module Fleet_env = Canopy_orca.Fleet_env
 module Prng = Canopy_util.Prng
 
 let check_int = Alcotest.(check int)
@@ -198,7 +198,7 @@ let test_soundness_within_model () =
         if not (Interval.contains b.Temporal.action a) then
           Alcotest.failf "step %d: action %f escapes %s" step a
             (Format.asprintf "%a" Interval.pp b.Temporal.action);
-        let w = Agent_env.cwnd_of_action ~action:a ~cwnd_tcp:!cwnd_tcp in
+        let w = Fleet_env.cwnd_of_action ~action:a ~cwnd_tcp:!cwnd_tcp in
         if not (Interval.contains b.Temporal.cwnd w) then
           Alcotest.failf "step %d: window %f escapes %s" step w
             (Format.asprintf "%a" Interval.pp b.Temporal.cwnd);

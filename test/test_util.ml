@@ -1,5 +1,4 @@
-(* Tests for canopy_util: PRNG, statistics, ring buffer, math helpers,
-   growable float buffer. *)
+(* Tests for canopy_util: PRNG, statistics, ring buffer, math helpers. *)
 
 open Canopy_util
 
@@ -292,34 +291,6 @@ let test_approx_equal () =
   check_bool "far" false (Mathx.approx_equal 1. 2.)
 
 (* ------------------------------------------------------------------ *)
-(* Fbuf *)
-
-let test_fbuf_push_get () =
-  let b = Fbuf.create ~initial_capacity:2 () in
-  for i = 1 to 100 do
-    Fbuf.push b (float_of_int i)
-  done;
-  check_int "length" 100 (Fbuf.length b);
-  check_float "get 0" 1. (Fbuf.get b 0);
-  check_float "get 99" 100. (Fbuf.get b 99);
-  check_float "sum" 5050. (Fbuf.sum b);
-  check_float "mean" 50.5 (Fbuf.mean b)
-
-let test_fbuf_to_array_clear () =
-  let b = Fbuf.create () in
-  Fbuf.push b 1.;
-  Fbuf.push b 2.;
-  Alcotest.(check (array (float 0.))) "array" [| 1.; 2. |] (Fbuf.to_array b);
-  Fbuf.clear b;
-  check_int "cleared" 0 (Fbuf.length b);
-  check_float "mean empty" 0. (Fbuf.mean b)
-
-let test_fbuf_oob () =
-  let b = Fbuf.create () in
-  Alcotest.check_raises "oob" (Invalid_argument "Fbuf.get: index") (fun () ->
-      ignore (Fbuf.get b 0))
-
-(* ------------------------------------------------------------------ *)
 (* Property-based *)
 
 let qcheck =
@@ -526,9 +497,6 @@ let suite =
     ("pow2/log2", `Quick, test_pow2_log2);
     ("sign/round", `Quick, test_sign_round);
     ("approx_equal", `Quick, test_approx_equal);
-    ("fbuf push/get", `Quick, test_fbuf_push_get);
-    ("fbuf to_array/clear", `Quick, test_fbuf_to_array_clear);
-    ("fbuf out of bounds", `Quick, test_fbuf_oob);
     ("prng state roundtrip", `Quick, test_prng_state_roundtrip);
     ("prng set_state", `Quick, test_prng_set_state);
     ("prng reseed", `Quick, test_prng_reseed);
