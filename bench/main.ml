@@ -1111,8 +1111,9 @@ let kernels () =
   Format.printf "wrote %s@." json_path
 
 (* ------------------------------------------------------------------ *)
-(* certify: batched IR engine vs per-slice reference, and the distilled
-   tree's exact vs conservative certificates (BENCH_certify) *)
+(* certify: batched IR engine vs per-slice reference, the evaluate-shaped
+   MLP certificate, and the distilled tree's exact vs conservative
+   certificates (BENCH_certify) *)
 
 let certify_bench () =
   header
@@ -1153,18 +1154,23 @@ let certify_bench () =
   let engines =
     [ ("batched", Certify.Batched); ("per_slice", Certify.Per_slice) ]
   in
-  (* Tree certificates as evaluation builds them: 50 components per case
-     on a harvested state, over the tree [bench distill] fits from the
-     trained actor. Smoke distills an untrained actor instead, so it needs
-     no training run. *)
-  let xs, _, tree, _, _ =
-    distill_actor
-      (if !smoke_mode then
-         Canopy_nn.Mlp.actor ~rng:(Canopy_util.Prng.create 9) ~in_dim:state_dim
-           ~hidden:64 ~out_dim:1
-       else (canopy_perf ()).actor)
+  (* Certificates as evaluation builds them: 50 components per case on a
+     harvested state, for the hidden-64 actor and for the tree [bench
+     distill] fits from it. Full mode uses the trained actor; smoke
+     distills an untrained one instead, so it needs no training run. *)
+  let eval_actor =
+    if !smoke_mode then
+      Canopy_nn.Mlp.actor ~rng:(Canopy_util.Prng.create 9) ~in_dim:state_dim
+        ~hidden:64 ~out_dim:1
+    else (canopy_perf ()).actor
   in
+  let xs, _, tree, _, _ = distill_actor eval_actor in
   let tree_state = Canopy_tensor.Mat.(row xs (rows xs / 2)) in
+  let make_eval_cert () =
+    ignore
+      (Certify.certify ~actor:eval_actor ~property ~n_components:50 ~history
+         ~state:tree_state ~cwnd_tcp:100. ~prev_cwnd:90. ())
+  in
   let make_tree_cert ~conservative () =
     ignore
       (Certify.certify_tree ~conservative ~tree ~property ~n_components:50
@@ -1194,6 +1200,7 @@ let certify_bench () =
         ])
       engines
     @ [
+        ("eval_cert_N50_batched", make_eval_cert);
         ("cert_tree_N50_exact", make_tree_cert ~conservative:false);
         ("cert_tree_N50_conservative", make_tree_cert ~conservative:true);
       ]

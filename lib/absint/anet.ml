@@ -158,25 +158,99 @@ let forward t x =
 (* Monotone activation over center–radius pairs, in place: the endpoint
    formula lo = f(c−r), hi = f(c+r), c' = (hi+lo)/2, r' = (hi−lo)/2 —
    the same arithmetic as [Box.map_monotone], applied to every cell of
-   the [K × dim] batch at once. *)
+   the [K × dim] batch at once. The activation is matched once, outside
+   the loop, so each cell runs inline float code: no closure call and no
+   boxed float per endpoint. Each branch restates [act_fn]'s formula. *)
 let apply_act_batch act c r =
-  let f = act_fn act in
   let cd = Mat.raw c and rd = Mat.raw r in
-  for i = 0 to Array.length cd - 1 do
-    let ci = Array.unsafe_get cd i and ri = Array.unsafe_get rd i in
-    let lo = f (ci -. ri) and hi = f (ci +. ri) in
-    Array.unsafe_set cd i (0.5 *. (hi +. lo));
-    Array.unsafe_set rd i (0.5 *. (hi -. lo))
-  done
+  let n = Array.length cd in
+  match act with
+  | Linear -> ()
+  | Leaky_relu slope ->
+      for i = 0 to n - 1 do
+        let ci = Array.unsafe_get cd i and ri = Array.unsafe_get rd i in
+        let l = ci -. ri and h = ci +. ri in
+        let lo = if l >= 0. then l else slope *. l
+        and hi = if h >= 0. then h else slope *. h in
+        Array.unsafe_set cd i (0.5 *. (hi +. lo));
+        Array.unsafe_set rd i (0.5 *. (hi -. lo))
+      done
+  | Relu ->
+      for i = 0 to n - 1 do
+        let ci = Array.unsafe_get cd i and ri = Array.unsafe_get rd i in
+        let lo = Float.max 0. (ci -. ri) and hi = Float.max 0. (ci +. ri) in
+        Array.unsafe_set cd i (0.5 *. (hi +. lo));
+        Array.unsafe_set rd i (0.5 *. (hi -. lo))
+      done
+  | Tanh ->
+      for i = 0 to n - 1 do
+        let ci = Array.unsafe_get cd i and ri = Array.unsafe_get rd i in
+        let lo = Float.tanh (ci -. ri) and hi = Float.tanh (ci +. ri) in
+        Array.unsafe_set cd i (0.5 *. (hi +. lo));
+        Array.unsafe_set rd i (0.5 *. (hi -. lo))
+      done
 
-(* Per-domain scratch arena for the stage buffers of [propagate_batch]:
-   slots (2s, 2s+1) hold stage [s]'s center and radius matrices, reused
-   across calls (and across the full-size/tail chunk shapes of a pool
-   region, via the arena's per-length caching) instead of two fresh
-   matrices per stage per chunk. Ownership per DESIGN §10: the arena is
-   DLS-owned, so only this domain writes these buffers. *)
+(* Per-domain scratch arena of the batched transfer. Ownership per
+   DESIGN §10: the arena is DLS-owned, so only this domain writes these
+   buffers. Slots 0 and 1 hold the live-column gathers of a radius GEMM
+   ([r] and [|W|]); slots (2 + 2s, 3 + 2s) hold stage [s]'s output centers
+   and radii. Every slot is reused across calls (and across the
+   full-size/tail chunk shapes of a pool region, via the arena's
+   per-length caching) and every cell is overwritten before it is read,
+   so a warm arena returns the same bits as a cold one. *)
 let scratch_key : Canopy_util.Scratch.t Domain.DLS.key =
   Domain.DLS.new_key Canopy_util.Scratch.create
+
+let stage_slot s = 2 + (2 * s)
+
+(* Column [j] of a row-major [rows × cols] buffer holds a nonzero in some
+   row. Live columns usually answer on row 0; only dead ones are scanned
+   to the end. *)
+let live_column d ~rows ~cols j =
+  let i = ref 0 in
+  while !i < rows && Array.unsafe_get d ((!i * cols) + j) = 0. do
+    incr i
+  done;
+  !i < rows
+
+(* The radius GEMM r' = r·|W|ᵀ over the live input columns only. A column
+   is dead when its radius is ±0 in every row (a certificate's point
+   dimensions). Each of its terms is then r·|w| = ±0, since |W| is finite,
+   and adding ±0 to an accumulator chain that starts at +0 changes
+   nothing: such a chain never reaches −0, and x + ±0 = x otherwise. The
+   GEMM sums every cell in ascending column order, so summing the live
+   columns alone, in the same order, returns the full GEMM's bits. *)
+let radius_gemm scratch ~dst r abs_w =
+  let rows = Mat.rows r and cols = Mat.cols r in
+  let rd = Mat.raw r in
+  let live = ref 0 in
+  for j = 0 to cols - 1 do
+    if live_column rd ~rows ~cols j then incr live
+  done;
+  let live = !live in
+  if live = cols then Mat.mat_mul_nt_into ~dst r abs_w
+  else if live = 0 then Mat.fill dst 0.
+  else begin
+    let out = Mat.rows abs_w in
+    let r' = Mat.scratch_mat scratch ~slot:0 ~rows ~cols:live in
+    let w' = Mat.scratch_mat scratch ~slot:1 ~rows:out ~cols:live in
+    let rd' = Mat.raw r' and wd = Mat.raw abs_w and wd' = Mat.raw w' in
+    let l = ref 0 in
+    for j = 0 to cols - 1 do
+      if live_column rd ~rows ~cols j then begin
+        for i = 0 to rows - 1 do
+          Array.unsafe_set rd' ((i * live) + !l)
+            (Array.unsafe_get rd ((i * cols) + j))
+        done;
+        for o = 0 to out - 1 do
+          Array.unsafe_set wd' ((o * live) + !l)
+            (Array.unsafe_get wd ((o * cols) + j))
+        done;
+        incr l
+      end
+    done;
+    Mat.mat_mul_nt_into ~dst r' w'
+  end
 
 (* One fused stage over the whole batch: two GEMMs — c' = c·Wᵀ + b and
    r' = r·|W|ᵀ — then the elementwise activation. |W| is precomputed at
@@ -187,22 +261,20 @@ let scratch_key : Canopy_util.Scratch.t Domain.DLS.key =
    per-slice [Box.affine] reference (see DESIGN.md §8).
 
    The result aliases the last stage's scratch slots: callers must
-   consume (copy out of) it before this domain's next call. Every cell
-   of every slot buffer is overwritten by its stage's GEMMs before any
-   read, so a warm arena returns the same bits as a cold one. *)
+   consume (copy out of) it before this domain's next call. *)
 let propagate_batch t ~centers ~radii =
   let scratch = Domain.DLS.get scratch_key in
   let _, result =
     List.fold_left
       (fun (s, (c, r)) stage ->
         let rows = Mat.rows c and cols = Mat.rows stage.w in
-        let c' = Mat.scratch_mat scratch ~slot:(2 * s) ~rows ~cols in
-        let r' = Mat.scratch_mat scratch ~slot:((2 * s) + 1) ~rows ~cols in
+        let c' = Mat.scratch_mat scratch ~slot:(stage_slot s) ~rows ~cols in
+        let r' =
+          Mat.scratch_mat scratch ~slot:(stage_slot s + 1) ~rows ~cols
+        in
         Mat.mat_mul_nt_bias_into ~dst:c' c stage.w stage.b;
-        Mat.mat_mul_nt_into ~dst:r' r stage.abs_w;
-        (match stage.act with
-        | Linear -> ()
-        | act -> apply_act_batch act c' r');
+        radius_gemm scratch ~dst:r' r stage.abs_w;
+        apply_act_batch stage.act c' r';
         (s + 1, (c', r')))
       (0, (centers, radii))
       t.stages
@@ -236,31 +308,52 @@ let per_box_flops t =
       acc + Mat.mat_mul_nt_row_flops stage.abs_w stage.w)
     0 t.stages
 
-(* Boxes [lo, hi) through the batched transfer, results into [out]. Each
-   output row of the stage GEMMs depends only on the matching input row,
+(* Rows [lo, hi) of the workload through the batched transfer, results
+   into [out]. Each output row of the stage GEMMs depends only on the
+   matching input row, and the live-column gather is bit-neutral per row,
    so a sub-batch reproduces the full batch's rows bit for bit — chunking
-   the workload cannot change any interval (DESIGN §10). *)
-let output_intervals_range t boxes out ~lo ~hi =
-  let centers, radii = batch_of_boxes (Array.sub boxes lo (hi - lo)) in
+   the workload cannot change any interval (DESIGN §10). A chunk copies
+   its rows out; the whole workload runs in place. *)
+let output_intervals_range t ~centers ~radii out ~lo ~hi =
+  let centers, radii =
+    if lo = 0 && hi = Mat.rows centers then (centers, radii)
+    else (Mat.sub_rows centers ~lo ~hi, Mat.sub_rows radii ~lo ~hi)
+  in
   let c, r = propagate_batch t ~centers ~radii in
+  let cd = Mat.raw c and rd = Mat.raw r in
   for k = lo to hi - 1 do
-    let ck = Mat.get c (k - lo) 0 and rk = Mat.get r (k - lo) 0 in
+    let ck = cd.(k - lo) and rk = rd.(k - lo) in
     out.(k) <- Interval.make (ck -. rk) (ck +. rk)
   done
 
+let output_intervals_rows t ~centers ~radii =
+  if t.out_dim <> 1 then invalid_arg "Anet.output_intervals_rows: out_dim";
+  let n = Mat.rows centers in
+  if
+    Mat.rows radii <> n
+    || Mat.cols centers <> t.in_dim
+    || Mat.cols radii <> t.in_dim
+  then invalid_arg "Anet.output_intervals_rows: shape";
+  let rd = Mat.raw radii in
+  for i = 0 to Array.length rd - 1 do
+    let d = rd.(i) in
+    if d < 0. || Float.is_nan d then
+      invalid_arg "Anet.output_intervals_rows: deviation"
+  done;
+  let out = Array.make n (Interval.make 0. 0.) in
+  (match Mat.plan_chunks ~rows:n ~row_flops:(per_box_flops t) with
+  | Some chunk ->
+      Canopy_util.Pool.parallel_for_chunks ~chunk n
+        (output_intervals_range t ~centers ~radii out)
+  | None -> output_intervals_range t ~centers ~radii out ~lo:0 ~hi:n);
+  out
+
 let output_intervals t boxes =
   if t.out_dim <> 1 then invalid_arg "Anet.output_intervals: out_dim";
-  let n = Array.length boxes in
-  if n = 0 then [||]
-  else begin
-    Array.iter (check_box t) boxes;
-    let out = Array.make n (Interval.make 0. 0.) in
-    (match Mat.plan_chunks ~rows:n ~row_flops:(per_box_flops t) with
-    | Some chunk ->
-        Canopy_util.Pool.parallel_for_chunks ~chunk n
-          (output_intervals_range t boxes out)
-    | None -> output_intervals_range t boxes out ~lo:0 ~hi:n);
-    out
-  end
+  Array.iter (check_box t) boxes;
+  if Array.length boxes = 0 then [||]
+  else
+    let centers, radii = batch_of_boxes boxes in
+    output_intervals_rows t ~centers ~radii
 
 let output_interval t box = (output_intervals t [| box |]).(0)

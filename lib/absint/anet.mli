@@ -5,7 +5,7 @@
     followed by at most one elementwise activation. Extraction happens
     once per parameter generation ({!cached}); the abstract domains then
     propagate through three fused stages instead of eight layers, and the
-    batched center–radius transfer ({!output_intervals}) evaluates a
+    batched center–radius transfer ({!output_intervals_rows}) evaluates a
     whole [K]-box workload as two GEMMs per stage:
     [c' = c·Wᵀ + b], [r' = r·|W|ᵀ].
 
@@ -52,11 +52,26 @@ val propagate : t -> Box.t -> Box.t
     batched transfer). Sound for the same reason as [Ibp.propagate];
     bounds agree with it to reassociation rounding. *)
 
-val output_intervals : t -> Box.t array -> Interval.t array
-(** Batched scalar-output bound: all boxes pushed through each stage as
+val output_intervals_rows :
+  t -> centers:Mat.t -> radii:Mat.t -> Interval.t array
+(** Batched scalar-output bound over a workload given as two
+    [K × in_dim] matrices: row [k] of [centers] and [radii] is box [k]'s
+    center and deviation. Every stage pushes the whole workload through
     two GEMMs ([c' = c·Wᵀ + b], [r' = r·|W|ᵀ]) plus one elementwise
-    activation pass. Raises [Invalid_argument] unless [out_dim t = 1]
-    and every box matches [in_dim t]. *)
+    activation pass; large workloads are split into pool chunks, which
+    is bit-neutral. The radius GEMM skips every input column whose
+    radius is ±0 in every row (the point dimensions of a certificate):
+    with finite [|W|] and radii ≥ 0 each skipped term is ±0, and adding
+    ±0 to a chain that starts at +0 changes no bit, so the result equals
+    the dense GEMM's exactly. Raises [Invalid_argument] unless
+    [out_dim t = 1], both matrices are [K × in_dim t], and every radius
+    is non-negative and not NaN (as {!Box.make}). *)
+
+val output_intervals : t -> Box.t array -> Interval.t array
+(** {!output_intervals_rows} over an array of boxes, whose centers and
+    deviations become the rows: there is one propagation path. Raises
+    [Invalid_argument] unless [out_dim t = 1] and every box matches
+    [in_dim t]. *)
 
 val output_interval : t -> Box.t -> Interval.t
 (** [output_intervals] on a single box. *)
@@ -64,7 +79,7 @@ val output_interval : t -> Box.t -> Interval.t
 val per_box_flops : t -> int
 (** Estimated flops to push one box through the batched transfer —
     derived from the GEMM kernels' own per-row cost model. The one cost
-    estimate for IR sweeps: {!output_intervals} plans its chunks with
+    estimate for IR sweeps: {!output_intervals_rows} plans its chunks with
     it, and [Zonotope] scales it by its noise-symbol budget instead of
     restating the formula. Pure in the IR shape, so any chunking derived
     from it is deterministic. *)

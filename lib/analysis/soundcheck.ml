@@ -202,13 +202,24 @@ let pooled pool rng =
 let ibp_pool = { net = None; age = 0 }
 let zono_pool = { net = None; age = 0 }
 
-let net_box rng net =
+(* A random box over the net's input; dimensions where [point] holds get
+   radius 0. *)
+let net_box ?(point = fun _ -> false) rng net =
   let in_dim = Canopy_nn.Mlp.in_dim net in
   Box.of_intervals
-    (Array.init in_dim (fun _ ->
+    (Array.init in_dim (fun j ->
          let c = Prng.uniform rng (-1.) 1. in
          let r = Prng.float rng 0.7 in
+         let r = if point j then 0. else r in
          Interval.make (c -. r) (c +. r)))
+
+(* Half the IR workloads pin a random set of input dimensions to points
+   in every box, as a certificate pins all but its delay dimensions, so
+   the batched transfer skips dead radius columns under the audit. *)
+let shared_points rng net =
+  if Prng.bool rng then
+    Array.get (Array.init (Canopy_nn.Mlp.in_dim net) (fun _ -> Prng.bool rng))
+  else fun _ -> false
 
 let ibp_check rng trial =
   let net = pooled ibp_pool rng in
@@ -275,7 +286,8 @@ let anet_batched_check rng trial =
   let net = pooled_anet rng in
   let ir = Anet.cached net in
   let k = 1 + Prng.int rng 4 in
-  let boxes = Array.init k (fun _ -> net_box rng net) in
+  let point = shared_points rng net in
+  let boxes = Array.init k (fun _ -> net_box ~point rng net) in
   let outs = Anet.output_intervals ir boxes in
   let j = Prng.int rng k in
   let x = Box.sample rng boxes.(j) in
@@ -321,7 +333,7 @@ let anet_propagate_check rng trial =
 let anet_zono_check rng trial =
   let net = pooled_anet rng in
   let ir = Anet.cached net in
-  let box = net_box rng net in
+  let box = net_box ~point:(shared_points rng net) rng net in
   let x = Box.sample rng box in
   let out = (Zonotope.output_intervals_anet ir [| box |]).(0) in
   let y = (Canopy_nn.Mlp.forward net x).(0) in
@@ -424,7 +436,11 @@ let tree_exact_check rng trial =
     else box
   in
   let x = Box.sample rng box in
-  let out = Canopy_distill.Tree.output_interval tree (Box.to_intervals box) in
+  let ivs = Box.to_intervals box in
+  let out =
+    Canopy_distill.Tree.output_interval tree
+      ~lo:(Array.map Interval.lo ivs) ~hi:(Array.map Interval.hi ivs)
+  in
   let y = Canopy_distill.Tree.predict tree x in
   if Interval.contains out y then None
   else

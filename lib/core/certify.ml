@@ -1,3 +1,4 @@
+open Canopy_tensor
 open Canopy_nn
 open Canopy_absint
 module Observation = Canopy_orca.Observation
@@ -69,36 +70,47 @@ let target_of_case property case =
       invalid_arg "Certify.target_of_case"
 
 (* Model-independent part of a step-certificate context: everything the
-   box construction and the CWND postcondition check need.  The
+   component rows and the CWND postcondition check need.  The
    model-specific part (MLP + abstract engine, or distilled tree) only
-   supplies abstract action intervals per box. *)
+   supplies abstract action intervals per component. *)
 type step_ctx = {
   property : Property.t;
-  history : int;
+  delay_indices : int list;
   state : float array;
   cwnd_tcp : float;
   prev_cwnd : float;
-  cwnd_concrete : float; (* the unperturbed decision, for robustness *)
+  cwnd_concrete : float Lazy.t;  (* [unperturbed_window] *)
 }
 
 (* The full evaluation context of an MLP step certificate. *)
 type ctx = { engine : engine; domain : domain; actor : Mlp.t; step : step_ctx }
 
-(* Abstract input for one component: substitute the slice (performance)
-   or its multiplicative image (robustness) into each delay dimension of
-   the concrete state. *)
-let box_of_slice step case slice =
-  let iv_of_observed =
-    match case with
-    | Property.Large_delay | Property.Small_delay -> fun _ -> slice
-    | Property.Noise -> fun observed -> Interval.scale observed slice
-  in
-  let box = ref (Box.of_point step.state) in
-  List.iter
-    (fun idx ->
-      box := Box.with_dimension !box idx (iv_of_observed step.state.(idx)))
-    (delay_indices ~history:step.history);
-  !box
+(* The one component-row builder. Row [k] of the [K × in_dim] center and
+   radius matrices is job [k]'s abstract input: the concrete state as a
+   point (radius +0), with each delay dimension replaced by the slice
+   (performance) or its multiplicative image (robustness). *)
+let component_rows step jobs =
+  let rows = Array.length jobs and cols = Array.length step.state in
+  let centers = Mat.create_uninit ~rows ~cols
+  and radii = Mat.create_uninit ~rows ~cols in
+  let cd = Mat.raw centers and rd = Mat.raw radii in
+  Array.iteri
+    (fun k (case, _, slice) ->
+      let base = k * cols in
+      Array.blit step.state 0 cd base cols;
+      Array.fill rd base cols 0.;
+      List.iter
+        (fun idx ->
+          let iv =
+            match case with
+            | Property.Large_delay | Property.Small_delay -> slice
+            | Property.Noise -> Interval.scale step.state.(idx) slice
+          in
+          cd.(base + idx) <- Interval.midpoint iv;
+          rd.(base + idx) <- Interval.radius iv)
+        step.delay_indices)
+    jobs;
+  (centers, radii)
 
 (* Finish a component from its abstract action: push through the CWND map
    of Eq. 1 and compare against the postcondition (Eq. 7). *)
@@ -110,9 +122,8 @@ let finish_component step case index slice action =
     | Property.Large_delay | Property.Small_delay ->
         Interval.add_scalar (-.step.prev_cwnd) cwnd
     | Property.Noise ->
-        Interval.div_scalar
-          (Interval.add_scalar (-.step.cwnd_concrete) cwnd)
-          step.cwnd_concrete
+        let w0 = Lazy.force step.cwnd_concrete in
+        Interval.div_scalar (Interval.add_scalar (-.w0) cwnd) w0
   in
   let distance = Interval.overlap_fraction ~target output in
   {
@@ -128,57 +139,70 @@ let finish_component step case index slice action =
 
 (* Evaluate a workload of (case, index, slice) jobs in one engine call:
    with the batched engine, every slice of every case goes through the
-   network together. *)
+   network together, straight from the component rows. The other engines
+   take [Box.make] views of the same rows. *)
 let components_of_jobs ctx jobs =
-  let boxes =
-    Array.of_list
-      (List.map (fun (case, _, slice) -> box_of_slice ctx.step case slice) jobs)
-  in
+  let centers, radii = component_rows ctx.step jobs in
   let actions =
-    output_intervals ~engine:ctx.engine ~domain:ctx.domain ~actor:ctx.actor
-      boxes
+    match (ctx.engine, ctx.domain) with
+    | Batched, Box_domain ->
+        Anet.output_intervals_rows (Anet.cached ctx.actor) ~centers ~radii
+    | _ ->
+        output_intervals ~engine:ctx.engine ~domain:ctx.domain ~actor:ctx.actor
+          (Array.init (Array.length jobs) (fun k ->
+               Box.make ~center:(Mat.row centers k) ~dev:(Mat.row radii k)))
   in
-  List.mapi
+  Array.mapi
     (fun k (case, index, slice) ->
       finish_component ctx.step case index slice actions.(k))
     jobs
 
-let make_step_ctx ~property ~history ~state ~cwnd_tcp ~prev_cwnd
-    ~concrete_action =
+let clamp_action = Canopy_util.Mathx.clamp ~lo:(-1.) ~hi:1.
+
+(* The window of the unperturbed decision, given the model's raw output
+   on the concrete state. Only the robustness case reads it, so the
+   model runs on first use. *)
+let unperturbed_window ~cwnd_tcp raw_action =
+  lazy
+    (Fleet_env.cwnd_of_action ~action:(clamp_action (raw_action ())) ~cwnd_tcp)
+
+let make_step_ctx ~property ~history ~state ~cwnd_tcp ~prev_cwnd ~raw_action
+    =
   {
     property;
-    history;
+    delay_indices = delay_indices ~history;
     state;
     cwnd_tcp;
     prev_cwnd;
-    cwnd_concrete = Fleet_env.cwnd_of_action ~action:concrete_action ~cwnd_tcp;
+    cwnd_concrete = unperturbed_window ~cwnd_tcp raw_action;
   }
 
 let make_ctx ~engine ~domain ~actor ~property ~history ~state ~cwnd_tcp
     ~prev_cwnd =
-  let concrete_action =
-    Canopy_util.Mathx.clamp ~lo:(-1.) ~hi:1. (Mlp.forward actor state).(0)
-  in
   {
     engine;
     domain;
     actor;
     step =
       make_step_ctx ~property ~history ~state ~cwnd_tcp ~prev_cwnd
-        ~concrete_action;
+        ~raw_action:(fun () -> (Mlp.forward actor state).(0));
   }
 
-let validate ?(what = "Certify.certify") ~n_components ~history ~state ~in_dim
-    () =
+let validate ~what ~n_components ~history ~state ~cwnd_tcp ~prev_cwnd ~in_dim
+    =
   if n_components <= 0 then invalid_arg (what ^ ": n_components");
   if history <= 0 then invalid_arg (what ^ ": history");
   if Array.length state <> history * Observation.feature_count then
     invalid_arg (what ^ ": state dimension");
   if in_dim <> Array.length state then
-    invalid_arg (what ^ ": model input dimension")
+    invalid_arg (what ^ ": model input dimension");
+  if
+    not
+      (Array.for_all Float.is_finite state
+      && Float.is_finite cwnd_tcp && Float.is_finite prev_cwnd)
+  then invalid_arg (what ^ ": non-finite state")
 
 let summarize property components =
-  let components = Array.of_list components in
   let per_case_distance =
     List.map
       (fun case ->
@@ -212,22 +236,25 @@ let summarize property components =
   }
 
 let jobs_of_property property n_components =
-  List.concat_map
-    (fun case ->
-      let precondition = Property.precondition_delay property case in
-      List.mapi
-        (fun index slice -> (case, index, slice))
-        (Interval.split precondition n_components))
-    (Property.cases property)
+  Array.of_list
+    (List.concat_map
+       (fun case ->
+         let precondition = Property.precondition_delay property case in
+         List.mapi
+           (fun index slice -> (case, index, slice))
+           (Interval.split precondition n_components))
+       (Property.cases property))
 
 let certify ?(engine = Batched) ?(domain = Box_domain) ~actor ~property
     ~n_components ~history ~state ~cwnd_tcp ~prev_cwnd () =
-  validate ~n_components ~history ~state ~in_dim:(Mlp.in_dim actor) ();
+  validate ~what:"Certify.certify" ~n_components ~history ~state ~cwnd_tcp
+    ~prev_cwnd ~in_dim:(Mlp.in_dim actor);
   let ctx =
     make_ctx ~engine ~domain ~actor ~property ~history ~state ~cwnd_tcp
       ~prev_cwnd
   in
-  summarize property (components_of_jobs ctx (jobs_of_property property n_components))
+  summarize property
+    (components_of_jobs ctx (jobs_of_property property n_components))
 
 (* Certification of the distilled piecewise-affine tree.  No abstract
    engine is involved: every leaf region is an axis-aligned box and its
@@ -240,29 +267,37 @@ let certify ?(engine = Batched) ?(domain = Box_domain) ~actor ~property
    comparison; the exact action interval is always a subset of the
    conservative one, so exact certified rates dominate.  The abstract
    action is clamped to [-1, 1] exactly as the serving path clamps the
-   concrete prediction. *)
+   concrete prediction.  Each component's box is read off its row as
+   [c − e, c + e] into two arrays reused across the components. *)
 let certify_tree ?(conservative = false) ~tree ~property ~n_components ~history
     ~state ~cwnd_tcp ~prev_cwnd () =
   validate ~what:"Certify.certify_tree" ~n_components ~history ~state
-    ~in_dim:(Canopy_distill.Tree.in_dim tree)
-    ();
-  let clamp = Canopy_util.Mathx.clamp ~lo:(-1.) ~hi:1. in
+    ~cwnd_tcp ~prev_cwnd
+    ~in_dim:(Canopy_distill.Tree.in_dim tree);
   let step =
     make_step_ctx ~property ~history ~state ~cwnd_tcp ~prev_cwnd
-      ~concrete_action:(clamp (Canopy_distill.Tree.predict tree state))
+      ~raw_action:(fun () -> Canopy_distill.Tree.predict tree state)
   in
-  let components =
-    List.map
-      (fun (case, index, slice) ->
-        let box = Box.to_intervals (box_of_slice step case slice) in
-        let raw =
-          Canopy_distill.Tree.output_interval ~exact:(not conservative) tree
-            box
-        in
-        finish_component step case index slice (Interval.monotone clamp raw))
-      (jobs_of_property property n_components)
-  in
-  summarize property components
+  let jobs = jobs_of_property property n_components in
+  let centers, radii = component_rows step jobs in
+  let d = Array.length state in
+  let cd = Mat.raw centers and rd = Mat.raw radii in
+  let lo = Array.make d 0. and hi = Array.make d 0. in
+  summarize property
+    (Array.mapi
+       (fun k (case, index, slice) ->
+         for j = 0 to d - 1 do
+           let c = cd.((k * d) + j) and e = rd.((k * d) + j) in
+           lo.(j) <- c -. e;
+           hi.(j) <- c +. e
+         done;
+         let raw =
+           Canopy_distill.Tree.output_interval ~exact:(not conservative) tree
+             ~lo ~hi
+         in
+         finish_component step case index slice
+           (Interval.monotone clamp_action raw))
+       jobs)
 
 (* Adaptive subdivision (Section 8, future work (ii)): start from a
    coarse split and keep bisecting only the undecided components — the
@@ -289,8 +324,8 @@ let reindex components =
 let certify_adaptive ?(engine = Batched) ?(domain = Box_domain)
     ?(initial_components = 2) ~actor ~property ~max_components ~history
     ~state ~cwnd_tcp ~prev_cwnd () =
-  validate ~n_components:initial_components ~history ~state
-    ~in_dim:(Mlp.in_dim actor) ();
+  validate ~what:"Certify.certify_adaptive" ~n_components:initial_components
+    ~history ~state ~cwnd_tcp ~prev_cwnd ~in_dim:(Mlp.in_dim actor);
   if max_components < initial_components then
     invalid_arg "Certify.certify_adaptive: max_components";
   let ctx =
@@ -310,7 +345,9 @@ let certify_adaptive ?(engine = Batched) ?(domain = Box_domain)
     if jobs = [] then
       List.map (function Final c -> c | Open _ -> assert false) slots
     else begin
-      let fresh = ref (components_of_jobs ctx jobs) in
+      let fresh =
+        ref (Array.to_list (components_of_jobs ctx (Array.of_list jobs)))
+      in
       let next =
         List.concat_map
           (function
@@ -346,7 +383,7 @@ let certify_adaptive ?(engine = Batched) ?(domain = Box_domain)
           (Interval.split precondition initial_components))
       (Property.cases property)
   in
-  summarize property (reindex (refine slots))
+  summarize property (Array.of_list (reindex (refine slots)))
 
 let pp_component ppf c =
   Format.fprintf ppf "%s[%d]: a=%a out=%a Y=%a D=%.3f%s"
@@ -382,20 +419,17 @@ let refute ?(samples = 64) ~rng ~actor ~property ~history ~state ~cwnd_tcp
         ((3 * component.index) + case_ordinal component.case)
     in
     let indices = delay_indices ~history in
+    (* one unperturbed forward pass per call, not one per sample *)
+    let w0 =
+      unperturbed_window ~cwnd_tcp (fun () -> (Mlp.forward actor state).(0))
+    in
     let concrete_output candidate_state =
-      let a =
-        Canopy_util.Mathx.clamp ~lo:(-1.) ~hi:1.
-          (Mlp.forward actor candidate_state).(0)
-      in
+      let a = clamp_action (Mlp.forward actor candidate_state).(0) in
       let w = Fleet_env.cwnd_of_action ~action:a ~cwnd_tcp in
       match component.case with
       | Property.Large_delay | Property.Small_delay -> w -. prev_cwnd
       | Property.Noise ->
-          let a0 =
-            Canopy_util.Mathx.clamp ~lo:(-1.) ~hi:1.
-              (Mlp.forward actor state).(0)
-          in
-          let w0 = Fleet_env.cwnd_of_action ~action:a0 ~cwnd_tcp in
+          let w0 = Lazy.force w0 in
           (w -. w0) /. w0
     in
     let candidate_of value =

@@ -8,7 +8,12 @@
     over-approximation (Section 5). Each slice is propagated through the
     actor with IBP and through the CWND map of Eq. 1, yielding an output
     interval that is compared against the postcondition with the interval
-    distance D of Eq. 7. *)
+    distance D of Eq. 7.
+
+    A certificate builds its component boxes once, as two flat
+    [K × in_dim] center/radius matrices filled straight from the state;
+    every engine, and the tree certifier, reads those rows (DESIGN.md
+    §8). *)
 
 open Canopy_nn
 open Canopy_absint
@@ -85,7 +90,9 @@ val certify :
     verifier-IR engine, which evaluates every slice of every case in a
     single pass and agrees with [~engine:Per_slice] to reassociation
     rounding (≤1e-9 relative — see DESIGN.md §8). Raises
-    [Invalid_argument] on dimension mismatches or [n_components <= 0]. *)
+    [Invalid_argument] on dimension mismatches, [n_components <= 0], or
+    a NaN or infinite entry of [state], [cwnd_tcp] or [prev_cwnd]
+    (["Certify.certify: non-finite state"]). *)
 
 val certify_tree :
   ?conservative:bool ->
@@ -109,7 +116,9 @@ val certify_tree :
     serving clamps the concrete prediction.  With [~conservative:true]
     the leaf-cell intersection is skipped (every leaf bounded over the
     whole box), reproducing what a structure-blind interval engine would
-    report; the exact reading always certifies at least as much. *)
+    report; the exact reading always certifies at least as much.
+    Raises [Invalid_argument] as {!certify}, with
+    ["Certify.certify_tree"] in the message. *)
 
 val certify_adaptive :
   ?engine:engine ->
@@ -131,7 +140,9 @@ val certify_adaptive :
     components (fully certified, or fully refuted) are never refined, so
     the effort concentrates where over-approximation may be hiding a
     proof. Refinement runs in rounds; with the batched engine each
-    round's open slices across all cases are evaluated in one pass. *)
+    round's open slices across all cases are evaluated in one pass.
+    Raises [Invalid_argument] as {!certify}, with
+    ["Certify.certify_adaptive"] in the message. *)
 
 val delay_indices : history:int -> int list
 (** Indices of the normalized-delay dimensions inside the flat state. *)

@@ -167,11 +167,16 @@ let predict_rows_into ~dst t x =
    never reached.  At a reached leaf every dimension meets the box: the
    tightened ones were checked after their last split, the rest are
    unconstrained.  With [~exact:false] the cell stays unconstrained and
-   every leaf is bounded over the whole box. *)
-let output_interval ?(exact = true) t box =
-  if Array.length box <> t.in_dim then
-    invalid_arg "Tree.output_interval: bad box dim";
+   every leaf is bounded over the whole box.  The box arrives as its
+   corner arrays [lo]/[hi], so callers never build interval records. *)
+let output_interval ?(exact = true) t ~lo ~hi =
   let d = t.in_dim in
+  if Array.length lo <> d || Array.length hi <> d then
+    invalid_arg "Tree.output_interval: bad box dim";
+  for j = 0 to d - 1 do
+    (* also rejects NaN corners *)
+    if not (lo.(j) <= hi.(j)) then invalid_arg "Tree.output_interval: bad box"
+  done;
   let cell_lo = Array.make d neg_infinity in
   let cell_hi = Array.make d infinity in
   (* running hull; min/max fold in any leaf order to the same bits *)
@@ -192,8 +197,8 @@ let output_interval ?(exact = true) t box =
         acc_hi := !acc_hi +. 0.
       end
       else begin
-        let a = c *. Float.max (Interval.lo box.(j)) cell_lo.(j)
-        and b = c *. Float.min (Interval.hi box.(j)) cell_hi.(j) in
+        let a = c *. Float.max lo.(j) cell_lo.(j)
+        and b = c *. Float.min hi.(j) cell_hi.(j) in
         if a <= b then begin
           acc_lo := !acc_lo +. a;
           acc_hi := !acc_hi +. b
@@ -208,8 +213,7 @@ let output_interval ?(exact = true) t box =
     out.(1) <- Float.max out.(1) !acc_hi
   in
   let meets f =
-    Float.max (Interval.lo box.(f)) cell_lo.(f)
-    <= Float.min (Interval.hi box.(f)) cell_hi.(f)
+    Float.max lo.(f) cell_lo.(f) <= Float.min hi.(f) cell_hi.(f)
   in
   let rec descend i =
     let f = t.feature.(i) in

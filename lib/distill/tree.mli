@@ -66,8 +66,17 @@ val leaf_of : t -> float array -> int
 (** Index of the leaf that [predict] routes [x] to. *)
 
 val output_interval :
-  ?exact:bool -> t -> Canopy_absint.Interval.t array -> Canopy_absint.Interval.t
-(** Bound the tree output over the input box (length [in_dim]).
+  ?exact:bool ->
+  t ->
+  lo:float array ->
+  hi:float array ->
+  Canopy_absint.Interval.t
+(** Bound the tree output over the input box [\[lo.(j), hi.(j)\]] per
+    dimension (both of length [in_dim]).  The box comes as two corner
+    arrays, not interval records, so a certificate reads each
+    component's box straight off its center/radius row as [c − e] and
+    [c + e].  Raises [Invalid_argument] on a length mismatch or when some
+    [lo.(j) <= hi.(j)] fails (including NaN corners).
 
     Each leaf's region is an axis-aligned cell, the conjunction of the
     split half-spaces on its root path, closed on both sides: the boundary

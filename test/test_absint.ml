@@ -6,6 +6,7 @@
 open Canopy_absint
 open Canopy_nn
 module Prng = Canopy_util.Prng
+module Mat = Canopy_tensor.Mat
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_bool = Alcotest.(check bool)
@@ -437,6 +438,154 @@ let test_anet_dimension_mismatch () =
     (Invalid_argument "Anet.propagate: input dim") (fun () ->
       ignore (Anet.propagate ir (Box.of_point [| 0. |])))
 
+(* Dense reference of the batched transfer, restated over [Anet.stages]:
+   both GEMMs over every input column, and the endpoint formula through a
+   per-cell closure. *)
+let dense_output_intervals ir ~centers ~radii =
+  let c, r =
+    List.fold_left
+      (fun (c, r) (stage : Anet.stage) ->
+        let rows = Mat.rows c and cols = Mat.rows stage.w in
+        let c' = Mat.create ~rows ~cols and r' = Mat.create ~rows ~cols in
+        Mat.mat_mul_nt_bias_into ~dst:c' c stage.w stage.b;
+        Mat.mat_mul_nt_into ~dst:r' r stage.abs_w;
+        let endpoints f =
+          let cd = Mat.raw c' and rd = Mat.raw r' in
+          Array.iteri
+            (fun i ci ->
+              let lo = f (ci -. rd.(i)) and hi = f (ci +. rd.(i)) in
+              cd.(i) <- 0.5 *. (hi +. lo);
+              rd.(i) <- 0.5 *. (hi -. lo))
+            cd
+        in
+        (match stage.act with
+        | Anet.Linear -> ()
+        | Anet.Leaky_relu slope ->
+            endpoints (fun x -> if x >= 0. then x else slope *. x)
+        | Anet.Relu -> endpoints (Float.max 0.)
+        | Anet.Tanh -> endpoints Float.tanh);
+        (c', r'))
+      (centers, radii) (Anet.stages ir)
+  in
+  Array.init (Mat.rows c) (fun k ->
+      let ck = Mat.get c k 0 and rk = Mat.get r k 0 in
+      Interval.make (ck -. rk) (ck +. rk))
+
+let same_interval_bits a b =
+  Int64.bits_of_float (Interval.lo a) = Int64.bits_of_float (Interval.lo b)
+  && Int64.bits_of_float (Interval.hi a) = Int64.bits_of_float (Interval.hi b)
+
+(* The radius GEMM skips input columns whose radius is ±0 in every row;
+   the result must keep every bit of the dense transfer. Workloads:
+   certificate-shaped (a point state, ±0 entries included, with only the
+   five delay dimensions symbolic), all-dead (every radius ±0) and
+   none-dead. Nets: the actor after batch-norm updates, a critic (linear
+   head) and a ReLU stack, so every activation branch runs. *)
+let test_anet_dead_columns_match_dense () =
+  let rng = Prng.create 73 in
+  let d = 35 and delay = [ 0; 7; 14; 21; 28 ] in
+  let actor = Mlp.actor ~rng ~in_dim:d ~hidden:16 ~out_dim:1 in
+  ignore
+    (Mlp.forward_train actor
+       (Mat.init ~rows:8 ~cols:d (fun _ _ -> Prng.uniform rng (-1.) 1.)));
+  let relu_net =
+    Mlp.create ~in_dim:d
+      [
+        Canopy_nn.Layer.dense ~rng ~in_dim:d ~out_dim:10;
+        Canopy_nn.Layer.relu;
+        Canopy_nn.Layer.dense ~rng ~in_dim:10 ~out_dim:1;
+        Canopy_nn.Layer.relu;
+      ]
+  in
+  let nets =
+    [
+      actor;
+      Mlp.critic ~rng ~state_dim:(d - 1) ~action_dim:1 ~hidden:12;
+      relu_net;
+    ]
+  in
+  let signed_zero () = if Prng.bool rng then 0. else -0. in
+  let state () =
+    Array.init d (fun _ ->
+        match Prng.int rng 4 with
+        | 0 -> signed_zero ()
+        | _ -> Prng.uniform rng (-1.) 1.)
+  in
+  let certificate_shaped k =
+    let s = state () in
+    let centers = Mat.init ~rows:k ~cols:d (fun _ j -> s.(j)) in
+    let radii = Mat.init ~rows:k ~cols:d (fun _ _ -> signed_zero ()) in
+    for row = 0 to k - 1 do
+      List.iter
+        (fun j ->
+          Mat.set centers row j (Prng.float rng 1.);
+          Mat.set radii row j (Prng.float rng 0.1))
+        delay
+    done;
+    (centers, radii)
+  in
+  let all_dead k =
+    ( Mat.init ~rows:k ~cols:d (fun _ _ -> Prng.uniform rng (-1.) 1.),
+      Mat.init ~rows:k ~cols:d (fun _ _ -> signed_zero ()) )
+  in
+  let none_dead k =
+    ( Mat.init ~rows:k ~cols:d (fun _ _ -> Prng.uniform rng (-1.) 1.),
+      Mat.init ~rows:k ~cols:d (fun _ _ -> 1e-3 +. Prng.float rng 0.3) )
+  in
+  (* One live entry in a column otherwise dead keeps the column. *)
+  let one_live k =
+    let centers, radii = all_dead k in
+    Mat.set radii (k - 1) 3 0.25;
+    (centers, radii)
+  in
+  List.iter
+    (fun net ->
+      let ir = Anet.of_mlp net in
+      List.iter
+        (fun (name, workload) ->
+          List.iter
+            (fun k ->
+              let centers, radii = workload k in
+              let want = dense_output_intervals ir ~centers ~radii in
+              let got = Anet.output_intervals_rows ir ~centers ~radii in
+              Array.iteri
+                (fun i w ->
+                  if not (same_interval_bits w got.(i)) then
+                    Alcotest.failf "%s K=%d row %d: dense %a, rows %a" name k
+                      i Interval.pp w Interval.pp got.(i))
+                want)
+            [ 1; 5; 14; 100 ])
+        [
+          ("certificate-shaped", certificate_shaped);
+          ("all-dead", all_dead);
+          ("none-dead", none_dead);
+          ("one-live", one_live);
+        ])
+    nets
+
+let test_anet_rows_rejects_bad_input () =
+  let rng = Prng.create 79 in
+  let ir = Anet.of_mlp (random_net rng) in
+  let rows k cols v = Mat.init ~rows:k ~cols (fun _ _ -> v) in
+  let raises name msg centers radii =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+        ignore (Anet.output_intervals_rows ir ~centers ~radii))
+  in
+  let shape = "Anet.output_intervals_rows: shape"
+  and deviation = "Anet.output_intervals_rows: deviation" in
+  raises "columns" shape (rows 3 5 0.) (rows 3 5 0.);
+  raises "radius columns" shape (rows 3 6 0.) (rows 3 5 0.);
+  raises "rows" shape (rows 3 6 0.) (rows 4 6 0.);
+  let with_radius v =
+    let r = rows 3 6 0.1 in
+    Mat.set r 2 4 v;
+    r
+  in
+  raises "negative radius" deviation (rows 3 6 0.) (with_radius (-1e-300));
+  raises "NaN radius" deviation (rows 3 6 0.) (with_radius Float.nan);
+  (* -0. is a zero radius, as [Box.make] has it *)
+  ignore (Anet.output_intervals_rows ir ~centers:(rows 3 6 0.) ~radii:(with_radius (-0.)))
+
 (* ------------------------------------------------------------------ *)
 (* Property-based *)
 
@@ -531,5 +680,8 @@ let suite =
     ("anet cache tracks generation", `Quick, test_anet_cache_tracks_generation);
     ("anet point box exact", `Quick, test_anet_point_box_is_exact);
     ("anet dimension mismatch", `Quick, test_anet_dimension_mismatch);
+    ("anet dead radius columns = dense", `Quick,
+      test_anet_dead_columns_match_dense);
+    ("anet rows reject bad input", `Quick, test_anet_rows_rejects_bad_input);
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck

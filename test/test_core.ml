@@ -141,6 +141,52 @@ let test_certify_validation () =
     (Invalid_argument "Certify.certify: state dimension") (fun () ->
       ignore (certify ~state:[| 0.1 |] ()))
 
+(* A NaN or infinite state entry, CWND_TCP or previous window is rejected
+   up front by every certificate entry point, before any bound is built. *)
+let test_certify_rejects_non_finite () =
+  let tree = Canopy_distill.Tree.constant ~in_dim:state_dim 0. in
+  let entry_points =
+    [
+      ( "Certify.certify",
+        fun ~state ~cwnd_tcp ~prev_cwnd ->
+          ignore (certify ~state ~cwnd_tcp ~prev_cwnd ()) );
+      ( "Certify.certify_tree",
+        fun ~state ~cwnd_tcp ~prev_cwnd ->
+          ignore
+            (Certify.certify_tree ~tree ~property:(Property.performance ())
+               ~n_components:5 ~history ~state ~cwnd_tcp ~prev_cwnd ()) );
+      ( "Certify.certify_adaptive",
+        fun ~state ~cwnd_tcp ~prev_cwnd ->
+          ignore
+            (Certify.certify_adaptive ~actor:(constant_actor 0.)
+               ~property:(Property.robustness ()) ~max_components:4 ~history
+               ~state ~cwnd_tcp ~prev_cwnd ()) );
+    ]
+  in
+  let poisoned v =
+    let s = Array.copy mid_state in
+    s.(state_dim - 1) <- v;
+    s
+  in
+  List.iter
+    (fun (what, run) ->
+      List.iter
+        (fun v ->
+          let raises name f =
+            Alcotest.check_raises
+              (Printf.sprintf "%s %s %g" what name v)
+              (Invalid_argument (what ^ ": non-finite state"))
+              f
+          in
+          raises "state" (fun () ->
+              run ~state:(poisoned v) ~cwnd_tcp:100. ~prev_cwnd:100.);
+          raises "cwnd_tcp" (fun () ->
+              run ~state:mid_state ~cwnd_tcp:v ~prev_cwnd:100.);
+          raises "prev_cwnd" (fun () ->
+              run ~state:mid_state ~cwnd_tcp:100. ~prev_cwnd:v))
+        [ Float.nan; Float.infinity; Float.neg_infinity ])
+    entry_points
+
 (* ------------------------------------------------------------------ *)
 (* Certify: semantics with hand-built controllers *)
 
@@ -744,6 +790,7 @@ let suite =
     ("certify distances in [0,1]", `Quick, test_certify_distances_in_unit);
     ("certify fcc consistency", `Quick, test_certify_fcc_consistent);
     ("certify validation", `Quick, test_certify_validation);
+    ("certify rejects non-finite state", `Quick, test_certify_rejects_non_finite);
     ("decreasing controller: large-delay ✓", `Quick,
       test_decreasing_controller_satisfies_large_delay);
     ("increasing controller: small-delay ✓", `Quick,

@@ -307,6 +307,11 @@ let reference_interval ~exact t ~d box =
 (* ------------------------------------------------------------------ *)
 (* Leaf-bound exactness: reference bit-equality and sampling audit *)
 
+(* [Tree.output_interval] over a box given as interval records. *)
+let bound ?exact tree box =
+  Tree.output_interval ?exact tree ~lo:(Array.map Interval.lo box)
+    ~hi:(Array.map Interval.hi box)
+
 let same_bits a b =
   Int64.bits_of_float (Interval.lo a) = Int64.bits_of_float (Interval.lo b)
   && Int64.bits_of_float (Interval.hi a) = Int64.bits_of_float (Interval.hi b)
@@ -352,8 +357,8 @@ let test_output_interval_sound_and_exact () =
   let families = [| cube; certificate_shaped; on_thresholds |] in
   for i = 1 to 10_000 do
     let box = families.(i mod 3) () in
-    let exact = Tree.output_interval ~exact:true tree box in
-    let conservative = Tree.output_interval ~exact:false tree box in
+    let exact = bound ~exact:true tree box in
+    let conservative = bound ~exact:false tree box in
     check_bool "exact bits equal the reference" true
       (same_bits exact (reference_interval ~exact:true t ~d box));
     check_bool "conservative bits equal the reference" true
@@ -380,13 +385,28 @@ let test_output_interval_sound_and_exact () =
   let zero = Tree.constant ~in_dim:d (-0.) and box = cube () in
   check_bool "signed zero as the reference" true
     (same_bits
-       (Tree.output_interval zero box)
+       (bound zero box)
        (reference_interval ~exact:true (nodes_of zero) ~d box))
 
 (* A leaf whose root path contradicts itself (left on x0 < 0, then right
    on x0 >= 1) has an empty cell.  It is never reached: its model must
    not widen the bound, and its empty cell must not make bounding or
    certification fail. *)
+(* The corner arrays must be [in_dim] long and ordered, NaN-free. *)
+let test_output_interval_rejects_bad_box () =
+  let tree = Tree.constant ~in_dim:3 0.5 in
+  let raises name msg ~lo ~hi =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+        ignore (Tree.output_interval tree ~lo ~hi))
+  in
+  let ok = [| 0.; 0.; 0. |] in
+  raises "short lo" "Tree.output_interval: bad box dim" ~lo:[| 0.; 0. |] ~hi:ok;
+  raises "long hi" "Tree.output_interval: bad box dim" ~lo:ok
+    ~hi:[| 0.; 0.; 0.; 0. |];
+  raises "lo > hi" "Tree.output_interval: bad box" ~lo:[| 0.; 1.; 0. |] ~hi:ok;
+  raises "NaN corner" "Tree.output_interval: bad box" ~lo:ok
+    ~hi:[| 0.; Float.nan; 0. |]
+
 let test_output_interval_dead_leaf () =
   let d = 5 * Canopy_orca.Observation.feature_count in
   (* leaf 0: x0; leaf 1 (dead): 100; leaf 2: x1 *)
@@ -406,11 +426,11 @@ let test_output_interval_dead_leaf () =
         | 1 -> Interval.make (-1.) 1.
         | _ -> Interval.of_point 0.)
   in
-  let exact = Tree.output_interval tree box in
+  let exact = bound tree box in
   check_bool "hull of the reachable leaves" true
     (Interval.lo exact = -1. && Interval.hi exact = 1.);
   check_bool "conservative reading still counts the dead leaf" true
-    (Interval.hi (Tree.output_interval ~exact:false tree box) = 100.);
+    (Interval.hi (bound ~exact:false tree box) = 100.);
   let c =
     Certify.certify_tree ~tree ~property:(Property.performance ())
       ~n_components:5 ~history:5 ~state:(Array.make d 0.5) ~cwnd_tcp:80.
@@ -429,7 +449,7 @@ let test_point_box_bit_exact () =
   for _ = 1 to 1_000 do
     let x = Array.init d (fun _ -> Prng.float rng 1.) in
     let box = Array.map Interval.of_point x in
-    let iv = Tree.output_interval ~exact:true tree box in
+    let iv = bound ~exact:true tree box in
     let y = Tree.predict tree x in
     if Interval.is_point iv then begin
       check_bool "lo bit-equal" true
@@ -680,6 +700,9 @@ let suite =
     ( "output interval skips dead leaves",
       `Quick,
       test_output_interval_dead_leaf );
+    ( "output interval rejects bad box",
+      `Quick,
+      test_output_interval_rejects_bad_box );
     ("point box bit-exact", `Quick, test_point_box_bit_exact);
     ("fidelity vs fixture actor", `Quick, test_fidelity_fixture_actor);
     ( "certify_tree exact dominates conservative",

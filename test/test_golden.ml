@@ -16,7 +16,11 @@
    - [runner/...]: [Runner.run] metrics and time series for five TCP
      baselines on the same links;
    - [fleet/...]: the ack and loss event streams and final counters of a
-     5-flow fleet under a fixed window schedule, one flow impaired. *)
+     5-flow fleet under a fixed window schedule, one flow impaired;
+   - [cert/...]: step certificates along the clean [agent/...] episodes,
+     per engine, model and property: every component's action interval,
+     output interval, distance and certified flag, then the certificate's
+     [r_verifier]; and the witnesses [Certify.refute] finds. *)
 
 module Env = Canopy_netsim.Env
 module Fleet = Canopy_netsim.Fleet
@@ -27,6 +31,10 @@ module Runner = Canopy_cc.Runner
 module Mlp = Canopy_nn.Mlp
 module Crc32 = Canopy_util.Crc32
 module Stats = Canopy_util.Stats
+module Prng = Canopy_util.Prng
+module Interval = Canopy_absint.Interval
+module Certify = Canopy.Certify
+module Property = Canopy.Property
 
 let fixture name =
   let local = Filename.concat "fixtures" name in
@@ -114,12 +122,18 @@ let variants = [ ("clean", fun _ -> Env.no_impairments); ("impaired", impaired) 
 
 let clamp = Canopy_util.Mathx.clamp ~lo:(-1.) ~hi:1.
 
-let agent_digest ~policy (cfg : Agent_env.config) =
+(* One episode's digest, and the certificate inputs of each of its steps:
+   the state, CWND_TCP and the previous enforced window. *)
+let agent_run ~policy (cfg : Agent_env.config) =
   let b = digest () in
   let env = Agent_env.create cfg in
+  let contexts = ref [] in
   let finished = ref false in
   while not !finished do
     let s = Agent_env.state env in
+    contexts :=
+      (s, Agent_env.cwnd_tcp env, Agent_env.prev_cwnd_enforced env)
+      :: !contexts;
     let action = policy s in
     let res = Agent_env.step env ~action in
     add_floats b s;
@@ -133,7 +147,9 @@ let agent_digest ~policy (cfg : Agent_env.config) =
   add_float b (if Array.length qd = 0 then 0. else Stats.percentile qd 95.);
   add_float b (Agent_env.loss_rate env);
   add_int b (Agent_env.env_stats env).Env.delivered;
-  crc b
+  (crc b, List.rev !contexts)
+
+let fixture_actor = lazy (Canopy.Trainer.load_actor (fixture "actor_h8.ckpt"))
 
 (* Clean episodes serve the actor as deployed. The fixture actor
    saturates near a = 1 and drives the window to the 50 000-packet
@@ -142,28 +158,35 @@ let agent_digest ~policy (cfg : Agent_env.config) =
    so one impaired second would take minutes. Impaired episodes
    therefore shift the action down by one, keeping the window at or
    below Cubic's suggestion while the actor still sets it. *)
+let agent_runs variant =
+  let actor = Lazy.force fixture_actor in
+  let policy =
+    if String.equal variant "clean" then fun s ->
+      clamp (Mlp.forward actor s).(0)
+    else fun s -> clamp ((Mlp.forward actor s).(0) -. 1.)
+  in
+  let impair = List.assoc variant variants in
+  List.mapi
+    (fun i (name, trace, min_rtt_ms, buffer_pkts) ->
+      let cfg =
+        {
+          (Agent_env.default_config ~trace ~min_rtt_ms ~buffer_pkts
+             ~duration_ms:1_000)
+          with
+          impairments = impair i;
+        }
+      in
+      (Printf.sprintf "agent/%s/%s" variant name, agent_run ~policy cfg))
+    (suite_links ())
+
+(* The clean runs are shared with the certificate family below. *)
+let clean_runs = lazy (agent_runs "clean")
+
 let test_agent_episodes () =
-  let actor = Canopy.Trainer.load_actor (fixture "actor_h8.ckpt") in
-  let served s = clamp (Mlp.forward actor s).(0) in
-  let shifted s = clamp ((Mlp.forward actor s).(0) -. 1.) in
-  let links = suite_links () in
   check_family ~prefix:"agent/"
-    (List.concat_map
-       (fun (variant, impair) ->
-         let policy = if String.equal variant "clean" then served else shifted in
-         List.mapi
-           (fun i (name, trace, min_rtt_ms, buffer_pkts) ->
-             let cfg =
-               {
-                 (Agent_env.default_config ~trace ~min_rtt_ms ~buffer_pkts
-                    ~duration_ms:1_000)
-                 with
-                 impairments = impair i;
-               }
-             in
-             (Printf.sprintf "agent/%s/%s" variant name, agent_digest ~policy cfg))
-           links)
-       variants)
+    (List.map
+       (fun (key, (crc, _)) -> (key, crc))
+       (Lazy.force clean_runs @ agent_runs "impaired"))
 
 (* ------------------------------------------------------------------ *)
 (* (b) TCP baselines through Runner *)
@@ -296,6 +319,142 @@ let test_fleet_events () =
            |];
          (Printf.sprintf "fleet/flow%d" i, crc b)))
 
+(* ------------------------------------------------------------------ *)
+(* (d) Certificates *)
+
+(* The certificate inputs of every step of the clean [agent/...]
+   episodes, in episode order. *)
+let cert_contexts =
+  lazy
+    (Array.of_list
+       (List.concat_map (fun (_, (_, contexts)) -> contexts)
+          (Lazy.force clean_runs)))
+
+let add_interval b iv =
+  add_float b (Interval.lo iv);
+  add_float b (Interval.hi iv)
+
+let add_certificate b (cert : Certify.t) =
+  Array.iter
+    (fun (c : Certify.component) ->
+      add_interval b c.action;
+      add_interval b c.output;
+      add_float b c.distance;
+      add_float b (if c.certified then 1. else 0.))
+    cert.components;
+  add_float b cert.r_verifier
+
+(* One digest over every [every]-th context. *)
+let cert_digest ~every certify =
+  let b = digest () in
+  Array.iteri
+    (fun i (state, cwnd_tcp, prev_cwnd) ->
+      if i mod every = 0 then
+        add_certificate b (certify ~state ~cwnd_tcp ~prev_cwnd))
+    (Lazy.force cert_contexts);
+  crc b
+
+(* Witnesses of [Certify.refute] over the uncertified components of a
+   batched box certificate, one PRNG per digest. *)
+let refute_digest ~every ~actor ~property =
+  let b = digest () in
+  let rng = Prng.create 5 in
+  Array.iteri
+    (fun i (state, cwnd_tcp, prev_cwnd) ->
+      if i mod every = 0 then begin
+        let cert =
+          Certify.certify ~actor ~property ~n_components:10 ~history:5 ~state
+            ~cwnd_tcp ~prev_cwnd ()
+        in
+        Array.iter
+          (fun c ->
+            match
+              Certify.refute ~samples:16 ~rng ~actor ~property ~history:5
+                ~state ~cwnd_tcp ~prev_cwnd c
+            with
+            | Certify.Violation { state; output } ->
+                add_floats b state;
+                add_float b output
+            | Certify.Unknown -> add_float b nan)
+          cert.components
+      end)
+    (Lazy.force cert_contexts);
+  crc b
+
+(* Two actors (the committed fixture and a seeded untrained hidden-64
+   actor) and the tree distilled from the fixture actor, under both
+   properties. The per-slice, zonotope, adaptive and refutation passes
+   are slow, so they digest a subsample of the steps. *)
+let test_certificates () =
+  let history = 5 and n_components = 50 in
+  let actors =
+    [
+      ("h8", Lazy.force fixture_actor);
+      ( "h64",
+        Mlp.actor ~rng:(Prng.create 9) ~in_dim:35 ~hidden:64 ~out_dim:1 );
+    ]
+  in
+  let _, tree, _, _ = Lazy.force Test_distill.distilled_fixture in
+  let properties =
+    [ ("perf", Property.performance ()); ("rob", Property.robustness ()) ]
+  in
+  let mlp_engines =
+    [
+      ( "box", 3,
+        fun ~actor ~property ~state ~cwnd_tcp ~prev_cwnd ->
+          Certify.certify ~actor ~property ~n_components ~history ~state
+            ~cwnd_tcp ~prev_cwnd () );
+      ( "per_slice", 8,
+        fun ~actor ~property ~state ~cwnd_tcp ~prev_cwnd ->
+          Certify.certify ~engine:Certify.Per_slice ~actor ~property
+            ~n_components:10 ~history ~state ~cwnd_tcp ~prev_cwnd () );
+      ( "zonotope", 16,
+        fun ~actor ~property ~state ~cwnd_tcp ~prev_cwnd ->
+          Certify.certify ~domain:Certify.Zonotope_domain ~actor ~property
+            ~n_components:10 ~history ~state ~cwnd_tcp ~prev_cwnd () );
+      ( "adaptive", 4,
+        fun ~actor ~property ~state ~cwnd_tcp ~prev_cwnd ->
+          Certify.certify_adaptive ~actor ~property ~max_components:16
+            ~history ~state ~cwnd_tcp ~prev_cwnd () );
+    ]
+  in
+  let mlp =
+    List.concat_map
+      (fun (ename, every, certify) ->
+        List.concat_map
+          (fun (aname, actor) ->
+            List.map
+              (fun (pname, property) ->
+                ( Printf.sprintf "cert/%s/%s/%s" ename aname pname,
+                  cert_digest ~every (certify ~actor ~property) ))
+              properties)
+          actors)
+      mlp_engines
+  in
+  let trees =
+    List.concat_map
+      (fun (tname, conservative, every) ->
+        List.map
+          (fun (pname, property) ->
+            ( Printf.sprintf "cert/%s/%s" tname pname,
+              cert_digest ~every (fun ~state ~cwnd_tcp ~prev_cwnd ->
+                  Certify.certify_tree ~conservative ~tree ~property
+                    ~n_components ~history ~state ~cwnd_tcp ~prev_cwnd ()) ))
+          properties)
+      [ ("tree_exact", false, 1); ("tree_conservative", true, 4) ]
+  in
+  let refutes =
+    List.concat_map
+      (fun (aname, actor) ->
+        List.map
+          (fun (pname, property) ->
+            ( Printf.sprintf "cert/refute/%s/%s" aname pname,
+              refute_digest ~every:32 ~actor ~property ))
+          properties)
+      actors
+  in
+  check_family ~prefix:"cert/" (mlp @ trees @ refutes)
+
 let suite =
   [
     Alcotest.test_case "agent_env episodes, suite x clean/impaired" `Quick
@@ -304,4 +463,6 @@ let suite =
       test_runner_metrics;
     Alcotest.test_case "fleet event streams, five flows" `Quick
       test_fleet_events;
+    Alcotest.test_case "certificates, engines x models x properties" `Quick
+      test_certificates;
   ]

@@ -467,7 +467,21 @@ let test_anet_and_zonotope_bit_exact_across_pools () =
                let c = Prng.uniform rng (-0.5) 0.5 in
                Interval.make (c -. 0.05) (c +. 0.05))))
   in
-  let run f () =
+  (* Certificate-shaped: one point state, only the delay dimensions
+     symbolic, so every chunk skips the same dead radius columns. *)
+  let certificate_boxes =
+    let state = Array.init state_dim (fun _ -> Prng.uniform rng 0. 1.) in
+    let delay = Canopy.Certify.delay_indices ~history in
+    Array.init 40 (fun k ->
+        let lo = 0.025 *. float_of_int k in
+        Box.of_intervals
+          (Array.mapi
+             (fun j x ->
+               if List.mem j delay then Interval.make lo (lo +. 0.025)
+               else Interval.of_point x)
+             state))
+  in
+  let run f boxes () =
     Array.map
       (fun iv ->
         (Int64.bits_of_float (Interval.lo iv), Int64.bits_of_float (Interval.hi iv)))
@@ -475,9 +489,16 @@ let test_anet_and_zonotope_bit_exact_across_pools () =
   in
   List.iter
     (fun (name, f) ->
-      let reference = with_default_pool 1 (run f) in
-      let got = with_default_pool 2 (fun () -> with_tiny_grain (run f)) in
-      check_bool (name ^ " intervals identical") true (reference = got))
+      List.iter
+        (fun (shape, boxes) ->
+          let reference = with_default_pool 1 (run f boxes) in
+          let got =
+            with_default_pool 2 (fun () -> with_tiny_grain (run f boxes))
+          in
+          check_bool
+            (Printf.sprintf "%s intervals identical (%s)" name shape)
+            true (reference = got))
+        [ ("random", boxes); ("certificate", certificate_boxes) ])
     [
       ("anet", Anet.output_intervals);
       ("zonotope", Canopy_absint.Zonotope.output_intervals_anet);
