@@ -35,6 +35,10 @@ let rules =
        domain pool, so chunking (and with it float results) can depend \
        on scheduling; run parallel work through Canopy_util.Pool \
        instead" );
+    ( "bare-min-max",
+      "bare `min`/`max` is the polymorphic comparison, a C call per use \
+       without flambda; the per-packet layers (lib/netsim, lib/cc, \
+       lib/orca) use Int.min/Int.max or Float.min/Float.max" );
   ]
 
 let is_ident_char = function
@@ -99,6 +103,17 @@ let ends_with_word line i word =
   && String.sub line (stop - m) m = word
   && (stop = m || not (is_ident_char line.[stop - m - 1]))
 
+(* Columns where bare [id] is applied to a visible argument: the next
+   token is not a record-field colon, a definition's [=], a separator or
+   a closing bracket, and the line does not end there. *)
+let applications line id =
+  List.filter
+    (fun c ->
+      let k = skip_spaces line (c + String.length id) in
+      k < String.length line
+      && not (List.mem line.[k] [ ':'; '='; ';'; ','; ')'; '}' ]))
+    (bare_occurrences line id)
+
 (* --- line-scoped rules ------------------------------------------------ *)
 
 let check_polymorphic_compare line =
@@ -111,20 +126,11 @@ let check_float_min_max line =
     List.exists
       (fun c ->
         let after = c + String.length id in
-        let k = skip_spaces line after in
-        let next = if k < String.length line then Some line.[k] else None in
-        match next with
-        | Some (':' | '=' | ';' | ',' | ')' | '}') | None ->
-            (* record field, definition or bare mention — not an
-               application with a visible argument *)
-            false
-        | Some _ ->
-            if starts_with_float_literal line after then true
-            else
-              (ends_with_word line c "fold_left"
-              || ends_with_word line c "fold_right")
-              && not (starts_with_int_literal line after))
-      (bare_occurrences line id)
+        starts_with_float_literal line after
+        || (ends_with_word line c "fold_left"
+           || ends_with_word line c "fold_right")
+           && not (starts_with_int_literal line after))
+      (applications line id)
   in
   if flagged "min" || flagged "max" then
     Some (List.assoc "float-min-max" rules)
@@ -199,6 +205,11 @@ let check_array_make_alias line =
     Some (List.assoc "array-make-alias" rules)
   else None
 
+let check_bare_min_max line =
+  if applications line "min" <> [] || applications line "max" <> [] then
+    Some (List.assoc "bare-min-max" rules)
+  else None
+
 let check_mlp_layer_walk line =
   if contains line "Mlp.layers" then Some (List.assoc "mlp-layer-walk" rules)
   else None
@@ -250,6 +261,17 @@ let check_raw_domain_spawn line =
    pool; the pool implementation itself is the one sanctioned spawner. *)
 let raw_domain_spawn_exempt path = Filename.basename path = "pool.ml"
 
+(* [bare-min-max] covers only the per-packet layers, where a polymorphic
+   compare on every ACK or millisecond is a measured cost. It flags any
+   argument type: [float-min-max] elsewhere only sees float literals. *)
+let per_packet_layer path =
+  List.exists
+    (fun dir ->
+      String.starts_with
+        ~prefix:(Filename.concat "lib" dir ^ Filename.dir_sep)
+        path)
+    [ "netsim"; "cc"; "orca" ]
+
 let line_rules_for path =
   let line_rules =
     if mlp_layer_walk_exempt path then line_rules
@@ -259,8 +281,13 @@ let line_rules_for path =
     if non_atomic_write_exempt path then line_rules
     else line_rules @ [ ("non-atomic-write", check_non_atomic_write) ]
   in
-  if raw_domain_spawn_exempt path then line_rules
-  else line_rules @ [ ("raw-domain-spawn", check_raw_domain_spawn) ]
+  let line_rules =
+    if raw_domain_spawn_exempt path then line_rules
+    else line_rules @ [ ("raw-domain-spawn", check_raw_domain_spawn) ]
+  in
+  if per_packet_layer path then
+    line_rules @ [ ("bare-min-max", check_bare_min_max) ]
+  else line_rules
 
 let check_source ?only ~path contents =
   let stripped = Sources.strip contents in

@@ -13,7 +13,14 @@
     - [mlp-layer-walk]: [Mlp.layers] traversal outside [lib/nn] and the
       verifier-IR builder ([anet.ml]) — every other consumer must go
       through [Canopy_absint.Anet] so the batch-norm folding arithmetic
-      is never re-forked (grandfathered sites live in the baseline).
+      is never re-forked (grandfathered sites live in the baseline);
+    - [non-atomic-write]: bare [open_out] outside [Atomic_file];
+    - [raw-domain-spawn]: [Domain.spawn]/[Thread.create] outside the
+      pool;
+    - [bare-min-max]: any application of bare [min]/[max] under
+      [lib/netsim], [lib/cc] or [lib/orca], the per-packet layers, where
+      the polymorphic comparison costs a C call per ACK; use
+      [Int.min]/[Int.max] or [Float.min]/[Float.max].
 
     All rules run on token-stripped source — the {!Lexer} token stream
     rendered with comments, strings (including [{|...|}] quoted

@@ -35,18 +35,23 @@ let probe_rtt_interval_ms = 10_000
 let probe_rtt_duration_ms = 200
 let min_cwnd = 4.
 
-type t = {
+(* All-float record: OCaml stores it flat, so the per-ACK stores
+   neither box nor pass the write barrier. *)
+type floats = {
   mutable cwnd : float;
+  mutable rt_prop_ms : float;
+  mutable full_bw : float; (* startup full-pipe detection *)
+}
+
+type t = {
+  x : floats;
   mutable mode : mode;
   bw_filter : Wfilter.t;
-  mutable rt_prop_ms : float;
   mutable rt_prop_stamp_ms : int;
   (* delivery-rate sampling epoch *)
   mutable epoch_start_ms : int;
   mutable epoch_delivered : int;
-  (* startup full-pipe detection *)
-  mutable full_bw : float;
-  mutable full_bw_count : int;
+  mutable full_bw_count : int; (* startup rounds without bandwidth growth *)
   (* probe-bw phase *)
   mutable phase : int;
   mutable phase_start_ms : int;
@@ -57,14 +62,12 @@ type t = {
 
 let create ?(initial_cwnd = 10.) () =
   {
-    cwnd = initial_cwnd;
+    x = { cwnd = initial_cwnd; rt_prop_ms = Float.infinity; full_bw = 0. };
     mode = Startup;
     bw_filter = Wfilter.create (fun a b -> a >= b);
-    rt_prop_ms = Float.infinity;
     rt_prop_stamp_ms = 0;
     epoch_start_ms = 0;
     epoch_delivered = 0;
-    full_bw = 0.;
     full_bw_count = 0;
     phase = 0;
     phase_start_ms = 0;
@@ -72,9 +75,9 @@ let create ?(initial_cwnd = 10.) () =
     last_probe_rtt_ms = 0;
   }
 
-let cwnd t = t.cwnd
+let cwnd t = t.x.cwnd
 let btl_bw_pkts_per_ms t = Option.value ~default:0. (Wfilter.current t.bw_filter)
-let rt_prop_ms t = t.rt_prop_ms
+let rt_prop_ms t = t.x.rt_prop_ms
 
 let mode t =
   match t.mode with
@@ -85,26 +88,26 @@ let mode t =
 
 let bdp t =
   let bw = btl_bw_pkts_per_ms t in
-  if bw <= 0. || t.rt_prop_ms = Float.infinity then 0.
-  else bw *. t.rt_prop_ms
+  if bw <= 0. || t.x.rt_prop_ms = Float.infinity then 0.
+  else bw *. t.x.rt_prop_ms
 
 let update_cwnd t =
   let bdp = bdp t in
   let target =
     match t.mode with
-    | Startup -> if bdp > 0. then startup_gain *. bdp else t.cwnd +. 1.
+    | Startup -> if bdp > 0. then startup_gain *. bdp else t.x.cwnd +. 1.
     | Drain -> drain_gain *. bdp
     | Probe_bw -> probe_gains.(t.phase) *. bdp
     | Probe_rtt -> min_cwnd
   in
-  t.cwnd <- Float.max min_cwnd target
+  t.x.cwnd <- Float.max min_cwnd target
 
 let advance_state t ~now_ms =
   (match t.mode with
   | Startup ->
       let bw = btl_bw_pkts_per_ms t in
-      if bw > t.full_bw *. 1.25 then begin
-        t.full_bw <- bw;
+      if bw > t.x.full_bw *. 1.25 then begin
+        t.x.full_bw <- bw;
         t.full_bw_count <- 0
       end
       else begin
@@ -118,7 +121,7 @@ let advance_state t ~now_ms =
       (* Stay in drain for two propagation RTTs, long enough for the
          startup queue to empty at 0.8 gain. *)
       let rtprop =
-        if t.rt_prop_ms = Float.infinity then 10. else t.rt_prop_ms
+        if t.x.rt_prop_ms = Float.infinity then 10. else t.x.rt_prop_ms
       in
       if float_of_int (now_ms - t.phase_start_ms) >= 2. *. rtprop then begin
         t.mode <- Probe_bw;
@@ -127,7 +130,7 @@ let advance_state t ~now_ms =
       end
   | Probe_bw ->
       let rtprop =
-        if t.rt_prop_ms = Float.infinity then 10. else t.rt_prop_ms
+        if t.x.rt_prop_ms = Float.infinity then 10. else t.x.rt_prop_ms
       in
       if float_of_int (now_ms - t.phase_start_ms) >= rtprop then begin
         t.phase <- (t.phase + 1) mod Array.length probe_gains;
@@ -149,13 +152,14 @@ let advance_state t ~now_ms =
   update_cwnd t
 
 let on_ack t (ack : Canopy_netsim.Env.ack) =
+  let x = t.x in
   let rtt = float_of_int ack.rtt_ms in
-  if rtt <= t.rt_prop_ms then begin
-    t.rt_prop_ms <- rtt;
+  if rtt <= x.rt_prop_ms then begin
+    x.rt_prop_ms <- rtt;
     t.rt_prop_stamp_ms <- ack.now_ms
   end;
   (* Delivery-rate sample once per (estimated) RTT. *)
-  let rtprop = if t.rt_prop_ms = Float.infinity then 10. else t.rt_prop_ms in
+  let rtprop = if x.rt_prop_ms = Float.infinity then 10. else x.rt_prop_ms in
   let epoch_ms = ack.now_ms - t.epoch_start_ms in
   if float_of_int epoch_ms >= Float.max 1. rtprop then begin
     let rate =
@@ -170,13 +174,13 @@ let on_ack t (ack : Canopy_netsim.Env.ack) =
   end
   else if t.mode = Startup && bdp t = 0. then
     (* Bootstrap: no bandwidth sample yet, grow like slow start. *)
-    t.cwnd <- t.cwnd +. 1.
+    x.cwnd <- x.cwnd +. 1.
 
 let on_loss t ~now_ms =
   (* BBR is not loss-driven; it only backs off slightly on sustained
      loss to bound queue build-up in small buffers. *)
   ignore now_ms;
-  t.cwnd <- Float.max min_cwnd (t.cwnd *. 0.95)
+  t.x.cwnd <- Float.max min_cwnd (t.x.cwnd *. 0.95)
 
 let to_controller t =
   {

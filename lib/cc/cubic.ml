@@ -4,71 +4,83 @@ let c_cubic = 0.4
 let beta_cubic = 0.7
 let max_cwnd = 100_000.
 
-type t = {
+(* The per-ACK floats live in an all-float record, which OCaml stores
+   flat: a store writes the double in place, with no boxing and no
+   write barrier. *)
+type floats = {
   mutable cwnd : float;
   mutable ssthresh : float;
   mutable w_max : float;
-  mutable epoch_start_ms : int; (* -1 = not started *)
   mutable k : float; (* time (s) for the cubic to return to w_max *)
-  mutable last_loss_ms : int;
   mutable srtt_ms : float;
+}
+
+type t = {
+  x : floats;
+  mutable epoch_start_ms : int; (* -1 = not started *)
+  mutable last_loss_ms : int;
 }
 
 let create ?(initial_cwnd = 10.) () =
   {
-    cwnd = initial_cwnd;
-    ssthresh = Float.infinity;
-    w_max = initial_cwnd;
+    x =
+      {
+        cwnd = initial_cwnd;
+        ssthresh = Float.infinity;
+        w_max = initial_cwnd;
+        k = 0.;
+        srtt_ms = 0.;
+      };
     epoch_start_ms = -1;
-    k = 0.;
     last_loss_ms = -1_000_000;
-    srtt_ms = 0.;
   }
 
-let cwnd t = t.cwnd
-let in_slow_start t = t.cwnd < t.ssthresh
-let w_max t = t.w_max
+let cwnd t = t.x.cwnd
+let in_slow_start t = t.x.cwnd < t.x.ssthresh
+let w_max t = t.x.w_max
 
 let cube_root x = Float.pow x (1. /. 3.)
 
 let on_ack t (ack : Canopy_netsim.Env.ack) =
+  let x = t.x in
   let rtt = float_of_int ack.rtt_ms in
-  t.srtt_ms <-
-    (if t.srtt_ms = 0. then rtt else (0.875 *. t.srtt_ms) +. (0.125 *. rtt));
-  if in_slow_start t then t.cwnd <- Float.min max_cwnd (t.cwnd +. 1.)
+  x.srtt_ms <-
+    (if x.srtt_ms = 0. then rtt else (0.875 *. x.srtt_ms) +. (0.125 *. rtt));
+  if in_slow_start t then x.cwnd <- Float.min max_cwnd (x.cwnd +. 1.)
   else begin
     if t.epoch_start_ms < 0 then begin
       t.epoch_start_ms <- ack.now_ms;
-      t.k <- cube_root (t.w_max *. (1. -. beta_cubic) /. c_cubic)
+      x.k <- cube_root (x.w_max *. (1. -. beta_cubic) /. c_cubic)
     end;
     (* Target the cubic curve one RTT ahead, per the RFC. *)
     let elapsed_s =
       float_of_int (ack.now_ms - t.epoch_start_ms + ack.rtt_ms) /. 1000.
     in
     let w_cubic =
-      (c_cubic *. ((elapsed_s -. t.k) ** 3.)) +. t.w_max
+      (c_cubic *. ((elapsed_s -. x.k) ** 3.)) +. x.w_max
     in
-    if w_cubic > t.cwnd then
-      t.cwnd <- Float.min max_cwnd (t.cwnd +. ((w_cubic -. t.cwnd) /. t.cwnd))
+    if w_cubic > x.cwnd then
+      x.cwnd <- Float.min max_cwnd (x.cwnd +. ((w_cubic -. x.cwnd) /. x.cwnd))
     else
       (* In the TCP-friendly / plateau region grow at least like Reno. *)
-      t.cwnd <- Float.min max_cwnd (t.cwnd +. (0.3 /. t.cwnd))
+      x.cwnd <- Float.min max_cwnd (x.cwnd +. (0.3 /. x.cwnd))
   end
 
 let on_loss t ~now_ms =
   (* React at most once per (smoothed) RTT so a burst of drops from one
      overflow counts as a single congestion event. *)
-  let guard_ms = int_of_float (Float.max 5. t.srtt_ms) in
+  let x = t.x in
+  let guard_ms = int_of_float (Float.max 5. x.srtt_ms) in
   if now_ms - t.last_loss_ms >= guard_ms then begin
     t.last_loss_ms <- now_ms;
-    t.w_max <- t.cwnd;
-    t.cwnd <- Float.max 2. (t.cwnd *. beta_cubic);
-    t.ssthresh <- t.cwnd;
+    x.w_max <- x.cwnd;
+    x.cwnd <- Float.max 2. (x.cwnd *. beta_cubic);
+    x.ssthresh <- x.cwnd;
     t.epoch_start_ms <- -1
   end
 
 let force_cwnd t w =
-  t.cwnd <- Canopy_util.Mathx.clamp ~lo:2. ~hi:max_cwnd w
+  t.x.cwnd <- Canopy_util.Mathx.clamp ~lo:2. ~hi:max_cwnd w
 
 let to_controller t =
   {

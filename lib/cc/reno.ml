@@ -1,34 +1,37 @@
-type t = {
+(* All-float record: OCaml stores it flat, so the per-ACK stores
+   neither box nor pass the write barrier. *)
+type floats = {
   mutable cwnd : float;
   mutable ssthresh : float;
-  mutable last_loss_ms : int;
   mutable srtt_ms : float;
 }
 
+type t = { x : floats; mutable last_loss_ms : int }
+
 let create ?(initial_cwnd = 10.) () =
   {
-    cwnd = initial_cwnd;
-    ssthresh = Float.infinity;
+    x = { cwnd = initial_cwnd; ssthresh = Float.infinity; srtt_ms = 0. };
     last_loss_ms = -1_000_000;
-    srtt_ms = 0.;
   }
 
-let cwnd t = t.cwnd
-let in_slow_start t = t.cwnd < t.ssthresh
+let cwnd t = t.x.cwnd
+let in_slow_start t = t.x.cwnd < t.x.ssthresh
 
 let on_ack t (ack : Canopy_netsim.Env.ack) =
+  let x = t.x in
   let rtt = float_of_int ack.rtt_ms in
-  t.srtt_ms <-
-    (if t.srtt_ms = 0. then rtt else (0.875 *. t.srtt_ms) +. (0.125 *. rtt));
-  if in_slow_start t then t.cwnd <- t.cwnd +. 1.
-  else t.cwnd <- t.cwnd +. (1. /. t.cwnd)
+  x.srtt_ms <-
+    (if x.srtt_ms = 0. then rtt else (0.875 *. x.srtt_ms) +. (0.125 *. rtt));
+  if in_slow_start t then x.cwnd <- x.cwnd +. 1.
+  else x.cwnd <- x.cwnd +. (1. /. x.cwnd)
 
 let on_loss t ~now_ms =
-  let guard_ms = int_of_float (Float.max 5. t.srtt_ms) in
+  let x = t.x in
+  let guard_ms = int_of_float (Float.max 5. x.srtt_ms) in
   if now_ms - t.last_loss_ms >= guard_ms then begin
     t.last_loss_ms <- now_ms;
-    t.cwnd <- Float.max 2. (t.cwnd /. 2.);
-    t.ssthresh <- t.cwnd
+    x.cwnd <- Float.max 2. (x.cwnd /. 2.);
+    x.ssthresh <- x.cwnd
   end
 
 let to_controller t =

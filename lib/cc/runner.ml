@@ -36,7 +36,7 @@ let buffer_of_bdp ~bdp_multiplier ~trace ~min_rtt_ms =
       ~mbps:(Canopy_trace.Trace.avg_mbps trace)
       ~min_rtt_ms ~mtu_bytes:Env.default_mtu
   in
-  max 1 (int_of_float (Float.round (bdp_multiplier *. float_of_int bdp)))
+  Int.max 1 (int_of_float (Float.round (bdp_multiplier *. float_of_int bdp)))
 
 let run ?series_bin_ms ?(impairments = Env.no_impairments) ~trace ~min_rtt_ms
     ~buffer_pkts ~duration_ms make_controller =
@@ -56,12 +56,12 @@ let run ?series_bin_ms ?(impairments = Env.no_impairments) ~trace ~min_rtt_ms
   (* Per-bin series accumulators. *)
   let bin_ms = Option.value ~default:0 series_bin_ms in
   let nbins = if bin_ms > 0 then (duration_ms + bin_ms - 1) / bin_ms else 0 in
-  let thr_bins = Array.make (max 1 nbins) 0. in
-  let cap_bins = Array.make (max 1 nbins) 0. in
-  let cwnd_bins = Array.make (max 1 nbins) 0. in
-  let qd_sum = Array.make (max 1 nbins) 0. in
-  let qd_cnt = Array.make (max 1 nbins) 0 in
-  let bin_of ms = min (max 0 ((ms - 1) / bin_ms)) (nbins - 1) in
+  let thr_bins = Array.make (Int.max 1 nbins) 0. in
+  let cap_bins = Array.make (Int.max 1 nbins) 0. in
+  let cwnd_bins = Array.make (Int.max 1 nbins) 0. in
+  let qd_sum = Array.make (Int.max 1 nbins) 0. in
+  let qd_cnt = Array.make (Int.max 1 nbins) 0 in
+  let bin_of ms = Int.min (Int.max 0 ((ms - 1) / bin_ms)) (nbins - 1) in
   let series_handlers =
     if bin_ms = 0 then Env.null_handlers
     else
@@ -71,7 +71,7 @@ let run ?series_bin_ms ?(impairments = Env.no_impairments) ~trace ~min_rtt_ms
             let b = bin_of ack.now_ms in
             thr_bins.(b) <- thr_bins.(b) +. 1.;
             qd_sum.(b) <-
-              qd_sum.(b) +. float_of_int (max 0 (ack.rtt_ms - min_rtt_ms));
+              qd_sum.(b) +. float_of_int (Int.max 0 (ack.rtt_ms - min_rtt_ms));
             qd_cnt.(b) <- qd_cnt.(b) + 1);
         on_loss = (fun ~now_ms:_ -> ());
       }

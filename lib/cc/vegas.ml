@@ -1,10 +1,16 @@
-type t = {
+(* All-float record: OCaml stores it flat, so the per-ACK stores
+   neither box nor pass the write barrier. *)
+type floats = {
   alpha : float;
   beta : float;
   mutable cwnd : float;
   mutable base_rtt_ms : float;
-  mutable epoch_start_ms : int;
   mutable epoch_rtt_sum : float;
+}
+
+type t = {
+  x : floats;
+  mutable epoch_start_ms : int;
   mutable epoch_acks : int;
   mutable in_slow_start : bool;
   mutable last_loss_ms : int;
@@ -13,54 +19,59 @@ type t = {
 let create ?(alpha = 2.) ?(beta = 4.) ?(initial_cwnd = 10.) () =
   if alpha > beta then invalid_arg "Vegas.create: alpha > beta";
   {
-    alpha;
-    beta;
-    cwnd = initial_cwnd;
-    base_rtt_ms = Float.infinity;
+    x =
+      {
+        alpha;
+        beta;
+        cwnd = initial_cwnd;
+        base_rtt_ms = Float.infinity;
+        epoch_rtt_sum = 0.;
+      };
     epoch_start_ms = 0;
-    epoch_rtt_sum = 0.;
     epoch_acks = 0;
     in_slow_start = true;
     last_loss_ms = -1_000_000;
   }
 
-let cwnd t = t.cwnd
-let base_rtt_ms t = t.base_rtt_ms
+let cwnd t = t.x.cwnd
+let base_rtt_ms t = t.x.base_rtt_ms
 
 let on_ack t (ack : Canopy_netsim.Env.ack) =
+  let x = t.x in
   let rtt = float_of_int ack.rtt_ms in
-  if rtt < t.base_rtt_ms then t.base_rtt_ms <- rtt;
-  t.epoch_rtt_sum <- t.epoch_rtt_sum +. rtt;
+  if rtt < x.base_rtt_ms then x.base_rtt_ms <- rtt;
+  x.epoch_rtt_sum <- x.epoch_rtt_sum +. rtt;
   t.epoch_acks <- t.epoch_acks + 1;
   (* Evaluate the expected-vs-actual rate difference once per RTT. *)
-  if float_of_int (ack.now_ms - t.epoch_start_ms) >= t.base_rtt_ms
+  if float_of_int (ack.now_ms - t.epoch_start_ms) >= x.base_rtt_ms
      && t.epoch_acks > 0
   then begin
-    let avg_rtt = t.epoch_rtt_sum /. float_of_int t.epoch_acks in
-    let diff = t.cwnd *. (1. -. (t.base_rtt_ms /. avg_rtt)) in
+    let avg_rtt = x.epoch_rtt_sum /. float_of_int t.epoch_acks in
+    let diff = x.cwnd *. (1. -. (x.base_rtt_ms /. avg_rtt)) in
     if t.in_slow_start then begin
-      if diff > t.alpha then begin
+      if diff > x.alpha then begin
         t.in_slow_start <- false;
-        t.cwnd <- Float.max 2. (t.cwnd -. 1.)
+        x.cwnd <- Float.max 2. (x.cwnd -. 1.)
       end
-      else t.cwnd <- t.cwnd +. 1.
+      else x.cwnd <- x.cwnd +. 1.
     end
-    else if diff < t.alpha then t.cwnd <- t.cwnd +. 1.
-    else if diff > t.beta then t.cwnd <- Float.max 2. (t.cwnd -. 1.);
+    else if diff < x.alpha then x.cwnd <- x.cwnd +. 1.
+    else if diff > x.beta then x.cwnd <- Float.max 2. (x.cwnd -. 1.);
     t.epoch_start_ms <- ack.now_ms;
-    t.epoch_rtt_sum <- 0.;
+    x.epoch_rtt_sum <- 0.;
     t.epoch_acks <- 0
   end
   else if t.in_slow_start then
     (* Grow every other ACK during slow start, as in the original. *)
-    t.cwnd <- t.cwnd +. 0.5
+    x.cwnd <- x.cwnd +. 0.5
 
 let on_loss t ~now_ms =
-  if now_ms - t.last_loss_ms >= int_of_float (Float.max 5. t.base_rtt_ms)
+  let x = t.x in
+  if now_ms - t.last_loss_ms >= int_of_float (Float.max 5. x.base_rtt_ms)
   then begin
     t.last_loss_ms <- now_ms;
     t.in_slow_start <- false;
-    t.cwnd <- Float.max 2. (t.cwnd *. 0.75)
+    x.cwnd <- Float.max 2. (x.cwnd *. 0.75)
   end
 
 let to_controller t =

@@ -8,18 +8,16 @@ type phase =
   | Probe_up  (** monitor interval at rate·(1+ε) *)
   | Probe_down  (** monitor interval at rate·(1−ε) *)
 
-type t = {
+(* All-float record: OCaml stores it flat, so the per-ACK stores
+   neither box nor pass the write barrier. *)
+type floats = {
   utility_exponent : float;
   latency_weight : float;
   loss_weight : float;
   mutable rate : float; (* pkts per ms, the decision variable *)
-  mutable phase : phase;
   mutable srtt_ms : float;
   mutable min_rtt_ms : float;
   (* current monitor interval *)
-  mutable mi_start_ms : int;
-  mutable mi_acks : int;
-  mutable mi_losses : int;
   mutable mi_first_rtt : float;
   mutable mi_last_rtt : float;
   (* learning state *)
@@ -29,47 +27,60 @@ type t = {
   mutable last_gradient_sign : float;
 }
 
+type t = {
+  x : floats;
+  mutable phase : phase;
+  (* current monitor interval *)
+  mutable mi_start_ms : int;
+  mutable mi_acks : int;
+  mutable mi_losses : int;
+}
+
 let create ?(utility_exponent = 0.9) ?(latency_weight = 900.)
     ?(loss_weight = 11.35) ?(initial_rate_pkts_per_ms = 1.) () =
   if utility_exponent <= 0. || utility_exponent >= 1. then
     invalid_arg "Vivace.create: utility exponent";
   {
-    utility_exponent;
-    latency_weight;
-    loss_weight;
-    rate = Canopy_util.Mathx.clamp ~lo:min_rate ~hi:max_rate
-        initial_rate_pkts_per_ms;
+    x =
+      {
+        utility_exponent;
+        latency_weight;
+        loss_weight;
+        rate =
+          Canopy_util.Mathx.clamp ~lo:min_rate ~hi:max_rate
+            initial_rate_pkts_per_ms;
+        srtt_ms = 0.;
+        min_rtt_ms = Float.infinity;
+        mi_first_rtt = 0.;
+        mi_last_rtt = 0.;
+        last_utility = 0.;
+        probe_up_utility = 0.;
+        step_size = 0.05;
+        last_gradient_sign = 0.;
+      };
     phase = Starting;
-    srtt_ms = 0.;
-    min_rtt_ms = Float.infinity;
     mi_start_ms = 0;
     mi_acks = 0;
     mi_losses = 0;
-    mi_first_rtt = 0.;
-    mi_last_rtt = 0.;
-    last_utility = 0.;
-    probe_up_utility = 0.;
-    step_size = 0.05;
-    last_gradient_sign = 0.;
   }
 
-let rate_pkts_per_ms t = t.rate
-let utility t = t.last_utility
+let rate_pkts_per_ms t = t.x.rate
+let utility t = t.x.last_utility
 
 let effective_rate t =
   match t.phase with
-  | Starting -> t.rate
-  | Probe_up -> t.rate *. (1. +. probe_epsilon)
-  | Probe_down -> t.rate *. (1. -. probe_epsilon)
+  | Starting -> t.x.rate
+  | Probe_up -> t.x.rate *. (1. +. probe_epsilon)
+  | Probe_down -> t.x.rate *. (1. -. probe_epsilon)
 
 let cwnd t =
   (* Convert the target rate to a window using the propagation RTT, not
      the smoothed one: sizing by an inflated sRTT would create a positive
      feedback loop (queueing grows the window grows the queue). *)
-  let rtt = if t.min_rtt_ms = Float.infinity then 40. else t.min_rtt_ms in
+  let rtt = if t.x.min_rtt_ms = Float.infinity then 40. else t.x.min_rtt_ms in
   Float.max 2. (effective_rate t *. rtt)
 
-let rtt_estimate t = Float.max 10. t.srtt_ms
+let rtt_estimate t = Float.max 10. t.x.srtt_ms
 
 (* A rate change only manifests in the ACK stream one RTT later, so each
    monitor interval starts with a one-RTT warmup whose ACKs are ignored
@@ -81,21 +92,23 @@ let in_measurement t ~now_ms = now_ms - t.mi_start_ms >= warmup_ms t
 
 (* Utility of the just-finished monitor interval (Vivace's U). *)
 let interval_utility t ~duration_ms =
-  let measured_ms = max 1 (duration_ms - warmup_ms t) in
+  let measured_ms = Int.max 1 (duration_ms - warmup_ms t) in
   let x = float_of_int t.mi_acks /. float_of_int measured_ms in
   if x <= 0. then 0.
   else begin
     let latency_gradient =
-      (t.mi_last_rtt -. t.mi_first_rtt) /. float_of_int (max 1 duration_ms)
+      (t.x.mi_last_rtt -. t.x.mi_first_rtt)
+      /. float_of_int (Int.max 1 duration_ms)
     in
     let total = t.mi_acks + t.mi_losses in
-    let loss = float_of_int t.mi_losses /. float_of_int (max 1 total) in
-    (x ** t.utility_exponent)
-    -. (t.latency_weight *. x *. Float.max 0. latency_gradient)
-    -. (t.loss_weight *. x *. loss)
+    let loss = float_of_int t.mi_losses /. float_of_int (Int.max 1 total) in
+    (x ** t.x.utility_exponent)
+    -. (t.x.latency_weight *. x *. Float.max 0. latency_gradient)
+    -. (t.x.loss_weight *. x *. loss)
   end
 
-let set_rate t r = t.rate <- Canopy_util.Mathx.clamp ~lo:min_rate ~hi:max_rate r
+let set_rate t r =
+  t.x.rate <- Canopy_util.Mathx.clamp ~lo:min_rate ~hi:max_rate r
 
 let close_interval t ~now_ms =
   let duration_ms = now_ms - t.mi_start_ms in
@@ -104,47 +117,49 @@ let close_interval t ~now_ms =
   | Starting ->
       (* Double while the utility keeps improving; otherwise settle and
          start gradient probing. *)
-      if u >= t.last_utility && t.mi_losses = 0 then set_rate t (t.rate *. 2.)
+      if u >= t.x.last_utility && t.mi_losses = 0 then
+        set_rate t (t.x.rate *. 2.)
       else begin
-        set_rate t (t.rate /. 2.);
+        set_rate t (t.x.rate /. 2.);
         t.phase <- Probe_up
       end;
-      t.last_utility <- u
+      t.x.last_utility <- u
   | Probe_up ->
-      t.probe_up_utility <- u;
+      t.x.probe_up_utility <- u;
       t.phase <- Probe_down
   | Probe_down ->
       (* Empirical utility gradient over the probe pair. *)
       let gradient =
-        (t.probe_up_utility -. u) /. (2. *. probe_epsilon *. t.rate)
+        (t.x.probe_up_utility -. u) /. (2. *. probe_epsilon *. t.x.rate)
       in
       let sign = Canopy_util.Mathx.sign gradient in
       (* Confidence amplification: consecutive same-direction moves take
          larger steps; a direction flip resets the step size. *)
-      if sign <> 0. && sign = t.last_gradient_sign then
-        t.step_size <- Float.min 0.5 (t.step_size *. 1.5)
-      else t.step_size <- 0.05;
-      t.last_gradient_sign <- sign;
-      set_rate t (t.rate +. (sign *. t.step_size *. t.rate));
-      t.last_utility <- u;
+      if sign <> 0. && sign = t.x.last_gradient_sign then
+        t.x.step_size <- Float.min 0.5 (t.x.step_size *. 1.5)
+      else t.x.step_size <- 0.05;
+      t.x.last_gradient_sign <- sign;
+      set_rate t (t.x.rate +. (sign *. t.x.step_size *. t.x.rate));
+      t.x.last_utility <- u;
       t.phase <- Probe_up);
   t.mi_start_ms <- now_ms;
   t.mi_acks <- 0;
   t.mi_losses <- 0;
-  t.mi_first_rtt <- 0.;
-  t.mi_last_rtt <- 0.
+  t.x.mi_first_rtt <- 0.;
+  t.x.mi_last_rtt <- 0.
 
 let maybe_close t ~now_ms =
   if now_ms - t.mi_start_ms >= mi_duration_ms t then close_interval t ~now_ms
 
 let on_ack t (ack : Canopy_netsim.Env.ack) =
+  let x = t.x in
   let rtt = float_of_int ack.rtt_ms in
-  if rtt < t.min_rtt_ms then t.min_rtt_ms <- rtt;
-  t.srtt_ms <-
-    (if t.srtt_ms = 0. then rtt else (0.875 *. t.srtt_ms) +. (0.125 *. rtt));
+  if rtt < x.min_rtt_ms then x.min_rtt_ms <- rtt;
+  x.srtt_ms <-
+    (if x.srtt_ms = 0. then rtt else (0.875 *. x.srtt_ms) +. (0.125 *. rtt));
   if in_measurement t ~now_ms:ack.now_ms then begin
-    if t.mi_acks = 0 then t.mi_first_rtt <- rtt;
-    t.mi_last_rtt <- rtt;
+    if t.mi_acks = 0 then x.mi_first_rtt <- rtt;
+    x.mi_last_rtt <- rtt;
     t.mi_acks <- t.mi_acks + 1
   end;
   maybe_close t ~now_ms:ack.now_ms

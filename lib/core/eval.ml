@@ -380,10 +380,17 @@ let eval_coexist ?(history = 5) ?interval_ms ?arrivals ~flows link =
               }
             in
             canopy.(i) <- Some st;
-            Canopy_netsim.Env.chain
-              (Canopy_cc.Controller.handlers
-                 (Canopy_cc.Cubic.to_controller st.cc_cubic))
-              (Monitor.handlers st.cc_monitor)
+            (* One closure per event kind, as in [Fleet_env]. *)
+            {
+              Canopy_netsim.Env.on_ack =
+                (fun ack ->
+                  Canopy_cc.Cubic.on_ack st.cc_cubic ack;
+                  Monitor.on_ack st.cc_monitor ack);
+              on_loss =
+                (fun ~now_ms ->
+                  Canopy_cc.Cubic.on_loss st.cc_cubic ~now_ms;
+                  Monitor.on_loss st.cc_monitor ~now_ms);
+            }
         | Coexist_tcp (_, make) ->
             let c = make () in
             tcp.(i) <- Some c;

@@ -45,7 +45,7 @@ let default_mtu = 1500
 
 let bdp_pkts ~mbps ~min_rtt_ms ~mtu_bytes =
   let pkts = mbps *. 125. *. float_of_int min_rtt_ms /. float_of_int mtu_bytes in
-  max 1 (int_of_float (Float.ceil pkts))
+  Int.max 1 (int_of_float (Float.ceil pkts))
 
 type stats = {
   sent : int;

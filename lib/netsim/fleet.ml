@@ -82,7 +82,8 @@ let create cfgs =
       if cfg.min_rtt_ms < 2 then invalid_arg "Fleet.create: min_rtt_ms";
       if cfg.buffer_pkts < 1 then invalid_arg "Fleet.create: buffer_pkts";
       if cfg.mtu_bytes <= 0 then invalid_arg "Fleet.create: mtu_bytes";
-      if cfg.initial_cwnd < 1. then invalid_arg "Fleet.create: initial_cwnd";
+      if not (Float.is_finite cfg.initial_cwnd && cfg.initial_cwnd >= 1.) then
+        invalid_arg "Fleet.create: initial_cwnd";
       if cfg.impairments.random_loss < 0. || cfg.impairments.random_loss >= 1.
       then invalid_arg "Fleet.create: random_loss";
       if cfg.impairments.ack_jitter_ms < 0 then
@@ -158,7 +159,13 @@ let flows t = t.n
 let now_ms t = t.now_ms
 let config t ~flow = t.cfgs.(flow)
 let cwnd t ~flow = t.cwnd.(flow)
-let set_cwnd t ~flow w = t.cwnd.(flow) <- Float.max 1. w
+(* A NaN would pass [Float.max] and an infinity would reach
+   [int_of_float] in [sender_fill] (on x86-64, +inf becomes [min_int]
+   there, then a window of 1): both fail here instead. *)
+let set_cwnd t ~flow w =
+  if not (Float.is_finite w) then
+    invalid_arg "Fleet.set_cwnd: non-finite window";
+  t.cwnd.(flow) <- Float.max 1. w
 let inflight t ~flow = t.inflight.(flow)
 let queue_len t ~flow = t.q_len.(flow)
 let sent t ~flow = t.sent.(flow)
@@ -169,61 +176,62 @@ let capacity_pkts t ~flow = t.capacity_pkts.(flow)
 (* ------------------------------------------------------------------ *)
 (* Return-path ring *)
 
-let ret_push t i arrival kind seq sent_ms =
+(* Grow ×2, unrolling the ring to offset 0 (order preserved). *)
+let ret_grow t i =
   let cap = Array.length t.r_arrival.(i) in
-  if t.r_len.(i) = cap then begin
-    (* Grow ×2, unrolling the ring to offset 0 (order preserved). *)
-    let ncap = 2 * cap in
-    let head = t.r_head.(i) and len = t.r_len.(i) in
-    let grow src =
-      let dst = Array.make ncap 0 in
-      for k = 0 to len - 1 do
-        dst.(k) <- src.((head + k) mod cap)
-      done;
-      dst
-    in
-    t.r_arrival.(i) <- grow t.r_arrival.(i);
-    t.r_kind.(i) <- grow t.r_kind.(i);
-    t.r_seq.(i) <- grow t.r_seq.(i);
-    t.r_sent.(i) <- grow t.r_sent.(i);
-    t.r_head.(i) <- 0
-  end;
-  let cap = Array.length t.r_arrival.(i) in
-  let tail = (t.r_head.(i) + t.r_len.(i)) mod cap in
-  t.r_arrival.(i).(tail) <- arrival;
-  t.r_kind.(i).(tail) <- kind;
-  t.r_seq.(i).(tail) <- seq;
-  t.r_sent.(i).(tail) <- sent_ms;
-  t.r_len.(i) <- t.r_len.(i) + 1
+  let head = t.r_head.(i) and len = t.r_len.(i) in
+  let grow src =
+    let dst = Array.make (2 * cap) 0 in
+    for k = 0 to len - 1 do
+      dst.(k) <- src.((head + k) mod cap)
+    done;
+    dst
+  in
+  t.r_arrival.(i) <- grow t.r_arrival.(i);
+  t.r_kind.(i) <- grow t.r_kind.(i);
+  t.r_seq.(i) <- grow t.r_seq.(i);
+  t.r_sent.(i) <- grow t.r_sent.(i);
+  t.r_head.(i) <- 0
 
-(* Sorted insertion: with ACK jitter the return path is no longer
-   monotone in arrival time. O(1) watermark append in the jitter-free
-   case; otherwise rebuild with the new event ahead of the ring
-   contents, stable-sorted by arrival (the watermark is left
-   untouched). *)
+(* The ring is always sorted by arrival. With ACK jitter or reordering
+   an event can arrive before the latest one scheduled; it goes in before
+   the first queued event whose arrival is >= its own, which is where a
+   stable sort with the new event in front would put it. The watermark
+   append is O(1); an out-of-order insert is a binary search plus a
+   shift of the events after it (the watermark is left untouched). *)
 let schedule t i arrival kind seq sent_ms =
-  if arrival >= t.last_scheduled.(i) then begin
-    t.last_scheduled.(i) <- arrival;
-    ret_push t i arrival kind seq sent_ms
-  end
-  else begin
-    let len = t.r_len.(i) and head = t.r_head.(i) in
-    let cap = Array.length t.r_arrival.(i) in
-    let existing =
-      List.init len (fun k ->
-          let p = (head + k) mod cap in
-          (t.r_arrival.(i).(p), t.r_kind.(i).(p), t.r_seq.(i).(p),
-           t.r_sent.(i).(p)))
-    in
-    let sorted =
-      List.stable_sort
-        (fun (a, _, _, _) (b, _, _, _) -> Int.compare a b)
-        ((arrival, kind, seq, sent_ms) :: existing)
-    in
-    t.r_head.(i) <- 0;
-    t.r_len.(i) <- 0;
-    List.iter (fun (a, k, s, m) -> ret_push t i a k s m) sorted
-  end
+  if t.r_len.(i) = Array.length t.r_arrival.(i) then ret_grow t i;
+  let arr = t.r_arrival.(i) and kinds = t.r_kind.(i) in
+  let seqs = t.r_seq.(i) and sents = t.r_sent.(i) in
+  let cap = Array.length arr and head = t.r_head.(i) and len = t.r_len.(i) in
+  let pos =
+    if arrival >= t.last_scheduled.(i) then begin
+      t.last_scheduled.(i) <- arrival;
+      len
+    end
+    else begin
+      let lo = ref 0 and hi = ref len in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if arr.((head + mid) mod cap) < arrival then lo := mid + 1
+        else hi := mid
+      done;
+      for k = len downto !lo + 1 do
+        let dst = (head + k) mod cap and src = (head + k - 1) mod cap in
+        arr.(dst) <- arr.(src);
+        kinds.(dst) <- kinds.(src);
+        seqs.(dst) <- seqs.(src);
+        sents.(dst) <- sents.(src)
+      done;
+      !lo
+    end
+  in
+  let p = (head + pos) mod cap in
+  arr.(p) <- arrival;
+  kinds.(p) <- kind;
+  seqs.(p) <- seq;
+  sents.(p) <- sent_ms;
+  t.r_len.(i) <- len + 1
 
 (* ------------------------------------------------------------------ *)
 (* One millisecond of one flow *)
@@ -237,7 +245,7 @@ let schedule t i arrival kind seq sent_ms =
 let bump_grown_bins t i q =
   if q < 0 then failwith "Fleet: RTT below minRTT";
   let bins = t.qd_hist.(i) in
-  let want = max (q + 1) (2 * Array.length bins) in
+  let want = Int.max (q + 1) (2 * Array.length bins) in
   let grown = Array.make ((want + 31) / 32 * 32) 0 in
   Array.blit bins 0 grown 0 (Array.length bins);
   grown.(q) <- 1;
@@ -256,7 +264,7 @@ let process_return_path t (handlers : Env.handlers array) i ~now =
       t.r_head.(i) <- (head + 1) mod cap;
       t.r_len.(i) <- t.r_len.(i) - 1;
       if kind = ev_ack then begin
-        t.inflight.(i) <- max 0 (t.inflight.(i) - 1);
+        t.inflight.(i) <- Int.max 0 (t.inflight.(i) - 1);
         t.delivered.(i) <- t.delivered.(i) + 1;
         let rtt = now - sent_ms in
         let q = rtt - t.min_rtt.(i) in
@@ -268,14 +276,14 @@ let process_return_path t (handlers : Env.handlers array) i ~now =
           { Env.now_ms = now; seq; rtt_ms = rtt; delivered = t.delivered.(i) }
       end
       else begin
-        t.inflight.(i) <- max 0 (t.inflight.(i) - 1);
+        t.inflight.(i) <- Int.max 0 (t.inflight.(i) - 1);
         handlers.(i).Env.on_loss ~now_ms:now
       end
     end
   done
 
 let sender_fill t i ~now =
-  let window = max 1 (int_of_float (Float.floor t.cwnd.(i))) in
+  let window = Int.max 1 (int_of_float (Float.floor t.cwnd.(i))) in
   while t.inflight.(i) < window do
     let seq = t.next_seq.(i) in
     t.next_seq.(i) <- seq + 1;
@@ -301,7 +309,7 @@ let drain_bottleneck t i ~now ~ppms =
   t.credit.(i) <- t.credit.(i) +. ppms;
   let opportunities = int_of_float (Float.floor t.credit.(i)) in
   t.credit.(i) <- t.credit.(i) -. float_of_int opportunities;
-  let used = min opportunities t.q_len.(i) in
+  let used = Int.min opportunities t.q_len.(i) in
   for _ = 1 to used do
     let cap = t.buffer.(i) in
     let head = t.q_head.(i) in
@@ -359,7 +367,7 @@ let plan_chunk ~n ~ms =
   else if Pool.in_task () then None
   else if Pool.domains (Pool.default ()) < 2 then None
   else if n * ms < par_threshold then None
-  else Some (max 1 (8_192 / max 1 ms))
+  else Some (Int.max 1 (8_192 / Int.max 1 ms))
 
 let run ?after_tick t handlers ~ms =
   if Array.length handlers <> t.n then

@@ -28,8 +28,9 @@ type t
 val create : Env.config array -> t
 (** One link per config, all starting at time 0 with empty queues.
     Raises [Invalid_argument] on an empty array or an invalid config
-    (minRTT < 2, empty buffer, non-positive MTU, initial window < 1,
-    probabilities outside \[0,1), negative delays). *)
+    (minRTT < 2, empty buffer, non-positive MTU, an initial window that
+    is not a finite number >= 1, probabilities outside \[0,1), negative
+    delays). *)
 
 val flows : t -> int
 val now_ms : t -> int
@@ -38,7 +39,8 @@ val config : t -> flow:int -> Env.config
 val cwnd : t -> flow:int -> float
 
 val set_cwnd : t -> flow:int -> float -> unit
-(** Clamped below at 1 packet. *)
+(** Clamped below at 1 packet. Raises [Invalid_argument] on a NaN or
+    infinite window. *)
 
 val inflight : t -> flow:int -> int
 val queue_len : t -> flow:int -> int

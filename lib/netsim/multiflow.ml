@@ -10,16 +10,22 @@ type return_event =
   | Ev_ack of { flow : int; seq : int; sent_ms : int }
   | Ev_loss of { flow : int }
 
+(* A flow's floats in an all-float record, which OCaml stores flat: the
+   per-ACK stores neither box nor pass the write barrier. *)
+type flow_floats = {
+  mutable cwnd : float;
+  mutable qdelay_sum_ms : float; (* over acked packets, in ack order *)
+}
+
 type flow_state = {
   min_rtt_ms : int;
   start_ms : int; (* the flow does not send before this time *)
-  mutable cwnd : float;
+  x : flow_floats;
   mutable inflight : int;
   mutable next_seq : int;
   mutable sent : int;
   mutable delivered : int;
   mutable dropped : int;
-  mutable qdelay_sum_ms : float; (* over acked packets, in ack order *)
 }
 
 type t = {
@@ -41,7 +47,8 @@ let create ?start_ms (cfg : config) =
     (fun r -> if r < 2 then invalid_arg "Multiflow.create: min_rtt_ms")
     cfg.min_rtt_ms;
   if cfg.buffer_pkts < 1 then invalid_arg "Multiflow.create: buffer_pkts";
-  if cfg.initial_cwnd < 1. then invalid_arg "Multiflow.create: initial_cwnd";
+  if not (Float.is_finite cfg.initial_cwnd && cfg.initial_cwnd >= 1.) then
+    invalid_arg "Multiflow.create: initial_cwnd";
   let start_ms =
     match start_ms with
     | None -> Array.make n 0
@@ -61,13 +68,12 @@ let create ?start_ms (cfg : config) =
           {
             min_rtt_ms;
             start_ms = start_ms.(i);
-            cwnd = cfg.initial_cwnd;
+            x = { cwnd = cfg.initial_cwnd; qdelay_sum_ms = 0. };
             inflight = 0;
             next_seq = 0;
             sent = 0;
             delivered = 0;
             dropped = 0;
-            qdelay_sum_ms = 0.;
           })
         cfg.min_rtt_ms;
     queue = Queue.create ();
@@ -80,8 +86,13 @@ let create ?start_ms (cfg : config) =
 
 let flows t = Array.length t.flows
 let now_ms t = t.now_ms
-let cwnd t ~flow = t.flows.(flow).cwnd
-let set_cwnd t ~flow w = t.flows.(flow).cwnd <- Float.max 1. w
+let cwnd t ~flow = t.flows.(flow).x.cwnd
+
+(* Non-finite windows fail here, as in [Fleet.set_cwnd]. *)
+let set_cwnd t ~flow w =
+  if not (Float.is_finite w) then
+    invalid_arg "Multiflow.set_cwnd: non-finite window";
+  t.flows.(flow).x.cwnd <- Float.max 1. w
 let inflight t ~flow = t.flows.(flow).inflight
 let queue_len t = t.queue_len
 
@@ -95,11 +106,11 @@ let process_return_path t handlers =
       match ev with
       | Ev_ack { flow; seq; sent_ms } ->
           let f = t.flows.(flow) in
-          f.inflight <- max 0 (f.inflight - 1);
+          f.inflight <- Int.max 0 (f.inflight - 1);
           f.delivered <- f.delivered + 1;
           let rtt = t.now_ms - sent_ms in
-          f.qdelay_sum_ms <-
-            f.qdelay_sum_ms
+          f.x.qdelay_sum_ms <-
+            f.x.qdelay_sum_ms
             +. Float.max 0. (float_of_int rtt -. float_of_int f.min_rtt_ms);
           handlers.(flow).Env.on_ack
             {
@@ -110,7 +121,7 @@ let process_return_path t handlers =
             }
       | Ev_loss { flow } ->
           let f = t.flows.(flow) in
-          f.inflight <- max 0 (f.inflight - 1);
+          f.inflight <- Int.max 0 (f.inflight - 1);
           handlers.(flow).Env.on_loss ~now_ms:t.now_ms
     end
   done
@@ -142,7 +153,7 @@ let drain_bottleneck t =
   t.credit <- t.credit +. ppms;
   let opportunities = int_of_float (Float.floor t.credit) in
   t.credit <- t.credit -. float_of_int opportunities;
-  let used = min opportunities t.queue_len in
+  let used = Int.min opportunities t.queue_len in
   for _ = 1 to used do
     let flow, seq, sent_ms = Queue.pop t.queue in
     t.queue_len <- t.queue_len - 1;
@@ -167,7 +178,9 @@ let sender_fill t =
       blocked.(flow) <- true;
       decr remaining
     end
-    else if f.inflight >= max 1 (int_of_float (Float.floor f.cwnd)) then begin
+    else if
+      f.inflight >= Int.max 1 (int_of_float (Float.floor f.x.cwnd))
+    then begin
       blocked.(flow) <- true;
       decr remaining
     end
@@ -213,7 +226,7 @@ let loss_rate t ~flow =
 let avg_qdelay_ms t ~flow =
   let f = t.flows.(flow) in
   if f.delivered = 0 then 0.
-  else f.qdelay_sum_ms /. float_of_int f.delivered
+  else f.x.qdelay_sum_ms /. float_of_int f.delivered
 
 let throughput_mbps t ~flow =
   if t.now_ms = 0 then 0.

@@ -18,7 +18,8 @@ type config = {
 type t
 
 val create : ?start_ms:int array -> config -> t
-(** Raises [Invalid_argument] on an empty flow list or invalid sizes.
+(** Raises [Invalid_argument] on an empty flow list, invalid sizes or an
+    initial window that is not a finite number >= 1.
     [start_ms.(i)] delays flow [i]'s first transmission (default all 0):
     a late-arriving flow holds its window but sends nothing until its
     start time, modelling staggered competing-flow arrivals. The array
@@ -28,6 +29,9 @@ val flows : t -> int
 val now_ms : t -> int
 val cwnd : t -> flow:int -> float
 val set_cwnd : t -> flow:int -> float -> unit
+(** Clamped below at 1 packet. Raises [Invalid_argument] on a NaN or
+    infinite window. *)
+
 val inflight : t -> flow:int -> int
 val queue_len : t -> int
 

@@ -34,7 +34,7 @@ let interval_of cfg =
   | Some ms ->
       if ms <= 0 then invalid_arg "Fleet_env.create: interval";
       ms
-  | None -> max 20 cfg.min_rtt_ms
+  | None -> Int.max 20 cfg.min_rtt_ms
 
 let max_enforced = 50_000.
 let min_enforced = 2.
@@ -112,12 +112,22 @@ let create (cfgs : config array) =
           ())
       cfgs
   in
+  (* One closure per event kind and flow calls the backbone and then the
+     monitor directly, so a packet passes through no intermediate
+     closure (DESIGN §12, "The per-packet path"). *)
   let handlers =
     Array.init n (fun i ->
-        Env.chain
-          (Canopy_cc.Controller.handlers
-             (Canopy_cc.Cubic.to_controller cubic.(i)))
-          (Monitor.handlers monitor.(i)))
+        let cubic = cubic.(i) and monitor = monitor.(i) in
+        {
+          Env.on_ack =
+            (fun ack ->
+              Canopy_cc.Cubic.on_ack cubic ack;
+              Monitor.on_ack monitor ack);
+          on_loss =
+            (fun ~now_ms ->
+              Canopy_cc.Cubic.on_loss cubic ~now_ms;
+              Monitor.on_loss monitor ~now_ms);
+        })
   in
   let after_tick i = Fleet.set_cwnd fleet ~flow:i (Canopy_cc.Cubic.cwnd cubic.(i)) in
   {

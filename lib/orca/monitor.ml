@@ -1,12 +1,19 @@
+(* The per-ACK floats live in an all-float record, which OCaml stores
+   flat: a store writes the double in place, with no boxing and no
+   write barrier. *)
+type floats = {
+  mutable rtt_sum_ms : float;
+  mutable srtt_ms : float;
+  mutable last_noise : float;
+}
+
 type t = {
   min_rtt_ms : int;
   delay_noise : (Canopy_util.Prng.t * float) option;
   mutable acks : int;
   mutable losses : int;
-  mutable rtt_sum_ms : float;
-  mutable srtt_ms : float;
   mutable last_take_ms : int;
-  mutable last_noise : float;
+  x : floats;
 }
 
 let create ?delay_noise ~min_rtt_ms () =
@@ -19,33 +26,34 @@ let create ?delay_noise ~min_rtt_ms () =
     delay_noise;
     acks = 0;
     losses = 0;
-    rtt_sum_ms = 0.;
-    srtt_ms = 0.;
     last_take_ms = 0;
-    last_noise = 1.;
+    x = { rtt_sum_ms = 0.; srtt_ms = 0.; last_noise = 1. };
   }
+
+let on_ack t (ack : Canopy_netsim.Env.ack) =
+  t.acks <- t.acks + 1;
+  let x = t.x in
+  let rtt = float_of_int ack.rtt_ms in
+  x.rtt_sum_ms <- x.rtt_sum_ms +. rtt;
+  x.srtt_ms <-
+    (if x.srtt_ms = 0. then rtt else (0.875 *. x.srtt_ms) +. (0.125 *. rtt))
+
+let on_loss t ~now_ms:_ = t.losses <- t.losses + 1
 
 let handlers t =
   {
-    Canopy_netsim.Env.on_ack =
-      (fun ack ->
-        t.acks <- t.acks + 1;
-        let rtt = float_of_int ack.rtt_ms in
-        t.rtt_sum_ms <- t.rtt_sum_ms +. rtt;
-        t.srtt_ms <-
-          (if t.srtt_ms = 0. then rtt
-           else (0.875 *. t.srtt_ms) +. (0.125 *. rtt)));
-    on_loss = (fun ~now_ms:_ -> t.losses <- t.losses + 1);
+    Canopy_netsim.Env.on_ack = on_ack t;
+    on_loss = (fun ~now_ms -> on_loss t ~now_ms);
   }
 
-let srtt_ms t = t.srtt_ms
-let last_qdelay_noise t = t.last_noise
+let srtt_ms t = t.x.srtt_ms
+let last_qdelay_noise t = t.x.last_noise
 
 let take t ~now_ms ~cwnd_pkts =
-  let interval_ms = max 1 (now_ms - t.last_take_ms) in
+  let interval_ms = Int.max 1 (now_ms - t.last_take_ms) in
   let avg_rtt =
     if t.acks = 0 then float_of_int t.min_rtt_ms
-    else t.rtt_sum_ms /. float_of_int t.acks
+    else t.x.rtt_sum_ms /. float_of_int t.acks
   in
   let qdelay = Float.max 0. (avg_rtt -. float_of_int t.min_rtt_ms) in
   let noise =
@@ -53,7 +61,7 @@ let take t ~now_ms ~cwnd_pkts =
     | None -> 1.
     | Some (rng, mu) -> Canopy_util.Prng.uniform rng (1. -. mu) (1. +. mu)
   in
-  t.last_noise <- noise;
+  t.x.last_noise <- noise;
   let thr_mbps =
     float_of_int t.acks *. float_of_int Canopy_netsim.Env.default_mtu *. 8.
     /. 1e6
@@ -66,13 +74,13 @@ let take t ~now_ms ~cwnd_pkts =
       avg_qdelay_ms = qdelay *. noise;
       n_acks = t.acks;
       interval_ms;
-      srtt_ms = (if t.srtt_ms = 0. then avg_rtt else t.srtt_ms);
+      srtt_ms = (if t.x.srtt_ms = 0. then avg_rtt else t.x.srtt_ms);
       cwnd_pkts;
       min_rtt_ms = float_of_int t.min_rtt_ms;
     }
   in
   t.acks <- 0;
   t.losses <- 0;
-  t.rtt_sum_ms <- 0.;
+  t.x.rtt_sum_ms <- 0.;
   t.last_take_ms <- now_ms;
   obs

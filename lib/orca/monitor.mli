@@ -17,9 +17,17 @@ val create :
 (** [delay_noise (rng, mu)] multiplies each interval's observed queueing
     delay by a uniform factor in [\[1−mu, 1+mu\]]. *)
 
+val on_ack : t -> Canopy_netsim.Env.ack -> unit
+(** Count one acknowledged packet and fold its RTT into the interval sum
+    and the smoothed RTT. *)
+
+val on_loss : t -> now_ms:int -> unit
+(** Count one lost packet. *)
+
 val handlers : t -> Canopy_netsim.Env.handlers
-(** Feedback hooks to register with the simulator (chainable with the
-    backbone controller's). *)
+(** {!on_ack} and {!on_loss} as simulator hooks (chainable with the
+    backbone controller's). The per-packet paths call {!on_ack} and
+    {!on_loss} directly from one per-flow closure instead. *)
 
 val take : t -> now_ms:int -> cwnd_pkts:float -> Observation.t
 (** Close the current interval: build the observation and reset the

@@ -109,6 +109,40 @@ let test_lint_raw_domain_spawn () =
     (rules_of
        (lint "let d = Domain.spawn f (* lint-ignore: raw-domain-spawn *)\n"))
 
+let test_lint_bare_min_max () =
+  let p parts = String.concat Filename.dir_sep parts in
+  let at path src = rules_of (Lint.check_source ~path src) in
+  let fleet = p [ "lib"; "netsim"; "fleet.ml" ] in
+  (* Int arguments, a variable and a float non-literal: float-min-max
+     sees none of them, the per-packet rule sees all three. *)
+  List.iter
+    (fun src ->
+      Alcotest.(check (list string)) src [ "bare-min-max" ] (at fleet src))
+    [
+      "let w = max 1 (n / k)\n";
+      "let used = min opportunities q_len\n";
+      "let s = max a.(i) (b +. c)\n";
+    ];
+  Alcotest.(check (list string)) "lib/cc" [ "bare-min-max" ]
+    (at (p [ "lib"; "cc"; "cubic.ml" ]) "let g = max 5 guard\n");
+  Alcotest.(check (list string)) "lib/orca" [ "bare-min-max" ]
+    (at (p [ "lib"; "orca"; "monitor.ml" ]) "let i = max 1 (b - a)\n");
+  Alcotest.(check (list string)) "both rules on a float literal"
+    [ "bare-min-max"; "float-min-max" ]
+    (at fleet "let c = max 1. w\n");
+  Alcotest.(check (list string)) "typed, fields, definitions, comments" []
+    (at fleet
+       "let w = Int.max 1 n and f = Float.min 1. x\n\
+        type r = { min : int; max : int }\n\
+        let r = { min; max }\n\
+        let max = 3\n\
+        let g ~max = max\n\
+        (* max 1 n *)\n");
+  Alcotest.(check (list string)) "other layers untouched" []
+    (at (p [ "lib"; "core"; "eval.ml" ]) "let i = max 20 rtt\n");
+  Alcotest.(check (list string)) "waivable inline" []
+    (at fleet "let w = max 1 n (* lint-ignore: bare-min-max *)\n")
+
 let test_lint_array_make_scalar_clean () =
   let fixture =
     "let a = Array.make n 0.\n\
@@ -360,6 +394,7 @@ let suite =
     ("lint: Mlp.layers walk", `Quick, test_lint_mlp_layer_walk);
     ("lint: non-atomic write", `Quick, test_lint_non_atomic_write);
     ("lint: raw domain spawn", `Quick, test_lint_raw_domain_spawn);
+    ("lint: bare min/max in per-packet layers", `Quick, test_lint_bare_min_max);
     ("lint: Array.make scalar clean", `Quick, test_lint_array_make_scalar_clean);
     ("lint: typed comparators clean", `Quick, test_lint_typed_comparators_clean);
     ("lint: comments/strings ignored", `Quick,

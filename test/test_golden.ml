@@ -20,10 +20,17 @@
    - [cert/...]: step certificates along the clean [agent/...] episodes,
      per engine, model and property: every component's action interval,
      output interval, distance and certified flag, then the certificate's
-     [r_verifier]; and the witnesses [Certify.refute] finds. *)
+     [r_verifier]; and the witnesses [Certify.refute] finds;
+   - [multiflow/...]: shared-bottleneck runs through
+     [Eval.eval_coexist] (Canopy against Cubic and BBR, Cubic against
+     Cubic) on suite traces, one shallow-buffer case with a late
+     arrival, and the event streams of three Cubic flows with different
+     minRTTs on one [Multiflow] link. *)
 
 module Env = Canopy_netsim.Env
 module Fleet = Canopy_netsim.Fleet
+module Multiflow = Canopy_netsim.Multiflow
+module Eval = Canopy.Eval
 module Trace = Canopy_trace.Trace
 module Suite = Canopy_trace.Suite
 module Agent_env = Canopy_orca.Agent_env
@@ -153,11 +160,14 @@ let fixture_actor = lazy (Canopy.Trainer.load_actor (fixture "actor_h8.ckpt"))
 
 (* Clean episodes serve the actor as deployed. The fixture actor
    saturates near a = 1 and drives the window to the 50 000-packet
-   clamp; with ACK jitter or reordering in that regime nearly every
-   return event lands out of order and re-sorts the whole return path,
-   so one impaired second would take minutes. Impaired episodes
-   therefore shift the action down by one, keeping the window at or
-   below Cubic's suggestion while the actor still sets it. *)
+   clamp, where thousands of packets a millisecond are tail-dropped.
+   With ACK jitter or reordering their loss events arrive before the
+   latest ACK scheduled, and each one is inserted ahead of the same
+   millisecond's earlier drops, so every millisecond costs time
+   quadratic in its drops: unshifted, the first impaired episode takes
+   about 5.5 minutes on a 2-vCPU Xeon VM. Impaired episodes therefore
+   shift the action down by one, keeping the window at or below
+   Cubic's suggestion while the actor still sets it. *)
 let agent_runs variant =
   let actor = Lazy.force fixture_actor in
   let policy =
@@ -455,10 +465,131 @@ let test_certificates () =
   in
   check_family ~prefix:"cert/" (mlp @ trees @ refutes)
 
+(* ------------------------------------------------------------------ *)
+(* (e) Shared bottlenecks *)
+
+let add_coexist b (r : Eval.coexist_result) =
+  Array.iter
+    (fun (f : Eval.coexist_flow) ->
+      add_floats b
+        [| f.throughput_mbps; f.avg_qdelay_ms; f.loss_rate; f.share |])
+    r.flows;
+  add_float b r.jain;
+  add_float b r.utilization
+
+let coexist_digest ?arrivals ~flows link =
+  let b = digest () in
+  add_coexist b (Eval.eval_coexist ?arrivals ~flows link);
+  crc b
+
+(* Per-flow ack and loss event streams, then the flow's counters, of
+   three Cubic flows at minRTT 20/40/60 ms on one 36 Mbps link: their
+   return events interleave out of arrival order. *)
+let hetero_rtt_digests () =
+  let n = 3 in
+  let mf =
+    Multiflow.create
+      {
+        Multiflow.trace =
+          Trace.constant ~name:"const36" ~duration_ms:1_000 ~mbps:36.;
+        min_rtt_ms = [| 20; 40; 60 |];
+        buffer_pkts = 150;
+        mtu_bytes = Env.default_mtu;
+        initial_cwnd = 10.;
+      }
+  in
+  let ctrls = Array.init n (fun _ -> Eval.cubic_scheme ()) in
+  let bufs = Array.init n (fun _ -> digest ()) in
+  let handlers =
+    Array.init n (fun i ->
+        let c = Canopy_cc.Controller.handlers ctrls.(i) in
+        {
+          Env.on_ack =
+            (fun (a : Env.ack) ->
+              add_float bufs.(i) 0.;
+              add_int bufs.(i) a.now_ms;
+              add_int bufs.(i) a.seq;
+              add_int bufs.(i) a.rtt_ms;
+              add_int bufs.(i) a.delivered;
+              c.on_ack a);
+          on_loss =
+            (fun ~now_ms ->
+              add_float bufs.(i) 1.;
+              add_int bufs.(i) now_ms;
+              c.on_loss ~now_ms);
+        })
+  in
+  for _ = 1 to 1_000 do
+    Multiflow.tick mf handlers;
+    Array.iteri
+      (fun i (c : Canopy_cc.Controller.t) ->
+        Multiflow.set_cwnd mf ~flow:i (c.cwnd ()))
+      ctrls
+  done;
+  List.init n (fun flow ->
+      let b = bufs.(flow) in
+      add_int b (Multiflow.sent mf ~flow);
+      add_int b (Multiflow.delivered mf ~flow);
+      add_int b (Multiflow.dropped mf ~flow);
+      add_int b (Multiflow.inflight mf ~flow);
+      add_floats b
+        [|
+          Multiflow.cwnd mf ~flow;
+          Multiflow.avg_qdelay_ms mf ~flow;
+          Multiflow.throughput_mbps mf ~flow;
+        |];
+      (Printf.sprintf "multiflow/hetero-rtt/flow%d" flow, crc b))
+
+(* Two-flow mixes on three suite traces (500 ms, 2 BDP, the suite
+   minRTT) with the committed fixture actor as the Canopy policy, then
+   the Canopy/Cubic mix on a 0.5-BDP buffer with Cubic arriving at
+   150 ms. [Multiflow] has no link impairments, so the shallow buffer
+   is its loss-heavy case. *)
+let test_multiflow () =
+  let canopy = Eval.Coexist_canopy (`Mlp (Lazy.force fixture_actor)) in
+  let tcp name make = Eval.Coexist_tcp (name, make) in
+  let mixes =
+    [
+      ("canopy-cubic", [ canopy; tcp "cubic" Eval.cubic_scheme ]);
+      ("canopy-bbr", [ canopy; tcp "bbr" Eval.bbr_scheme ]);
+      ( "cubic-cubic",
+        [ tcp "cubic" Eval.cubic_scheme; tcp "cubic" Eval.cubic_scheme ] );
+    ]
+  in
+  let links = Array.of_list (suite_links ()) in
+  let link i ~bdp =
+    let _, trace, min_rtt_ms, _ = links.(i) in
+    Eval.link ~min_rtt_ms ~bdp ~duration_ms:500 trace
+  in
+  let name i =
+    let n, _, _, _ = links.(i) in
+    n
+  in
+  let clean =
+    List.concat_map
+      (fun i ->
+        List.map
+          (fun (mix, flows) ->
+            ( Printf.sprintf "multiflow/clean/%s/%s" mix (name i),
+              coexist_digest ~flows (link i ~bdp:2.) ))
+          mixes)
+      [ 10; 16; 19 ]
+  in
+  let shallow =
+    ( Printf.sprintf "multiflow/shallow/canopy-cubic/%s" (name 7),
+      coexist_digest ~arrivals:[| 0; 150 |]
+        ~flows:(List.assoc "canopy-cubic" mixes)
+        (link 7 ~bdp:0.5) )
+  in
+  check_family ~prefix:"multiflow/"
+    (clean @ [ shallow ] @ hetero_rtt_digests ())
+
 let suite =
   [
     Alcotest.test_case "agent_env episodes, suite x clean/impaired" `Quick
       test_agent_episodes;
+    Alcotest.test_case "multiflow: coexistence mixes and event streams" `Quick
+      test_multiflow;
     Alcotest.test_case "runner metrics, five schemes x suite" `Quick
       test_runner_metrics;
     Alcotest.test_case "fleet event streams, five flows" `Quick

@@ -51,6 +51,23 @@ let test_validation () =
     (Invalid_argument "Multiflow.tick: handlers") (fun () ->
       MF.tick mf (null_handlers 1))
 
+let test_non_finite_windows () =
+  let mf = MF.create (config ()) in
+  MF.set_cwnd mf ~flow:1 25.;
+  List.iter
+    (fun w ->
+      Alcotest.check_raises (Printf.sprintf "%h" w)
+        (Invalid_argument "Multiflow.set_cwnd: non-finite window") (fun () ->
+          MF.set_cwnd mf ~flow:1 w);
+      check_float "window kept" 25. (MF.cwnd mf ~flow:1))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  List.iter
+    (fun initial_cwnd ->
+      Alcotest.check_raises (Printf.sprintf "initial %h" initial_cwnd)
+        (Invalid_argument "Multiflow.create: initial_cwnd") (fun () ->
+          ignore (MF.create { (config ()) with initial_cwnd })))
+    [ Float.nan; Float.infinity; 0.5 ]
+
 let test_basic_accounting () =
   let mf = MF.create (config ()) in
   MF.run mf (null_handlers 2) ~ms:2000;
@@ -153,6 +170,7 @@ let test_single_flow_degenerates () =
 let suite =
   [
     ("validation", `Quick, test_validation);
+    ("non-finite windows rejected", `Quick, test_non_finite_windows);
     ("basic accounting", `Quick, test_basic_accounting);
     ("identical windows fair", `Quick, test_identical_flows_fair);
     ("cubic pair fair and full", `Quick, test_cubic_pair_fair_and_full);

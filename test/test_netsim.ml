@@ -135,6 +135,26 @@ let test_set_cwnd_clamps () =
   Fleet.set_cwnd env ~flow:0 0.1;
   check_float "clamped to 1" 1. (Fleet.cwnd env ~flow:0)
 
+(* A NaN would pass the clamp and an infinity would reach [int_of_float]
+   in the sender: both raise, and the window keeps its last value. *)
+let test_set_cwnd_rejects_non_finite () =
+  let env = make_env () in
+  Fleet.set_cwnd env ~flow:0 25.;
+  List.iter
+    (fun w ->
+      Alcotest.check_raises (Printf.sprintf "%h" w)
+        (Invalid_argument "Fleet.set_cwnd: non-finite window") (fun () ->
+          Fleet.set_cwnd env ~flow:0 w);
+      check_float "window kept" 25. (Fleet.cwnd env ~flow:0))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  (* [nan < 1.] is false, so the old bound let a NaN initial window in. *)
+  List.iter
+    (fun cwnd ->
+      Alcotest.check_raises (Printf.sprintf "initial %h" cwnd)
+        (Invalid_argument "Fleet.create: initial_cwnd") (fun () ->
+          ignore (make_env ~cwnd ())))
+    [ Float.nan; Float.infinity; 0.5 ]
+
 let test_acks_monotone_time () =
   let env = make_env ~cwnd:30. () in
   let last = ref 0 in
@@ -225,6 +245,7 @@ let suite =
     ("full utilization with big window", `Quick, test_full_utilization_with_big_window);
     ("packet conservation", `Quick, test_packet_conservation);
     ("set_cwnd clamps", `Quick, test_set_cwnd_clamps);
+    ("non-finite windows rejected", `Quick, test_set_cwnd_rejects_non_finite);
     ("ack times monotone", `Quick, test_acks_monotone_time);
     ("ack delivered counter", `Quick, test_ack_seq_delivered_consistency);
     ("capacity wasted when idle", `Quick, test_capacity_wasted_when_idle);
