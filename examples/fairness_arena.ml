@@ -90,16 +90,26 @@ let canopy_controller () =
   in
   {
     Controller.name = "canopy";
-    on_ack =
-      (fun ack ->
-        cubic_handlers.Canopy_netsim.Env.on_ack ack;
-        monitor_handlers.Canopy_netsim.Env.on_ack ack;
-        decide ack.Canopy_netsim.Env.now_ms);
+    (* A decision may force Cubic's window between two ACKs of a run, so
+       the run is replayed ACK by ACK. *)
+    on_acks =
+      (fun ~now_ms ~rtt_ms ~first_seq ~count ~delivered ->
+        for k = 0 to count - 1 do
+          let first_seq = first_seq + k
+          and delivered = delivered - count + 1 + k in
+          cubic_handlers.Canopy_netsim.Env.on_acks ~now_ms ~rtt_ms ~first_seq
+            ~count:1 ~delivered;
+          monitor_handlers.Canopy_netsim.Env.on_acks ~now_ms ~rtt_ms
+            ~first_seq ~count:1 ~delivered;
+          decide now_ms
+        done);
     on_loss =
-      (fun ~now_ms ->
-        cubic_handlers.Canopy_netsim.Env.on_loss ~now_ms;
-        monitor_handlers.Canopy_netsim.Env.on_loss ~now_ms;
-        decide now_ms);
+      (fun ~now_ms ~count ->
+        for _ = 1 to count do
+          cubic_handlers.Canopy_netsim.Env.on_loss ~now_ms ~count:1;
+          monitor_handlers.Canopy_netsim.Env.on_loss ~now_ms ~count:1;
+          decide now_ms
+        done);
     cwnd = (fun () -> Canopy_cc.Cubic.cwnd cubic);
   }
 

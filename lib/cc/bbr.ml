@@ -151,41 +151,48 @@ let advance_state t ~now_ms =
       end);
   update_cwnd t
 
-let on_ack t (ack : Canopy_netsim.Env.ack) =
+let on_acks t ~now_ms ~rtt_ms ~first_seq:_ ~count ~delivered =
   let x = t.x in
-  let rtt = float_of_int ack.rtt_ms in
-  if rtt <= x.rt_prop_ms then begin
-    x.rt_prop_ms <- rtt;
-    t.rt_prop_stamp_ms <- ack.now_ms
-  end;
-  (* Delivery-rate sample once per (estimated) RTT. *)
-  let rtprop = if x.rt_prop_ms = Float.infinity then 10. else x.rt_prop_ms in
-  let epoch_ms = ack.now_ms - t.epoch_start_ms in
-  if float_of_int epoch_ms >= Float.max 1. rtprop then begin
-    let rate =
-      float_of_int (ack.delivered - t.epoch_delivered) /. float_of_int epoch_ms
-    in
-    Wfilter.push t.bw_filter ~now_ms:ack.now_ms
-      ~window_ms:(bw_window_factor * int_of_float (Float.max 10. rtprop))
-      rate;
-    t.epoch_start_ms <- ack.now_ms;
-    t.epoch_delivered <- ack.delivered;
-    advance_state t ~now_ms:ack.now_ms
-  end
-  else if t.mode = Startup && bdp t = 0. then
-    (* Bootstrap: no bandwidth sample yet, grow like slow start. *)
-    x.cwnd <- x.cwnd +. 1.
+  let rtt = float_of_int rtt_ms in
+  for k = 0 to count - 1 do
+    (* The k-th ACK of the run carries its own delivered count. *)
+    let delivered = delivered - count + 1 + k in
+    if rtt <= x.rt_prop_ms then begin
+      x.rt_prop_ms <- rtt;
+      t.rt_prop_stamp_ms <- now_ms
+    end;
+    (* Delivery-rate sample once per (estimated) RTT. *)
+    let rtprop = if x.rt_prop_ms = Float.infinity then 10. else x.rt_prop_ms in
+    let epoch_ms = now_ms - t.epoch_start_ms in
+    if float_of_int epoch_ms >= Float.max 1. rtprop then begin
+      let rate =
+        float_of_int (delivered - t.epoch_delivered) /. float_of_int epoch_ms
+      in
+      Wfilter.push t.bw_filter ~now_ms
+        ~window_ms:(bw_window_factor * int_of_float (Float.max 10. rtprop))
+        rate;
+      t.epoch_start_ms <- now_ms;
+      t.epoch_delivered <- delivered;
+      advance_state t ~now_ms
+    end
+    else if t.mode = Startup && bdp t = 0. then
+      (* Bootstrap: no bandwidth sample yet, grow like slow start. *)
+      x.cwnd <- x.cwnd +. 1.
+  done
 
-let on_loss t ~now_ms =
+(* Each loss compounds the back-off, so the run's losses apply one by
+   one. *)
+let on_loss t ~now_ms:_ ~count =
   (* BBR is not loss-driven; it only backs off slightly on sustained
      loss to bound queue build-up in small buffers. *)
-  ignore now_ms;
-  t.x.cwnd <- Float.max min_cwnd (t.x.cwnd *. 0.95)
+  for _ = 1 to count do
+    t.x.cwnd <- Float.max min_cwnd (t.x.cwnd *. 0.95)
+  done
 
 let to_controller t =
   {
     Controller.name = "bbr";
-    on_ack = on_ack t;
-    on_loss = (fun ~now_ms -> on_loss t ~now_ms);
+    on_acks = on_acks t;
+    on_loss = on_loss t;
     cwnd = (fun () -> cwnd t);
   }

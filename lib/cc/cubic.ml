@@ -41,32 +41,45 @@ let w_max t = t.x.w_max
 
 let cube_root x = Float.pow x (1. /. 3.)
 
-let on_ack t (ack : Canopy_netsim.Env.ack) =
+(* The per-ACK update, once per ACK of the run. The cubic target
+   depends on the time, the RTT and the epoch (its start, K and w_max);
+   the ACKs of a run share the first two, and once the epoch has started
+   no ACK changes the third, so the target is computed once per run, on
+   the first ACK in congestion avoidance. *)
+let on_acks t ~now_ms ~rtt_ms ~first_seq:_ ~count ~delivered:_ =
   let x = t.x in
-  let rtt = float_of_int ack.rtt_ms in
-  x.srtt_ms <-
-    (if x.srtt_ms = 0. then rtt else (0.875 *. x.srtt_ms) +. (0.125 *. rtt));
-  if in_slow_start t then x.cwnd <- Float.min max_cwnd (x.cwnd +. 1.)
-  else begin
-    if t.epoch_start_ms < 0 then begin
-      t.epoch_start_ms <- ack.now_ms;
-      x.k <- cube_root (x.w_max *. (1. -. beta_cubic) /. c_cubic)
-    end;
-    (* Target the cubic curve one RTT ahead, per the RFC. *)
-    let elapsed_s =
-      float_of_int (ack.now_ms - t.epoch_start_ms + ack.rtt_ms) /. 1000.
-    in
-    let w_cubic =
-      (c_cubic *. ((elapsed_s -. x.k) ** 3.)) +. x.w_max
-    in
-    if w_cubic > x.cwnd then
-      x.cwnd <- Float.min max_cwnd (x.cwnd +. ((w_cubic -. x.cwnd) /. x.cwnd))
-    else
-      (* In the TCP-friendly / plateau region grow at least like Reno. *)
-      x.cwnd <- Float.min max_cwnd (x.cwnd +. (0.3 /. x.cwnd))
-  end
+  let rtt = float_of_int rtt_ms in
+  let target_known = ref false and w_cubic = ref 0. in
+  for _ = 1 to count do
+    x.srtt_ms <-
+      (if x.srtt_ms = 0. then rtt else (0.875 *. x.srtt_ms) +. (0.125 *. rtt));
+    if in_slow_start t then x.cwnd <- Float.min max_cwnd (x.cwnd +. 1.)
+    else begin
+      if not !target_known then begin
+        if t.epoch_start_ms < 0 then begin
+          t.epoch_start_ms <- now_ms;
+          x.k <- cube_root (x.w_max *. (1. -. beta_cubic) /. c_cubic)
+        end;
+        (* Target the cubic curve one RTT ahead, per the RFC. *)
+        let elapsed_s =
+          float_of_int (now_ms - t.epoch_start_ms + rtt_ms) /. 1000.
+        in
+        w_cubic := (c_cubic *. ((elapsed_s -. x.k) ** 3.)) +. x.w_max;
+        target_known := true
+      end;
+      if !w_cubic > x.cwnd then
+        x.cwnd <-
+          Float.min max_cwnd (x.cwnd +. ((!w_cubic -. x.cwnd) /. x.cwnd))
+      else
+        (* In the TCP-friendly / plateau region grow at least like Reno. *)
+        x.cwnd <- Float.min max_cwnd (x.cwnd +. (0.3 /. x.cwnd))
+    end
+  done
 
-let on_loss t ~now_ms =
+(* The guard is at least 5 ms and a loss leaves sRTT alone, so after the
+   first loss of a millisecond the rest are no-ops: one reaction stands
+   for the whole run. *)
+let on_loss t ~now_ms ~count:_ =
   (* React at most once per (smoothed) RTT so a burst of drops from one
      overflow counts as a single congestion event. *)
   let x = t.x in
@@ -85,7 +98,7 @@ let force_cwnd t w =
 let to_controller t =
   {
     Controller.name = "cubic";
-    on_ack = on_ack t;
-    on_loss = (fun ~now_ms -> on_loss t ~now_ms);
+    on_acks = on_acks t;
+    on_loss = on_loss t;
     cwnd = (fun () -> cwnd t);
   }

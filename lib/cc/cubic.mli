@@ -10,8 +10,10 @@ type t
 
 val create : ?initial_cwnd:float -> unit -> t
 
-val on_ack : t -> Canopy_netsim.Env.ack -> unit
-val on_loss : t -> now_ms:int -> unit
+val on_acks : t -> Canopy_netsim.Env.acks_handler
+(** A run of ACKs: the same state as [count] single ACKs. *)
+
+val on_loss : t -> Canopy_netsim.Env.loss_handler
 val cwnd : t -> float
 (** Current window suggestion in packets. *)
 

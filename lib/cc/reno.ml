@@ -17,15 +17,19 @@ let create ?(initial_cwnd = 10.) () =
 let cwnd t = t.x.cwnd
 let in_slow_start t = t.x.cwnd < t.x.ssthresh
 
-let on_ack t (ack : Canopy_netsim.Env.ack) =
+let on_acks t ~now_ms:_ ~rtt_ms ~first_seq:_ ~count ~delivered:_ =
   let x = t.x in
-  let rtt = float_of_int ack.rtt_ms in
-  x.srtt_ms <-
-    (if x.srtt_ms = 0. then rtt else (0.875 *. x.srtt_ms) +. (0.125 *. rtt));
-  if in_slow_start t then x.cwnd <- x.cwnd +. 1.
-  else x.cwnd <- x.cwnd +. (1. /. x.cwnd)
+  let rtt = float_of_int rtt_ms in
+  for _ = 1 to count do
+    x.srtt_ms <-
+      (if x.srtt_ms = 0. then rtt else (0.875 *. x.srtt_ms) +. (0.125 *. rtt));
+    if in_slow_start t then x.cwnd <- x.cwnd +. 1.
+    else x.cwnd <- x.cwnd +. (1. /. x.cwnd)
+  done
 
-let on_loss t ~now_ms =
+(* As in Cubic, the >= 5 ms guard makes every loss after the first of a
+   millisecond a no-op, so one reaction stands for the whole run. *)
+let on_loss t ~now_ms ~count:_ =
   let x = t.x in
   let guard_ms = int_of_float (Float.max 5. x.srtt_ms) in
   if now_ms - t.last_loss_ms >= guard_ms then begin
@@ -37,7 +41,7 @@ let on_loss t ~now_ms =
 let to_controller t =
   {
     Controller.name = "reno";
-    on_ack = on_ack t;
-    on_loss = (fun ~now_ms -> on_loss t ~now_ms);
+    on_acks = on_acks t;
+    on_loss = on_loss t;
     cwnd = (fun () -> cwnd t);
   }

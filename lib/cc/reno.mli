@@ -6,8 +6,10 @@
 type t
 
 val create : ?initial_cwnd:float -> unit -> t
-val on_ack : t -> Canopy_netsim.Env.ack -> unit
-val on_loss : t -> now_ms:int -> unit
+val on_acks : t -> Canopy_netsim.Env.acks_handler
+(** A run of ACKs: the same state as [count] single ACKs. *)
+
+val on_loss : t -> Canopy_netsim.Env.loss_handler
 val cwnd : t -> float
 val in_slow_start : t -> bool
 val to_controller : t -> Controller.t

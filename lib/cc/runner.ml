@@ -66,14 +66,16 @@ let run ?series_bin_ms ?(impairments = Env.no_impairments) ~trace ~min_rtt_ms
     if bin_ms = 0 then Env.null_handlers
     else
       {
-        Env.on_ack =
-          (fun ack ->
-            let b = bin_of ack.now_ms in
-            thr_bins.(b) <- thr_bins.(b) +. 1.;
-            qd_sum.(b) <-
-              qd_sum.(b) +. float_of_int (Int.max 0 (ack.rtt_ms - min_rtt_ms));
-            qd_cnt.(b) <- qd_cnt.(b) + 1);
-        on_loss = (fun ~now_ms:_ -> ());
+        Env.on_acks =
+          (fun ~now_ms ~rtt_ms ~first_seq:_ ~count ~delivered:_ ->
+            let b = bin_of now_ms in
+            let q = float_of_int (Int.max 0 (rtt_ms - min_rtt_ms)) in
+            for _ = 1 to count do
+              thr_bins.(b) <- thr_bins.(b) +. 1.;
+              qd_sum.(b) <- qd_sum.(b) +. q
+            done;
+            qd_cnt.(b) <- qd_cnt.(b) + count);
+        on_loss = (fun ~now_ms:_ ~count:_ -> ());
       }
   in
   let handlers = Env.chain (Controller.handlers controller) series_handlers in

@@ -36,48 +36,55 @@ let create ?(alpha = 2.) ?(beta = 4.) ?(initial_cwnd = 10.) () =
 let cwnd t = t.x.cwnd
 let base_rtt_ms t = t.x.base_rtt_ms
 
-let on_ack t (ack : Canopy_netsim.Env.ack) =
+let on_acks t ~now_ms ~rtt_ms ~first_seq:_ ~count ~delivered:_ =
   let x = t.x in
-  let rtt = float_of_int ack.rtt_ms in
-  if rtt < x.base_rtt_ms then x.base_rtt_ms <- rtt;
-  x.epoch_rtt_sum <- x.epoch_rtt_sum +. rtt;
-  t.epoch_acks <- t.epoch_acks + 1;
-  (* Evaluate the expected-vs-actual rate difference once per RTT. *)
-  if float_of_int (ack.now_ms - t.epoch_start_ms) >= x.base_rtt_ms
-     && t.epoch_acks > 0
-  then begin
-    let avg_rtt = x.epoch_rtt_sum /. float_of_int t.epoch_acks in
-    let diff = x.cwnd *. (1. -. (x.base_rtt_ms /. avg_rtt)) in
-    if t.in_slow_start then begin
-      if diff > x.alpha then begin
-        t.in_slow_start <- false;
-        x.cwnd <- Float.max 2. (x.cwnd -. 1.)
+  let rtt = float_of_int rtt_ms in
+  for _ = 1 to count do
+    if rtt < x.base_rtt_ms then x.base_rtt_ms <- rtt;
+    x.epoch_rtt_sum <- x.epoch_rtt_sum +. rtt;
+    t.epoch_acks <- t.epoch_acks + 1;
+    (* Evaluate the expected-vs-actual rate difference once per RTT. *)
+    if float_of_int (now_ms - t.epoch_start_ms) >= x.base_rtt_ms
+       && t.epoch_acks > 0
+    then begin
+      let avg_rtt = x.epoch_rtt_sum /. float_of_int t.epoch_acks in
+      let diff = x.cwnd *. (1. -. (x.base_rtt_ms /. avg_rtt)) in
+      if t.in_slow_start then begin
+        if diff > x.alpha then begin
+          t.in_slow_start <- false;
+          x.cwnd <- Float.max 2. (x.cwnd -. 1.)
+        end
+        else x.cwnd <- x.cwnd +. 1.
       end
-      else x.cwnd <- x.cwnd +. 1.
+      else if diff < x.alpha then x.cwnd <- x.cwnd +. 1.
+      else if diff > x.beta then x.cwnd <- Float.max 2. (x.cwnd -. 1.);
+      t.epoch_start_ms <- now_ms;
+      x.epoch_rtt_sum <- 0.;
+      t.epoch_acks <- 0
     end
-    else if diff < x.alpha then x.cwnd <- x.cwnd +. 1.
-    else if diff > x.beta then x.cwnd <- Float.max 2. (x.cwnd -. 1.);
-    t.epoch_start_ms <- ack.now_ms;
-    x.epoch_rtt_sum <- 0.;
-    t.epoch_acks <- 0
-  end
-  else if t.in_slow_start then
-    (* Grow every other ACK during slow start, as in the original. *)
-    x.cwnd <- x.cwnd +. 0.5
+    else if t.in_slow_start then
+      (* Grow every other ACK during slow start, as in the original. *)
+      x.cwnd <- x.cwnd +. 0.5
+  done
 
-let on_loss t ~now_ms =
+(* Before the first ACK the base RTT is infinite and the guard's
+   [int_of_float] is no bound at all, so every loss backs off: the run's
+   losses apply one by one. *)
+let on_loss t ~now_ms ~count =
   let x = t.x in
-  if now_ms - t.last_loss_ms >= int_of_float (Float.max 5. x.base_rtt_ms)
-  then begin
-    t.last_loss_ms <- now_ms;
-    t.in_slow_start <- false;
-    x.cwnd <- Float.max 2. (x.cwnd *. 0.75)
-  end
+  for _ = 1 to count do
+    if now_ms - t.last_loss_ms >= int_of_float (Float.max 5. x.base_rtt_ms)
+    then begin
+      t.last_loss_ms <- now_ms;
+      t.in_slow_start <- false;
+      x.cwnd <- Float.max 2. (x.cwnd *. 0.75)
+    end
+  done
 
 let to_controller t =
   {
     Controller.name = "vegas";
-    on_ack = on_ack t;
-    on_loss = (fun ~now_ms -> on_loss t ~now_ms);
+    on_acks = on_acks t;
+    on_loss = on_loss t;
     cwnd = (fun () -> cwnd t);
   }

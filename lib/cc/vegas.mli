@@ -11,8 +11,10 @@ type t
 val create : ?alpha:float -> ?beta:float -> ?initial_cwnd:float -> unit -> t
 (** Defaults: [alpha = 2.], [beta = 4.] packets. *)
 
-val on_ack : t -> Canopy_netsim.Env.ack -> unit
-val on_loss : t -> now_ms:int -> unit
+val on_acks : t -> Canopy_netsim.Env.acks_handler
+(** A run of ACKs: the same state as [count] single ACKs. *)
+
+val on_loss : t -> Canopy_netsim.Env.loss_handler
 val cwnd : t -> float
 val base_rtt_ms : t -> float
 (** Current minimum-RTT estimate; [infinity] before the first ACK. *)

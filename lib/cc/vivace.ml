@@ -151,27 +151,33 @@ let close_interval t ~now_ms =
 let maybe_close t ~now_ms =
   if now_ms - t.mi_start_ms >= mi_duration_ms t then close_interval t ~now_ms
 
-let on_ack t (ack : Canopy_netsim.Env.ack) =
+let on_acks t ~now_ms ~rtt_ms ~first_seq:_ ~count ~delivered:_ =
   let x = t.x in
-  let rtt = float_of_int ack.rtt_ms in
-  if rtt < x.min_rtt_ms then x.min_rtt_ms <- rtt;
-  x.srtt_ms <-
-    (if x.srtt_ms = 0. then rtt else (0.875 *. x.srtt_ms) +. (0.125 *. rtt));
-  if in_measurement t ~now_ms:ack.now_ms then begin
-    if t.mi_acks = 0 then x.mi_first_rtt <- rtt;
-    x.mi_last_rtt <- rtt;
-    t.mi_acks <- t.mi_acks + 1
-  end;
-  maybe_close t ~now_ms:ack.now_ms
+  let rtt = float_of_int rtt_ms in
+  for _ = 1 to count do
+    if rtt < x.min_rtt_ms then x.min_rtt_ms <- rtt;
+    x.srtt_ms <-
+      (if x.srtt_ms = 0. then rtt else (0.875 *. x.srtt_ms) +. (0.125 *. rtt));
+    if in_measurement t ~now_ms then begin
+      if t.mi_acks = 0 then x.mi_first_rtt <- rtt;
+      x.mi_last_rtt <- rtt;
+      t.mi_acks <- t.mi_acks + 1
+    end;
+    maybe_close t ~now_ms
+  done
 
-let on_loss t ~now_ms =
-  if in_measurement t ~now_ms then t.mi_losses <- t.mi_losses + 1;
-  maybe_close t ~now_ms
+(* A loss can close the monitor interval, which changes whether the next
+   one is measured: the run's losses apply one by one. *)
+let on_loss t ~now_ms ~count =
+  for _ = 1 to count do
+    if in_measurement t ~now_ms then t.mi_losses <- t.mi_losses + 1;
+    maybe_close t ~now_ms
+  done
 
 let to_controller t =
   {
     Controller.name = "vivace";
-    on_ack = on_ack t;
-    on_loss = (fun ~now_ms -> on_loss t ~now_ms);
+    on_acks = on_acks t;
+    on_loss = on_loss t;
     cwnd = (fun () -> cwnd t);
   }

@@ -21,8 +21,10 @@ val create :
   t
 (** Defaults follow the paper: [t = 0.9], [b = 900], [c = 11.35]. *)
 
-val on_ack : t -> Canopy_netsim.Env.ack -> unit
-val on_loss : t -> now_ms:int -> unit
+val on_acks : t -> Canopy_netsim.Env.acks_handler
+(** A run of ACKs: the same state as [count] single ACKs. *)
+
+val on_loss : t -> Canopy_netsim.Env.loss_handler
 val cwnd : t -> float
 
 val rate_pkts_per_ms : t -> float

@@ -382,14 +382,16 @@ let eval_coexist ?(history = 5) ?interval_ms ?arrivals ~flows link =
             canopy.(i) <- Some st;
             (* One closure per event kind, as in [Fleet_env]. *)
             {
-              Canopy_netsim.Env.on_ack =
-                (fun ack ->
-                  Canopy_cc.Cubic.on_ack st.cc_cubic ack;
-                  Monitor.on_ack st.cc_monitor ack);
+              Canopy_netsim.Env.on_acks =
+                (fun ~now_ms ~rtt_ms ~first_seq ~count ~delivered ->
+                  Canopy_cc.Cubic.on_acks st.cc_cubic ~now_ms ~rtt_ms
+                    ~first_seq ~count ~delivered;
+                  Monitor.on_acks st.cc_monitor ~now_ms ~rtt_ms ~first_seq
+                    ~count ~delivered);
               on_loss =
-                (fun ~now_ms ->
-                  Canopy_cc.Cubic.on_loss st.cc_cubic ~now_ms;
-                  Monitor.on_loss st.cc_monitor ~now_ms);
+                (fun ~now_ms ~count ->
+                  Canopy_cc.Cubic.on_loss st.cc_cubic ~now_ms ~count;
+                  Monitor.on_loss st.cc_monitor ~now_ms ~count);
             }
         | Coexist_tcp (_, make) ->
             let c = make () in

@@ -1,18 +1,27 @@
-type ack = { now_ms : int; seq : int; rtt_ms : int; delivered : int }
-type handlers = { on_ack : ack -> unit; on_loss : now_ms:int -> unit }
+type acks_handler =
+  now_ms:int -> rtt_ms:int -> first_seq:int -> count:int -> delivered:int ->
+  unit
 
-let null_handlers = { on_ack = (fun _ -> ()); on_loss = (fun ~now_ms:_ -> ()) }
+type loss_handler = now_ms:int -> count:int -> unit
+type handlers = { on_acks : acks_handler; on_loss : loss_handler }
+
+let null_handlers =
+  {
+    on_acks =
+      (fun ~now_ms:_ ~rtt_ms:_ ~first_seq:_ ~count:_ ~delivered:_ -> ());
+    on_loss = (fun ~now_ms:_ ~count:_ -> ());
+  }
 
 let chain a b =
   {
-    on_ack =
-      (fun ack ->
-        a.on_ack ack;
-        b.on_ack ack);
+    on_acks =
+      (fun ~now_ms ~rtt_ms ~first_seq ~count ~delivered ->
+        a.on_acks ~now_ms ~rtt_ms ~first_seq ~count ~delivered;
+        b.on_acks ~now_ms ~rtt_ms ~first_seq ~count ~delivered);
     on_loss =
-      (fun ~now_ms ->
-        a.on_loss ~now_ms;
-        b.on_loss ~now_ms);
+      (fun ~now_ms ~count ->
+        a.on_loss ~now_ms ~count;
+        b.on_loss ~now_ms ~count);
   }
 
 type impairments = {

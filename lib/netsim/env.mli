@@ -17,25 +17,35 @@
     {!Fleet} is the simulator: it advances any number of independent
     links, and a one-flow fleet is the scalar link. This module holds what
     its callers share: the per-link configuration, the ack/loss event
-    handlers and the cumulative counters. *)
+    handlers and the cumulative counters.
 
-type ack = {
-  now_ms : int;  (** time the ACK reaches the sender *)
-  seq : int;
-  rtt_ms : int;  (** minRTT + queueing delay for this packet *)
-  delivered : int;  (** cumulative delivered count including this packet *)
-}
-(** Feedback for one acknowledged packet. *)
+    Feedback reaches the handlers in runs: packets sent in the same
+    millisecond and dequeued in the same millisecond return together,
+    with consecutive sequence numbers and one RTT, so the simulator
+    reports them as one event with a count (DESIGN §12). *)
 
-type handlers = {
-  on_ack : ack -> unit;
-  on_loss : now_ms:int -> unit;  (** one call per lost packet *)
-}
+type acks_handler =
+  now_ms:int -> rtt_ms:int -> first_seq:int -> count:int -> delivered:int ->
+  unit
+(** A run of [count >= 1] acknowledged packets, all reaching the sender
+    at [now_ms] with RTT [rtt_ms] (minRTT + queueing delay): sequence
+    numbers [first_seq .. first_seq + count - 1] in order, and
+    [delivered] is the cumulative delivered count including the whole
+    run, so the k-th ACK (from 0) would have seen
+    [delivered - count + 1 + k]. A handler behaves as if it had seen
+    those [count] ACKs one by one. *)
+
+type loss_handler = now_ms:int -> count:int -> unit
+(** [count >= 1] lost packets detected at [now_ms], as if reported one
+    by one. *)
+
+type handlers = { on_acks : acks_handler; on_loss : loss_handler }
 
 val null_handlers : handlers
 
 val chain : handlers -> handlers -> handlers
-(** Invoke both, first argument first. *)
+(** Invoke both, first argument first. Each sees a whole run before the
+    other does, so the two must share no mutable state. *)
 
 type impairments = {
   random_loss : float;  (** probability of non-congestive packet loss *)

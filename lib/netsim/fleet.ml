@@ -18,7 +18,18 @@
 
    Queueing delays are kept as an exact per-flow histogram: RTTs are
    whole milliseconds, so one int bin per millisecond of RTT - minRTT
-   reproduces the sample multiset in O(max delay) memory. *)
+   reproduces the sample multiset in O(max delay) memory.
+
+   Packets travel in runs. The sender's burst of one millisecond is one
+   queue entry; the bottleneck dequeues a run's packets in one step, and
+   the return path stores one entry per run of events with the same
+   arrival, kind and send time (and, for ACKs, consecutive sequence
+   numbers), which reaches the handlers as one call with a count. A run
+   is replayed exactly as its packets would have been one by one, so
+   per-millisecond work grows with runs, not packets. A flow that draws
+   per-packet randomness (random loss, ACK jitter, reordering) dequeues
+   one packet per step and draws exactly as a per-packet simulator
+   would. *)
 
 module Trace = Canopy_trace.Trace
 module Prng = Canopy_util.Prng
@@ -57,18 +68,24 @@ type t = {
   qd_hist : int array array;
   qd_sum_ms : int array;
   last_scheduled : int array;
-  (* bottleneck queue: per-flow fixed-capacity ring of (seq, sent_ms);
-     capacity = buffer_pkts, the droptail bound *)
+  (* bottleneck queue: per-flow fixed-capacity ring of runs (first seq,
+     sent_ms, packet count), [q_runs] runs holding [q_len] packets.
+     q_len <= buffer_pkts (droptail) and every run holds a packet, so
+     capacity = buffer_pkts runs *)
   q_seq : int array array;
   q_sent : int array array;
+  q_count : int array array;
   q_head : int array;
+  q_runs : int array;
   q_len : int array;
-  (* return path: per-flow growable ring of (arrival, kind, seq,
-     sent_ms); the outer slots are replaced on growth *)
+  (* return path: per-flow growable ring of event runs (arrival, kind,
+     first seq, sent_ms, count); the outer slots are replaced on
+     growth *)
   r_arrival : int array array;
   r_kind : int array array;
   r_seq : int array array;
   r_sent : int array array;
+  r_count : int array array;
   r_head : int array;
   r_len : int array;
   rng : Prng.t array;
@@ -84,12 +101,15 @@ let create cfgs =
       if cfg.mtu_bytes <= 0 then invalid_arg "Fleet.create: mtu_bytes";
       if not (Float.is_finite cfg.initial_cwnd && cfg.initial_cwnd >= 1.) then
         invalid_arg "Fleet.create: initial_cwnd";
-      if cfg.impairments.random_loss < 0. || cfg.impairments.random_loss >= 1.
-      then invalid_arg "Fleet.create: random_loss";
+      (* Written so that a NaN fails: every comparison with NaN is
+         false, and a NaN probability would silently never fire. *)
+      let is_prob p = p >= 0. && p < 1. in
+      if not (is_prob cfg.impairments.random_loss) then
+        invalid_arg "Fleet.create: random_loss";
       if cfg.impairments.ack_jitter_ms < 0 then
         invalid_arg "Fleet.create: ack_jitter_ms";
-      if cfg.impairments.reorder_prob < 0. || cfg.impairments.reorder_prob >= 1.
-      then invalid_arg "Fleet.create: reorder_prob";
+      if not (is_prob cfg.impairments.reorder_prob) then
+        invalid_arg "Fleet.create: reorder_prob";
       if cfg.impairments.reorder_ms < 0 then
         invalid_arg "Fleet.create: reorder_ms")
     cfgs;
@@ -144,12 +164,15 @@ let create cfgs =
     last_scheduled = Array.make n 0;
     q_seq = Array.map (fun (c : Env.config) -> Array.make c.buffer_pkts 0) cfgs;
     q_sent = Array.map (fun (c : Env.config) -> Array.make c.buffer_pkts 0) cfgs;
+    q_count = Array.map (fun (c : Env.config) -> Array.make c.buffer_pkts 0) cfgs;
     q_head = Array.make n 0;
+    q_runs = Array.make n 0;
     q_len = Array.make n 0;
     r_arrival = Array.init n (fun _ -> Array.make 16 0);
     r_kind = Array.init n (fun _ -> Array.make 16 0);
     r_seq = Array.init n (fun _ -> Array.make 16 0);
     r_sent = Array.init n (fun _ -> Array.make 16 0);
+    r_count = Array.init n (fun _ -> Array.make 16 0);
     r_head = Array.make n 0;
     r_len = Array.make n 0;
     rng = Array.map (fun (c : Env.config) -> Prng.create c.impairments.seed) cfgs;
@@ -191,6 +214,7 @@ let ret_grow t i =
   t.r_kind.(i) <- grow t.r_kind.(i);
   t.r_seq.(i) <- grow t.r_seq.(i);
   t.r_sent.(i) <- grow t.r_sent.(i);
+  t.r_count.(i) <- grow t.r_count.(i);
   t.r_head.(i) <- 0
 
 (* The ring is always sorted by arrival. With ACK jitter or reordering
@@ -198,16 +222,38 @@ let ret_grow t i =
    the first queued event whose arrival is >= its own, which is where a
    stable sort with the new event in front would put it. The watermark
    append is O(1); an out-of-order insert is a binary search plus a
-   shift of the events after it (the watermark is left untouched). *)
-let schedule t i arrival kind seq sent_ms =
+   shift of the events after it (the watermark is left untouched).
+
+   A new run joins a queued one when the handlers would see the two
+   back to back with nothing between them, so the merged entry replays
+   the same events in the same order: an in-order append extends the
+   tail entry if both have the same arrival, kind and send time and, for
+   ACKs, the new run's first seq follows the tail's last; an
+   out-of-order loss run is folded into the loss run it would land in
+   front of, if that has the same arrival (loss events carry no seq or
+   send time, so their order within the run does not matter). *)
+let schedule t i arrival kind seq sent_ms count =
   if t.r_len.(i) = Array.length t.r_arrival.(i) then ret_grow t i;
   let arr = t.r_arrival.(i) and kinds = t.r_kind.(i) in
   let seqs = t.r_seq.(i) and sents = t.r_sent.(i) in
+  let counts = t.r_count.(i) in
   let cap = Array.length arr and head = t.r_head.(i) and len = t.r_len.(i) in
+  (* The slot for a new entry, or -1 when the run joined a queued one. *)
   let pos =
     if arrival >= t.last_scheduled.(i) then begin
       t.last_scheduled.(i) <- arrival;
-      len
+      let tail = (head + len - 1) mod cap in
+      if
+        len > 0
+        && arr.(tail) = arrival
+        && kinds.(tail) = kind
+        && sents.(tail) = sent_ms
+        && (kind = ev_loss || seqs.(tail) + counts.(tail) = seq)
+      then begin
+        counts.(tail) <- counts.(tail) + count;
+        -1
+      end
+      else len
     end
     else begin
       let lo = ref 0 and hi = ref len in
@@ -216,22 +262,36 @@ let schedule t i arrival kind seq sent_ms =
         if arr.((head + mid) mod cap) < arrival then lo := mid + 1
         else hi := mid
       done;
-      for k = len downto !lo + 1 do
-        let dst = (head + k) mod cap and src = (head + k - 1) mod cap in
-        arr.(dst) <- arr.(src);
-        kinds.(dst) <- kinds.(src);
-        seqs.(dst) <- seqs.(src);
-        sents.(dst) <- sents.(src)
-      done;
-      !lo
+      let at = (head + !lo) mod cap in
+      if
+        kind = ev_loss && !lo < len && arr.(at) = arrival
+        && kinds.(at) = ev_loss
+      then begin
+        counts.(at) <- counts.(at) + count;
+        -1
+      end
+      else begin
+        for k = len downto !lo + 1 do
+          let dst = (head + k) mod cap and src = (head + k - 1) mod cap in
+          arr.(dst) <- arr.(src);
+          kinds.(dst) <- kinds.(src);
+          seqs.(dst) <- seqs.(src);
+          sents.(dst) <- sents.(src);
+          counts.(dst) <- counts.(src)
+        done;
+        !lo
+      end
     end
   in
-  let p = (head + pos) mod cap in
-  arr.(p) <- arrival;
-  kinds.(p) <- kind;
-  seqs.(p) <- seq;
-  sents.(p) <- sent_ms;
-  t.r_len.(i) <- len + 1
+  if pos >= 0 then begin
+    let p = (head + pos) mod cap in
+    arr.(p) <- arrival;
+    kinds.(p) <- kind;
+    seqs.(p) <- seq;
+    sents.(p) <- sent_ms;
+    counts.(p) <- count;
+    t.r_len.(i) <- len + 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* One millisecond of one flow *)
@@ -242,15 +302,17 @@ let schedule t i arrival kind seq sent_ms =
    words per flow while the interval runs: on a 264-flow serving episode
    that garbage costs an extra major GC cycle and more peak heap than
    doubling's overshoot. *)
-let bump_grown_bins t i q =
+let bump_grown_bins t i q count =
   if q < 0 then failwith "Fleet: RTT below minRTT";
   let bins = t.qd_hist.(i) in
   let want = Int.max (q + 1) (2 * Array.length bins) in
   let grown = Array.make ((want + 31) / 32 * 32) 0 in
   Array.blit bins 0 grown 0 (Array.length bins);
-  grown.(q) <- 1;
+  grown.(q) <- count;
   t.qd_hist.(i) <- grown
 
+(* One handler call per run: the counters, the histogram bin and the
+   delay sum move by the run's count at once. *)
 let process_return_path t (handlers : Env.handlers array) i ~now =
   let continue = ref true in
   while !continue && t.r_len.(i) > 0 do
@@ -258,69 +320,95 @@ let process_return_path t (handlers : Env.handlers array) i ~now =
     let arrival = t.r_arrival.(i).(head) in
     if arrival > now then continue := false
     else begin
-      let kind = t.r_kind.(i).(head) in
+      let kind = t.r_kind.(i).(head) and count = t.r_count.(i).(head) in
       let seq = t.r_seq.(i).(head) and sent_ms = t.r_sent.(i).(head) in
       let cap = Array.length t.r_arrival.(i) in
       t.r_head.(i) <- (head + 1) mod cap;
       t.r_len.(i) <- t.r_len.(i) - 1;
+      (* Every send adds one to [inflight] and yields exactly one ACK or
+         loss event, so a correct simulator never takes the counter
+         below zero; an underflow means packets were reported twice. *)
+      let inflight = t.inflight.(i) - count in
+      if inflight < 0 then failwith "Fleet: inflight underflow";
+      t.inflight.(i) <- inflight;
       if kind = ev_ack then begin
-        t.inflight.(i) <- Int.max 0 (t.inflight.(i) - 1);
-        t.delivered.(i) <- t.delivered.(i) + 1;
+        let delivered = t.delivered.(i) + count in
+        t.delivered.(i) <- delivered;
         let rtt = now - sent_ms in
         let q = rtt - t.min_rtt.(i) in
         let bins = t.qd_hist.(i) in
-        if q >= 0 && q < Array.length bins then bins.(q) <- bins.(q) + 1
-        else bump_grown_bins t i q;
-        t.qd_sum_ms.(i) <- t.qd_sum_ms.(i) + q;
-        handlers.(i).Env.on_ack
-          { Env.now_ms = now; seq; rtt_ms = rtt; delivered = t.delivered.(i) }
+        if q >= 0 && q < Array.length bins then bins.(q) <- bins.(q) + count
+        else bump_grown_bins t i q count;
+        t.qd_sum_ms.(i) <- t.qd_sum_ms.(i) + (q * count);
+        handlers.(i).Env.on_acks ~now_ms:now ~rtt_ms:rtt ~first_seq:seq ~count
+          ~delivered
       end
-      else begin
-        t.inflight.(i) <- Int.max 0 (t.inflight.(i) - 1);
-        handlers.(i).Env.on_loss ~now_ms:now
-      end
+      else handlers.(i).Env.on_loss ~now_ms:now ~count
     end
   done
 
+(* The sender sends [window - inflight] packets at once: the first ones
+   that fit in the buffer join the queue as one run, the rest are
+   tail-dropped as one loss run. The sender learns about a drop one
+   minRTT later, approximating dup-ACK detection. *)
 let sender_fill t i ~now =
   let window = Int.max 1 (int_of_float (Float.floor t.cwnd.(i))) in
-  while t.inflight.(i) < window do
+  let n = window - t.inflight.(i) in
+  if n > 0 then begin
     let seq = t.next_seq.(i) in
-    t.next_seq.(i) <- seq + 1;
-    t.sent.(i) <- t.sent.(i) + 1;
-    t.inflight.(i) <- t.inflight.(i) + 1;
-    if t.q_len.(i) < t.buffer.(i) then begin
-      let cap = t.buffer.(i) in
-      let tail = (t.q_head.(i) + t.q_len.(i)) mod cap in
+    t.next_seq.(i) <- seq + n;
+    t.sent.(i) <- t.sent.(i) + n;
+    t.inflight.(i) <- window;
+    let queued = Int.min n (t.buffer.(i) - t.q_len.(i)) in
+    if queued > 0 then begin
+      let tail = (t.q_head.(i) + t.q_runs.(i)) mod t.buffer.(i) in
       t.q_seq.(i).(tail) <- seq;
       t.q_sent.(i).(tail) <- now;
-      t.q_len.(i) <- t.q_len.(i) + 1
+      t.q_count.(i).(tail) <- queued;
+      t.q_runs.(i) <- t.q_runs.(i) + 1;
+      t.q_len.(i) <- t.q_len.(i) + queued
+    end;
+    let lost = n - queued in
+    if lost > 0 then begin
+      t.dropped.(i) <- t.dropped.(i) + lost;
+      schedule t i (now + t.min_rtt.(i)) ev_loss 0 0 lost
     end
-    else begin
-      (* Droptail: the sender learns about the loss one minRTT later,
-         approximating dup-ACK detection. *)
-      t.dropped.(i) <- t.dropped.(i) + 1;
-      schedule t i (now + t.min_rtt.(i)) ev_loss 0 0
-    end
-  done
+  end
 
+(* Each step dequeues [k] packets from the head run and schedules their
+   feedback as one run. A flow with per-packet randomness takes k = 1 and
+   makes its draws packet by packet, in the per-packet order; any other
+   flow takes as much of the head run as the opportunities allow. *)
 let drain_bottleneck t i ~now ~ppms =
   t.capacity_pkts.(i) <- t.capacity_pkts.(i) +. ppms;
   t.credit.(i) <- t.credit.(i) +. ppms;
   let opportunities = int_of_float (Float.floor t.credit.(i)) in
   t.credit.(i) <- t.credit.(i) -. float_of_int opportunities;
-  let used = Int.min opportunities t.q_len.(i) in
-  for _ = 1 to used do
-    let cap = t.buffer.(i) in
+  let left = ref (Int.min opportunities t.q_len.(i)) in
+  let per_packet =
+    t.random_loss.(i) > 0. || t.jitter.(i) > 0 || t.reorder_prob.(i) > 0.
+  in
+  let cap = t.buffer.(i) in
+  while !left > 0 do
     let head = t.q_head.(i) in
     let seq = t.q_seq.(i).(head) and sent_ms = t.q_sent.(i).(head) in
-    t.q_head.(i) <- (head + 1) mod cap;
-    t.q_len.(i) <- t.q_len.(i) - 1;
+    let run = t.q_count.(i).(head) in
+    let k = if per_packet then 1 else Int.min !left run in
+    if k = run then begin
+      t.q_head.(i) <- (head + 1) mod cap;
+      t.q_runs.(i) <- t.q_runs.(i) - 1
+    end
+    else begin
+      t.q_seq.(i).(head) <- seq + k;
+      t.q_count.(i).(head) <- run - k
+    end;
+    t.q_len.(i) <- t.q_len.(i) - k;
+    left := !left - k;
     if t.random_loss.(i) > 0. && Prng.float t.rng.(i) 1. < t.random_loss.(i)
     then begin
       (* non-congestive (e.g. wireless) loss after the bottleneck *)
-      t.dropped.(i) <- t.dropped.(i) + 1;
-      schedule t i (now + t.min_rtt.(i)) ev_loss 0 0
+      t.dropped.(i) <- t.dropped.(i) + k;
+      schedule t i (now + t.min_rtt.(i)) ev_loss 0 0 k
     end
     else begin
       (* The ACK returns minRTT after the dequeue instant, plus any
@@ -339,7 +427,9 @@ let drain_bottleneck t i ~now ~ppms =
         then t.reorder_ms.(i)
         else 0
       in
-      schedule t i (now + t.min_rtt.(i) + jitter + reorder) ev_ack seq sent_ms
+      schedule t i
+        (now + t.min_rtt.(i) + jitter + reorder)
+        ev_ack seq sent_ms k
     end
   done
 

@@ -4,7 +4,13 @@
     A fleet holds any number of links in flat per-flow arrays
     (cwnd/inflight/seq/delivered/dropped/credit plus ring-buffer
     bottleneck queues and return paths) and advances all of them through
-    blocks of milliseconds at once. A one-flow fleet is the scalar link:
+    blocks of milliseconds at once. Queues and return paths hold runs of
+    packets, not packets: the packets one millisecond's send puts in the
+    queue are one entry, and feedback that returns together (same
+    arrival, kind and send time, consecutive seqs) is one entry and one
+    handler call. Every trajectory is that of a per-packet simulator,
+    bit for bit; per-packet randomness (random loss, ACK jitter,
+    reordering) makes its draws packet by packet, in the same order. A one-flow fleet is the scalar link:
     the TCP baselines ([Canopy_cc.Runner]) and the Orca episode step one,
     and a lone flow never touches the domain pool.
 
@@ -29,8 +35,8 @@ val create : Env.config array -> t
 (** One link per config, all starting at time 0 with empty queues.
     Raises [Invalid_argument] on an empty array or an invalid config
     (minRTT < 2, empty buffer, non-positive MTU, an initial window that
-    is not a finite number >= 1, probabilities outside \[0,1), negative
-    delays). *)
+    is not a finite number >= 1, probabilities outside \[0,1) or NaN,
+    negative delays). *)
 
 val flows : t -> int
 val now_ms : t -> int
@@ -48,16 +54,18 @@ val queue_len : t -> flow:int -> int
 val run :
   ?after_tick:(int -> unit) -> t -> Env.handlers array -> ms:int -> unit
 (** [run t handlers ~ms] advances every flow by [ms] milliseconds;
-    [handlers.(i)] receives flow [i]'s ack/loss events. Each millisecond
+    [handlers.(i)] receives flow [i]'s ack/loss runs. Each millisecond
     of a flow delivers its due ACKs and loss notifications (invoking the
-    handlers), lets the sender fill the window, then drains the
-    bottleneck according to the trace. [after_tick i] (if given) runs
+    handlers once per run), lets the sender fill the window, then drains
+    the bottleneck according to the trace. [after_tick i] (if given) runs
     after each of flow [i]'s milliseconds — the hook a congestion
     controller backbone uses to refresh the flow's cwnd mid-interval.
     Handlers and [after_tick] execute inside pool chunks and therefore
     must touch only flow-local state (no cross-flow writes, no shared
     accumulators); this is what keeps fleet stepping race-free and
-    bit-identical at any domain count. *)
+    bit-identical at any domain count. Raises [Failure] if the packet
+    accounting breaks (an RTT below minRTT, more feedback than packets
+    in flight), which a correct simulator never does. *)
 
 (** {2 Per-flow counters and metrics} *)
 

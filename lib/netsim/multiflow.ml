@@ -96,6 +96,14 @@ let set_cwnd t ~flow w =
 let inflight t ~flow = t.flows.(flow).inflight
 let queue_len t = t.queue_len
 
+(* As in [Fleet]: every send yields exactly one ACK or loss event, so
+   an underflow means a packet was reported twice. *)
+let release f =
+  if f.inflight < 1 then failwith "Multiflow: inflight underflow";
+  f.inflight <- f.inflight - 1
+
+(* Flows share the queue, so feedback is reported packet by packet: runs
+   of one. *)
 let process_return_path t handlers =
   let continue = ref true in
   while !continue && not (Queue.is_empty t.return_path) do
@@ -106,23 +114,17 @@ let process_return_path t handlers =
       match ev with
       | Ev_ack { flow; seq; sent_ms } ->
           let f = t.flows.(flow) in
-          f.inflight <- Int.max 0 (f.inflight - 1);
+          release f;
           f.delivered <- f.delivered + 1;
           let rtt = t.now_ms - sent_ms in
           f.x.qdelay_sum_ms <-
             f.x.qdelay_sum_ms
             +. Float.max 0. (float_of_int rtt -. float_of_int f.min_rtt_ms);
-          handlers.(flow).Env.on_ack
-            {
-              Env.now_ms = t.now_ms;
-              seq;
-              rtt_ms = rtt;
-              delivered = f.delivered;
-            }
+          handlers.(flow).Env.on_acks ~now_ms:t.now_ms ~rtt_ms:rtt
+            ~first_seq:seq ~count:1 ~delivered:f.delivered
       | Ev_loss { flow } ->
-          let f = t.flows.(flow) in
-          f.inflight <- Int.max 0 (f.inflight - 1);
-          handlers.(flow).Env.on_loss ~now_ms:t.now_ms
+          release t.flows.(flow);
+          handlers.(flow).Env.on_loss ~now_ms:t.now_ms ~count:1
     end
   done
 

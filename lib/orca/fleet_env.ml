@@ -113,20 +113,24 @@ let create (cfgs : config array) =
       cfgs
   in
   (* One closure per event kind and flow calls the backbone and then the
-     monitor directly, so a packet passes through no intermediate
-     closure (DESIGN §12, "The per-packet path"). *)
+     monitor directly, so a run passes through no intermediate closure
+     (DESIGN §12, "The per-packet path"). The two share no state, so
+     Cubic taking the whole run before the monitor does leaves both as
+     a per-ACK interleaving would. *)
   let handlers =
     Array.init n (fun i ->
         let cubic = cubic.(i) and monitor = monitor.(i) in
         {
-          Env.on_ack =
-            (fun ack ->
-              Canopy_cc.Cubic.on_ack cubic ack;
-              Monitor.on_ack monitor ack);
+          Env.on_acks =
+            (fun ~now_ms ~rtt_ms ~first_seq ~count ~delivered ->
+              Canopy_cc.Cubic.on_acks cubic ~now_ms ~rtt_ms ~first_seq ~count
+                ~delivered;
+              Monitor.on_acks monitor ~now_ms ~rtt_ms ~first_seq ~count
+                ~delivered);
           on_loss =
-            (fun ~now_ms ->
-              Canopy_cc.Cubic.on_loss cubic ~now_ms;
-              Monitor.on_loss monitor ~now_ms);
+            (fun ~now_ms ~count ->
+              Canopy_cc.Cubic.on_loss cubic ~now_ms ~count;
+              Monitor.on_loss monitor ~now_ms ~count);
         })
   in
   let after_tick i = Fleet.set_cwnd fleet ~flow:i (Canopy_cc.Cubic.cwnd cubic.(i)) in

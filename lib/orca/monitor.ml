@@ -30,21 +30,20 @@ let create ?delay_noise ~min_rtt_ms () =
     x = { rtt_sum_ms = 0.; srtt_ms = 0.; last_noise = 1. };
   }
 
-let on_ack t (ack : Canopy_netsim.Env.ack) =
-  t.acks <- t.acks + 1;
+let on_acks t ~now_ms:_ ~rtt_ms ~first_seq:_ ~count ~delivered:_ =
+  t.acks <- t.acks + count;
   let x = t.x in
-  let rtt = float_of_int ack.rtt_ms in
-  x.rtt_sum_ms <- x.rtt_sum_ms +. rtt;
-  x.srtt_ms <-
-    (if x.srtt_ms = 0. then rtt else (0.875 *. x.srtt_ms) +. (0.125 *. rtt))
+  let rtt = float_of_int rtt_ms in
+  for _ = 1 to count do
+    x.rtt_sum_ms <- x.rtt_sum_ms +. rtt;
+    x.srtt_ms <-
+      (if x.srtt_ms = 0. then rtt else (0.875 *. x.srtt_ms) +. (0.125 *. rtt))
+  done
 
-let on_loss t ~now_ms:_ = t.losses <- t.losses + 1
+let on_loss t ~now_ms:_ ~count = t.losses <- t.losses + count
 
 let handlers t =
-  {
-    Canopy_netsim.Env.on_ack = on_ack t;
-    on_loss = (fun ~now_ms -> on_loss t ~now_ms);
-  }
+  { Canopy_netsim.Env.on_acks = on_acks t; on_loss = on_loss t }
 
 let srtt_ms t = t.x.srtt_ms
 let last_qdelay_noise t = t.x.last_noise

@@ -17,16 +17,16 @@ val create :
 (** [delay_noise (rng, mu)] multiplies each interval's observed queueing
     delay by a uniform factor in [\[1−mu, 1+mu\]]. *)
 
-val on_ack : t -> Canopy_netsim.Env.ack -> unit
-(** Count one acknowledged packet and fold its RTT into the interval sum
-    and the smoothed RTT. *)
+val on_acks : t -> Canopy_netsim.Env.acks_handler
+(** Count a run of [count] acknowledged packets and fold each one's RTT
+    into the interval sum and the smoothed RTT, one by one. *)
 
-val on_loss : t -> now_ms:int -> unit
-(** Count one lost packet. *)
+val on_loss : t -> Canopy_netsim.Env.loss_handler
+(** Count [count] lost packets. *)
 
 val handlers : t -> Canopy_netsim.Env.handlers
-(** {!on_ack} and {!on_loss} as simulator hooks (chainable with the
-    backbone controller's). The per-packet paths call {!on_ack} and
+(** {!on_acks} and {!on_loss} as simulator hooks (chainable with the
+    backbone controller's). The per-packet paths call {!on_acks} and
     {!on_loss} directly from one per-flow closure instead. *)
 
 val take : t -> now_ms:int -> cwnd_pkts:float -> Observation.t

@@ -89,11 +89,18 @@ let parse ~path contents =
     | Some i -> i
     | None -> fail "bad int in %S" key
   in
+  (* [float_of_string_opt] accepts "nan" and "inf", which no search
+     writes: a NaN would fail only later, in the clamp, and an infinity
+     would be silently clamped to a bound. *)
   let vector =
     Array.map
       (fun d ->
         match Hashtbl.find_opt dims_tbl d.Space.dim_name with
-        | Some v -> float_field v
+        | Some v ->
+            let x = float_field v in
+            if not (Float.is_finite x) then
+              fail "non-finite dim %s %S" d.Space.dim_name v;
+            x
         | None -> fail "missing dim %S" d.Space.dim_name)
       Space.dims
   in

@@ -26,7 +26,8 @@ val save : dir:string -> duration_ms:int -> record -> string
     creating [dir] as needed; both atomically. Returns the record path. *)
 
 val load_file : string -> record
-(** Raises [Failure] on malformed or version-mismatched input. *)
+(** Raises [Failure] on malformed or version-mismatched input, including
+    a NaN or infinite dim. *)
 
 val load_dir : string -> record list
 (** All [*.scn] records under the directory, sorted by file name;

@@ -44,10 +44,13 @@ let dims =
 
 let n_dims = Array.length dims
 
+(* [Float.min]/[Float.max] return a NaN argument unchanged, so a NaN
+   coordinate would leave the box: it fails here instead. *)
 let clamp v =
   if Array.length v <> n_dims then invalid_arg "Space.clamp: vector length";
   Array.mapi
     (fun i x ->
+      if Float.is_nan x then invalid_arg "Space.clamp: NaN coordinate";
       let d = dims.(i) in
       Float.min d.hi (Float.max d.lo x))
     v
@@ -91,8 +94,8 @@ let to_vector p =
 
 let sample rng = Array.map (fun d -> Prng.uniform rng d.lo d.hi) dims
 
-(* Every caller clamps to the (finite) box bounds first, so the value is
-   always in range for the conversion. *)
+(* Every caller clamps to the (finite) box bounds first, and the clamp
+   rejects NaN, so the value is always in range for the conversion. *)
 let round_pos x =
   max 0 (int_of_float (Float.floor (x +. 0.5))) (* lint-ignore: int-of-float *)
 

@@ -44,12 +44,16 @@ val n_dims : int
 
 val of_vector : float array -> params
 (** Decode a search vector, clamping every coordinate into its box
-    bounds. Raises [Invalid_argument] on a wrong-length vector. *)
+    bounds. Raises [Invalid_argument] on a wrong-length vector or a NaN
+    coordinate. *)
 
 val to_vector : params -> float array
 
 val clamp : float array -> float array
-(** Fresh vector with every coordinate clamped into its bounds. *)
+(** Fresh vector with every coordinate clamped into its bounds (an
+    infinity goes to the bound on its side). Raises [Invalid_argument]
+    on a wrong-length vector or a NaN coordinate, which has no place in
+    the box. *)
 
 val sample : Canopy_util.Prng.t -> float array
 (** Uniform draw from the box. *)

@@ -11,8 +11,9 @@ module Trace = Canopy_trace.Trace
 let check_float = Alcotest.(check (float 1e-9))
 let check_bool = Alcotest.(check bool)
 
-let ack ?(now = 100) ?(rtt = 20) ?(seq = 0) ?(delivered = 1) () =
-  { Env.now_ms = now; seq; rtt_ms = rtt; delivered }
+(* One ACK, as a run of one, through a controller's [on_acks]. *)
+let ack ?(now = 100) ?(rtt = 20) ?(seq = 0) ?(delivered = 1) on_acks =
+  on_acks ~now_ms:now ~rtt_ms:rtt ~first_seq:seq ~count:1 ~delivered
 
 (* ------------------------------------------------------------------ *)
 (* Cubic *)
@@ -21,14 +22,14 @@ let test_cubic_slow_start_growth () =
   let c = Cubic.create ~initial_cwnd:10. () in
   check_bool "starts in slow start" true (Cubic.in_slow_start c);
   for i = 1 to 5 do
-    Cubic.on_ack c (ack ~now:(100 + i) ())
+    ack ~now:(100 + i) (Cubic.on_acks c)
   done;
   check_float "one packet per ack" 15. (Cubic.cwnd c)
 
 let test_cubic_loss_reaction () =
   let c = Cubic.create ~initial_cwnd:100. () in
-  Cubic.on_ack c (ack ());
-  Cubic.on_loss c ~now_ms:200;
+  ack (Cubic.on_acks c);
+  Cubic.on_loss c ~now_ms:200 ~count:1;
   check_bool "multiplicative decrease" true (Cubic.cwnd c < 101.);
   check_float "w_max anchored" 101. (Cubic.w_max c);
   check_bool "left slow start" false (Cubic.in_slow_start c)
@@ -36,22 +37,22 @@ let test_cubic_loss_reaction () =
 let test_cubic_loss_guard () =
   (* A burst of drops within one RTT counts as a single event. *)
   let c = Cubic.create ~initial_cwnd:100. () in
-  Cubic.on_ack c (ack ~rtt:50 ());
-  Cubic.on_loss c ~now_ms:200;
+  ack ~rtt:50 (Cubic.on_acks c);
+  Cubic.on_loss c ~now_ms:200 ~count:1;
   let after_first = Cubic.cwnd c in
-  Cubic.on_loss c ~now_ms:205;
+  Cubic.on_loss c ~now_ms:205 ~count:1;
   check_float "second drop ignored" after_first (Cubic.cwnd c);
-  Cubic.on_loss c ~now_ms:300;
+  Cubic.on_loss c ~now_ms:300 ~count:1;
   check_bool "later drop applies" true (Cubic.cwnd c < after_first)
 
 let test_cubic_concave_recovery () =
   (* After a loss, congestion avoidance should climb back toward w_max. *)
   let c = Cubic.create ~initial_cwnd:100. () in
-  Cubic.on_ack c (ack ~now:100 ~rtt:20 ());
-  Cubic.on_loss c ~now_ms:150;
+  ack ~now:100 ~rtt:20 (Cubic.on_acks c);
+  Cubic.on_loss c ~now_ms:150 ~count:1;
   let floor = Cubic.cwnd c in
   for i = 1 to 2000 do
-    Cubic.on_ack c (ack ~now:(150 + (i * 5)) ~rtt:20 ())
+    ack ~now:(150 + (i * 5)) ~rtt:20 (Cubic.on_acks c)
   done;
   check_bool "recovered above the floor" true (Cubic.cwnd c > floor +. 5.);
   check_bool "approaches w_max region" true (Cubic.cwnd c > 0.8 *. Cubic.w_max c)
@@ -67,7 +68,7 @@ let test_cubic_controller_wrapper () =
   let c = Cubic.create ~initial_cwnd:10. () in
   let ctrl = Cubic.to_controller c in
   Alcotest.(check string) "name" "cubic" ctrl.Controller.name;
-  ctrl.Controller.on_ack (ack ());
+  ack ctrl.Controller.on_acks;
   check_float "wrapper forwards acks" 11. (ctrl.Controller.cwnd ())
 
 (* ------------------------------------------------------------------ *)
@@ -76,17 +77,17 @@ let test_cubic_controller_wrapper () =
 let test_reno_slow_start_then_ca () =
   let r = Reno.create ~initial_cwnd:2. () in
   check_bool "slow start" true (Reno.in_slow_start r);
-  Reno.on_loss r ~now_ms:100;
+  Reno.on_loss r ~now_ms:100 ~count:1;
   check_bool "ca after loss" false (Reno.in_slow_start r);
   check_float "halved" 2. (Reno.cwnd r);
   (* additive increase: +1/cwnd per ack *)
-  Reno.on_ack r (ack ~now:200 ());
+  ack ~now:200 (Reno.on_acks r);
   check_float "ai" 2.5 (Reno.cwnd r)
 
 let test_reno_floor () =
   let r = Reno.create ~initial_cwnd:2. () in
-  Reno.on_loss r ~now_ms:100;
-  Reno.on_loss r ~now_ms:500;
+  Reno.on_loss r ~now_ms:100 ~count:1;
+  Reno.on_loss r ~now_ms:500 ~count:1;
   check_bool "never below 2" true (Reno.cwnd r >= 2.)
 
 (* ------------------------------------------------------------------ *)
@@ -94,18 +95,18 @@ let test_reno_floor () =
 
 let test_vegas_tracks_base_rtt () =
   let v = Vegas.create () in
-  Vegas.on_ack v (ack ~now:50 ~rtt:40 ());
-  Vegas.on_ack v (ack ~now:100 ~rtt:25 ());
+  ack ~now:50 ~rtt:40 (Vegas.on_acks v);
+  ack ~now:100 ~rtt:25 (Vegas.on_acks v);
   check_float "base rtt is min" 25. (Vegas.base_rtt_ms v)
 
 let test_vegas_backs_off_on_delay () =
   (* Excess queueing (diff > beta) must shrink the window once per RTT. *)
   let v = Vegas.create ~initial_cwnd:50. () in
-  Vegas.on_ack v (ack ~now:10 ~rtt:20 ());
+  ack ~now:10 ~rtt:20 (Vegas.on_acks v);
   let before = Vegas.cwnd v in
   (* inflate RTT: diff = cwnd*(1 - 20/60) = large *)
   for i = 1 to 100 do
-    Vegas.on_ack v (ack ~now:(10 + (i * 2)) ~rtt:60 ())
+    ack ~now:(10 + (i * 2)) ~rtt:60 (Vegas.on_acks v)
   done;
   check_bool "window reduced" true (Vegas.cwnd v < before)
 
@@ -113,15 +114,15 @@ let test_vegas_grows_when_uncongested () =
   let v = Vegas.create ~initial_cwnd:10. () in
   let before = Vegas.cwnd v in
   for i = 1 to 100 do
-    Vegas.on_ack v (ack ~now:(i * 2) ~rtt:20 ())
+    ack ~now:(i * 2) ~rtt:20 (Vegas.on_acks v)
   done;
   check_bool "window grew" true (Vegas.cwnd v > before)
 
 let test_vegas_loss_reaction () =
   let v = Vegas.create ~initial_cwnd:40. () in
-  Vegas.on_ack v (ack ~rtt:20 ());
+  ack ~rtt:20 (Vegas.on_acks v);
   let before = Vegas.cwnd v in
-  Vegas.on_loss v ~now_ms:100;
+  Vegas.on_loss v ~now_ms:100 ~count:1;
   check_float "3/4 backoff" (0.75 *. before) (Vegas.cwnd v)
 
 let test_vegas_alpha_beta_validation () =
@@ -140,7 +141,7 @@ let test_bbr_estimates () =
   check_float "no bw yet" 0. (Bbr.btl_bw_pkts_per_ms b);
   (* feed a steady 2 pkts/ms delivery at 20ms RTT *)
   for i = 1 to 100 do
-    Bbr.on_ack b (ack ~now:(i * 10) ~rtt:20 ~delivered:(i * 20) ())
+    ack ~now:(i * 10) ~rtt:20 ~delivered:(i * 20) (Bbr.on_acks b)
   done;
   check_float "rt_prop" 20. (Bbr.rt_prop_ms b);
   check_bool "bw near 2 pkt/ms" true
@@ -149,14 +150,14 @@ let test_bbr_estimates () =
 let test_bbr_leaves_startup_on_plateau () =
   let b = Bbr.create () in
   for i = 1 to 300 do
-    Bbr.on_ack b (ack ~now:(i * 10) ~rtt:20 ~delivered:(i * 20) ())
+    ack ~now:(i * 10) ~rtt:20 ~delivered:(i * 20) (Bbr.on_acks b)
   done;
   check_bool "left startup" true (Bbr.mode b <> "startup")
 
 let test_bbr_cwnd_tracks_bdp () =
   let b = Bbr.create () in
   for i = 1 to 400 do
-    Bbr.on_ack b (ack ~now:(i * 10) ~rtt:20 ~delivered:(i * 20) ())
+    ack ~now:(i * 10) ~rtt:20 ~delivered:(i * 20) (Bbr.on_acks b)
   done;
   (* bdp = 2 pkt/ms * 20 ms = 40 pkts; probe gains within [0.75, 1.25] *)
   check_bool "cwnd near bdp" true
@@ -165,7 +166,7 @@ let test_bbr_cwnd_tracks_bdp () =
 let test_bbr_loss_tolerant () =
   let b = Bbr.create ~initial_cwnd:100. () in
   let before = Bbr.cwnd b in
-  Bbr.on_loss b ~now_ms:10;
+  Bbr.on_loss b ~now_ms:10 ~count:1;
   check_bool "small reaction only" true (Bbr.cwnd b >= 0.9 *. before)
 
 (* ------------------------------------------------------------------ *)
@@ -308,13 +309,13 @@ let test_vivace_utility_rewards_throughput () =
   let drive acks_per_mi =
     let v = Vivace.create () in
     (* establish srtt = 20 *)
-    Vivace.on_ack v (ack ~now:1 ~rtt:20 ());
+    ack ~now:1 ~rtt:20 (Vivace.on_acks v);
     (* one full warmup + measurement interval: events at 41..80 *)
     for i = 1 to acks_per_mi do
-      Vivace.on_ack v (ack ~now:(41 + (i * 39 / acks_per_mi)) ~rtt:20 ())
+      ack ~now:(41 + (i * 39 / acks_per_mi)) ~rtt:20 (Vivace.on_acks v)
     done;
     (* close the interval *)
-    Vivace.on_ack v (ack ~now:100 ~rtt:20 ());
+    ack ~now:100 ~rtt:20 (Vivace.on_acks v);
     Vivace.utility v
   in
   check_bool "more acks, more utility" true (drive 40 >= drive 10)
@@ -346,15 +347,55 @@ let qcheck_cc =
     List.iter
       (fun (dt, rtt, is_loss) ->
         now := !now + dt;
-        if is_loss then ctrl.Controller.on_loss ~now_ms:!now
+        if is_loss then ctrl.Controller.on_loss ~now_ms:!now ~count:1
         else begin
           incr delivered;
-          ctrl.Controller.on_ack
-            { Env.now_ms = !now; seq = !delivered; rtt_ms = rtt;
-              delivered = !delivered }
+          ctrl.Controller.on_acks ~now_ms:!now ~rtt_ms:rtt
+            ~first_seq:!delivered ~count:1 ~delivered:!delivered
         end)
       stream;
     ctrl.Controller.cwnd ()
+  in
+  (* Random runs: (dt_ms, rtt_ms, is_loss, count); dt = 0 puts two runs
+     in one millisecond, where the loss guards matter. *)
+  let run_stream =
+    list_of_size Gen.(10 -- 200)
+      (quad (int_range 0 20) (int_range 20 300) bool (int_range 1 8))
+  in
+  (* A run leaves a controller exactly where its events fed one by one
+     (runs of one) leave it: the windows are compared bit for bit after
+     every run. *)
+  let runs_match_single_events make stream =
+    let a : Controller.t = make () and b : Controller.t = make () in
+    let now = ref 0 and delivered = ref 0 in
+    List.for_all
+      (fun (dt, rtt, is_loss, count) ->
+        now := !now + dt;
+        if is_loss then begin
+          a.on_loss ~now_ms:!now ~count;
+          for _ = 1 to count do
+            b.on_loss ~now_ms:!now ~count:1
+          done
+        end
+        else begin
+          let first_seq = !delivered in
+          delivered := !delivered + count;
+          a.on_acks ~now_ms:!now ~rtt_ms:rtt ~first_seq ~count
+            ~delivered:!delivered;
+          for k = 0 to count - 1 do
+            b.on_acks ~now_ms:!now ~rtt_ms:rtt ~first_seq:(first_seq + k)
+              ~count:1
+              ~delivered:(!delivered - count + 1 + k)
+          done
+        end;
+        Int64.equal
+          (Int64.bits_of_float (a.cwnd ()))
+          (Int64.bits_of_float (b.cwnd ())))
+      stream
+  in
+  let runs_test name make =
+    Test.make ~name:(name ^ ": a run equals its events one by one") ~count:200
+      run_stream (runs_match_single_events make)
   in
   [
     Test.make ~name:"cubic window finite and >= 2 under any feedback"
@@ -398,6 +439,11 @@ let qcheck_cc =
             stream
         in
         Float.is_finite w && w >= 2.);
+    runs_test "cubic" (fun () -> Cubic.to_controller (Cubic.create ()));
+    runs_test "reno" (fun () -> Reno.to_controller (Reno.create ()));
+    runs_test "vegas" (fun () -> Vegas.to_controller (Vegas.create ()));
+    runs_test "bbr" (fun () -> Bbr.to_controller (Bbr.create ()));
+    runs_test "vivace" (fun () -> Vivace.to_controller (Vivace.create ()));
   ]
 
 let suite = suite @ vivace_suite @ List.map QCheck_alcotest.to_alcotest qcheck_cc

@@ -8,15 +8,18 @@
    the failure lists every differing key, and the lines to paste into
    the fixture are printed on stdout.
 
-   Three families are pinned:
+   Five families are pinned:
    - [agent/...]: Orca episodes on the 22 suite traces (1 s, 2 BDP,
      minRTT 30-50 ms), clean and impaired, driven by the committed
      [actor_h8.ckpt]; per step the state, the action and the reward,
-     then the episode's link metrics;
+     then the episode's link metrics; plus the first impaired episode
+     with the action unshifted (a drop storm under jitter);
    - [runner/...]: [Runner.run] metrics and time series for five TCP
      baselines on the same links;
    - [fleet/...]: the ack and loss event streams and final counters of a
-     5-flow fleet under a fixed window schedule, one flow impaired;
+     5-flow fleet under a fixed window schedule, one flow impaired, and
+     of three links with one impairment each (random loss, ACK jitter,
+     reordering) whose windows overflow the buffer;
    - [cert/...]: step certificates along the clean [agent/...] episodes,
      per engine, model and property: every component's action interval,
      output interval, distance and certified flag, then the certificate's
@@ -70,6 +73,29 @@ let add_float b x = Buffer.add_int64_le b (Int64.bits_of_float x)
 let add_floats b xs = Array.iter (add_float b) xs
 let add_int b n = add_float b (float_of_int n)
 let crc b = Crc32.to_hex (Crc32.string (Buffer.contents b))
+
+(* Handlers that digest every event as a per-packet simulator reported
+   it: a run of ACKs expands into one record per ACK (its time, seq, RTT
+   and delivered count), a run of losses into one record per loss. The
+   streams pinned before feedback came in runs therefore still match. *)
+let digest_events b =
+  {
+    Env.on_acks =
+      (fun ~now_ms ~rtt_ms ~first_seq ~count ~delivered ->
+        for k = 0 to count - 1 do
+          add_float b 0.;
+          add_int b now_ms;
+          add_int b (first_seq + k);
+          add_int b rtt_ms;
+          add_int b (delivered - count + 1 + k)
+        done);
+    on_loss =
+      (fun ~now_ms ~count ->
+        for _ = 1 to count do
+          add_float b 1.;
+          add_int b now_ms
+        done);
+  }
 
 (* Compare every computed (key, crc) pair of one family with the
    fixture, and require the fixture to hold no other key of the family. *)
@@ -162,12 +188,16 @@ let fixture_actor = lazy (Canopy.Trainer.load_actor (fixture "actor_h8.ckpt"))
    saturates near a = 1 and drives the window to the 50 000-packet
    clamp, where thousands of packets a millisecond are tail-dropped.
    With ACK jitter or reordering their loss events arrive before the
-   latest ACK scheduled, and each one is inserted ahead of the same
-   millisecond's earlier drops, so every millisecond costs time
-   quadratic in its drops: unshifted, the first impaired episode takes
-   about 5.5 minutes on a 2-vCPU Xeon VM. Impaired episodes therefore
-   shift the action down by one, keeping the window at or below
-   Cubic's suggestion while the actor still sets it. *)
+   latest ACK scheduled. When each drop was its own event, each one was
+   inserted ahead of the same millisecond's earlier drops, so every
+   millisecond cost time quadratic in its drops: unshifted, the first
+   impaired episode took about 4 minutes on a 2-vCPU Xeon VM. One
+   millisecond's drops are now one loss run, inserted once, and that
+   episode takes about a millisecond; it is pinned as
+   [agent/impaired-unshifted/...] below. The impaired suite episodes
+   keep their action shift, which holds the window at or below Cubic's
+   suggestion while the actor still sets it, because their digests are
+   frozen with it. *)
 let agent_runs variant =
   let actor = Lazy.force fixture_actor in
   let policy =
@@ -192,11 +222,28 @@ let agent_runs variant =
 (* The clean runs are shared with the certificate family below. *)
 let clean_runs = lazy (agent_runs "clean")
 
+(* The first impaired episode without the action shift: the drop storm
+   the shifted episodes avoid, frozen on the per-packet simulator. *)
+let unshifted_impaired_run () =
+  let actor = Lazy.force fixture_actor in
+  let name, trace, min_rtt_ms, buffer_pkts = List.hd (suite_links ()) in
+  let cfg =
+    {
+      (Agent_env.default_config ~trace ~min_rtt_ms ~buffer_pkts
+         ~duration_ms:1_000)
+      with
+      impairments = impaired 0;
+    }
+  in
+  ( Printf.sprintf "agent/impaired-unshifted/%s" name,
+    agent_run ~policy:(fun s -> clamp (Mlp.forward actor s).(0)) cfg )
+
 let test_agent_episodes () =
   check_family ~prefix:"agent/"
     (List.map
        (fun (key, (crc, _)) -> (key, crc))
-       (Lazy.force clean_runs @ agent_runs "impaired"))
+       (Lazy.force clean_runs @ agent_runs "impaired"
+       @ [ unshifted_impaired_run () ]))
 
 (* ------------------------------------------------------------------ *)
 (* (b) TCP baselines through Runner *)
@@ -255,10 +302,43 @@ let test_runner_metrics () =
 (* ------------------------------------------------------------------ *)
 (* (c) Fleet event streams *)
 
+(* Drive [cfgs] through eight 50 ms segments, flow [i] at window
+   [window i seg] in segment [seg]; per flow, digest every ack and loss
+   event, then the flow's counters and metrics. *)
+let fleet_stream_digests cfgs ~window =
+  let n = Array.length cfgs in
+  let bufs = Array.init n (fun _ -> digest ()) in
+  let handlers = Array.map digest_events bufs in
+  let fleet = Fleet.create cfgs in
+  for seg = 0 to 7 do
+    for i = 0 to n - 1 do
+      Fleet.set_cwnd fleet ~flow:i (window i seg)
+    done;
+    Fleet.run fleet handlers ~ms:50
+  done;
+  Array.to_list
+    (Array.mapi
+       (fun flow b ->
+         add_int b (Fleet.now_ms fleet);
+         add_int b (Fleet.sent fleet ~flow);
+         add_int b (Fleet.delivered fleet ~flow);
+         add_int b (Fleet.dropped fleet ~flow);
+         add_int b (Fleet.inflight fleet ~flow);
+         add_int b (Fleet.queue_len fleet ~flow);
+         add_floats b
+           [|
+             Fleet.capacity_pkts fleet ~flow;
+             Fleet.cwnd fleet ~flow;
+             Fleet.utilization fleet ~flow;
+             Fleet.loss_rate fleet ~flow;
+             Fleet.avg_qdelay_ms fleet ~flow;
+           |];
+         crc b)
+       bufs)
+
 (* Five constant-rate links, flow 1 at a shorter minRTT and flow 3
-   impaired, driven through eight 50 ms segments of a fixed window
-   schedule. *)
-let test_fleet_events () =
+   impaired. *)
+let mixed_fleet_digests () =
   let n = 5 in
   let cfgs =
     Array.init n (fun i ->
@@ -284,50 +364,49 @@ let test_fleet_events () =
              else Env.no_impairments);
         })
   in
-  let bufs = Array.init n (fun _ -> digest ()) in
-  let handlers =
-    Array.init n (fun i ->
-        {
-          Env.on_ack =
-            (fun (a : Env.ack) ->
-              add_float bufs.(i) 0.;
-              add_int bufs.(i) a.now_ms;
-              add_int bufs.(i) a.seq;
-              add_int bufs.(i) a.rtt_ms;
-              add_int bufs.(i) a.delivered);
-          on_loss =
-            (fun ~now_ms ->
-              add_float bufs.(i) 1.;
-              add_int bufs.(i) now_ms);
-        })
+  List.mapi
+    (fun i crc -> (Printf.sprintf "fleet/flow%d" i, crc))
+    (fleet_stream_digests cfgs ~window:(fun i seg ->
+         4. +. float_of_int (((i * 7) + (seg * 13)) mod 40)))
+
+(* One impairment per link: random loss alone (losses interleave with
+   the same millisecond's ACKs in arrival order), ACK jitter alone and
+   reordering alone (events arrive out of order). The windows overflow
+   the 60-packet buffer in some segments, so tail-drop bursts mix with
+   each stream. *)
+let single_impairment_digests () =
+  let links =
+    [
+      ("random-loss", { Env.no_impairments with random_loss = 0.05; seed = 21 });
+      ("jitter", { Env.no_impairments with ack_jitter_ms = 4; seed = 22 });
+      ( "reorder",
+        { Env.no_impairments with reorder_prob = 0.1; reorder_ms = 8; seed = 23 }
+      );
+    ]
   in
-  let fleet = Fleet.create cfgs in
-  for seg = 0 to 7 do
-    for i = 0 to n - 1 do
-      Fleet.set_cwnd fleet ~flow:i
-        (4. +. float_of_int (((i * 7) + (seg * 13)) mod 40))
-    done;
-    Fleet.run fleet handlers ~ms:50
-  done;
+  let cfgs =
+    Array.of_list
+      (List.map
+         (fun (name, impairments) ->
+           {
+             Env.trace = Trace.constant ~name ~duration_ms:400 ~mbps:24.;
+             min_rtt_ms = 40;
+             buffer_pkts = 60;
+             mtu_bytes = Env.default_mtu;
+             initial_cwnd = 10.;
+             impairments;
+           })
+         links)
+  in
+  let windows = [| 20.; 90.; 200.; 30.; 150.; 8.; 120.; 60. |] in
+  List.map2
+    (fun (name, _) crc -> ("fleet/" ^ name, crc))
+    links
+    (fleet_stream_digests cfgs ~window:(fun _ seg -> windows.(seg)))
+
+let test_fleet_events () =
   check_family ~prefix:"fleet/"
-    (List.init n (fun i ->
-         let b = bufs.(i) in
-         let flow = i in
-         add_int b (Fleet.now_ms fleet);
-         add_int b (Fleet.sent fleet ~flow);
-         add_int b (Fleet.delivered fleet ~flow);
-         add_int b (Fleet.dropped fleet ~flow);
-         add_int b (Fleet.inflight fleet ~flow);
-         add_int b (Fleet.queue_len fleet ~flow);
-         add_floats b
-           [|
-             Fleet.capacity_pkts fleet ~flow;
-             Fleet.cwnd fleet ~flow;
-             Fleet.utilization fleet ~flow;
-             Fleet.loss_rate fleet ~flow;
-             Fleet.avg_qdelay_ms fleet ~flow;
-           |];
-         (Printf.sprintf "fleet/flow%d" i, crc b)))
+    (mixed_fleet_digests () @ single_impairment_digests ())
 
 (* ------------------------------------------------------------------ *)
 (* (d) Certificates *)
@@ -502,22 +581,8 @@ let hetero_rtt_digests () =
   let bufs = Array.init n (fun _ -> digest ()) in
   let handlers =
     Array.init n (fun i ->
-        let c = Canopy_cc.Controller.handlers ctrls.(i) in
-        {
-          Env.on_ack =
-            (fun (a : Env.ack) ->
-              add_float bufs.(i) 0.;
-              add_int bufs.(i) a.now_ms;
-              add_int bufs.(i) a.seq;
-              add_int bufs.(i) a.rtt_ms;
-              add_int bufs.(i) a.delivered;
-              c.on_ack a);
-          on_loss =
-            (fun ~now_ms ->
-              add_float bufs.(i) 1.;
-              add_int bufs.(i) now_ms;
-              c.on_loss ~now_ms);
-        })
+        Env.chain (digest_events bufs.(i))
+          (Canopy_cc.Controller.handlers ctrls.(i)))
   in
   for _ = 1 to 1_000 do
     Multiflow.tick mf handlers;

@@ -122,8 +122,10 @@ let test_per_flow_feedback_isolated () =
   let handlers =
     Array.init 2 (fun i ->
         {
-          Env.on_ack = (fun _ -> acks.(i) <- acks.(i) + 1);
-          on_loss = (fun ~now_ms:_ -> ());
+          Env.null_handlers with
+          on_acks =
+            (fun ~now_ms:_ ~rtt_ms:_ ~first_seq:_ ~count ~delivered:_ ->
+              acks.(i) <- acks.(i) + count);
         })
   in
   MF.set_cwnd mf ~flow:0 20.;
@@ -142,9 +144,10 @@ let test_rtt_reflects_per_flow_propagation () =
   let handlers =
     Array.init 2 (fun i ->
         {
-          Env.on_ack =
-            (fun ack -> min_rtts.(i) <- min min_rtts.(i) ack.Env.rtt_ms);
-          on_loss = (fun ~now_ms:_ -> ());
+          Env.null_handlers with
+          on_acks =
+            (fun ~now_ms:_ ~rtt_ms ~first_seq:_ ~count:_ ~delivered:_ ->
+              min_rtts.(i) <- min min_rtts.(i) rtt_ms);
         })
   in
   MF.run mf handlers ~ms:2000;

@@ -66,9 +66,10 @@ let test_first_ack_timing () =
   let first_ack = ref (-1) in
   let handlers =
     {
-      Env.on_ack =
-        (fun ack -> if !first_ack < 0 then first_ack := ack.Env.now_ms);
-      on_loss = (fun ~now_ms:_ -> ());
+      Env.null_handlers with
+      on_acks =
+        (fun ~now_ms ~rtt_ms:_ ~first_seq:_ ~count:_ ~delivered:_ ->
+          if !first_ack < 0 then first_ack := now_ms);
     }
   in
   run ~handlers env ~ms:100;
@@ -85,7 +86,10 @@ let test_droptail_loss () =
   let env = make_env ~mbps:12. ~min_rtt:20 ~buffer:10 ~cwnd:100. () in
   let losses = ref 0 in
   let handlers =
-    { Env.on_ack = (fun _ -> ()); on_loss = (fun ~now_ms:_ -> incr losses) }
+    {
+      Env.null_handlers with
+      on_loss = (fun ~now_ms:_ ~count -> losses := !losses + count);
+    }
   in
   run ~handlers env ~ms:2000;
   check_bool "drops observed" true ((stats env).Env.dropped > 0);
@@ -160,28 +164,53 @@ let test_acks_monotone_time () =
   let last = ref 0 in
   let handlers =
     {
-      Env.on_ack =
-        (fun ack ->
-          check_bool "non-decreasing ack time" true (ack.Env.now_ms >= !last);
-          last := ack.Env.now_ms);
-      on_loss = (fun ~now_ms:_ -> ());
+      Env.null_handlers with
+      on_acks =
+        (fun ~now_ms ~rtt_ms:_ ~first_seq:_ ~count:_ ~delivered:_ ->
+          check_bool "non-decreasing ack time" true (now_ms >= !last);
+          last := now_ms);
     }
   in
   run ~handlers env ~ms:2000
 
 let test_ack_seq_delivered_consistency () =
   let env = make_env ~cwnd:5. () in
-  let count = ref 0 in
+  let acks = ref 0 in
   let handlers =
     {
-      Env.on_ack =
-        (fun ack ->
-          incr count;
-          check_int "delivered counts acks" !count ack.Env.delivered);
-      on_loss = (fun ~now_ms:_ -> ());
+      Env.null_handlers with
+      on_acks =
+        (fun ~now_ms:_ ~rtt_ms:_ ~first_seq:_ ~count ~delivered ->
+          check_bool "non-empty run" true (count >= 1);
+          for k = 0 to count - 1 do
+            incr acks;
+            check_int "delivered counts acks" !acks (delivered - count + 1 + k)
+          done);
     }
   in
   run ~handlers env ~ms:1000
+
+(* Feedback comes in runs: on a loss-free link each run's seqs follow
+   the previous run's last, [delivered] counts the whole run, and a link
+   that moves 8 packets a millisecond reports several ACKs per call. *)
+let test_ack_runs_contiguous () =
+  let env = make_env ~mbps:96. ~min_rtt:20 ~buffer:300 ~cwnd:200. () in
+  let next = ref 0 and calls = ref 0 in
+  let handlers =
+    {
+      Env.null_handlers with
+      on_acks =
+        (fun ~now_ms:_ ~rtt_ms:_ ~first_seq ~count ~delivered ->
+          incr calls;
+          check_int "run starts at the next seq" !next first_seq;
+          next := first_seq + count;
+          check_int "delivered includes the run" !next delivered);
+    }
+  in
+  run ~handlers env ~ms:2000;
+  check_int "no drops" 0 (stats env).Env.dropped;
+  check_int "every ack reported" (stats env).Env.delivered !next;
+  check_bool "runs coalesce" true (!calls * 4 < !next)
 
 let test_capacity_wasted_when_idle () =
   (* With a tiny window the trace offers more opportunities than used;
@@ -216,7 +245,12 @@ let test_zero_capacity_interval () =
 let test_chain_handlers () =
   let a = ref 0 and b = ref 0 in
   let mk r =
-    { Env.on_ack = (fun _ -> incr r); on_loss = (fun ~now_ms:_ -> ()) }
+    {
+      Env.null_handlers with
+      on_acks =
+        (fun ~now_ms:_ ~rtt_ms:_ ~first_seq:_ ~count ~delivered:_ ->
+          r := !r + count);
+    }
   in
   let env = make_env ~cwnd:5. () in
   run ~handlers:(Env.chain (mk a) (mk b)) env ~ms:500;
@@ -248,6 +282,7 @@ let suite =
     ("non-finite windows rejected", `Quick, test_set_cwnd_rejects_non_finite);
     ("ack times monotone", `Quick, test_acks_monotone_time);
     ("ack delivered counter", `Quick, test_ack_seq_delivered_consistency);
+    ("ack runs contiguous", `Quick, test_ack_runs_contiguous);
     ("capacity wasted when idle", `Quick, test_capacity_wasted_when_idle);
     ("zero-capacity blackout", `Quick, test_zero_capacity_interval);
     ("handler chaining", `Quick, test_chain_handlers);
@@ -333,6 +368,19 @@ let test_impairment_validation () =
   Alcotest.check_raises "reorder ms" (Invalid_argument "Fleet.create: reorder_ms")
     (fun () -> mk { Env.no_impairments with reorder_prob = 0.1; reorder_ms = -1 })
 
+(* Both range comparisons are false for NaN, so a NaN probability used
+   to pass validation and then never fire. *)
+let test_impairment_nan_rejected () =
+  let mk impairments =
+    ignore (Fleet.create [| { (impaired_cfg ()) with impairments } |])
+  in
+  Alcotest.check_raises "NaN loss prob"
+    (Invalid_argument "Fleet.create: random_loss") (fun () ->
+      mk { Env.no_impairments with random_loss = Float.nan });
+  Alcotest.check_raises "NaN reorder prob"
+    (Invalid_argument "Fleet.create: reorder_prob") (fun () ->
+      mk { Env.no_impairments with reorder_prob = Float.nan; reorder_ms = 5 })
+
 let test_reorder_spreads_rtt () =
   (* Reordering holds some ACKs back by reorder_ms: the RTT distribution
      acquires a visible tail while the floor stays at minRTT. *)
@@ -352,11 +400,11 @@ let test_reorder_out_of_order_acks () =
   let last_seq = ref (-1) in
   let handlers =
     {
-      Env.on_ack =
-        (fun ack ->
-          if ack.Env.seq < !last_seq then out_of_order := true;
-          last_seq := max !last_seq ack.Env.seq);
-      on_loss = (fun ~now_ms:_ -> ());
+      Env.null_handlers with
+      on_acks =
+        (fun ~now_ms:_ ~rtt_ms:_ ~first_seq ~count ~delivered:_ ->
+          if first_seq < !last_seq then out_of_order := true;
+          last_seq := max !last_seq (first_seq + count - 1));
     }
   in
   run ~handlers env ~ms:5000;
@@ -382,8 +430,8 @@ let test_reorder_zero_prob_noop () =
    jittered and reordered one, and the blackout trace (delays past
    500 ms, so the bins grow many times), [qdelay_array_ms] holds one
    ascending entry per delivered packet, and its mean and p95 equal, to
-   the bit, those of the RTT - minRTT samples an [on_ack] handler sees in
-   arrival order. *)
+   the bit, those of the RTT - minRTT samples an [on_acks] handler sees
+   in arrival order, each run expanded into one sample per packet. *)
 let test_qdelay_histogram_exact () =
   let check_link name (cfg : Env.config) =
     let env = Fleet.create [| cfg |] in
@@ -391,9 +439,11 @@ let test_qdelay_histogram_exact () =
     let handlers =
       {
         Env.null_handlers with
-        on_ack =
-          (fun ack ->
-            samples := float_of_int (ack.Env.rtt_ms - cfg.min_rtt_ms) :: !samples);
+        on_acks =
+          (fun ~now_ms:_ ~rtt_ms ~first_seq:_ ~count ~delivered:_ ->
+            for _ = 1 to count do
+              samples := float_of_int (rtt_ms - cfg.min_rtt_ms) :: !samples
+            done);
       }
     in
     run ~handlers env ~ms:2500;
@@ -431,6 +481,7 @@ let impairment_suite =
     ("ack jitter spreads rtt", `Quick, test_ack_jitter_spreads_rtt);
     ("jitter keeps conservation", `Quick, test_jitter_keeps_conservation);
     ("impairment validation", `Quick, test_impairment_validation);
+    ("impairment NaN rejected", `Quick, test_impairment_nan_rejected);
     ("reorder spreads rtt", `Quick, test_reorder_spreads_rtt);
     ("reorder out-of-order acks", `Quick, test_reorder_out_of_order_acks);
     ("reorder zero prob noop", `Quick, test_reorder_zero_prob_noop);

@@ -89,9 +89,9 @@ let test_zero_features () =
 let test_monitor_accumulates () =
   let m = Monitor.create ~min_rtt_ms:20 () in
   let h = Monitor.handlers m in
-  h.Env.on_ack { Env.now_ms = 10; seq = 0; rtt_ms = 30; delivered = 1 };
-  h.Env.on_ack { Env.now_ms = 20; seq = 1; rtt_ms = 40; delivered = 2 };
-  h.Env.on_loss ~now_ms:25;
+  h.Env.on_acks ~now_ms:10 ~rtt_ms:30 ~first_seq:0 ~count:1 ~delivered:1;
+  h.Env.on_acks ~now_ms:20 ~rtt_ms:40 ~first_seq:1 ~count:1 ~delivered:2;
+  h.Env.on_loss ~now_ms:25 ~count:1;
   let o = Monitor.take m ~now_ms:40 ~cwnd_pkts:12. in
   check_int "acks" 2 o.Observation.n_acks;
   check_int "losses" 1 o.Observation.loss_pkts;
@@ -105,7 +105,7 @@ let test_monitor_accumulates () =
 let test_monitor_resets_between_intervals () =
   let m = Monitor.create ~min_rtt_ms:20 () in
   let h = Monitor.handlers m in
-  h.Env.on_ack { Env.now_ms = 10; seq = 0; rtt_ms = 30; delivered = 1 };
+  h.Env.on_acks ~now_ms:10 ~rtt_ms:30 ~first_seq:0 ~count:1 ~delivered:1;
   ignore (Monitor.take m ~now_ms:20 ~cwnd_pkts:10.);
   let o = Monitor.take m ~now_ms:40 ~cwnd_pkts:10. in
   check_int "fresh interval" 0 o.Observation.n_acks;
@@ -119,9 +119,9 @@ let test_monitor_empty_interval_qdelay_zero () =
 let test_monitor_srtt_ewma () =
   let m = Monitor.create ~min_rtt_ms:20 () in
   let h = Monitor.handlers m in
-  h.Env.on_ack { Env.now_ms = 1; seq = 0; rtt_ms = 40; delivered = 1 };
+  h.Env.on_acks ~now_ms:1 ~rtt_ms:40 ~first_seq:0 ~count:1 ~delivered:1;
   check_float "first rtt seeds srtt" 40. (Monitor.srtt_ms m);
-  h.Env.on_ack { Env.now_ms = 2; seq = 1; rtt_ms = 80; delivered = 2 };
+  h.Env.on_acks ~now_ms:2 ~rtt_ms:80 ~first_seq:1 ~count:1 ~delivered:2;
   check_float "ewma" ((0.875 *. 40.) +. (0.125 *. 80.)) (Monitor.srtt_ms m)
 
 let test_monitor_noise_bounds () =
@@ -129,7 +129,7 @@ let test_monitor_noise_bounds () =
   let m = Monitor.create ~delay_noise:(rng, 0.05) ~min_rtt_ms:20 () in
   let h = Monitor.handlers m in
   for i = 1 to 50 do
-    h.Env.on_ack { Env.now_ms = i; seq = i; rtt_ms = 60; delivered = i };
+    h.Env.on_acks ~now_ms:i ~rtt_ms:60 ~first_seq:i ~count:1 ~delivered:i;
     let o = Monitor.take m ~now_ms:(i * 20) ~cwnd_pkts:10. in
     let noise = Monitor.last_qdelay_noise m in
     check_bool "noise within ±5%" true (noise >= 0.95 && noise <= 1.05);
@@ -142,6 +142,46 @@ let test_monitor_no_noise_factor_one () =
   let m = Monitor.create ~min_rtt_ms:20 () in
   ignore (Monitor.take m ~now_ms:20 ~cwnd_pkts:10.);
   check_float "factor 1" 1. (Monitor.last_qdelay_noise m)
+
+(* A run of ACKs or losses leaves the monitor where the same events one
+   by one leave it: every observation field, bit for bit, after runs of
+   growing length at changing RTTs. *)
+let test_monitor_runs_match_single_events () =
+  let a = Monitor.create ~min_rtt_ms:20 ()
+  and b = Monitor.create ~min_rtt_ms:20 () in
+  let delivered = ref 0 in
+  for step = 1 to 40 do
+    let now_ms = step * 3 and rtt_ms = 20 + (step * 7 mod 45) in
+    let count = 1 + (step mod 6) in
+    let first_seq = !delivered in
+    delivered := !delivered + count;
+    Monitor.on_acks a ~now_ms ~rtt_ms ~first_seq ~count ~delivered:!delivered;
+    for k = 0 to count - 1 do
+      Monitor.on_acks b ~now_ms ~rtt_ms ~first_seq:(first_seq + k) ~count:1
+        ~delivered:(!delivered - count + 1 + k)
+    done;
+    let losses = step mod 3 in
+    if losses > 0 then Monitor.on_loss a ~now_ms ~count:losses;
+    for _ = 1 to losses do
+      Monitor.on_loss b ~now_ms ~count:1
+    done;
+    if step mod 8 = 0 then begin
+      let oa = Monitor.take a ~now_ms ~cwnd_pkts:10.
+      and ob = Monitor.take b ~now_ms ~cwnd_pkts:10. in
+      let fields (o : Observation.t) =
+        List.map Int64.bits_of_float
+          [
+            o.thr_mbps;
+            float_of_int o.loss_pkts;
+            o.avg_qdelay_ms;
+            float_of_int o.n_acks;
+            o.srtt_ms;
+          ]
+      in
+      check_bool "same observation" true
+        (List.equal Int64.equal (fields oa) (fields ob))
+    end
+  done
 
 let test_monitor_rejects_bad_noise () =
   Alcotest.check_raises "mu >= 1"
@@ -355,6 +395,9 @@ let suite =
     ("monitor noise bounds", `Quick, test_monitor_noise_bounds);
     ("monitor noise disabled", `Quick, test_monitor_no_noise_factor_one);
     ("monitor rejects bad noise", `Quick, test_monitor_rejects_bad_noise);
+    ( "monitor runs = single events",
+      `Quick,
+      test_monitor_runs_match_single_events );
     ("reward tracks throughput", `Quick, test_reward_increases_with_throughput);
     ("reward punishes delay", `Quick, test_reward_decreases_with_delay);
     ("reward forgiveness band", `Quick, test_reward_forgiveness_band);

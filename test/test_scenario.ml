@@ -82,6 +82,18 @@ let test_space_clamp () =
   check_bool "of_vector clamps" true
     (Space.to_vector (Space.of_vector above) = Space.clamp above)
 
+(* Float.min/Float.max pass a NaN through, and round_pos would turn it
+   into 0 ms: a NaN coordinate fails instead, in clamp and in
+   of_vector. *)
+let test_space_clamp_rejects_nan () =
+  let v = Space.sample (Prng.create 3) in
+  v.(7) <- Float.nan;
+  Alcotest.check_raises "clamp" (Invalid_argument "Space.clamp: NaN coordinate")
+    (fun () -> ignore (Space.clamp v));
+  Alcotest.check_raises "of_vector"
+    (Invalid_argument "Space.clamp: NaN coordinate") (fun () ->
+      ignore (Space.of_vector v))
+
 let trace_bits t =
   Array.init (Trace.duration_ms t) (fun ms ->
       Int64.bits_of_float (Trace.mbps_at t ms))
@@ -222,6 +234,40 @@ let test_corpus_rejects_garbage () =
         | _ -> false
         | exception Failure _ -> true))
 
+(* A well-formed record whose one dim is "nan" or "inf" (both of which
+   float_of_string accepts) is rejected on load. *)
+let test_corpus_rejects_non_finite_dim () =
+  with_tmp_dir (fun dir ->
+      List.iter
+        (fun bad ->
+          let path = Filename.concat dir "nonfinite.scn" in
+          let dims =
+            Array.to_list
+              (Array.mapi
+                 (fun i d ->
+                   Printf.sprintf "dim %s %s" d.Space.dim_name
+                     (if i = 7 then bad else Printf.sprintf "%h" d.Space.lo))
+                 Space.dims)
+          in
+          Canopy_util.Atomic_file.write path
+            (String.concat "\n"
+               ([
+                  "canopy-scenario v1";
+                  "name adv-test-1";
+                  "objective utility";
+                  "score -0x1p+0";
+                  "search_seed 1";
+                  "scn_seed 1";
+                ]
+               @ dims)
+            ^ "\n");
+          check_bool (bad ^ " dim rejected") true
+            (match Corpus.load_file path with
+            | _ -> false
+            | exception Failure msg ->
+                Test_core.contains_substring msg "non-finite dim loss"))
+        [ "nan"; "inf"; "-inf" ])
+
 let test_corpus_env_config () =
   let p = Space.of_vector (Space.sample (Prng.create 13)) in
   let c = Space.compile ~duration_ms:2_000 ~seed:9 p in
@@ -249,6 +295,8 @@ let suite =
     Alcotest.test_case "space: vector roundtrip in box" `Quick
       test_space_vector_roundtrip;
     Alcotest.test_case "space: clamp to bounds" `Quick test_space_clamp;
+    Alcotest.test_case "space: clamp rejects NaN" `Quick
+      test_space_clamp_rejects_nan;
     Alcotest.test_case "space: compile deterministic" `Quick
       test_compile_deterministic;
     Alcotest.test_case "search: bit-reproducible, domains 1,2" `Quick
@@ -261,6 +309,8 @@ let suite =
     Alcotest.test_case "corpus: absent dir" `Quick test_corpus_load_dir_missing;
     Alcotest.test_case "corpus: malformed rejected" `Quick
       test_corpus_rejects_garbage;
+    Alcotest.test_case "corpus: non-finite dim rejected" `Quick
+      test_corpus_rejects_non_finite_dim;
     Alcotest.test_case "corpus: env_config wiring" `Quick
       test_corpus_env_config;
   ]
