@@ -2,7 +2,7 @@ module Agent_env = Canopy_orca.Agent_env
 module Fleet_env = Canopy_orca.Fleet_env
 module Observation = Canopy_orca.Observation
 module Monitor = Canopy_orca.Monitor
-module Multiflow = Canopy_netsim.Multiflow
+module Fleet = Canopy_netsim.Fleet
 module Stats = Canopy_util.Stats
 module Mat = Canopy_tensor.Mat
 
@@ -321,7 +321,7 @@ let pp_coexist ppf (r : coexist_result) =
 
 (* Per-flow driver state of a Canopy flow inside the shared bottleneck:
    the same Cubic-backbone + monitor + feature-history machinery as
-   [Agent_env], but the link advancement is [Multiflow]'s. *)
+   [Agent_env], on a link that all the mix's flows share. *)
 type coexist_canopy_state = {
   cc_cubic : Canopy_cc.Cubic.t;
   cc_monitor : Monitor.t;
@@ -331,12 +331,13 @@ type coexist_canopy_state = {
   mutable cc_enforced : float;
 }
 
-let eval_coexist ?(history = 5) ?interval_ms ?arrivals ~flows link =
+let eval_coexist ?(history = 5) ?interval_ms ?arrivals
+    ?(impairments = Canopy_netsim.Env.no_impairments) ~flows link =
   let specs = Array.of_list flows in
   let n = Array.length specs in
   if n = 0 then invalid_arg "Eval.eval_coexist: no flows";
   (match arrivals with
-  | Some a when Array.length a <> n ->
+  | Some a when Array.length a <> n || Array.exists (fun x -> x < 0) a ->
       invalid_arg "Eval.eval_coexist: arrivals"
   | _ -> ());
   let interval_ms =
@@ -348,15 +349,17 @@ let eval_coexist ?(history = 5) ?interval_ms ?arrivals ~flows link =
   in
   let fc = Observation.feature_count in
   let state_dim = history * fc in
-  let mf =
-    Multiflow.create ?start_ms:arrivals
-      {
-        Multiflow.trace = link.trace;
-        min_rtt_ms = Array.make n link.min_rtt_ms;
-        buffer_pkts = buffer_pkts link;
-        mtu_bytes = Canopy_netsim.Env.default_mtu;
-        initial_cwnd = 10.;
-      }
+  let fleet =
+    Fleet.create ?start_ms:arrivals ~link:(Array.make n 0)
+      (Array.make n
+         {
+           Canopy_netsim.Env.trace = link.trace;
+           min_rtt_ms = link.min_rtt_ms;
+           buffer_pkts = buffer_pkts link;
+           mtu_bytes = Canopy_netsim.Env.default_mtu;
+           initial_cwnd = 10.;
+           impairments;
+         })
   in
   (* Build per-flow drivers and handlers. *)
   let canopy = Array.make n None in
@@ -458,7 +461,7 @@ let eval_coexist ?(history = 5) ?interval_ms ?arrivals ~flows link =
             let cwnd_tcp = Canopy_cc.Cubic.cwnd st.cc_cubic in
             let enforced = Fleet_env.cwnd_of_action ~action ~cwnd_tcp in
             Canopy_cc.Cubic.force_cwnd st.cc_cubic enforced;
-            Multiflow.set_cwnd mf ~flow:i enforced;
+            Fleet.set_cwnd fleet ~flow:i enforced;
             st.cc_enforced <- enforced)
           ids)
       groups
@@ -472,7 +475,7 @@ let eval_coexist ?(history = 5) ?interval_ms ?arrivals ~flows link =
         | None -> ()
         | Some st ->
             let obs =
-              Monitor.take st.cc_monitor ~now_ms:(Multiflow.now_ms mf)
+              Monitor.take st.cc_monitor ~now_ms:(Fleet.now_ms fleet)
                 ~cwnd_pkts:st.cc_enforced
             in
             st.cc_thr_scale <-
@@ -482,29 +485,27 @@ let eval_coexist ?(history = 5) ?interval_ms ?arrivals ~flows link =
             st.cc_head <- (st.cc_head + 1) mod history)
       canopy
   in
+  (* Refresh each flow's live window from its controller backbone after
+     every millisecond. *)
+  let after_tick i =
+    match (tcp.(i), canopy.(i)) with
+    | Some c, _ -> Fleet.set_cwnd fleet ~flow:i (c.Canopy_cc.Controller.cwnd ())
+    | _, Some st -> Fleet.set_cwnd fleet ~flow:i (Canopy_cc.Cubic.cwnd st.cc_cubic)
+    | None, None -> ()
+  in
   decide ();
-  for ms = 1 to link.duration_ms do
-    Multiflow.tick mf handlers;
-    (* Refresh each flow's live window from its controller backbone. *)
-    for i = 0 to n - 1 do
-      match (tcp.(i), canopy.(i)) with
-      | Some c, _ -> Multiflow.set_cwnd mf ~flow:i (c.Canopy_cc.Controller.cwnd ())
-      | _, Some st ->
-          Multiflow.set_cwnd mf ~flow:i (Canopy_cc.Cubic.cwnd st.cc_cubic)
-      | None, None -> ()
-    done;
-    if ms mod interval_ms = 0 then begin
+  let elapsed = ref 0 in
+  while !elapsed < link.duration_ms do
+    let ms = Int.min interval_ms (link.duration_ms - !elapsed) in
+    Fleet.run ~after_tick fleet handlers ~ms;
+    elapsed := !elapsed + ms;
+    if ms = interval_ms then begin
       take_observations ();
       decide ()
     end
   done;
-  let total_delivered =
-    let acc = ref 0 in
-    for i = 0 to n - 1 do
-      acc := !acc + Multiflow.delivered mf ~flow:i
-    done;
-    !acc
-  in
+  let delivered = Array.init n (fun flow -> Fleet.delivered fleet ~flow) in
+  let total_delivered = Array.fold_left ( + ) 0 delivered in
   let flows =
     Array.init n (fun i ->
         {
@@ -512,23 +513,25 @@ let eval_coexist ?(history = 5) ?interval_ms ?arrivals ~flows link =
             (match specs.(i) with
             | Coexist_canopy _ -> "canopy"
             | Coexist_tcp (name, _) -> name);
-          throughput_mbps = Multiflow.throughput_mbps mf ~flow:i;
-          avg_qdelay_ms = Multiflow.avg_qdelay_ms mf ~flow:i;
-          loss_rate = Multiflow.loss_rate mf ~flow:i;
+          throughput_mbps = Fleet.throughput_mbps fleet ~flow:i;
+          avg_qdelay_ms = Fleet.avg_qdelay_ms fleet ~flow:i;
+          loss_rate = Fleet.loss_rate fleet ~flow:i;
           share =
             (if total_delivered = 0 then 0.
              else
-               float_of_int (Multiflow.delivered mf ~flow:i)
-               /. float_of_int total_delivered);
+               float_of_int delivered.(i) /. float_of_int total_delivered);
         })
   in
+  let capacity = Fleet.capacity_pkts fleet ~flow:0 in
   {
     trace = Canopy_trace.Trace.name link.trace;
     duration_ms = link.duration_ms;
     interval_ms;
     flows;
-    jain = Multiflow.jain_index mf;
-    utilization = Multiflow.utilization mf;
+    jain = Stats.jain_index (Array.map float_of_int delivered);
+    utilization =
+      (if capacity <= 0. then 0.
+       else Float.min 1. (float_of_int total_delivered /. capacity));
   }
 
 type noise_delta = {

@@ -134,20 +134,25 @@ val eval_coexist :
   ?history:int ->
   ?interval_ms:int ->
   ?arrivals:int array ->
+  ?impairments:Canopy_netsim.Env.impairments ->
   flows:coexist_spec list ->
   link ->
   coexist_result
 (** Run a mix of Canopy and classical flows contending on one shared
-    [Multiflow] bottleneck and report per-flow throughput/delay/loss
-    plus Jain's fairness index — the Canopy-vs-Cubic/BBR coexistence
-    experiment. Canopy flows keep the full [Agent_env] machinery
-    (Cubic backbone refreshed every millisecond, monitor observation
-    and feature-history push per interval) and are all served from a
-    single batched {!Policy.predict_rows_into} pass per decision tick
-    per distinct underlying model. [arrivals.(i)] delays flow [i]'s first transmission
-    (staggered competing-flow arrivals; default all flows start at 0).
-    Defaults: [history] 5 frames, [interval_ms] =
-    [max 20 link.min_rtt_ms] (the [Agent_env] cadence). *)
+    {!Canopy_netsim.Fleet} link and report per-flow
+    throughput/delay/loss plus Jain's fairness index — the
+    Canopy-vs-Cubic/BBR coexistence experiment. Canopy flows keep the
+    full [Agent_env] machinery (Cubic backbone refreshed every
+    millisecond, monitor observation and feature-history push per
+    interval) and are all served from a single batched
+    {!Policy.predict_rows_into} pass per decision tick per distinct
+    underlying model. [arrivals.(i)] delays flow [i]'s first
+    transmission (staggered competing-flow arrivals; default all flows
+    start at 0; a negative entry or a length other than the flow count
+    raises [Invalid_argument]). [impairments] applies link pathologies
+    to the shared link, as in {!eval_policy}, default none. Defaults:
+    [history] 5 frames, [interval_ms] = [max 20 link.min_rtt_ms] (the
+    [Agent_env] cadence). *)
 
 type noise_delta = {
   scheme : string;

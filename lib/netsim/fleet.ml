@@ -1,35 +1,38 @@
-(* Struct-of-arrays fleet of independent bottleneck links: the link
-   simulator. A one-flow fleet is the scalar link, so the TCP baselines,
-   the Orca episode and the serving fleet all step the same code.
+(* Struct-of-arrays fleet of bottleneck links: the link simulator. A
+   link carries one or more flows, and a one-flow link is the scalar
+   link, so the TCP baselines, the Orca episode, the serving fleet and
+   the coexistence runs all step the same code.
 
-   Per flow and per millisecond the phases run in the Mahimahi order
-   (process the return path, sender fill, drain the bottleneck), with a
-   per-flow PRNG stream for the impairments. All per-flow scalars live in
-   flat arrays indexed by flow, the bottleneck queue and the return path
-   are per-flow int rings, and [run] advances every flow through a whole
-   block of milliseconds at once so the per-flow loop can be chunked over
-   [Canopy_util.Pool] (flows never share state, so parallel execution is
-   bit-identical to sequential by construction).
+   A link owns its trace family, buffer, droptail queue (each run tagged
+   with its flow), credit and capacity, impairment PRNG and return-path
+   watermark. A flow owns its minRTT, window, start time, counters,
+   delay histogram and return ring. Per link and per millisecond the
+   phases run in the Mahimahi order: process each flow's return ring,
+   sender fill, drain the bottleneck. All scalars live in flat arrays
+   indexed by link or by flow, queues and return paths are int rings,
+   and [run] advances every link through a whole block of milliseconds
+   at once so the per-link loop can be chunked over [Canopy_util.Pool]
+   (links never share state, so parallel execution is bit-identical to
+   sequential by construction).
 
    Trace lookups are hoisted: [run] precomputes one packets-per-ms table
    per trace family (links sharing a trace by physical equality) and
-   every flow of the family reads the shared table instead of calling
-   [Trace.packets_per_ms] per flow per millisecond.
+   every link of the family reads the shared table instead of calling
+   [Trace.packets_per_ms] per link per millisecond.
 
    Queueing delays are kept as an exact per-flow histogram: RTTs are
    whole milliseconds, so one int bin per millisecond of RTT - minRTT
    reproduces the sample multiset in O(max delay) memory.
 
-   Packets travel in runs. The sender's burst of one millisecond is one
+   Packets travel in runs. A flow's burst of one millisecond is one
    queue entry; the bottleneck dequeues a run's packets in one step, and
-   the return path stores one entry per run of events with the same
+   the return ring stores one entry per run of events with the same
    arrival, kind and send time (and, for ACKs, consecutive sequence
    numbers), which reaches the handlers as one call with a count. A run
    is replayed exactly as its packets would have been one by one, so
-   per-millisecond work grows with runs, not packets. A flow that draws
-   per-packet randomness (random loss, ACK jitter, reordering) dequeues
-   one packet per step and draws exactly as a per-packet simulator
-   would. *)
+   per-millisecond work grows with runs, not packets. A link that draws
+   per-packet randomness (random loss, ACK jitter, reordering) or
+   carries several flows dequeues one packet per step. *)
 
 module Trace = Canopy_trace.Trace
 module Prng = Canopy_util.Prng
@@ -43,41 +46,50 @@ type t = {
   cfgs : Env.config array;
   n : int;
   mutable now_ms : int;
-  (* trace families: distinct (trace, mtu) pairs; [family.(i)] indexes
+  (* trace families: distinct (trace, mtu) pairs; [family.(l)] indexes
      [fam_trace]/[fam_mtu] *)
   fam_trace : Trace.t array;
   fam_mtu : int array;
+  (* [members.(l)] lists link l's flows in ascending order; [link.(i)]
+     is flow i's link *)
+  members : int array array;
+  link : int array;
+  (* per-link state, flat *)
   family : int array;
-  (* per-flow scalar state, flat *)
-  min_rtt : int array;
   buffer : int array;
   random_loss : float array;
   jitter : int array;
   reorder_prob : float array;
   reorder_ms : int array;
-  cwnd : float array;
-  inflight : int array;
-  next_seq : int array;
-  sent : int array;
-  delivered : int array;
-  dropped : int array;
+  per_packet : bool array;
   credit : float array;
   capacity_pkts : float array;
-  (* queueing-delay histogram: [qd_hist.(i).(q)] counts flow i's acks
-     with RTT - minRTT = q ms; the outer slots are replaced on growth *)
-  qd_hist : int array array;
-  qd_sum_ms : int array;
   last_scheduled : int array;
-  (* bottleneck queue: per-flow fixed-capacity ring of runs (first seq,
-     sent_ms, packet count), [q_runs] runs holding [q_len] packets.
+  (* bottleneck queue: per-link fixed-capacity ring of runs (flow, first
+     seq, sent_ms, packet count), [q_runs] runs holding [q_len] packets.
      q_len <= buffer_pkts (droptail) and every run holds a packet, so
      capacity = buffer_pkts runs *)
+  q_flow : int array array;
   q_seq : int array array;
   q_sent : int array array;
   q_count : int array array;
   q_head : int array;
   q_runs : int array;
   q_len : int array;
+  rng : Prng.t array;
+  (* per-flow state, flat *)
+  min_rtt : int array;
+  start_ms : int array;
+  cwnd : float array;
+  inflight : int array;
+  next_seq : int array;
+  sent : int array;
+  delivered : int array;
+  dropped : int array;
+  (* queueing-delay histogram: [qd_hist.(i).(q)] counts flow i's acks
+     with RTT - minRTT = q ms; the outer slots are replaced on growth *)
+  qd_hist : int array array;
+  qd_sum_ms : int array;
   (* return path: per-flow growable ring of event runs (arrival, kind,
      first seq, sent_ms, count); the outer slots are replaced on
      growth *)
@@ -88,31 +100,86 @@ type t = {
   r_count : int array array;
   r_head : int array;
   r_len : int array;
-  rng : Prng.t array;
 }
 
-let create cfgs =
+let check_config (cfg : Env.config) =
+  if cfg.min_rtt_ms < 2 then invalid_arg "Fleet.create: min_rtt_ms";
+  if cfg.buffer_pkts < 1 then invalid_arg "Fleet.create: buffer_pkts";
+  if cfg.mtu_bytes <= 0 then invalid_arg "Fleet.create: mtu_bytes";
+  if not (Float.is_finite cfg.initial_cwnd && cfg.initial_cwnd >= 1.) then
+    invalid_arg "Fleet.create: initial_cwnd";
+  (* Written so that a NaN fails: every comparison with NaN is false,
+     and a NaN probability would silently never fire. *)
+  let is_prob p = p >= 0. && p < 1. in
+  if not (is_prob cfg.impairments.random_loss) then
+    invalid_arg "Fleet.create: random_loss";
+  if cfg.impairments.ack_jitter_ms < 0 then
+    invalid_arg "Fleet.create: ack_jitter_ms";
+  if not (is_prob cfg.impairments.reorder_prob) then
+    invalid_arg "Fleet.create: reorder_prob";
+  if cfg.impairments.reorder_ms < 0 then
+    invalid_arg "Fleet.create: reorder_ms"
+
+(* Flows on one link must agree on everything the link owns. *)
+let check_same_link (a : Env.config) (b : Env.config) =
+  let differ what =
+    invalid_arg ("Fleet.create: flows on one link differ in " ^ what)
+  in
+  if a.trace != b.trace then differ "trace";
+  if a.buffer_pkts <> b.buffer_pkts then differ "buffer_pkts";
+  if a.mtu_bytes <> b.mtu_bytes then differ "mtu_bytes";
+  let x = a.impairments and y = b.impairments in
+  if
+    not
+      (Float.equal x.random_loss y.random_loss
+      && x.ack_jitter_ms = y.ack_jitter_ms
+      && Float.equal x.reorder_prob y.reorder_prob
+      && x.reorder_ms = y.reorder_ms
+      && x.seed = y.seed)
+  then differ "impairments"
+
+let create ?start_ms ?link cfgs =
   let n = Array.length cfgs in
-  if n = 0 then invalid_arg "Fleet.create: no links";
+  if n = 0 then invalid_arg "Fleet.create: no flows";
+  Array.iter check_config cfgs;
+  let start_ms =
+    match start_ms with
+    | None -> Array.make n 0
+    | Some s ->
+        if Array.length s <> n || Array.exists (fun x -> x < 0) s then
+          invalid_arg "Fleet.create: start_ms";
+        Array.copy s
+  in
+  (* Links are numbered in order of first appearance of their names. *)
+  let link =
+    match link with
+    | None -> Array.init n Fun.id
+    | Some names ->
+        if Array.length names <> n then invalid_arg "Fleet.create: link";
+        let ids = Hashtbl.create 16 in
+        Array.map
+          (fun name ->
+            match Hashtbl.find_opt ids name with
+            | Some l -> l
+            | None ->
+                let l = Hashtbl.length ids in
+                Hashtbl.add ids name l;
+                l)
+          names
+  in
+  let nlinks = 1 + Array.fold_left Int.max 0 link in
+  let members =
+    let acc = Array.make nlinks [] in
+    for i = n - 1 downto 0 do
+      acc.(link.(i)) <- i :: acc.(link.(i))
+    done;
+    Array.map Array.of_list acc
+  in
   Array.iter
-    (fun (cfg : Env.config) ->
-      if cfg.min_rtt_ms < 2 then invalid_arg "Fleet.create: min_rtt_ms";
-      if cfg.buffer_pkts < 1 then invalid_arg "Fleet.create: buffer_pkts";
-      if cfg.mtu_bytes <= 0 then invalid_arg "Fleet.create: mtu_bytes";
-      if not (Float.is_finite cfg.initial_cwnd && cfg.initial_cwnd >= 1.) then
-        invalid_arg "Fleet.create: initial_cwnd";
-      (* Written so that a NaN fails: every comparison with NaN is
-         false, and a NaN probability would silently never fire. *)
-      let is_prob p = p >= 0. && p < 1. in
-      if not (is_prob cfg.impairments.random_loss) then
-        invalid_arg "Fleet.create: random_loss";
-      if cfg.impairments.ack_jitter_ms < 0 then
-        invalid_arg "Fleet.create: ack_jitter_ms";
-      if not (is_prob cfg.impairments.reorder_prob) then
-        invalid_arg "Fleet.create: reorder_prob";
-      if cfg.impairments.reorder_ms < 0 then
-        invalid_arg "Fleet.create: reorder_ms")
-    cfgs;
+    (fun fl -> Array.iter (fun i -> check_same_link cfgs.(fl.(0)) cfgs.(i)) fl)
+    members;
+  (* What each link owns comes from its first flow's config. *)
+  let lcfg = Array.map (fun fl -> cfgs.(fl.(0))) members in
   (* Dedup trace families by physical equality on the trace (plus mtu,
      which scales the packets-per-ms conversion). *)
   let fams = ref [] (* reversed (trace, mtu) list *) and nfam = ref 0 in
@@ -131,43 +198,54 @@ let create cfgs =
             fams := (cfg.trace, cfg.mtu_bytes) :: !fams;
             incr nfam;
             !nfam - 1)
-      cfgs
+      lcfg
   in
   let fam_arr = Array.of_list (List.rev !fams) in
+  let per_link f = Array.map f lcfg in
+  let ring () = per_link (fun (c : Env.config) -> Array.make c.buffer_pkts 0) in
   {
     cfgs;
     n;
     now_ms = 0;
     fam_trace = Array.map fst fam_arr;
     fam_mtu = Array.map snd fam_arr;
+    members;
+    link;
     family;
+    buffer = per_link (fun c -> c.buffer_pkts);
+    random_loss = per_link (fun c -> c.impairments.random_loss);
+    jitter = per_link (fun c -> c.impairments.ack_jitter_ms);
+    reorder_prob = per_link (fun c -> c.impairments.reorder_prob);
+    reorder_ms = per_link (fun c -> c.impairments.reorder_ms);
+    per_packet =
+      Array.mapi
+        (fun l (c : Env.config) ->
+          Array.length members.(l) > 1
+          || c.impairments.random_loss > 0.
+          || c.impairments.ack_jitter_ms > 0
+          || c.impairments.reorder_prob > 0.)
+        lcfg;
+    credit = Array.make nlinks 0.;
+    capacity_pkts = Array.make nlinks 0.;
+    last_scheduled = Array.make nlinks 0;
+    q_flow = ring ();
+    q_seq = ring ();
+    q_sent = ring ();
+    q_count = ring ();
+    q_head = Array.make nlinks 0;
+    q_runs = Array.make nlinks 0;
+    q_len = Array.make nlinks 0;
+    rng = per_link (fun c -> Prng.create c.impairments.seed);
     min_rtt = Array.map (fun (c : Env.config) -> c.min_rtt_ms) cfgs;
-    buffer = Array.map (fun (c : Env.config) -> c.buffer_pkts) cfgs;
-    random_loss =
-      Array.map (fun (c : Env.config) -> c.impairments.random_loss) cfgs;
-    jitter =
-      Array.map (fun (c : Env.config) -> c.impairments.ack_jitter_ms) cfgs;
-    reorder_prob =
-      Array.map (fun (c : Env.config) -> c.impairments.reorder_prob) cfgs;
-    reorder_ms =
-      Array.map (fun (c : Env.config) -> c.impairments.reorder_ms) cfgs;
+    start_ms;
     cwnd = Array.map (fun (c : Env.config) -> c.initial_cwnd) cfgs;
     inflight = Array.make n 0;
     next_seq = Array.make n 0;
     sent = Array.make n 0;
     delivered = Array.make n 0;
     dropped = Array.make n 0;
-    credit = Array.make n 0.;
-    capacity_pkts = Array.make n 0.;
     qd_hist = Array.init n (fun _ -> [||]);
     qd_sum_ms = Array.make n 0;
-    last_scheduled = Array.make n 0;
-    q_seq = Array.map (fun (c : Env.config) -> Array.make c.buffer_pkts 0) cfgs;
-    q_sent = Array.map (fun (c : Env.config) -> Array.make c.buffer_pkts 0) cfgs;
-    q_count = Array.map (fun (c : Env.config) -> Array.make c.buffer_pkts 0) cfgs;
-    q_head = Array.make n 0;
-    q_runs = Array.make n 0;
-    q_len = Array.make n 0;
     r_arrival = Array.init n (fun _ -> Array.make 16 0);
     r_kind = Array.init n (fun _ -> Array.make 16 0);
     r_seq = Array.init n (fun _ -> Array.make 16 0);
@@ -175,7 +253,6 @@ let create cfgs =
     r_count = Array.init n (fun _ -> Array.make 16 0);
     r_head = Array.make n 0;
     r_len = Array.make n 0;
-    rng = Array.map (fun (c : Env.config) -> Prng.create c.impairments.seed) cfgs;
   }
 
 let flows t = t.n
@@ -183,18 +260,18 @@ let now_ms t = t.now_ms
 let config t ~flow = t.cfgs.(flow)
 let cwnd t ~flow = t.cwnd.(flow)
 (* A NaN would pass [Float.max] and an infinity would reach
-   [int_of_float] in [sender_fill] (on x86-64, +inf becomes [min_int]
-   there, then a window of 1): both fail here instead. *)
+   [int_of_float] in [quota] (on x86-64, +inf becomes [min_int] there,
+   then a window of 1): both fail here instead. *)
 let set_cwnd t ~flow w =
   if not (Float.is_finite w) then
     invalid_arg "Fleet.set_cwnd: non-finite window";
   t.cwnd.(flow) <- Float.max 1. w
 let inflight t ~flow = t.inflight.(flow)
-let queue_len t ~flow = t.q_len.(flow)
+let queue_len t ~flow = t.q_len.(t.link.(flow))
 let sent t ~flow = t.sent.(flow)
 let delivered t ~flow = t.delivered.(flow)
 let dropped t ~flow = t.dropped.(flow)
-let capacity_pkts t ~flow = t.capacity_pkts.(flow)
+let capacity_pkts t ~flow = t.capacity_pkts.(t.link.(flow))
 
 (* ------------------------------------------------------------------ *)
 (* Return-path ring *)
@@ -217,12 +294,17 @@ let ret_grow t i =
   t.r_count.(i) <- grow t.r_count.(i);
   t.r_head.(i) <- 0
 
-(* The ring is always sorted by arrival. With ACK jitter or reordering
-   an event can arrive before the latest one scheduled; it goes in before
-   the first queued event whose arrival is >= its own, which is where a
-   stable sort with the new event in front would put it. The watermark
-   append is O(1); an out-of-order insert is a binary search plus a
-   shift of the events after it (the watermark is left untouched).
+(* Schedules a run of flow [i]'s events on link [l]. Each ring is always
+   sorted by arrival. The link's watermark is the latest arrival any of
+   its flows appended: an event at or after it is appended to flow [i]'s
+   ring, an earlier one goes in before the first queued event of the
+   flow whose arrival is >= its own. That is where a single shared
+   ring, stably sorted with the new event in front, would put it among
+   the flow's events, so each flow sees its events in the shared ring's
+   order. (With ACK jitter, reordering or flows of different minRTTs an
+   event can arrive before the watermark.) The append is O(1); an
+   out-of-order insert is a binary search plus a shift of the events
+   after it, and leaves the watermark untouched.
 
    A new run joins a queued one when the handlers would see the two
    back to back with nothing between them, so the merged entry replays
@@ -232,7 +314,7 @@ let ret_grow t i =
    out-of-order loss run is folded into the loss run it would land in
    front of, if that has the same arrival (loss events carry no seq or
    send time, so their order within the run does not matter). *)
-let schedule t i arrival kind seq sent_ms count =
+let schedule t l i arrival kind seq sent_ms count =
   if t.r_len.(i) = Array.length t.r_arrival.(i) then ret_grow t i;
   let arr = t.r_arrival.(i) and kinds = t.r_kind.(i) in
   let seqs = t.r_seq.(i) and sents = t.r_sent.(i) in
@@ -240,8 +322,8 @@ let schedule t i arrival kind seq sent_ms count =
   let cap = Array.length arr and head = t.r_head.(i) and len = t.r_len.(i) in
   (* The slot for a new entry, or -1 when the run joined a queued one. *)
   let pos =
-    if arrival >= t.last_scheduled.(i) then begin
-      t.last_scheduled.(i) <- arrival;
+    if arrival >= t.last_scheduled.(l) then begin
+      t.last_scheduled.(l) <- arrival;
       let tail = (head + len - 1) mod cap in
       if
         len > 0
@@ -294,7 +376,7 @@ let schedule t i arrival kind seq sent_ms count =
   end
 
 (* ------------------------------------------------------------------ *)
-(* One millisecond of one flow *)
+(* One millisecond of one link *)
 
 (* Slow path of the histogram bump: a delay past the last bin. Bins at
    least double, rounded up to a multiple of 32, so a flow regrows
@@ -347,74 +429,118 @@ let process_return_path t (handlers : Env.handlers array) i ~now =
     end
   done
 
-(* The sender sends [window - inflight] packets at once: the first ones
-   that fit in the buffer join the queue as one run, the rest are
-   tail-dropped as one loss run. The sender learns about a drop one
-   minRTT later, approximating dup-ACK detection. *)
-let sender_fill t i ~now =
-  let window = Int.max 1 (int_of_float (Float.floor t.cwnd.(i))) in
-  let n = window - t.inflight.(i) in
-  if n > 0 then begin
-    let seq = t.next_seq.(i) in
-    t.next_seq.(i) <- seq + n;
-    t.sent.(i) <- t.sent.(i) + n;
-    t.inflight.(i) <- window;
-    let queued = Int.min n (t.buffer.(i) - t.q_len.(i)) in
-    if queued > 0 then begin
-      let tail = (t.q_head.(i) + t.q_runs.(i)) mod t.buffer.(i) in
-      t.q_seq.(i).(tail) <- seq;
-      t.q_sent.(i).(tail) <- now;
-      t.q_count.(i).(tail) <- queued;
-      t.q_runs.(i) <- t.q_runs.(i) + 1;
-      t.q_len.(i) <- t.q_len.(i) + queued
-    end;
-    let lost = n - queued in
-    if lost > 0 then begin
-      t.dropped.(i) <- t.dropped.(i) + lost;
-      schedule t i (now + t.min_rtt.(i)) ev_loss 0 0 lost
-    end
+(* Packets flow [i] may still send at [now]: what its window leaves,
+   nothing before its start time. *)
+let[@inline] quota t i ~now =
+  if now < t.start_ms.(i) then 0
+  else begin
+    let window = Int.max 1 (int_of_float (Float.floor t.cwnd.(i))) in
+    window - t.inflight.(i)
   end
 
+(* Flow [i] sends [k] packets at once: the first ones that fit in the
+   buffer join the queue, extending the tail run if that is the flow's
+   own from this millisecond (its seqs then follow on, since a full
+   buffer stays full until the drain), and the rest are tail-dropped as
+   one loss run. The sender learns about a drop one minRTT later,
+   approximating dup-ACK detection. *)
+let send t l i ~now k =
+  let seq = t.next_seq.(i) in
+  t.next_seq.(i) <- seq + k;
+  t.sent.(i) <- t.sent.(i) + k;
+  t.inflight.(i) <- t.inflight.(i) + k;
+  let queued = Int.min k (t.buffer.(l) - t.q_len.(l)) in
+  if queued > 0 then begin
+    let cap = t.buffer.(l) and runs = t.q_runs.(l) in
+    (* head < cap and runs <= cap: one wrap at most, and no division *)
+    let tail = t.q_head.(l) + runs in
+    let tail = if tail >= cap then tail - cap else tail in
+    let last = if tail = 0 then cap - 1 else tail - 1 in
+    if runs > 0 && t.q_sent.(l).(last) = now && t.q_flow.(l).(last) = i
+    then t.q_count.(l).(last) <- t.q_count.(l).(last) + queued
+    else begin
+      t.q_flow.(l).(tail) <- i;
+      t.q_seq.(l).(tail) <- seq;
+      t.q_sent.(l).(tail) <- now;
+      t.q_count.(l).(tail) <- queued;
+      t.q_runs.(l) <- runs + 1
+    end;
+    t.q_len.(l) <- t.q_len.(l) + queued
+  end;
+  let lost = k - queued in
+  if lost > 0 then begin
+    t.dropped.(i) <- t.dropped.(i) + lost;
+    schedule t l i (now + t.min_rtt.(i)) ev_loss 0 0 lost
+  end
+
+(* Round-robin from the flow at position [now mod flows]: each round,
+   every flow that has started and has window left sends one packet.
+   Once a single flow has window left, it sends the rest at once, which
+   is what packet by packet sends would do; a one-flow link therefore
+   sends its whole burst in one step. *)
+let sender_fill t l fl ~now =
+  let m = Array.length fl in
+  if m > 1 then begin
+    let active = ref 0 in
+    for j = 0 to m - 1 do
+      if quota t fl.(j) ~now > 0 then incr active
+    done;
+    let j = ref (now mod m) in
+    while !active > 1 do
+      let i = fl.(!j) in
+      if quota t i ~now > 0 then begin
+        send t l i ~now 1;
+        if quota t i ~now = 0 then decr active
+      end;
+      j := (!j + 1) mod m
+    done
+  end;
+  for j = 0 to m - 1 do
+    let k = quota t fl.(j) ~now in
+    if k > 0 then send t l fl.(j) ~now k
+  done
+
 (* Each step dequeues [k] packets from the head run and schedules their
-   feedback as one run. A flow with per-packet randomness takes k = 1 and
-   makes its draws packet by packet, in the per-packet order; any other
-   flow takes as much of the head run as the opportunities allow. *)
-let drain_bottleneck t i ~now ~ppms =
-  t.capacity_pkts.(i) <- t.capacity_pkts.(i) +. ppms;
-  t.credit.(i) <- t.credit.(i) +. ppms;
-  let opportunities = int_of_float (Float.floor t.credit.(i)) in
-  t.credit.(i) <- t.credit.(i) -. float_of_int opportunities;
-  let left = ref (Int.min opportunities t.q_len.(i)) in
-  let per_packet =
-    t.random_loss.(i) > 0. || t.jitter.(i) > 0 || t.reorder_prob.(i) > 0.
-  in
-  let cap = t.buffer.(i) in
+   feedback as one run of the run's flow. A per-packet link takes k = 1:
+   an impaired link makes its draws packet by packet, in the per-packet
+   order, and a shared link schedules each ACK by itself so it lands
+   where a shared return queue would put it. Any other link takes as
+   much of the head run as the opportunities allow. *)
+let drain_bottleneck t l ~now ~ppms =
+  t.capacity_pkts.(l) <- t.capacity_pkts.(l) +. ppms;
+  t.credit.(l) <- t.credit.(l) +. ppms;
+  let opportunities = int_of_float (Float.floor t.credit.(l)) in
+  t.credit.(l) <- t.credit.(l) -. float_of_int opportunities;
+  let left = ref (Int.min opportunities t.q_len.(l)) in
+  let per_packet = t.per_packet.(l) in
+  let cap = t.buffer.(l) in
   while !left > 0 do
-    let head = t.q_head.(i) in
-    let seq = t.q_seq.(i).(head) and sent_ms = t.q_sent.(i).(head) in
-    let run = t.q_count.(i).(head) in
+    let head = t.q_head.(l) in
+    let i = t.q_flow.(l).(head) in
+    let seq = t.q_seq.(l).(head) and sent_ms = t.q_sent.(l).(head) in
+    let run = t.q_count.(l).(head) in
     let k = if per_packet then 1 else Int.min !left run in
     if k = run then begin
-      t.q_head.(i) <- (head + 1) mod cap;
-      t.q_runs.(i) <- t.q_runs.(i) - 1
+      t.q_head.(l) <- (head + 1) mod cap;
+      t.q_runs.(l) <- t.q_runs.(l) - 1
     end
     else begin
-      t.q_seq.(i).(head) <- seq + k;
-      t.q_count.(i).(head) <- run - k
+      t.q_seq.(l).(head) <- seq + k;
+      t.q_count.(l).(head) <- run - k
     end;
-    t.q_len.(i) <- t.q_len.(i) - k;
+    t.q_len.(l) <- t.q_len.(l) - k;
     left := !left - k;
-    if t.random_loss.(i) > 0. && Prng.float t.rng.(i) 1. < t.random_loss.(i)
+    if t.random_loss.(l) > 0. && Prng.float t.rng.(l) 1. < t.random_loss.(l)
     then begin
       (* non-congestive (e.g. wireless) loss after the bottleneck *)
       t.dropped.(i) <- t.dropped.(i) + k;
-      schedule t i (now + t.min_rtt.(i)) ev_loss 0 0 k
+      schedule t l i (now + t.min_rtt.(i)) ev_loss 0 0 k
     end
     else begin
       (* The ACK returns minRTT after the dequeue instant, plus any
          return-path jitter. *)
       let jitter =
-        if t.jitter.(i) = 0 then 0 else Prng.int t.rng.(i) (t.jitter.(i) + 1)
+        if t.jitter.(l) = 0 then 0 else Prng.int t.rng.(l) (t.jitter.(l) + 1)
       in
       (* Reordering: with probability [reorder_prob] the feedback is held
          back an extra [reorder_ms], so later packets' ACKs overtake it.
@@ -422,37 +548,39 @@ let drain_bottleneck t i ~now ~ppms =
          consumes exactly the reorder-free PRNG stream. *)
       let reorder =
         if
-          t.reorder_prob.(i) > 0.
-          && Prng.float t.rng.(i) 1. < t.reorder_prob.(i)
-        then t.reorder_ms.(i)
+          t.reorder_prob.(l) > 0.
+          && Prng.float t.rng.(l) 1. < t.reorder_prob.(l)
+        then t.reorder_ms.(l)
         else 0
       in
-      schedule t i
+      schedule t l i
         (now + t.min_rtt.(i) + jitter + reorder)
         ev_ack seq sent_ms k
     end
   done
 
-let tick_flow t handlers i ~now ~ppms =
-  process_return_path t handlers i ~now;
+let tick_link t handlers l fl ~now ~ppms =
+  for j = 0 to Array.length fl - 1 do
+    process_return_path t handlers fl.(j) ~now
+  done;
   (* Fill before draining so a packet can use a delivery opportunity in
      the millisecond it arrives (Mahimahi semantics): an uncongested path
      then yields RTT = minRTT exactly. *)
-  sender_fill t i ~now;
-  drain_bottleneck t i ~now ~ppms
+  sender_fill t l fl ~now;
+  drain_bottleneck t l ~now ~ppms
 
 (* ------------------------------------------------------------------ *)
 (* Fleet driver *)
 
-(* Below this much flow·ms work, chunk setup costs more than it saves. *)
+(* Below this much link·ms work, chunk setup costs more than it saves. *)
 let par_threshold = 16_384
 
 (* Chunk choice is a pure function of the workload shape — never of
-   scheduling — and the per-flow stepping itself is flow-local, so any
+   scheduling — and the per-link stepping itself is link-local, so any
    chunking (including none) produces identical bits. *)
 let plan_chunk ~n ~ms =
-  (* A lone flow never touches the pool, so scalar callers neither spawn
-     it nor hand their flow to a worker. *)
+  (* A lone link never touches the pool, so scalar callers neither spawn
+     it nor hand their link to a worker. *)
   if n < 2 then None
   else if Pool.in_task () then None
   else if Pool.domains (Pool.default ()) < 2 then None
@@ -475,17 +603,23 @@ let run ?after_tick t handlers ~ms =
               Trace.packets_per_ms ~mtu_bytes:mtu tr (now0 + 1 + k)))
     in
     let step_range ~lo ~hi =
-      for i = lo to hi - 1 do
-        let tab = ppms_tab.(t.family.(i)) in
+      for l = lo to hi - 1 do
+        let tab = ppms_tab.(t.family.(l)) and fl = t.members.(l) in
         for k = 0 to ms - 1 do
-          tick_flow t handlers i ~now:(now0 + k + 1) ~ppms:tab.(k);
-          match after_tick with Some f -> f i | None -> ()
+          tick_link t handlers l fl ~now:(now0 + k + 1) ~ppms:tab.(k);
+          match after_tick with
+          | Some f ->
+              for j = 0 to Array.length fl - 1 do
+                f fl.(j)
+              done
+          | None -> ()
         done
       done
     in
-    (match plan_chunk ~n:t.n ~ms with
-    | Some chunk -> Pool.parallel_for_chunks ~chunk t.n step_range
-    | None -> step_range ~lo:0 ~hi:t.n);
+    let links = Array.length t.members in
+    (match plan_chunk ~n:links ~ms with
+    | Some chunk -> Pool.parallel_for_chunks ~chunk links step_range
+    | None -> step_range ~lo:0 ~hi:links);
     t.now_ms <- now0 + ms
   end
 
@@ -497,12 +631,13 @@ let stats t ~flow =
     Env.sent = t.sent.(flow);
     delivered = t.delivered.(flow);
     dropped = t.dropped.(flow);
-    capacity_pkts = t.capacity_pkts.(flow);
+    capacity_pkts = capacity_pkts t ~flow;
   }
 
 let utilization t ~flow =
-  if t.capacity_pkts.(flow) <= 0. then 0.
-  else Float.min 1. (float_of_int t.delivered.(flow) /. t.capacity_pkts.(flow))
+  let capacity = capacity_pkts t ~flow in
+  if capacity <= 0. then 0.
+  else Float.min 1. (float_of_int t.delivered.(flow) /. capacity)
 
 let loss_rate t ~flow =
   if t.sent.(flow) = 0 then 0.

@@ -1,24 +1,36 @@
-(** Struct-of-arrays fleet of independent bottleneck links: the link
-    simulator of the {!Env} model.
+(** Struct-of-arrays fleet of bottleneck links: the link simulator of
+    the {!Env} model.
 
-    A fleet holds any number of links in flat per-flow arrays
-    (cwnd/inflight/seq/delivered/dropped/credit plus ring-buffer
-    bottleneck queues and return paths) and advances all of them through
-    blocks of milliseconds at once. Queues and return paths hold runs of
-    packets, not packets: the packets one millisecond's send puts in the
-    queue are one entry, and feedback that returns together (same
+    A fleet holds any number of links, each carrying one or more flows,
+    in flat per-link and per-flow arrays, and advances all of them
+    through blocks of milliseconds at once. A link owns its trace, its
+    buffer and droptail queue, its credit and offered capacity, its
+    impairment PRNG and its return-path watermark; a flow owns its
+    minRTT, window, start time, counters, queueing-delay histogram and
+    return path. Queues and return paths hold runs of packets, not
+    packets: the packets a flow's send puts in the queue in one
+    millisecond are one entry, and feedback that returns together (same
     arrival, kind and send time, consecutive seqs) is one entry and one
     handler call. Every trajectory is that of a per-packet simulator,
     bit for bit; per-packet randomness (random loss, ACK jitter,
-    reordering) makes its draws packet by packet, in the same order. A one-flow fleet is the scalar link:
-    the TCP baselines ([Canopy_cc.Runner]) and the Orca episode step one,
-    and a lone flow never touches the domain pool.
+    reordering) makes its draws packet by packet, in the same order. A
+    one-flow fleet is the scalar link: the TCP baselines
+    ([Canopy_cc.Runner]) and the Orca episode step one, and a lone link
+    never touches the domain pool.
+
+    Flows on one link contend for its queue (DESIGN §12, "Links with
+    several flows"): each millisecond the link delivers every flow's due
+    feedback, fills round-robin starting from the flow at position
+    [now mod flows] (each round, every flow that has started and has
+    window left sends one packet), then drains one packet per step.
+    Each flow's feedback reaches it in the order one shared,
+    arrival-sorted return queue would deliver it.
 
     Links sharing a trace (by physical equality, at equal MTU) form a
     trace family: [run] computes one packets-per-ms table per family and
-    every member flow reads it, instead of one trace lookup per flow per
-    millisecond. The per-flow loop is chunked over
-    [Canopy_util.Pool.default ()] with pure chunking; flows share no
+    every member link reads it, instead of one trace lookup per link per
+    millisecond. The per-link loop is chunked over
+    [Canopy_util.Pool.default ()] with pure chunking; links share no
     mutable state, so results are bit-identical at any domain count
     (sequential included).
 
@@ -31,12 +43,20 @@
 
 type t
 
-val create : Env.config array -> t
-(** One link per config, all starting at time 0 with empty queues.
-    Raises [Invalid_argument] on an empty array or an invalid config
-    (minRTT < 2, empty buffer, non-positive MTU, an initial window that
-    is not a finite number >= 1, probabilities outside \[0,1) or NaN,
-    negative delays). *)
+val create : ?start_ms:int array -> ?link:int array -> Env.config array -> t
+(** One flow per config, all with empty queues at time 0.
+    [link.(i)] names flow [i]'s link: flows with equal names share one
+    link (default: every flow has its own link). Flows on one link must
+    agree on the trace (physically), the buffer, the MTU and the
+    impairments; they may differ in minRTT and initial window.
+    [start_ms.(i)] delays flow [i]'s first transmission (default all
+    0): a flow holds its window but sends nothing before millisecond
+    [start_ms.(i)]. Raises [Invalid_argument] on an empty array, an
+    invalid config (minRTT < 2, empty buffer, non-positive MTU, an
+    initial window that is not a finite number >= 1, probabilities
+    outside \[0,1) or NaN, negative delays), flows on one link that
+    disagree, or a [link] or [start_ms] array whose length is not the
+    flow count or (for [start_ms]) with a negative entry. *)
 
 val flows : t -> int
 val now_ms : t -> int
@@ -49,17 +69,20 @@ val set_cwnd : t -> flow:int -> float -> unit
     infinite window. *)
 
 val inflight : t -> flow:int -> int
+
 val queue_len : t -> flow:int -> int
+(** Packets in the queue of the flow's link, from all its flows. *)
 
 val run :
   ?after_tick:(int -> unit) -> t -> Env.handlers array -> ms:int -> unit
-(** [run t handlers ~ms] advances every flow by [ms] milliseconds;
+(** [run t handlers ~ms] advances every link by [ms] milliseconds;
     [handlers.(i)] receives flow [i]'s ack/loss runs. Each millisecond
-    of a flow delivers its due ACKs and loss notifications (invoking the
-    handlers once per run), lets the sender fill the window, then drains
-    the bottleneck according to the trace. [after_tick i] (if given) runs
-    after each of flow [i]'s milliseconds — the hook a congestion
-    controller backbone uses to refresh the flow's cwnd mid-interval.
+    of a link delivers its flows' due ACKs and loss notifications
+    (invoking the handlers once per run), lets the senders fill their
+    windows, then drains the bottleneck according to the trace.
+    [after_tick i] (if given) runs after each millisecond of flow [i]'s
+    link — the hook a congestion controller backbone uses to refresh
+    the flow's cwnd mid-interval.
     Handlers and [after_tick] execute inside pool chunks and therefore
     must touch only flow-local state (no cross-flow writes, no shared
     accumulators); this is what keeps fleet stepping race-free and
@@ -73,10 +96,14 @@ val sent : t -> flow:int -> int
 val delivered : t -> flow:int -> int
 val dropped : t -> flow:int -> int
 val capacity_pkts : t -> flow:int -> float
+(** Delivery opportunities the trace has offered the flow's link so
+    far, shared by all of the link's flows. *)
+
 val stats : t -> flow:int -> Env.stats
 
 val utilization : t -> flow:int -> float
-(** Delivered packets over offered capacity so far; 0 before any tick. *)
+(** The flow's delivered packets over its link's offered capacity so
+    far; 0 before any tick. *)
 
 val loss_rate : t -> flow:int -> float
 (** Dropped over sent; 0 before any send. *)

@@ -112,7 +112,10 @@ let score_compiled ?refute_rng ~actor ~history ~duration_ms objective
                Eval.Coexist_tcp ("cubic", Eval.cubic_scheme))
       in
       let arrivals = Array.append [| 0 |] c.Space.arrivals in
-      let r = Eval.eval_coexist ~history ~arrivals ~flows link in
+      let r =
+        Eval.eval_coexist ~history ~arrivals ~impairments:c.Space.impairments
+          ~flows link
+      in
       r.Eval.jain
 
 (* Lower score first; global evaluation index breaks exact ties so the

@@ -19,7 +19,8 @@ type objective =
   | Min_jain
       (** minimize Jain's fairness index against
           {!Space.n_cross_flows} competing Cubic flows with searched
-          arrival times *)
+          arrival times, all on one link with the scenario's
+          impairments *)
 
 val objective_name : objective -> string
 (** ["utility" | "p95" | "violation" | "jain"]. *)

@@ -45,8 +45,9 @@ let stddev xs =
 
 (* Typed float folds throughout — no polymorphic compare, and the
    ascending accumulation order is part of the contract: callers that
-   migrated their own fold here (e.g. [Canopy_netsim.Multiflow]) rely on
-   producing bit-identical indices. *)
+   migrated their own fold here (e.g. [Canopy.Eval.eval_coexist], over
+   the per-flow delivered counts of a shared link) rely on producing
+   bit-identical indices. *)
 let jain_index xs =
   let n = Array.length xs in
   if n = 0 then 1.

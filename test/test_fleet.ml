@@ -360,7 +360,11 @@ let test_coexist_arrivals () =
   check_bool "wrong-length arrivals rejected" true
     (match Eval.eval_coexist ~arrivals:[| 0 |] ~flows (coexist_link 2_000) with
     | _ -> false
-    | exception Invalid_argument _ -> true)
+    | exception Invalid_argument _ -> true);
+  Alcotest.check_raises "negative arrival rejected"
+    (Invalid_argument "Eval.eval_coexist: arrivals") (fun () ->
+      ignore
+        (Eval.eval_coexist ~arrivals:[| 0; -1 |] ~flows (coexist_link 2_000)))
 
 (* Determinism of the coexistence harness itself: same spec, same
    trajectory, and flow order does not change totals. *)

@@ -27,12 +27,12 @@
    - [multiflow/...]: shared-bottleneck runs through
      [Eval.eval_coexist] (Canopy against Cubic and BBR, Cubic against
      Cubic) on suite traces, one shallow-buffer case with a late
-     arrival, and the event streams of three Cubic flows with different
-     minRTTs on one [Multiflow] link. *)
+     arrival, Cubic against Cubic under each single impairment, and the
+     event streams of three Cubic flows with different minRTTs on one
+     shared [Fleet] link. *)
 
 module Env = Canopy_netsim.Env
 module Fleet = Canopy_netsim.Fleet
-module Multiflow = Canopy_netsim.Multiflow
 module Eval = Canopy.Eval
 module Trace = Canopy_trace.Trace
 module Suite = Canopy_trace.Suite
@@ -369,21 +369,23 @@ let mixed_fleet_digests () =
     (fleet_stream_digests cfgs ~window:(fun i seg ->
          4. +. float_of_int (((i * 7) + (seg * 13)) mod 40)))
 
+(* The impairment settings of the single-impairment links and of the
+   impaired coexistence mixes. *)
+let one_impairment_each =
+  [
+    ("random-loss", { Env.no_impairments with random_loss = 0.05; seed = 21 });
+    ("jitter", { Env.no_impairments with ack_jitter_ms = 4; seed = 22 });
+    ( "reorder",
+      { Env.no_impairments with reorder_prob = 0.1; reorder_ms = 8; seed = 23 }
+    );
+  ]
+
 (* One impairment per link: random loss alone (losses interleave with
    the same millisecond's ACKs in arrival order), ACK jitter alone and
    reordering alone (events arrive out of order). The windows overflow
    the 60-packet buffer in some segments, so tail-drop bursts mix with
    each stream. *)
 let single_impairment_digests () =
-  let links =
-    [
-      ("random-loss", { Env.no_impairments with random_loss = 0.05; seed = 21 });
-      ("jitter", { Env.no_impairments with ack_jitter_ms = 4; seed = 22 });
-      ( "reorder",
-        { Env.no_impairments with reorder_prob = 0.1; reorder_ms = 8; seed = 23 }
-      );
-    ]
-  in
   let cfgs =
     Array.of_list
       (List.map
@@ -396,12 +398,12 @@ let single_impairment_digests () =
              initial_cwnd = 10.;
              impairments;
            })
-         links)
+         one_impairment_each)
   in
   let windows = [| 20.; 90.; 200.; 30.; 150.; 8.; 120.; 60. |] in
   List.map2
     (fun (name, _) crc -> ("fleet/" ^ name, crc))
-    links
+    one_impairment_each
     (fleet_stream_digests cfgs ~window:(fun _ seg -> windows.(seg)))
 
 let test_fleet_events () =
@@ -556,27 +558,31 @@ let add_coexist b (r : Eval.coexist_result) =
   add_float b r.jain;
   add_float b r.utilization
 
-let coexist_digest ?arrivals ~flows link =
+let coexist_digest ?arrivals ?impairments ~flows link =
   let b = digest () in
-  add_coexist b (Eval.eval_coexist ?arrivals ~flows link);
+  add_coexist b (Eval.eval_coexist ?arrivals ?impairments ~flows link);
   crc b
 
 (* Per-flow ack and loss event streams, then the flow's counters, of
    three Cubic flows at minRTT 20/40/60 ms on one 36 Mbps link: their
    return events interleave out of arrival order. *)
 let hetero_rtt_digests () =
-  let n = 3 in
-  let mf =
-    Multiflow.create
-      {
-        Multiflow.trace =
-          Trace.constant ~name:"const36" ~duration_ms:1_000 ~mbps:36.;
-        min_rtt_ms = [| 20; 40; 60 |];
-        buffer_pkts = 150;
-        mtu_bytes = Env.default_mtu;
-        initial_cwnd = 10.;
-      }
+  let trace = Trace.constant ~name:"const36" ~duration_ms:1_000 ~mbps:36. in
+  let cfgs =
+    Array.map
+      (fun min_rtt_ms ->
+        {
+          Env.trace;
+          min_rtt_ms;
+          buffer_pkts = 150;
+          mtu_bytes = Env.default_mtu;
+          initial_cwnd = 10.;
+          impairments = Env.no_impairments;
+        })
+      [| 20; 40; 60 |]
   in
+  let n = Array.length cfgs in
+  let fleet = Fleet.create ~link:(Array.make n 0) cfgs in
   let ctrls = Array.init n (fun _ -> Eval.cubic_scheme ()) in
   let bufs = Array.init n (fun _ -> digest ()) in
   let handlers =
@@ -584,32 +590,28 @@ let hetero_rtt_digests () =
         Env.chain (digest_events bufs.(i))
           (Canopy_cc.Controller.handlers ctrls.(i)))
   in
-  for _ = 1 to 1_000 do
-    Multiflow.tick mf handlers;
-    Array.iteri
-      (fun i (c : Canopy_cc.Controller.t) ->
-        Multiflow.set_cwnd mf ~flow:i (c.cwnd ()))
-      ctrls
-  done;
+  let after_tick i =
+    Fleet.set_cwnd fleet ~flow:i (ctrls.(i).Canopy_cc.Controller.cwnd ())
+  in
+  Fleet.run ~after_tick fleet handlers ~ms:1_000;
   List.init n (fun flow ->
       let b = bufs.(flow) in
-      add_int b (Multiflow.sent mf ~flow);
-      add_int b (Multiflow.delivered mf ~flow);
-      add_int b (Multiflow.dropped mf ~flow);
-      add_int b (Multiflow.inflight mf ~flow);
+      add_int b (Fleet.sent fleet ~flow);
+      add_int b (Fleet.delivered fleet ~flow);
+      add_int b (Fleet.dropped fleet ~flow);
+      add_int b (Fleet.inflight fleet ~flow);
       add_floats b
         [|
-          Multiflow.cwnd mf ~flow;
-          Multiflow.avg_qdelay_ms mf ~flow;
-          Multiflow.throughput_mbps mf ~flow;
+          Fleet.cwnd fleet ~flow;
+          Fleet.avg_qdelay_ms fleet ~flow;
+          Fleet.throughput_mbps fleet ~flow;
         |];
       (Printf.sprintf "multiflow/hetero-rtt/flow%d" flow, crc b))
 
 (* Two-flow mixes on three suite traces (500 ms, 2 BDP, the suite
    minRTT) with the committed fixture actor as the Canopy policy, then
    the Canopy/Cubic mix on a 0.5-BDP buffer with Cubic arriving at
-   150 ms. [Multiflow] has no link impairments, so the shallow buffer
-   is its loss-heavy case. *)
+   150 ms, then the Cubic/Cubic mix on one link per impairment. *)
 let test_multiflow () =
   let canopy = Eval.Coexist_canopy (`Mlp (Lazy.force fixture_actor)) in
   let tcp name make = Eval.Coexist_tcp (name, make) in
@@ -646,8 +648,16 @@ let test_multiflow () =
         ~flows:(List.assoc "canopy-cubic" mixes)
         (link 7 ~bdp:0.5) )
   in
+  let impaired =
+    List.map
+      (fun (impairment, impairments) ->
+        ( "multiflow/impaired/" ^ impairment,
+          coexist_digest ~impairments ~flows:(List.assoc "cubic-cubic" mixes)
+            (link 16 ~bdp:2.) ))
+      one_impairment_each
+  in
   check_family ~prefix:"multiflow/"
-    (clean @ [ shallow ] @ hetero_rtt_digests ())
+    ((clean @ [ shallow ] @ hetero_rtt_digests ()) @ impaired)
 
 let suite =
   [

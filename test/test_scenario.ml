@@ -153,6 +153,43 @@ let test_search_deterministic_across_domains () =
   check_bool "repeat run identical" true (with_default_pool 1 run = want);
   check_bool "domains 2 identical" true (with_default_pool 2 run = want)
 
+(* The coexistence objective runs the scenario's impairments on the
+   shared link: zeroing them moves the score. The arrivals stay early
+   enough for all three flows to deliver within the episode. *)
+let test_jain_scores_impairments () =
+  let actor = untrained_actor () in
+  let p =
+    {
+      (Space.of_vector (Space.sample (Prng.create 11))) with
+      Space.jitter_ms = 6.;
+      loss = 0.03;
+      reorder_prob = 0.1;
+      reorder_ms = 12.;
+      arrival_spread_ms = 200.;
+      min_rtt_ms = 40.;
+    }
+  in
+  let c = Space.compile ~duration_ms:1_200 ~seed:5 p in
+  let score c =
+    Search.score_compiled ~actor ~history:5 ~duration_ms:1_200 Search.Min_jain
+      c
+  in
+  let impaired = score c in
+  let clean =
+    score { c with Space.impairments = Canopy_netsim.Env.no_impairments }
+  in
+  check_bool "scores finite" true
+    (Float.is_finite impaired && Float.is_finite clean);
+  check_bool "impairments move the jain score" true
+    (Int64.bits_of_float impaired <> Int64.bits_of_float clean)
+
+let test_jain_search_reproducible () =
+  let actor = untrained_actor () in
+  let run () = search_bits (Search.search tiny_config ~actor Search.Min_jain) in
+  let want = run () in
+  check_bool "repeat run identical" true (run () = want);
+  check_bool "domains 2 identical" true (with_default_pool 2 run = want)
+
 let test_objective_names () =
   List.iter
     (fun name ->
@@ -301,6 +338,10 @@ let suite =
       test_compile_deterministic;
     Alcotest.test_case "search: bit-reproducible, domains 1,2" `Quick
       test_search_deterministic_across_domains;
+    Alcotest.test_case "search: jain scores impairments" `Quick
+      test_jain_scores_impairments;
+    Alcotest.test_case "search: jain bit-reproducible from seed" `Quick
+      test_jain_search_reproducible;
     Alcotest.test_case "search: objective names" `Quick test_objective_names;
     Alcotest.test_case "search: suite_worst member" `Quick
       test_suite_worst_is_suite_member;
