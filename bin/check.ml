@@ -500,32 +500,37 @@ let scenariocheck_cmd =
    per-kernel markdown table and fails when any tracked kernel's latest
    full-run measurement regresses more than the threshold. When no local
    history exists (fresh checkout, sandboxed CI) there is nothing to
-   gate — that is reported honestly and the gate passes. *)
+   gate — that is reported honestly and the gate passes. A malformed
+   committed baseline fails the run. *)
 let run_bench_report baseline_dir history_dir threshold out smoke =
   let module B = A.Bench_report in
-  let baselines = B.load_baselines ~dir:baseline_dir in
-  let history = B.load_history ~dir:history_dir in
-  let report = B.build ~threshold_pct:threshold ~baselines ~history () in
-  (match out with
-  | Some path -> Canopy_util.Atomic_file.write path report.B.markdown
-  | None -> if not smoke then print_string report.B.markdown);
-  Format.printf
-    "bench-report: %d baseline kernel(s) tracked, %d history snapshot(s), \
-     %d compared, %d regression(s) beyond %.0f%%@."
-    report.B.tracked (List.length history) report.B.compared
-    (List.length report.B.regressions)
-    threshold;
-  if history = [] then
-    Format.printf
-      "bench-report: no local bench history under %s — nothing to gate \
-       (run the full benches to populate it)@."
-      history_dir;
-  List.iter
-    (fun (r : B.regression) ->
-      Format.printf "REGRESSION %s: baseline %.1f -> latest %.1f (%+.1f%%)@."
-        r.B.r_kernel r.B.baseline r.B.latest r.B.delta_pct)
-    report.B.regressions;
-  if report.B.regressions = [] then 0 else 1
+  match B.load_baselines ~dir:baseline_dir with
+  | exception Failure msg ->
+      Format.eprintf "%s@." msg;
+      1
+  | baselines ->
+      let history = B.load_history ~dir:history_dir in
+      let report = B.build ~threshold_pct:threshold ~baselines ~history () in
+      (match out with
+      | Some path -> Canopy_util.Atomic_file.write path report.B.markdown
+      | None -> if not smoke then print_string report.B.markdown);
+      Format.printf
+        "bench-report: %d baseline kernel(s) tracked, %d history snapshot(s), \
+         %d compared, %d regression(s) beyond %.0f%%@."
+        report.B.tracked (List.length history) report.B.compared
+        (List.length report.B.regressions)
+        threshold;
+      if history = [] then
+        Format.printf
+          "bench-report: no local bench history under %s — nothing to gate \
+           (run the full benches to populate it)@."
+          history_dir;
+      List.iter
+        (fun (r : B.regression) ->
+          Format.printf "REGRESSION %s: baseline %.1f -> latest %.1f (%+.1f%%)@."
+            r.B.r_kernel r.B.baseline r.B.latest r.B.delta_pct)
+        report.B.regressions;
+      if report.B.regressions = [] then 0 else 1
 
 let br_baseline_dir =
   Arg.(value & opt string "."

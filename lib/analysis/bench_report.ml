@@ -1,8 +1,9 @@
 (* Perf-history reporting over the BENCH_*.json records: a hand-rolled
-   JSON reader (the repo deliberately has no JSON dependency), a generic
-   flattener from bench records to per-kernel time metrics, a markdown
-   table across history snapshots, and the >threshold regression gate
-   against the committed baselines. *)
+   JSON reader and the writer the bench emitters share (the repo
+   deliberately has no JSON dependency), a generic flattener from bench
+   records to per-kernel time metrics, a markdown table across history
+   snapshots, and the >threshold regression gate against the committed
+   baselines. *)
 
 type json =
   | Null
@@ -166,6 +167,83 @@ let member key = function
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
+(* Writing: only what the parser above reads back to the same value *)
+
+let invalid fmt =
+  Printf.ksprintf invalid_arg ("Bench_report.json_to_string: " ^^ fmt)
+
+(* %.17g always reads back as the same float; the shorter forms keep a
+   value such as 313213.3 as it was recorded. *)
+let string_of_num f =
+  if not (Float.is_finite f) then invalid "non-finite number %h" f;
+  let rec go digits =
+    let s = Printf.sprintf "%.*g" digits f in
+    if digits >= 17 || Float.equal (float_of_string s) f then s
+    else go (digits + 1)
+  in
+  go 15
+
+let add_string buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\b' -> Buffer.add_string buf "\\b"
+      | c when Char.code c < 0x20 -> invalid "control byte 0x%02x" (Char.code c)
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
+let is_container = function Arr _ | Obj _ -> true | _ -> false
+
+(* A container that holds a container puts each item on its own line,
+   indented two spaces per level; any other stays on one line. *)
+let rec add_value buf indent = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (string_of_bool b)
+  | Num f -> Buffer.add_string buf (string_of_num f)
+  | Str s -> add_string buf s
+  | Arr items ->
+      add_items buf indent '[' ']' (List.map (fun v -> (None, v)) items)
+  | Obj fields ->
+      add_items buf indent '{' '}' (List.map (fun (k, v) -> (Some k, v)) fields)
+
+and add_items buf indent opening closing items =
+  let spread = List.exists (fun (_, v) -> is_container v) items in
+  let inner = indent ^ "  " in
+  Buffer.add_char buf opening;
+  List.iteri
+    (fun i (key, v) ->
+      if i > 0 then Buffer.add_char buf ',';
+      if spread then begin
+        Buffer.add_char buf '\n';
+        Buffer.add_string buf inner
+      end
+      else if i > 0 then Buffer.add_char buf ' ';
+      Option.iter
+        (fun k ->
+          add_string buf k;
+          Buffer.add_string buf ": ")
+        key;
+      add_value buf inner v)
+    items;
+  if spread then begin
+    Buffer.add_char buf '\n';
+    Buffer.add_string buf indent
+  end;
+  Buffer.add_char buf closing
+
+let json_to_string v =
+  let buf = Buffer.create 4096 in
+  add_value buf "" v;
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
+
+(* ------------------------------------------------------------------ *)
 (* Flattening records to per-kernel metrics *)
 
 type entry = {
@@ -239,12 +317,7 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let parse_file path =
-  match entries_of_record (json_of_string (read_file path)) with
-  | entries -> entries
-  | exception (Failure msg | Sys_error msg) ->
-      Printf.eprintf "bench-report: skipping %s: %s\n%!" path msg;
-      []
+let entries_of_file path = entries_of_record (json_of_string (read_file path))
 
 let load_baselines ~dir =
   match Sys.readdir dir with
@@ -256,9 +329,23 @@ let load_baselines ~dir =
              && String.sub n 0 6 = "BENCH_"
              && Filename.check_suffix n ".json")
       |> List.sort String.compare
-      |> List.concat_map (fun n -> parse_file (Filename.concat dir n))
+      |> List.concat_map (fun n ->
+             let path = Filename.concat dir n in
+             match entries_of_file path with
+             | entries -> entries
+             | exception (Failure msg | Sys_error msg) ->
+                 fail "bench-report: malformed baseline %s: %s" path msg)
 
 type snapshot = { stamp : string; entries : entry list }
+
+(* History snapshots are local, and old ones may predate a schema, so a
+   bad one is skipped with a warning rather than failing the report. *)
+let history_entries path =
+  match entries_of_file path with
+  | entries -> entries
+  | exception (Failure msg | Sys_error msg) ->
+      Printf.eprintf "bench-report: skipping %s: %s\n%!" path msg;
+      []
 
 (* history filenames are BENCH_<stem>-<stamp>.json *)
 let stamp_of_name name =
@@ -280,7 +367,7 @@ let load_history ~dir =
               Option.value ~default:[] (Hashtbl.find_opt by_stamp stamp)
             in
             Hashtbl.replace by_stamp stamp
-              (prev @ parse_file (Filename.concat dir n))
+              (prev @ history_entries (Filename.concat dir n))
           end)
         names;
       Hashtbl.fold (fun stamp entries acc -> { stamp; entries } :: acc)

@@ -3,7 +3,8 @@
 
     Full bench runs write machine-readable records at the repo root
     (committed: the recorded baselines) and archive a timestamped copy
-    under [_artifacts/bench_history/].  This module parses both (with a
+    under [_artifacts/bench_history/].  The bench emitters write them
+    with {!json_to_string}; this module parses both (with a
     dependency-free JSON reader), flattens every record's [entries] into
     per-kernel time metrics, renders a markdown speedup/regression table
     across commits, and gates: a tracked kernel whose latest full-run
@@ -26,6 +27,15 @@ val json_of_string : string -> json
 val member : string -> json -> json option
 (** Field lookup on an [Obj]; [None] otherwise. *)
 
+val json_to_string : json -> string
+(** The one writer of BENCH records: [json_of_string (json_to_string v)
+    = v].  Each number is printed in the shortest form that reads back
+    as the same float; strings use only the escapes the parser decodes
+    (a backslash before a quote, a backslash, [n], [t], [r] or [b]).  A
+    container that holds a container puts each item on its own indented
+    line; any other stays on one line.  Raises [Invalid_argument] on
+    NaN, an infinity, or any other control byte in a string. *)
+
 type entry = {
   bench : string;  (** top-level ["bench"] tag of the record *)
   kernel : string;  (** derived key, e.g. [train_step/actor_forward_b64] *)
@@ -46,13 +56,16 @@ val entries_of_record : json -> entry list
 type snapshot = { stamp : string; entries : entry list }
 
 val load_baselines : dir:string -> entry list
-(** Parse every committed [BENCH_*.json] directly under [dir].
-    Unreadable or malformed files are skipped with a warning on stderr. *)
+(** Parse every committed [BENCH_*.json] directly under [dir].  Raises
+    [Failure] naming the file when one is unreadable or malformed: a torn
+    baseline must not silently drop its kernels from the gate. *)
 
 val load_history : dir:string -> snapshot list
 (** Parse every [*.json] under the bench-history directory (filenames
     [BENCH_<stem>-<stamp>.json]), grouped per timestamp and sorted
-    chronologically.  A missing directory yields []. *)
+    chronologically.  A missing directory yields [].  Snapshots are local
+    and may predate a schema, so an unreadable or malformed one is
+    skipped with a warning on stderr. *)
 
 type regression = {
   r_kernel : string;

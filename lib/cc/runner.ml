@@ -15,13 +15,6 @@ type metrics = {
   dropped_pkts : int;
 }
 
-let pp_metrics ppf m =
-  Format.fprintf ppf
-    "%-10s %-22s util=%5.1f%% thr=%6.2fMbps qdelay(avg/p95)=%6.1f/%6.1fms \
-     loss=%5.2f%%"
-    m.scheme m.trace (100. *. m.utilization) m.avg_throughput_mbps
-    m.avg_qdelay_ms m.p95_qdelay_ms (100. *. m.loss_rate)
-
 type series = {
   bin_ms : int;
   throughput_mbps : float array;

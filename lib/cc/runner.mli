@@ -16,8 +16,6 @@ type metrics = {
   dropped_pkts : int;
 }
 
-val pp_metrics : Format.formatter -> metrics -> unit
-
 type series = {
   bin_ms : int;
   throughput_mbps : float array;  (** delivered rate per bin *)

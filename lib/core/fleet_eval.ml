@@ -82,6 +82,3 @@ let serve ?on_tick ~policy env =
     mean_qdelay_ms = Stats.mean (Array.map (fun f -> f.avg_qdelay_ms) per_flow);
     per_flow;
   }
-
-let run ?on_tick ~policy cfgs =
-  serve ?on_tick ~policy (Fleet_env.create cfgs)

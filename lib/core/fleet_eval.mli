@@ -38,14 +38,3 @@ val serve :
     record trajectories); the arrays it receives are reused across
     ticks and must be copied if retained. Requires
     [Policy.in_dim policy = state_dim] and [out_dim = 1]. *)
-
-val run :
-  ?on_tick:
-    (tick:int ->
-    actions:float array ->
-    result:Canopy_orca.Fleet_env.step_result ->
-    unit) ->
-  policy:Policy.t ->
-  Canopy_orca.Agent_env.config array ->
-  result
-(** [serve] over a freshly created [Fleet_env]. *)

@@ -21,8 +21,3 @@ let predict_rows_into ~dst policy x =
   match policy with
   | `Mlp m -> Mlp.forward_eval_into ~dst m x
   | `Tree tr -> Tree.predict_rows_into ~dst tr x
-
-let predict_row policy row =
-  match policy with
-  | `Mlp m -> (Mlp.forward m row).(0)
-  | `Tree tr -> Tree.predict tr row

@@ -23,8 +23,3 @@ val predict_rows_into :
     (unclamped) action for row [i] of the input.  Dispatches to
     [Mlp.forward_eval_into] or [Tree.predict_rows_into]; both are
     bit-identical across batch shapes and domain counts. *)
-
-val predict_row : t -> float array -> float
-(** Scalar convenience used by shields and probes: the raw action for one
-    observation row.  For MLPs this is [Mlp.forward]; bit-identical to the
-    batched path's row result for both kinds. *)

@@ -997,8 +997,6 @@ let approx_equal ?(eps = 1e-9) a b =
        !ok
      end
 
-let to_arrays m = Array.init m.rows (fun i -> row m i)
-
 let pp ppf m =
   Format.fprintf ppf "@[<v>";
   for i = 0 to m.rows - 1 do

@@ -201,7 +201,6 @@ val mat_mul_tn_row_flops : t -> t -> int
 
 val frobenius : t -> float
 val approx_equal : ?eps:float -> t -> t -> bool
-val to_arrays : t -> float array array
 
 val raw : t -> float array
 (** The underlying row-major storage, shared with the matrix. Mutating it

@@ -98,8 +98,3 @@ let summarize xs =
     p95 = percentile xs 95.;
     p99 = percentile xs 99.;
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g p95=%.4g p99=%.4g max=%.4g" s.n
-    s.mean s.stddev s.min s.p50 s.p95 s.p99 s.max

@@ -57,5 +57,3 @@ type summary = {
 
 val summarize : float array -> summary
 (** Raises [Invalid_argument] on an empty array. *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -1,6 +1,7 @@
 (* Tests for canopy_analysis: lint rule positives/negatives on fixture
    snippets, baseline suppression, the soundness audit (which must be
-   clean over the real transformers), and netcheck rejections. *)
+   clean over the real transformers), netcheck rejections, and the
+   BENCH record writer, parser and regression gate. *)
 
 open Canopy_analysis
 module Prng = Canopy_util.Prng
@@ -383,6 +384,171 @@ let test_netcheck_checkpoint_roundtrip () =
   | Ok _ -> Alcotest.fail "malformed checkpoint accepted");
   Sys.remove path
 
+(* ------------------------------------------------------------------ *)
+(* Bench report *)
+
+module B = Bench_report
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let raises_failure f =
+  match f () with _ -> false | exception Failure _ -> true
+
+(* The repo root: the parent of test/ under dune runtest, the working
+   directory under dune exec. *)
+let repo_root = if Sys.file_exists "fixtures" then ".." else "."
+
+let committed_records () =
+  Sys.readdir repo_root
+  |> Array.to_list
+  |> List.filter (fun n ->
+         String.length n > 6
+         && String.sub n 0 6 = "BENCH_"
+         && Filename.check_suffix n ".json")
+  |> List.sort String.compare
+
+let test_bench_committed_roundtrip () =
+  let names = committed_records () in
+  check_bool "committed records found" true (List.length names >= 5);
+  List.iter
+    (fun name ->
+      let v =
+        B.json_of_string
+          (In_channel.with_open_bin (Filename.concat repo_root name)
+             In_channel.input_all)
+      in
+      check_bool (name ^ " round-trips") true
+        (B.json_of_string (B.json_to_string v) = v))
+    names
+
+let test_bench_writer () =
+  List.iter
+    (fun f ->
+      check_bool
+        (Printf.sprintf "rejects %h" f)
+        true
+        (raises_invalid (fun () -> B.json_to_string (B.Arr [ B.Num f ]))))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  check_bool "rejects a raw control byte" true
+    (raises_invalid (fun () -> B.json_to_string (B.Str "a\001b")));
+  let v =
+    B.Obj
+      [
+        ("quote \" and \\ backslash", B.Str "line\nbreak\t\r\b \"q\" \\");
+        ( "nums",
+          B.Arr [ B.Num 0.1; B.Num 313213.3; B.Num 1e-300; B.Num (-0.) ] );
+      ]
+  in
+  check_bool "escapes and floats round-trip" true
+    (B.json_of_string (B.json_to_string v) = v)
+
+let test_bench_parser_rejects () =
+  List.iter
+    (fun (what, src) ->
+      check_bool what true (raises_failure (fun () -> B.json_of_string src)))
+    [
+      ("trailing garbage", "{\"a\": 1} x");
+      ("bare NaN", "[NaN]");
+      ("form-feed escape", "\"a\\fb\"");
+    ]
+
+let record_json mode =
+  B.json_of_string
+    (Printf.sprintf
+       {|{"bench": "b", "mode": %S, "entries": [
+          {"name": "k1", "batch": 64, "ns_per_op": 5.5},
+          {"flows": 1000, "duration_ms": 1600, "domains": 2, "wall_s": 1.5},
+          {"name": "k3", "ns_per_op": 7, "skipped_reason": "oversubscribed"},
+          {"name": "no_time"}]}|}
+       mode)
+
+let test_bench_entries_of_record () =
+  let entries = B.entries_of_record (record_json "full") in
+  Alcotest.(check (list string))
+    "kernel keys"
+    [ "b/k1"; "b/f1000_d2_ms1600"; "b/k3" ]
+    (List.map (fun (e : B.entry) -> e.kernel) entries);
+  Alcotest.(check (list string))
+    "metrics" [ "ns_per_op"; "wall_s"; "ns_per_op" ]
+    (List.map (fun (e : B.entry) -> e.metric) entries);
+  Alcotest.(check (list bool))
+    "skipped" [ false; false; true ]
+    (List.map (fun (e : B.entry) -> e.skipped) entries);
+  check_int "smoke record yields nothing" 0
+    (List.length (B.entries_of_record (record_json "smoke")))
+
+let entry ?(skipped = false) value =
+  { B.bench = "b"; kernel = "b/k"; metric = "ns_per_op"; value; skipped }
+
+let snapshot stamp entries = { B.stamp; entries }
+
+let regressions ~baseline history =
+  List.length (B.build ~baselines:[ baseline ] ~history ()).B.regressions
+
+let test_bench_gate () =
+  check_int "16% slower regresses" 1
+    (regressions ~baseline:(entry 100.) [ snapshot "1" [ entry 116. ] ]);
+  check_int "14% slower passes" 0
+    (regressions ~baseline:(entry 100.) [ snapshot "1" [ entry 114. ] ]);
+  check_int "skipped baseline never gates" 0
+    (regressions ~baseline:(entry ~skipped:true 100.)
+       [ snapshot "1" [ entry 300. ] ]);
+  check_int "latest non-skipped snapshot is compared" 0
+    (regressions ~baseline:(entry 100.)
+       [
+         snapshot "1" [ entry 300. ];
+         snapshot "2" [ entry 105. ];
+         snapshot "3" [ entry ~skipped:true 300. ];
+       ]);
+  check_int "an older fast snapshot does not hide a slow latest" 1
+    (regressions ~baseline:(entry 100.)
+       [ snapshot "1" [ entry 90. ]; snapshot "2" [ entry 130. ] ]);
+  let report = B.build ~baselines:[ entry 100. ] ~history:[] () in
+  check_int "no history: nothing compared" 0 report.B.compared;
+  check_int "no history: still tracked" 1 report.B.tracked
+
+let with_bench_dir files f =
+  let dir = Filename.temp_dir "canopy_bench_report" "" in
+  List.iter
+    (fun (name, contents) ->
+      Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+          Out_channel.output_string oc contents))
+    files;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun (name, _) -> Sys.remove (Filename.concat dir name)) files;
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let good_record =
+  {|{"bench": "b", "mode": "full", "entries": [{"name": "k", "ns_per_op": 1}]}|}
+
+let torn_record = {|{"bench": "b", "mode": "full", "entries": [{"name": "k|}
+
+let test_bench_torn_baseline_fails () =
+  with_bench_dir
+    [ ("BENCH_good.json", good_record); ("BENCH_torn.json", torn_record) ]
+    (fun dir ->
+      match B.load_baselines ~dir with
+      | _ -> Alcotest.fail "torn baseline accepted"
+      | exception Failure msg ->
+          check_bool "message names the file" true
+            (Test_core.contains_substring msg "BENCH_torn.json"))
+
+let test_bench_torn_history_skipped () =
+  with_bench_dir
+    [
+      ("BENCH_good-20260101T000000.json", good_record);
+      ("BENCH_torn-20260101T000000.json", torn_record);
+    ]
+    (fun dir ->
+      match B.load_history ~dir with
+      | [ s ] ->
+          check_int "good snapshot's entries kept" 1 (List.length s.B.entries)
+      | snaps ->
+          Alcotest.failf "expected 1 snapshot, got %d" (List.length snaps))
+
 let suite =
   [
     ("lint: polymorphic compare", `Quick, test_lint_polymorphic_compare);
@@ -421,4 +587,14 @@ let suite =
      test_netcheck_assert_valid_raises);
     ("netcheck: checkpoint roundtrip", `Quick,
      test_netcheck_checkpoint_roundtrip);
+    ("bench-report: committed records round-trip", `Quick,
+     test_bench_committed_roundtrip);
+    ("bench-report: writer", `Quick, test_bench_writer);
+    ("bench-report: parser rejects", `Quick, test_bench_parser_rejects);
+    ("bench-report: entries_of_record", `Quick, test_bench_entries_of_record);
+    ("bench-report: regression gate", `Quick, test_bench_gate);
+    ("bench-report: torn baseline fails", `Quick,
+     test_bench_torn_baseline_fails);
+    ("bench-report: torn history skipped", `Quick,
+     test_bench_torn_history_skipped);
   ]

@@ -630,10 +630,10 @@ let scalar_trajectory policy cfg =
 let fleet_trajectory policy cfg =
   let acc = ref [] in
   let _ =
-    Fleet_eval.run ~policy
+    Fleet_eval.serve ~policy
       ~on_tick:(fun ~tick:_ ~actions:_ ~result ->
         acc := Int64.bits_of_float result.Fleet_env.cwnd_enforced.(0) :: !acc)
-      [| cfg |]
+      (Fleet_env.create [| cfg |])
   in
   List.rev !acc
 

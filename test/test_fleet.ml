@@ -125,10 +125,10 @@ let test_fleet_env_matches_agent_env () =
 let fleet_episode_bits cfgs actor =
   let acc = ref [] in
   let r =
-    Fleet_eval.run ~policy:(`Mlp actor)
+    Fleet_eval.serve ~policy:(`Mlp actor)
       ~on_tick:(fun ~tick:_ ~actions ~result ->
         acc := bits result.Fleet_env.cwnd_enforced :: bits actions :: !acc)
-      cfgs
+      (Fleet_env.create cfgs)
   in
   (List.rev !acc, bits (Array.map (fun (f : Fleet_eval.flow_result) -> f.throughput_mbps) r.Fleet_eval.per_flow))
 
@@ -180,7 +180,7 @@ let test_fleet_eval_run () =
       ~in_dim:(Agent_env.state_dim cfgs.(0))
       ~hidden:16 ~out_dim:1
   in
-  let r = Fleet_eval.run ~policy:(`Mlp actor) cfgs in
+  let r = Fleet_eval.serve ~policy:(`Mlp actor) (Fleet_env.create cfgs) in
   check_int "flows" 8 r.Fleet_eval.flows;
   check_int "duration" 400 r.Fleet_eval.duration_ms;
   check_int "ticks" (400 / 40) r.Fleet_eval.decision_ticks;
