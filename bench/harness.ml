@@ -190,18 +190,23 @@ let fixed digits v =
   let s = 10. ** float_of_int digits in
   Json.Num (Float.round (v *. s) /. s)
 
-(* Writes the BENCH record [fields], tagged with its ["bench"] and
-   ["mode"]. A full run replaces BENCH_<bench>.json at the repo root
-   through the stage+rename path, so an interrupted bench never leaves a
-   torn record, and archives a stamped copy under
-   [_artifacts/bench_history/] so successive runs build a local perf
-   history. A smoke run writes a temp file instead, reads it back
-   through the parser, fails unless it reads as written, and removes
-   it. *)
+(* Writes the BENCH record [fields], tagged with its ["bench"],
+   ["mode"] and ["gemm_kernel"] (which GEMM inner loops ran: ["avx2"] or
+   ["ocaml"], so a silent fallback shows in the record). A full run
+   replaces BENCH_<bench>.json at the repo root through the stage+rename
+   path, so an interrupted bench never leaves a torn record, and
+   archives a stamped copy under [_artifacts/bench_history/] so
+   successive runs build a local perf history. A smoke run writes a
+   temp file instead, reads it back through the parser, fails unless it
+   reads as written, and removes it. *)
 let write_record bench fields =
   let mode = if !smoke_mode then "smoke" else "full" in
   let record =
-    Json.Obj (("bench", Json.Str bench) :: ("mode", Json.Str mode) :: fields)
+    Json.Obj
+      (("bench", Json.Str bench)
+      :: ("mode", Json.Str mode)
+      :: ("gemm_kernel", Json.Str (Mat.gemm_kernel ()))
+      :: fields)
   in
   let contents = Json.json_to_string record in
   if !smoke_mode then begin

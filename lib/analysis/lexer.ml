@@ -270,20 +270,3 @@ let lex src =
     tokens = Array.of_list (List.rev !tokens);
     comments = List.rev !comments;
   }
-
-(* Render the source with string bodies, char literals and comments
-   blanked to spaces (newlines preserved), so column positions survive.
-   This is the token-stream footing under the line-oriented lint rules:
-   a rule keyword inside a string or comment can no longer match. *)
-let blank_non_code src =
-  let { tokens; _ } = lex src in
-  let buf =
-    Bytes.map (fun c -> if c = '\n' then '\n' else ' ') (Bytes.of_string src)
-  in
-  Array.iter
-    (fun t ->
-      match t.kind with
-      | String _ | Char _ -> ()
-      | _ -> Bytes.blit_string src t.off buf t.off t.len)
-    tokens;
-  Bytes.to_string buf

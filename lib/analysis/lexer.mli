@@ -39,7 +39,3 @@ val is_keyword : string -> bool
 val lex : string -> t
 (** Tokenize one file's contents. Never raises; unterminated strings
     and comments consume to end of input. *)
-
-val blank_non_code : string -> string
-(** The source with string bodies, char literals and comments blanked
-    to spaces — newlines and column positions preserved. *)

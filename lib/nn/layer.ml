@@ -396,7 +396,8 @@ let forward_eval_into ~dst layer x =
         Array.unsafe_set od i (Float.tanh (Array.unsafe_get xd i))
       done
 
-let backward ?(input_grad = true) ?(reuse_dout = false) layer cache dout =
+let backward ?(input_grad = true) ?(param_grads = true) ?(reuse_dout = false)
+    layer cache dout =
   let n = Mat.rows dout in
   (* With [~reuse_dout:true] the element-wise layers write their input
      gradient into [dout]'s storage (every cell is read before it is
@@ -408,9 +409,13 @@ let backward ?(input_grad = true) ?(reuse_dout = false) layer cache dout =
       if Mat.rows x <> n then invalid_arg "Layer.backward: batch size";
       (* dw += doutᵀ·x, db += column sums, dx = dout·w — three batched
          kernels instead of 3n vector ops. The dx GEMM is skipped when the
-         caller does not consume input gradients (a fit's first layer). *)
-      Mat.mat_mul_tn_acc ~dst:d.dw dout x;
-      Mat.col_sum_acc ~dst:d.db dout;
+         caller does not consume input gradients (a fit's first layer),
+         the other two when it does not consume parameter gradients (a
+         critic used as the actor's gradient conduit). *)
+      if param_grads then begin
+        Mat.mat_mul_tn_acc ~dst:d.dw dout x;
+        Mat.col_sum_acc ~dst:d.db dout
+      end;
       if input_grad then Mat.mat_mul dout d.w else dout
   | Batch_norm bn, C_bn c ->
       let dim = Vec.dim bn.gamma in
@@ -419,16 +424,17 @@ let backward ?(input_grad = true) ?(reuse_dout = false) layer cache dout =
       let dod = Mat.raw dout and xh = Mat.raw c.xhat in
       (* Parameter gradients are identical in both statistic regimes. *)
       let dgamma = bn.dgamma and dbeta = bn.dbeta in
-      for b = 0 to n - 1 do
-        let base = b * dim in
-        for i = 0 to dim - 1 do
-          let g = Array.unsafe_get dod (base + i) in
-          Array.unsafe_set dgamma i
-            (Array.unsafe_get dgamma i
-            +. (g *. Array.unsafe_get xh (base + i)));
-          Array.unsafe_set dbeta i (Array.unsafe_get dbeta i +. g)
-        done
-      done;
+      if param_grads then
+        for b = 0 to n - 1 do
+          let base = b * dim in
+          for i = 0 to dim - 1 do
+            let g = Array.unsafe_get dod (base + i) in
+            Array.unsafe_set dgamma i
+              (Array.unsafe_get dgamma i
+              +. (g *. Array.unsafe_get xh (base + i)));
+            Array.unsafe_set dbeta i (Array.unsafe_get dbeta i +. g)
+          done
+        done;
       if not c.batch_stats then begin
         (* Running statistics are constants: the map is affine. *)
         let dx = if reuse_dout then dout else Mat.create ~rows:n ~cols:dim in

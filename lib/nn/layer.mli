@@ -101,13 +101,22 @@ val forward1_into : dst:Vec.t -> mode -> t -> Vec.t -> unit
     the input. Lets [Mlp.forward] run the rollout hot path over a
     per-domain scratch arena instead of allocating per layer. *)
 
-val backward : ?input_grad:bool -> ?reuse_dout:bool -> t -> cache -> Mat.t -> Mat.t
+val backward :
+  ?input_grad:bool ->
+  ?param_grads:bool ->
+  ?reuse_dout:bool ->
+  t ->
+  cache ->
+  Mat.t ->
+  Mat.t
 (** [backward layer cache dout] accumulates parameter gradients into the
     layer and returns the gradient with respect to the layer input, both
     as [batch × dim] matrices. Must be called with the cache of the
     matching {!forward} invocation. With [~input_grad:false] a dense
     layer skips the input-gradient GEMM and returns an unspecified
     matrix — only valid when the caller discards the result. With
+    [~param_grads:false] (default true) the layer leaves its gradient
+    accumulators untouched and only the input gradient is computed. With
     [~reuse_dout:true] (default false) an element-wise layer may write
     the returned gradient into [dout]'s storage — only valid when the
     caller is done with [dout], as inside an MLP backward walk where

@@ -161,7 +161,7 @@ let forward_train t batch =
   in
   (out, List.rev rev_caches)
 
-let backward ?(input_grad = true) t tape dout =
+let backward ?(input_grad = true) ?(param_grads = true) t tape dout =
   let rev_layers = List.rev t.layers in
   let rev_caches = List.rev tape in
   (* The last step of the walk is the first layer of the net: its input
@@ -173,10 +173,11 @@ let backward ?(input_grad = true) t tape dout =
     match (layers, caches) with
     | [], [] -> grad
     | [ layer ], [ cache ] ->
-        Layer.backward ~input_grad ~reuse_dout:(not first) layer cache grad
+        Layer.backward ~input_grad ~param_grads ~reuse_dout:(not first) layer
+          cache grad
     | layer :: layers, cache :: caches ->
         go false
-          (Layer.backward ~reuse_dout:(not first) layer cache grad)
+          (Layer.backward ~param_grads ~reuse_dout:(not first) layer cache grad)
           layers caches
     | _ -> invalid_arg "Mlp.backward: tape length"
   in

@@ -76,11 +76,14 @@ val forward_train : t -> Mat.t -> Mat.t * tape
 (** Training-mode forward over a [batch × in_dim] matrix; batch-norm
     layers use batch statistics (batch > 1) and update running stats. *)
 
-val backward : ?input_grad:bool -> t -> tape -> Mat.t -> Mat.t
+val backward : ?input_grad:bool -> ?param_grads:bool -> t -> tape -> Mat.t -> Mat.t
 (** Accumulates parameter gradients and returns input gradients, both as
     [batch × dim] matrices. Pass [~input_grad:false] when the input
     gradient is not consumed (e.g. a critic fit): the first layer then
-    skips its input-gradient GEMM and the return value is unspecified. *)
+    skips its input-gradient GEMM and the return value is unspecified.
+    Pass [~param_grads:false] when only the input gradient is consumed
+    (e.g. a critic as the actor's gradient conduit): no layer touches
+    its gradient accumulators. *)
 
 type rows_tape
 (** Activation record from the per-sample reference pass. *)

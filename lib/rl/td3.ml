@@ -294,11 +294,12 @@ let actor_update_batched t (batch : Replay_buffer.transition array) =
   Mlp.zero_grad t.actor;
   let actions, actor_tape = Mlp.forward_train t.actor states in
   (* Deterministic policy gradient: maximize Q1(s, pi(s)), i.e. descend
-     -Q1. The critic is only a conduit for gradients here; its own
-     gradient accumulators are zeroed again before its next fit. A
-     critic's passes are row-local, so the sharded conduit reproduces
-     the full-batch [daction] bit for bit — only the actor's own passes
-     (batch-norm couples its samples) must stay full-batch. *)
+     -Q1. The critic is only a conduit for gradients here: its backward
+     computes input gradients alone and leaves its accumulators, which
+     its next fit zeroes, untouched. A critic's passes are row-local, so
+     the sharded conduit reproduces the full-batch [daction] bit for
+     bit — only the actor's own passes (batch-norm couples its samples)
+     must stay full-batch. *)
   let critic_inputs = Mat.concat_cols states actions in
   let inv_n = 1. /. float_of_int n in
   let daction =
@@ -308,12 +309,11 @@ let actor_update_batched t (batch : Replay_buffer.transition array) =
       let da = Mat.create_uninit ~rows:n ~cols:cfg.action_dim in
       for_each_shard n (fun s ~lo ~hi ->
           let shadow = shards.(s) in
-          Mlp.zero_grad shadow;
           let _, tape =
             Mlp.forward_train shadow (Mat.sub_rows critic_inputs ~lo ~hi)
           in
           let dout = Mat.init ~rows:(hi - lo) ~cols:1 (fun _ _ -> -.inv_n) in
-          let dinputs = Mlp.backward shadow tape dout in
+          let dinputs = Mlp.backward ~param_grads:false shadow tape dout in
           for i = lo to hi - 1 do
             for j = 0 to cfg.action_dim - 1 do
               Mat.set da i j (Mat.get dinputs (i - lo) (cfg.state_dim + j))
@@ -322,10 +322,11 @@ let actor_update_batched t (batch : Replay_buffer.transition array) =
       da
     end
     else begin
-      Mlp.zero_grad t.critic1;
       let _, critic_tape = Mlp.forward_train t.critic1 critic_inputs in
       let dout = Mat.init ~rows:n ~cols:1 (fun _ _ -> -.inv_n) in
-      let dinputs = Mlp.backward t.critic1 critic_tape dout in
+      let dinputs =
+        Mlp.backward ~param_grads:false t.critic1 critic_tape dout
+      in
       Mat.cols_slice dinputs ~pos:cfg.state_dim ~len:cfg.action_dim
     end
   in

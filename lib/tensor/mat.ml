@@ -133,9 +133,9 @@ let[@inline] saxpy_row ~dst ~dbase ~s ~x ~xbase ~len =
 
 (* dst.(dbase+j) += s0*x0 + s1*x1 + s2*x2 + s3*x3 row-wise: four source
    rows are folded into [dst] per pass, quartering the load/store traffic
-   on [dst] relative to four single-row saxpys. The four products are
-   summed before the add to [dst], so the accumulation order differs from
-   the per-sample reference by rounding only. *)
+   on [dst] relative to four single-row saxpys. [+.] associates to the
+   left, so the four products are added to the cell one after the other:
+   the same chain as four single-row saxpys. *)
 let[@inline] saxpy_row4 ~dst ~dbase ~s0 ~s1 ~s2 ~s3 ~x ~x0 ~x1 ~x2 ~x3 ~len =
   for j = 0 to len - 1 do
     Array.unsafe_set dst (dbase + j)
@@ -285,6 +285,72 @@ let plan_chunks ~rows ~row_flops =
   end
   else None
 
+(* ------------------------------------------------------------------ *)
+(* AVX2 kernels (gemm_stubs.c).
+
+   On hosts with AVX2 the inner loops of the three GEMM shapes run in C:
+   each vector lane is one output cell's accumulation chain, seeded and
+   stepped in ascending k exactly as the OCaml range kernels below, with
+   their zero-skips, so the choice never changes a bit (DESIGN §10). The
+   stubs are [@@noalloc]: they take the flat float arrays and a
+   [lo, hi) range of output rows, allocate nothing, raise nothing and
+   touch no global state, so the pool may run them on any domain. The
+   OCaml kernels stay as the small-shape path, the path on every other
+   host, and the oracle the tests hold the C kernels to. The choice is
+   made once, here, from the CPU and the float array layout. *)
+
+external avx2_supported : unit -> bool = "canopy_gemm_avx2_supported"
+[@@noalloc]
+
+external c_nt_pack :
+  float array -> (int[@untagged]) -> (int[@untagged]) -> float array -> unit
+  = "canopy_gemm_nt_pack_byte" "canopy_gemm_nt_pack"
+[@@noalloc]
+
+external c_nt :
+  float array ->
+  float array ->
+  float array ->
+  float array ->
+  (int[@untagged]) ->
+  float array ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  unit = "canopy_gemm_nt_byte" "canopy_gemm_nt"
+[@@noalloc]
+
+external c_nn :
+  float array ->
+  float array ->
+  float array ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  unit = "canopy_gemm_nn_byte" "canopy_gemm_nn"
+[@@noalloc]
+
+external c_tn :
+  float array ->
+  float array ->
+  float array ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  unit = "canopy_gemm_tn_byte" "canopy_gemm_tn"
+[@@noalloc]
+
+(* The stubs read float arrays as packed doubles. *)
+let avx2 =
+  avx2_supported () && Obj.tag (Obj.repr [| 0. |]) = Obj.double_array_tag
+
+let gemm_kernel () = if avx2 then "avx2" else "ocaml"
+
 (* One k block of the normal-layout GEMM: accumulate
    a[·, klo..khi) · b[klo..khi), ·] into rows [lo, hi) of [dst]. [klo] is
    a multiple of 4 and [khi] is either a multiple of 4 or [a.cols], so
@@ -385,10 +451,9 @@ let mat_mul_into_kblock ~dst a b ~lo ~hi ~klo ~khi =
    of 4 (see [mat_mul_into_kblock]). *)
 let mm_kc = 128
 
-let mat_mul_into_range ~dst a b ~lo ~hi =
-  (* The sequential kernel zero-fills all of [dst] up front; the range
-     kernel owns exactly rows [lo, hi) and zero-fills just those, then
-     accumulates one k block at a time. *)
+let nn_range_ocaml ~dst a b ~lo ~hi =
+  (* The range kernel owns exactly rows [lo, hi): it zero-fills just
+     those, then accumulates one k block at a time. *)
   Array.fill dst.data (lo * b.cols) ((hi - lo) * b.cols) 0.;
   let klo = ref 0 in
   while !klo < a.cols do
@@ -396,6 +461,10 @@ let mat_mul_into_range ~dst a b ~lo ~hi =
     mat_mul_into_kblock ~dst a b ~lo ~hi ~klo:!klo ~khi;
     klo := khi
   done
+
+let nn_range ~dst a b ~lo ~hi =
+  if avx2 then c_nn dst.data a.data b.data a.rows a.cols b.cols lo hi
+  else nn_range_ocaml ~dst a b ~lo ~hi
 
 (* Per-output-row flop estimates live next to their kernels; dispatchers
    and external call sites (Anet, Zonotope, the bench) must take them
@@ -409,8 +478,8 @@ let mat_mul_into ~dst a b =
   match plan_chunks ~rows:a.rows ~row_flops:(mat_mul_row_flops a b) with
   | Some chunk ->
       Canopy_util.Pool.parallel_for_chunks ~chunk a.rows (fun ~lo ~hi ->
-          mat_mul_into_range ~dst a b ~lo ~hi)
-  | None -> mat_mul_into_range ~dst a b ~lo:0 ~hi:a.rows
+          nn_range ~dst a b ~lo ~hi)
+  | None -> nn_range ~dst a b ~lo:0 ~hi:a.rows
 
 let mat_mul a b =
   if a.cols <> b.rows then invalid_arg "Mat.mat_mul: dims";
@@ -419,24 +488,26 @@ let mat_mul a b =
   mat_mul_into ~dst:out a b;
   out
 
-(* dst <- a · bᵀ. Row-major makes this the cache-friendly GEMM shape: the
-   inner product walks one row of [a] and one row of [b], both contiguous.
-   It is the batched dense forward ([x · wᵀ] for an [out×in] weight
-   matrix). Register-blocked over four rows of [b]: each [a] element is
-   loaded once per four output cells and the four accumulator chains are
-   independent. Every cell still sums in ascending k order, so each
-   output row is bit-identical to a per-row [mat_vec]. *)
-let mat_mul_nt_into_range ~dst a b ~lo ~hi =
+(* dst <- a · bᵀ, each cell seeded with [bias.(j)] (the fused dense
+   forward [x·wᵀ + b]) or with +0. when [bias] is [None]. Row-major makes
+   this the cache-friendly GEMM shape: the inner product walks one row
+   of [a] and one row of [b], both contiguous. Four rows of [b] at a
+   time (each [a] load feeds four independent accumulator chains), with
+   the k loop unrolled ×4 to amortize the loop overhead. Every cell sums
+   its products in ascending k order, so each output row of the plain
+   form is bit-identical to a per-row [mat_vec], and because output
+   rows are fully independent any row partition of [0, a.rows) is
+   bit-identical to the sequential sweep. Seeding with the bias instead
+   of adding it after the dot product changes the result by rounding
+   only. *)
+let nt_range_ocaml ~dst a b ~bias ~lo ~hi =
   let inner = a.cols in
   let ad = a.data and bd = b.data and od = dst.data in
   let j4 = b.rows - (b.rows land 3) in
   let k4 = inner - (inner land 3) in
-  (* Four rows of [b] at a time (each [a] load feeds four independent
-     accumulator chains), with the k loop unrolled ×4 to amortize the
-     loop overhead. Each accumulator still sums its products in ascending
-     k order, so every cell is bit-identical to the scalar dot — and
-     because output rows are fully independent here, any row partition
-     of [0, a.rows) is bit-identical to the sequential sweep. *)
+  let[@inline] seed j =
+    match bias with None -> 0. | Some v -> Array.unsafe_get v j
+  in
   for i = lo to hi - 1 do
     let abase = i * inner in
     let obase = i * dst.cols in
@@ -446,7 +517,8 @@ let mat_mul_nt_into_range ~dst a b ~lo ~hi =
       let b1 = b0 + inner in
       let b2 = b1 + inner in
       let b3 = b2 + inner in
-      let s0 = ref 0. and s1 = ref 0. and s2 = ref 0. and s3 = ref 0. in
+      let s0 = ref (seed !j) and s1 = ref (seed (!j + 1)) in
+      let s2 = ref (seed (!j + 2)) and s3 = ref (seed (!j + 3)) in
       let k = ref 0 in
       while !k < k4 do
         let av = Array.unsafe_get ad (abase + !k) in
@@ -487,261 +559,49 @@ let mat_mul_nt_into_range ~dst a b ~lo ~hi =
     done;
     for j = j4 to b.rows - 1 do
       let bbase = j * inner in
-      let acc = ref 0. in
-      for k = 0 to inner - 1 do
-        acc :=
-          !acc
-          +. (Array.unsafe_get ad (abase + k) *. Array.unsafe_get bd (bbase + k))
-      done;
-      Array.unsafe_set od (obase + j) !acc
-    done
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Packed-panel nt kernel.
-
-   For row counts worth blocking, the 4-aligned rows of [b] are repacked
-   once per call into a contiguous panel that interleaves each 4-row
-   tile k-major:
-
-     panel.(4*jt*inner + 4*k + jj) = b.(4*jt + jj).(k)
-
-   so the micro-kernel's inner loop reads the four [b] values of a tile
-   from one linear stream instead of four strided rows. Packing is a
-   pure relayout — same values, and every output cell still runs one
-   accumulator chain in ascending k order — so the packed kernel is
-   bit-identical to the direct kernel above, and the packed/direct
-   choice (a pure function of the shapes) can never change a result.
-   Two [a] rows are processed per panel pass (8 independent chains),
-   halving panel traffic relative to the row-at-a-time sweep while
-   keeping all live floats (8 accumulators, 4 panel values, 2 [a]
-   values) inside a 16-register FP file — a 4-row pass needs 21 and
-   spills every iteration. Chunk starts are multiples of 4, so a
-   chunked run blocks the i loop exactly like the sequential sweep. The panel lives in the calling domain's
-   scratch arena and is written before the parallel region; workers read
-   it through the region closure, published by the pool's mutex pair. *)
-
-(* Below this many [a] rows the pack cost is not worth amortizing. A
-   shape threshold, never a domain-count one. *)
-let nt_pack_rows = 12
-
-let nt_use_panel ~rows b = rows >= nt_pack_rows && b.rows >= 4
-
-let pack_nt_panel b =
-  let inner = b.cols in
-  let j4 = b.rows - (b.rows land 3) in
-  let scratch = Domain.DLS.get scratch_key in
-  let panel = Scratch.get scratch ~slot:0 ~len:(j4 * inner) in
-  let bd = b.data in
-  for jt = 0 to (j4 / 4) - 1 do
-    let base = 4 * jt * inner in
-    let b0 = base in
-    let b1 = b0 + inner in
-    let b2 = b1 + inner in
-    let b3 = b2 + inner in
-    for k = 0 to inner - 1 do
-      let p = base + (4 * k) in
-      Array.unsafe_set panel p (Array.unsafe_get bd (b0 + k));
-      Array.unsafe_set panel (p + 1) (Array.unsafe_get bd (b1 + k));
-      Array.unsafe_set panel (p + 2) (Array.unsafe_get bd (b2 + k));
-      Array.unsafe_set panel (p + 3) (Array.unsafe_get bd (b3 + k))
-    done
-  done;
-  panel
-
-(* Unified packed kernel for a·bᵀ with and without a fused bias row:
-   [bias = None] seeds every accumulator with 0., exactly like the
-   direct [mat_mul_nt_into_range]. [lo] must be a multiple of 4. *)
-let mat_mul_nt_packed_range ~dst a b ~bias ~panel ~lo ~hi =
-  let inner = a.cols in
-  let ad = a.data and bd = b.data and od = dst.data in
-  let j4 = b.rows - (b.rows land 3) in
-  let ncols = dst.cols in
-  let seed j =
-    match bias with None -> 0. | Some v -> Array.unsafe_get v j
-  in
-  let i2stop = hi - ((hi - lo) land 1) in
-  let i = ref lo in
-  while !i < i2stop do
-    let a0 = !i * inner in
-    let a1 = a0 + inner in
-    let o0 = !i * ncols in
-    let o1 = o0 + ncols in
-    let j = ref 0 in
-    while !j < j4 do
-      let tb = !j * inner in
-      let s00 = ref (seed !j) and s01 = ref (seed (!j + 1)) in
-      let s02 = ref (seed (!j + 2)) and s03 = ref (seed (!j + 3)) in
-      let s10 = ref !(s00) and s11 = ref !(s01) in
-      let s12 = ref !(s02) and s13 = ref !(s03) in
-      for k = 0 to inner - 1 do
-        let p = tb + (4 * k) in
-        let bv0 = Array.unsafe_get panel p in
-        let bv1 = Array.unsafe_get panel (p + 1) in
-        let bv2 = Array.unsafe_get panel (p + 2) in
-        let bv3 = Array.unsafe_get panel (p + 3) in
-        let av = Array.unsafe_get ad (a0 + k) in
-        s00 := !s00 +. (av *. bv0);
-        s01 := !s01 +. (av *. bv1);
-        s02 := !s02 +. (av *. bv2);
-        s03 := !s03 +. (av *. bv3);
-        let av = Array.unsafe_get ad (a1 + k) in
-        s10 := !s10 +. (av *. bv0);
-        s11 := !s11 +. (av *. bv1);
-        s12 := !s12 +. (av *. bv2);
-        s13 := !s13 +. (av *. bv3)
-      done;
-      Array.unsafe_set od (o0 + !j) !s00;
-      Array.unsafe_set od (o0 + !j + 1) !s01;
-      Array.unsafe_set od (o0 + !j + 2) !s02;
-      Array.unsafe_set od (o0 + !j + 3) !s03;
-      Array.unsafe_set od (o1 + !j) !s10;
-      Array.unsafe_set od (o1 + !j + 1) !s11;
-      Array.unsafe_set od (o1 + !j + 2) !s12;
-      Array.unsafe_set od (o1 + !j + 3) !s13;
-      j := !j + 4
-    done;
-    (* Remainder columns straight from [b]'s unpacked rows. *)
-    for j = j4 to b.rows - 1 do
-      let bb = j * inner in
-      let c0 = ref (seed j) and c1 = ref (seed j) in
-      for k = 0 to inner - 1 do
-        let bv = Array.unsafe_get bd (bb + k) in
-        c0 := !c0 +. (Array.unsafe_get ad (a0 + k) *. bv);
-        c1 := !c1 +. (Array.unsafe_get ad (a1 + k) *. bv)
-      done;
-      Array.unsafe_set od (o0 + j) !c0;
-      Array.unsafe_set od (o1 + j) !c1
-    done;
-    i := !i + 2
-  done;
-  (* Remainder row of [a] (odd range length), alone over the same panel. *)
-  for i = i2stop to hi - 1 do
-    let ab = i * inner in
-    let ob = i * ncols in
-    let j = ref 0 in
-    while !j < j4 do
-      let tb = !j * inner in
-      let s0 = ref (seed !j) and s1 = ref (seed (!j + 1)) in
-      let s2 = ref (seed (!j + 2)) and s3 = ref (seed (!j + 3)) in
-      for k = 0 to inner - 1 do
-        let p = tb + (4 * k) in
-        let av = Array.unsafe_get ad (ab + k) in
-        s0 := !s0 +. (av *. Array.unsafe_get panel p);
-        s1 := !s1 +. (av *. Array.unsafe_get panel (p + 1));
-        s2 := !s2 +. (av *. Array.unsafe_get panel (p + 2));
-        s3 := !s3 +. (av *. Array.unsafe_get panel (p + 3))
-      done;
-      Array.unsafe_set od (ob + !j) !s0;
-      Array.unsafe_set od (ob + !j + 1) !s1;
-      Array.unsafe_set od (ob + !j + 2) !s2;
-      Array.unsafe_set od (ob + !j + 3) !s3;
-      j := !j + 4
-    done;
-    for j = j4 to b.rows - 1 do
-      let bb = j * inner in
       let acc = ref (seed j) in
       for k = 0 to inner - 1 do
         acc :=
           !acc
-          +. (Array.unsafe_get ad (ab + k) *. Array.unsafe_get bd (bb + k))
-      done;
-      Array.unsafe_set od (ob + j) !acc
-    done
-  done
-
-(* a · bᵀ with a broadcast row added: out[i,j] = bias[j] + Σk a[i,k]b[j,k].
-   Fusing the bias into the GEMM epilogue saves a full extra pass over the
-   output. Seeding the accumulator with the bias instead of adding it last
-   changes the result only by rounding relative to dot-then-add. *)
-let mat_mul_nt_bias_into_range ~dst a b bias ~lo ~hi =
-  let inner = a.cols in
-  let ad = a.data and bd = b.data and od = dst.data in
-  let j4 = b.rows - (b.rows land 3) in
-  let k4 = inner - (inner land 3) in
-  for i = lo to hi - 1 do
-    let abase = i * inner in
-    let obase = i * dst.cols in
-    let j = ref 0 in
-    while !j < j4 do
-      let b0 = !j * inner in
-      let b1 = b0 + inner in
-      let b2 = b1 + inner in
-      let b3 = b2 + inner in
-      let s0 = ref (Array.unsafe_get bias !j) in
-      let s1 = ref (Array.unsafe_get bias (!j + 1)) in
-      let s2 = ref (Array.unsafe_get bias (!j + 2)) in
-      let s3 = ref (Array.unsafe_get bias (!j + 3)) in
-      let k = ref 0 in
-      while !k < k4 do
-        let av = Array.unsafe_get ad (abase + !k) in
-        s0 := !s0 +. (av *. Array.unsafe_get bd (b0 + !k));
-        s1 := !s1 +. (av *. Array.unsafe_get bd (b1 + !k));
-        s2 := !s2 +. (av *. Array.unsafe_get bd (b2 + !k));
-        s3 := !s3 +. (av *. Array.unsafe_get bd (b3 + !k));
-        let av = Array.unsafe_get ad (abase + !k + 1) in
-        s0 := !s0 +. (av *. Array.unsafe_get bd (b0 + !k + 1));
-        s1 := !s1 +. (av *. Array.unsafe_get bd (b1 + !k + 1));
-        s2 := !s2 +. (av *. Array.unsafe_get bd (b2 + !k + 1));
-        s3 := !s3 +. (av *. Array.unsafe_get bd (b3 + !k + 1));
-        let av = Array.unsafe_get ad (abase + !k + 2) in
-        s0 := !s0 +. (av *. Array.unsafe_get bd (b0 + !k + 2));
-        s1 := !s1 +. (av *. Array.unsafe_get bd (b1 + !k + 2));
-        s2 := !s2 +. (av *. Array.unsafe_get bd (b2 + !k + 2));
-        s3 := !s3 +. (av *. Array.unsafe_get bd (b3 + !k + 2));
-        let av = Array.unsafe_get ad (abase + !k + 3) in
-        s0 := !s0 +. (av *. Array.unsafe_get bd (b0 + !k + 3));
-        s1 := !s1 +. (av *. Array.unsafe_get bd (b1 + !k + 3));
-        s2 := !s2 +. (av *. Array.unsafe_get bd (b2 + !k + 3));
-        s3 := !s3 +. (av *. Array.unsafe_get bd (b3 + !k + 3));
-        k := !k + 4
-      done;
-      while !k < inner do
-        let av = Array.unsafe_get ad (abase + !k) in
-        s0 := !s0 +. (av *. Array.unsafe_get bd (b0 + !k));
-        s1 := !s1 +. (av *. Array.unsafe_get bd (b1 + !k));
-        s2 := !s2 +. (av *. Array.unsafe_get bd (b2 + !k));
-        s3 := !s3 +. (av *. Array.unsafe_get bd (b3 + !k));
-        incr k
-      done;
-      Array.unsafe_set od (obase + !j) !s0;
-      Array.unsafe_set od (obase + !j + 1) !s1;
-      Array.unsafe_set od (obase + !j + 2) !s2;
-      Array.unsafe_set od (obase + !j + 3) !s3;
-      j := !j + 4
-    done;
-    for j = j4 to b.rows - 1 do
-      let bbase = j * inner in
-      let acc = ref (Array.unsafe_get bias j) in
-      for k = 0 to inner - 1 do
-        acc :=
-          !acc
           +. (Array.unsafe_get ad (abase + k) *. Array.unsafe_get bd (bbase + k))
       done;
       Array.unsafe_set od (obase + j) !acc
     done
   done
 
-(* Shared dispatcher for the nt family: pick packed vs direct by shape,
-   then sequential vs chunked by the planner. Both axes preserve bits. *)
+(* Below this many [a] rows the C kernel's per-call packing of [b] is
+   not worth amortizing (1-row forwards, 10-row certificates): the
+   direct OCaml kernel runs instead. A shape threshold, never a
+   domain-count one. *)
+let nt_c_rows = 12
+
+(* The range kernel the shape rule picks for one nt call. The C kernel
+   first packs the 8-row tiles of [b] k-major into the calling domain's
+   scratch slot 0; the panel is written before any parallel region and
+   workers read it through the region closure, published by the pool's
+   mutex pair. *)
+let nt_c ~dst a b ~bias =
+  let inner = a.cols in
+  let scratch = Domain.DLS.get scratch_key in
+  let len = max 1 ((b.rows - (b.rows land 7)) * inner) in
+  let panel = Scratch.get scratch ~slot:0 ~len in
+  c_nt_pack b.data b.rows inner panel;
+  let seeds = match bias with Some v -> v | None -> b.data in
+  let seeded = match bias with Some _ -> 1 | None -> 0 in
+  fun ~lo ~hi ->
+    c_nt a.data panel b.data seeds seeded dst.data inner b.rows lo hi
+
+let nt_kernel ~dst a b ~bias =
+  if avx2 && a.rows >= nt_c_rows then nt_c ~dst a b ~bias
+  else fun ~lo ~hi -> nt_range_ocaml ~dst a b ~bias ~lo ~hi
+
+(* Shared dispatcher for the nt family: the kernel by shape, then
+   sequential vs chunked by the planner. Both axes preserve bits. *)
 let nt_dispatch ~dst a b ~bias ~row_flops =
-  if nt_use_panel ~rows:a.rows b then begin
-    let panel = pack_nt_panel b in
-    match plan_chunks ~rows:a.rows ~row_flops with
-    | Some chunk ->
-        Canopy_util.Pool.parallel_for_chunks ~chunk a.rows (fun ~lo ~hi ->
-            mat_mul_nt_packed_range ~dst a b ~bias ~panel ~lo ~hi)
-    | None -> mat_mul_nt_packed_range ~dst a b ~bias ~panel ~lo:0 ~hi:a.rows
-  end
-  else
-    let direct ~lo ~hi =
-      match bias with
-      | None -> mat_mul_nt_into_range ~dst a b ~lo ~hi
-      | Some v -> mat_mul_nt_bias_into_range ~dst a b v ~lo ~hi
-    in
-    match plan_chunks ~rows:a.rows ~row_flops with
-    | Some chunk -> Canopy_util.Pool.parallel_for_chunks ~chunk a.rows direct
-    | None -> direct ~lo:0 ~hi:a.rows
+  let run = nt_kernel ~dst a b ~bias in
+  match plan_chunks ~rows:a.rows ~row_flops with
+  | Some chunk -> Canopy_util.Pool.parallel_for_chunks ~chunk a.rows run
+  | None -> run ~lo:0 ~hi:a.rows
 
 let mat_mul_nt_row_flops a b = 2 * a.cols * b.rows
 
@@ -773,9 +633,10 @@ let mat_mul_nt_bias a b bias =
 
 (* dst <- dst + aᵀ · b, the batched weight-gradient kernel
    (dw += doutᵀ · x). Register-blocked over four samples (rows of [a]/[b])
-   per pass; the four per-sample contributions to a cell are summed before
-   the add to [dst], so the result matches a sequence of per-sample
-   [outer_acc]s to rounding rather than bit for bit. *)
+   per pass; the four per-sample products are added to a cell one after
+   the other, so each cell is one chain seeded with its [dst] value in
+   ascending sample order. Samples past the last 4-group skip zero
+   [a] entries; the blocked samples do not. *)
 (* Range kernel over dst rows [lo, hi) (lo a multiple of 4). The k loops
    stay outermost and complete per chunk, so each dst row receives its
    sample contributions in exactly the sequential order; the global
@@ -866,13 +727,17 @@ let mat_mul_tn_acc_block ~dst a b ~lo ~hi =
    cell's accumulation chain is unchanged — bit-identical. *)
 let tn_ib = 64
 
-let mat_mul_tn_acc_range ~dst a b ~lo ~hi =
+let tn_range_ocaml ~dst a b ~lo ~hi =
   let i = ref lo in
   while !i < hi do
     let bhi = min hi (!i + tn_ib) in
     mat_mul_tn_acc_block ~dst a b ~lo:!i ~hi:bhi;
     i := bhi
   done
+
+let tn_range ~dst a b ~lo ~hi =
+  if avx2 then c_tn dst.data a.data b.data a.rows a.cols b.cols lo hi
+  else tn_range_ocaml ~dst a b ~lo ~hi
 
 let mat_mul_tn_row_flops a b = 2 * a.rows * b.cols
 
@@ -883,8 +748,8 @@ let mat_mul_tn_acc ~dst a b =
   match plan_chunks ~rows:a.cols ~row_flops:(mat_mul_tn_row_flops a b) with
   | Some chunk ->
       Canopy_util.Pool.parallel_for_chunks ~chunk a.cols (fun ~lo ~hi ->
-          mat_mul_tn_acc_range ~dst a b ~lo ~hi)
-  | None -> mat_mul_tn_acc_range ~dst a b ~lo:0 ~hi:a.cols
+          tn_range ~dst a b ~lo ~hi)
+  | None -> tn_range ~dst a b ~lo:0 ~hi:a.cols
 
 let outer_acc m y x =
   if m.rows <> Array.length y || m.cols <> Array.length x then
@@ -1006,6 +871,52 @@ let pp ppf m =
 
 let raw m = m.data
 
+(* The range kernels on their own, shape- and range-checked, so the
+   tests can hold the C kernels to the OCaml ones at every shape. *)
+module Kernel = struct
+  let check name ~ok ~rows ~lo ~hi =
+    if not ok then invalid_arg ("Mat.Kernel." ^ name ^ ": dims");
+    if lo < 0 || lo > hi || hi > rows || lo land 3 <> 0 then
+      invalid_arg ("Mat.Kernel." ^ name ^ ": range")
+
+  let check_avx2 name =
+    if not avx2 then invalid_arg ("Mat.Kernel." ^ name ^ ": no AVX2")
+
+  let nt_ok ~dst a b bias =
+    a.cols = b.cols && dst.rows = a.rows && dst.cols = b.rows
+    && match bias with None -> true | Some v -> Array.length v = b.rows
+
+  let nn_ok ~dst a b = a.cols = b.rows && dst.rows = a.rows && dst.cols = b.cols
+  let tn_ok ~dst a b = a.rows = b.rows && dst.rows = a.cols && dst.cols = b.cols
+
+  let nt_ocaml ~dst a b bias ~lo ~hi =
+    check "nt_ocaml" ~ok:(nt_ok ~dst a b bias) ~rows:a.rows ~lo ~hi;
+    nt_range_ocaml ~dst a b ~bias ~lo ~hi
+
+  let nn_ocaml ~dst a b ~lo ~hi =
+    check "nn_ocaml" ~ok:(nn_ok ~dst a b) ~rows:a.rows ~lo ~hi;
+    nn_range_ocaml ~dst a b ~lo ~hi
+
+  let tn_ocaml ~dst a b ~lo ~hi =
+    check "tn_ocaml" ~ok:(tn_ok ~dst a b) ~rows:a.cols ~lo ~hi;
+    tn_range_ocaml ~dst a b ~lo ~hi
+
+  let nt_avx2 ~dst a b bias ~lo ~hi =
+    check_avx2 "nt_avx2";
+    check "nt_avx2" ~ok:(nt_ok ~dst a b bias) ~rows:a.rows ~lo ~hi;
+    nt_c ~dst a b ~bias ~lo ~hi
+
+  let nn_avx2 ~dst a b ~lo ~hi =
+    check_avx2 "nn_avx2";
+    check "nn_avx2" ~ok:(nn_ok ~dst a b) ~rows:a.rows ~lo ~hi;
+    nn_range ~dst a b ~lo ~hi
+
+  let tn_avx2 ~dst a b ~lo ~hi =
+    check_avx2 "tn_avx2";
+    check "tn_avx2" ~ok:(tn_ok ~dst a b) ~rows:a.cols ~lo ~hi;
+    tn_range ~dst a b ~lo ~hi
+end
+
 (* ------------------------------------------------------------------ *)
 (* Grain calibration.
 
@@ -1077,9 +988,10 @@ let measure_grain pool =
   let bias = Array.make n 0.5 in
   let dst = create_uninit ~rows:m ~cols:n in
   let gemm_ns =
-    (* The direct range kernel: throughput must be sampled sequentially,
-       not through the dispatcher being calibrated. *)
-    timed_ns (fun () -> mat_mul_nt_bias_into_range ~dst a b bias ~lo:0 ~hi:m)
+    (* The range kernel the shape rule picks for this call, packing
+       included: throughput must be sampled sequentially, not through
+       the dispatcher being calibrated. *)
+    timed_ns (fun () -> nt_kernel ~dst a b ~bias:(Some bias) ~lo:0 ~hi:m)
   in
   let flops_per_ns = float_of_int (2 * m * k * n) /. gemm_ns in
   let probe_chunks = 128 in

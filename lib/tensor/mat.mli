@@ -75,10 +75,16 @@ val mat_mul_nt_bias_into : dst:t -> t -> t -> Vec.t -> unit
 val mat_mul_tn_acc : dst:t -> t -> t -> unit
 (** [mat_mul_tn_acc ~dst a b] accumulates [dst <- dst + aᵀ·b]; requires
     [rows a = rows b] and [dst] of shape [a.cols × b.cols]. The batched
-    weight-gradient kernel ([dw += doutᵀ·x]). Register-blocked: the
-    per-sample outer products are folded four rows at a time, so it
-    matches a row-ascending sequence of {!outer_acc} calls to rounding
-    (≲1e-15 relative), not bit for bit. *)
+    weight-gradient kernel ([dw += doutᵀ·x]). Each cell is one chain
+    seeded with its [dst] value that adds the per-sample products in
+    ascending sample order, so it matches a row-ascending sequence of
+    {!outer_acc} calls except where {!outer_acc}'s skip of zero [y]
+    entries shows (a −0 cell, a non-finite [x]). *)
+
+val gemm_kernel : unit -> string
+(** ["avx2"] when the GEMM inner loops above run in the AVX2 C kernels,
+    ["ocaml"] when they run in OCaml (no AVX2, or float arrays not
+    stored flat). Fixed at program start; both give the same bits. *)
 
 (** {2 Parallel dispatch}
 
@@ -201,6 +207,24 @@ val mat_mul_tn_row_flops : t -> t -> int
 
 val frobenius : t -> float
 val approx_equal : ?eps:float -> t -> t -> bool
+
+(** The range kernels behind {!mat_mul_nt_bias_into} / {!mat_mul_nt_into}
+    ([nt], [bias = None] for the plain form), {!mat_mul_into} ([nn]) and
+    {!mat_mul_tn_acc} ([tn]), over output rows [[lo, hi)] with [lo] a
+    multiple of 4 ([tn]'s output rows are [dst]'s, i.e. columns of
+    [a]). The [_ocaml] kernels are the path on hosts without AVX2 and
+    the oracle the [_avx2] ones are tested against; the dispatchers pick
+    between them. Each raises [Invalid_argument] on a shape or range
+    mismatch, and the [_avx2] ones also when {!gemm_kernel} is not
+    ["avx2"]. *)
+module Kernel : sig
+  val nt_ocaml : dst:t -> t -> t -> Vec.t option -> lo:int -> hi:int -> unit
+  val nn_ocaml : dst:t -> t -> t -> lo:int -> hi:int -> unit
+  val tn_ocaml : dst:t -> t -> t -> lo:int -> hi:int -> unit
+  val nt_avx2 : dst:t -> t -> t -> Vec.t option -> lo:int -> hi:int -> unit
+  val nn_avx2 : dst:t -> t -> t -> lo:int -> hi:int -> unit
+  val tn_avx2 : dst:t -> t -> t -> lo:int -> hi:int -> unit
+end
 
 val raw : t -> float array
 (** The underlying row-major storage, shared with the matrix. Mutating it

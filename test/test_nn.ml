@@ -204,10 +204,25 @@ let batched_vs_rows_once net ~n ~in_dim ~out_dim ~seed =
             Float.cos (float_of_int (((seed + i) * out_dim) + j))))
   in
   let refnet = Mlp.copy net in
+  let conduit = Mlp.copy net in
   (* batched pass *)
   Mlp.zero_grad net;
   let out_b, tape = Mlp.forward_train net (Mat.of_rows rows) in
   let din_b = Mlp.backward net tape (Mat.of_rows dout_rows) in
+  (* input gradients only: the same bits, and the accumulators (set to a
+     sentinel) untouched *)
+  List.iter (fun (_, g) -> Array.fill g 0 (Array.length g) 7.) (Mlp.params conduit);
+  let _, ctape = Mlp.forward_train conduit (Mat.of_rows rows) in
+  let din_c = Mlp.backward ~param_grads:false conduit ctape (Mat.of_rows dout_rows) in
+  Alcotest.(check (array int64))
+    "input grad without param grads (bits)"
+    (Array.map Int64.bits_of_float (Mat.raw din_b))
+    (Array.map Int64.bits_of_float (Mat.raw din_c));
+  List.iter
+    (fun (_, g) ->
+      Alcotest.(check bool) "param grads untouched" true
+        (Array.for_all (fun x -> Float.equal x 7.) g))
+    (Mlp.params conduit);
   (* per-sample reference pass *)
   Mlp.zero_grad refnet;
   let out_r, rtape = Mlp.forward_train_rows refnet rows in

@@ -304,6 +304,209 @@ let qcheck =
         Vec.approx_equal ~eps:1e-9 dst expect);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* AVX2 kernels against the OCaml ones, bit for bit *)
+
+(* Entries mixing ordinary values with ±0, subnormals, ±∞ and NaN. *)
+let gen_entry =
+  QCheck.Gen.(
+    frequency
+      [
+        (12, float_range (-4.) 4.);
+        (1, oneofl [ 0.; -0. ]);
+        (1, oneofl [ 4.9e-324; -2.2e-310; 1e-308 ]);
+        (1, oneofl [ Float.infinity; Float.neg_infinity; Float.nan ]);
+      ])
+
+let gen_entries rows cols =
+  QCheck.Gen.(
+    array_size (return (rows * cols)) gen_entry
+    |> map (fun d -> Mat.init ~rows ~cols (fun i j -> d.((i * cols) + j))))
+
+(* 4-aligned cut points of [0, rows), as the dispatchers chunk. *)
+let gen_cuts rows =
+  QCheck.Gen.(
+    list_size (int_range 0 3) (int_range 0 (rows / 4))
+    |> map (fun cs ->
+           List.sort_uniq Int.compare (0 :: rows :: List.map (fun c -> 4 * c) cs)))
+
+let run_chunked cuts f =
+  let rec go = function
+    | lo :: (hi :: _ as rest) ->
+        f ~lo ~hi;
+        go rest
+    | _ -> ()
+  in
+  go cuts
+
+let same_bits x y =
+  Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  || (Float.is_nan x && Float.is_nan y)
+
+let mat_bits_equal x y =
+  let a = Mat.raw x and b = Mat.raw y in
+  Array.length a = Array.length b
+  && Array.for_all2 same_bits a b
+
+(* rows 1..24 covers every rows mod 4, on both sides of the dispatchers'
+   12-row nt rule; columns 1..40 every columns mod 8; inner sizes 1..70. *)
+let gen_shape =
+  QCheck.Gen.(triple (int_range 1 24) (int_range 1 70) (int_range 1 40))
+
+let print_shape (m, k, n, _) = Printf.sprintf "%dx%dx%d" m k n
+
+let avx2 = String.equal (Mat.gemm_kernel ()) "avx2"
+
+let kernel_oracle ~name ~gen run =
+  QCheck.Test.make ~name ~count:300
+    (QCheck.make ~print:print_shape gen)
+    (fun case -> (not avx2) || run case)
+
+let qcheck_kernels =
+  let open QCheck.Gen in
+  [
+    kernel_oracle ~name:"avx2 nt = ocaml nt (bits, bias and none)"
+      ~gen:
+        (let* m, k, n = gen_shape in
+         let* a = gen_entries m k and* b = gen_entries n k in
+         let* bias = option (array_size (return n) gen_entry) in
+         let* cuts = gen_cuts m in
+         return (m, k, n, (a, b, bias, cuts)))
+      (fun (m, _, n, (a, b, bias, cuts)) ->
+        let want = Mat.create ~rows:m ~cols:n in
+        let got = Mat.create ~rows:m ~cols:n in
+        Mat.fill got 7.;
+        Mat.Kernel.nt_ocaml ~dst:want a b bias ~lo:0 ~hi:m;
+        run_chunked cuts (Mat.Kernel.nt_avx2 ~dst:got a b bias);
+        mat_bits_equal want got);
+    kernel_oracle ~name:"avx2 nn = ocaml nn (bits)"
+      ~gen:
+        (let* m, k, n = gen_shape in
+         let* a = gen_entries m k and* b = gen_entries k n in
+         let* cuts = gen_cuts m in
+         return (m, k, n, (a, b, cuts)))
+      (fun (m, _, n, (a, b, cuts)) ->
+        let want = Mat.create ~rows:m ~cols:n in
+        let got = Mat.create ~rows:m ~cols:n in
+        Mat.fill got 7.;
+        Mat.Kernel.nn_ocaml ~dst:want a b ~lo:0 ~hi:m;
+        run_chunked cuts (Mat.Kernel.nn_avx2 ~dst:got a b);
+        mat_bits_equal want got);
+    kernel_oracle ~name:"avx2 tn = ocaml tn (bits, dst with -0 and inf)"
+      ~gen:
+        (let* m, k, n = gen_shape in
+         (* [a] is samples × m, so the output rows are m. *)
+         let* a = gen_entries k m and* b = gen_entries k n in
+         let* dst =
+           array_size
+             (return (m * n))
+             (frequency
+                [
+                  (3, gen_entry);
+                  (1, oneofl [ -0.; Float.infinity; Float.neg_infinity ]);
+                ])
+         in
+         let* cuts = gen_cuts m in
+         return (m, k, n, (a, b, dst, cuts)))
+      (fun (m, _, n, (a, b, dst, cuts)) ->
+        let want = Mat.init ~rows:m ~cols:n (fun i j -> dst.((i * n) + j)) in
+        let got = Mat.copy want in
+        Mat.Kernel.tn_ocaml ~dst:want a b ~lo:0 ~hi:m;
+        run_chunked cuts (Mat.Kernel.tn_avx2 ~dst:got a b);
+        mat_bits_equal want got);
+  ]
+
+let test_kernel_checks () =
+  let a = Mat.create ~rows:5 ~cols:3 and b = Mat.create ~rows:2 ~cols:3 in
+  let dst = Mat.create ~rows:5 ~cols:2 in
+  Alcotest.check_raises "unaligned lo" (Invalid_argument "Mat.Kernel.nt_ocaml: range")
+    (fun () -> Mat.Kernel.nt_ocaml ~dst a b None ~lo:1 ~hi:5);
+  Alcotest.check_raises "hi past rows" (Invalid_argument "Mat.Kernel.nn_ocaml: range")
+    (fun () ->
+      Mat.Kernel.nn_ocaml ~dst:(Mat.create ~rows:5 ~cols:2) a
+        (Mat.create ~rows:3 ~cols:2) ~lo:0 ~hi:6);
+  Alcotest.check_raises "bias length" (Invalid_argument "Mat.Kernel.nt_ocaml: dims")
+    (fun () -> Mat.Kernel.nt_ocaml ~dst a b (Some [| 1. |]) ~lo:0 ~hi:5);
+  Alcotest.(check string)
+    "gemm_kernel names the path"
+    (if avx2 then "avx2" else "ocaml")
+    (Mat.gemm_kernel ());
+  if not avx2 then
+    Alcotest.check_raises "no avx2" (Invalid_argument "Mat.Kernel.tn_avx2: no AVX2")
+      (fun () -> Mat.Kernel.tn_avx2 ~dst:(Mat.create ~rows:3 ~cols:2) a
+          (Mat.create ~rows:5 ~cols:2) ~lo:0 ~hi:3)
+
+(* The bit-identity of the AVX2 kernels rests on every product being
+   rounded before its add: no flag or construct may let the C compiler
+   fuse them, or reorder sums. Comments are dropped before the search,
+   so the files may name what they forbid. *)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* [rel] in the nearest directory above the working one that has it: the
+   repo root, or dune's sandbox copy of it under [dune runtest]. *)
+let repo_file rel =
+  let rec up dir =
+    let path = Filename.concat dir rel in
+    if Sys.file_exists path then path
+    else
+      let parent = Filename.dirname dir in
+      if String.equal parent dir then Alcotest.failf "%s not found" rel
+      else up parent
+  in
+  up (Sys.getcwd ())
+
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i =
+    i + n <= h && (String.equal (String.sub hay i n) needle || go (i + 1))
+  in
+  go 0
+
+(* Drops [;] line comments (dune) or [/* */] and [//] comments (C). *)
+let strip_comments ~dune src =
+  let b = Buffer.create (String.length src) in
+  let n = String.length src in
+  let rec code i =
+    if i >= n then ()
+    else if dune && src.[i] = ';' then line i
+    else if (not dune) && i + 1 < n && src.[i] = '/' && src.[i + 1] = '/' then
+      line i
+    else if (not dune) && i + 1 < n && src.[i] = '/' && src.[i + 1] = '*' then
+      block (i + 2)
+    else begin
+      Buffer.add_char b src.[i];
+      code (i + 1)
+    end
+  and line i = if i >= n || src.[i] = '\n' then code i else line (i + 1)
+  and block i =
+    if i + 1 >= n then ()
+    else if src.[i] = '*' && src.[i + 1] = '/' then code (i + 2)
+    else block (i + 1)
+  in
+  code 0;
+  Buffer.contents b
+
+let test_no_float_contraction () =
+  let dune =
+    strip_comments ~dune:true (read_file (repo_file "lib/tensor/dune"))
+  in
+  let stubs =
+    strip_comments ~dune:false (read_file (repo_file "lib/tensor/gemm_stubs.c"))
+  in
+  let fail fmt = Printf.ksprintf (fun msg -> Alcotest.fail msg) fmt in
+  if not (contains dune "-ffp-contract=off") then
+    fail "lib/tensor/dune: C flags lack -ffp-contract=off";
+  List.iter
+    (fun flag ->
+      if contains dune flag then fail "lib/tensor/dune: C flags contain %s" flag)
+    [ "-mfma"; "-march=native"; "-ffast-math"; "-Ofast";
+      "-funsafe-math-optimizations" ];
+  List.iter
+    (fun construct ->
+      if contains stubs construct then
+        fail "lib/tensor/gemm_stubs.c uses %s" construct)
+    [ "fmadd"; "fmsub"; "#pragma GCC optimize" ]
+
 let suite =
   [
     ("vec create/init", `Quick, test_vec_create_init);
@@ -332,5 +535,7 @@ let suite =
     ("mat axpy/frobenius", `Quick, test_mat_axpy_frobenius);
     ("mat raw shares storage", `Quick, test_mat_raw_shares);
     ("mat errors", `Quick, test_mat_errors);
+    ("mat kernel range checks", `Quick, test_kernel_checks);
+    ("mat no float contraction in C kernels", `Quick, test_no_float_contraction);
   ]
-  @ List.map QCheck_alcotest.to_alcotest qcheck
+  @ List.map QCheck_alcotest.to_alcotest (qcheck @ qcheck_kernels)
