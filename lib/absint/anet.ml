@@ -341,11 +341,19 @@ let output_intervals_rows t ~centers ~radii =
       invalid_arg "Anet.output_intervals_rows: deviation"
   done;
   let out = Array.make n (Interval.make 0. 0.) in
-  (match Mat.plan_chunks ~rows:n ~row_flops:(per_box_flops t) with
-  | Some chunk ->
+  (* A chunk is at least [Mat.nt_c_rows] boxes tall, so its stage GEMMs
+     run the C kernel rather than the OCaml one; a workload that one such
+     chunk covers runs sequentially. Both rules read only shapes and the
+     grain, like [plan_chunks]. *)
+  let chunk =
+    Option.map (Int.max Mat.nt_c_rows)
+      (Mat.plan_chunks ~rows:n ~row_flops:(per_box_flops t))
+  in
+  (match chunk with
+  | Some chunk when n > chunk ->
       Canopy_util.Pool.parallel_for_chunks ~chunk n
         (output_intervals_range t ~centers ~radii out)
-  | None -> output_intervals_range t ~centers ~radii out ~lo:0 ~hi:n);
+  | Some _ | None -> output_intervals_range t ~centers ~radii out ~lo:0 ~hi:n);
   out
 
 let output_intervals t boxes =

@@ -156,7 +156,9 @@ let output_interval net box =
 
 (* The IR-based path: one fused affine (exact on zonotopes) per stage
    instead of a dense/batch-norm pair, sharing the extraction — and the
-   folded batch-norm arithmetic — with the box engine. *)
+   folded batch-norm arithmetic — with the box engine. Same abstraction
+   as [propagate]: affine maps are exact on zonotopes, so fusing them
+   changes results only by rounding. *)
 let propagate_anet ir t =
   if dim t <> Anet.in_dim ir then
     invalid_arg "Zonotope.propagate_anet: input dim";

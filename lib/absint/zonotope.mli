@@ -52,12 +52,6 @@ val output_interval : Canopy_nn.Mlp.t -> Box.t -> Interval.t
     so the answer is sound and never looser than plain IBP. Raises
     [Invalid_argument] for networks with more than one output. *)
 
-val propagate_anet : Anet.t -> t -> t
-(** Propagate through the fused verifier IR: one exact {!affine} per
-    stage followed by its activation relaxation. Same abstraction as
-    {!propagate} — affine maps are exact on zonotopes, so fusing them
-    changes results only by rounding. *)
-
 val output_intervals_anet : Anet.t -> Box.t array -> Interval.t array
 (** Batched {!output_interval} on the IR: the zonotope half runs per box
     (each box owns its noise symbols), the box-domain half of the reduced

@@ -27,21 +27,14 @@
     strings) and char literals blanked — so matches in comments or
     string literals are never reported. A finding on a line carrying an
     [(* lint-ignore: rule *)] comment is waived. The NaN-unsoundness
-    rules additionally scan [bench/] and [test/] (see {!nan_rules}). *)
+    rules ([polymorphic-compare], [float-min-max]) additionally scan
+    [bench/] and [test/], where no other rule runs. *)
 
 val default_dirs : string list
 (** [\["lib"; "bin"\]]. *)
 
 val rules : (string * string) list
 (** Rule identifiers and their one-line messages. *)
-
-val nan_rules : string list
-(** The NaN-unsoundness rules ([polymorphic-compare], [float-min-max])
-    that additionally cover {!nan_rule_dirs}. *)
-
-val nan_rule_dirs : string list
-(** [\["bench"; "test"\]] — extra directories scanned with {!nan_rules}
-    only. *)
 
 val check_source : ?only:string list -> path:string -> string -> Diagnostic.t list
 (** Run the line-scoped rules over one file's contents. [path] is used

@@ -148,7 +148,6 @@ val delay_indices : history:int -> int list
 (** Indices of the normalized-delay dimensions inside the flat state. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_component : Format.formatter -> component -> unit
 
 (** {2 Counterexample search}
 

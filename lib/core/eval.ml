@@ -1,7 +1,6 @@
 module Agent_env = Canopy_orca.Agent_env
 module Fleet_env = Canopy_orca.Fleet_env
 module Observation = Canopy_orca.Observation
-module Monitor = Canopy_orca.Monitor
 module Fleet = Canopy_netsim.Fleet
 module Stats = Canopy_util.Stats
 module Mat = Canopy_tensor.Mat
@@ -319,20 +318,8 @@ let pp_coexist ppf (r : coexist_result) =
         (100. *. f.loss_rate))
     r.flows
 
-(* Per-flow driver state of a Canopy flow inside the shared bottleneck:
-   the same Cubic-backbone + monitor + feature-history machinery as
-   [Agent_env], on a link that all the mix's flows share. *)
-type coexist_canopy_state = {
-  cc_cubic : Canopy_cc.Cubic.t;
-  cc_monitor : Monitor.t;
-  cc_hist : float array; (* history × feature_count ring of frames *)
-  mutable cc_head : int;
-  mutable cc_thr_scale : float;
-  mutable cc_enforced : float;
-}
-
 let eval_coexist ?(history = 5) ?interval_ms ?arrivals
-    ?(impairments = Canopy_netsim.Env.no_impairments) ~flows link =
+    ?(impairments = Canopy_netsim.Env.no_impairments) ~flows (link : link) =
   let specs = Array.of_list flows in
   let n = Array.length specs in
   if n = 0 then invalid_arg "Eval.eval_coexist: no flows";
@@ -340,72 +327,37 @@ let eval_coexist ?(history = 5) ?interval_ms ?arrivals
   | Some a when Array.length a <> n || Array.exists (fun x -> x < 0) a ->
       invalid_arg "Eval.eval_coexist: arrivals"
   | _ -> ());
-  let interval_ms =
-    match interval_ms with
-    | Some ms ->
-        if ms <= 0 then invalid_arg "Eval.eval_coexist: interval";
-        ms
-    | None -> max 20 link.min_rtt_ms
+  (match interval_ms with
+  | Some ms when ms <= 0 -> invalid_arg "Eval.eval_coexist: interval"
+  | _ -> ());
+  (* Every flow is a [Fleet_env] flow on link 0: Canopy flows are agent
+     flows, TCP flows plain ones. *)
+  let cfg =
+    {
+      (Agent_env.default_config ~trace:link.trace ~min_rtt_ms:link.min_rtt_ms
+         ~buffer_pkts:(buffer_pkts link) ~duration_ms:link.duration_ms)
+      with
+      history;
+      interval_ms;
+      impairments;
+    }
   in
-  let fc = Observation.feature_count in
-  let state_dim = history * fc in
-  let fleet =
-    Fleet.create ?start_ms:arrivals ~link:(Array.make n 0)
-      (Array.make n
-         {
-           Canopy_netsim.Env.trace = link.trace;
-           min_rtt_ms = link.min_rtt_ms;
-           buffer_pkts = buffer_pkts link;
-           mtu_bytes = Canopy_netsim.Env.default_mtu;
-           initial_cwnd = 10.;
-           impairments;
-         })
+  let plain =
+    Array.map
+      (function
+        | Coexist_canopy _ -> None | Coexist_tcp (_, make) -> Some (make ()))
+      specs
   in
-  (* Build per-flow drivers and handlers. *)
-  let canopy = Array.make n None in
-  let tcp = Array.make n None in
-  let handlers =
-    Array.init n (fun i ->
-        match specs.(i) with
-        | Coexist_canopy policy ->
-            if Policy.in_dim policy <> state_dim then
-              invalid_arg "Eval.eval_coexist: policy input dim";
-            if Policy.out_dim policy <> 1 then
-              invalid_arg "Eval.eval_coexist: policy output dim";
-            let st =
-              {
-                cc_cubic = Canopy_cc.Cubic.create ();
-                cc_monitor = Monitor.create ~min_rtt_ms:link.min_rtt_ms ();
-                cc_hist = Array.make state_dim 0.;
-                cc_head = 0;
-                cc_thr_scale = 0.;
-                cc_enforced = 10.;
-              }
-            in
-            canopy.(i) <- Some st;
-            (* One closure per event kind, as in [Fleet_env]. *)
-            {
-              Canopy_netsim.Env.on_acks =
-                (fun ~now_ms ~rtt_ms ~first_seq ~count ~delivered ->
-                  Canopy_cc.Cubic.on_acks st.cc_cubic ~now_ms ~rtt_ms
-                    ~first_seq ~count ~delivered;
-                  Monitor.on_acks st.cc_monitor ~now_ms ~rtt_ms ~first_seq
-                    ~count ~delivered);
-              on_loss =
-                (fun ~now_ms ~count ->
-                  Canopy_cc.Cubic.on_loss st.cc_cubic ~now_ms ~count;
-                  Monitor.on_loss st.cc_monitor ~now_ms ~count);
-            }
-        | Coexist_tcp (_, make) ->
-            let c = make () in
-            tcp.(i) <- Some c;
-            Canopy_cc.Controller.handlers c)
+  let env =
+    Fleet_env.create ~link:(Array.make n 0) ?start_ms:arrivals ~plain
+      (Array.make n cfg)
   in
   (* Group Canopy flows by underlying model (physical equality on the
      MLP or tree, not on the [Policy.t] wrapper, which callers may
      allocate per flow) so each distinct model serves all of its flows
-     with a single batched forward per decision tick — with one shared
-     model, one pass serves every Canopy flow. *)
+     with a single batched forward per decision tick. That forward runs
+     over every flow's row; rows are independent, so a flow's action
+     does not depend on the other rows. *)
   let same_model (p : Policy.t) (q : Policy.t) =
     match (p, q) with
     | `Mlp a, `Mlp b -> a == b
@@ -419,91 +371,31 @@ let eval_coexist ?(history = 5) ?interval_ms ?arrivals
         match spec with
         | Coexist_tcp _ -> ()
         | Coexist_canopy policy -> (
+            if Policy.in_dim policy <> Fleet_env.state_dim env then
+              invalid_arg "Eval.eval_coexist: policy input dim";
+            if Policy.out_dim policy <> 1 then
+              invalid_arg "Eval.eval_coexist: policy output dim";
             match List.find_opt (fun (a, _) -> same_model a policy) !acc with
             | Some (_, ids) -> ids := i :: !ids
             | None -> acc := !acc @ [ (policy, ref [ i ]) ]))
       specs;
-    List.map
-      (fun (policy, ids) ->
-        let ids = Array.of_list (List.rev !ids) in
-        let rows = Array.length ids in
-        ( policy,
-          ids,
-          Mat.create ~rows ~cols:state_dim,
-          Mat.create_uninit ~rows ~cols:1 ))
-      !acc
+    List.map (fun (policy, ids) -> (policy, List.rev !ids)) !acc
   in
-  let clamp = clamp_action in
-  (* Decide from the current feature histories and enforce the Eq. 1
-     windows; one forward_eval GEMM per actor group. *)
-  let decide () =
+  let x = Mat.create ~rows:n ~cols:(Fleet_env.state_dim env) in
+  let y = Mat.create_uninit ~rows:n ~cols:1 in
+  let actions = Array.make n 0. in
+  let interval_ms = Fleet_env.interval_ms env in
+  while not (Fleet_env.finished env) do
+    Fleet_env.write_states env ~dst:x;
     List.iter
-      (fun (policy, ids, x, y) ->
-        let raw = Mat.raw x in
-        Array.iteri
-          (fun row i ->
-            let st = Option.get canopy.(i) in
-            let base = row * state_dim in
-            for f = 0 to history - 1 do
-              Array.blit st.cc_hist
-                ((st.cc_head + f) mod history * fc)
-                raw
-                (base + (f * fc))
-                fc
-            done)
-          ids;
+      (fun (policy, ids) ->
         Policy.predict_rows_into ~dst:y policy x;
-        let out = Mat.raw y in
-        Array.iteri
-          (fun row i ->
-            let st = Option.get canopy.(i) in
-            let action = clamp out.(row) in
-            let cwnd_tcp = Canopy_cc.Cubic.cwnd st.cc_cubic in
-            let enforced = Fleet_env.cwnd_of_action ~action ~cwnd_tcp in
-            Canopy_cc.Cubic.force_cwnd st.cc_cubic enforced;
-            Fleet.set_cwnd fleet ~flow:i enforced;
-            st.cc_enforced <- enforced)
-          ids)
-      groups
-  in
-  (* Close the interval: take each Canopy flow's observation and push
-     its feature frame (same sequencing as [Fleet_env.step]). *)
-  let take_observations () =
-    Array.iter
-      (fun st ->
-        match st with
-        | None -> ()
-        | Some st ->
-            let obs =
-              Monitor.take st.cc_monitor ~now_ms:(Fleet.now_ms fleet)
-                ~cwnd_pkts:st.cc_enforced
-            in
-            st.cc_thr_scale <-
-              Float.max st.cc_thr_scale obs.Observation.thr_mbps;
-            Observation.features_into ~thr_scale_mbps:st.cc_thr_scale obs
-              ~dst:st.cc_hist ~off:(st.cc_head * fc);
-            st.cc_head <- (st.cc_head + 1) mod history)
-      canopy
-  in
-  (* Refresh each flow's live window from its controller backbone after
-     every millisecond. *)
-  let after_tick i =
-    match (tcp.(i), canopy.(i)) with
-    | Some c, _ -> Fleet.set_cwnd fleet ~flow:i (c.Canopy_cc.Controller.cwnd ())
-    | _, Some st -> Fleet.set_cwnd fleet ~flow:i (Canopy_cc.Cubic.cwnd st.cc_cubic)
-    | None, None -> ()
-  in
-  decide ();
-  let elapsed = ref 0 in
-  while !elapsed < link.duration_ms do
-    let ms = Int.min interval_ms (link.duration_ms - !elapsed) in
-    Fleet.run ~after_tick fleet handlers ~ms;
-    elapsed := !elapsed + ms;
-    if ms = interval_ms then begin
-      take_observations ();
-      decide ()
-    end
+        List.iter (fun i -> actions.(i) <- clamp_action (Mat.raw y).(i)) ids)
+      groups;
+    let ms = Int.min interval_ms (link.duration_ms - Fleet_env.now_ms env) in
+    ignore (Fleet_env.step ~ms env ~actions : Fleet_env.step_result)
   done;
+  let fleet = Fleet_env.fleet env in
   let delivered = Array.init n (fun flow -> Fleet.delivered fleet ~flow) in
   let total_delivered = Array.fold_left ( + ) 0 delivered in
   let flows =

@@ -139,14 +139,15 @@ val eval_coexist :
   link ->
   coexist_result
 (** Run a mix of Canopy and classical flows contending on one shared
-    {!Canopy_netsim.Fleet} link and report per-flow
-    throughput/delay/loss plus Jain's fairness index — the
-    Canopy-vs-Cubic/BBR coexistence experiment. Canopy flows keep the
-    full [Agent_env] machinery (Cubic backbone refreshed every
-    millisecond, monitor observation and feature-history push per
-    interval) and are all served from a single batched
-    {!Policy.predict_rows_into} pass per decision tick per distinct
-    underlying model. [arrivals.(i)] delays flow [i]'s first
+    link and report per-flow throughput/delay/loss plus Jain's fairness
+    index — the Canopy-vs-Cubic/BBR coexistence experiment. The flows
+    are [Canopy_orca.Fleet_env] flows on one link: each Canopy flow is
+    an agent flow (the Cubic backbone and Eq. 1 override that train and
+    serve), each classical flow a plain flow run by its controller.
+    Each decision tick runs one {!Policy.predict_rows_into} pass per
+    distinct underlying model (physical equality on the MLP or tree);
+    when the link's duration is not a whole number of intervals, the
+    last interval is the remainder. [arrivals.(i)] delays flow [i]'s first
     transmission (staggered competing-flow arrivals; default all flows
     start at 0; a negative entry or a length other than the flow count
     raises [Invalid_argument]). [impairments] applies link pathologies

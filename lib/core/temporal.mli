@@ -35,9 +35,6 @@ type env_model = {
       (** per-step absolute wander allowed on each non-delay feature *)
 }
 
-val default_env_model : env_model
-(** drift 0.1, slack 0.05. *)
-
 type step_bound = {
   step : int;  (** 1-based future step index *)
   action : Interval.t;  (** abstract action at that step *)
@@ -68,8 +65,9 @@ val verify :
   cwnd_tcp:float ->
   unit ->
   t
-(** Raises [Invalid_argument] for a robustness property or the [Noise]
-    case (temporal unrolling is defined for the performance cases), for
+(** [env_model] defaults to drift 0.1, slack 0.05. Raises
+    [Invalid_argument] for a robustness property or the [Noise] case
+    (temporal unrolling is defined for the performance cases), for
     [horizon <= 0], or on dimension mismatches. *)
 
 val pp : Format.formatter -> t -> unit

@@ -67,11 +67,6 @@ type epoch = {
           watchdog is off) *)
 }
 
-val config_fingerprint : config -> string
-(** Canonical digest (CRC-32 hex) of every configuration field that
-    shapes a training trajectory, including the env pool. Stored in
-    snapshots and verified on resume. *)
-
 val train :
   ?on_epoch:(epoch -> unit) ->
   ?snapshot_every:int ->

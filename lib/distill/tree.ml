@@ -129,10 +129,6 @@ let predict t x =
   if Array.length x <> t.in_dim then invalid_arg "Tree.predict: bad input dim";
   predict_into t ~src:x ~src_off:0
 
-let leaf_of t x =
-  if Array.length x <> t.in_dim then invalid_arg "Tree.leaf_of: bad input dim";
-  t.leaf.(node_of ~src:x ~src_off:0 t)
-
 (* Routing plus one fused multiply-add per input dim: cheap enough that the
    chunk planner only parallelizes very large batches. *)
 let row_flops t = (2 * t.in_dim) + depth t + 4

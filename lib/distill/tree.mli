@@ -62,9 +62,6 @@ val predict_rows_into : dst:Canopy_tensor.Mat.t -> t -> Canopy_tensor.Mat.t -> u
     batches; bit-identical to the sequential loop (and to [predict] per
     row) at any domain count. *)
 
-val leaf_of : t -> float array -> int
-(** Index of the leaf that [predict] routes [x] to. *)
-
 val output_interval :
   ?exact:bool ->
   t ->

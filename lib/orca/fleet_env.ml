@@ -4,14 +4,16 @@
    every flow's state to the policy as one [n × state_dim] matrix (one
    GEMM serves the whole fleet). [Agent_env] is the one-flow view.
 
-   Per flow a step validates the action, reads the Cubic backbone,
+   Per agent flow a step validates the action, reads the Cubic backbone,
    enforces Eq. 1's window, advances the link one interval with Cubic
    refreshing the live window after every millisecond, takes the monitor
    observation, updates the throughput scale, pushes the feature frame
-   and scores the reward. All per-flow work runs inside the fleet's pool
-   chunks; every mutable cell involved (cubic, monitor, history slice,
-   reward) is owned by exactly one flow, so flows are independent and an
-   N-flow fleet reproduces N one-flow fleets bit-for-bit. *)
+   and scores the reward. A plain flow only runs its own controller,
+   which refreshes its window the same way. The per-millisecond work
+   runs inside the fleet's pool chunks; every mutable cell involved
+   (controller, monitor, history slice, reward) is owned by exactly one
+   flow, so flows on separate links are independent and an N-flow fleet
+   of N links reproduces N one-flow fleets bit-for-bit. *)
 
 module Env = Canopy_netsim.Env
 module Fleet = Canopy_netsim.Fleet
@@ -54,6 +56,8 @@ type t = {
   state_dim : int;
   fleet : Fleet.t;
   cubic : Canopy_cc.Cubic.t array;
+  (* [Some c]: a plain flow run by [c] alone; its agent cells are unused. *)
+  plain : Canopy_cc.Controller.t option array;
   monitor : Monitor.t array;
   reward : Reward.t array;
   handlers : Env.handlers array;
@@ -68,9 +72,16 @@ type t = {
   mutable finished : bool;
 }
 
-let create (cfgs : config array) =
+let create ?link ?start_ms ?plain (cfgs : config array) =
   let n = Array.length cfgs in
   if n = 0 then invalid_arg "Fleet_env.create: no envs";
+  let plain =
+    match plain with
+    | None -> Array.make n None
+    | Some p ->
+        if Array.length p <> n then invalid_arg "Fleet_env.create: plain";
+        p
+  in
   Array.iter
     (fun (cfg : config) ->
       if cfg.history <= 0 then invalid_arg "Fleet_env.create: history";
@@ -91,7 +102,7 @@ let create (cfgs : config array) =
         invalid_arg "Fleet_env.create: heterogeneous duration")
     cfgs;
   let fleet =
-    Fleet.create
+    Fleet.create ?start_ms ?link
       (Array.map
          (fun (cfg : config) ->
            {
@@ -116,24 +127,32 @@ let create (cfgs : config array) =
      monitor directly, so a run passes through no intermediate closure
      (DESIGN §12, "The per-packet path"). The two share no state, so
      Cubic taking the whole run before the monitor does leaves both as
-     a per-ACK interleaving would. *)
+     a per-ACK interleaving would. A plain flow's controller takes its
+     runs alone. *)
   let handlers =
     Array.init n (fun i ->
         let cubic = cubic.(i) and monitor = monitor.(i) in
-        {
-          Env.on_acks =
-            (fun ~now_ms ~rtt_ms ~first_seq ~count ~delivered ->
-              Canopy_cc.Cubic.on_acks cubic ~now_ms ~rtt_ms ~first_seq ~count
-                ~delivered;
-              Monitor.on_acks monitor ~now_ms ~rtt_ms ~first_seq ~count
-                ~delivered);
-          on_loss =
-            (fun ~now_ms ~count ->
-              Canopy_cc.Cubic.on_loss cubic ~now_ms ~count;
-              Monitor.on_loss monitor ~now_ms ~count);
-        })
+        match plain.(i) with
+        | Some c -> Canopy_cc.Controller.handlers c
+        | None ->
+            {
+              Env.on_acks =
+                (fun ~now_ms ~rtt_ms ~first_seq ~count ~delivered ->
+                  Canopy_cc.Cubic.on_acks cubic ~now_ms ~rtt_ms ~first_seq
+                    ~count ~delivered;
+                  Monitor.on_acks monitor ~now_ms ~rtt_ms ~first_seq ~count
+                    ~delivered);
+              on_loss =
+                (fun ~now_ms ~count ->
+                  Canopy_cc.Cubic.on_loss cubic ~now_ms ~count;
+                  Monitor.on_loss monitor ~now_ms ~count);
+            })
   in
-  let after_tick i = Fleet.set_cwnd fleet ~flow:i (Canopy_cc.Cubic.cwnd cubic.(i)) in
+  let after_tick i =
+    match plain.(i) with
+    | None -> Fleet.set_cwnd fleet ~flow:i (Canopy_cc.Cubic.cwnd cubic.(i))
+    | Some c -> Fleet.set_cwnd fleet ~flow:i (c.Canopy_cc.Controller.cwnd ())
+  in
   {
     cfgs;
     n;
@@ -143,6 +162,7 @@ let create (cfgs : config array) =
     state_dim = history * Observation.feature_count;
     fleet;
     cubic;
+    plain;
     monitor;
     reward =
       Array.map (fun (cfg : config) -> Reward.create ~config:cfg.reward ()) cfgs;
@@ -197,36 +217,46 @@ type step_result = {
   finished : bool;
 }
 
-let step ?observe (t : t) ~actions =
+let step ?observe ?ms (t : t) ~actions =
   if t.finished then invalid_arg "Fleet_env.step: episode finished";
   if Array.length actions <> t.n then invalid_arg "Fleet_env.step: actions";
+  let ms = Option.value ms ~default:t.interval_ms in
+  if ms <= 0 || ms > t.interval_ms then invalid_arg "Fleet_env.step: ms";
   let cwnd_tcp = Array.make t.n 0. in
   let cwnd_enforced = Array.make t.n 0. in
   for i = 0 to t.n - 1 do
-    let action = actions.(i) in
-    if Float.is_nan action || action < -1. || action > 1. then
-      invalid_arg "Fleet_env.step: action out of range";
-    let tcp = Canopy_cc.Cubic.cwnd t.cubic.(i) in
-    let enforced = cwnd_of_action ~action ~cwnd_tcp:tcp in
-    Canopy_cc.Cubic.force_cwnd t.cubic.(i) enforced;
-    Fleet.set_cwnd t.fleet ~flow:i enforced;
-    cwnd_tcp.(i) <- tcp;
-    cwnd_enforced.(i) <- enforced
+    match t.plain.(i) with
+    | Some _ -> ()
+    | None ->
+        let action = actions.(i) in
+        if Float.is_nan action || action < -1. || action > 1. then
+          invalid_arg "Fleet_env.step: action out of range";
+        let tcp = Canopy_cc.Cubic.cwnd t.cubic.(i) in
+        let enforced = cwnd_of_action ~action ~cwnd_tcp:tcp in
+        Canopy_cc.Cubic.force_cwnd t.cubic.(i) enforced;
+        Fleet.set_cwnd t.fleet ~flow:i enforced;
+        cwnd_tcp.(i) <- tcp;
+        cwnd_enforced.(i) <- enforced
   done;
-  Fleet.run ~after_tick:t.after_tick t.fleet t.handlers ~ms:t.interval_ms;
+  Fleet.run ~after_tick:t.after_tick t.fleet t.handlers ~ms;
   let now = Fleet.now_ms t.fleet in
   let rewards = Array.make t.n 0. in
   for i = 0 to t.n - 1 do
-    let obs = Monitor.take t.monitor.(i) ~now_ms:now ~cwnd_pkts:cwnd_enforced.(i) in
-    (match observe with Some f -> f i obs | None -> ());
-    t.thr_scale.(i) <- Float.max t.thr_scale.(i) obs.Observation.thr_mbps;
-    (* Overwrite the oldest frame in place and advance the ring head. *)
-    let off = (i * t.history * fc) + (t.hist_head.(i) * fc) in
-    Observation.features_into ~thr_scale_mbps:t.thr_scale.(i) obs ~dst:t.hist
-      ~off;
-    t.hist_head.(i) <- (t.hist_head.(i) + 1) mod t.history;
-    rewards.(i) <- Reward.of_observation t.reward.(i) obs;
-    t.prev_cwnd.(i) <- cwnd_enforced.(i)
+    match t.plain.(i) with
+    | Some _ -> ()
+    | None ->
+        let obs =
+          Monitor.take t.monitor.(i) ~now_ms:now ~cwnd_pkts:cwnd_enforced.(i)
+        in
+        (match observe with Some f -> f i obs | None -> ());
+        t.thr_scale.(i) <- Float.max t.thr_scale.(i) obs.Observation.thr_mbps;
+        (* Overwrite the oldest frame in place and advance the ring head. *)
+        let off = (i * t.history * fc) + (t.hist_head.(i) * fc) in
+        Observation.features_into ~thr_scale_mbps:t.thr_scale.(i) obs
+          ~dst:t.hist ~off;
+        t.hist_head.(i) <- (t.hist_head.(i) + 1) mod t.history;
+        rewards.(i) <- Reward.of_observation t.reward.(i) obs;
+        t.prev_cwnd.(i) <- cwnd_enforced.(i)
   done;
   if now >= t.duration_ms then t.finished <- true;
   { rewards; cwnd_tcp; cwnd_enforced; finished = t.finished }

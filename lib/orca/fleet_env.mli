@@ -13,8 +13,12 @@
     whole fleet's actions at once — the shape [Mlp.forward_eval_into]
     needs to serve every flow with a single GEMM per decision tick.
 
-    Flows are independent: an N-flow fleet reproduces N one-flow fleets
-    bit-for-bit. [Agent_env] is the one-flow view. *)
+    Flows may share links ([?link] of {!create}), and a flow may be a
+    plain one, run by an ordinary controller with no agent: that is how
+    [Eval.eval_coexist] pits Canopy against TCP on one bottleneck.
+    Flows on separate links are independent: an N-flow fleet of N links
+    reproduces N one-flow fleets bit-for-bit. [Agent_env] is the
+    one-flow view. *)
 
 type config = {
   trace : Canopy_trace.Trace.t;
@@ -45,13 +49,28 @@ val max_enforced : float
 
 type t
 
-val create : config array -> t
+val create :
+  ?link:int array ->
+  ?start_ms:int array ->
+  ?plain:Canopy_cc.Controller.t option array ->
+  config array ->
+  t
 (** One episode per config. All configs must agree on [history],
     decision interval and [duration_ms] (the batched tick runs the
     whole fleet on one cadence); traces, buffers, minRTTs, impairments
-    and reward configs may differ per flow. Raises [Invalid_argument]
-    on an empty array, a non-positive history, duration or interval, or
-    heterogeneous cadence. *)
+    and reward configs may differ per flow. [link] and [start_ms] go to
+    [Canopy_netsim.Fleet.create] as they are: flows with equal
+    [link.(i)] share one link and must agree on trace (physically),
+    buffer and impairments; flow [i] sends nothing before
+    [start_ms.(i)]. [plain.(i) = Some c] makes flow [i] a plain flow:
+    [c] takes its feedback and sets its window after every millisecond,
+    and {!step} neither reads its action nor observes or scores it (its
+    state row stays zero, and [cwnd_tcp], [prev_cwnd_enforced] and
+    [thr_scale_mbps] mean nothing for it). Default: every flow on its
+    own link from time 0, no plain flows. Raises [Invalid_argument] on
+    an empty array, a non-positive history, duration or interval,
+    heterogeneous cadence, a [plain] array whose length is not the flow
+    count, or anything [Fleet.create] rejects. *)
 
 val flows : t -> int
 val history : t -> int
@@ -90,13 +109,20 @@ type step_result = {
   cwnd_enforced : float array;  (** Eq. 1 window actually enforced *)
   finished : bool;
 }
+(** All three arrays hold 0 at a plain flow. *)
 
 val step :
   ?observe:(int -> Observation.t -> unit) ->
+  ?ms:int ->
   t ->
   actions:float array ->
   step_result
 (** Advance every flow by one decision interval under [actions.(i)] ∈
-    [[-1,1]]. [observe i obs] (if given) receives flow [i]'s observation
-    of the interval. Raises [Invalid_argument] on a finished episode, a
-    wrong-length array or an out-of-range action. *)
+    [[-1,1]]; a plain flow's slot is not read and may hold anything,
+    NaN included. [ms] (default {!interval_ms}, at most that) shortens
+    the interval, for an episode whose length is not a whole number of
+    intervals; the episode finishes once the clock reaches
+    [duration_ms]. [observe i obs] (if given) receives agent flow [i]'s
+    observation of the interval. Raises [Invalid_argument] on a
+    finished episode, a wrong-length array, an out-of-range agent
+    action or an [ms] outside [1, interval_ms]. *)

@@ -43,10 +43,8 @@ val write : path:string -> string -> unit
 val read : string -> string
 (** Read a whole checkpoint file (binary-safe). *)
 
-val actor_of_string : string -> Mlp.t
-(** Load an actor network from either format: a bare [canopy-mlp v1]
-    checkpoint, or the [actor] section of a [canopy-train v2] container.
-    Raises [Failure] on unrecognized or corrupt input. *)
-
 val actor_of_file : string -> Mlp.t
-(** {!actor_of_string} over a file's contents. *)
+(** Load an actor network from a file in either format: a bare
+    [canopy-mlp v1] checkpoint, or the [actor] section of a
+    [canopy-train v2] container. Raises [Failure] on unrecognized or
+    corrupt input. *)

@@ -296,39 +296,20 @@ let actor_update_batched t (batch : Replay_buffer.transition array) =
   (* Deterministic policy gradient: maximize Q1(s, pi(s)), i.e. descend
      -Q1. The critic is only a conduit for gradients here: its backward
      computes input gradients alone and leaves its accumulators, which
-     its next fit zeroes, untouched. A critic's passes are row-local, so
-     the sharded conduit reproduces the full-batch [daction] bit for
-     bit — only the actor's own passes (batch-norm couples its samples)
-     must stay full-batch. *)
+     its next fit zeroes, untouched. The conduit needs no shards: its
+     forward and input-gradient passes are row-local, and every GEMM
+     cell is one ascending-k chain (DESIGN §7, §10), so no [daction]
+     row depends on the batch it runs in. Only the critic fits shard,
+     because the tree that reduces their weight gradients fixes their
+     bits; the actor's own passes stay full-batch because batch norm
+     couples its samples. *)
   let critic_inputs = Mat.concat_cols states actions in
+  let _, critic_tape = Mlp.forward_train t.critic1 critic_inputs in
   let inv_n = 1. /. float_of_int n in
+  let dout = Mat.init ~rows:n ~cols:1 (fun _ _ -> -.inv_n) in
+  let dinputs = Mlp.backward ~param_grads:false t.critic1 critic_tape dout in
   let daction =
-    if use_shards n then begin
-      let nshards = nshards_for n in
-      let shards = shards_for t t.critic1 ~nshards in
-      let da = Mat.create_uninit ~rows:n ~cols:cfg.action_dim in
-      for_each_shard n (fun s ~lo ~hi ->
-          let shadow = shards.(s) in
-          let _, tape =
-            Mlp.forward_train shadow (Mat.sub_rows critic_inputs ~lo ~hi)
-          in
-          let dout = Mat.init ~rows:(hi - lo) ~cols:1 (fun _ _ -> -.inv_n) in
-          let dinputs = Mlp.backward ~param_grads:false shadow tape dout in
-          for i = lo to hi - 1 do
-            for j = 0 to cfg.action_dim - 1 do
-              Mat.set da i j (Mat.get dinputs (i - lo) (cfg.state_dim + j))
-            done
-          done);
-      da
-    end
-    else begin
-      let _, critic_tape = Mlp.forward_train t.critic1 critic_inputs in
-      let dout = Mat.init ~rows:n ~cols:1 (fun _ _ -> -.inv_n) in
-      let dinputs =
-        Mlp.backward ~param_grads:false t.critic1 critic_tape dout
-      in
-      Mat.cols_slice dinputs ~pos:cfg.state_dim ~len:cfg.action_dim
-    end
+    Mat.cols_slice dinputs ~pos:cfg.state_dim ~len:cfg.action_dim
   in
   ignore (Mlp.backward ~input_grad:false t.actor actor_tape daction);
   let params = Mlp.params t.actor in

@@ -86,6 +86,13 @@ val gemm_kernel : unit -> string
     ["ocaml"] when they run in OCaml (no AVX2, or float arrays not
     stored flat). Fixed at program start; both give the same bits. *)
 
+val nt_c_rows : int
+(** The fewest [a] rows for which an nt call ({!mat_mul_nt_into},
+    {!mat_mul_nt_bias_into}) runs the C kernel when {!gemm_kernel} is
+    ["avx2"]; shorter calls run in OCaml. A caller that cuts rows into
+    chunks keeps the chunks at least this tall to stay on the C
+    kernel. *)
+
 (** {2 Parallel dispatch}
 
     {!mat_mul_into}, {!mat_mul_nt_into} / {!mat_mul_nt_bias_into} and
@@ -194,16 +201,10 @@ val scratch_mat : Canopy_util.Scratch.t -> slot:int -> rows:int -> cols:int -> t
     a workspace to fully overwrite and consume before the next [get] on
     the same slot, never a value to retain. *)
 
-val mat_mul_row_flops : t -> t -> int
-(** Flops per output row of [mat_mul a b]. The kernels own their cost
-    model: call sites planning chunks must use these instead of
-    restating the formulas. *)
-
 val mat_mul_nt_row_flops : t -> t -> int
-(** Flops per output row of [mat_mul_nt a b] (bias form included). *)
-
-val mat_mul_tn_row_flops : t -> t -> int
-(** Flops per output ([dst]) row of [mat_mul_tn_acc ~dst a b]. *)
+(** Flops per output row of [mat_mul_nt a b] (bias form included). The
+    kernels own their cost model: call sites planning chunks must use
+    this instead of restating the formula. *)
 
 val frobenius : t -> float
 val approx_equal : ?eps:float -> t -> t -> bool

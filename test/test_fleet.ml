@@ -1,8 +1,8 @@
 (* Tests for the vectorized fleet simulator and its serving stack: flow
    independence (an N-flow [Fleet_env] equals N one-flow [Agent_env]
    views, bit for bit), determinism of the pool-parallel advancement
-   across domain counts, and the mixed Canopy-vs-TCP coexistence
-   harness. The simulator's own trajectories are pinned by the golden
+   across domain counts, shared links with plain flows and short last
+   steps, and the mixed Canopy-vs-TCP coexistence harness. The simulator's own trajectories are pinned by the golden
    digests in test_golden.ml. *)
 
 module Env = Canopy_netsim.Env
@@ -216,6 +216,125 @@ let test_fleet_env_validation () =
     | exception Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
+(* Shared links, plain flows and short steps *)
+
+let cubic_plain () = Some (Eval.cubic_scheme ())
+
+let test_fleet_env_plain_validation () =
+  let a = agent_cfg ~duration_ms:400 0 in
+  let rejects what f =
+    check_bool what true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  rejects "short plain rejected" (fun () ->
+      Fleet_env.create ~plain:[| None |] [| a; a |]);
+  rejects "short link rejected" (fun () ->
+      Fleet_env.create ~link:[| 0 |] [| a; a |]);
+  rejects "short start_ms rejected" (fun () ->
+      Fleet_env.create ~start_ms:[| 0 |] [| a; a |]);
+  let env = Fleet_env.create [| a |] in
+  rejects "step ~ms:0 rejected" (fun () ->
+      Fleet_env.step ~ms:0 env ~actions:[| 0. |]);
+  rejects "step longer than an interval rejected" (fun () ->
+      Fleet_env.step ~ms:41 env ~actions:[| 0. |])
+
+(* An agent flow whose plain partner on its link starts after the
+   episode is alone on that link: its per-step states, rewards and
+   windows must equal a one-flow Fleet_env's, clean and with ACK jitter
+   (the link's jitter draws are made for the agent's packets only). *)
+let test_idle_plain_partner () =
+  List.iter
+    (fun (label, impair) ->
+      let cfg = agent_cfg ~impair ~duration_ms:600 0 in
+      let alone = Fleet_env.create [| cfg |] in
+      let paired =
+        Fleet_env.create ~link:[| 0; 0 |] ~start_ms:[| 0; 601 |]
+          ~plain:[| None; cubic_plain () |] [| cfg; cfg |]
+      in
+      let sd = Fleet_env.state_dim alone in
+      let actor =
+        Mlp.actor ~rng:(Canopy_util.Prng.create 7) ~in_dim:sd ~hidden:16
+          ~out_dim:1
+      in
+      let x1 = Mat.create ~rows:1 ~cols:sd in
+      let x2 = Mat.create ~rows:2 ~cols:sd in
+      let y = Mat.create_uninit ~rows:1 ~cols:1 in
+      let step = ref 0 in
+      while not (Fleet_env.finished alone) do
+        let tag what = Printf.sprintf "%s step %d: %s" label !step what in
+        Fleet_env.write_states alone ~dst:x1;
+        Fleet_env.write_states paired ~dst:x2;
+        check_bool (tag "state bits") true
+          (bits (Mat.row x1 0) = bits (Mat.row x2 0));
+        check_bool (tag "plain row zero") true
+          (Array.for_all (fun v -> v = 0.) (Mat.row x2 1));
+        Mlp.forward_eval_into ~dst:y actor x1;
+        let a = clamp (Mat.raw y).(0) in
+        let r1 = Fleet_env.step alone ~actions:[| a |] in
+        let r2 = Fleet_env.step paired ~actions:[| a; Float.nan |] in
+        let first (r : Fleet_env.step_result) =
+          bits [| r.rewards.(0); r.cwnd_tcp.(0); r.cwnd_enforced.(0) |]
+        in
+        check_bool (tag "reward and window bits") true (first r1 = first r2);
+        check_bool (tag "finished agrees") true
+          (r1.Fleet_env.finished = r2.Fleet_env.finished);
+        incr step
+      done;
+      check_int (label ^ ": decision steps") (600 / 40) !step;
+      check_int (label ^ ": partner never sent") 0
+        (Canopy_netsim.Fleet.sent (Fleet_env.fleet paired) ~flow:1))
+    [
+      ("clean", Env.no_impairments);
+      ("ack jitter", { Env.no_impairments with ack_jitter_ms = 4; seed = 9 });
+    ]
+
+(* A running plain flow is its controller's: its action slot is never
+   read (NaN passes, an agent flow's out-of-range action still fails),
+   it scores no reward, and its live window is the controller's. *)
+let test_plain_flow_runs_its_controller () =
+  let cfg = agent_cfg ~duration_ms:400 0 in
+  let ctrl = Eval.cubic_scheme () in
+  let env =
+    Fleet_env.create ~link:[| 0; 0 |] ~plain:[| None; Some ctrl |]
+      [| cfg; cfg |]
+  in
+  let fleet = Fleet_env.fleet env in
+  check_bool "agent action still checked" true
+    (match Fleet_env.step env ~actions:[| 1.5; 0. |] with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  while not (Fleet_env.finished env) do
+    let r = Fleet_env.step env ~actions:[| 0.25; Float.nan |] in
+    check_bool "plain reward 0" true (r.Fleet_env.rewards.(1) = 0.);
+    check_bool "agent reward finite" true
+      (Float.is_finite r.Fleet_env.rewards.(0));
+    Alcotest.(check (float 0.)) "plain window is the controller's"
+      (Float.max 1. (ctrl.Canopy_cc.Controller.cwnd ()))
+      (Canopy_netsim.Fleet.cwnd fleet ~flow:1)
+  done;
+  check_bool "plain flow delivered" true
+    (Canopy_netsim.Fleet.delivered fleet ~flow:1 > 0)
+
+(* [~ms] runs a short last interval that ends the episode exactly at
+   [duration_ms]; a default step overruns it by the rest of an
+   interval. *)
+let test_short_last_step () =
+  let cfg = agent_cfg ~duration_ms:100 0 in
+  let run last =
+    let env = Fleet_env.create [| cfg |] in
+    for _ = 1 to 2 do
+      ignore (Fleet_env.step env ~actions:[| 0. |] : Fleet_env.step_result)
+    done;
+    let r = last env in
+    check_bool "finished" true r.Fleet_env.finished;
+    Fleet_env.now_ms env
+  in
+  check_int "short last step" 100
+    (run (fun env -> Fleet_env.step ~ms:20 env ~actions:[| 0. |]));
+  check_int "default last step" 120
+    (run (fun env -> Fleet_env.step env ~actions:[| 0. |]))
+
+(* ------------------------------------------------------------------ *)
 (* Coexistence *)
 
 let coexist_link duration_ms =
@@ -401,9 +520,17 @@ let suite =
       test_coexist_degenerate_mixes;
     Alcotest.test_case "coexist: staggered arrivals" `Quick
       test_coexist_arrivals;
-    (* Reproducibility checks last: across domain counts, then runs. *)
+    (* Reproducibility checks: across domain counts, then runs. *)
     Alcotest.test_case "coexist: domains 2,3 == 1 (bits)" `Quick
       test_coexist_domains_bit_identical;
     Alcotest.test_case "coexist: deterministic" `Quick
       test_coexist_deterministic;
+    Alcotest.test_case "fleet_env plain/link/ms validation" `Quick
+      test_fleet_env_plain_validation;
+    Alcotest.test_case "idle plain partner == one-flow Fleet_env (bits)"
+      `Quick test_idle_plain_partner;
+    Alcotest.test_case "fleet_env plain flow runs its controller" `Quick
+      test_plain_flow_runs_its_controller;
+    Alcotest.test_case "fleet_env ~ms shortens the last step" `Quick
+      test_short_last_step;
   ]
