@@ -424,15 +424,6 @@ let par_bench () =
   header "par: domain-pool parallel gemm / certify / eval vs sequential";
   let state_dim = history * Canopy_orca.Observation.feature_count in
   with_pools (fun () ->
-      (* Creating the multi-domain pools fired the one-shot grain
-         calibration (if nothing pinned it first); capture what the GEMM
-         dispatch will actually use before the probes pin tiny grains. *)
-      let cal = Mat.calibration () in
-      Format.printf
-        "grain calibration (%s): min_flops=%d chunk_flops=%d \
-         chunk_overhead_ns=%.0f flops_per_ns=%.2f@."
-        cal.Mat.source cal.Mat.min_flops cal.Mat.chunk_flops
-        cal.Mat.chunk_overhead_ns cal.Mat.flops_per_ns;
       if num_cores = 1 then
         Format.printf
           "single-core machine: parallel rows measure oversubscription and \
@@ -534,15 +525,6 @@ let par_bench () =
         [
           ("num_cores", int num_cores);
           ("domain_counts", Json.Arr (List.map int domain_counts));
-          ( "calibration",
-            Json.Obj
-              [
-                ("source", Json.Str cal.Mat.source);
-                ("min_flops", int cal.Mat.min_flops);
-                ("chunk_flops", int cal.Mat.chunk_flops);
-                ("chunk_overhead_ns", fixed 1 cal.Mat.chunk_overhead_ns);
-                ("flops_per_ns", fixed 3 cal.Mat.flops_per_ns);
-              ] );
           ( "entries",
             Json.Arr
               (List.filter_map

@@ -42,10 +42,6 @@ val relu : t -> t
 val tanh : t -> t
 (** Sound min-slope relaxation (DeepZ). *)
 
-val propagate : Canopy_nn.Mlp.t -> t -> t
-(** Propagate through a network's inference semantics (same layer set as
-    {!Ibp.propagate}). *)
-
 val output_interval : Canopy_nn.Mlp.t -> Box.t -> Interval.t
 (** Drop-in replacement for {!Ibp.output_interval}: propagates a zonotope
     and returns its meet with the box-domain result (a reduced product),

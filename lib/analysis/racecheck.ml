@@ -10,7 +10,7 @@
       state two closures can share without one creating it);
    2. {!Callgraph} approximates who calls whom;
    3. parallel entry points are every argument of
-      [Pool.parallel_for_chunks]/[map]/[map_list]/[map_reduce] — both
+      [Pool.parallel_for_chunks]/[map]/[map_list] — both
       [(fun ...)] literals and named range kernels;
    4. every function reachable from an entry point is scanned for
       writes ([:=], [<-], [incr]/[decr], stdlib mutator calls) whose
@@ -44,8 +44,7 @@ let default_dirs = [ "lib"; "bin"; "bench"; "test" ]
    synchronized state from worker domains. *)
 let pool_internal path = Filename.basename path = "pool.ml"
 
-let pool_entry_fns =
-  [ "parallel_for_chunks"; "map"; "map_list"; "map_reduce" ]
+let pool_entry_fns = [ "parallel_for_chunks"; "map"; "map_list" ]
 
 (* (module, function, position of the mutated argument) *)
 let stdlib_mutators =

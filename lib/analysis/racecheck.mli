@@ -3,7 +3,7 @@
 
     Proves the DESIGN §10 convention syntactically: no function
     reachable from a closure handed to
-    [Pool.parallel_for_chunks]/[map]/[map_list]/[map_reduce] writes an
+    [Pool.parallel_for_chunks]/[map]/[map_list] writes an
     inventoried module-level mutable global, unless the global is
     blessed ([Atomic], [Domain.DLS], [Mutex]), the region locks a
     [Mutex], the written index derives from the chunk's [~lo ~hi]

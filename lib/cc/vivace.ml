@@ -3,6 +3,11 @@ let min_rate = 0.02
 let max_rate = 200.
 let probe_epsilon = 0.05
 
+(* Utility weights from the Vivace paper: latency gradient (b) and loss
+   (c). *)
+let latency_weight = 900.
+let loss_weight = 11.35
+
 type phase =
   | Starting  (** multiplicative search while utility keeps improving *)
   | Probe_up  (** monitor interval at rate·(1+ε) *)
@@ -12,8 +17,6 @@ type phase =
    neither box nor pass the write barrier. *)
 type floats = {
   utility_exponent : float;
-  latency_weight : float;
-  loss_weight : float;
   mutable rate : float; (* pkts per ms, the decision variable *)
   mutable srtt_ms : float;
   mutable min_rtt_ms : float;
@@ -36,16 +39,13 @@ type t = {
   mutable mi_losses : int;
 }
 
-let create ?(utility_exponent = 0.9) ?(latency_weight = 900.)
-    ?(loss_weight = 11.35) ?(initial_rate_pkts_per_ms = 1.) () =
+let create ?(utility_exponent = 0.9) ?(initial_rate_pkts_per_ms = 1.) () =
   if utility_exponent <= 0. || utility_exponent >= 1. then
     invalid_arg "Vivace.create: utility exponent";
   {
     x =
       {
         utility_exponent;
-        latency_weight;
-        loss_weight;
         rate =
           Canopy_util.Mathx.clamp ~lo:min_rate ~hi:max_rate
             initial_rate_pkts_per_ms;
@@ -103,8 +103,8 @@ let interval_utility t ~duration_ms =
     let total = t.mi_acks + t.mi_losses in
     let loss = float_of_int t.mi_losses /. float_of_int (Int.max 1 total) in
     (x ** t.x.utility_exponent)
-    -. (t.x.latency_weight *. x *. Float.max 0. latency_gradient)
-    -. (t.x.loss_weight *. x *. loss)
+    -. (latency_weight *. x *. Float.max 0. latency_gradient)
+    -. (loss_weight *. x *. loss)
   end
 
 let set_rate t r =

@@ -13,13 +13,9 @@
 type t
 
 val create :
-  ?utility_exponent:float ->
-  ?latency_weight:float ->
-  ?loss_weight:float ->
-  ?initial_rate_pkts_per_ms:float ->
-  unit ->
-  t
-(** Defaults follow the paper: [t = 0.9], [b = 900], [c = 11.35]. *)
+  ?utility_exponent:float -> ?initial_rate_pkts_per_ms:float -> unit -> t
+(** Follows the paper: [t = 0.9] by default, and the fixed weights
+    [b = 900], [c = 11.35]. *)
 
 val on_acks : t -> Canopy_netsim.Env.acks_handler
 (** A run of ACKs: the same state as [count] single ACKs. *)

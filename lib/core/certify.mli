@@ -58,16 +58,12 @@ type t = {
   fcs : bool;  (** all components certified at this step *)
 }
 
-val output_intervals :
-  ?engine:engine -> domain:domain -> actor:Mlp.t -> Box.t array -> Interval.t array
-(** The one engine entry point shared by {!certify}, {!certify_adaptive}
-    and [Temporal.verify]: abstract action bounds for a workload of input
-    boxes under the chosen domain. [engine] defaults to [Batched]. Adding
-    a domain (or engine) means extending exactly this dispatch. *)
-
 val output_interval :
   ?engine:engine -> domain:domain -> actor:Mlp.t -> Box.t -> Interval.t
-(** {!output_intervals} on a single box. *)
+(** Abstract action bounds for one input box under the chosen domain,
+    through the one engine dispatch that {!certify} and
+    {!certify_adaptive} run over their box workloads ([Temporal.verify]
+    unrolls through this). [engine] defaults to [Batched]. *)
 
 val certify :
   ?engine:engine ->

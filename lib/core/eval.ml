@@ -62,25 +62,13 @@ let buffer_pkts link =
 
 let clamp_action = Canopy_util.Mathx.clamp ~lo:(-1.) ~hi:1.
 
-let eval_policy ?(name = "canopy") ?noise ?(engine = Certify.Batched)
-    ?certificate ?refute_seed ?refute_rng ?shield
+let eval_policy ?(name = "canopy") ?noise ?certificate ?refute_rng ?shield
     ?(impairments = Canopy_netsim.Env.no_impairments)
     ?(collect_steps = false) ~policy ~history link =
   let delay_noise =
     Option.map
       (fun (seed, mu) -> (Canopy_util.Prng.create seed, mu))
       noise
-  in
-  (* One PRNG for the whole run: Certify.refute derives a per-component
-     stream from it, so every step explores fresh sample points while
-     the run as a whole stays reproducible from [refute_seed]. Parallel
-     sweeps pass [?refute_rng] instead — a [Prng.split] child derived by
-     task index before the fan-out, so sampling stays reproducible and
-     identical at every domain count. *)
-  let refute_rng =
-    match refute_rng with
-    | Some _ as r -> r
-    | None -> Option.map Canopy_util.Prng.create refute_seed
   in
   let cfg =
     {
@@ -124,7 +112,7 @@ let eval_policy ?(name = "canopy") ?noise ?(engine = Certify.Batched)
         (fun (property, n) ->
           match policy with
           | `Mlp actor ->
-              Certify.certify ~engine ~actor ~property ~n_components:n
+              Certify.certify ~actor ~property ~n_components:n
                 ~history ~state:s
                 ~cwnd_tcp:(Agent_env.cwnd_tcp env)
                 ~prev_cwnd:(Agent_env.prev_cwnd_enforced env) ()
@@ -244,8 +232,7 @@ let eval_tcp ~name make link =
    results in task order, and any task RNG must be derived {i before}
    this call (e.g. [Prng.split] by task index), so the sweep is
    bit-identical to running the tasks sequentially in list order. *)
-let run_tasks ?pool tasks =
-  Canopy_util.Pool.map_list ?pool (fun task -> task ()) tasks
+let run_tasks tasks = Canopy_util.Pool.map_list (fun task -> task ()) tasks
 
 let cubic_scheme () = Canopy_cc.Cubic.to_controller (Canopy_cc.Cubic.create ())
 let vegas_scheme () = Canopy_cc.Vegas.to_controller (Canopy_cc.Vegas.create ())
@@ -318,7 +305,7 @@ let pp_coexist ppf (r : coexist_result) =
         (100. *. f.loss_rate))
     r.flows
 
-let eval_coexist ?(history = 5) ?interval_ms ?arrivals
+let eval_coexist ?(history = 5) ?arrivals
     ?(impairments = Canopy_netsim.Env.no_impairments) ~flows (link : link) =
   let specs = Array.of_list flows in
   let n = Array.length specs in
@@ -326,9 +313,6 @@ let eval_coexist ?(history = 5) ?interval_ms ?arrivals
   (match arrivals with
   | Some a when Array.length a <> n || Array.exists (fun x -> x < 0) a ->
       invalid_arg "Eval.eval_coexist: arrivals"
-  | _ -> ());
-  (match interval_ms with
-  | Some ms when ms <= 0 -> invalid_arg "Eval.eval_coexist: interval"
   | _ -> ());
   (* Every flow is a [Fleet_env] flow on link 0: Canopy flows are agent
      flows, TCP flows plain ones. *)
@@ -338,7 +322,6 @@ let eval_coexist ?(history = 5) ?interval_ms ?arrivals
          ~buffer_pkts:(buffer_pkts link) ~duration_ms:link.duration_ms)
       with
       history;
-      interval_ms;
       impairments;
     }
   in

@@ -48,9 +48,7 @@ val link : ?min_rtt_ms:int -> ?bdp:float -> ?duration_ms:int ->
 val eval_policy :
   ?name:string ->
   ?noise:int * float ->
-  ?engine:Certify.engine ->
   ?certificate:Property.t * int ->
-  ?refute_seed:int ->
   ?refute_rng:Canopy_util.Prng.t ->
   ?shield:Shield.t ->
   ?impairments:Canopy_netsim.Env.impairments ->
@@ -63,13 +61,12 @@ val eval_policy :
     ([`Mlp] / [`Tree], see {!Policy}) — over the link. [noise (seed, mu)]
     perturbs the observed queueing delay as in Section 6.3;
     [certificate (property, n)] computes an n-component certificate at
-    every step (the paper uses n = 50 for evaluation) on the chosen
-    [engine] (default the batched verifier-IR engine); [refute_seed]
-    additionally runs {!Certify.refute} over every uncertified component,
-    threading one PRNG through the whole run, and reports the refuted
-    fraction in [result.refuted] ([refute_rng] passes that stream
-    directly and wins over [refute_seed] — parallel sweeps hand each
-    task a [Prng.split] child derived by task index); [shield] projects
+    every step (the paper uses n = 50 for evaluation) on the batched
+    verifier-IR engine; [refute_rng] additionally runs {!Certify.refute}
+    over every uncertified component, threading that one PRNG through
+    the whole run, and reports the refuted fraction in
+    [result.refuted] (parallel sweeps hand each task a [Prng.split]
+    child derived by task index before the fan-out); [shield] projects
     each action through a runtime {!Shield} before it is applied;
     [impairments] applies link pathologies (random loss, ACK jitter,
     reordering — the adversarial scenario engine's knobs) to the run,
@@ -85,10 +82,10 @@ val eval_policy :
 val eval_tcp :
   name:string -> (unit -> Canopy_cc.Controller.t) -> link -> result
 
-val run_tasks :
-  ?pool:Canopy_util.Pool.t -> (unit -> result) list -> result list
+val run_tasks : (unit -> result) list -> result list
 (** [run_tasks tasks] evaluates independent sweep cells in parallel on
-    the given (default ambient) pool, returning results in task order.
+    the ambient pool ([Canopy_util.Pool.default ()]), returning results
+    in task order.
     Each task must own its state — environments are built per task, and
     any per-task PRNG must be split from the master stream by task index
     {i before} calling this — which makes the sweep bit-identical to a
@@ -132,7 +129,6 @@ val pp_coexist : Format.formatter -> coexist_result -> unit
 
 val eval_coexist :
   ?history:int ->
-  ?interval_ms:int ->
   ?arrivals:int array ->
   ?impairments:Canopy_netsim.Env.impairments ->
   flows:coexist_spec list ->
@@ -150,10 +146,11 @@ val eval_coexist :
     last interval is the remainder. [arrivals.(i)] delays flow [i]'s first
     transmission (staggered competing-flow arrivals; default all flows
     start at 0; a negative entry or a length other than the flow count
-    raises [Invalid_argument]). [impairments] applies link pathologies
-    to the shared link, as in {!eval_policy}, default none. Defaults:
-    [history] 5 frames, [interval_ms] = [max 20 link.min_rtt_ms] (the
-    [Agent_env] cadence). *)
+    raises [Invalid_argument]); a Canopy flow takes no decision before
+    its arrival (see [Fleet_env.step]). [impairments] applies link pathologies
+    to the shared link, as in {!eval_policy}, default none. [history]
+    defaults to 5 frames; the decision interval is
+    [max 20 link.min_rtt_ms] (the [Agent_env] cadence). *)
 
 type noise_delta = {
   scheme : string;

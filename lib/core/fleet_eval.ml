@@ -3,7 +3,9 @@
    [flows × state_dim] matrix assembly and exactly one batched
    [Policy.predict_rows_into] pass (a GEMM for the MLP, a pool-chunked
    compare chain for the distilled tree). The matrices are allocated
-   once; a steady-state tick allocates nothing on the serving path. *)
+   once; [Fleet_env.step] still allocates its three result arrays and
+   one [Observation.t] per agent flow each tick, and the link path
+   below it allocates more (DESIGN §12). *)
 
 module Fleet = Canopy_netsim.Fleet
 module Fleet_env = Canopy_orca.Fleet_env

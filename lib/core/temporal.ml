@@ -42,9 +42,8 @@ let cwnd_interval ~cwnd_tcp action =
     (Canopy_util.Mathx.clamp ~lo:Fleet_env.min_enforced
        ~hi:Fleet_env.max_enforced (Interval.hi raw))
 
-let verify ?(env_model = default_env_model) ?(engine = Certify.Batched)
-    ?(domain = Certify.Box_domain) ~actor ~property ~case ~horizon ~history
-    ~state ~cwnd_tcp () =
+let verify ?(env_model = default_env_model) ?(domain = Certify.Box_domain)
+    ~actor ~property ~case ~horizon ~history ~state ~cwnd_tcp () =
   if horizon <= 0 then invalid_arg "Temporal.verify: horizon";
   if history <= 0 then invalid_arg "Temporal.verify: history";
   if Array.length state <> history * Observation.feature_count then
@@ -84,7 +83,7 @@ let verify ?(env_model = default_env_model) ?(engine = Certify.Batched)
   let propagate_state () =
     let ivs = Array.concat (List.map Array.copy !frames) in
     let box = Box.of_intervals ivs in
-    Certify.output_interval ~engine ~domain ~actor box
+    Certify.output_interval ~domain ~actor box
   in
   let cwnd_tcp_iv = ref (Interval.of_point cwnd_tcp) in
   let bounds = ref [] in

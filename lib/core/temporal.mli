@@ -54,7 +54,6 @@ type t = {
 
 val verify :
   ?env_model:env_model ->
-  ?engine:Certify.engine ->
   ?domain:Certify.domain ->
   actor:Mlp.t ->
   property:Property.t ->
@@ -65,7 +64,8 @@ val verify :
   cwnd_tcp:float ->
   unit ->
   t
-(** [env_model] defaults to drift 0.1, slack 0.05. Raises
+(** [env_model] defaults to drift 0.1, slack 0.05; [domain] to the box
+    domain, on the batched verifier-IR engine. Raises
     [Invalid_argument] for a robustness property or the [Noise] case
     (temporal unrolling is defined for the performance cases), for
     [horizon <= 0], or on dimension mismatches. *)

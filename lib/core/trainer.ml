@@ -24,13 +24,13 @@ type config = {
 }
 
 let default_config ?(seed = 42) ?(lambda = 0.25)
-    ?(property = Property.performance ()) ?(engine = Certify.Batched)
-    ?(n_components = 5) ?(total_steps = 4000) ~envs () =
+    ?(property = Property.performance ()) ?(n_components = 5)
+    ?(total_steps = 4000) ~envs () =
   {
     seed;
     lambda;
     property;
-    engine;
+    engine = Certify.Batched;
     n_components;
     history = 5;
     hidden = 64;
@@ -41,7 +41,7 @@ let default_config ?(seed = 42) ?(lambda = 0.25)
   }
 
 let env_pool ?(n = 8) ?(bw_range_mbps = (6., 192.)) ?(rtt_range_ms = (10, 200))
-    ?(duration_ms = 10_000) ?(history = 5) ~seed () =
+    ?(duration_ms = 10_000) ~seed () =
   if n <= 0 then invalid_arg "Trainer.env_pool: n";
   let bw_lo, bw_hi = bw_range_mbps in
   let rtt_lo, rtt_hi = rtt_range_ms in
@@ -70,12 +70,8 @@ let env_pool ?(n = 8) ?(bw_range_mbps = (6., 192.)) ?(rtt_range_ms = (10, 200))
         Canopy_cc.Runner.buffer_of_bdp ~bdp_multiplier:2. ~trace
           ~min_rtt_ms:rtt
       in
-      {
-        (Agent_env.default_config ~trace ~min_rtt_ms:rtt ~buffer_pkts
-           ~duration_ms)
-        with
-        history;
-      })
+      Agent_env.default_config ~trace ~min_rtt_ms:rtt ~buffer_pkts
+        ~duration_ms)
 
 type epoch = {
   epoch : int;
@@ -521,7 +517,7 @@ let load_actor path =
   Canopy_analysis.Netcheck.assert_valid ~what:path net;
   net
 
-let load_or_train ?on_epoch ~cache_dir ~tag cfg =
+let load_or_train ~cache_dir ~tag cfg =
   let path = Filename.concat cache_dir (tag ^ ".actor.ckpt") in
   let curve_path = Filename.concat cache_dir (tag ^ ".curve.csv") in
   if Sys.file_exists path then begin
@@ -539,7 +535,7 @@ let load_or_train ?on_epoch ~cache_dir ~tag cfg =
     (load_actor path, epochs)
   end
   else begin
-    let agent, epochs = train ?on_epoch cfg in
+    let agent, epochs = train cfg in
     Atomic_file.mkdir_p cache_dir;
     save_actor agent path;
     save_curve epochs curve_path;

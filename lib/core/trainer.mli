@@ -30,27 +30,26 @@ val default_config :
   ?seed:int ->
   ?lambda:float ->
   ?property:Property.t ->
-  ?engine:Certify.engine ->
   ?n_components:int ->
   ?total_steps:int ->
   envs:Canopy_orca.Agent_env.config list ->
   unit ->
   config
-(** λ = 0.25, performance property, N = 5, history 5, hidden 64,
-    1 update/step, 4000 steps, log every 100. *)
+(** λ = 0.25, performance property, batched engine, N = 5, history 5,
+    hidden 64, 1 update/step, 4000 steps, log every 100. *)
 
 val env_pool :
   ?n:int ->
   ?bw_range_mbps:float * float ->
   ?rtt_range_ms:int * int ->
   ?duration_ms:int ->
-  ?history:int ->
   seed:int ->
   unit ->
   Canopy_orca.Agent_env.config list
 (** Stable-bandwidth training links per Table 2: [n] (default 8) links
     with bandwidth and minRTT sampled by stratified jitter from the given
-    ranges (defaults 6–192 Mbps, 10–200 ms) and buffers of 2 BDP. Env [i]
+    ranges (defaults 6–192 Mbps, 10–200 ms), buffers of 2 BDP and
+    [Agent_env.default_config]'s history of 5 frames. Env [i]
     draws both parameters from the [i]-th of [n] equal strata using a
     PRNG derived from [(seed, i)], so coverage is even but different
     seeds give different pools; the seed appears in each trace name. *)
@@ -128,7 +127,6 @@ val load_curve : string -> epoch list
     (read as [rollbacks = 0]). *)
 
 val load_or_train :
-  ?on_epoch:(epoch -> unit) ->
   cache_dir:string ->
   tag:string ->
   config ->

@@ -4,7 +4,7 @@ module Fleet_env = Canopy_orca.Fleet_env
 
 let clamp_action = Canopy_util.Mathx.clamp ~lo:(-1.) ~hi:1.
 
-let collect_group ~limit_ticks ~actor cfgs =
+let collect_group ~actor cfgs =
   let env = Fleet_env.create cfgs in
   let flows = Fleet_env.flows env and sd = Fleet_env.state_dim env in
   if Mlp.in_dim actor <> sd then
@@ -16,7 +16,7 @@ let collect_group ~limit_ticks ~actor cfgs =
   let actions = Array.make flows 0. in
   let states_rev = ref [] and acts_rev = ref [] in
   let ticks = ref 0 in
-  while (not (Fleet_env.finished env)) && !ticks < limit_ticks do
+  while not (Fleet_env.finished env) do
     Fleet_env.write_states env ~dst:x;
     Mlp.forward_eval_into ~dst:y actor x;
     let raw_y = Mat.raw y in
@@ -48,7 +48,7 @@ let collect_group ~limit_ticks ~actor cfgs =
     !acts_rev;
   (xs, if total = 0 then [||] else ys)
 
-let collect ?(limit_ticks = max_int) ~actor cfgs =
+let collect ~actor cfgs =
   if Array.length cfgs = 0 then invalid_arg "Harvest.collect: no episodes";
   (* [Fleet_env] requires one decision interval per fleet; a mixed pool
      (the trainer's stratified links derive theirs from min-RTT) becomes
@@ -70,9 +70,9 @@ let collect ?(limit_ticks = max_int) ~actor cfgs =
       !order
   in
   match groups with
-  | [ cfgs ] -> collect_group ~limit_ticks ~actor cfgs
+  | [ cfgs ] -> collect_group ~actor cfgs
   | groups ->
-      let parts = List.map (collect_group ~limit_ticks ~actor) groups in
+      let parts = List.map (collect_group ~actor) groups in
       let sd = Mat.cols (fst (List.hd parts)) in
       let total = List.fold_left (fun n (xs, _) -> n + Mat.rows xs) 0 parts in
       let xs = Mat.create ~rows:total ~cols:sd in

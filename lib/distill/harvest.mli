@@ -7,7 +7,6 @@
     stratified links) are grouped into one fleet per interval. *)
 
 val collect :
-  ?limit_ticks:int ->
   actor:Canopy_nn.Mlp.t ->
   Canopy_orca.Fleet_env.config array ->
   Canopy_tensor.Mat.t * float array
@@ -15,4 +14,4 @@ val collect :
     decision tick (flows vary fastest) and the matching clamped actions in
     [ys].  The recorded action is post-clamp because that is what serving
     enforces — the tree learns the served policy, not the raw head.
-    [limit_ticks] caps the number of decision ticks harvested. *)
+    Every decision tick of every episode is harvested. *)

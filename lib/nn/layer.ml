@@ -710,8 +710,7 @@ let copy = function
    gradient accumulators — the per-shard write targets of the data-parallel
    TD3 update. Batch-norm running statistics stay shared too: shadows are
    only legal for nets whose training forward has no batch statistics
-   (no [Batch_norm] layer), which the caller must check via
-   [Mlp.has_batch_norm]. *)
+   (no [Batch_norm] layer), which [Mlp.grad_shadow] checks first. *)
 let grad_shadow = function
   | Dense d ->
       Dense

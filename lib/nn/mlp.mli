@@ -102,11 +102,6 @@ val param_count : t -> int
 val copy : t -> t
 (** Deep copy, e.g. for target networks. *)
 
-val has_batch_norm : t -> bool
-(** Whether any layer carries batch statistics. Batch-norm training
-    forwards couple the samples of a batch, so such nets cannot be
-    sharded sample-wise ({!grad_shadow} refuses them). *)
-
 val grad_shadow : t -> t
 (** A shadow network sharing this net's parameter arrays but owning
     fresh gradient accumulators. Training forwards/backwards through the

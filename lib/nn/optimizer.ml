@@ -1,21 +1,14 @@
-type slot = { mutable m : float array; mutable v : float array }
+type slot = { m : float array; v : float array }
 
-type kind =
-  | Sgd of { momentum : float }
-  | Adam of { beta1 : float; beta2 : float; eps : float }
+(* Adam's constants (Kingma & Ba): every network in the tree trains with
+   these, and snapshots do not record them. *)
+let beta1 = 0.9
+let beta2 = 0.999
+let eps = 1e-8
 
-type t = {
-  kind : kind;
-  mutable lr : float;
-  mutable t_step : int;
-  slots : (int, slot) Hashtbl.t;
-}
+type t = { lr : float; mutable t_step : int; slots : (int, slot) Hashtbl.t }
 
-let sgd ?(momentum = 0.) ~lr () =
-  { kind = Sgd { momentum }; lr; t_step = 0; slots = Hashtbl.create 16 }
-
-let adam ?(beta1 = 0.9) ?(beta2 = 0.999) ?(eps = 1e-8) ~lr () =
-  { kind = Adam { beta1; beta2; eps }; lr; t_step = 0; slots = Hashtbl.create 16 }
+let adam ~lr () = { lr; t_step = 0; slots = Hashtbl.create 16 }
 
 let slot_for t idx n =
   match Hashtbl.find_opt t.slots idx with
@@ -30,55 +23,34 @@ let slot_for t idx n =
 
 let step t params =
   t.t_step <- t.t_step + 1;
+  let bc1 = 1. -. (beta1 ** float_of_int t.t_step) in
+  let bc2 = 1. -. (beta2 ** float_of_int t.t_step) in
+  (* lr·(m/bc1)/(√(v/bc2)+eps) = step·m/(√v+eps′) with the
+     bias-correction divisions hoisted out of the loop; same value up to
+     rounding, one sqrt and one division per element instead of three
+     divisions. *)
+  let sb2 = sqrt bc2 in
+  let step_size = t.lr *. sb2 /. bc1 in
+  let eps' = eps *. sb2 in
+  let one_m_b1 = 1. -. beta1 and one_m_b2 = 1. -. beta2 in
   List.iteri
     (fun idx (value, grad) ->
       let n = Array.length value in
       if Array.length grad <> n then invalid_arg "Optimizer.step: grad size";
-      match t.kind with
-      | Sgd { momentum } ->
-          if momentum = 0. then
-            for i = 0 to n - 1 do
-              value.(i) <- value.(i) -. (t.lr *. grad.(i))
-            done
-          else begin
-            let s = slot_for t idx n in
-            for i = 0 to n - 1 do
-              s.m.(i) <- (momentum *. s.m.(i)) +. grad.(i);
-              value.(i) <- value.(i) -. (t.lr *. s.m.(i))
-            done
-          end
-      | Adam { beta1; beta2; eps } ->
-          let s = slot_for t idx n in
-          let bc1 = 1. -. (beta1 ** float_of_int t.t_step) in
-          let bc2 = 1. -. (beta2 ** float_of_int t.t_step) in
-          (* lr·(m/bc1)/(√(v/bc2)+eps) = step·m/(√v+eps′) with the
-             bias-correction divisions hoisted out of the loop; same
-             value up to rounding, one sqrt and one division per
-             element instead of three divisions. Array lengths were
-             validated above, so the flat accesses are in bounds. *)
-          let sb2 = sqrt bc2 in
-          let step_size = t.lr *. sb2 /. bc1 in
-          let eps' = eps *. sb2 in
-          let one_m_b1 = 1. -. beta1 and one_m_b2 = 1. -. beta2 in
-          let sm = s.m and sv = s.v in
-          for i = 0 to n - 1 do
-            let g = Array.unsafe_get grad i in
-            let m =
-              (beta1 *. Array.unsafe_get sm i) +. (one_m_b1 *. g)
-            in
-            let v =
-              (beta2 *. Array.unsafe_get sv i) +. (one_m_b2 *. g *. g)
-            in
-            Array.unsafe_set sm i m;
-            Array.unsafe_set sv i v;
-            Array.unsafe_set value i
-              (Array.unsafe_get value i
-              -. (step_size *. m /. (sqrt v +. eps')))
-          done)
+      let s = slot_for t idx n in
+      let sm = s.m and sv = s.v in
+      (* Array lengths were validated above, so the flat accesses are in
+         bounds. *)
+      for i = 0 to n - 1 do
+        let g = Array.unsafe_get grad i in
+        let m = (beta1 *. Array.unsafe_get sm i) +. (one_m_b1 *. g) in
+        let v = (beta2 *. Array.unsafe_get sv i) +. (one_m_b2 *. g *. g) in
+        Array.unsafe_set sm i m;
+        Array.unsafe_set sv i v;
+        Array.unsafe_set value i
+          (Array.unsafe_get value i -. (step_size *. m /. (sqrt v +. eps')))
+      done)
     params
-
-let set_lr t lr = t.lr <- lr
-let lr t = t.lr
 
 type snapshot = { step_count : int; moments : (int * float array * float array) list }
 

@@ -1,21 +1,18 @@
-(** Gradient-based parameter optimizers.
+(** The Adam optimizer, as in the Orca/C3 training setup that TD3
+    follows here.
 
-    Operate on the [(value, gradient)] flat-array views exposed by
-    {!Mlp.params}, so a single optimizer instance can drive any network.
-    Adam is the default for TD3 as in the Orca/C3 training setup. *)
+    Operates on the [(value, gradient)] flat-array views exposed by
+    {!Mlp.params}, so a single optimizer instance can drive any network. *)
 
 type t
 
-val sgd : ?momentum:float -> lr:float -> unit -> t
-val adam : ?beta1:float -> ?beta2:float -> ?eps:float -> lr:float -> unit -> t
+val adam : lr:float -> unit -> t
+(** Adam with [beta1 = 0.9], [beta2 = 0.999] and [eps = 1e-8]. *)
 
 val step : t -> (float array * float array) list -> unit
 (** Apply one update using the current gradient values. The optimizer keeps
     per-parameter state keyed by position in the list, so the same
     parameter list (same order and shapes) must be passed on every call. *)
-
-val set_lr : t -> float -> unit
-val lr : t -> float
 
 type snapshot = {
   step_count : int;
@@ -27,8 +24,8 @@ type snapshot = {
 
 val snapshot : t -> snapshot
 (** Capture the mutable update state (step counter and per-parameter
-    moment vectors). The learning rate and algorithm constants are not
-    included: they come from configuration, not training progress. *)
+    moment vectors). The learning rate is not included: it comes from
+    configuration, not training progress. *)
 
 val restore : t -> snapshot -> unit
 (** Overwrite [t]'s step counter and moments with a captured snapshot.

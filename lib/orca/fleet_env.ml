@@ -4,8 +4,11 @@
    every flow's state to the policy as one [n × state_dim] matrix (one
    GEMM serves the whole fleet). [Agent_env] is the one-flow view.
 
-   Per agent flow a step validates the action, reads the Cubic backbone,
-   enforces Eq. 1's window, advances the link one interval with Cubic
+   A step first validates every agent flow's action, so a rejected step
+   changes nothing. Then per agent flow it reads the Cubic backbone,
+   enforces Eq. 1's window (only once the flow sends during the
+   interval: before that no ACK refreshes the window, and decisions
+   would compound on it), advances the link one interval with Cubic
    refreshing the live window after every millisecond, takes the monitor
    observation, updates the throughput scale, pushes the feature frame
    and scores the reward. A plain flow only runs its own controller,
@@ -58,6 +61,7 @@ type t = {
   cubic : Canopy_cc.Cubic.t array;
   (* [Some c]: a plain flow run by [c] alone; its agent cells are unused. *)
   plain : Canopy_cc.Controller.t option array;
+  start_ms : int array; (* a copy of [?start_ms] (zeros by default) *)
   monitor : Monitor.t array;
   reward : Reward.t array;
   handlers : Env.handlers array;
@@ -163,6 +167,8 @@ let create ?link ?start_ms ?plain (cfgs : config array) =
     fleet;
     cubic;
     plain;
+    start_ms =
+      (match start_ms with Some s -> Array.copy s | None -> Array.make n 0);
     monitor;
     reward =
       Array.map (fun (cfg : config) -> Reward.create ~config:cfg.reward ()) cfgs;
@@ -222,19 +228,31 @@ let step ?observe ?ms (t : t) ~actions =
   if Array.length actions <> t.n then invalid_arg "Fleet_env.step: actions";
   let ms = Option.value ms ~default:t.interval_ms in
   if ms <= 0 || ms > t.interval_ms then invalid_arg "Fleet_env.step: ms";
+  for i = 0 to t.n - 1 do
+    if Option.is_none t.plain.(i) then begin
+      let action = actions.(i) in
+      if Float.is_nan action || action < -1. || action > 1. then
+        invalid_arg "Fleet_env.step: action out of range"
+    end
+  done;
   let cwnd_tcp = Array.make t.n 0. in
   let cwnd_enforced = Array.make t.n 0. in
+  (* The interval's ticks run at [now + 1 .. now + ms]. *)
+  let last_tick = Fleet.now_ms t.fleet + ms in
   for i = 0 to t.n - 1 do
     match t.plain.(i) with
     | Some _ -> ()
     | None ->
-        let action = actions.(i) in
-        if Float.is_nan action || action < -1. || action > 1. then
-          invalid_arg "Fleet_env.step: action out of range";
         let tcp = Canopy_cc.Cubic.cwnd t.cubic.(i) in
-        let enforced = cwnd_of_action ~action ~cwnd_tcp:tcp in
-        Canopy_cc.Cubic.force_cwnd t.cubic.(i) enforced;
-        Fleet.set_cwnd t.fleet ~flow:i enforced;
+        let enforced =
+          if t.start_ms.(i) > last_tick then tcp
+          else begin
+            let w = cwnd_of_action ~action:actions.(i) ~cwnd_tcp:tcp in
+            Canopy_cc.Cubic.force_cwnd t.cubic.(i) w;
+            Fleet.set_cwnd t.fleet ~flow:i w;
+            w
+          end
+        in
         cwnd_tcp.(i) <- tcp;
         cwnd_enforced.(i) <- enforced
   done;

@@ -62,7 +62,8 @@ val create :
     [Canopy_netsim.Fleet.create] as they are: flows with equal
     [link.(i)] share one link and must agree on trace (physically),
     buffer and impairments; flow [i] sends nothing before
-    [start_ms.(i)]. [plain.(i) = Some c] makes flow [i] a plain flow:
+    [start_ms.(i)], and an agent flow takes no decision before then
+    (see {!step}). [plain.(i) = Some c] makes flow [i] a plain flow:
     [c] takes its feedback and sets its window after every millisecond,
     and {!step} neither reads its action nor observes or scores it (its
     state row stays zero, and [cwnd_tcp], [prev_cwnd_enforced] and
@@ -106,7 +107,8 @@ val write_states : t -> dst:Canopy_tensor.Mat.t -> unit
 type step_result = {
   rewards : float array;
   cwnd_tcp : float array;  (** Cubic backbone window per flow, pre-override *)
-  cwnd_enforced : float array;  (** Eq. 1 window actually enforced *)
+  cwnd_enforced : float array;
+      (** Eq. 1 window actually enforced (Cubic's before the flow starts) *)
   finished : bool;
 }
 (** All three arrays hold 0 at a plain flow. *)
@@ -119,10 +121,16 @@ val step :
   step_result
 (** Advance every flow by one decision interval under [actions.(i)] ∈
     [[-1,1]]; a plain flow's slot is not read and may hold anything,
-    NaN included. [ms] (default {!interval_ms}, at most that) shortens
-    the interval, for an episode whose length is not a whole number of
-    intervals; the episode finishes once the clock reaches
+    NaN included. An agent flow's action is applied (Eq. 1) only if the
+    flow sends during the interval, i.e. [start_ms.(i) <= now_ms + ms];
+    before that neither Cubic's nor the link's window is forced, so the
+    flow starts from its initial window, and [cwnd_enforced.(i)]
+    reports Cubic's window. [ms] (default {!interval_ms}, at most that)
+    shortens the interval, for an episode whose length is not a whole
+    number of intervals; the episode finishes once the clock reaches
     [duration_ms]. [observe i obs] (if given) receives agent flow [i]'s
     observation of the interval. Raises [Invalid_argument] on a
     finished episode, a wrong-length array, an out-of-range agent
-    action or an [ms] outside [1, interval_ms]. *)
+    action or an [ms] outside [1, interval_ms]; every argument and
+    action is checked before anything changes, so a raising step
+    leaves the episode as it was. *)

@@ -127,7 +127,7 @@ let load_dir dir =
     |> List.sort String.compare
     |> List.map (fun f -> load_file (Filename.concat dir f))
 
-let env_config ?(history = 5) ~duration_ms r =
+let env_config ~duration_ms r =
   let c = compiled ~duration_ms r in
   let buffer_pkts =
     Canopy_cc.Runner.buffer_of_bdp ~bdp_multiplier:2. ~trace:c.Space.trace
@@ -137,6 +137,5 @@ let env_config ?(history = 5) ~duration_ms r =
     (Canopy_orca.Agent_env.default_config ~trace:c.Space.trace
        ~min_rtt_ms:c.Space.c_min_rtt_ms ~buffer_pkts ~duration_ms)
     with
-    Canopy_orca.Agent_env.history;
-    impairments = c.Space.impairments;
+    Canopy_orca.Agent_env.impairments = c.Space.impairments;
   }

@@ -40,8 +40,8 @@ val compiled : duration_ms:int -> record -> Space.compiled
 val trace : duration_ms:int -> record -> Canopy_trace.Trace.t
 (** Just the bandwidth trace, named after the record. *)
 
-val env_config :
-  ?history:int -> duration_ms:int -> record -> Canopy_orca.Agent_env.config
+val env_config : duration_ms:int -> record -> Canopy_orca.Agent_env.config
 (** A training-pool entry for {!Canopy.Trainer}: the compiled trace and
-    impairments behind a 2-BDP buffer, default history 5 — append these
-    to [Trainer.env_pool] to harden a policy against the corpus. *)
+    impairments behind a 2-BDP buffer, history 5 (as
+    [Trainer.env_pool]'s) — append these to [Trainer.env_pool] to harden
+    a policy against the corpus. *)

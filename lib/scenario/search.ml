@@ -124,7 +124,7 @@ let cmp_candidate a b =
   let c = Float.compare a.score b.score in
   if c <> 0 then c else Int.compare a.idx b.idx
 
-let search ?pool cfg ~actor objective =
+let search cfg ~actor objective =
   if cfg.random_candidates < 1 then invalid_arg "Search.search: candidates";
   if cfg.cem_batch < 1 then invalid_arg "Search.search: cem_batch";
   if cfg.elite_frac <= 0. || cfg.elite_frac > 1. then
@@ -146,7 +146,7 @@ let search ?pool cfg ~actor objective =
           (idx, v, scn_seed, child))
         vectors
     in
-    Pool.map_list ?pool
+    Pool.map_list
       (fun (idx, v, scn_seed, refute_rng) ->
         let params = Space.of_vector v in
         let compiled =
@@ -209,7 +209,7 @@ let search ?pool cfg ~actor objective =
     round_best = List.rev !round_best;
   }
 
-let suite_worst ?pool ~duration_ms ~history ~actor objective =
+let suite_worst ~duration_ms ~history ~actor objective =
   let traces = Canopy_trace.Suite.all ~duration_ms () in
   let clean trace =
     {
@@ -226,7 +226,7 @@ let suite_worst ?pool ~duration_ms ~history ~actor objective =
     List.mapi (fun i trace -> (Prng.split master i, trace)) traces
   in
   let scores =
-    Pool.map_list ?pool
+    Pool.map_list
       (fun (refute_rng, trace) ->
         ( Canopy_trace.Trace.name trace,
           score_compiled ~refute_rng ~actor ~history ~duration_ms objective

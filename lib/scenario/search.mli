@@ -80,17 +80,12 @@ val score_compiled :
     for the policy). [refute_rng] feeds [Max_violation]'s counterexample
     search; omit it only for objectives that never refute. *)
 
-val search :
-  ?pool:Canopy_util.Pool.t ->
-  config ->
-  actor:Canopy_nn.Mlp.t ->
-  objective ->
-  result
+val search : config -> actor:Canopy_nn.Mlp.t -> objective -> result
 (** Run the full search, fanning candidate evaluations out over the
-    (default ambient) pool. Bit-reproducible from [config.seed]. *)
+    ambient pool ([Canopy_util.Pool.default ()]). Bit-reproducible from
+    [config.seed]. *)
 
 val suite_worst :
-  ?pool:Canopy_util.Pool.t ->
   duration_ms:int ->
   history:int ->
   actor:Canopy_nn.Mlp.t ->

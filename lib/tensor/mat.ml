@@ -211,54 +211,23 @@ module Scratch = Canopy_util.Scratch
 let scratch_key : Scratch.t Domain.DLS.key =
   Domain.DLS.new_key Scratch.create
 
-let par_enabled = ref true
-
 (* The grain: how many flops one region needs before fanning out at all
    ([par_min_flops]) and how many flops each chunk should carry
-   ([par_chunk_flops]). The defaults are only a placeholder — the first
-   pool with workers replaces them with a measured calibration (below)
-   unless the env knob or [set_parallel_grain] pinned them first. Grain
-   only moves chunk boundaries and the parallel/sequential choice, both
-   of which the kernels are bit-invariant to, so calibration can never
-   change a result. *)
-let par_min_flops = ref 2_000_000
-let par_chunk_flops = ref 1_000_000
-let set_parallel_enabled b = par_enabled := b
-let parallel_enabled () = !par_enabled
-
-type calibration = {
-  source : string;
-      (* "default" | "env" | "measured" | "manual" — who set the grain *)
-  min_flops : int;
-  chunk_flops : int;
-  chunk_overhead_ns : float; (* measured per-chunk hand-off cost *)
-  flops_per_ns : float; (* measured sequential GEMM throughput *)
-}
-
-let calibration_state =
-  ref
-    {
-      source = "default";
-      min_flops = !par_min_flops;
-      chunk_flops = !par_chunk_flops;
-      chunk_overhead_ns = 0.;
-      flops_per_ns = 0.;
-    }
-
-let calibration () = !calibration_state
-
-(* Once true, the one-shot measured calibration (end of file) is
-   disarmed: env and manual settings pin the grain. *)
-let calibrated = ref false
+   ([par_chunk_flops]). Grain only moves chunk boundaries and the
+   parallel/sequential choice, both of which the kernels are
+   bit-invariant to, so it can never change a result. On 2-vCPU hosts
+   a 64 Ki-flop chunk is 3–11 µs of GEMM against a per-chunk hand-off
+   of at most 0.12 µs, and a region fans out only once it has four
+   chunks' worth of work. [set_parallel_grain] lowers both so that
+   test-sized shapes fan out. *)
+let par_min_flops = ref 262_144
+let par_chunk_flops = ref 65_536
 
 let set_parallel_grain ~min_flops ~chunk_flops =
   if min_flops < 0 || chunk_flops <= 0 then
     invalid_arg "Mat.set_parallel_grain";
   par_min_flops := min_flops;
-  par_chunk_flops := chunk_flops;
-  calibrated := true;
-  calibration_state :=
-    { !calibration_state with source = "manual"; min_flops; chunk_flops }
+  par_chunk_flops := chunk_flops
 
 let parallel_grain () = (!par_min_flops, !par_chunk_flops)
 
@@ -273,7 +242,7 @@ let parallel_grain () = (!par_min_flops, !par_chunk_flops)
    count — so chunking is deterministic (DESIGN §10). *)
 let plan_chunks ~rows ~row_flops =
   if
-    !par_enabled && rows > 4
+    rows > 4
     && rows * row_flops >= !par_min_flops
     && (not (Canopy_util.Pool.in_task ()))
     && Canopy_util.Pool.(domains (default ())) > 1
@@ -916,110 +885,3 @@ module Kernel = struct
     check "tn_avx2" ~ok:(tn_ok ~dst a b) ~rows:a.cols ~lo ~hi;
     tn_range ~dst a b ~lo ~hi
 end
-
-(* ------------------------------------------------------------------ *)
-(* Grain calibration.
-
-   The grain defaults above are placeholders. The first pool created
-   with workers triggers a one-shot measurement (via the init hook
-   registered below) of (a) sequential GEMM throughput and (b) the
-   per-chunk hand-off cost of a live pool, then sets the grain so one
-   chunk carries roughly 50× its hand-off cost and a region fans out
-   only once it has several chunks' worth of work. Precedence: a manual
-   [set_parallel_grain] and the [CANOPY_PAR_GRAIN] env knob (format
-   "<min_flops>:<chunk_flops>") both pin the grain and disarm the
-   measurement. Calibration runs on the pool-creating domain, outside
-   any task, against the explicit pool handle (never [Pool.default],
-   which may be mid-initialization). It only moves chunk boundaries and
-   the parallel/sequential choice — both bit-invariant for every kernel
-   in this module — so a noisy measurement can change speed, never
-   results. *)
-
-let () =
-  match Sys.getenv_opt "CANOPY_PAR_GRAIN" with
-  | None -> ()
-  | Some s -> (
-      let fail () =
-        invalid_arg
-          (Printf.sprintf
-             "Mat: CANOPY_PAR_GRAIN must be <min_flops>:<chunk_flops>, got %S"
-             s)
-      in
-      match String.split_on_char ':' (String.trim s) with
-      | [ mf; cf ] -> (
-          match (int_of_string_opt mf, int_of_string_opt cf) with
-          | Some min_flops, Some chunk_flops
-            when min_flops >= 0 && chunk_flops > 0 ->
-              par_min_flops := min_flops;
-              par_chunk_flops := chunk_flops;
-              calibration_state :=
-                {
-                  !calibration_state with
-                  source = "env";
-                  min_flops;
-                  chunk_flops;
-                };
-              calibrated := true
-          | _ -> fail ())
-      | _ -> fail ())
-
-(* Nanoseconds per call of [f], over a window long enough to trust. *)
-let timed_ns f =
-  let rec go reps =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt >= 2e-3 then dt *. 1e9 /. float_of_int reps else go (reps * 4)
-  in
-  go 1
-
-let measure_grain pool =
-  let m = 48 and k = 64 and n = 64 in
-  let a =
-    init ~rows:m ~cols:k (fun i j ->
-        float_of_int (((i * 31) + j) mod 13) *. 0.1)
-  in
-  let b =
-    init ~rows:n ~cols:k (fun i j ->
-        float_of_int (((i * 17) + j) mod 11) *. 0.1)
-  in
-  let bias = Array.make n 0.5 in
-  let dst = create_uninit ~rows:m ~cols:n in
-  let gemm_ns =
-    (* The range kernel the shape rule picks for this call, packing
-       included: throughput must be sampled sequentially, not through
-       the dispatcher being calibrated. *)
-    timed_ns (fun () -> nt_kernel ~dst a b ~bias:(Some bias) ~lo:0 ~hi:m)
-  in
-  let flops_per_ns = float_of_int (2 * m * k * n) /. gemm_ns in
-  let probe_chunks = 128 in
-  let marks = Array.make probe_chunks 0 in
-  let region_ns =
-    timed_ns (fun () ->
-        Canopy_util.Pool.parallel_for_chunks ~pool ~chunk:1 probe_chunks
-          (fun ~lo ~hi:_ -> marks.(lo) <- marks.(lo) + 1))
-  in
-  ignore (Array.fold_left ( + ) 0 marks);
-  let chunk_overhead_ns = region_ns /. float_of_int probe_chunks in
-  (* Clamp in float space (NaN-safe) before converting, so the int is
-     always in range whatever the timers returned. *)
-  let target = chunk_overhead_ns *. 50. *. flops_per_ns in
-  let target = if Float.is_nan target then 65_536. else target in
-  let chunk_flops =
-    int_of_float (Float.max 65_536. (Float.min 16_777_216. target))
-  in
-  let min_flops = max 262_144 (min 33_554_432 (4 * chunk_flops)) in
-  par_chunk_flops := chunk_flops;
-  par_min_flops := min_flops;
-  calibration_state :=
-    { source = "measured"; min_flops; chunk_flops; chunk_overhead_ns;
-      flops_per_ns }
-
-let () =
-  Canopy_util.Pool.add_init_hook (fun pool ->
-      if (not !calibrated) && Canopy_util.Pool.domains pool > 1 then begin
-        calibrated := true;
-        measure_grain pool
-      end)

@@ -98,29 +98,22 @@ val nt_c_rows : int
     {!mat_mul_into}, {!mat_mul_nt_into} / {!mat_mul_nt_bias_into} and
     {!mat_mul_tn_acc} fan large calls out over
     [Canopy_util.Pool.default ()] as row-range chunks. Chunk boundaries
-    are a pure function of the matrix shapes and the grain settings
-    below, each output row is written by exactly one chunk, and the
+    are a pure function of the matrix shapes and the grain below, each
+    output row is written by exactly one chunk, and the
     per-row operation order equals the sequential kernel's — so results
     are bit-identical at every domain count (DESIGN §10). Calls made
     from inside a pool task, or below the flop threshold, take the
-    sequential path. The knobs are process-global and not intended to
-    be mutated concurrently with running kernels. *)
-
-val set_parallel_enabled : bool -> unit
-(** Master switch for the parallel GEMM paths (default on). With the
-    switch off every call runs the sequential reference kernel. *)
-
-val parallel_enabled : unit -> bool
+    sequential path. The grain is process-global and not intended to
+    be changed concurrently with running kernels. *)
 
 val set_parallel_grain : min_flops:int -> chunk_flops:int -> unit
 (** [set_parallel_grain ~min_flops ~chunk_flops] tunes the dispatch: a
     kernel call goes parallel only when its total flop count reaches
     [min_flops], and rows are grouped into chunks of roughly
     [chunk_flops] (rounded up to a multiple of 4 rows, preserving the
-    register-block alignment). Pins the grain: the one-shot measured
-    calibration (see {!calibration}) is disarmed. Raises
-    [Invalid_argument] if [min_flops < 0] or [chunk_flops <= 0]. Mainly
-    a test/bench hook. *)
+    register-block alignment). The grain starts at [(262_144, 65_536)].
+    Raises [Invalid_argument] if [min_flops < 0] or [chunk_flops <= 0].
+    A test/bench hook: lowering it makes small shapes fan out. *)
 
 val parallel_grain : unit -> int * int
 (** Current [(min_flops, chunk_flops)]. *)
@@ -134,26 +127,6 @@ val plan_chunks : rows:int -> row_flops:int -> int option
     a pool task or when the pool has no workers. The decision and the
     chunk size depend only on the arguments and the process-global
     grain, never on the domain count. *)
-
-type calibration = {
-  source : string;
-      (** ["default"] (built-in placeholder), ["env"] ([CANOPY_PAR_GRAIN]),
-          ["measured"] (one-shot sampling at pool init), or ["manual"]
-          ({!set_parallel_grain}). *)
-  min_flops : int;
-  chunk_flops : int;
-  chunk_overhead_ns : float;  (** 0. unless [source = "measured"]. *)
-  flops_per_ns : float;  (** 0. unless [source = "measured"]. *)
-}
-
-val calibration : unit -> calibration
-(** How the current grain was chosen. The first pool created with
-    workers triggers a one-shot measurement of sequential GEMM
-    throughput and per-chunk hand-off cost, and sizes the grain from
-    them — unless [CANOPY_PAR_GRAIN="<min_flops>:<chunk_flops>"] or
-    {!set_parallel_grain} pinned it first. Calibration only moves chunk
-    boundaries, which every kernel is bit-invariant to. The bench
-    records this value in [BENCH_par.json]. *)
 
 val outer_acc : t -> Vec.t -> Vec.t -> unit
 (** [outer_acc m y x] accumulates the outer product [y xᵀ] into [m]

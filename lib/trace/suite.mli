@@ -1,8 +1,6 @@
 (** The 22-trace evaluation suite of Section 6.1: 18 synthetic plus 4
     LTE-like traces. *)
 
-val synthetic : ?duration_ms:int -> unit -> Trace.t list
-val lte : ?duration_ms:int -> unit -> Trace.t list
 val all : ?duration_ms:int -> unit -> Trace.t list
 
 val adversarial : dir:string -> unit -> Trace.t list

@@ -141,20 +141,6 @@ let resolve_domains = function
                    "Pool: CANOPY_DOMAINS must be a positive integer, got %S" s))
       | None -> max 1 (Domain.recommended_domain_count ()))
 
-(* Pool-creation hooks. [Canopy_tensor.Mat] registers its one-shot grain
-   calibration here at module-init time: Pool cannot call Mat directly
-   (the dependency points the other way), but calibration must sample
-   the machine with a live pool — so [create] runs every registered hook
-   once the workers are up. Hooks run on the creating domain, outside
-   any task, and may submit jobs to the pool they are handed. *)
-let init_hooks : (t -> unit) list ref = ref []
-let init_hooks_m = Mutex.create ()
-
-let add_init_hook f =
-  Mutex.lock init_hooks_m;
-  init_hooks := f :: !init_hooks;
-  Mutex.unlock init_hooks_m
-
 let create ?domains () =
   let size = resolve_domains domains in
   let pool =
@@ -173,13 +159,6 @@ let create ?domains () =
   in
   pool.workers <-
     Array.init (size - 1) (fun _ -> Domain.spawn (fun () -> worker_loop pool));
-  let hooks =
-    Mutex.lock init_hooks_m;
-    let h = !init_hooks in
-    Mutex.unlock init_hooks_m;
-    h
-  in
-  List.iter (fun f -> f pool) hooks;
   pool
 
 let domains pool = pool.size
@@ -224,15 +203,13 @@ let set_default p =
   default_pool := Some p;
   Mutex.unlock default_m
 
-let nchunks ~chunk n = (n + chunk - 1) / chunk
-
 let parallel_for_chunks ?pool ~chunk n f =
   if chunk <= 0 then invalid_arg "Pool.parallel_for_chunks: chunk";
   if n < 0 then invalid_arg "Pool.parallel_for_chunks: n";
   if in_task () then
     invalid_arg "Pool.parallel_for_chunks: nested parallel call";
   if n > 0 then begin
-    let chunks = nchunks ~chunk n in
+    let chunks = (n + chunk - 1) / chunk in
     let run i =
       let lo = i * chunk in
       f ~lo ~hi:(min n (lo + chunk))
@@ -267,16 +244,3 @@ let map ?pool f arr =
   end
 
 let map_list ?pool f l = Array.to_list (map ?pool f (Array.of_list l))
-
-let map_reduce ?pool ~chunk n ~map:mapf ~combine init =
-  if chunk <= 0 then invalid_arg "Pool.map_reduce: chunk";
-  if n = 0 then init
-  else begin
-    let parts = Array.make (nchunks ~chunk n) None in
-    parallel_for_chunks ?pool ~chunk n (fun ~lo ~hi ->
-        parts.(lo / chunk) <- Some (mapf ~lo ~hi));
-    Array.fold_left
-      (fun acc part ->
-        match part with Some v -> combine acc v | None -> assert false)
-      init parts
-  end

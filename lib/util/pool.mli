@@ -34,15 +34,6 @@ val create : ?domains:int -> unit -> t
 val domains : t -> int
 (** Total parallelism of the pool: worker domains + the calling domain. *)
 
-val add_init_hook : (t -> unit) -> unit
-(** Register [f] to run on every subsequently created pool, right after
-    its workers are spawned (on the creating domain, outside any task;
-    [f] may submit jobs to the pool it is handed). This is the inverted
-    dependency channel for one-time machine sampling — notably the GEMM
-    grain calibration in [Canopy_tensor.Mat], which must run against a
-    live pool but cannot be called from here. Hooks should be idempotent
-    or self-disarming: they run once per [create], not once ever. *)
-
 val shutdown : t -> unit
 (** Stop and join the workers. Idempotent. Further parallel calls on the
     pool raise [Invalid_argument]. *)
@@ -83,16 +74,3 @@ val map : ?pool:t -> ('a -> 'b) -> 'a array -> 'b array
 
 val map_list : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
 (** {!map} over a list, preserving order. *)
-
-val map_reduce :
-  ?pool:t ->
-  chunk:int ->
-  int ->
-  map:(lo:int -> hi:int -> 'a) ->
-  combine:('b -> 'a -> 'b) ->
-  'b ->
-  'b
-(** [map_reduce ~chunk n ~map ~combine init] runs [map] per chunk (same
-    chunking as {!parallel_for_chunks}) and folds the chunk results with
-    [combine] in ascending chunk order — the fold order is part of the
-    determinism contract, so a non-commutative [combine] is safe. *)

@@ -1,35 +1,3 @@
-module Welford = struct
-  type t = { mutable n : int; mutable mean : float; mutable m2 : float }
-
-  let create () = { n = 0; mean = 0.; m2 = 0. }
-
-  let add t x =
-    t.n <- t.n + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean))
-
-  let count t = t.n
-  let mean t = t.mean
-  let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
-  let stddev t = sqrt (variance t)
-
-  let merge a b =
-    if a.n = 0 then { n = b.n; mean = b.mean; m2 = b.m2 }
-    else if b.n = 0 then { n = a.n; mean = a.mean; m2 = a.m2 }
-    else begin
-      let n = a.n + b.n in
-      let delta = b.mean -. a.mean in
-      let mean = a.mean +. (delta *. float_of_int b.n /. float_of_int n) in
-      let m2 =
-        a.m2 +. b.m2
-        +. (delta *. delta *. float_of_int a.n *. float_of_int b.n
-            /. float_of_int n)
-      in
-      { n; mean; m2 }
-    end
-end
-
 let mean xs =
   let n = Array.length xs in
   if n = 0 then 0. else Array.fold_left ( +. ) 0. xs /. float_of_int n

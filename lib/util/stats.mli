@@ -1,27 +1,8 @@
-(** Streaming and batch statistics used by the evaluation harness.
+(** Sample statistics used by the evaluation harness.
 
     The evaluation section of the paper reports averages, standard
-    deviations and tail percentiles (p95 delay); this module provides those
-    over both streaming accumulators (Welford) and collected samples. *)
-
-module Welford : sig
-  type t
-  (** Streaming mean/variance accumulator. *)
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val mean : t -> float
-  (** Mean of the observations; [0.] when empty. *)
-
-  val variance : t -> float
-  (** Unbiased sample variance; [0.] with fewer than two observations. *)
-
-  val stddev : t -> float
-
-  val merge : t -> t -> t
-  (** Combine two accumulators as if their streams were concatenated. *)
-end
+    deviations and tail percentiles (p95 delay); this module computes
+    those over collected samples. *)
 
 val mean : float array -> float
 (** Arithmetic mean; [0.] for the empty array. *)

@@ -2,8 +2,9 @@
    independence (an N-flow [Fleet_env] equals N one-flow [Agent_env]
    views, bit for bit), determinism of the pool-parallel advancement
    across domain counts, shared links with plain flows and short last
-   steps, and the mixed Canopy-vs-TCP coexistence harness. The simulator's own trajectories are pinned by the golden
-   digests in test_golden.ml. *)
+   steps, rejected steps and late-starting agent flows, and the mixed
+   Canopy-vs-TCP coexistence harness. The simulator's own trajectories
+   are pinned by the golden digests in test_golden.ml. *)
 
 module Env = Canopy_netsim.Env
 module Trace = Canopy_trace.Trace
@@ -334,6 +335,81 @@ let test_short_last_step () =
   check_int "default last step" 120
     (run (fun env -> Fleet_env.step env ~actions:[| 0. |]))
 
+(* A step that rejects flow 1's action has not yet forced flow 0's
+   windows or moved the clock, so a caller that catches and retries runs
+   the episode a fresh env runs. *)
+let test_rejected_step_changes_nothing () =
+  let a = agent_cfg ~duration_ms:400 0 in
+  let env = Fleet_env.create [| a; a |] in
+  Alcotest.check_raises "flow 1 out of range"
+    (Invalid_argument "Fleet_env.step: action out of range") (fun () ->
+      ignore
+        (Fleet_env.step env ~actions:[| 0.5; 2.0 |] : Fleet_env.step_result));
+  let check_window what want got = Alcotest.(check (float 0.)) what want got in
+  check_window "flow 0 cwnd_tcp" 10. (Fleet_env.cwnd_tcp env ~flow:0);
+  check_window "flow 0 fleet window" 10.
+    (Canopy_netsim.Fleet.cwnd (Fleet_env.fleet env) ~flow:0);
+  check_int "clock" 0 (Fleet_env.now_ms env);
+  let fresh = Fleet_env.create [| a; a |] in
+  let step e = Fleet_env.step e ~actions:[| 0.5; 0.5 |] in
+  let got = step env and want = step fresh in
+  check_bool "retry == fresh first step (bits)" true
+    (bits got.Fleet_env.rewards = bits want.Fleet_env.rewards
+    && bits got.Fleet_env.cwnd_tcp = bits want.Fleet_env.cwnd_tcp
+    && bits got.Fleet_env.cwnd_enforced = bits want.Fleet_env.cwnd_enforced
+    && bits (Fleet_env.state env ~flow:0)
+       = bits (Fleet_env.state fresh ~flow:0))
+
+(* An agent flow that starts late takes no decision before it sends:
+   until the step whose interval covers its start its window stays at
+   the initial 10, and at the start it is one Eq. 1 decision from 10.
+   Untrained actors drive it; a Cubic flow holds the link meanwhile. *)
+let test_late_agent_flow_starts_at_initial_window () =
+  let duration_ms = 2_400 and start = 2_000 in
+  let trace = Trace.constant ~name:"late" ~duration_ms ~mbps:48. in
+  let cfg =
+    Agent_env.default_config ~trace ~min_rtt_ms:40
+      ~buffer_pkts:
+        (Canopy_cc.Runner.buffer_of_bdp ~bdp_multiplier:2. ~trace
+           ~min_rtt_ms:40)
+      ~duration_ms
+  in
+  for seed = 1 to 6 do
+    let env =
+      Fleet_env.create ~link:[| 0; 0 |] ~start_ms:[| 0; start |]
+        ~plain:[| cubic_plain (); None |] [| cfg; cfg |]
+    in
+    let actor =
+      Mlp.actor
+        ~rng:(Canopy_util.Prng.create seed)
+        ~in_dim:(Fleet_env.state_dim env) ~hidden:32 ~out_dim:1
+    in
+    let x = Mat.create ~rows:2 ~cols:(Fleet_env.state_dim env) in
+    let y = Mat.create_uninit ~rows:2 ~cols:1 in
+    let actions = Array.make 2 0. in
+    let started = ref false in
+    while not !started do
+      Fleet_env.write_states env ~dst:x;
+      Mlp.forward_eval_into ~dst:y actor x;
+      actions.(1) <- clamp (Mat.raw y).(1);
+      let last_tick = Fleet_env.now_ms env + Fleet_env.interval_ms env in
+      let r = Fleet_env.step env ~actions in
+      let w = r.Fleet_env.cwnd_enforced.(1) in
+      let tag what =
+        Printf.sprintf "seed %d, step to %d ms: %s" seed last_tick what
+      in
+      if last_tick < start then begin
+        Alcotest.(check (float 0.)) (tag "window") 10. w;
+        Alcotest.(check (float 0.)) (tag "fleet window") 10.
+          (Canopy_netsim.Fleet.cwnd (Fleet_env.fleet env) ~flow:1)
+      end
+      else begin
+        check_bool (tag "one decision from 10") true (w >= 2.5 && w <= 40.);
+        started := true
+      end
+    done
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Coexistence *)
 
@@ -533,4 +609,8 @@ let suite =
       test_plain_flow_runs_its_controller;
     Alcotest.test_case "fleet_env ~ms shortens the last step" `Quick
       test_short_last_step;
+    Alcotest.test_case "fleet_env rejected step changes nothing" `Quick
+      test_rejected_step_changes_nothing;
+    Alcotest.test_case "fleet_env late agent flow starts at window 10" `Quick
+      test_late_agent_flow_starts_at_initial_window;
   ]

@@ -438,7 +438,7 @@ let test_param_count () =
   Alcotest.(check int) "param count" 121 (Mlp.param_count net)
 
 (* ------------------------------------------------------------------ *)
-(* Optimizers *)
+(* Optimizer *)
 
 let quadratic_minimize opt =
   (* minimize f(x) = (x - 3)^2 with the optimizer API *)
@@ -448,14 +448,6 @@ let quadratic_minimize opt =
     Optimizer.step opt [ (x, g) ]
   done;
   x.(0)
-
-let test_sgd_converges () =
-  let x = quadratic_minimize (Optimizer.sgd ~lr:0.05 ()) in
-  check_bool "sgd near 3" true (Float.abs (x -. 3.) < 1e-3)
-
-let test_sgd_momentum_converges () =
-  let x = quadratic_minimize (Optimizer.sgd ~momentum:0.9 ~lr:0.01 ()) in
-  check_bool "sgd+momentum near 3" true (Float.abs (x -. 3.) < 1e-3)
 
 let test_adam_converges () =
   let x = quadratic_minimize (Optimizer.adam ~lr:0.05 ()) in
@@ -471,11 +463,6 @@ let test_clip_noop_below_norm () =
   let g = [| 0.3; 0.4 |] in
   Optimizer.clip_gradients ~norm:10. [ ([| 0.; 0. |], g) ];
   Alcotest.(check (array (float 1e-12))) "unchanged" [| 0.3; 0.4 |] g
-
-let test_set_lr () =
-  let opt = Optimizer.adam ~lr:0.1 () in
-  Optimizer.set_lr opt 0.01;
-  check_float "lr updated" 0.01 (Optimizer.lr opt)
 
 let test_mlp_regression_learns () =
   (* Train a small MLP to fit y = 2x - 1 on [-1,1]; the loss must drop by
@@ -724,12 +711,9 @@ let suite =
     ("soft update tau=1", `Quick, test_soft_update);
     ("soft update partial", `Quick, test_soft_update_partial);
     ("param count", `Quick, test_param_count);
-    ("sgd converges", `Quick, test_sgd_converges);
-    ("sgd momentum converges", `Quick, test_sgd_momentum_converges);
     ("adam converges", `Quick, test_adam_converges);
     ("gradient clipping", `Quick, test_clip_gradients);
     ("gradient clip noop", `Quick, test_clip_noop_below_norm);
-    ("set_lr", `Quick, test_set_lr);
     ("mlp regression learns", `Quick, test_mlp_regression_learns);
     ("checkpoint string roundtrip", `Quick, test_checkpoint_roundtrip_string);
     ("checkpoint file roundtrip", `Quick, test_checkpoint_roundtrip_file);

@@ -205,25 +205,6 @@ let test_pool_map_order () =
         (Pool.map_list ~pool:p (fun s -> s ^ "!") [ "a"; "b"; "c" ]);
       Alcotest.(check (array int)) "empty" [||] (Pool.map ~pool:p Fun.id [||]))
 
-let test_pool_map_reduce_fold_order () =
-  let p = Pool.create ~domains:4 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown p)
-    (fun () ->
-      (* String concatenation is non-commutative, so this checks the
-         combine runs in ascending chunk order regardless of which
-         domain computed which part. *)
-      let s =
-        Pool.map_reduce ~pool:p ~chunk:3 10
-          ~map:(fun ~lo ~hi -> Printf.sprintf "[%d,%d)" lo hi)
-          ~combine:( ^ ) ""
-      in
-      Alcotest.(check string) "ascending chunks" "[0,3)[3,6)[6,9)[9,10)" s;
-      check_int "n = 0 returns init" 7
-        (Pool.map_reduce ~pool:p ~chunk:2 0
-           ~map:(fun ~lo:_ ~hi:_ -> 1)
-           ~combine:( + ) 7))
-
 (* ------------------------------------------------------------------ *)
 (* Bit-exact GEMM: parallel row chunking vs the sequential kernels *)
 
@@ -391,24 +372,20 @@ let test_td3_parallel_update_bit_exact () =
         true (reference = got))
     [ 2; 4 ]
 
-let test_parallel_disabled_switch () =
-  (* The master switch forces the sequential path outright. *)
-  let run () =
-    let rng = Prng.create 77 in
-    let a = mk_mat rng 16 8 and b = mk_mat rng 8 6 in
-    let dst = Mat.create ~rows:16 ~cols:6 in
-    Mat.mat_mul_into ~dst a b;
-    bits dst
-  in
-  let reference = with_default_pool 1 (fun () -> run ()) in
+(* The grain is a constant, so the chunk plan of a shape is the same on
+   every host and at every pool width above 1. 4_608 flops per row is
+   the TD3 critic's first layer (36 inputs, 64 units) at batch 64; its
+   16-row shard stays sequential. *)
+let test_chunk_plans_depend_only_on_shape () =
   with_default_pool 2 (fun () ->
-      with_tiny_grain (fun () ->
-          Mat.set_parallel_enabled false;
-          Fun.protect
-            ~finally:(fun () -> Mat.set_parallel_enabled true)
-            (fun () ->
-              check_bool "switch off" false (Mat.parallel_enabled ());
-              check_bool "sequential result" true (reference = run ()))))
+      Alcotest.(check (pair int int))
+        "grain" (262_144, 65_536) (Mat.parallel_grain ());
+      Alcotest.(check (option int))
+        "batch 64" (Some 16)
+        (Mat.plan_chunks ~rows:64 ~row_flops:4_608);
+      Alcotest.(check (option int))
+        "16-row shard" None
+        (Mat.plan_chunks ~rows:16 ~row_flops:4_608))
 
 (* ------------------------------------------------------------------ *)
 (* Certification and evaluation: parallel runs vs 1-domain reference *)
@@ -556,7 +533,6 @@ let suite =
     ("pool nested call rejected", `Quick, test_pool_nested_rejected);
     ("pool shutdown idempotent", `Quick, test_pool_shutdown_idempotent);
     ("pool map preserves order", `Quick, test_pool_map_order);
-    ("pool map_reduce fold order", `Quick, test_pool_map_reduce_fold_order);
     ("mat_mul_into bit-exact", `Quick, test_mat_mul_into_bit_exact);
     ( "mat_mul_nt_bias_into bit-exact",
       `Quick,
@@ -567,7 +543,9 @@ let suite =
       `Quick,
       test_packed_and_blocked_gemm_scratch_bit_exact );
     ("td3 parallel update bit-exact", `Quick, test_td3_parallel_update_bit_exact);
-    ("parallel master switch", `Quick, test_parallel_disabled_switch);
+    ( "chunk plans depend only on shape",
+      `Quick,
+      test_chunk_plans_depend_only_on_shape );
     ("certify bit-exact across pools", `Quick, test_certify_bit_exact_across_pools);
     ( "certify_adaptive bit-exact across pools",
       `Quick,

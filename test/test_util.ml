@@ -92,35 +92,23 @@ let test_prng_uniform_range () =
 
 let test_prng_gaussian_moments () =
   let rng = Prng.create 23 in
-  let n = 20_000 in
-  let w = Stats.Welford.create () in
-  for _ = 1 to n do
-    Stats.Welford.add w (Prng.gaussian rng)
-  done;
-  check_bool "mean near 0" true (Float.abs (Stats.Welford.mean w) < 0.05);
-  check_bool "stddev near 1" true
-    (Float.abs (Stats.Welford.stddev w -. 1.) < 0.05)
+  let xs = Array.init 20_000 (fun _ -> Prng.gaussian rng) in
+  check_bool "mean near 0" true (Float.abs (Stats.mean xs) < 0.05);
+  check_bool "stddev near 1" true (Float.abs (Stats.stddev xs -. 1.) < 0.05)
 
 let test_prng_gaussian_scaled () =
   let rng = Prng.create 29 in
-  let w = Stats.Welford.create () in
-  for _ = 1 to 20_000 do
-    Stats.Welford.add w (Prng.gaussian_scaled rng ~mu:5. ~sigma:2.)
-  done;
-  check_bool "mean near 5" true (Float.abs (Stats.Welford.mean w -. 5.) < 0.1);
-  check_bool "stddev near 2" true
-    (Float.abs (Stats.Welford.stddev w -. 2.) < 0.1)
+  let xs =
+    Array.init 20_000 (fun _ -> Prng.gaussian_scaled rng ~mu:5. ~sigma:2.)
+  in
+  check_bool "mean near 5" true (Float.abs (Stats.mean xs -. 5.) < 0.1);
+  check_bool "stddev near 2" true (Float.abs (Stats.stddev xs -. 2.) < 0.1)
 
 let test_prng_exponential_mean () =
   let rng = Prng.create 31 in
-  let w = Stats.Welford.create () in
-  for _ = 1 to 20_000 do
-    let x = Prng.exponential rng ~rate:0.5 in
-    check_bool "non-negative" true (x >= 0.);
-    Stats.Welford.add w x
-  done;
-  check_bool "mean near 1/rate" true
-    (Float.abs (Stats.Welford.mean w -. 2.) < 0.1)
+  let xs = Array.init 20_000 (fun _ -> Prng.exponential rng ~rate:0.5) in
+  Array.iter (fun x -> check_bool "non-negative" true (x >= 0.)) xs;
+  check_bool "mean near 1/rate" true (Float.abs (Stats.mean xs -. 2.) < 0.1)
 
 let test_prng_shuffle_permutes () =
   let rng = Prng.create 37 in
@@ -139,32 +127,6 @@ let test_prng_choose () =
 
 (* ------------------------------------------------------------------ *)
 (* Stats *)
-
-let test_welford_matches_batch () =
-  let xs = [| 1.5; 2.5; -3.; 4.25; 0.; 10. |] in
-  let w = Stats.Welford.create () in
-  Array.iter (Stats.Welford.add w) xs;
-  check_int "count" 6 (Stats.Welford.count w);
-  check_float "mean" (Stats.mean xs) (Stats.Welford.mean w);
-  Alcotest.(check (float 1e-9)) "stddev" (Stats.stddev xs)
-    (Stats.Welford.stddev w)
-
-let test_welford_merge () =
-  let xs = Array.init 10 float_of_int in
-  let ys = Array.init 7 (fun i -> float_of_int (100 + i)) in
-  let wa = Stats.Welford.create () and wb = Stats.Welford.create () in
-  Array.iter (Stats.Welford.add wa) xs;
-  Array.iter (Stats.Welford.add wb) ys;
-  let merged = Stats.Welford.merge wa wb in
-  let all = Array.append xs ys in
-  check_float "merged mean" (Stats.mean all) (Stats.Welford.mean merged);
-  Alcotest.(check (float 1e-9)) "merged stddev" (Stats.stddev all)
-    (Stats.Welford.stddev merged)
-
-let test_welford_empty () =
-  let w = Stats.Welford.create () in
-  check_float "mean empty" 0. (Stats.Welford.mean w);
-  check_float "variance empty" 0. (Stats.Welford.variance w)
 
 let test_percentile_simple () =
   let xs = [| 3.; 1.; 2.; 5.; 4. |] in
@@ -305,14 +267,6 @@ let qcheck =
         let lo = Array.fold_left Float.min a.(0) a in
         let hi = Array.fold_left Float.max a.(0) a in
         v >= lo -. 1e-9 && v <= hi +. 1e-9);
-    Test.make ~name:"welford mean equals batch mean" ~count:200
-      (list_of_size Gen.(1 -- 50) (float_range (-50.) 50.))
-      (fun xs ->
-        let w = Canopy_util.Stats.Welford.create () in
-        List.iter (Canopy_util.Stats.Welford.add w) xs;
-        Canopy_util.Mathx.approx_equal ~eps:1e-6
-          (Canopy_util.Stats.Welford.mean w)
-          (Canopy_util.Stats.mean (Array.of_list xs)));
     Test.make ~name:"ring keeps last capacity elements" ~count:200
       (pair (int_range 1 8) (list_of_size Gen.(0 -- 40) int))
       (fun (cap, xs) ->
@@ -474,9 +428,6 @@ let suite =
     ("prng exponential mean", `Quick, test_prng_exponential_mean);
     ("prng shuffle permutes", `Quick, test_prng_shuffle_permutes);
     ("prng choose membership", `Quick, test_prng_choose);
-    ("welford matches batch", `Quick, test_welford_matches_batch);
-    ("welford merge", `Quick, test_welford_merge);
-    ("welford empty", `Quick, test_welford_empty);
     ("percentile simple", `Quick, test_percentile_simple);
     ("percentile interpolates", `Quick, test_percentile_interpolates);
     ("percentile singleton", `Quick, test_percentile_singleton);
