@@ -786,8 +786,8 @@ let ablation () =
         (fun comp ->
           if not comp.Certify.certified then
             match
-              Certify.refute ~rng:refute_rng ~actor:model.actor ~property
-                ~history ~state ~cwnd_tcp ~prev_cwnd comp
+              Certify.refute ~rng:refute_rng ~actor:model.actor ~history
+                ~state ~cwnd_tcp ~prev_cwnd comp
             with
             | Certify.Violation _ -> incr real
             | Certify.Unknown -> incr open_)

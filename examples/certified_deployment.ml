@@ -45,26 +45,24 @@ let () =
   (* Verify the enforcement on the recorded trajectory. The shield's
      precondition is over the k observations BEFORE a step, so a step is
      applicable when the previous five records all reported high (resp.
-     low) delay. *)
-  let recent = Canopy_util.Ring.create ~capacity:history in
-  let all_with pred =
-    Canopy_util.Ring.is_full recent
-    && Canopy_util.Ring.fold (fun acc d -> acc && pred d) true recent
-  in
+     low) delay: [high] and [low] count the latest consecutive such
+     records. *)
+  let high = ref 0 and low = ref 0 in
   let hi_app = ref 0 and hi_bad = ref 0 in
   let lo_app = ref 0 and lo_bad = ref 0 in
   let prev = ref 10. in
   List.iter
     (fun (s : Canopy.Eval.step_record) ->
-      if all_with (fun d -> d >= 0.75) then begin
+      if !high >= history then begin
         incr hi_app;
         if s.cwnd_enforced > !prev +. 1e-9 then incr hi_bad
       end;
-      if all_with (fun d -> d <= 0.25) then begin
+      if !low >= history then begin
         incr lo_app;
         if s.cwnd_enforced < !prev -. 1e-9 then incr lo_bad
       end;
-      Canopy_util.Ring.push recent s.delay_norm;
+      high := if s.delay_norm >= 0.75 then !high + 1 else 0;
+      low := if s.delay_norm <= 0.25 then !low + 1 else 0;
       prev := s.cwnd_enforced)
     steps;
   Format.printf

@@ -43,7 +43,7 @@ let adopt_dense pending (d : Layer.dense) =
 
 (* Inference-mode batch norm is x_i ↦ scale_i·x_i + shift_i with
    scale_i = γ_i/√(σ²_i + ε), shift_i = β_i − scale_i·μ_i — the same
-   folding as [Ibp.propagate_layer] and [Layer.bn_affine]. Composing it
+   folding as [Ibp.propagate_layer] and [Layer.forward_eval]. Composing it
    onto a pending affine row-scales W and rewrites b per channel. *)
 let adopt_batch_norm pending ~dim (bn : Layer.batch_norm) =
   let scale =

@@ -32,8 +32,6 @@ type t = {
       (** (start line, trimmed body) per comment, in source order *)
 }
 
-val keywords : string list
-
 val is_keyword : string -> bool
 
 val lex : string -> t

@@ -30,9 +30,6 @@
     rules ([polymorphic-compare], [float-min-max]) additionally scan
     [bench/] and [test/], where no other rule runs. *)
 
-val default_dirs : string list
-(** [\["lib"; "bin"\]]. *)
-
 val rules : (string * string) list
 (** Rule identifiers and their one-line messages. *)
 
@@ -45,5 +42,5 @@ val check_missing_mli : root:string -> string list -> Diagnostic.t list
     files under [lib/] are required to have interfaces. *)
 
 val run : ?dirs:string list -> root:string -> unit -> Diagnostic.t list
-(** Walk [dirs] under [root], lint every [.ml] file and report findings
-    sorted by file and line. *)
+(** Walk [dirs] (default [lib] and [bin]) under [root], lint every [.ml]
+    file and report findings sorted by file and line. *)

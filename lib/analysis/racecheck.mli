@@ -16,9 +16,6 @@ val rule_name : string
 (** ["shared-mutable-in-parallel"] — the {!Diagnostic} rule and the
     inline-waiver name. *)
 
-val default_dirs : string list
-(** [\["lib"; "bin"; "bench"; "test"\]]. *)
-
 type report = {
   diags : Diagnostic.t list;
   roots : string list;  (** parallel entry points discovered *)
@@ -32,4 +29,5 @@ val check_files : (string * string) list -> report
     point — no filesystem access). *)
 
 val run : ?dirs:string list -> root:string -> unit -> report
-(** Walk [dirs] under [root] and analyze every [.ml] file. *)
+(** Walk [dirs] (default [lib], [bin], [bench] and [test]) under [root]
+    and analyze every [.ml] file. *)

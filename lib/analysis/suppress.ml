@@ -2,8 +2,6 @@ type t = (string, unit) Hashtbl.t
 
 type entry = { e_rule : string; e_key : string; e_rest : string }
 
-let empty () : t = Hashtbl.create 16
-
 let entry_key rule hash = rule ^ ":" ^ hash
 
 let load_entries path =

@@ -20,8 +20,6 @@ type entry = {
   e_rest : string;  (** informational: [file:line source-text] *)
 }
 
-val empty : unit -> t
-
 val load : string -> t
 (** Loading a missing file yields an empty baseline. *)
 

@@ -11,10 +11,11 @@ module Wfilter = struct
 
   let push t ~now_ms ~window_ms value =
     let fresh (ts, _) = now_ms - ts <= window_ms in
+    (* Newest first: the new value dominates a prefix of the entries;
+       the first one it does not dominate, and all older ones, stay. *)
     let rec keep = function
-      | [] -> []
-      | (_, v) :: _ as rest when t.better value v -> ignore rest; []
-      | x :: rest -> x :: keep rest
+      | (_, v) :: rest when t.better value v -> keep rest
+      | l -> l
     in
     (* Drop stale entries from the front, dominated entries from the back. *)
     let live = List.filter fresh t.items in

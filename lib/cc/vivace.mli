@@ -20,7 +20,6 @@ val create :
 val on_acks : t -> Canopy_netsim.Env.acks_handler
 (** A run of ACKs: the same state as [count] single ACKs. *)
 
-val on_loss : t -> Canopy_netsim.Env.loss_handler
 val cwnd : t -> float
 
 val rate_pkts_per_ms : t -> float

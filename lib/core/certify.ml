@@ -406,8 +406,8 @@ let case_ordinal = function
   | Property.Small_delay -> 1
   | Property.Noise -> 2
 
-let refute ?(samples = 64) ~rng ~actor ~property ~history ~state ~cwnd_tcp
-    ~prev_cwnd component =
+let refute ?(samples = 64) ~rng ~actor ~history ~state ~cwnd_tcp ~prev_cwnd
+    component =
   if component.certified then Unknown
   else begin
     (* Derive a per-component stream via [Prng.split]: one draw advances
@@ -461,7 +461,6 @@ let refute ?(samples = 64) ~rng ~actor ~property ~history ~state ~cwnd_tcp
         | Unknown -> witness := Violation { state = s; output = out }
       end
     in
-    ignore property;
     consider (Interval.lo component.slice);
     consider (Interval.hi component.slice);
     consider (Interval.midpoint component.slice);

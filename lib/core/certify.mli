@@ -166,7 +166,6 @@ val refute :
   ?samples:int ->
   rng:Canopy_util.Prng.t ->
   actor:Mlp.t ->
-  property:Property.t ->
   history:int ->
   state:float array ->
   cwnd_tcp:float ->
@@ -175,7 +174,8 @@ val refute :
   refutation
 (** [refute ... component] samples delay values (default 64) inside the
     component's slice, evaluates the concrete policy, and returns the
-    worst concrete witness if any violates the postcondition. A returned
+    worst concrete witness if any violates the postcondition (the
+    component's [target]). A returned
     [Violation] is a genuine property violation (no abstraction
     involved); [Unknown] leaves the component's status open. Certified
     components always return [Unknown].

@@ -143,8 +143,7 @@ let eval_policy ?(name = "canopy") ?noise ?certificate ?refute_rng ?shield
                     if not comp.Certify.certified then begin
                       incr uncertified_acc;
                       match
-                        Certify.refute ~rng ~actor
-                          ~property:c.Certify.property ~history ~state:s
+                        Certify.refute ~rng ~actor ~history ~state:s
                           ~cwnd_tcp:(Agent_env.cwnd_tcp env)
                           ~prev_cwnd:(Agent_env.prev_cwnd_enforced env) comp
                       with

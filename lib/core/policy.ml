@@ -11,12 +11,6 @@ let out_dim = function
   | `Mlp m -> Mlp.out_dim m
   | `Tree tr -> Tree.out_dim tr
 
-let kind = function `Mlp _ -> "mlp" | `Tree _ -> "tree"
-
-let generation = function
-  | `Mlp m -> Mlp.generation m
-  | `Tree tr -> Tree.generation tr
-
 let predict_rows_into ~dst policy x =
   match policy with
   | `Mlp m -> Mlp.forward_eval_into ~dst m x

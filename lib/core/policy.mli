@@ -11,12 +11,6 @@ type t = [ `Mlp of Canopy_nn.Mlp.t | `Tree of Canopy_distill.Tree.t ]
 val in_dim : t -> int
 val out_dim : t -> int
 
-val kind : t -> string
-(** ["mlp"] or ["tree"] — for labels and reports. *)
-
-val generation : t -> int
-(** Underlying model's generation stamp (cache key component). *)
-
 val predict_rows_into :
   dst:Canopy_tensor.Mat.t -> t -> Canopy_tensor.Mat.t -> unit
 (** Batched inference: row [i] of [dst] ([rows x out_dim]) receives the raw

@@ -130,15 +130,3 @@ let verify ?(env_model = default_env_model) ?(domain = Certify.Box_domain)
     r_verifier =
       Canopy_util.Mathx.fsum_list distances /. float_of_int horizon;
   }
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>temporal[%s] horizon=%d certified=%b r=%.3f"
-    (Property.case_name t.case) t.horizon t.certified t.r_verifier;
-  List.iter
-    (fun b ->
-      Format.fprintf ppf "@,  step %d: a=%a cwnd=%a delta=%a D=%.3f%s" b.step
-        Interval.pp b.action Interval.pp b.cwnd Interval.pp b.delta_vs_start
-        b.distance
-        (if b.certified then " ✓" else ""))
-    t.steps;
-  Format.fprintf ppf "@]"

@@ -69,5 +69,3 @@ val verify :
     [Invalid_argument] for a robustness property or the [Noise] case
     (temporal unrolling is defined for the performance cases), for
     [horizon <= 0], or on dimension mismatches. *)
-
-val pp : Format.formatter -> t -> unit

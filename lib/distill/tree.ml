@@ -11,16 +11,12 @@ type t = {
   leaf : int array; (* leaf-model index per node, -1 for internal *)
   coef : float array; (* n_leaves * in_dim, row-major *)
   bias : float array; (* n_leaves *)
-  generation : int;
 }
 
 let in_dim t = t.in_dim
 let out_dim (_ : t) = 1
 let n_nodes t = Array.length t.feature
 let n_leaves t = Array.length t.bias
-let generation t = t.generation
-
-let gen_counter = Atomic.make 0
 
 let validate ~in_dim ~feature ~threshold ~left ~right ~leaf ~coef ~bias =
   let n = Array.length feature in
@@ -82,7 +78,6 @@ let build ~in_dim ~feature ~threshold ~left ~right ~leaf ~coef ~bias =
     leaf = Array.copy leaf;
     coef = Array.copy coef;
     bias = Array.copy bias;
-    generation = Atomic.fetch_and_add gen_counter 1;
   }
 
 let constant ~in_dim value =

@@ -22,10 +22,6 @@ val n_leaves : t -> int
 val depth : t -> int
 (** Maximum root-to-leaf path length (0 for a single-leaf tree). *)
 
-val generation : t -> int
-(** Monotone identity stamp, distinct per loaded/built tree (mirrors
-    [Mlp.generation]; lets caches key on the policy). *)
-
 val build :
   in_dim:int ->
   feature:int array ->

@@ -20,15 +20,11 @@ type t =
   | Relu
   | Tanh
 
-type mode = Train | Eval
-
 (* Batched caches carry [batch × dim] matrices. *)
 type cache =
   | C_dense of Mat.t (* input batch *)
   | C_bn of { xhat : Mat.t; inv_std : Vec.t; batch_stats : bool }
-  | C_leaky of float * Mat.t
-  | C_relu of Mat.t
-  | C_tanh of Mat.t (* outputs *)
+  | C_act of Mat.t (* an activation's outputs *)
 
 (* Per-sample reference caches (one Vec.t per sample). Kept as an
    independently-implemented path so the batched kernels can be
@@ -88,61 +84,6 @@ let out_dim ~in_dim = function
   | Dense d -> Mat.rows d.w
   | Batch_norm _ | Leaky_relu _ | Relu | Tanh -> in_dim
 
-let leaky_fwd slope x = Array.map (fun v -> if v >= 0. then v else slope *. v) x
-
-let bn_affine bn x =
-  Array.mapi
-    (fun i v ->
-      let inv = 1. /. sqrt (bn.running_var.(i) +. bn.eps) in
-      (bn.gamma.(i) *. (v -. bn.running_mean.(i)) *. inv) +. bn.beta.(i))
-    x
-
-let forward1 mode layer x =
-  match layer with
-  | Dense d ->
-      let y = Mat.mat_vec d.w x in
-      Vec.axpy ~alpha:1. ~x:d.b ~y;
-      y
-  | Batch_norm bn ->
-      (* A single sample has no batch statistics: use the running ones in
-         both modes (this is also what the verifier certifies against). *)
-      ignore mode;
-      bn_affine bn x
-  | Leaky_relu slope -> leaky_fwd slope x
-  | Relu -> Array.map (fun v -> Float.max 0. v) x
-  | Tanh -> Array.map Float.tanh x
-
-(* Allocation-free [forward1] into a caller-owned buffer, bit-identical
-   to it: [y +. 1.*.b = y +. b] exactly, and the other arms restate the
-   same per-element expressions. [dst] must not alias [x]. *)
-let forward1_into ~dst mode layer x =
-  match layer with
-  | Dense d ->
-      Mat.mat_vec_into ~dst d.w x;
-      for i = 0 to Vec.dim dst - 1 do
-        dst.(i) <- dst.(i) +. d.b.(i)
-      done
-  | Batch_norm bn ->
-      ignore mode;
-      for i = 0 to Vec.dim dst - 1 do
-        let inv = 1. /. sqrt (bn.running_var.(i) +. bn.eps) in
-        dst.(i) <- (bn.gamma.(i) *. (x.(i) -. bn.running_mean.(i)) *. inv)
-                   +. bn.beta.(i)
-      done
-  | Leaky_relu slope ->
-      for i = 0 to Vec.dim dst - 1 do
-        let v = x.(i) in
-        dst.(i) <- (if v >= 0. then v else slope *. v)
-      done
-  | Relu ->
-      for i = 0 to Vec.dim dst - 1 do
-        dst.(i) <- Float.max 0. x.(i)
-      done
-  | Tanh ->
-      for i = 0 to Vec.dim dst - 1 do
-        dst.(i) <- Float.tanh x.(i)
-      done
-
 (* ------------------------------------------------------------------ *)
 (* Batched passes over [batch × dim] matrices *)
 
@@ -161,7 +102,32 @@ let bn_update_running bn mu var =
    checks and closure calls of [Mat.get]/[Mat.init] is where most of the
    batching speedup over the per-sample reference comes from. *)
 
-let forward ?(reuse_input = false) mode layer x =
+(* The element-wise activations, shared by the three batched forwards:
+   [dst.(i) <- f x.(i)] over every cell. [dst] has [x]'s shape and may
+   be [x] itself (each cell is read before it is overwritten). *)
+let activate ~dst layer x =
+  let xd = Mat.raw x and od = Mat.raw dst in
+  match layer with
+  | Leaky_relu slope ->
+      for i = 0 to Array.length xd - 1 do
+        let v = Array.unsafe_get xd i in
+        Array.unsafe_set od i (if v >= 0. then v else slope *. v)
+      done
+  | Relu ->
+      for i = 0 to Array.length xd - 1 do
+        Array.unsafe_set od i (Float.max 0. (Array.unsafe_get xd i))
+      done
+  | Tanh ->
+      for i = 0 to Array.length xd - 1 do
+        Array.unsafe_set od i (Float.tanh (Array.unsafe_get xd i))
+      done
+  | Dense _ | Batch_norm _ -> invalid_arg "Layer.activate: not an activation"
+
+(* An element-wise layer's output: [x] itself under [reuse_input]. *)
+let act_out ~reuse_input x =
+  if reuse_input then x else Mat.create_uninit ~rows:(Mat.rows x) ~cols:(Mat.cols x)
+
+let forward ?(reuse_input = false) layer x =
   let n = Mat.rows x in
   if n = 0 then invalid_arg "Layer.forward: empty batch";
   (* With [~reuse_input:true] the element-wise layers write their output
@@ -181,7 +147,7 @@ let forward ?(reuse_input = false) mode layer x =
   | Batch_norm bn ->
       let dim = Vec.dim bn.gamma in
       if Mat.cols x <> dim then invalid_arg "Layer.forward: dims";
-      let use_batch_stats = mode = Train && n > 1 in
+      let use_batch_stats = n > 1 in
       let nf = float_of_int n in
       let xd = Mat.raw x in
       let gamma = bn.gamma and beta = bn.beta in
@@ -249,33 +215,14 @@ let forward ?(reuse_input = false) mode layer x =
         done;
         (out, C_bn { xhat; inv_std; batch_stats = false })
       end
-  | Leaky_relu slope ->
-      (* Sign-preserving, so the backward mask is the same whether it
-         reads pre- or post-activation values: under reuse the cache
-         simply holds the (overwritten) output. *)
-      let out = if reuse_input then x else Mat.create ~rows:n ~cols:(Mat.cols x) in
-      let xd = Mat.raw x and od = Mat.raw out in
-      for i = 0 to Array.length xd - 1 do
-        let v = Array.unsafe_get xd i in
-        Array.unsafe_set od i (if v >= 0. then v else slope *. v)
-      done;
-      (out, C_leaky (slope, out))
-  | Relu ->
-      (* out > 0 exactly where x > 0, so caching the output keeps the
-         backward mask identical under reuse. *)
-      let out = if reuse_input then x else Mat.create ~rows:n ~cols:(Mat.cols x) in
-      let xd = Mat.raw x and od = Mat.raw out in
-      for i = 0 to Array.length xd - 1 do
-        Array.unsafe_set od i (Float.max 0. (Array.unsafe_get xd i))
-      done;
-      (out, C_relu out)
-  | Tanh ->
-      let out = if reuse_input then x else Mat.create ~rows:n ~cols:(Mat.cols x) in
-      let xd = Mat.raw x and od = Mat.raw out in
-      for i = 0 to Array.length xd - 1 do
-        Array.unsafe_set od i (Float.tanh (Array.unsafe_get xd i))
-      done;
-      (out, C_tanh out)
+  | Leaky_relu _ | Relu | Tanh ->
+      (* The cache holds the output. Tanh's backward reads its outputs;
+         leaky ReLU is sign-preserving and ReLU's output is > 0 exactly
+         where its input is, so their backward masks read the same from
+         the output as from the (under reuse, overwritten) input. *)
+      let out = act_out ~reuse_input x in
+      activate ~dst:out layer x;
+      (out, C_act out)
 
 (* Cache-free eval-mode forward: skips the activation caches and, for
    batch-norm, the xhat matrix that only backward consumes. The running
@@ -308,38 +255,19 @@ let forward_eval ?(reuse_input = false) layer x =
         done
       done;
       out
-  | Leaky_relu slope ->
-      let out = if reuse_input then x else Mat.create ~rows:n ~cols:(Mat.cols x) in
-      let xd = Mat.raw x and od = Mat.raw out in
-      for i = 0 to Array.length xd - 1 do
-        let v = Array.unsafe_get xd i in
-        Array.unsafe_set od i (if v >= 0. then v else slope *. v)
-      done;
-      out
-  | Relu ->
-      let out = if reuse_input then x else Mat.create ~rows:n ~cols:(Mat.cols x) in
-      let xd = Mat.raw x and od = Mat.raw out in
-      for i = 0 to Array.length xd - 1 do
-        Array.unsafe_set od i (Float.max 0. (Array.unsafe_get xd i))
-      done;
-      out
-  | Tanh ->
-      let out = if reuse_input then x else Mat.create ~rows:n ~cols:(Mat.cols x) in
-      let xd = Mat.raw x and od = Mat.raw out in
-      for i = 0 to Array.length xd - 1 do
-        Array.unsafe_set od i (Float.tanh (Array.unsafe_get xd i))
-      done;
+  | Leaky_relu _ | Relu | Tanh ->
+      let out = act_out ~reuse_input x in
+      activate ~dst:out layer x;
       out
 
-(* Allocation-free batched eval forward whose every output row is
-   bit-identical to [forward1_into] on that row: the dense arm runs the
-   plain GEMM and adds the bias afterwards (not the bias-seeded
-   [mat_mul_nt_bias], which sums in a different order), and the
-   batch-norm arm restates [forward1_into]'s unfolded per-element
-   expression instead of [forward_eval]'s folded scale/shift. This is
-   what lets the fleet serve thousands of flows from one GEMM while
-   reproducing the scalar [Mlp.forward] trajectories exactly.
-   [dst] must not alias [x]. *)
+(* Allocation-free batched eval forward, the inference pass: the dense
+   arm runs the plain GEMM and adds the bias afterwards, the batch-norm
+   arm the unfolded per-element expression [gamma·(x − mean)/std + beta]
+   at the running statistics. Every GEMM cell is one ascending-k chain
+   whichever kernel and chunking runs it, so each output row depends
+   only on its own input row: a one-row call ([Mlp.forward]) and a
+   fleet's thousand-row tick give a row the same bits. [dst] must not
+   alias [x]. *)
 let forward_eval_into ~dst layer x =
   let n = Mat.rows x in
   if n = 0 then invalid_arg "Layer.forward_eval_into: empty batch";
@@ -350,9 +278,6 @@ let forward_eval_into ~dst layer x =
         invalid_arg "Layer.forward_eval_into: dims";
       if Mat.cols dst <> Mat.rows d.w then
         invalid_arg "Layer.forward_eval_into: dims";
-      (* Each output row of [mat_mul_nt_into] is bit-identical to
-         [mat_vec w row]; adding the bias afterwards matches
-         [forward1_into]'s [dst.(i) <- dst.(i) +. b.(i)]. *)
       Mat.mat_mul_nt_into ~dst x d.w;
       Mat.add_row dst d.b
   | Batch_norm bn ->
@@ -373,28 +298,10 @@ let forward_eval_into ~dst layer x =
             +. Array.unsafe_get beta i)
         done
       done
-  | Leaky_relu slope ->
+  | Leaky_relu _ | Relu | Tanh ->
       if Mat.cols x <> Mat.cols dst then
         invalid_arg "Layer.forward_eval_into: dims";
-      let xd = Mat.raw x and od = Mat.raw dst in
-      for i = 0 to Array.length xd - 1 do
-        let v = Array.unsafe_get xd i in
-        Array.unsafe_set od i (if v >= 0. then v else slope *. v)
-      done
-  | Relu ->
-      if Mat.cols x <> Mat.cols dst then
-        invalid_arg "Layer.forward_eval_into: dims";
-      let xd = Mat.raw x and od = Mat.raw dst in
-      for i = 0 to Array.length xd - 1 do
-        Array.unsafe_set od i (Float.max 0. (Array.unsafe_get xd i))
-      done
-  | Tanh ->
-      if Mat.cols x <> Mat.cols dst then
-        invalid_arg "Layer.forward_eval_into: dims";
-      let xd = Mat.raw x and od = Mat.raw dst in
-      for i = 0 to Array.length xd - 1 do
-        Array.unsafe_set od i (Float.tanh (Array.unsafe_get xd i))
-      done
+      activate ~dst layer x
 
 let backward ?(input_grad = true) ?(param_grads = true) ?(reuse_dout = false)
     layer cache dout =
@@ -491,8 +398,7 @@ let backward ?(input_grad = true) ?(param_grads = true) ?(reuse_dout = false)
         done;
         dx
       end
-  | Leaky_relu slope, C_leaky (slope', x) ->
-      assert (slope = slope');
+  | Leaky_relu slope, C_act x ->
       if Mat.rows x <> n || Mat.cols x <> Mat.cols dout then
         invalid_arg "Layer.backward: dims";
       let dx = if reuse_dout then dout else Mat.create ~rows:n ~cols:(Mat.cols dout) in
@@ -503,7 +409,7 @@ let backward ?(input_grad = true) ?(param_grads = true) ?(reuse_dout = false)
           (if Array.unsafe_get xd i >= 0. then g else slope *. g)
       done;
       dx
-  | Relu, C_relu x ->
+  | Relu, C_act x ->
       if Mat.rows x <> n || Mat.cols x <> Mat.cols dout then
         invalid_arg "Layer.backward: dims";
       let dx = if reuse_dout then dout else Mat.create ~rows:n ~cols:(Mat.cols dout) in
@@ -513,7 +419,7 @@ let backward ?(input_grad = true) ?(param_grads = true) ?(reuse_dout = false)
           (if Array.unsafe_get xd i > 0. then Array.unsafe_get dod i else 0.)
       done;
       dx
-  | Tanh, C_tanh y ->
+  | Tanh, C_act y ->
       if Mat.rows y <> n || Mat.cols y <> Mat.cols dout then
         invalid_arg "Layer.backward: dims";
       let dx = if reuse_dout then dout else Mat.create ~rows:n ~cols:(Mat.cols dout) in
@@ -530,7 +436,7 @@ let backward ?(input_grad = true) ?(param_grads = true) ?(reuse_dout = false)
 (* ------------------------------------------------------------------ *)
 (* Per-sample reference passes (the pre-batching implementation) *)
 
-let forward_rows mode layer batch =
+let forward_rows layer batch =
   let n = Array.length batch in
   if n = 0 then invalid_arg "Layer.forward_rows: empty batch";
   match layer with
@@ -546,8 +452,7 @@ let forward_rows mode layer batch =
       (out, R_dense batch)
   | Batch_norm bn ->
       let dim = Vec.dim bn.gamma in
-      let use_batch_stats = mode = Train && n > 1 in
-      if use_batch_stats then begin
+      if n > 1 then begin
         let mu = Vec.create dim and var = Vec.create dim in
         Array.iter (fun x -> Vec.axpy ~alpha:(1. /. float_of_int n) ~x ~y:mu)
           batch;
@@ -593,7 +498,8 @@ let forward_rows mode layer batch =
         (out, R_bn { xhat; inv_std; batch_stats = false })
       end
   | Leaky_relu slope ->
-      (Array.map (leaky_fwd slope) batch, R_leaky (slope, batch))
+      let leaky = Array.map (fun v -> if v >= 0. then v else slope *. v) in
+      (Array.map leaky batch, R_leaky (slope, batch))
   | Relu -> (Array.map (Array.map (fun v -> Float.max 0. v)) batch, R_relu batch)
   | Tanh ->
       let out = Array.map (Array.map Float.tanh) batch in

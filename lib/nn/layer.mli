@@ -34,10 +34,6 @@ type t =
   | Relu
   | Tanh
 
-type mode =
-  | Train  (** batch statistics for BN, running stats updated *)
-  | Eval  (** running statistics for BN (also used by the verifier) *)
-
 type cache
 (** Opaque per-layer activation cache produced by {!forward} and consumed
     by {!backward}. *)
@@ -62,44 +58,36 @@ val tanh : t
 val out_dim : in_dim:int -> t -> int
 (** Output dimension of the layer given its input dimension. *)
 
-val forward : ?reuse_input:bool -> mode -> t -> Mat.t -> Mat.t * cache
-(** Batched forward pass over a [batch × dim] activation matrix: a dense
-    layer is one GEMM ([x·wᵀ] plus a bias broadcast), batch-norm and
-    activations are column/element-wise passes. In [Train] mode a
-    batch-norm layer with batch size > 1 uses the batch statistics and
-    folds them into its running statistics. With [~reuse_input:true]
-    (default false) an element-wise layer may write its output into the
-    input's storage instead of allocating — only valid when the caller
-    no longer needs the input values, as inside an MLP chain where the
-    input is the previous layer's freshly-allocated output. *)
+val forward : ?reuse_input:bool -> t -> Mat.t -> Mat.t * cache
+(** Batched training forward over a [batch × dim] activation matrix: a
+    dense layer is one GEMM ([x·wᵀ] plus a bias broadcast), batch-norm
+    and activations are column/element-wise passes. A batch-norm layer
+    uses the batch statistics, and folds them into its running
+    statistics, when the batch has more than one row; a one-row batch
+    has no batch statistics and uses the running ones. With
+    [~reuse_input:true] (default false) an element-wise layer may write
+    its output into the input's storage instead of allocating — only
+    valid when the caller no longer needs the input values, as inside an
+    MLP chain where the input is the previous layer's freshly-allocated
+    output. *)
 
 val forward_eval : ?reuse_input:bool -> t -> Mat.t -> Mat.t
-(** Cache-free [Eval]-mode forward (no running-stat update): like
-    {!forward} with [Eval] but skips the per-layer cache — in particular
-    the batch-norm xhat matrix only backward consumes; the running
-    statistics fold into one per-channel affine map (the same folded
-    form the abstract-interpretation transfers use, so results differ
-    from {!forward} by rounding only). [reuse_input] as in {!forward}. *)
+(** Cache-free eval forward (batch norm at its running statistics, no
+    running-stat update) that skips the per-layer cache — in particular
+    the batch-norm xhat matrix only backward consumes. The dense layer
+    seeds its GEMM with the bias and the running statistics fold into
+    one per-channel affine map (the folded form the
+    abstract-interpretation transfers use), so results differ from
+    {!forward_eval_into} by rounding. [reuse_input] as in {!forward}. *)
 
 val forward_eval_into : dst:Mat.t -> t -> Mat.t -> unit
-(** Allocation-free [Eval]-mode forward into a caller-owned
-    [batch × out_dim] matrix, with every output row bit-identical to
-    {!forward1_into} on the corresponding input row (plain GEMM plus a
-    bias broadcast, unfolded batch-norm expression) — unlike
-    {!forward_eval}, which uses the bias-seeded GEMM and the folded
-    batch-norm map and so differs by rounding. [dst] must not alias the
-    input. This is the per-layer kernel of the fleet's batched decision
-    tick. *)
-
-val forward1 : mode -> t -> Vec.t -> Vec.t
-(** Single-sample forward without a cache (no running-stat update even in
-    [Train] mode); convenient for action selection. *)
-
-val forward1_into : dst:Vec.t -> mode -> t -> Vec.t -> unit
-(** {!forward1} into a caller-owned buffer of length
-    [out_dim ~in_dim layer], bit-identical to it; [dst] must not alias
-    the input. Lets [Mlp.forward] run the rollout hot path over a
-    per-domain scratch arena instead of allocating per layer. *)
+(** The inference forward: eval mode into a caller-owned
+    [batch × out_dim] matrix without allocating, as a plain GEMM plus a
+    bias broadcast and the unfolded batch-norm expression at the running
+    statistics. Every output row depends only on its own input row, so
+    a row gets the same bits whether it runs alone ([Mlp.forward]) or
+    in a fleet's batched decision tick. [dst] must not alias the
+    input. *)
 
 val backward :
   ?input_grad:bool ->
@@ -122,7 +110,7 @@ val backward :
     caller is done with [dout], as inside an MLP backward walk where
     each intermediate gradient is consumed exactly once. *)
 
-val forward_rows : mode -> t -> Vec.t array -> Vec.t array * rows_cache
+val forward_rows : t -> Vec.t array -> Vec.t array * rows_cache
 (** Per-sample reference forward (the pre-batching implementation, one
     [mat_vec] per sample). Semantically identical to {!forward} — kept as
     an independent implementation for equivalence tests and benchmarks. *)

@@ -60,28 +60,6 @@ let layers t = t.layers
 let generation t = t.generation
 let bump_generation t = t.generation <- t.generation + 1
 
-(* Per-domain scratch arena for the rollout hot path: slot [s] holds the
-   output buffer of layer [s]. The chain fully overwrites each slot
-   before reading it back, so a warm arena returns the same bits as a
-   cold one; the final activation is copied out because callers retain
-   action vectors well past the next forward (DESIGN §10). *)
-let eval_scratch_key : Canopy_util.Scratch.t Domain.DLS.key =
-  Domain.DLS.new_key Canopy_util.Scratch.create
-
-let forward t x =
-  if Vec.dim x <> t.in_dim then invalid_arg "Mlp.forward: input dim";
-  let scratch = Domain.DLS.get eval_scratch_key in
-  let _, _, out =
-    List.fold_left
-      (fun (s, dim, acc) layer ->
-        let od = Layer.out_dim ~in_dim:dim layer in
-        let dst = Canopy_util.Scratch.get scratch ~slot:s ~len:od in
-        Layer.forward1_into ~dst Layer.Eval layer acc;
-        (s + 1, od, dst))
-      (0, t.in_dim, x) t.layers
-  in
-  Array.copy out
-
 (* Inside a chain every intermediate activation is owned by the chain
    (each layer's input is the previous layer's freshly-allocated output),
    so element-wise layers may overwrite it in place. Only the caller's
@@ -96,11 +74,12 @@ let forward_batch t x =
   in
   out
 
-(* Per-domain scratch arena for the batched serving hot path (the fleet
-   decision tick): slots 0/1 ping-pong the [batch × dim] intermediates,
-   the last layer writes straight into the caller's destination. Every
-   slot is fully overwritten before it is read back, so a warm arena
-   returns the same bits as a cold one (DESIGN §10 ownership rules). *)
+(* Per-domain scratch arena of the inference pass, for one-row calls
+   and fleet ticks alike: slots 0/1 ping-pong the [batch × dim]
+   intermediates, the last layer writes straight into the caller's
+   destination. Every slot is fully overwritten before it is read back,
+   so a warm arena returns the same bits as a cold one (DESIGN §10
+   ownership rules). *)
 let batch_scratch_key : Canopy_util.Scratch.t Domain.DLS.key =
   Domain.DLS.new_key Canopy_util.Scratch.create
 
@@ -128,10 +107,13 @@ let forward_eval_into ~dst t x =
         : int * int * Mat.t)
   end
 
-let forward_eval t x =
-  let dst = Mat.create_uninit ~rows:(Mat.rows x) ~cols:t.out_dim in
-  forward_eval_into ~dst t x;
-  dst
+(* The result is the fresh [dst]'s storage, which the caller owns:
+   callers retain action vectors well past the next forward. *)
+let forward t x =
+  if Vec.dim x <> t.in_dim then invalid_arg "Mlp.forward: input dim";
+  let dst = Mat.create_uninit ~rows:1 ~cols:t.out_dim in
+  forward_eval_into ~dst t (Mat.of_rows [| x |]);
+  Mat.raw dst
 
 type tape = Layer.cache list (* in layer order *)
 
@@ -153,8 +135,7 @@ let forward_train t batch =
     List.fold_left
       (fun (prev, acc, caches) layer ->
         let out, cache =
-          Layer.forward ~reuse_input:(train_reuse_ok prev) Layer.Train layer
-            acc
+          Layer.forward ~reuse_input:(train_reuse_ok prev) layer acc
         in
         (Some layer, out, cache :: caches))
       (None, batch, []) t.layers
@@ -195,7 +176,7 @@ let forward_train_rows t batch =
   let out, rev_caches =
     List.fold_left
       (fun (acc, caches) layer ->
-        let out, cache = Layer.forward_rows Layer.Train layer acc in
+        let out, cache = Layer.forward_rows layer acc in
         (out, cache :: caches))
       (batch, []) t.layers
   in

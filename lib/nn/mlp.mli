@@ -43,31 +43,30 @@ val bump_generation : t -> unit
     place). Forgetting a bump leaves stale cached IRs; the soundness
     audit and the cache-staleness unit test guard the known channels. *)
 
+val forward_eval_into : dst:Mat.t -> t -> Mat.t -> unit
+(** The inference forward (batch norm at its running statistics, no
+    running-stat update) over a [batch × in_dim] matrix into a
+    caller-owned [batch × out_dim] matrix, with zero steady-state
+    allocation: intermediates ping-pong between two slots of a
+    per-domain scratch arena ([Domain.DLS]-keyed, warm ≡ cold
+    bit-exactly), the last layer writes directly into [dst]. Every
+    output row depends only on its own input row (see
+    [Layer.forward_eval_into]), so the fleet's one-GEMM-per-tick serving
+    path reproduces per-flow {!forward} trajectories exactly. [dst] must
+    not alias the input. *)
+
 val forward : t -> Vec.t -> Vec.t
-(** Single-sample inference ([Eval] mode; batch-norm uses running stats).
-    Runs over a per-domain scratch arena — no per-layer allocation on the
-    rollout hot path — and returns a fresh vector the caller owns. *)
+(** Single-sample inference: {!forward_eval_into} on a one-row matrix,
+    returning a fresh vector the caller owns. *)
 
 val forward_batch : t -> Mat.t -> Mat.t
-(** Batched inference over a [batch × in_dim] matrix ([Eval] mode, no
-    cache, no running-stat update); one GEMM per dense layer,
-    element-wise layers applied in place on the chain's intermediates
-    (the input matrix itself is never mutated). *)
-
-val forward_eval_into : dst:Mat.t -> t -> Mat.t -> unit
-(** Batched inference into a caller-owned [batch × out_dim] matrix with
-    zero steady-state allocation: intermediates ping-pong between two
-    slots of a per-domain scratch arena ([Domain.DLS]-keyed, warm ≡ cold
-    bit-exactly), the last layer writes directly into [dst]. Every
-    output row is bit-identical to {!forward} on the corresponding input
-    row (see [Layer.forward_eval_into]) — the property that lets the
-    fleet's one-GEMM-per-tick serving path reproduce scalar per-flow
-    trajectories exactly. [dst] must not alias the input. *)
-
-val forward_eval : t -> Mat.t -> Mat.t
-(** {!forward_eval_into} into a fresh matrix the caller owns. Unlike
-    {!forward_batch} the result rows are bit-identical to {!forward}
-    (not merely equal up to rounding). *)
+(** Batched eval forward over a [batch × in_dim] matrix (no cache, no
+    running-stat update) into a fresh matrix: one bias-seeded GEMM per
+    dense layer, batch norm folded into one affine map per channel
+    ([Layer.forward_eval]), element-wise layers applied in place on the
+    chain's intermediates (the input matrix itself is never mutated).
+    The TD3 target pass. It differs from the inference forward
+    ({!forward}, {!forward_eval_into}) by rounding. *)
 
 type tape
 (** Activation record from a batched training-mode pass. *)

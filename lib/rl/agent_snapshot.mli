@@ -17,9 +17,6 @@
 
 open Canopy_nn
 
-val magic : string
-(** ["canopy-train v2"], the first token of every container. *)
-
 val encode : fingerprint:string -> ?extra:(string * string) list -> Td3.t -> string
 (** Serialize the agent's full {!Td3.snapshot} plus [extra]
     [(name, payload)] sections. [fingerprint] is an opaque

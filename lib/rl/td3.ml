@@ -55,12 +55,31 @@ type t = {
   mutable buffer : Replay_buffer.t;
   mutable update_calls : int;
   (* Per-shard gradient shadows of the critics (parameters shared,
-     accumulators private), grown on demand and reused across updates.
-     The critics' parameter arrays are mutated only in place (assign,
-     soft_update, optimizer steps), so cached shadows never go stale. *)
-  mutable critic1_shards : Mlp.t array;
-  mutable critic2_shards : Mlp.t array;
+     accumulators private), one per shard of a [batch_size] batch. The
+     critics' parameter arrays are mutated only in place (assign,
+     soft_update, optimizer steps), so the shadows never go stale. *)
+  critic1_shards : Mlp.t array;
+  critic2_shards : Mlp.t array;
 }
+
+(* ------------------------------------------------------------------ *)
+(* Data-parallel critic fits.                                          *)
+(*                                                                     *)
+(* The batch is cut into fixed 16-row shards, the last one partial; a  *)
+(* batch under 32 rows is one shard. Each shard runs its               *)
+(* forward/backward through a gradient shadow of the critic (shared    *)
+(* parameters, private accumulators), and the shard gradients are then *)
+(* combined by a pairwise stride-doubling tree whose shape depends     *)
+(* only on the shard count. The shard count is a pure function of the  *)
+(* batch size — never the pool width — and a critic's forward/backward *)
+(* is row-local (dense + leaky-relu only, no batch statistics), so     *)
+(* results are bit-identical at any domain count (DESIGN §10).         *)
+(* ------------------------------------------------------------------ *)
+
+let shard_rows = 16
+
+let shard_count n =
+  if n < 2 * shard_rows then 1 else (n + shard_rows - 1) / shard_rows
 
 let create ~rng cfg =
   if cfg.state_dim <= 0 || cfg.action_dim <= 0 then
@@ -74,6 +93,9 @@ let create ~rng cfg =
       ~hidden:cfg.hidden
   in
   let critic1 = critic () and critic2 = critic () in
+  let shadows critic =
+    Array.init (shard_count cfg.batch_size) (fun _ -> Mlp.grad_shadow critic)
+  in
   {
     cfg;
     rng;
@@ -88,8 +110,8 @@ let create ~rng cfg =
     opt_critic2 = Optimizer.adam ~lr:cfg.critic_lr ();
     buffer = Replay_buffer.create ~capacity:cfg.buffer_capacity;
     update_calls = 0;
-    critic1_shards = [||];
-    critic2_shards = [||];
+    critic1_shards = shadows critic1;
+    critic2_shards = shadows critic2;
   }
 
 let config t = t.cfg
@@ -141,38 +163,6 @@ let bootstraps tr = not tr.Replay_buffer.terminal
 
 let states_of batch = Mat.of_rows (Array.map (fun tr -> tr.Replay_buffer.state) batch)
 
-(* ------------------------------------------------------------------ *)
-(* Data-parallel critic passes.                                        *)
-(*                                                                     *)
-(* The batch is cut into fixed 16-row shards; each shard runs its      *)
-(* forward/backward through a gradient shadow of the critic (shared    *)
-(* parameters, private accumulators), and the shard gradients are then *)
-(* combined by a pairwise stride-doubling tree whose shape depends     *)
-(* only on the shard count. Whether to shard is a pure function of the *)
-(* batch size — never the pool width — and a critic's forward/backward *)
-(* is row-local (dense + leaky-relu only, no batch statistics), so     *)
-(* results are bit-identical at any domain count (DESIGN §10).         *)
-(* ------------------------------------------------------------------ *)
-
-let shard_rows = 16
-let use_shards n = n >= 2 * shard_rows
-let nshards_for n = (n + shard_rows - 1) / shard_rows
-
-let shards_for t critic ~nshards =
-  let cur =
-    if critic == t.critic1 then t.critic1_shards else t.critic2_shards
-  in
-  if Array.length cur >= nshards then cur
-  else begin
-    let grown =
-      Array.init nshards (fun s ->
-          if s < Array.length cur then cur.(s) else Mlp.grad_shadow critic)
-    in
-    if critic == t.critic1 then t.critic1_shards <- grown
-    else t.critic2_shards <- grown;
-    grown
-  end
-
 (* Pairwise tree reduction of the shard gradients into [shards.(0)]:
    stride doubling merges (0,1) (2,3) … then (0,2) (4,6) …, so the
    summation tree is a fixed function of [nshards] alone. *)
@@ -198,8 +188,11 @@ let reduce_shards shards nshards =
    output rows), so any assignment of shards to domains is equivalent;
    the inline fallback covers re-entrant calls from inside a task. *)
 let for_each_shard n f =
-  let nshards = nshards_for n in
-  let run s = f s ~lo:(s * shard_rows) ~hi:(min n ((s + 1) * shard_rows)) in
+  let nshards = shard_count n in
+  let run s =
+    f s ~lo:(s * shard_rows)
+      ~hi:(if s = nshards - 1 then n else (s + 1) * shard_rows)
+  in
   if Pool.in_task () then
     for s = 0 to nshards - 1 do
       run s
@@ -210,15 +203,14 @@ let for_each_shard n f =
           run s
         done)
 
-(* One sharded critic fit: per-shard squared-error backward into the
-   shadows, tree-reduce, then clip/step through the reduced gradients
-   (the shadow's [params] share the critic's value arrays, so the
-   optimizer updates the real network; moments are keyed by position
-   and the shapes match the unsharded path). *)
-let fit_critic_sharded t critic opt inputs targets ~n =
+(* One critic fit: per-shard squared-error backward into the shadows,
+   tree-reduce, then clip/step through the reduced gradients (the
+   shadow's [params] share the critic's value arrays, so the optimizer
+   updates the real network; its moments are keyed by position, and
+   the shadow's arrays have the critic's shapes). *)
+let fit_critic critic shards opt inputs targets ~n =
   let inv_n = 1. /. float_of_int n in
-  let nshards = nshards_for n in
-  let shards = shards_for t critic ~nshards in
+  let nshards = shard_count n in
   for_each_shard n (fun s ~lo ~hi ->
       let shadow = shards.(s) in
       Mlp.zero_grad shadow;
@@ -264,28 +256,8 @@ let critic_update_batched t (batch : Replay_buffer.transition array) =
     Mat.concat_cols (states_of batch)
       (Mat.of_rows (Array.map (fun tr -> tr.Replay_buffer.action) batch))
   in
-  if use_shards n then begin
-    fit_critic_sharded t t.critic1 t.opt_critic1 inputs targets ~n;
-    fit_critic_sharded t t.critic2 t.opt_critic2 inputs targets ~n
-  end
-  else begin
-    let inv_n = 1. /. float_of_int n in
-    let fit critic opt =
-      Mlp.zero_grad critic;
-      let preds, tape = Mlp.forward_train critic inputs in
-      let dout =
-        Mat.init ~rows:n ~cols:1 (fun i _ ->
-            2. *. (Mat.get preds i 0 -. targets.(i)) *. inv_n)
-      in
-      ignore (Mlp.backward ~input_grad:false critic tape dout);
-      let params = Mlp.params critic in
-      Optimizer.clip_gradients ~norm:10. params;
-      Optimizer.step opt params;
-      Mlp.bump_generation critic
-    in
-    fit t.critic1 t.opt_critic1;
-    fit t.critic2 t.opt_critic2
-  end
+  fit_critic t.critic1 t.critic1_shards t.opt_critic1 inputs targets ~n;
+  fit_critic t.critic2 t.critic2_shards t.opt_critic2 inputs targets ~n
 
 let actor_update_batched t (batch : Replay_buffer.transition array) =
   let cfg = t.cfg in

@@ -78,18 +78,6 @@ let mat_vec m x =
   done;
   out
 
-let mat_vec_into ~dst m x =
-  if m.cols <> Array.length x then invalid_arg "Mat.mat_vec_into: dims";
-  if m.rows <> Array.length dst then invalid_arg "Mat.mat_vec_into: dst";
-  for i = 0 to m.rows - 1 do
-    let base = i * m.cols in
-    let acc = ref 0. in
-    for j = 0 to m.cols - 1 do
-      acc := !acc +. (m.data.(base + j) *. x.(j))
-    done;
-    dst.(i) <- !acc
-  done
-
 let mat_tvec m y =
   if m.rows <> Array.length y then invalid_arg "Mat.mat_tvec: dims";
   let out = Array.make m.cols 0. in

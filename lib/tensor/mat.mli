@@ -38,8 +38,6 @@ val abs : t -> t
 val mat_vec : t -> Vec.t -> Vec.t
 (** [mat_vec m x] is [m * x]; requires [cols m = dim x]. *)
 
-val mat_vec_into : dst:Vec.t -> t -> Vec.t -> unit
-
 val mat_tvec : t -> Vec.t -> Vec.t
 (** [mat_tvec m y] is [mᵀ * y]; requires [rows m = dim y]. *)
 

@@ -2,7 +2,6 @@ type t = float array
 
 let create n = Array.make n 0.
 let init = Array.init
-let of_list = Array.of_list
 let copy = Array.copy
 let dim = Array.length
 let fill t x = Array.fill t 0 (Array.length t) x
@@ -70,10 +69,6 @@ let map_into ~dst f a =
   for i = 0 to Array.length a - 1 do
     dst.(i) <- f a.(i)
   done
-
-let map2 f a b =
-  check_dims "map2" a b;
-  Array.mapi (fun i x -> f x b.(i)) a
 
 let concat ts = Array.concat ts
 let slice t ~pos ~len = Array.sub t pos len

@@ -11,7 +11,6 @@ val create : int -> t
 (** Zero vector of the given length. *)
 
 val init : int -> (int -> float) -> t
-val of_list : float list -> t
 val copy : t -> t
 val dim : t -> int
 val fill : t -> float -> unit
@@ -37,7 +36,6 @@ val sum : t -> float
 val mean : t -> float
 val map : (float -> float) -> t -> t
 val map_into : dst:t -> (float -> float) -> t -> unit
-val map2 : (float -> float -> float) -> t -> t -> t
 val concat : t list -> t
 val slice : t -> pos:int -> len:int -> t
 val max_elt : t -> float

@@ -147,6 +147,16 @@ let test_bbr_estimates () =
   check_bool "bw near 2 pkt/ms" true
     (Float.abs (Bbr.btl_bw_pkts_per_ms b -. 2.) < 0.5)
 
+(* Rate samples 10, 5 and 7 pkts/ms, all inside the bandwidth window:
+   the newest sample dominates the 5 but not the 10, so the windowed max
+   stays 10. *)
+let test_bbr_max_filter_keeps_older_max () =
+  let b = Bbr.create () in
+  List.iter
+    (fun (now, delivered) -> ack ~now ~rtt:10 ~delivered (Bbr.on_acks b))
+    [ (10, 100); (20, 150); (30, 220) ];
+  check_float "windowed max" 10. (Bbr.btl_bw_pkts_per_ms b)
+
 let test_bbr_leaves_startup_on_plateau () =
   let b = Bbr.create () in
   for i = 1 to 300 do
@@ -446,4 +456,11 @@ let qcheck_cc =
     runs_test "vivace" (fun () -> Vivace.to_controller (Vivace.create ()));
   ]
 
-let suite = suite @ vivace_suite @ List.map QCheck_alcotest.to_alcotest qcheck_cc
+let suite =
+  suite @ vivace_suite
+  @ List.map QCheck_alcotest.to_alcotest qcheck_cc
+  @ [
+      ( "bbr max filter keeps an older max",
+        `Quick,
+        test_bbr_max_filter_keeps_older_max );
+    ]

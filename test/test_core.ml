@@ -848,8 +848,7 @@ let test_refute_finds_real_violation () =
            && not comp.Certify.certified)
   in
   match
-    Certify.refute ~rng:(Prng.create 11) ~actor
-      ~property:(Property.performance ()) ~history
+    Certify.refute ~rng:(Prng.create 11) ~actor ~history
       ~state:mid_state ~cwnd_tcp:100. ~prev_cwnd:100. uncertified
   with
   | Certify.Violation { state; output } ->
@@ -871,8 +870,7 @@ let test_refute_certified_is_unknown () =
     (fun comp ->
       if comp.Certify.certified then
         check_bool "certified never refuted" true
-          (Certify.refute ~rng:(Prng.create 11) ~actor
-             ~property:(Property.performance ()) ~history
+          (Certify.refute ~rng:(Prng.create 11) ~actor ~history
              ~state:mid_state ~cwnd_tcp:100. ~prev_cwnd:100. comp
           = Certify.Unknown))
     c.Certify.components
@@ -884,8 +882,8 @@ let test_refute_witness_inside_slice () =
   Array.iter
     (fun comp ->
       match
-        Certify.refute ~rng ~actor ~property:(Property.performance ())
-          ~history ~state:mid_state ~cwnd_tcp:100. ~prev_cwnd:90. comp
+        Certify.refute ~rng ~actor ~history ~state:mid_state ~cwnd_tcp:100.
+          ~prev_cwnd:90. comp
       with
       | Certify.Unknown -> ()
       | Certify.Violation { state; _ } ->
@@ -945,8 +943,7 @@ let test_refute_spurious_component_unknown () =
   List.iter
     (fun comp ->
       check_bool "spurious component cannot be refuted" true
-        (Certify.refute ~rng:(Prng.create 11) ~actor
-           ~property:(Property.performance ()) ~history
+        (Certify.refute ~rng:(Prng.create 11) ~actor ~history
            ~state:mid_state ~cwnd_tcp:100. ~prev_cwnd:100. comp
         = Certify.Unknown))
     small_uncertified;

@@ -8,7 +8,7 @@
    the failure lists every differing key, and the lines to paste into
    the fixture are printed on stdout.
 
-   Five families are pinned:
+   Six families are pinned:
    - [agent/...]: Orca episodes on the 22 suite traces (1 s, 2 BDP,
      minRTT 30-50 ms), clean and impaired, driven by the committed
      [actor_h8.ckpt]; per step the state, the action and the reward,
@@ -29,7 +29,12 @@
      Cubic) on suite traces, one shallow-buffer case with a late
      arrival, Cubic against Cubic under each single impairment, and the
      event streams of three Cubic flows with different minRTTs on one
-     shared [Fleet] link. *)
+     shared [Fleet] link;
+   - [td3/...]: the six networks of a TD3 agent after a dozen
+     [Td3.update]s from a seeded replay, at batch sizes that cut into
+     one, three and four critic shards, with greedy actions and Q-values
+     read back; and one short [Trainer.train] run's actor checkpoint and
+     epoch curve. *)
 
 module Env = Canopy_netsim.Env
 module Fleet = Canopy_netsim.Fleet
@@ -460,7 +465,7 @@ let refute_digest ~every ~actor ~property =
         Array.iter
           (fun c ->
             match
-              Certify.refute ~samples:16 ~rng ~actor ~property ~history:5
+              Certify.refute ~samples:16 ~rng ~actor ~history:5
                 ~state ~cwnd_tcp ~prev_cwnd c
             with
             | Certify.Violation { state; output } ->
@@ -659,6 +664,96 @@ let test_multiflow () =
   check_family ~prefix:"multiflow/"
     ((clean @ [ shallow ] @ hetero_rtt_digests ()) @ impaired)
 
+(* ------------------------------------------------------------------ *)
+(* (f) TD3 updates and training *)
+
+module Td3 = Canopy_rl.Td3
+module Trainer = Canopy.Trainer
+module Checkpoint = Canopy_nn.Checkpoint
+
+(* A dozen updates (six of them move the actor and the targets) from a
+   seeded replay of 200 random transitions, every 17th absorbing. Then
+   the checkpoint text of all six networks, which holds every parameter
+   and batch-norm statistic as a hex float, and the greedy actions and
+   Q-values at four replayed states. *)
+let td3_digest ~batch_size =
+  let cfg =
+    {
+      (Td3.default_config ~state_dim:6 ~action_dim:2) with
+      Td3.hidden = 16;
+      batch_size;
+      warmup = batch_size;
+      buffer_capacity = 256;
+    }
+  in
+  let agent = Td3.create ~rng:(Prng.create 41) cfg in
+  let data = Prng.create 42 in
+  let rv n = Array.init n (fun _ -> Prng.uniform data (-1.) 1.) in
+  let states = Array.init 200 (fun _ -> rv 6) in
+  Array.iteri
+    (fun i state ->
+      Td3.observe agent
+        {
+          Canopy_rl.Replay_buffer.state;
+          action = rv 2;
+          reward = Prng.uniform data (-1.) 1.;
+          next_state = rv 6;
+          terminal = i mod 17 = 16;
+          truncated = false;
+        })
+    states;
+  for _ = 1 to 12 do
+    Td3.update agent
+  done;
+  let b = digest () in
+  List.iter
+    (fun (_, net) -> Buffer.add_string b (Checkpoint.to_string net))
+    (Td3.snapshot agent).nets;
+  for i = 0 to 3 do
+    let state = states.(i * 50) in
+    let action = Td3.select_action agent state in
+    add_floats b action;
+    let q1, q2 = Td3.q_values agent ~state ~action in
+    add_floats b [| q1; q2 |]
+  done;
+  crc b
+
+(* 400 steps at hidden 16 on two links: the first 256 fill the replay,
+   the rest take one batch-64 update each. *)
+let trainer_digest () =
+  let envs =
+    Trainer.env_pool ~n:2 ~bw_range_mbps:(12., 24.) ~rtt_range_ms:(20, 30)
+      ~duration_ms:1500 ~seed:3 ()
+  in
+  let cfg =
+    {
+      (Trainer.default_config ~total_steps:400 ~envs ()) with
+      hidden = 16;
+      log_every = 100;
+    }
+  in
+  let agent, epochs = Trainer.train cfg in
+  let b = digest () in
+  Buffer.add_string b
+    (Crc32.to_hex (Crc32.string (Checkpoint.to_string (Td3.actor agent))));
+  List.iter
+    (fun (e : Trainer.epoch) ->
+      add_int b e.epoch;
+      add_int b e.steps;
+      add_floats b
+        [| e.raw_reward; e.verifier_reward; e.combined_reward; e.fcc |];
+      add_int b e.rollbacks)
+    epochs;
+  crc b
+
+let test_td3 () =
+  check_family ~prefix:"td3/"
+    (List.map
+       (fun batch_size ->
+         (Printf.sprintf "td3/update/b%d" batch_size, td3_digest ~batch_size))
+       [ 16; 24; 40; 64 ]
+    @ [ ("td3/trainer/h16", trainer_digest ()) ])
+
 let suite =
   [
     Alcotest.test_case "agent_env episodes, suite x clean/impaired" `Quick
@@ -671,4 +766,5 @@ let suite =
       test_fleet_events;
     Alcotest.test_case "certificates, engines x models x properties" `Quick
       test_certificates;
+    Alcotest.test_case "td3 updates and a training run" `Quick test_td3;
   ]

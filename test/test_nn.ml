@@ -11,6 +11,14 @@ let rng () = Canopy_util.Prng.create 1234
 (* ------------------------------------------------------------------ *)
 (* Layer forward semantics *)
 
+(* One sample through a layer's inference forward. *)
+let forward1 layer x =
+  let dst =
+    Mat.create ~rows:1 ~cols:(Layer.out_dim ~in_dim:(Array.length x) layer)
+  in
+  Layer.forward_eval_into ~dst layer (Mat.of_rows [| x |]);
+  Mat.row dst 0
+
 let test_dense_forward () =
   let d =
     Layer.Dense
@@ -21,18 +29,18 @@ let test_dense_forward () =
         db = Vec.create 2;
       }
   in
-  let y = Layer.forward1 Layer.Eval d [| 1.; 1. |] in
+  let y = forward1 d [| 1.; 1. |] in
   Alcotest.(check (array (float 1e-9))) "dense" [| 3.5; 6.5 |] y
 
 let test_leaky_relu_forward () =
   let l = Layer.leaky_relu ~slope:0.1 () in
-  let y = Layer.forward1 Layer.Eval l [| -2.; 0.; 3. |] in
+  let y = forward1 l [| -2.; 0.; 3. |] in
   Alcotest.(check (array (float 1e-9))) "leaky" [| -0.2; 0.; 3. |] y
 
 let test_relu_tanh_forward () =
-  let y = Layer.forward1 Layer.Eval Layer.relu [| -1.; 2. |] in
+  let y = forward1 Layer.relu [| -1.; 2. |] in
   Alcotest.(check (array (float 1e-9))) "relu" [| 0.; 2. |] y;
-  let y = Layer.forward1 Layer.Eval Layer.tanh [| 0.; 100. |] in
+  let y = forward1 Layer.tanh [| 0.; 100. |] in
   check_float "tanh 0" 0. y.(0);
   check_bool "tanh sat" true (y.(1) > 0.999)
 
@@ -40,7 +48,7 @@ let test_batch_norm_identity_init () =
   (* Fresh BN with running stats (mean 0, var 1) is ~identity in eval. *)
   let bn = Layer.batch_norm ~eps:1e-12 ~dim:3 () in
   let x = [| 0.5; -1.; 2. |] in
-  let y = Layer.forward1 Layer.Eval bn x in
+  let y = forward1 bn x in
   Array.iteri
     (fun i v -> check_bool "near identity" true (Float.abs (v -. x.(i)) < 1e-5))
     y
@@ -48,7 +56,7 @@ let test_batch_norm_identity_init () =
 let test_batch_norm_normalizes_batch () =
   let bn = Layer.batch_norm ~dim:1 () in
   let batch = Mat.of_arrays [| [| 10. |]; [| 20. |]; [| 30. |] |] in
-  let out, _ = Layer.forward Layer.Train bn batch in
+  let out, _ = Layer.forward bn batch in
   let o i = Mat.get out i 0 in
   let mean = (o 0 +. o 1 +. o 2) /. 3. in
   check_bool "batch output centered" true (Float.abs mean < 1e-9);
@@ -58,7 +66,7 @@ let test_batch_norm_updates_running_stats () =
   match Layer.batch_norm ~momentum:0.5 ~dim:1 () with
   | Layer.Batch_norm bn as layer ->
       let batch = Mat.of_arrays [| [| 10. |]; [| 20. |] |] in
-      ignore (Layer.forward Layer.Train layer batch);
+      ignore (Layer.forward layer batch);
       (* running mean moves halfway from 0 toward the batch mean 15 *)
       check_float "running mean" 7.5 bn.running_mean.(0)
   | _ -> assert false
@@ -347,18 +355,6 @@ let test_forward_eval_into_warm_equals_cold () =
   (* Steady state: scratch slots are warm now; results must not move. *)
   check_bool "warm == cold" true (run () = cold);
   check_bool "third call stable" true (run () = cold)
-
-let test_forward_eval_wrapper_matches_into () =
-  let net = eval_net () in
-  let x =
-    Mat.of_rows
-      (Array.init 5 (fun i ->
-           Array.init 6 (fun j -> Float.cos (float_of_int ((i * 3) + j)))))
-  in
-  let dst = Mat.create_uninit ~rows:5 ~cols:2 in
-  Mlp.forward_eval_into ~dst net x;
-  check_bool "forward_eval == forward_eval_into" true
-    (bits (Mat.raw (Mlp.forward_eval net x)) = bits (Mat.raw dst))
 
 let test_forward_eval_into_shape_checks () =
   let net = eval_net () in
@@ -698,9 +694,6 @@ let suite =
     ( "forward_eval_into warm = cold",
       `Quick,
       test_forward_eval_into_warm_equals_cold );
-    ( "forward_eval wrapper = into",
-      `Quick,
-      test_forward_eval_wrapper_matches_into );
     ( "forward_eval_into shape checks",
       `Quick,
       test_forward_eval_into_shape_checks );

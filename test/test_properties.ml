@@ -143,8 +143,8 @@ let test_refute_never_contradicts_soundness () =
     Array.iter
       (fun comp ->
         match
-          Canopy.Certify.refute ~rng:(Prng.create 7) ~actor ~property ~history
-            ~state ~cwnd_tcp:100. ~prev_cwnd:90. comp
+          Canopy.Certify.refute ~rng:(Prng.create 7) ~actor ~history ~state
+            ~cwnd_tcp:100. ~prev_cwnd:90. comp
         with
         | Canopy.Certify.Unknown -> ()
         | Canopy.Certify.Violation { output; _ } ->

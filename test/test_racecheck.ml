@@ -345,7 +345,6 @@ let test_scratch_arenas_blessed () =
     [
       ("lib/tensor/mat.ml", "scratch_key");
       ("lib/absint/anet.ml", "scratch_key");
-      ("lib/nn/mlp.ml", "eval_scratch_key");
       ("lib/nn/mlp.ml", "batch_scratch_key");
     ]
   in

@@ -158,17 +158,15 @@ let test_end_to_end_enforcement () =
       ~policy:(`Mlp actor) ~history link
   in
   check_bool "shield intervened" true (Shield.interventions sh > 0);
-  let recent = Canopy_util.Ring.create ~capacity:history in
+  (* Consecutive high-delay records before the current step. *)
+  let high = ref 0 in
   let prev = ref 10. in
   List.iter
     (fun (s : Eval.step_record) ->
-      if
-        Canopy_util.Ring.is_full recent
-        && Canopy_util.Ring.fold (fun acc d -> acc && d >= 0.75) true recent
-      then
+      if !high >= history then
         check_bool "no growth under sustained high delay" true
           (s.cwnd_enforced <= !prev +. 1e-6);
-      Canopy_util.Ring.push recent s.delay_norm;
+      high := if s.delay_norm >= 0.75 then !high + 1 else 0;
       prev := s.cwnd_enforced)
     steps
 

@@ -1,4 +1,4 @@
-(* Tests for canopy_util: PRNG, statistics, ring buffer, math helpers. *)
+(* Tests for canopy_util: PRNG, statistics, math helpers. *)
 
 open Canopy_util
 
@@ -175,54 +175,6 @@ let test_jain_degenerate () =
   check_float "all-zero is fair" 1. (Stats.jain_index [| 0.; 0.; 0. |])
 
 (* ------------------------------------------------------------------ *)
-(* Ring *)
-
-let test_ring_basic () =
-  let r = Ring.create ~capacity:3 in
-  check_bool "empty" true (Ring.is_empty r);
-  Ring.push r 1;
-  Ring.push r 2;
-  check_int "length" 2 (Ring.length r);
-  check_int "oldest" 1 (Ring.oldest r);
-  check_int "newest" 2 (Ring.newest r)
-
-let test_ring_eviction () =
-  let r = Ring.create ~capacity:3 in
-  List.iter (Ring.push r) [ 1; 2; 3; 4; 5 ];
-  check_bool "full" true (Ring.is_full r);
-  Alcotest.(check (list int)) "kept newest" [ 3; 4; 5 ] (Ring.to_list r);
-  check_int "get 0" 3 (Ring.get r 0);
-  check_int "get 2" 5 (Ring.get r 2)
-
-let test_ring_clear () =
-  let r = Ring.create ~capacity:2 in
-  Ring.push r 1;
-  Ring.clear r;
-  check_bool "cleared" true (Ring.is_empty r);
-  Ring.push r 9;
-  check_int "reusable" 9 (Ring.newest r)
-
-let test_ring_to_array () =
-  let r = Ring.create ~capacity:4 in
-  List.iter (Ring.push r) [ 10; 20; 30 ];
-  Alcotest.(check (array int)) "array order" [| 10; 20; 30 |] (Ring.to_array r)
-
-let test_ring_fold_iter () =
-  let r = Ring.create ~capacity:5 in
-  List.iter (Ring.push r) [ 1; 2; 3 ];
-  check_int "fold sum" 6 (Ring.fold ( + ) 0 r);
-  let order = ref [] in
-  Ring.iter (fun x -> order := x :: !order) r;
-  Alcotest.(check (list int)) "iter order" [ 3; 2; 1 ] !order
-
-let test_ring_errors () =
-  let r = Ring.create ~capacity:2 in
-  Alcotest.check_raises "newest empty" (Invalid_argument "Ring.newest: empty")
-    (fun () -> ignore (Ring.newest r));
-  Alcotest.check_raises "get oob" (Invalid_argument "Ring.get: index")
-    (fun () -> ignore (Ring.get r 0))
-
-(* ------------------------------------------------------------------ *)
 (* Mathx *)
 
 let test_clamp () =
@@ -267,17 +219,6 @@ let qcheck =
         let lo = Array.fold_left Float.min a.(0) a in
         let hi = Array.fold_left Float.max a.(0) a in
         v >= lo -. 1e-9 && v <= hi +. 1e-9);
-    Test.make ~name:"ring keeps last capacity elements" ~count:200
-      (pair (int_range 1 8) (list_of_size Gen.(0 -- 40) int))
-      (fun (cap, xs) ->
-        let r = Canopy_util.Ring.create ~capacity:cap in
-        List.iter (Canopy_util.Ring.push r) xs;
-        let expected =
-          let n = List.length xs in
-          if n <= cap then xs
-          else List.filteri (fun i _ -> i >= n - cap) xs
-        in
-        Canopy_util.Ring.to_list r = expected);
     Test.make ~name:"clamp is idempotent and bounded" ~count:200
       (triple (float_range (-100.) 100.) (float_range (-100.) 100.)
          (float_range (-200.) 200.))
@@ -437,12 +378,6 @@ let suite =
     ("jain equal share", `Quick, test_jain_equal_share);
     ("jain single hog", `Quick, test_jain_single_hog);
     ("jain degenerate", `Quick, test_jain_degenerate);
-    ("ring basic", `Quick, test_ring_basic);
-    ("ring eviction", `Quick, test_ring_eviction);
-    ("ring clear", `Quick, test_ring_clear);
-    ("ring to_array", `Quick, test_ring_to_array);
-    ("ring fold/iter", `Quick, test_ring_fold_iter);
-    ("ring errors", `Quick, test_ring_errors);
     ("clamp", `Quick, test_clamp);
     ("lerp", `Quick, test_lerp);
     ("pow2/log2", `Quick, test_pow2_log2);
