@@ -59,29 +59,46 @@ let kernels () =
         Td3.update ~kernel agent
       done
   in
+  (* The single-pass rows cycle through [batches] distinct seeded
+     minibatches, as training feeds a fresh one to every pass: with one
+     fixed matrix the branch predictor learns its sign pattern, and the
+     rows would hide what mispredicted element-wise passes cost. *)
+  let batches = 16 in
+  let cycle ~seed ~batch_size ~cols =
+    let rng = Canopy_util.Prng.create seed in
+    let inputs =
+      Array.init batches (fun _ ->
+          Mat.init ~rows:batch_size ~cols (fun _ _ ->
+              Canopy_util.Prng.uniform rng (-1.) 1.))
+    in
+    let next = ref 0 in
+    fun () ->
+      let k = !next in
+      next := (k + 1) mod batches;
+      (k, inputs.(k))
+  in
   let make_actor_forward ~batch_size =
     let rng = Canopy_util.Prng.create 17 in
     let actor =
       Canopy_nn.Mlp.actor ~rng ~in_dim:state_dim ~hidden ~out_dim:action_dim
     in
-    let states =
-      Mat.init ~rows:batch_size ~cols:state_dim (fun i j ->
-          Float.sin (float_of_int ((i * state_dim) + j)))
-    in
-    fun () -> ignore (Canopy_nn.Mlp.forward_batch actor states)
+    let states = cycle ~seed:18 ~batch_size ~cols:state_dim in
+    fun () -> ignore (Canopy_nn.Mlp.forward_batch actor (snd (states ())))
   in
   let make_critic_fit ~batch_size =
     let rng = Canopy_util.Prng.create 19 in
     let critic = Canopy_nn.Mlp.critic ~rng ~state_dim ~action_dim ~hidden in
     let opt = Canopy_nn.Optimizer.adam ~lr:1e-3 () in
-    let dim = state_dim + action_dim in
-    let inputs =
-      Mat.init ~rows:batch_size ~cols:dim (fun i j ->
-          Float.sin (float_of_int ((i * dim) + j)))
+    let inputs = cycle ~seed:20 ~batch_size ~cols:(state_dim + action_dim) in
+    let targets =
+      Array.init batches (fun k ->
+          Array.init batch_size (fun i ->
+              Float.cos (float_of_int ((k * batch_size) + i))))
     in
-    let targets = Array.init batch_size (fun i -> Float.cos (float_of_int i)) in
     let inv_n = 1. /. float_of_int batch_size in
     fun () ->
+      let k, inputs = inputs () in
+      let targets = targets.(k) in
       Canopy_nn.Mlp.zero_grad critic;
       let preds, tape = Canopy_nn.Mlp.forward_train critic inputs in
       let dout =

@@ -506,7 +506,10 @@ let sender_fill t l fl ~now =
    order, and a shared link schedules each ACK by itself so it lands
    where a shared return queue would put it. Any other link takes as
    much of the head run as the opportunities allow. *)
-let drain_bottleneck t l ~now ~ppms =
+let drain_bottleneck t l ~now ~ppms_tab ~ms_index =
+  (* The rate is read here rather than passed in: a float argument would
+     be boxed once per link·ms. *)
+  let ppms = ppms_tab.(ms_index) in
   t.capacity_pkts.(l) <- t.capacity_pkts.(l) +. ppms;
   t.credit.(l) <- t.credit.(l) +. ppms;
   let opportunities = int_of_float (Float.floor t.credit.(l)) in
@@ -559,7 +562,7 @@ let drain_bottleneck t l ~now ~ppms =
     end
   done
 
-let tick_link t handlers l fl ~now ~ppms =
+let tick_link t handlers l fl ~now ~ppms_tab ~ms_index =
   for j = 0 to Array.length fl - 1 do
     process_return_path t handlers fl.(j) ~now
   done;
@@ -567,7 +570,7 @@ let tick_link t handlers l fl ~now ~ppms =
      the millisecond it arrives (Mahimahi semantics): an uncongested path
      then yields RTT = minRTT exactly. *)
   sender_fill t l fl ~now;
-  drain_bottleneck t l ~now ~ppms
+  drain_bottleneck t l ~now ~ppms_tab ~ms_index
 
 (* ------------------------------------------------------------------ *)
 (* Fleet driver *)
@@ -606,7 +609,8 @@ let run ?after_tick t handlers ~ms =
       for l = lo to hi - 1 do
         let tab = ppms_tab.(t.family.(l)) and fl = t.members.(l) in
         for k = 0 to ms - 1 do
-          tick_link t handlers l fl ~now:(now0 + k + 1) ~ppms:tab.(k);
+          tick_link t handlers l fl ~now:(now0 + k + 1) ~ppms_tab:tab
+            ~ms_index:k;
           match after_tick with
           | Some f ->
               for j = 0 to Array.length fl - 1 do

@@ -73,7 +73,11 @@ let batch_norm ?(momentum = 0.1) ?(eps = 1e-5) ~dim () =
     }
 
 (* A positive slope keeps the activation sign-preserving, which the
-   batched cache relies on (backward reads its mask from the output). *)
+   batched cache relies on (backward reads its mask from the output).
+   The one exception is a negative input so small that its product with
+   the slope rounds to -0: the output then reads as >= 0, and backward
+   takes the positive arm where the per-sample reference takes the
+   slope (DESIGN §7). *)
 let leaky_relu ?(slope = 0.01) () =
   if slope <= 0. then invalid_arg "Layer.leaky_relu: slope must be positive";
   Leaky_relu slope
@@ -102,6 +106,15 @@ let bn_update_running bn mu var =
    checks and closure calls of [Mat.get]/[Mat.init] is where most of the
    batching speedup over the per-sample reference comes from. *)
 
+(* Leaky ReLU's two slopes, indexed by [Bool.to_int (v >= 0.)]: the
+   batched passes select with a multiply instead of a branch, which the
+   random signs of a training batch mispredict about half the time.
+   The bits are those of [if v >= 0. then v else slope *. v]: [v *. 1.]
+   is [v] for every value arithmetic produces (±0, ±∞ and quiet NaN
+   included), and a NaN compares false, so it takes the slope arm as
+   before. The per-sample reference passes keep the [if] form. *)
+let leaky_tab slope = [| slope; 1. |]
+
 (* The element-wise activations, shared by the three batched forwards:
    [dst.(i) <- f x.(i)] over every cell. [dst] has [x]'s shape and may
    be [x] itself (each cell is read before it is overwritten). *)
@@ -109,9 +122,11 @@ let activate ~dst layer x =
   let xd = Mat.raw x and od = Mat.raw dst in
   match layer with
   | Leaky_relu slope ->
+      let tab = leaky_tab slope in
       for i = 0 to Array.length xd - 1 do
         let v = Array.unsafe_get xd i in
-        Array.unsafe_set od i (if v >= 0. then v else slope *. v)
+        Array.unsafe_set od i
+          (v *. Array.unsafe_get tab (Bool.to_int (v >= 0.)))
       done
   | Relu ->
       for i = 0 to Array.length xd - 1 do
@@ -217,7 +232,8 @@ let forward ?(reuse_input = false) layer x =
       end
   | Leaky_relu _ | Relu | Tanh ->
       (* The cache holds the output. Tanh's backward reads its outputs;
-         leaky ReLU is sign-preserving and ReLU's output is > 0 exactly
+         leaky ReLU is sign-preserving (but for inputs that underflow
+         to -0, see [leaky_relu]) and ReLU's output is > 0 exactly
          where its input is, so their backward masks read the same from
          the output as from the (under reuse, overwritten) input. *)
       let out = act_out ~reuse_input x in
@@ -304,7 +320,7 @@ let forward_eval_into ~dst layer x =
       activate ~dst layer x
 
 let backward ?(input_grad = true) ?(param_grads = true) ?(reuse_dout = false)
-    layer cache dout =
+    ?shards layer cache dout =
   let n = Mat.rows dout in
   (* With [~reuse_dout:true] the element-wise layers write their input
      gradient into [dout]'s storage (every cell is read before it is
@@ -319,13 +335,28 @@ let backward ?(input_grad = true) ?(param_grads = true) ?(reuse_dout = false)
          caller does not consume input gradients (a fit's first layer),
          the other two when it does not consume parameter gradients (a
          critic used as the actor's gradient conduit). *)
-      if param_grads then begin
-        Mat.mat_mul_tn_acc ~dst:d.dw dout x;
-        Mat.col_sum_acc ~dst:d.db dout
-      end;
+      (if param_grads then
+         match shards with
+         | None ->
+             Mat.mat_mul_tn_acc ~dst:d.dw dout x;
+             Mat.col_sum_acc ~dst:d.db dout
+         | Some shards ->
+             (* Each shard's samples sum into that shard's accumulators,
+                with the bits of a pass over a copy of its rows. *)
+             Array.iter
+               (fun (lo, hi, shard) ->
+                 match shard with
+                 | Dense s ->
+                     Mat.mat_mul_tn_acc ~samples:(lo, hi) ~dst:s.dw dout x;
+                     Mat.col_sum_acc ~samples:(lo, hi) ~dst:s.db dout
+                 | Batch_norm _ | Leaky_relu _ | Relu | Tanh ->
+                     invalid_arg "Layer.backward: shard layer does not match")
+               shards);
       if input_grad then Mat.mat_mul dout d.w else dout
   | Batch_norm bn, C_bn c ->
       let dim = Vec.dim bn.gamma in
+      if Option.is_some shards then
+        invalid_arg "Layer.backward: shards on a batch-norm layer";
       if Mat.rows c.xhat <> n then invalid_arg "Layer.backward: batch size";
       if Mat.cols dout <> dim then invalid_arg "Layer.backward: dims";
       let dod = Mat.raw dout and xh = Mat.raw c.xhat in
@@ -403,10 +434,11 @@ let backward ?(input_grad = true) ?(param_grads = true) ?(reuse_dout = false)
         invalid_arg "Layer.backward: dims";
       let dx = if reuse_dout then dout else Mat.create ~rows:n ~cols:(Mat.cols dout) in
       let dxd = Mat.raw dx and dod = Mat.raw dout and xd = Mat.raw x in
+      let tab = leaky_tab slope in
       for i = 0 to Array.length dod - 1 do
-        let g = Array.unsafe_get dod i in
         Array.unsafe_set dxd i
-          (if Array.unsafe_get xd i >= 0. then g else slope *. g)
+          (Array.unsafe_get dod i
+          *. Array.unsafe_get tab (Bool.to_int (Array.unsafe_get xd i >= 0.)))
       done;
       dx
   | Relu, C_act x ->

@@ -69,7 +69,11 @@ val forward : ?reuse_input:bool -> t -> Mat.t -> Mat.t * cache
     its output into the input's storage instead of allocating — only
     valid when the caller no longer needs the input values, as inside an
     MLP chain where the input is the previous layer's freshly-allocated
-    output. *)
+    output. Leaky ReLU selects [v] or [slope *. v] branch-free, as
+    [v *. [| slope; 1. |].(Bool.to_int (v >= 0.))]: the same bits for
+    every value arithmetic produces (±0, ±∞ and quiet NaN, which takes
+    the slope arm), in the same pass {!forward_eval} and
+    {!forward_eval_into} share. *)
 
 val forward_eval : ?reuse_input:bool -> t -> Mat.t -> Mat.t
 (** Cache-free eval forward (batch norm at its running statistics, no
@@ -93,6 +97,7 @@ val backward :
   ?input_grad:bool ->
   ?param_grads:bool ->
   ?reuse_dout:bool ->
+  ?shards:(int * int * t) array ->
   t ->
   cache ->
   Mat.t ->
@@ -108,7 +113,21 @@ val backward :
     [~reuse_dout:true] (default false) an element-wise layer may write
     the returned gradient into [dout]'s storage — only valid when the
     caller is done with [dout], as inside an MLP backward walk where
-    each intermediate gradient is consumed exactly once. *)
+    each intermediate gradient is consumed exactly once.
+
+    With [~shards] a dense layer's parameter gradients go to the shard
+    layers instead of its own accumulators: each [(lo, hi, shard)]
+    accumulates the weight-gradient GEMM and the bias column sums of
+    sample rows [lo..hi-1] into [shard]'s [dw]/[db], with the bits of a
+    [backward] over a copy of those rows (see [Mat.mat_mul_tn_acc]'s
+    [~samples]). Everything else, the input gradient included, runs once
+    over the whole batch. Each shard must be a dense layer of this
+    layer's shape (a {!grad_shadow}); a batch-norm layer rejects
+    [~shards] with [Invalid_argument].
+
+    The leaky-ReLU arm, like {!forward}'s, selects its slope by a
+    multiply with a two-entry table instead of a branch, with the bits of
+    the [if] form that {!backward_rows} keeps. *)
 
 val forward_rows : t -> Vec.t array -> Vec.t array * rows_cache
 (** Per-sample reference forward (the pre-batching implementation, one

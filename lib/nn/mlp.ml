@@ -107,12 +107,14 @@ let forward_eval_into ~dst t x =
         : int * int * Mat.t)
   end
 
-(* The result is the fresh [dst]'s storage, which the caller owns:
-   callers retain action vectors well past the next forward. *)
+(* The sample is read through a one-row view of the caller's vector,
+   which the forward never writes. The result is the fresh [dst]'s
+   storage, which the caller owns: callers retain action vectors well
+   past the next forward. *)
 let forward t x =
   if Vec.dim x <> t.in_dim then invalid_arg "Mlp.forward: input dim";
   let dst = Mat.create_uninit ~rows:1 ~cols:t.out_dim in
-  forward_eval_into ~dst t (Mat.of_rows [| x |]);
+  forward_eval_into ~dst t (Mat.row_view x);
   Mat.raw dst
 
 type tape = Layer.cache list (* in layer order *)
@@ -142,27 +144,33 @@ let forward_train t batch =
   in
   (out, List.rev rev_caches)
 
-let backward ?(input_grad = true) ?(param_grads = true) t tape dout =
-  let rev_layers = List.rev t.layers in
-  let rev_caches = List.rev tape in
+let backward ?(input_grad = true) ?(param_grads = true) ?shards t tape dout =
+  let layers = Array.of_list t.layers and caches = Array.of_list tape in
+  let nl = Array.length layers in
+  if Array.length caches <> nl then invalid_arg "Mlp.backward: tape length";
+  let shard_layers =
+    Option.map
+      (Array.map (fun (lo, hi, s) ->
+           if List.length s.layers <> nl then
+             invalid_arg "Mlp.backward: shard shape";
+           (lo, hi, Array.of_list s.layers)))
+      shards
+  in
   (* The last step of the walk is the first layer of the net: its input
      gradient is the network's, which fits don't consume. Intermediate
      gradients are owned by the walk — each is consumed exactly once —
      so every step but the first may overwrite its [dout] in place; the
      first gets the caller's matrix, which must stay intact. *)
-  let rec go first grad layers caches =
-    match (layers, caches) with
-    | [], [] -> grad
-    | [ layer ], [ cache ] ->
-        Layer.backward ~input_grad ~param_grads ~reuse_dout:(not first) layer
-          cache grad
-    | layer :: layers, cache :: caches ->
-        go false
-          (Layer.backward ~param_grads ~reuse_dout:(not first) layer cache grad)
-          layers caches
-    | _ -> invalid_arg "Mlp.backward: tape length"
-  in
-  go true dout rev_layers rev_caches
+  let grad = ref dout in
+  for p = nl - 1 downto 0 do
+    let shards =
+      Option.map (Array.map (fun (lo, hi, ls) -> (lo, hi, ls.(p)))) shard_layers
+    in
+    grad :=
+      Layer.backward ~input_grad:(p > 0 || input_grad) ~param_grads
+        ~reuse_dout:(p < nl - 1) ?shards layers.(p) caches.(p) !grad
+  done;
+  !grad
 
 type rows_tape = Layer.rows_cache list (* in layer order *)
 
@@ -241,6 +249,7 @@ let soft_update ~tau ~src ~dst =
   if List.length src.layers <> List.length dst.layers then
     invalid_arg "Mlp.soft_update: shape mismatch";
   bump_generation dst;
+  let keep = 1. -. tau in
   List.iter2
     (fun ls ld ->
       let ss = state_arrays ls and ds = state_arrays ld in
@@ -251,7 +260,8 @@ let soft_update ~tau ~src ~dst =
           if Array.length s <> Array.length d then
             invalid_arg "Mlp.soft_update: parameter size mismatch";
           for i = 0 to Array.length s - 1 do
-            d.(i) <- ((1. -. tau) *. d.(i)) +. (tau *. s.(i))
+            Array.unsafe_set d i
+              ((keep *. Array.unsafe_get d i) +. (tau *. Array.unsafe_get s i))
           done)
         ss ds)
     src.layers dst.layers

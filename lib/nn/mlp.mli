@@ -56,7 +56,8 @@ val forward_eval_into : dst:Mat.t -> t -> Mat.t -> unit
     not alias the input. *)
 
 val forward : t -> Vec.t -> Vec.t
-(** Single-sample inference: {!forward_eval_into} on a one-row matrix,
+(** Single-sample inference: {!forward_eval_into} on a one-row view of
+    the sample ([Mat.row_view], no copy; the sample is only read),
     returning a fresh vector the caller owns. *)
 
 val forward_batch : t -> Mat.t -> Mat.t
@@ -75,14 +76,33 @@ val forward_train : t -> Mat.t -> Mat.t * tape
 (** Training-mode forward over a [batch × in_dim] matrix; batch-norm
     layers use batch statistics (batch > 1) and update running stats. *)
 
-val backward : ?input_grad:bool -> ?param_grads:bool -> t -> tape -> Mat.t -> Mat.t
+val backward :
+  ?input_grad:bool ->
+  ?param_grads:bool ->
+  ?shards:(int * int * t) array ->
+  t ->
+  tape ->
+  Mat.t ->
+  Mat.t
 (** Accumulates parameter gradients and returns input gradients, both as
     [batch × dim] matrices. Pass [~input_grad:false] when the input
     gradient is not consumed (e.g. a critic fit): the first layer then
     skips its input-gradient GEMM and the return value is unspecified.
     Pass [~param_grads:false] when only the input gradient is consumed
     (e.g. a critic as the actor's gradient conduit): no layer touches
-    its gradient accumulators. *)
+    its gradient accumulators.
+
+    [~shards] splits only the parameter gradients: each
+    [(lo, hi, shadow)] accumulates the weight-gradient sums of sample
+    rows [lo..hi-1] into [shadow]'s accumulators (a {!grad_shadow} of
+    this net), and the net's own stay untouched. Every other pass runs
+    once over the whole batch. Forwards and input gradients are
+    row-local and every GEMM cell is one ascending-k chain, so when the
+    shards cut the batch at multiples of 4 rows (the kernels' remainder
+    rows then stay in the last shard) each shadow receives the bits a
+    forward/backward over a copy of its rows would give it
+    ([Layer.backward]); a data-parallel fit then reduces the shadows in
+    a tree of its own choosing. *)
 
 type rows_tape
 (** Activation record from the per-sample reference pass. *)

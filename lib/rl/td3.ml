@@ -1,7 +1,6 @@
 open Canopy_nn
 open Canopy_tensor
 module Prng = Canopy_util.Prng
-module Pool = Canopy_util.Pool
 
 type config = {
   state_dim : int;
@@ -54,32 +53,58 @@ type t = {
   opt_critic2 : Optimizer.t;
   mutable buffer : Replay_buffer.t;
   mutable update_calls : int;
-  (* Per-shard gradient shadows of the critics (parameters shared,
-     accumulators private), one per shard of a [batch_size] batch. The
-     critics' parameter arrays are mutated only in place (assign,
-     soft_update, optimizer steps), so the shadows never go stale. *)
-  critic1_shards : Mlp.t array;
-  critic2_shards : Mlp.t array;
+  critic1_shards : shards;
+  critic2_shards : shards;
+}
+
+(* Per-shard gradient shadows of a critic (parameters shared,
+   accumulators private), one per shard of a [batch_size] batch, with
+   each shard's sample rows and, per shadow, its gradient arrays in
+   [Mlp.params] order. The critics' parameter arrays are mutated only in
+   place (assign, soft_update, optimizer steps), so the shadows never go
+   stale. *)
+and shards = {
+  plan : (int * int * Mlp.t) array;  (* (lo, hi, shadow) *)
+  grads : float array array array;
+  params : (float array * float array) list;  (* the first shadow's *)
 }
 
 (* ------------------------------------------------------------------ *)
 (* Data-parallel critic fits.                                          *)
 (*                                                                     *)
 (* The batch is cut into fixed 16-row shards, the last one partial; a  *)
-(* batch under 32 rows is one shard. Each shard runs its               *)
-(* forward/backward through a gradient shadow of the critic (shared    *)
-(* parameters, private accumulators), and the shard gradients are then *)
-(* combined by a pairwise stride-doubling tree whose shape depends     *)
-(* only on the shard count. The shard count is a pure function of the  *)
-(* batch size — never the pool width — and a critic's forward/backward *)
-(* is row-local (dense + leaky-relu only, no batch statistics), so     *)
-(* results are bit-identical at any domain count (DESIGN §10).         *)
+(* batch under 32 rows is one shard. A fit runs its forward and        *)
+(* backward once over the whole batch, and only the weight-gradient    *)
+(* sums split: each shard's rows sum into a gradient shadow of the     *)
+(* critic, and the shard gradients are then combined by a pairwise     *)
+(* stride-doubling tree whose shape depends only on the shard count.   *)
+(* The shard count is a pure function of the batch size — never the    *)
+(* pool width — and a critic's forward/backward is row-local (dense +  *)
+(* leaky-relu only, no batch statistics), so each shadow gets the bits *)
+(* of a pass over a copy of its rows, and results are bit-identical at *)
+(* any domain count (DESIGN §10).                                      *)
 (* ------------------------------------------------------------------ *)
 
 let shard_rows = 16
 
 let shard_count n =
   if n < 2 * shard_rows then 1 else (n + shard_rows - 1) / shard_rows
+
+let make_shards critic n =
+  let nshards = shard_count n in
+  let plan =
+    Array.init nshards (fun s ->
+        ( s * shard_rows,
+          (if s = nshards - 1 then n else (s + 1) * shard_rows),
+          Mlp.grad_shadow critic ))
+  in
+  let grads =
+    Array.map
+      (fun (_, _, shadow) -> Array.of_list (List.map snd (Mlp.params shadow)))
+      plan
+  in
+  let _, _, first = plan.(0) in
+  { plan; grads; params = Mlp.params first }
 
 let create ~rng cfg =
   if cfg.state_dim <= 0 || cfg.action_dim <= 0 then
@@ -93,9 +118,6 @@ let create ~rng cfg =
       ~hidden:cfg.hidden
   in
   let critic1 = critic () and critic2 = critic () in
-  let shadows critic =
-    Array.init (shard_count cfg.batch_size) (fun _ -> Mlp.grad_shadow critic)
-  in
   {
     cfg;
     rng;
@@ -110,8 +132,8 @@ let create ~rng cfg =
     opt_critic2 = Optimizer.adam ~lr:cfg.critic_lr ();
     buffer = Replay_buffer.create ~capacity:cfg.buffer_capacity;
     update_calls = 0;
-    critic1_shards = shadows critic1;
-    critic2_shards = shadows critic2;
+    critic1_shards = make_shards critic1 cfg.batch_size;
+    critic2_shards = make_shards critic2 cfg.batch_size;
   }
 
 let config t = t.cfg
@@ -161,124 +183,128 @@ let bootstraps tr = not tr.Replay_buffer.terminal
 (* Batched kernels: one GEMM-backed pass per network per direction.    *)
 (* ------------------------------------------------------------------ *)
 
-let states_of batch = Mat.of_rows (Array.map (fun tr -> tr.Replay_buffer.state) batch)
+(* A minibatch as one [n × dim] matrix, one transition per row. *)
+let rows_of batch ~dim field =
+  let n = Array.length batch in
+  let m = Mat.create_uninit ~rows:n ~cols:dim in
+  let d = Mat.raw m in
+  for i = 0 to n - 1 do
+    let v = field batch.(i) in
+    if Array.length v <> dim then invalid_arg "Td3.update: transition dims";
+    Array.blit v 0 d (i * dim) dim
+  done;
+  m
 
-(* Pairwise tree reduction of the shard gradients into [shards.(0)]:
-   stride doubling merges (0,1) (2,3) … then (0,2) (4,6) …, so the
-   summation tree is a fixed function of [nshards] alone. *)
-let reduce_shards shards nshards =
+(* Pairwise tree reduction of the shard gradients into the first
+   shard's: stride doubling merges (0,1) (2,3) … then (0,2) (4,6) …, so
+   the summation tree is a fixed function of the shard count alone. *)
+let reduce_shards grads =
+  let nshards = Array.length grads in
   let stride = ref 1 in
   while !stride < nshards do
     let i = ref 0 in
     while !i + !stride < nshards do
-      List.iter2
-        (fun (_, gdst) (_, gsrc) ->
-          for k = 0 to Array.length gdst - 1 do
-            gdst.(k) <- gdst.(k) +. gsrc.(k)
-          done)
-        (Mlp.params shards.(!i))
-        (Mlp.params shards.(!i + !stride));
+      let dst = grads.(!i) and src = grads.(!i + !stride) in
+      for p = 0 to Array.length dst - 1 do
+        let gd = dst.(p) and gs = src.(p) in
+        for k = 0 to Array.length gd - 1 do
+          Array.unsafe_set gd k (Array.unsafe_get gd k +. Array.unsafe_get gs k)
+        done
+      done;
       i := !i + (2 * !stride)
     done;
     stride := 2 * !stride
   done
 
-(* Run [f] once per shard of [0..n), on the pool when one is available.
-   Shard results land in disjoint state (each shard's shadow, disjoint
-   output rows), so any assignment of shards to domains is equivalent;
-   the inline fallback covers re-entrant calls from inside a task. *)
-let for_each_shard n f =
-  let nshards = shard_count n in
-  let run s =
-    f s ~lo:(s * shard_rows)
-      ~hi:(if s = nshards - 1 then n else (s + 1) * shard_rows)
-  in
-  if Pool.in_task () then
-    for s = 0 to nshards - 1 do
-      run s
-    done
-  else
-    Pool.parallel_for_chunks ~chunk:1 nshards (fun ~lo ~hi ->
-        for s = lo to hi - 1 do
-          run s
-        done)
-
-(* One critic fit: per-shard squared-error backward into the shadows,
-   tree-reduce, then clip/step through the reduced gradients (the
-   shadow's [params] share the critic's value arrays, so the optimizer
-   updates the real network; its moments are keyed by position, and
-   the shadow's arrays have the critic's shapes). *)
-let fit_critic critic shards opt inputs targets ~n =
+(* One critic fit: a full-batch forward and squared-error backward whose
+   weight-gradient sums land per shard in the shadows, tree-reduce, then
+   clip/step through the reduced gradients (the shadow's [params] share
+   the critic's value arrays, so the optimizer updates the real network;
+   its moments are keyed by position, and the shadow's arrays have the
+   critic's shapes). The GEMMs fan out over the pool through
+   [Mat.plan_chunks], as every other pass does. *)
+let fit_critic critic shards opt inputs targets =
+  let n = Mat.rows inputs in
   let inv_n = 1. /. float_of_int n in
-  let nshards = shard_count n in
-  for_each_shard n (fun s ~lo ~hi ->
-      let shadow = shards.(s) in
-      Mlp.zero_grad shadow;
-      let preds, tape = Mlp.forward_train shadow (Mat.sub_rows inputs ~lo ~hi) in
-      let dout =
-        Mat.init ~rows:(hi - lo) ~cols:1 (fun i _ ->
-            2. *. (Mat.get preds i 0 -. targets.(lo + i)) *. inv_n)
-      in
-      ignore (Mlp.backward ~input_grad:false shadow tape dout));
-  reduce_shards shards nshards;
-  let params = Mlp.params shards.(0) in
-  Optimizer.clip_gradients ~norm:10. params;
-  Optimizer.step opt params;
+  let preds, tape = Mlp.forward_train critic inputs in
+  (* The tape holds the output layer's input, not [preds]: the loss
+     gradient overwrites the predictions in place. *)
+  let pd = Mat.raw preds in
+  for i = 0 to n - 1 do
+    pd.(i) <- 2. *. (pd.(i) -. targets.(i)) *. inv_n
+  done;
+  Array.iter (fun (_, _, shadow) -> Mlp.zero_grad shadow) shards.plan;
+  ignore (Mlp.backward ~input_grad:false ~shards:shards.plan critic tape preds);
+  reduce_shards shards.grads;
+  Optimizer.clip_gradients ~norm:10. shards.params;
+  Optimizer.step opt shards.params;
   Mlp.bump_generation critic
 
 let critic_update_batched t (batch : Replay_buffer.transition array) =
   let cfg = t.cfg in
   let n = Array.length batch in
+  let sd = cfg.state_dim and ad = cfg.action_dim in
+  let width = sd + ad in
   let next_states =
-    Mat.of_rows (Array.map (fun tr -> tr.Replay_buffer.next_state) batch)
+    rows_of batch ~dim:sd (fun tr -> tr.Replay_buffer.next_state)
   in
-  (* Bellman targets with target-policy smoothing and clipped double-Q. *)
-  let a' = Mlp.forward_batch t.actor_target next_states in
+  (* Bellman targets with target-policy smoothing and clipped double-Q:
+     the target critics read each next state followed by its smoothed
+     target action. *)
+  let a' = Mat.raw (Mlp.forward_batch t.actor_target next_states) in
+  let next_inputs = Mat.create_uninit ~rows:n ~cols:width in
+  let ni = Mat.raw next_inputs in
   for i = 0 to n - 1 do
-    for j = 0 to cfg.action_dim - 1 do
-      Mat.set a' i j (clamp_action (Mat.get a' i j +. smoothing_noise t))
+    Array.blit (Mat.raw next_states) (i * sd) ni (i * width) sd;
+    for j = 0 to ad - 1 do
+      ni.((i * width) + sd + j) <-
+        clamp_action (a'.((i * ad) + j) +. smoothing_noise t)
     done
   done;
-  let next_inputs = Mat.concat_cols next_states a' in
-  let q1' = Mlp.forward_batch t.critic1_target next_inputs in
-  let q2' = Mlp.forward_batch t.critic2_target next_inputs in
+  let q1' = Mat.raw (Mlp.forward_batch t.critic1_target next_inputs) in
+  let q2' = Mat.raw (Mlp.forward_batch t.critic2_target next_inputs) in
   let targets = Array.make n 0. in
   for i = 0 to n - 1 do
     let tr = batch.(i) in
     let bootstrap =
-      if bootstraps tr then
-        cfg.gamma *. Float.min (Mat.get q1' i 0) (Mat.get q2' i 0)
-      else 0.
+      if bootstraps tr then cfg.gamma *. Float.min q1'.(i) q2'.(i) else 0.
     in
     targets.(i) <- tr.reward +. bootstrap
   done;
-  let inputs =
-    Mat.concat_cols (states_of batch)
-      (Mat.of_rows (Array.map (fun tr -> tr.Replay_buffer.action) batch))
-  in
-  fit_critic t.critic1 t.critic1_shards t.opt_critic1 inputs targets ~n;
-  fit_critic t.critic2 t.critic2_shards t.opt_critic2 inputs targets ~n
+  (* The critic input, state then action per row, written once. *)
+  let inputs = Mat.create_uninit ~rows:n ~cols:width in
+  let d = Mat.raw inputs in
+  Array.iteri
+    (fun i tr ->
+      if Array.length tr.Replay_buffer.action <> ad then
+        invalid_arg "Td3.update: transition dims";
+      Array.blit tr.Replay_buffer.state 0 d (i * width) sd;
+      Array.blit tr.action 0 d ((i * width) + sd) ad)
+    batch;
+  fit_critic t.critic1 t.critic1_shards t.opt_critic1 inputs targets;
+  fit_critic t.critic2 t.critic2_shards t.opt_critic2 inputs targets
 
 let actor_update_batched t (batch : Replay_buffer.transition array) =
   let cfg = t.cfg in
   let n = Array.length batch in
-  let states = states_of batch in
+  let states =
+    rows_of batch ~dim:cfg.state_dim (fun tr -> tr.Replay_buffer.state)
+  in
   Mlp.zero_grad t.actor;
   let actions, actor_tape = Mlp.forward_train t.actor states in
   (* Deterministic policy gradient: maximize Q1(s, pi(s)), i.e. descend
      -Q1. The critic is only a conduit for gradients here: its backward
      computes input gradients alone and leaves its accumulators, which
-     its next fit zeroes, untouched. The conduit needs no shards: its
-     forward and input-gradient passes are row-local, and every GEMM
-     cell is one ascending-k chain (DESIGN §7, §10), so no [daction]
-     row depends on the batch it runs in. Only the critic fits shard,
-     because the tree that reduces their weight gradients fixes their
-     bits; the actor's own passes stay full-batch because batch norm
+     its next fit zeroes, untouched. Its forward and input-gradient
+     passes are row-local, and every GEMM cell is one ascending-k chain
+     (DESIGN §7, §10), so no [daction] row depends on the batch it runs
+     in. The actor's own passes are full-batch too, because batch norm
      couples its samples. *)
   let critic_inputs = Mat.concat_cols states actions in
   let _, critic_tape = Mlp.forward_train t.critic1 critic_inputs in
   let inv_n = 1. /. float_of_int n in
-  let dout = Mat.init ~rows:n ~cols:1 (fun _ _ -> -.inv_n) in
+  let dout = Mat.create_uninit ~rows:n ~cols:1 in
+  Mat.fill dout (-.inv_n);
   let dinputs = Mlp.backward ~param_grads:false t.critic1 critic_tape dout in
   let daction =
     Mat.cols_slice dinputs ~pos:cfg.state_dim ~len:cfg.action_dim

@@ -56,10 +56,15 @@ val update : ?kernel:kernel -> t -> unit
 (** One TD3 gradient step (both critics; actor and targets every
     [policy_delay] calls). No-op until [warmup] transitions have been
     observed. [kernel] (default {!Batched}) selects the implementation;
-    both draw PRNG noise in the same order and produce identical
-    parameter updates up to floating-point association — in practice
-    bit-for-bit, because the batched kernels accumulate in the same
-    order as the reference. *)
+    both draw PRNG noise in the same order and their parameter updates
+    agree to rounding, not bit for bit: the batched target pass seeds
+    each GEMM cell with the bias instead of adding it last, and the
+    batched critic fit sums its weight gradients per 16-row shard and
+    then reduces the shards through a tree, where the reference sums
+    every sample in one chain. After four updates from one seed (state
+    35, hidden 64), 4.0% of the six networks' parameters differ in their
+    bits at batch 16 and 4.7% at batch 64, by at most 1e-12. The batched
+    kernel's own bits do not depend on the domain count. *)
 
 val q_values : t -> state:float array -> action:float array -> float * float
 (** [(Q1, Q2)] of a (state, action) pair under the live critics, eval

@@ -16,13 +16,15 @@
    -ffast-math (test_tensor.ml checks lib/tensor/dune and this file).
 
    The OCaml kernels' zero-skips are kept exactly, with I4 and K4 the
-   4-aligned cut-offs of the full dimensions:
+   4-aligned cut-offs of the full dimensions (for tn, of the sample
+   range, counted from its first sample):
      nn  skips a[i][k] == 0 only when i >= I4 and k >= K4;
      tn  skips a[k][i] == 0 only when k >= K4.
    -0 compares equal to 0 and is skipped; NaN is not.
 
    The stubs are [@@noalloc] externals over flat float arrays and a
-   [lo, hi) range of output rows: they allocate nothing, raise nothing
+   [lo, hi) range of output rows (tn also takes a [klo, khi) range of
+   samples): they allocate nothing, raise nothing
    and touch no global state. The AVX2 bodies carry
    __attribute__((target("avx2"))) behind an x86-64 guard, so the file
    builds on any host and no AVX2 instruction runs unless
@@ -342,7 +344,9 @@ AVX2 static void nn_avx2(const double *a, const double *b, double *o,
     row_acc(a + i * kk, 1, b, o + i * n, kk, n, i >= i4 ? k4 : kk);
 }
 
-/* tn: o <- o + aᵀ·b over o's rows [lo, hi); a is nk × m, b is nk × n. */
+/* tn: o <- o + aᵀ·b over o's rows [lo, hi); a is nk × m, b is nk × n.
+   A sample range [klo, khi) of a longer a and b arrives as pointers
+   offset to row klo and nk = khi - klo, so K4 is the range's own. */
 AVX2 static void tn_avx2(const double *a, const double *b, double *o,
                          intnat nk, intnat m, intnat n, intnat lo, intnat hi)
 {
@@ -387,11 +391,12 @@ value canopy_gemm_nn(value dst, value a, value b, intnat m, intnat kk,
   return Val_unit;
 }
 
-value canopy_gemm_tn(value dst, value a, value b, intnat nk, intnat m,
-                     intnat n, intnat lo, intnat hi)
+value canopy_gemm_tn(value dst, value a, value b, intnat klo, intnat khi,
+                     intnat m, intnat n, intnat lo, intnat hi)
 {
 #ifdef CANOPY_X86_64
-  tn_avx2(FLOATS(a), FLOATS(b), FLOATS(dst), nk, m, n, lo, hi);
+  tn_avx2(FLOATS(a) + klo * m, FLOATS(b) + klo * n, FLOATS(dst), khi - klo,
+          m, n, lo, hi);
 #endif
   return Val_unit;
 }
@@ -421,5 +426,6 @@ value canopy_gemm_tn_byte(value *argv, int argn)
 {
   return canopy_gemm_tn(argv[0], argv[1], argv[2], Long_val(argv[3]),
                         Long_val(argv[4]), Long_val(argv[5]),
-                        Long_val(argv[6]), Long_val(argv[7]));
+                        Long_val(argv[6]), Long_val(argv[7]),
+                        Long_val(argv[8]));
 }

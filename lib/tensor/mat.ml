@@ -299,6 +299,7 @@ external c_tn :
   (int[@untagged]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
+  (int[@untagged]) ->
   unit = "canopy_gemm_tn_byte" "canopy_gemm_tn"
 [@@noalloc]
 
@@ -594,20 +595,22 @@ let mat_mul_nt_bias a b bias =
    the other, so each cell is one chain seeded with its [dst] value in
    ascending sample order. Samples past the last 4-group skip zero
    [a] entries; the blocked samples do not. *)
-(* Range kernel over dst rows [lo, hi) (lo a multiple of 4). The k loops
-   stay outermost and complete per chunk, so each dst row receives its
-   sample contributions in exactly the sequential order; the global
-   i4/i2 region boundaries keep every row on the same saxpy variant
-   (4×4 / 4×2 / single, with the remainder rows' zero-skip) it takes in
-   the full sweep. *)
-let mat_mul_tn_acc_block ~dst a b ~lo ~hi =
+(* Range kernel over dst rows [lo, hi) (lo a multiple of 4) and samples
+   [klo, khi). The k loops stay outermost and complete per chunk, so each
+   dst row receives its sample contributions in exactly the sequential
+   order; the global i4/i2 region boundaries keep every row on the same
+   saxpy variant (4×4 / 4×2 / single, with the remainder rows' zero-skip)
+   it takes in the full sweep. The 4-sample groups start at [klo] and the
+   zero-skip cut-off comes from the range's own length, so a sample range
+   runs exactly as a copy of those rows would. *)
+let mat_mul_tn_acc_block ~dst a b ~klo ~khi ~lo ~hi =
   let ad = a.data and bd = b.data and od = dst.data in
   let i4 = a.cols - (a.cols land 3) in
   let i2 = a.cols - (a.cols land 1) in
-  let k4 = a.rows - (a.rows land 3) in
+  let k4 = khi - ((khi - klo) land 3) in
   let stop4 = min hi i4 in
   let stop2 = min hi i2 in
-  let k = ref 0 in
+  let k = ref klo in
   while !k < k4 do
     let a0 = !k * a.cols in
     let a1 = a0 + a.cols in
@@ -664,7 +667,7 @@ let mat_mul_tn_acc_block ~dst a b ~lo ~hi =
     done;
     k := !k + 4
   done;
-  for k = k4 to a.rows - 1 do
+  for k = k4 to khi - 1 do
     let abase = k * a.cols in
     let bbase = k * b.cols in
     for i = lo to hi - 1 do
@@ -684,29 +687,42 @@ let mat_mul_tn_acc_block ~dst a b ~lo ~hi =
    cell's accumulation chain is unchanged — bit-identical. *)
 let tn_ib = 64
 
-let tn_range_ocaml ~dst a b ~lo ~hi =
+let tn_range_ocaml ~dst a b ~klo ~khi ~lo ~hi =
   let i = ref lo in
   while !i < hi do
     let bhi = min hi (!i + tn_ib) in
-    mat_mul_tn_acc_block ~dst a b ~lo:!i ~hi:bhi;
+    mat_mul_tn_acc_block ~dst a b ~klo ~khi ~lo:!i ~hi:bhi;
     i := bhi
   done
 
-let tn_range ~dst a b ~lo ~hi =
-  if avx2 then c_tn dst.data a.data b.data a.rows a.cols b.cols lo hi
-  else tn_range_ocaml ~dst a b ~lo ~hi
+let tn_range ~dst a b ~klo ~khi ~lo ~hi =
+  if avx2 then c_tn dst.data a.data b.data klo khi a.cols b.cols lo hi
+  else tn_range_ocaml ~dst a b ~klo ~khi ~lo ~hi
 
-let mat_mul_tn_row_flops a b = 2 * a.rows * b.cols
+(* Flops per output row of a tn call over [samples] samples. *)
+let mat_mul_tn_row_flops ~samples b = 2 * samples * b.cols
 
-let mat_mul_tn_acc ~dst a b =
+(* The sample range [klo, khi) of a tn call: every row by default. *)
+let sample_range name a = function
+  | None -> (0, a.rows)
+  | Some (klo, khi) ->
+      if klo < 0 || klo >= khi || khi > a.rows then
+        invalid_arg ("Mat." ^ name ^ ": samples");
+      (klo, khi)
+
+let mat_mul_tn_acc ?samples ~dst a b =
   if a.rows <> b.rows then invalid_arg "Mat.mat_mul_tn_acc: dims";
   if dst.rows <> a.cols || dst.cols <> b.cols then
     invalid_arg "Mat.mat_mul_tn_acc: dst";
-  match plan_chunks ~rows:a.cols ~row_flops:(mat_mul_tn_row_flops a b) with
+  let klo, khi = sample_range "mat_mul_tn_acc" a samples in
+  match
+    plan_chunks ~rows:a.cols
+      ~row_flops:(mat_mul_tn_row_flops ~samples:(khi - klo) b)
+  with
   | Some chunk ->
       Canopy_util.Pool.parallel_for_chunks ~chunk a.cols (fun ~lo ~hi ->
-          tn_range ~dst a b ~lo ~hi)
-  | None -> tn_range ~dst a b ~lo:0 ~hi:a.cols
+          tn_range ~dst a b ~klo ~khi ~lo ~hi)
+  | None -> tn_range ~dst a b ~klo ~khi ~lo:0 ~hi:a.cols
 
 let outer_acc m y x =
   if m.rows <> Array.length y || m.cols <> Array.length x then
@@ -738,10 +754,11 @@ let add_row m v =
     done
   done
 
-let col_sum_acc ~dst m =
+let col_sum_acc ?samples ~dst m =
   if m.cols <> Array.length dst then invalid_arg "Mat.col_sum_acc: dims";
+  let klo, khi = sample_range "col_sum_acc" m samples in
   let d = m.data in
-  for i = 0 to m.rows - 1 do
+  for i = klo to khi - 1 do
     let base = i * m.cols in
     for j = 0 to m.cols - 1 do
       Array.unsafe_set dst j
@@ -796,6 +813,12 @@ let sub_rows m ~lo ~hi =
     cols = m.cols;
     data = Array.sub m.data (lo * m.cols) ((hi - lo) * m.cols);
   }
+
+(* A one-row matrix over the caller's vector: no copy, so it aliases
+   [v] the way [scratch_mat] aliases its arena. *)
+let row_view v =
+  if Array.length v = 0 then invalid_arg "Mat.row_view: empty";
+  { rows = 1; cols = Array.length v; data = v }
 
 (* A matrix over a scratch-arena buffer: same uninitialized-contents
    contract as [create_uninit], same ownership rules as [Scratch.get]
@@ -854,9 +877,10 @@ module Kernel = struct
     check "nn_ocaml" ~ok:(nn_ok ~dst a b) ~rows:a.rows ~lo ~hi;
     nn_range_ocaml ~dst a b ~lo ~hi
 
-  let tn_ocaml ~dst a b ~lo ~hi =
+  let tn_ocaml ?samples ~dst a b ~lo ~hi =
     check "tn_ocaml" ~ok:(tn_ok ~dst a b) ~rows:a.cols ~lo ~hi;
-    tn_range_ocaml ~dst a b ~lo ~hi
+    let klo, khi = sample_range "Kernel.tn_ocaml" a samples in
+    tn_range_ocaml ~dst a b ~klo ~khi ~lo ~hi
 
   let nt_avx2 ~dst a b bias ~lo ~hi =
     check_avx2 "nt_avx2";
@@ -868,8 +892,9 @@ module Kernel = struct
     check "nn_avx2" ~ok:(nn_ok ~dst a b) ~rows:a.rows ~lo ~hi;
     nn_range ~dst a b ~lo ~hi
 
-  let tn_avx2 ~dst a b ~lo ~hi =
+  let tn_avx2 ?samples ~dst a b ~lo ~hi =
     check_avx2 "tn_avx2";
     check "tn_avx2" ~ok:(tn_ok ~dst a b) ~rows:a.cols ~lo ~hi;
-    tn_range ~dst a b ~lo ~hi
+    let klo, khi = sample_range "Kernel.tn_avx2" a samples in
+    tn_range ~dst a b ~klo ~khi ~lo ~hi
 end

@@ -70,14 +70,21 @@ val mat_mul_nt_bias_into : dst:t -> t -> t -> Vec.t -> unit
     abstract-interpretation engine: centers go through the bias form,
     radii through the plain [r·|W|ᵀ] form. *)
 
-val mat_mul_tn_acc : dst:t -> t -> t -> unit
+val mat_mul_tn_acc : ?samples:int * int -> dst:t -> t -> t -> unit
 (** [mat_mul_tn_acc ~dst a b] accumulates [dst <- dst + aᵀ·b]; requires
     [rows a = rows b] and [dst] of shape [a.cols × b.cols]. The batched
     weight-gradient kernel ([dw += doutᵀ·x]). Each cell is one chain
     seeded with its [dst] value that adds the per-sample products in
     ascending sample order, so it matches a row-ascending sequence of
     {!outer_acc} calls except where {!outer_acc}'s skip of zero [y]
-    entries shows (a −0 cell, a non-finite [x]). *)
+    entries shows (a −0 cell, a non-finite [x]).
+
+    [~samples:(lo, hi)] sums only the samples (rows of [a] and [b])
+    [lo..hi-1], with the bits of the same call on a copy of those rows:
+    the kernel's 4-sample groups start at [lo] and its zero-skip cut-off
+    comes from [hi - lo]. Raises [Invalid_argument] unless
+    [0 <= lo < hi <= rows a]. The per-shard weight-gradient sums of a
+    full-batch backward ([Layer.backward ~shards]). *)
 
 val gemm_kernel : unit -> string
 (** ["avx2"] when the GEMM inner loops above run in the AVX2 C kernels,
@@ -137,9 +144,11 @@ val add_row : t -> Vec.t -> unit
 (** [add_row m v] adds the row vector [v] to every row of [m] in place
     (bias broadcast); requires [cols m = dim v]. *)
 
-val col_sum_acc : dst:Vec.t -> t -> unit
+val col_sum_acc : ?samples:int * int -> dst:Vec.t -> t -> unit
 (** [col_sum_acc ~dst m] accumulates each column sum of [m] into [dst]
-    ([dst.(j) += Σ_i m.(i).(j)]); the batched bias gradient. *)
+    ([dst.(j) += Σ_i m.(i).(j)], ascending [i]); the batched bias
+    gradient. [~samples:(lo, hi)] sums rows [lo..hi-1] only, as
+    {!mat_mul_tn_acc}. *)
 
 val map_into : dst:t -> (float -> float) -> t -> unit
 (** Element-wise map into a preallocated matrix of the same shape
@@ -162,8 +171,14 @@ val cols_slice : t -> pos:int -> len:int -> t
 
 val sub_rows : t -> lo:int -> hi:int -> t
 (** [sub_rows m ~lo ~hi] copies rows [lo..hi-1] into a fresh
-    [(hi-lo) × cols] matrix (e.g. one shard of a training batch).
+    [(hi-lo) × cols] matrix (e.g. one chunk of certificate boxes).
     Raises [Invalid_argument] unless [0 <= lo < hi <= rows m]. *)
+
+val row_view : Vec.t -> t
+(** [row_view v] is the one-row matrix over [v]'s own storage, without a
+    copy: it aliases [v] as {!scratch_mat} aliases its arena, so writes
+    through either show in both. The one-row input of a scalar forward
+    ([Mlp.forward]). Raises [Invalid_argument] on an empty [v]. *)
 
 val scratch_mat : Canopy_util.Scratch.t -> slot:int -> rows:int -> cols:int -> t
 (** A matrix over a scratch-arena buffer: the data array is
@@ -184,7 +199,7 @@ val approx_equal : ?eps:float -> t -> t -> bool
     ([nt], [bias = None] for the plain form), {!mat_mul_into} ([nn]) and
     {!mat_mul_tn_acc} ([tn]), over output rows [[lo, hi)] with [lo] a
     multiple of 4 ([tn]'s output rows are [dst]'s, i.e. columns of
-    [a]). The [_ocaml] kernels are the path on hosts without AVX2 and
+    [a]; its [?samples] is {!mat_mul_tn_acc}'s). The [_ocaml] kernels are the path on hosts without AVX2 and
     the oracle the [_avx2] ones are tested against; the dispatchers pick
     between them. Each raises [Invalid_argument] on a shape or range
     mismatch, and the [_avx2] ones also when {!gemm_kernel} is not
@@ -192,10 +207,12 @@ val approx_equal : ?eps:float -> t -> t -> bool
 module Kernel : sig
   val nt_ocaml : dst:t -> t -> t -> Vec.t option -> lo:int -> hi:int -> unit
   val nn_ocaml : dst:t -> t -> t -> lo:int -> hi:int -> unit
-  val tn_ocaml : dst:t -> t -> t -> lo:int -> hi:int -> unit
+  val tn_ocaml :
+    ?samples:int * int -> dst:t -> t -> t -> lo:int -> hi:int -> unit
   val nt_avx2 : dst:t -> t -> t -> Vec.t option -> lo:int -> hi:int -> unit
   val nn_avx2 : dst:t -> t -> t -> lo:int -> hi:int -> unit
-  val tn_avx2 : dst:t -> t -> t -> lo:int -> hi:int -> unit
+  val tn_avx2 :
+    ?samples:int * int -> dst:t -> t -> t -> lo:int -> hi:int -> unit
 end
 
 val raw : t -> float array

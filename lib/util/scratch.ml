@@ -32,11 +32,9 @@ let ensure_slot t slot =
     t.slots <- grown
   end
 
-let get t ~slot ~len =
-  if slot < 0 then invalid_arg "Scratch.get: slot";
-  if len <= 0 then invalid_arg "Scratch.get: len";
-  ensure_slot t slot;
-  let s = t.slots.(slot) in
+(* The arena's slow path: move an entry of [len] cells to the front of
+   the slot's list, or allocate one there. *)
+let lookup s ~len =
   let rec find acc = function
     | [] ->
         let arr = Array.create_float len in
@@ -54,3 +52,14 @@ let get t ~slot ~len =
     | a :: rest -> find (a :: acc) rest
   in
   find [] s.entries
+
+let get t ~slot ~len =
+  if slot < 0 then invalid_arg "Scratch.get: slot";
+  if len <= 0 then invalid_arg "Scratch.get: len";
+  ensure_slot t slot;
+  let s = t.slots.(slot) in
+  (* A hit on the front entry, the steady state of a loop that asks for
+     one shape, is already most recent: it allocates nothing. *)
+  match s.entries with
+  | a :: _ when Array.length a = len -> a
+  | _ -> lookup s ~len

@@ -751,7 +751,7 @@ let test_td3 () =
     (List.map
        (fun batch_size ->
          (Printf.sprintf "td3/update/b%d" batch_size, td3_digest ~batch_size))
-       [ 16; 24; 40; 64 ]
+       [ 16; 24; 40; 64; 33; 50 ]
     @ [ ("td3/trainer/h16", trainer_digest ()) ])
 
 let suite =

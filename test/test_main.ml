@@ -25,4 +25,5 @@ let () =
       ("distill", Test_distill.suite);
       ("racecheck", Test_racecheck.suite);
       ("pool", Test_pool.suite);
+      ("alloc", Test_alloc.suite);
     ]

@@ -282,6 +282,113 @@ let test_batched_matches_rows_relu_stack () =
   in
   batched_vs_rows_once net ~n:9 ~in_dim:3 ~out_dim:2 ~seed:31
 
+(* Leaky ReLU's batched passes select their slope with a multiply by a
+   two-entry table, where the per-sample reference keeps the [if]. The
+   bits must agree on every value arithmetic produces: ±0, ±∞, both
+   signs of quiet NaN, subnormals and random signs, for inputs and for
+   incoming gradients alike. *)
+let specials =
+  [| 0.; -0.; Float.infinity; Float.neg_infinity; Float.nan; -.Float.nan;
+     4.9e-324; -4.9e-324; 2.2e-308; -1e-310; 1e-300; -2.5e-320 |]
+
+let special_rows ~seed ~rows ~cols =
+  let r = Canopy_util.Prng.create seed in
+  Array.init rows (fun _ ->
+      Array.init cols (fun _ ->
+          if Canopy_util.Prng.int r 3 = 0 then
+            specials.(Canopy_util.Prng.int r (Array.length specials))
+          else Canopy_util.Prng.uniform r (-3.) 3.))
+
+let check_bits what want got =
+  Alcotest.(check (array int64)) what
+    (Array.map Int64.bits_of_float want)
+    (Array.map Int64.bits_of_float got)
+
+let test_leaky_batched_matches_rows_bits () =
+  List.iter
+    (fun slope ->
+      let layer = Layer.leaky_relu ~slope () in
+      let rows = special_rows ~seed:7 ~rows:7 ~cols:9 in
+      let douts = special_rows ~seed:8 ~rows:7 ~cols:9 in
+      let x = Mat.of_rows rows and dout = Mat.of_rows douts in
+      let want_rows, rcache = Layer.forward_rows layer rows in
+      let want = Mat.raw (Mat.of_rows want_rows) in
+      let name what = Printf.sprintf "slope %g: %s" slope what in
+      let out, cache = Layer.forward layer x in
+      check_bits (name "forward") want (Mat.raw out);
+      let reused, _ = Layer.forward ~reuse_input:true layer (Mat.copy x) in
+      check_bits (name "forward, reused input") want (Mat.raw reused);
+      check_bits (name "forward_eval") want (Mat.raw (Layer.forward_eval layer x));
+      let dst = Mat.create ~rows:7 ~cols:9 in
+      Layer.forward_eval_into ~dst layer x;
+      check_bits (name "forward_eval_into") want (Mat.raw dst);
+      (* The batched backward reads its mask from the cached output: a
+         negative input whose slope product rounds to -0 then compares
+         as >= 0 and takes the positive arm, where the reference, which
+         reads the input, takes the slope. Every other cell must match
+         the reference. *)
+      let reference = Mat.raw (Mat.of_rows (Layer.backward_rows layer rcache douts)) in
+      let xs = Mat.raw x and gs = Mat.raw dout and outs = Mat.raw out in
+      let want_dx =
+        Array.mapi
+          (fun i r ->
+            if xs.(i) < 0. && outs.(i) = 0. then gs.(i) *. 1. else r)
+          reference
+      in
+      check_bits (name "backward") want_dx
+        (Mat.raw (Layer.backward layer cache dout));
+      check_bits (name "backward, reused dout") want_dx
+        (Mat.raw (Layer.backward ~reuse_dout:true layer cache (Mat.copy dout))))
+    [ 0.01; 0.3 ]
+
+(* [Mlp.backward ~shards] runs one full-batch pass and splits only the
+   weight-gradient sums; each shadow must hold the bits of a
+   forward/backward over a copy of its rows. The shards cut at 16 rows
+   as the TD3 fit does (one shard under 32 rows), so the batch sizes
+   give last shards of 1 to 16 rows, and the gradients carry zeros past
+   the 4-row cut-offs, where the kernels skip. *)
+let test_backward_shards_match_copies () =
+  List.iter
+    (fun n ->
+      let net = Mlp.critic ~rng:(rng ()) ~state_dim:5 ~action_dim:2 ~hidden:12 in
+      let x =
+        Mat.init ~rows:n ~cols:7 (fun i j ->
+            if (i + j) mod 9 = 0 then 0. else Float.sin (float_of_int ((i * 7) + j)))
+      in
+      let dout =
+        Mat.init ~rows:n ~cols:1 (fun i _ ->
+            if i mod 5 = 0 then 0.
+            else if i mod 7 = 0 then -0.
+            else Float.cos (float_of_int i))
+      in
+      let nshards = if n < 32 then 1 else (n + 15) / 16 in
+      let plan =
+        Array.init nshards (fun s ->
+            (16 * s, (if s = nshards - 1 then n else 16 * (s + 1)),
+             Mlp.grad_shadow net))
+      in
+      List.iter (fun (_, g) -> Array.fill g 0 (Array.length g) 7.) (Mlp.params net);
+      let _, tape = Mlp.forward_train net x in
+      ignore (Mlp.backward ~input_grad:false ~shards:plan net tape dout);
+      List.iter
+        (fun (_, g) ->
+          Alcotest.(check bool) "own accumulators untouched" true
+            (Array.for_all (fun v -> Float.equal v 7.) g))
+        (Mlp.params net);
+      Array.iter
+        (fun (lo, hi, shadow) ->
+          let copy = Mlp.grad_shadow net in
+          let _, tape = Mlp.forward_train copy (Mat.sub_rows x ~lo ~hi) in
+          ignore
+            (Mlp.backward ~input_grad:false copy tape (Mat.sub_rows dout ~lo ~hi));
+          List.iteri
+            (fun p ((_, want), (_, got)) ->
+              check_bits (Printf.sprintf "n %d rows %d..%d param %d" n lo hi p)
+                want got)
+            (List.combine (Mlp.params copy) (Mlp.params shadow)))
+        plan)
+    [ 16; 24; 31; 33; 40; 50; 63; 64; 65; 100 ]
+
 let test_forward_batch_matches_forward1 () =
   let net = Mlp.actor ~rng:(rng ()) ~in_dim:3 ~hidden:8 ~out_dim:1 in
   let rows =
@@ -724,4 +831,9 @@ let suite =
     ("generation counter", `Quick, test_generation_counter);
     ("generation: soft update bumps dst", `Quick,
       test_generation_soft_update_bumps_dst);
+    ( "leaky relu batched = rows (bits, special values)",
+      `Quick,
+      test_leaky_batched_matches_rows_bits );
+    ("backward shards = copied shards (bits)", `Quick,
+      test_backward_shards_match_copies);
   ]

@@ -404,13 +404,43 @@ let qcheck_kernels =
                 ])
          in
          let* cuts = gen_cuts m in
-         return (m, k, n, (a, b, dst, cuts)))
-      (fun (m, _, n, (a, b, dst, cuts)) ->
+         (* Half the cases sum a sample range, as one shard of a
+            full-batch backward: often a tail of 1-3 rows past the
+            range's 4-row groups, with zeros and -0s in [a] there,
+            where the kernels skip. *)
+         let* samples =
+           option
+             (let* klo = int_range 0 (k - 1) in
+              let* len =
+                frequency
+                  [ (1, int_range 1 (k - klo)); (1, int_range 1 (min 3 (k - klo))) ]
+              in
+              return (klo, klo + len))
+         in
+         let* zeros = list_size (int_range 0 6) (pair (int_range 0 3) (int_range 0 (m - 1))) in
+         let* negative = bool in
+         return (m, k, n, (a, b, dst, cuts, samples, zeros, negative)))
+      (fun (m, _, n, (a, b, dst, cuts, samples, zeros, negative)) ->
+        Option.iter
+          (fun (klo, khi) ->
+            let k4 = khi - ((khi - klo) land 3) in
+            List.iter
+              (fun (r, i) ->
+                if k4 + r < khi then
+                  Mat.set a (k4 + r) i (if negative then -0. else 0.))
+              zeros)
+          samples;
         let want = Mat.init ~rows:m ~cols:n (fun i j -> dst.((i * n) + j)) in
-        let got = Mat.copy want in
-        Mat.Kernel.tn_ocaml ~dst:want a b ~lo:0 ~hi:m;
-        run_chunked cuts (Mat.Kernel.tn_avx2 ~dst:got a b);
-        mat_bits_equal want got);
+        let got = Mat.copy want and copied = Mat.copy want in
+        Mat.Kernel.tn_ocaml ?samples ~dst:want a b ~lo:0 ~hi:m;
+        run_chunked cuts (Mat.Kernel.tn_avx2 ?samples ~dst:got a b);
+        (* A range sums exactly as a copy of its rows does. *)
+        (match samples with
+        | None -> Mat.Kernel.tn_ocaml ~dst:copied a b ~lo:0 ~hi:m
+        | Some (lo, hi) ->
+            Mat.Kernel.tn_ocaml ~dst:copied (Mat.sub_rows a ~lo ~hi)
+              (Mat.sub_rows b ~lo ~hi) ~lo:0 ~hi:m);
+        mat_bits_equal want got && mat_bits_equal want copied);
   ]
 
 let test_kernel_checks () =
