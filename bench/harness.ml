@@ -74,15 +74,12 @@ type model = { name : string; actor : Canopy_nn.Mlp.t;
 
 let get_model ~name ~lambda ~property ~n_components =
   let tag = Printf.sprintf "%s-%s-%d" name scale.label scale.train_steps in
+  let cfg = model_config ~lambda ~property ~n_components in
   Format.printf "[model %s: %s]@." name
-    (if Sys.file_exists (Filename.concat artifacts_dir (tag ^ ".actor.ckpt"))
-     then "cached"
+    (if Trainer.cache_hit ~cache_dir:artifacts_dir ~tag cfg then "cached"
      else "training...");
   Format.print_flush ();
-  let actor, curve =
-    Trainer.load_or_train ~cache_dir:artifacts_dir ~tag
-      (model_config ~lambda ~property ~n_components)
-  in
+  let actor, curve = Trainer.load_or_train ~cache_dir:artifacts_dir ~tag cfg in
   { name; actor; curve }
 
 let canopy_perf () =

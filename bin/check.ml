@@ -6,6 +6,10 @@
    - racecheck:  token-level effect/race analysis of Pool-parallel
                  regions (shared-mutable-in-parallel); same baseline
                  file, same exactness contract.
+   - deadcode:   lib/ exports no other module uses and optional
+                 arguments no outside caller passes; same baseline file,
+                 same exactness contract. Also lists the exports only
+                 tests reach.
    - audit:      differential soundness sanitizer for the abstract
                  transformers backing every certificate.
    - netcheck:   static shape/finiteness validation of checkpoints.
@@ -163,6 +167,28 @@ let racecheck_cmd =
        ~doc:"token-level effect/race analysis of Pool-parallel regions")
     Term.(const run_racecheck $ root $ baseline_path $ update_baseline
           $ race_verbose)
+
+(* --- deadcode --------------------------------------------------------- *)
+
+let dead_owns rule = List.mem_assoc rule A.Deadcode.rules
+
+let run_deadcode root baseline_path update_baseline =
+  let report = A.Deadcode.run ~root () in
+  List.iter (Format.printf "test-only: %s@.") report.A.Deadcode.test_only;
+  Format.printf
+    "deadcode: %d export(s) over %d file(s), %d that no program reaches@."
+    report.A.Deadcode.exports report.A.Deadcode.checked_files
+    (List.length report.A.Deadcode.test_only);
+  gate ~pass:"deadcode" ~baseline_path ~update_baseline ~owns:dead_owns
+    report.A.Deadcode.diags
+
+let deadcode_cmd =
+  Cmd.v
+    (Cmd.info "deadcode"
+       ~doc:"lib/ exports no other module uses and optional arguments no \
+             outside caller passes, rooted at the programs in bin/, \
+             bench/, examples/ and perfbench/")
+    Term.(const run_deadcode $ root $ baseline_path $ update_baseline)
 
 (* --- audit ------------------------------------------------------------ *)
 
@@ -568,13 +594,14 @@ let bench_report_cmd =
 
 let cmd =
   let doc =
-    "correctness tooling: lint, racecheck, verifier soundness audit, \
-     netcheck, faultcheck, scenariocheck, bench-report"
+    "correctness tooling: lint, racecheck, deadcode, verifier soundness \
+     audit, netcheck, faultcheck, scenariocheck, bench-report"
   in
   Cmd.group (Cmd.info "canopy-check" ~doc)
     [
       lint_cmd;
       racecheck_cmd;
+      deadcode_cmd;
       audit_cmd;
       netcheck_cmd;
       faultcheck_cmd;

@@ -1,7 +1,7 @@
 open Canopy_tensor
 open Canopy_nn
 
-type act = Linear | Leaky_relu of float | Relu | Tanh
+type act = Linear | Leaky_relu of float | Tanh
 
 type stage = {
   w : Mat.t;
@@ -94,7 +94,6 @@ let of_mlp net =
       | Layer.Batch_norm bn ->
           pending := Some (adopt_batch_norm !pending ~dim:!dim bn)
       | Layer.Leaky_relu slope -> flush (Leaky_relu slope)
-      | Layer.Relu -> flush Relu
       | Layer.Tanh -> flush Tanh)
     (Mlp.layers net);
   (* A trailing affine run (e.g. a critic's linear head) becomes a
@@ -139,7 +138,6 @@ let cached net =
 let act_fn = function
   | Linear -> fun x -> x
   | Leaky_relu slope -> fun x -> if x >= 0. then x else slope *. x
-  | Relu -> Float.max 0.
   | Tanh -> Float.tanh
 
 let forward t x =
@@ -172,13 +170,6 @@ let apply_act_batch act c r =
         let l = ci -. ri and h = ci +. ri in
         let lo = if l >= 0. then l else slope *. l
         and hi = if h >= 0. then h else slope *. h in
-        Array.unsafe_set cd i (0.5 *. (hi +. lo));
-        Array.unsafe_set rd i (0.5 *. (hi -. lo))
-      done
-  | Relu ->
-      for i = 0 to n - 1 do
-        let ci = Array.unsafe_get cd i and ri = Array.unsafe_get rd i in
-        let lo = Float.max 0. (ci -. ri) and hi = Float.max 0. (ci +. ri) in
         Array.unsafe_set cd i (0.5 *. (hi +. lo));
         Array.unsafe_set rd i (0.5 *. (hi -. lo))
       done

@@ -16,7 +16,7 @@
 open Canopy_tensor
 open Canopy_nn
 
-type act = Linear | Leaky_relu of float | Relu | Tanh
+type act = Linear | Leaky_relu of float | Tanh
 
 type stage = {
   w : Mat.t;  (** fused weight, [out × in] *)

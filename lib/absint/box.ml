@@ -34,30 +34,6 @@ let with_dimension t i iv =
   e.(i) <- Interval.radius iv;
   { c; e }
 
-let contains t v =
-  Vec.dim v = dim t
-  && begin
-       let ok = ref true in
-       for i = 0 to dim t - 1 do
-         if Float.abs (v.(i) -. t.c.(i)) > t.e.(i) +. 1e-12 then ok := false
-       done;
-       !ok
-     end
-
-let subset a b =
-  dim a = dim b
-  && begin
-       let ok = ref true in
-       for i = 0 to dim a - 1 do
-         let alo = a.c.(i) -. a.e.(i) and ahi = a.c.(i) +. a.e.(i) in
-         let blo = b.c.(i) -. b.e.(i) and bhi = b.c.(i) +. b.e.(i) in
-         if alo < blo -. 1e-12 || ahi > bhi +. 1e-12 then ok := false
-       done;
-       !ok
-     end
-
-let volume t = Array.fold_left (fun acc e -> acc *. (2. *. e)) 1. t.e
-
 let affine m b box =
   if Mat.cols m <> dim box then invalid_arg "Box.affine: dims";
   let c = Mat.mat_vec m box.c in
@@ -88,12 +64,6 @@ let map_monotone f box =
 let sample rng t =
   Vec.init (dim t) (fun i ->
       Canopy_util.Prng.uniform rng (t.c.(i) -. t.e.(i)) (t.c.(i) +. t.e.(i)))
-
-let hull a b =
-  if dim a <> dim b then invalid_arg "Box.hull: dims";
-  of_intervals
-    (Array.init (dim a) (fun i ->
-         Interval.hull (dimension a i) (dimension b i)))
 
 let equal ?(eps = 1e-12) a b =
   dim a = dim b

@@ -30,11 +30,6 @@ val dimension : t -> int -> Interval.t
 val with_dimension : t -> int -> Interval.t -> t
 (** Functional update of one dimension's interval. *)
 
-val contains : t -> Vec.t -> bool
-val subset : t -> t -> bool
-val volume : t -> float
-(** Product of widths; 0 for a degenerate box. *)
-
 val affine : Mat.t -> Vec.t -> t -> t
 (** [affine m b box] is the abstract image under [x ↦ m·x + b]:
     center [m·b_c + b], deviation [|m|·b_e] (the linear-map transformer of
@@ -51,6 +46,5 @@ val map_monotone : (float -> float) -> t -> t
 val sample : Canopy_util.Prng.t -> t -> Vec.t
 (** Uniform sample from the concretization. *)
 
-val hull : t -> t -> t
 val equal : ?eps:float -> t -> t -> bool
 val pp : Format.formatter -> t -> unit

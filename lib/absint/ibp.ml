@@ -17,7 +17,6 @@ let propagate_layer layer box =
       Box.diag_affine ~scale ~shift box
   | Layer.Leaky_relu slope ->
       Box.map_monotone (fun x -> if x >= 0. then x else slope *. x) box
-  | Layer.Relu -> Box.map_monotone (fun x -> Float.max 0. x) box
   | Layer.Tanh -> Box.map_monotone Float.tanh box
 
 let propagate net box =

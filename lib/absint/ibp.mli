@@ -17,7 +17,3 @@ val output_interval : Mlp.t -> Box.t -> Interval.t
 (** {!propagate} specialized to scalar-output networks (the CWND-scaling
     action head). Raises [Invalid_argument] for networks with more than
     one output. *)
-
-val propagate_layer : Layer.t -> Box.t -> Box.t
-(** Single-layer abstract transformer; exposed for tests and for building
-    custom pipelines. *)

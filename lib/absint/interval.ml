@@ -54,7 +54,6 @@ let div_scalar t c =
 let monotone f t = make (f t.lo) (f t.hi)
 let pow2 t = monotone Canopy_util.Mathx.pow2 t
 let tanh t = monotone Float.tanh t
-let relu t = monotone (fun x -> Float.max 0. x) t
 
 let leaky_relu ~slope t =
   if slope < 0. || slope > 1. then invalid_arg "Interval.leaky_relu: slope";

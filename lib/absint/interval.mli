@@ -54,7 +54,6 @@ val pow2 : t -> t
 (** [2^x], exact (monotone). *)
 
 val tanh : t -> t
-val relu : t -> t
 val leaky_relu : slope:float -> t -> t
 (** Exact for any slope in [\[0,1\]]. *)
 

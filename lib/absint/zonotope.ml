@@ -89,8 +89,6 @@ let leaky_relu ~slope t =
         (lambda, 0.5 *. (lo +. hi), 0.5 *. (hi -. lo))
       end)
 
-let relu t = leaky_relu ~slope:0. t
-
 let tanh t =
   relax t (fun _ iv ->
       let l = Interval.lo iv and u = Interval.hi iv in
@@ -131,7 +129,6 @@ let propagate net t =
           in
           diag_affine ~scale ~shift acc
       | Canopy_nn.Layer.Leaky_relu slope -> leaky_relu ~slope acc
-      | Canopy_nn.Layer.Relu -> relu acc
       | Canopy_nn.Layer.Tanh -> tanh acc)
     t (Canopy_nn.Mlp.layers net)
 
@@ -168,7 +165,6 @@ let propagate_anet ir t =
       match stage.act with
       | Anet.Linear -> acc
       | Anet.Leaky_relu slope -> leaky_relu ~slope acc
-      | Anet.Relu -> relu acc
       | Anet.Tanh -> tanh acc)
     t (Anet.stages ir)
 

@@ -37,8 +37,6 @@ val leaky_relu : slope:float -> t -> t
 (** Sound relaxation; exact on dimensions whose interval does not
     straddle zero. *)
 
-val relu : t -> t
-
 val tanh : t -> t
 (** Sound min-slope relaxation (DeepZ). *)
 

@@ -24,9 +24,6 @@ val json_of_string : string -> json
 (** Strict parser: raises [Failure] on malformed input or trailing
     garbage. *)
 
-val member : string -> json -> json option
-(** Field lookup on an [Obj]; [None] otherwise. *)
-
 val json_to_string : json -> string
 (** The one writer of BENCH records: [json_of_string (json_to_string v)
     = v].  Each number is printed in the shortest form that reads back

@@ -1,13 +1,13 @@
 (** Approximate call graph over {!Lexer} token streams.
 
     Modules are keyed by file base name capitalized ([pool.ml] →
-    [Pool]); definitions are column-0 [let]/[and] bindings whose span
-    runs to the next column-0 structure keyword. References resolve as
-    bare identifiers into the same module and as qualified paths whose
-    last capitalized component (after [module X = ...] alias
-    resolution) names a known module. Calls through function-valued
-    parameters are invisible; see DESIGN §11 for the approximation
-    contract. *)
+    [Pool]); definitions are column-0 [let]/[and] bindings and
+    [module X] items (named [X]) whose span runs to the next column-0
+    structure keyword. References resolve as bare identifiers into the
+    same module and as qualified paths whose rightmost known module (after [module X = ...]
+    alias expansion) names the module; the components after it name a
+    submodule. Calls through function-valued parameters are invisible;
+    see DESIGN §11 for the approximation contract. *)
 
 type def = {
   module_ : string;
@@ -23,7 +23,8 @@ type modul = {
   m_path : string;
   lexed : Lexer.t;
   defs : def list;
-  aliases : (string * string) list;
+  aliases : (string * string list) list;
+      (** local [module X = A.B] aliases: [X] → [\["A"; "B"\]] *)
 }
 
 type t = { modules : (string, modul) Hashtbl.t; ordered : modul list }
@@ -38,9 +39,23 @@ val build : (string * Lexer.t) list -> t
 val find_module : t -> string -> modul option
 
 val resolve_module : modul -> string -> string
-(** Apply [m]'s local module aliases to a module name. *)
+(** Apply [m]'s local module aliases to a module name: the last
+    component of the expanded path. *)
 
 val find_def : t -> module_:string -> name:string -> def option
+
+type value_ref = {
+  v_module : string;      (** the known module the path resolves to *)
+  v_sub : string list;    (** submodule path inside it; [\[\]] at top level *)
+  v_name : string;
+  v_tok : int;            (** token index of the value name *)
+}
+
+val value_refs : t -> modul -> start:int -> stop:int -> value_ref list
+(** Candidate value references in the token range [\[start, stop)] of a
+    module, in token order: every qualified [A.B.f] whose path resolves,
+    every bare lowercase identifier as a candidate of the module itself.
+    Candidates are not checked against definitions. *)
 
 val refs_in_span : t -> modul -> start:int -> stop:int -> def list
 (** Definitions referenced from the token range [start, stop) of a

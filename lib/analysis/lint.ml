@@ -289,16 +289,10 @@ let line_rules_for path =
     line_rules @ [ ("bare-min-max", check_bare_min_max) ]
   else line_rules
 
-let check_source ?only ~path contents =
+let check_source ~path contents =
   let stripped = Sources.strip contents in
   let original = Array.of_list (String.split_on_char '\n' contents) in
   let line_rules = line_rules_for path in
-  let line_rules =
-    match only with
-    | None -> line_rules
-    | Some names ->
-        List.filter (fun (rule, _) -> List.mem rule names) line_rules
-  in
   let diags = ref [] in
   Array.iteri
     (fun idx line ->
@@ -344,23 +338,20 @@ let check_missing_mli ~root ml_files =
 let nan_rules = [ "polymorphic-compare"; "float-min-max" ]
 let nan_rule_dirs = [ "bench"; "test" ]
 
-let run ?(dirs = default_dirs) ~root () =
-  let files = Sources.find_files ~root ~dirs ~ext:".ml" in
+let run ~root () =
+  let files = Sources.find_files ~root ~dirs:default_dirs ~ext:".ml" in
   let line_diags =
     List.concat_map
       (fun rel ->
         check_source ~path:rel (Sources.read_file (Filename.concat root rel)))
       files
   in
-  let extra_dirs =
-    List.filter (fun d -> not (List.mem d dirs)) nan_rule_dirs
-  in
   let extra_diags =
     List.concat_map
       (fun rel ->
-        check_source ~only:nan_rules ~path:rel
-          (Sources.read_file (Filename.concat root rel)))
-      (Sources.find_files ~root ~dirs:extra_dirs ~ext:".ml")
+        check_source ~path:rel (Sources.read_file (Filename.concat root rel))
+        |> List.filter (fun (d : Diagnostic.t) -> List.mem d.rule nan_rules))
+      (Sources.find_files ~root ~dirs:nan_rule_dirs ~ext:".ml")
   in
   List.sort Diagnostic.compare
     (check_missing_mli ~root files @ line_diags @ extra_diags)

@@ -33,14 +33,15 @@
 val rules : (string * string) list
 (** Rule identifiers and their one-line messages. *)
 
-val check_source : ?only:string list -> path:string -> string -> Diagnostic.t list
-(** Run the line-scoped rules over one file's contents. [path] is used
-    for reporting only; [only] restricts to the named rules. *)
+val check_source : path:string -> string -> Diagnostic.t list
+(** Run the line-scoped rules over one file's contents. [path] selects
+    the path-scoped rules and is used for reporting. *)
 
 val check_missing_mli : root:string -> string list -> Diagnostic.t list
 (** [missing-mli] over a list of [.ml] paths relative to [root]; only
     files under [lib/] are required to have interfaces. *)
 
-val run : ?dirs:string list -> root:string -> unit -> Diagnostic.t list
-(** Walk [dirs] (default [lib] and [bin]) under [root], lint every [.ml]
-    file and report findings sorted by file and line. *)
+val run : root:string -> unit -> Diagnostic.t list
+(** Walk [lib] and [bin] under [root], lint every [.ml] file (and scan
+    [bench] and [test] for the NaN rules) and report findings sorted by
+    file and line. *)

@@ -86,7 +86,7 @@ let check_batch_norm ~name ~idx ~dim (bn : Layer.batch_norm) acc =
   in
   (dim, acc)
 
-let check_layers ?(name = "<network>") ~in_dim layers =
+let check_layers ~name ~in_dim layers =
   let acc =
     if in_dim <= 0 then
       [ diag ~name ~rule:"net-dim-mismatch" "input dimension %d <= 0" in_dim ]
@@ -111,14 +111,14 @@ let check_layers ?(name = "<network>") ~in_dim layers =
               else acc
             in
             (dim, acc)
-        | Layer.Relu | Layer.Tanh -> (dim, acc))
+        | Layer.Tanh -> (dim, acc))
       (in_dim, acc)
       (List.mapi (fun i l -> (i, l)) layers)
   in
   List.rev acc
 
-let check_mlp ?name net =
-  check_layers ?name ~in_dim:(Mlp.in_dim net) (Mlp.layers net)
+let check_mlp ?(name = "<network>") net =
+  check_layers ~name ~in_dim:(Mlp.in_dim net) (Mlp.layers net)
 
 let check_checkpoint path =
   match Checkpoint.load path with

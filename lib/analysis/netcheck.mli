@@ -12,10 +12,10 @@
       valid ranges (the abstract transformers require slope ∈ [0,1]). *)
 
 val check_layers :
-  ?name:string -> in_dim:int -> Canopy_nn.Layer.t list -> Diagnostic.t list
+  name:string -> in_dim:int -> Canopy_nn.Layer.t list -> Diagnostic.t list
 (** Validate a raw layer stack against an input dimension. Unlike
     [Mlp.create] this never raises — it reports every problem found.
-    [name] labels the diagnostics (default ["<network>"]). *)
+    [name] labels the diagnostics. *)
 
 val check_mlp : ?name:string -> Canopy_nn.Mlp.t -> Diagnostic.t list
 

@@ -618,8 +618,8 @@ let check_files files =
     checked_files = List.length files;
   }
 
-let run ?(dirs = default_dirs) ~root () =
-  let files = Sources.find_files ~root ~dirs ~ext:".ml" in
+let run ~root () =
+  let files = Sources.find_files ~root ~dirs:default_dirs ~ext:".ml" in
   check_files
     (List.map
        (fun rel -> (rel, Sources.read_file (Filename.concat root rel)))

@@ -28,6 +28,6 @@ val check_files : (string * string) list -> report
 (** Analyze [(path, contents)] pairs as one program (fixture entry
     point — no filesystem access). *)
 
-val run : ?dirs:string list -> root:string -> unit -> report
-(** Walk [dirs] (default [lib], [bin], [bench] and [test]) under [root]
-    and analyze every [.ml] file. *)
+val run : root:string -> unit -> report
+(** Walk [lib], [bin], [bench] and [test] under [root] and analyze every
+    [.ml] file. *)

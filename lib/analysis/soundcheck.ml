@@ -479,8 +479,6 @@ let ops : (string * (Prng.t -> int -> violation option)) list =
           (fun x -> x +. c)
           rng trial );
     ("interval.tanh", unary_check "interval.tanh" Interval.tanh Float.tanh);
-    ( "interval.relu",
-      unary_check "interval.relu" Interval.relu (fun x -> Float.max 0. x) );
     ( "interval.leaky_relu",
       unary_check "interval.leaky_relu"
         (Interval.leaky_relu ~slope:leaky_slope)
@@ -492,9 +490,6 @@ let ops : (string * (Prng.t -> int -> violation option)) list =
     ("box.diag_affine", box_diag_affine_check);
     ("box.map_monotone", box_monotone_check);
     ("ibp.mlp", ibp_check);
-    ( "zonotope.relu",
-      zono_activation_check "zonotope.relu" Zonotope.relu (fun x ->
-          Float.max 0. x) );
     ( "zonotope.leaky_relu",
       zono_activation_check "zonotope.leaky_relu"
         (Zonotope.leaky_relu ~slope:leaky_slope)

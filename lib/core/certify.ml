@@ -38,9 +38,9 @@ let cwnd_interval ~cwnd_tcp action =
     (fun a -> Fleet_env.cwnd_of_action ~action:a ~cwnd_tcp)
     action
 
-(* The single domain/engine dispatch of the certification stack: certify,
-   certify_adaptive and Temporal.verify all obtain abstract action bounds
-   here, so a new domain (or engine) is added in exactly one place. *)
+(* The single domain/engine dispatch of the certification stack: certify
+   and certify_adaptive both obtain abstract action bounds here, so a new
+   domain (or engine) is added in exactly one place. *)
 let output_intervals ?(engine = Batched) ~domain ~actor boxes =
   match engine with
   | Per_slice ->
@@ -56,9 +56,6 @@ let output_intervals ?(engine = Batched) ~domain ~actor boxes =
       (match domain with
       | Box_domain -> Anet.output_intervals ir boxes
       | Zonotope_domain -> Zonotope.output_intervals_anet ir boxes)
-
-let output_interval ?engine ~domain ~actor box =
-  (output_intervals ?engine ~domain ~actor [| box |]).(0)
 
 let target_of_case property case =
   match (property, case) with

@@ -58,13 +58,6 @@ type t = {
   fcs : bool;  (** all components certified at this step *)
 }
 
-val output_interval :
-  ?engine:engine -> domain:domain -> actor:Mlp.t -> Box.t -> Interval.t
-(** Abstract action bounds for one input box under the chosen domain,
-    through the one engine dispatch that {!certify} and
-    {!certify_adaptive} run over their box workloads ([Temporal.verify]
-    unrolls through this). [engine] defaults to [Batched]. *)
-
 val certify :
   ?engine:engine ->
   ?domain:domain ->

@@ -99,8 +99,7 @@ let curve_to_string epochs =
   Buffer.contents buf
 
 (* Strict: a malformed row aborts with a diagnostic naming the line, so a
-   half-written curve file cannot masquerade as a short run. Rows may
-   have 6 fields (the pre-rollback format, rollbacks = 0) or 7. *)
+   half-written curve file cannot masquerade as a short run. *)
 let curve_of_string ~what s =
   let malformed lineno line =
     failwith
@@ -125,10 +124,7 @@ let curve_of_string ~what s =
       verifier_reward = parse_float lineno line ver;
       combined_reward = parse_float lineno line comb;
       fcc = parse_float lineno line fcc;
-      rollbacks =
-        (match rollbacks with
-        | None -> 0
-        | Some r -> parse_int lineno line r);
+      rollbacks = parse_int lineno line rollbacks;
     }
   in
   let rows = ref [] in
@@ -139,11 +135,8 @@ let curve_of_string ~what s =
       else
         match String.split_on_char ',' line with
         | "epoch" :: _ when lineno = 1 -> ()
-        | [ e; st; raw; ver; comb; fcc ] ->
-            rows := parse_row lineno line e st raw ver comb fcc None :: !rows
         | [ e; st; raw; ver; comb; fcc; rb ] ->
-            rows :=
-              parse_row lineno line e st raw ver comb fcc (Some rb) :: !rows
+            rows := parse_row lineno line e st raw ver comb fcc rb :: !rows
         | _ -> malformed lineno line)
     (String.split_on_char '\n' s);
   List.rev !rows
@@ -517,27 +510,28 @@ let load_actor path =
   Canopy_analysis.Netcheck.assert_valid ~what:path net;
   net
 
+(* The cache entry is the actor, its curve and the fingerprint of the
+   config that trained them. The fingerprint is removed before a retrain
+   and written last, so a crash mid-write leaves an entry that retrains. *)
+let cache_file ~cache_dir ~tag ext = Filename.concat cache_dir (tag ^ ext)
+
+let cache_hit ~cache_dir ~tag cfg =
+  let file = cache_file ~cache_dir ~tag in
+  List.for_all Sys.file_exists
+    [ file ".actor.ckpt"; file ".curve.csv"; file ".fp" ]
+  && String.trim (read_file (file ".fp")) = config_fingerprint cfg
+
 let load_or_train ~cache_dir ~tag cfg =
-  let path = Filename.concat cache_dir (tag ^ ".actor.ckpt") in
-  let curve_path = Filename.concat cache_dir (tag ^ ".curve.csv") in
-  if Sys.file_exists path then begin
-    let epochs =
-      if Sys.file_exists curve_path then load_curve curve_path
-      else begin
-        Log.warn (fun m ->
-            m
-              "actor checkpoint %s exists but its curve %s is missing; \
-               returning an empty curve (delete the checkpoint to retrain)"
-              path curve_path);
-        []
-      end
-    in
-    (load_actor path, epochs)
-  end
+  let file = cache_file ~cache_dir ~tag in
+  let path = file ".actor.ckpt" and curve_path = file ".curve.csv" in
+  let fp_path = file ".fp" in
+  if cache_hit ~cache_dir ~tag cfg then (load_actor path, load_curve curve_path)
   else begin
     let agent, epochs = train cfg in
     Atomic_file.mkdir_p cache_dir;
+    if Sys.file_exists fp_path then Sys.remove fp_path;
     save_actor agent path;
     save_curve epochs curve_path;
+    Atomic_file.write fp_path (config_fingerprint cfg ^ "\n");
     (Canopy_rl.Td3.actor agent, epochs)
   end

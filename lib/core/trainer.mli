@@ -123,16 +123,20 @@ val save_curve : epoch list -> string -> unit
 val load_curve : string -> epoch list
 (** Strict parser: raises [Failure] naming the file and line on any
     malformed row, so a torn curve file cannot masquerade as a short
-    run. Accepts 6-column files from before the [rollbacks] column
-    (read as [rollbacks = 0]). *)
+    run. *)
+
+val cache_hit : cache_dir:string -> tag:string -> config -> bool
+(** Whether {!load_or_train} would reload [cache_dir/tag] for this
+    config rather than train. *)
 
 val load_or_train :
   cache_dir:string ->
   tag:string ->
   config ->
   Canopy_nn.Mlp.t * epoch list
-(** Train once and cache the resulting actor and training curve under
-    [cache_dir/tag] (directories created recursively); subsequent calls
-    with the same tag reload both instead of retraining. A cached actor
-    whose curve file is missing logs a warning and returns an empty
-    curve rather than silently pretending the run produced no epochs. *)
+(** Train once and cache the resulting actor, training curve and config
+    fingerprint under [cache_dir/tag] (directories created
+    recursively). A later call reloads the actor and curve only when all
+    three files exist and the fingerprint matches [cfg]'s; otherwise it
+    retrains and overwrites them, so a stale cache never stands in for
+    a different config. *)

@@ -257,7 +257,6 @@ let create ?start_ms ?link cfgs =
 
 let flows t = t.n
 let now_ms t = t.now_ms
-let config t ~flow = t.cfgs.(flow)
 let cwnd t ~flow = t.cwnd.(flow)
 (* A NaN would pass [Float.max] and an infinity would reach
    [int_of_float] in [quota] (on x86-64, +inf becomes [min_int] there,

@@ -60,7 +60,6 @@ val create : ?start_ms:int array -> ?link:int array -> Env.config array -> t
 
 val flows : t -> int
 val now_ms : t -> int
-val config : t -> flow:int -> Env.config
 
 val cwnd : t -> flow:int -> float
 

@@ -35,7 +35,6 @@ let to_string net =
           write_vec buf bn.running_var
       | Layer.Leaky_relu slope ->
           Buffer.add_string buf (Printf.sprintf "leaky_relu %h\n" slope)
-      | Layer.Relu -> Buffer.add_string buf "relu\n"
       | Layer.Tanh -> Buffer.add_string buf "tanh\n")
     layers;
   Buffer.contents buf
@@ -83,9 +82,9 @@ let of_string s =
     | _ -> failwith "Checkpoint: expected layers"
   in
   let read_layer () =
+    let line = String.trim (next ()) in
     let header =
-      String.split_on_char ' ' (String.trim (next ()))
-      |> List.filter (fun x -> x <> "")
+      String.split_on_char ' ' line |> List.filter (fun x -> x <> "")
     in
     match header with
     | [ "dense"; rows; cols ] ->
@@ -115,9 +114,8 @@ let of_string s =
             eps = parse_float eps;
           }
     | [ "leaky_relu"; slope ] -> Layer.Leaky_relu (parse_float slope)
-    | [ "relu" ] -> Layer.Relu
     | [ "tanh" ] -> Layer.Tanh
-    | _ -> failwith "Checkpoint: unknown layer header"
+    | _ -> failwith (Printf.sprintf "Checkpoint: unknown layer header %S" line)
   in
   (* Read sequentially; List.init gives no order guarantee for the
      side-effecting reader. *)

@@ -17,7 +17,6 @@ type t =
   | Dense of dense
   | Batch_norm of batch_norm
   | Leaky_relu of float
-  | Relu
   | Tanh
 
 (* Batched caches carry [batch × dim] matrices. *)
@@ -38,7 +37,6 @@ type rows_cache =
       batch_stats : bool;
     }
   | R_leaky of float * Vec.t array
-  | R_relu of Vec.t array
   | R_tanh of Vec.t array (* outputs *)
 
 let dense ~rng ~in_dim ~out_dim =
@@ -81,12 +79,11 @@ let batch_norm ?(momentum = 0.1) ?(eps = 1e-5) ~dim () =
 let leaky_relu ?(slope = 0.01) () =
   if slope <= 0. then invalid_arg "Layer.leaky_relu: slope must be positive";
   Leaky_relu slope
-let relu = Relu
 let tanh = Tanh
 
 let out_dim ~in_dim = function
   | Dense d -> Mat.rows d.w
-  | Batch_norm _ | Leaky_relu _ | Relu | Tanh -> in_dim
+  | Batch_norm _ | Leaky_relu _ | Tanh -> in_dim
 
 (* ------------------------------------------------------------------ *)
 (* Batched passes over [batch × dim] matrices *)
@@ -127,10 +124,6 @@ let activate ~dst layer x =
         let v = Array.unsafe_get xd i in
         Array.unsafe_set od i
           (v *. Array.unsafe_get tab (Bool.to_int (v >= 0.)))
-      done
-  | Relu ->
-      for i = 0 to Array.length xd - 1 do
-        Array.unsafe_set od i (Float.max 0. (Array.unsafe_get xd i))
       done
   | Tanh ->
       for i = 0 to Array.length xd - 1 do
@@ -230,12 +223,11 @@ let forward ?(reuse_input = false) layer x =
         done;
         (out, C_bn { xhat; inv_std; batch_stats = false })
       end
-  | Leaky_relu _ | Relu | Tanh ->
+  | Leaky_relu _ | Tanh ->
       (* The cache holds the output. Tanh's backward reads its outputs;
          leaky ReLU is sign-preserving (but for inputs that underflow
-         to -0, see [leaky_relu]) and ReLU's output is > 0 exactly
-         where its input is, so their backward masks read the same from
-         the output as from the (under reuse, overwritten) input. *)
+         to -0, see [leaky_relu]), so its backward mask reads the same
+         from the output as from the (under reuse, overwritten) input. *)
       let out = act_out ~reuse_input x in
       activate ~dst:out layer x;
       (out, C_act out)
@@ -271,7 +263,7 @@ let forward_eval ?(reuse_input = false) layer x =
         done
       done;
       out
-  | Leaky_relu _ | Relu | Tanh ->
+  | Leaky_relu _ | Tanh ->
       let out = act_out ~reuse_input x in
       activate ~dst:out layer x;
       out
@@ -314,7 +306,7 @@ let forward_eval_into ~dst layer x =
             +. Array.unsafe_get beta i)
         done
       done
-  | Leaky_relu _ | Relu | Tanh ->
+  | Leaky_relu _ | Tanh ->
       if Mat.cols x <> Mat.cols dst then
         invalid_arg "Layer.forward_eval_into: dims";
       activate ~dst layer x
@@ -349,7 +341,7 @@ let backward ?(input_grad = true) ?(param_grads = true) ?(reuse_dout = false)
                  | Dense s ->
                      Mat.mat_mul_tn_acc ~samples:(lo, hi) ~dst:s.dw dout x;
                      Mat.col_sum_acc ~samples:(lo, hi) ~dst:s.db dout
-                 | Batch_norm _ | Leaky_relu _ | Relu | Tanh ->
+                 | Batch_norm _ | Leaky_relu _ | Tanh ->
                      invalid_arg "Layer.backward: shard layer does not match")
                shards);
       if input_grad then Mat.mat_mul dout d.w else dout
@@ -441,16 +433,6 @@ let backward ?(input_grad = true) ?(param_grads = true) ?(reuse_dout = false)
           *. Array.unsafe_get tab (Bool.to_int (Array.unsafe_get xd i >= 0.)))
       done;
       dx
-  | Relu, C_act x ->
-      if Mat.rows x <> n || Mat.cols x <> Mat.cols dout then
-        invalid_arg "Layer.backward: dims";
-      let dx = if reuse_dout then dout else Mat.create ~rows:n ~cols:(Mat.cols dout) in
-      let dxd = Mat.raw dx and dod = Mat.raw dout and xd = Mat.raw x in
-      for i = 0 to Array.length dod - 1 do
-        Array.unsafe_set dxd i
-          (if Array.unsafe_get xd i > 0. then Array.unsafe_get dod i else 0.)
-      done;
-      dx
   | Tanh, C_act y ->
       if Mat.rows y <> n || Mat.cols y <> Mat.cols dout then
         invalid_arg "Layer.backward: dims";
@@ -462,7 +444,7 @@ let backward ?(input_grad = true) ?(param_grads = true) ?(reuse_dout = false)
           (Array.unsafe_get dod i *. (1. -. (t *. t)))
       done;
       dx
-  | (Dense _ | Batch_norm _ | Leaky_relu _ | Relu | Tanh), _ ->
+  | (Dense _ | Batch_norm _ | Leaky_relu _ | Tanh), _ ->
       invalid_arg "Layer.backward: cache does not match layer"
 
 (* ------------------------------------------------------------------ *)
@@ -532,7 +514,6 @@ let forward_rows layer batch =
   | Leaky_relu slope ->
       let leaky = Array.map (fun v -> if v >= 0. then v else slope *. v) in
       (Array.map leaky batch, R_leaky (slope, batch))
-  | Relu -> (Array.map (Array.map (fun v -> Float.max 0. v)) batch, R_relu batch)
   | Tanh ->
       let out = Array.map (Array.map Float.tanh) batch in
       (out, R_tanh out)
@@ -598,17 +579,12 @@ let backward_rows layer cache dout =
         (fun b dy ->
           Array.mapi (fun i g -> if xs.(b).(i) >= 0. then g else slope *. g) dy)
         dout
-  | Relu, R_relu xs ->
-      Array.mapi
-        (fun b dy ->
-          Array.mapi (fun i g -> if xs.(b).(i) > 0. then g else 0.) dy)
-        dout
   | Tanh, R_tanh ys ->
       Array.mapi
         (fun b dy ->
           Array.mapi (fun i g -> g *. (1. -. (ys.(b).(i) *. ys.(b).(i)))) dy)
         dout
-  | (Dense _ | Batch_norm _ | Leaky_relu _ | Relu | Tanh), _ ->
+  | (Dense _ | Batch_norm _ | Leaky_relu _ | Tanh), _ ->
       invalid_arg "Layer.backward_rows: cache does not match layer"
 
 let zero_grad = function
@@ -618,12 +594,12 @@ let zero_grad = function
   | Batch_norm bn ->
       Vec.fill bn.dgamma 0.;
       Vec.fill bn.dbeta 0.
-  | Leaky_relu _ | Relu | Tanh -> ()
+  | Leaky_relu _ | Tanh -> ()
 
 let params = function
   | Dense d -> [ (Mat.raw d.w, Mat.raw d.dw); (d.b, d.db) ]
   | Batch_norm bn -> [ (bn.gamma, bn.dgamma); (bn.beta, bn.dbeta) ]
-  | Leaky_relu _ | Relu | Tanh -> []
+  | Leaky_relu _ | Tanh -> []
 
 let copy = function
   | Dense d ->
@@ -641,7 +617,7 @@ let copy = function
           running_mean = Vec.copy bn.running_mean;
           running_var = Vec.copy bn.running_var;
         }
-  | (Leaky_relu _ | Relu | Tanh) as l -> l
+  | (Leaky_relu _ | Tanh) as l -> l
 
 (* A gradient shadow shares the parameter arrays (so an optimizer step
    through the shadow's [params] updates the real network) but owns fresh
@@ -660,4 +636,4 @@ let grad_shadow = function
         { bn with
           dgamma = Vec.create (Vec.dim bn.dgamma);
           dbeta = Vec.create (Vec.dim bn.dbeta) }
-  | (Leaky_relu _ | Relu | Tanh) as l -> l
+  | (Leaky_relu _ | Tanh) as l -> l

@@ -1,8 +1,8 @@
 (** Neural-network layers with explicit forward/backward passes.
 
     Implements exactly the pieces the paper's controller needs
-    (Section 5): fully-connected layers, batch normalization, LeakyReLU,
-    plus ReLU and a tanh output head for the bounded action space
+    (Section 5): fully-connected layers, batch normalization, LeakyReLU
+    and a tanh output head for the bounded action space
     [a ∈ \[-1,1\]]. Layers are mutable records carrying both parameters and
     their gradient accumulators so that an optimizer can update them in
     place. *)
@@ -31,7 +31,6 @@ type t =
   | Dense of dense
   | Batch_norm of batch_norm
   | Leaky_relu of float  (** negative-side slope *)
-  | Relu
   | Tanh
 
 type cache
@@ -52,7 +51,6 @@ val batch_norm : ?momentum:float -> ?eps:float -> dim:int -> unit -> t
 val leaky_relu : ?slope:float -> unit -> t
 (** Default slope 0.01. *)
 
-val relu : t
 val tanh : t
 
 val out_dim : in_dim:int -> t -> int

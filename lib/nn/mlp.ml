@@ -22,7 +22,7 @@ let infer_out_dim in_dim layers =
       | Layer.Batch_norm bn ->
           if Vec.dim bn.gamma <> dim then
             invalid_arg "Mlp.create: batch-norm dimension mismatch"
-      | Layer.Leaky_relu _ | Layer.Relu | Layer.Tanh -> ());
+      | Layer.Leaky_relu _ | Layer.Tanh -> ());
       Layer.out_dim ~in_dim:dim layer)
     in_dim layers
 
@@ -126,7 +126,7 @@ type tape = Layer.cache list (* in layer order *)
    first layer's input is the caller's and is never reused. *)
 let train_reuse_ok = function
   | Some (Layer.Dense _ | Layer.Batch_norm _) -> true
-  | Some (Layer.Leaky_relu _ | Layer.Relu | Layer.Tanh) | None -> false
+  | Some (Layer.Leaky_relu _ | Layer.Tanh) | None -> false
 
 let forward_train t batch =
   if Mat.cols batch <> t.in_dim then
@@ -223,7 +223,7 @@ let state_arrays layer =
   match layer with
   | Layer.Dense d -> [ Mat.raw d.w; d.b ]
   | Layer.Batch_norm bn -> [ bn.gamma; bn.beta; bn.running_mean; bn.running_var ]
-  | Layer.Leaky_relu _ | Layer.Relu | Layer.Tanh -> []
+  | Layer.Leaky_relu _ | Layer.Tanh -> []
 
 (* A blit, not [soft_update ~tau:1.]: the interpolation form computes
    [(1-tau)·d + tau·s], which propagates a NaN already present in [dst]

@@ -182,7 +182,6 @@ let create ?link ?start_ms ?plain (cfgs : config array) =
   }
 
 let flows t = t.n
-let history t = t.history
 let interval_ms t = t.interval_ms
 let state_dim t = t.state_dim
 let fleet t = t.fleet

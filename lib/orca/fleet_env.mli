@@ -44,9 +44,6 @@ val cwnd_of_action : action:float -> cwnd_tcp:float -> float
     fixed suggestion, which is what lets the verifier propagate action
     intervals through it exactly. *)
 
-val min_enforced : float
-val max_enforced : float
-
 type t
 
 val create :
@@ -74,7 +71,6 @@ val create :
     count, or anything [Fleet.create] rejects. *)
 
 val flows : t -> int
-val history : t -> int
 val interval_ms : t -> int
 
 val state_dim : t -> int

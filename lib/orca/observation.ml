@@ -59,9 +59,3 @@ let to_features ~thr_scale_mbps o =
   dst
 
 let zero_features = Array.make feature_count 0.
-
-let pp ppf o =
-  Format.fprintf ppf
-    "thr=%.2fMbps loss=%d qdelay=%.1fms n=%d m=%dms srtt=%.1fms cwnd=%.1f"
-    o.thr_mbps o.loss_pkts o.avg_qdelay_ms o.n_acks o.interval_ms o.srtt_ms
-    o.cwnd_pkts

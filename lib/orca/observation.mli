@@ -49,5 +49,3 @@ val features_into : thr_scale_mbps:float -> t -> dst:float array -> off:int -> u
 val zero_features : float array
 (** All-zero frame used to pad the history before [k] intervals have
     elapsed. *)
-
-val pp : Format.formatter -> t -> unit

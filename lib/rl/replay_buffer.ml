@@ -33,11 +33,6 @@ let sample t rng ~batch_size =
       | Some tr -> tr
       | None -> assert false)
 
-let clear t =
-  Array.fill t.data 0 (capacity t) None;
-  t.next <- 0;
-  t.len <- 0
-
 let cursor t = t.next
 
 (* Storage order (slot 0 .. len-1), NOT insertion order: [sample] indexes

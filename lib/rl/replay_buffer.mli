@@ -32,8 +32,6 @@ val sample : t -> Canopy_util.Prng.t -> batch_size:int -> transition array
 (** Uniform sample with replacement. Raises [Invalid_argument] when the
     buffer is empty. *)
 
-val clear : t -> unit
-
 val cursor : t -> int
 (** Index of the slot the next {!add} will overwrite. Together with
     {!iter}'s storage order this pins down the full internal layout, which

@@ -42,8 +42,8 @@ type kernel = Batched | Per_sample
 type t = {
   cfg : config;
   rng : Prng.t;
-  mutable actor : Mlp.t;
-  mutable actor_target : Mlp.t;
+  actor : Mlp.t;
+  actor_target : Mlp.t;
   critic1 : Mlp.t;
   critic2 : Mlp.t;
   critic1_target : Mlp.t;
@@ -136,7 +136,6 @@ let create ~rng cfg =
     critic2_shards = make_shards critic2 cfg.batch_size;
   }
 
-let config t = t.cfg
 let actor t = t.actor
 let buffer_size t = Replay_buffer.length t.buffer
 let updates_done t = t.update_calls
@@ -494,16 +493,3 @@ let finite t =
           Float.is_finite !s)
         (Mlp.params net))
     (nets_of t)
-
-let save t ~dir =
-  Canopy_util.Atomic_file.mkdir_p dir;
-  Checkpoint.save t.actor (Filename.concat dir "actor.ckpt");
-  Checkpoint.save t.critic1 (Filename.concat dir "critic1.ckpt");
-  Checkpoint.save t.critic2 (Filename.concat dir "critic2.ckpt")
-
-let load_actor t path =
-  let net = Checkpoint.load path in
-  if Mlp.in_dim net <> t.cfg.state_dim || Mlp.out_dim net <> t.cfg.action_dim
-  then invalid_arg "Td3.load_actor: shape mismatch";
-  t.actor <- net;
-  t.actor_target <- Mlp.copy net

@@ -34,7 +34,6 @@ val default_config : state_dim:int -> action_dim:int -> config
 type t
 
 val create : rng:Canopy_util.Prng.t -> config -> t
-val config : t -> config
 
 val actor : t -> Mlp.t
 (** The live policy network — what the verifier certifies. *)
@@ -120,9 +119,3 @@ val finite : t -> bool
     a non-finite value poisons its sum). Batch-norm running statistics
     are not probed — the full [Netcheck] at snapshot boundaries covers
     them. *)
-
-val save : t -> dir:string -> unit
-(** Write actor and critic checkpoints into [dir] (created if needed). *)
-
-val load_actor : t -> string -> unit
-(** Replace the live and target actor with a checkpoint. *)

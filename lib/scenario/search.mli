@@ -10,8 +10,9 @@
 
 type objective =
   | Min_utility
-      (** minimize {!utility} — utilization discounted by tail queueing
-          delay and loss *)
+      (** minimize utilization discounted by tail queueing delay and
+          loss, [utilization − loss − p95_qdelay/(2·minRTT)], the
+          goodness that also ranks suite traces in {!suite_worst} *)
   | Max_p95_delay  (** maximize p95 queueing delay *)
   | Max_violation of Canopy.Property.t * int
       (** maximize the refuted fraction of an [n]-component certificate
@@ -28,11 +29,6 @@ val objective_name : objective -> string
 val objective_of_name : string -> objective
 (** Inverse of {!objective_name} with default property parameters for
     ["violation"]. Raises [Failure] on an unknown name. *)
-
-val utility : min_rtt_ms:int -> Canopy.Eval.result -> float
-(** [utilization − loss − p95_qdelay/(2·minRTT)]: the scalar
-    "goodness" the [Min_utility] objective minimizes, also used to rank
-    suite traces in {!suite_worst}. *)
 
 type config = {
   seed : int;

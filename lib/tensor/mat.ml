@@ -57,11 +57,6 @@ let add a b =
   check_same "add" a b;
   { a with data = Array.mapi (fun i x -> x +. b.data.(i)) a.data }
 
-let sub a b =
-  check_same "sub" a b;
-  { a with data = Array.mapi (fun i x -> x -. b.data.(i)) a.data }
-
-let scale alpha m = { m with data = Array.map (fun x -> alpha *. x) m.data }
 let map f m = { m with data = Array.map f m.data }
 let abs m = map Float.abs m
 
@@ -737,12 +732,6 @@ let outer_acc m y x =
     end
   done
 
-let axpy ~alpha ~x ~y =
-  check_same "axpy" x y;
-  for i = 0 to Array.length x.data - 1 do
-    y.data.(i) <- y.data.(i) +. (alpha *. x.data.(i))
-  done
-
 let add_row m v =
   if m.cols <> Array.length v then invalid_arg "Mat.add_row: dims";
   let d = m.data in
@@ -827,9 +816,6 @@ let row_view v =
 let scratch_mat scratch ~slot ~rows ~cols =
   if rows <= 0 || cols <= 0 then invalid_arg "Mat.scratch_mat: dims";
   { rows; cols; data = Scratch.get scratch ~slot ~len:(rows * cols) }
-
-let frobenius m =
-  sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0. m.data)
 
 let approx_equal ?(eps = 1e-9) a b =
   a.rows = b.rows && a.cols = b.cols

@@ -29,8 +29,6 @@ val row : t -> int -> Vec.t
 
 val transpose : t -> t
 val add : t -> t -> t
-val sub : t -> t -> t
-val scale : float -> t -> t
 val map : (float -> float) -> t -> t
 val abs : t -> t
 (** Element-wise absolute value (used by box-domain propagation). *)
@@ -137,9 +135,6 @@ val outer_acc : t -> Vec.t -> Vec.t -> unit
 (** [outer_acc m y x] accumulates the outer product [y xᵀ] into [m]
     ([m.(i).(j) += y.(i) * x.(j)]); used for weight gradients. *)
 
-val axpy : alpha:float -> x:t -> y:t -> unit
-(** In-place [y <- alpha*x + y]. *)
-
 val add_row : t -> Vec.t -> unit
 (** [add_row m v] adds the row vector [v] to every row of [m] in place
     (bias broadcast); requires [cols m = dim v]. *)
@@ -192,7 +187,6 @@ val mat_mul_nt_row_flops : t -> t -> int
     kernels own their cost model: call sites planning chunks must use
     this instead of restating the formula. *)
 
-val frobenius : t -> float
 val approx_equal : ?eps:float -> t -> t -> bool
 
 (** The range kernels behind {!mat_mul_nt_bias_into} / {!mat_mul_nt_into}

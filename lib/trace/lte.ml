@@ -1,10 +1,10 @@
 type params = {
-  mean_good_mbps : float;
-  mean_fade_mbps : float;
-  jitter : float;
-  good_dwell_ms : float;
-  fade_dwell_ms : float;
-  sample_ms : int;
+  mean_good_mbps : float;  (* average capacity in the good regime *)
+  mean_fade_mbps : float;  (* average capacity during fades *)
+  jitter : float;  (* per-sample multiplicative jitter amplitude, 0..1 *)
+  good_dwell_ms : float;  (* mean dwell time in the good regime *)
+  fade_dwell_ms : float;  (* mean dwell time in a fade *)
+  sample_ms : int;  (* capacity-sample granularity *)
 }
 
 let default_params =
@@ -17,7 +17,7 @@ let default_params =
     sample_ms = 100;
   }
 
-let generate ?(params = default_params) ~name ~seed ~duration_ms () =
+let generate_with params ~name ~seed ~duration_ms =
   if duration_ms <= 0 then invalid_arg "Lte.generate: duration";
   if params.jitter < 0. || params.jitter >= 1. then
     invalid_arg "Lte.generate: jitter";
@@ -46,23 +46,24 @@ let generate ?(params = default_params) ~name ~seed ~duration_ms () =
   done;
   Trace.of_mbps_array ~name ~ms_per_sample:params.sample_ms samples
 
+let generate ~name ~seed ~duration_ms () =
+  generate_with default_params ~name ~seed ~duration_ms
+
 let standard_suite ?(duration_ms = 30_000) () =
   [
     generate ~name:"lte-att" ~seed:101 ~duration_ms ();
-    generate
-      ~params:{ default_params with mean_good_mbps = 72.; jitter = 0.55 }
-      ~name:"lte-verizon" ~seed:202 ~duration_ms ();
-    generate
-      ~params:
-        {
-          default_params with
-          mean_good_mbps = 30.;
-          mean_fade_mbps = 2.;
-          fade_dwell_ms = 1500.;
-        }
-      ~name:"lte-tmobile-a" ~seed:303 ~duration_ms ();
-    generate
-      ~params:
-        { default_params with mean_good_mbps = 96.; good_dwell_ms = 1500. }
-      ~name:"lte-tmobile-b" ~seed:404 ~duration_ms ();
+    generate_with
+      { default_params with mean_good_mbps = 72.; jitter = 0.55 }
+      ~name:"lte-verizon" ~seed:202 ~duration_ms;
+    generate_with
+      {
+        default_params with
+        mean_good_mbps = 30.;
+        mean_fade_mbps = 2.;
+        fade_dwell_ms = 1500.;
+      }
+      ~name:"lte-tmobile-a" ~seed:303 ~duration_ms;
+    generate_with
+      { default_params with mean_good_mbps = 96.; good_dwell_ms = 1500. }
+      ~name:"lte-tmobile-b" ~seed:404 ~duration_ms;
   ]

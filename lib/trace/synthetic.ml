@@ -2,17 +2,12 @@ let ramp_step_ms = 200
 (* Granularity of the piecewise-linear ramps: one segment per 200 ms keeps
    segment counts small while looking smooth at the RTT timescale. *)
 
-let step_fluctuation ?name ~duration_ms ~period_ms ~low_mbps ~high_mbps () =
+let step_fluctuation ~duration_ms ~period_ms ~low_mbps ~high_mbps () =
   if period_ms <= 0 || duration_ms <= 0 then
     invalid_arg "Synthetic.step_fluctuation: durations";
   if low_mbps < 0. || high_mbps < low_mbps then
     invalid_arg "Synthetic.step_fluctuation: rates";
-  let name =
-    match name with
-    | Some n -> n
-    | None ->
-        Printf.sprintf "step-%g-%g-p%d" low_mbps high_mbps period_ms
-  in
+  let name = Printf.sprintf "step-%g-%g-p%d" low_mbps high_mbps period_ms in
   let segments = ref [] in
   let t = ref 0 in
   let high = ref true in
@@ -24,17 +19,13 @@ let step_fluctuation ?name ~duration_ms ~period_ms ~low_mbps ~high_mbps () =
   done;
   Trace.of_segments ~name (List.rev !segments)
 
-let ramp segments_of_cycle ?name ~gen_name ~duration_ms ~cycle_ms ~floor_mbps
+let ramp segments_of_cycle ~gen_name ~duration_ms ~cycle_ms ~floor_mbps
     ~peak_mbps () =
   if cycle_ms < 2 * ramp_step_ms || duration_ms <= 0 then
     invalid_arg "Synthetic.ramp: durations";
   if floor_mbps < 0. || peak_mbps < floor_mbps then
     invalid_arg "Synthetic.ramp: rates";
-  let name =
-    match name with
-    | Some n -> n
-    | None -> Printf.sprintf "%s-%g-%g-c%d" gen_name floor_mbps peak_mbps cycle_ms
-  in
+  let name = Printf.sprintf "%s-%g-%g-c%d" gen_name floor_mbps peak_mbps cycle_ms in
   let cycle = segments_of_cycle ~cycle_ms ~floor_mbps ~peak_mbps in
   let segments = ref [] in
   let t = ref 0 in
@@ -50,17 +41,17 @@ let ramp segments_of_cycle ?name ~gen_name ~duration_ms ~cycle_ms ~floor_mbps
   done;
   Trace.of_segments ~name (List.rev !segments)
 
-let ramp_drop ?name ~duration_ms ~cycle_ms ~floor_mbps ~peak_mbps () =
+let ramp_drop ~duration_ms ~cycle_ms ~floor_mbps ~peak_mbps () =
   let segments_of_cycle ~cycle_ms ~floor_mbps ~peak_mbps =
     let steps = cycle_ms / ramp_step_ms in
     List.init steps (fun i ->
         let frac = float_of_int i /. float_of_int (max 1 (steps - 1)) in
         (ramp_step_ms, Canopy_util.Mathx.lerp floor_mbps peak_mbps frac))
   in
-  ramp segments_of_cycle ?name ~gen_name:"rampdrop" ~duration_ms ~cycle_ms
+  ramp segments_of_cycle ~gen_name:"rampdrop" ~duration_ms ~cycle_ms
     ~floor_mbps ~peak_mbps ()
 
-let triangle ?name ~duration_ms ~cycle_ms ~floor_mbps ~peak_mbps () =
+let triangle ~duration_ms ~cycle_ms ~floor_mbps ~peak_mbps () =
   let segments_of_cycle ~cycle_ms ~floor_mbps ~peak_mbps =
     let steps = cycle_ms / ramp_step_ms in
     let half = max 1 (steps / 2) in
@@ -71,7 +62,7 @@ let triangle ?name ~duration_ms ~cycle_ms ~floor_mbps ~peak_mbps () =
         in
         (ramp_step_ms, Canopy_util.Mathx.lerp floor_mbps peak_mbps frac))
   in
-  ramp segments_of_cycle ?name ~gen_name:"triangle" ~duration_ms ~cycle_ms
+  ramp segments_of_cycle ~gen_name:"triangle" ~duration_ms ~cycle_ms
     ~floor_mbps ~peak_mbps ()
 
 let standard_suite ?(duration_ms = 30_000) () =

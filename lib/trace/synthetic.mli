@@ -5,7 +5,6 @@
     from them. *)
 
 val step_fluctuation :
-  ?name:string ->
   duration_ms:int ->
   period_ms:int ->
   low_mbps:float ->
@@ -15,7 +14,6 @@ val step_fluctuation :
 (** Square wave between [low] and [high] every [period_ms] (Fig. 15). *)
 
 val ramp_drop :
-  ?name:string ->
   duration_ms:int ->
   cycle_ms:int ->
   floor_mbps:float ->
@@ -26,7 +24,6 @@ val ramp_drop :
     drops instantly back to [floor] (Fig. 16). *)
 
 val triangle :
-  ?name:string ->
   duration_ms:int ->
   cycle_ms:int ->
   floor_mbps:float ->

@@ -66,12 +66,6 @@ let avg_mbps t =
 let min_mbps t = Array.fold_left Float.min t.mbps.(0) t.mbps
 let max_mbps t = Array.fold_left Float.max t.mbps.(0) t.mbps
 
-let scale alpha t =
-  if alpha < 0. then invalid_arg "Trace.scale: negative";
-  { t with mbps = Array.map (fun r -> alpha *. r) t.mbps }
-
-let rename name t = { t with name }
-
 let packets_per_ms ~mtu_bytes t ms =
   (* mbps → bytes/ms is ×125. *)
   mbps_at t ms *. 125. /. float_of_int mtu_bytes

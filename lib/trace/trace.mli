@@ -29,11 +29,6 @@ val avg_mbps : t -> float
 val min_mbps : t -> float
 val max_mbps : t -> float
 
-val scale : float -> t -> t
-(** Multiply all capacities (e.g. to add calibrated noise studies). *)
-
-val rename : string -> t -> t
-
 val packets_per_ms : mtu_bytes:int -> t -> int -> float
 (** Delivery opportunities (MTU-sized packets) available during the given
     millisecond. *)

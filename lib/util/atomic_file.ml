@@ -10,7 +10,7 @@
    collision. *)
 let stamp = ref 0
 
-let rec create_staging ~perm path attempt =
+let rec create_staging path attempt =
   if attempt > 1000 then
     raise
       (Sys_error
@@ -23,13 +23,13 @@ let rec create_staging ~perm path attempt =
          ("." ^ Filename.basename path))
       !stamp attempt
   in
-  match open_out_gen [ Open_wronly; Open_creat; Open_excl; Open_binary ] perm tmp with
+  match open_out_gen [ Open_wronly; Open_creat; Open_excl; Open_binary ] 0o644 tmp with
   | oc -> (tmp, oc)
   | exception Sys_error _ when Sys.file_exists tmp ->
-      create_staging ~perm path (attempt + 1)
+      create_staging path (attempt + 1)
 
-let write ?(perm = 0o644) path contents =
-  let tmp, oc = create_staging ~perm path 0 in
+let write path contents =
+  let tmp, oc = create_staging path 0 in
   match
     Fun.protect
       ~finally:(fun () -> close_out oc)
@@ -45,13 +45,13 @@ let write ?(perm = 0o644) path contents =
       (try Sys.remove tmp with Sys_error _ -> ());
       raise e
 
-let rec mkdir_p ?(perm = 0o755) dir =
+let rec mkdir_p dir =
   if dir = "" || dir = Filename.current_dir_name then ()
   else if not (Sys.file_exists dir) then begin
-    mkdir_p ~perm (Filename.dirname dir);
+    mkdir_p (Filename.dirname dir);
     (* A concurrent creator may win the race between the existence check
        and the mkdir: EEXIST is success, not failure. *)
-    try Sys.mkdir dir perm with
+    try Sys.mkdir dir 0o755 with
     | Sys_error msg
       when Sys.file_exists dir && Sys.is_directory dir ->
         ignore msg

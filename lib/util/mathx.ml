@@ -2,10 +2,6 @@ let clamp ~lo ~hi x =
   assert (lo <= hi);
   if x < lo then lo else if x > hi then hi else x
 
-let clamp_int ~lo ~hi x =
-  assert (lo <= hi);
-  if x < lo then lo else if x > hi then hi else x
-
 let lerp a b t = a +. (t *. (b -. a))
 
 let approx_equal ?(eps = 1e-9) a b =
@@ -16,10 +12,6 @@ let is_finite x = Float.is_finite x
 let log2 x = log x /. log 2.
 let pow2 x = Float.exp (x *. log 2.)
 let sign x = if x > 0. then 1. else if x < 0. then -1. else 0.
-
-let round_to d x =
-  let scale = 10. ** float_of_int d in
-  Float.round (x *. scale) /. scale
 
 let sum = Array.fold_left ( +. ) 0.
 let fsum_list = List.fold_left ( +. ) 0.

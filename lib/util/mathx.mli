@@ -3,8 +3,6 @@
 val clamp : lo:float -> hi:float -> float -> float
 (** [clamp ~lo ~hi x] limits [x] to [\[lo, hi\]]. Requires [lo <= hi]. *)
 
-val clamp_int : lo:int -> hi:int -> int -> int
-
 val lerp : float -> float -> float -> float
 (** [lerp a b t] is [a + t*(b-a)]. *)
 
@@ -20,9 +18,6 @@ val pow2 : float -> float
 
 val sign : float -> float
 (** [-1.], [0.] or [1.]. *)
-
-val round_to : int -> float -> float
-(** [round_to d x] rounds [x] to [d] decimal places. *)
 
 val sum : float array -> float
 val fsum_list : float list -> float

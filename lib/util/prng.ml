@@ -75,15 +75,3 @@ let exponential t ~rate =
     if u > 0. then u else nonzero ()
   in
   -.log (nonzero ()) /. rate
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let choose t a =
-  assert (Array.length a > 0);
-  a.(int t (Array.length a))

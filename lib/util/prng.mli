@@ -67,9 +67,3 @@ val gaussian_scaled : t -> mu:float -> sigma:float -> float
 
 val exponential : t -> rate:float -> float
 (** Exponential deviate with the given rate. Requires [rate > 0]. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
-val choose : t -> 'a array -> 'a
-(** Uniformly random element. Requires a non-empty array. *)

@@ -40,29 +40,3 @@ let percentile xs p =
     sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
   end
 
-let median xs = percentile xs 50.
-
-type summary = {
-  n : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  p50 : float;
-  p95 : float;
-  p99 : float;
-}
-
-let summarize xs =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Stats.summarize: empty sample";
-  {
-    n;
-    mean = mean xs;
-    stddev = stddev xs;
-    min = Array.fold_left Float.min xs.(0) xs;
-    max = Array.fold_left Float.max xs.(0) xs;
-    p50 = percentile xs 50.;
-    p95 = percentile xs 95.;
-    p99 = percentile xs 99.;
-  }

@@ -22,19 +22,3 @@ val percentile : float array -> float -> float
     between closest ranks. The input array is not modified. Raises
     [Invalid_argument] on an empty array. *)
 
-val median : float array -> float
-
-type summary = {
-  n : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  p50 : float;
-  p95 : float;
-  p99 : float;
-}
-(** Batch summary of a sample. *)
-
-val summarize : float array -> summary
-(** Raises [Invalid_argument] on an empty array. *)

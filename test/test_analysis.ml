@@ -324,9 +324,9 @@ let test_netcheck_rejects_dim_mismatch () =
   let rng = Prng.create 12 in
   (* dense expects 8 inputs but the stack feeds it 4 *)
   let layers =
-    [ Layer.dense ~rng ~in_dim:8 ~out_dim:3; Layer.relu ]
+    [ Layer.dense ~rng ~in_dim:8 ~out_dim:3; Layer.tanh ]
   in
-  let diags = Netcheck.check_layers ~in_dim:4 layers in
+  let diags = Netcheck.check_layers ~name:"stack" ~in_dim:4 layers in
   check_bool "dimension mismatch reported" true
     (List.exists (fun d -> d.Diagnostic.rule = "net-dim-mismatch") diags)
 
@@ -347,7 +347,7 @@ let test_netcheck_rejects_uninitialized_bn () =
     | _ -> assert false
   in
   Vec.fill bn.running_var 0.;
-  let diags = Netcheck.check_layers ~in_dim:4 [ Layer.Batch_norm bn ] in
+  let diags = Netcheck.check_layers ~name:"stack" ~in_dim:4 [ Layer.Batch_norm bn ] in
   check_bool "uninitialized stats reported" true
     (List.exists (fun d -> d.Diagnostic.rule = "net-bn-uninitialized") diags)
 

@@ -576,9 +576,67 @@ let test_load_or_train_caches () =
           check_float "curve values preserved" a.Trainer.raw_reward
             b.Trainer.raw_reward)
         epochs1 epochs2;
-      let x = Array.make state_dim 0.3 in
-      check_float "same policy" (Mlp.forward actor1 x).(0)
-        (Mlp.forward actor2 x).(0))
+      Alcotest.(check string) "same actor bits"
+        (Canopy_nn.Checkpoint.to_string actor1)
+        (Canopy_nn.Checkpoint.to_string actor2))
+
+(* The cache is keyed by the config fingerprint: a cached actor planted
+   under the tag is what an unchanged config reloads, and a changed
+   lambda retrains over it instead. *)
+let test_load_or_train_config_keyed () =
+  let dir = Filename.temp_file "canopy" ".cache" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let cfg = tiny_config () in
+      ignore (Trainer.load_or_train ~cache_dir:dir ~tag:"t" cfg);
+      let planted =
+        Mlp.actor ~rng:(Prng.create 99) ~in_dim:state_dim ~hidden:8 ~out_dim:1
+      in
+      Canopy_nn.Checkpoint.save planted (Filename.concat dir "t.actor.ckpt");
+      let text = Canopy_nn.Checkpoint.to_string in
+      let reloaded, _ = Trainer.load_or_train ~cache_dir:dir ~tag:"t" cfg in
+      Alcotest.(check string) "unchanged config reloads the cached bits"
+        (text planted) (text reloaded);
+      let retrained, _ =
+        Trainer.load_or_train ~cache_dir:dir ~tag:"t" (tiny_config ~lambda:0.5 ())
+      in
+      check_bool "changed lambda retrains" true (text retrained <> text planted);
+      Alcotest.(check string) "retrained actor replaces the cached one"
+        (text retrained)
+        (text (Trainer.load_actor (Filename.concat dir "t.actor.ckpt"))))
+
+(* The plain-ReLU layer kind is gone: a checkpoint that still carries a
+   [relu] line fails loudly, naming the line, instead of loading. *)
+let test_checkpoint_relu_rejected () =
+  let rng = Prng.create 5 in
+  let net =
+    Mlp.create ~in_dim:2
+      [ Layer.dense ~rng ~in_dim:2 ~out_dim:3; Layer.leaky_relu ();
+        Layer.dense ~rng ~in_dim:3 ~out_dim:1 ]
+  in
+  let text =
+    Checkpoint.to_string net |> String.split_on_char '\n'
+    |> List.map (fun l ->
+           if String.starts_with ~prefix:"leaky_relu" l then "relu" else l)
+    |> String.concat "\n"
+  in
+  Alcotest.check_raises "of_string names the line"
+    (Failure "Checkpoint: unknown layer header \"relu\"") (fun () ->
+      ignore (Checkpoint.of_string text));
+  let path = Filename.temp_file "canopy-relu" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Canopy_util.Atomic_file.write path text;
+      check_bool "Trainer.load_actor raises" true
+        (match Trainer.load_actor path with
+        | _ -> false
+        | exception Failure _ -> true))
 
 (* ------------------------------------------------------------------ *)
 (* Crash safety: strict curve parsing, resume determinism, watchdog *)
@@ -822,6 +880,8 @@ let suite =
     ("trainer λ=0 identity", `Slow, test_trainer_combined_reward_identity_lambda0);
     ("trainer deterministic", `Slow, test_trainer_deterministic_given_seed);
     ("load_or_train caches", `Slow, test_load_or_train_caches);
+    ("load_or_train keyed by config", `Slow, test_load_or_train_config_keyed);
+    ("checkpoint relu line rejected", `Quick, test_checkpoint_relu_rejected);
     ("load_curve strict", `Quick, test_load_curve_strict);
     ("trainer resume determinism", `Slow, test_trainer_resume_determinism);
     ("trainer resume fingerprint check", `Slow,

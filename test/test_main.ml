@@ -18,12 +18,12 @@ let () =
       ("core", Test_core.suite);
       ("zonotope", Test_zonotope.suite);
       ("shield", Test_shield.suite);
-      ("temporal", Test_temporal.suite);
       ("properties", Test_properties.suite);
       ("analysis", Test_analysis.suite);
       ("scenario", Test_scenario.suite);
       ("distill", Test_distill.suite);
       ("racecheck", Test_racecheck.suite);
+      ("deadcode", Test_deadcode.suite);
       ("pool", Test_pool.suite);
       ("alloc", Test_alloc.suite);
     ]

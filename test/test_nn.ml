@@ -37,9 +37,7 @@ let test_leaky_relu_forward () =
   let y = forward1 l [| -2.; 0.; 3. |] in
   Alcotest.(check (array (float 1e-9))) "leaky" [| -0.2; 0.; 3. |] y
 
-let test_relu_tanh_forward () =
-  let y = forward1 Layer.relu [| -1.; 2. |] in
-  Alcotest.(check (array (float 1e-9))) "relu" [| 0.; 2. |] y;
+let test_tanh_forward () =
   let y = forward1 Layer.tanh [| 0.; 100. |] in
   check_float "tanh 0" 0. y.(0);
   check_bool "tanh sat" true (y.(1) > 0.999)
@@ -136,15 +134,6 @@ let test_grad_leaky_relu () =
       ]
   in
   gradient_check net [| [| 0.9; -0.4 |] |]
-
-let test_grad_relu () =
-  let r = rng () in
-  let net =
-    Mlp.create ~in_dim:2
-      [ Layer.dense ~rng:r ~in_dim:2 ~out_dim:4; Layer.relu;
-        Layer.dense ~rng:r ~in_dim:4 ~out_dim:1 ]
-  in
-  gradient_check net [| [| 0.35; 0.6 |] |]
 
 let test_grad_batchnorm_eval_path () =
   (* Batch of one: BN uses running statistics (an affine map); gradients
@@ -275,7 +264,7 @@ let test_batched_matches_rows_relu_stack () =
     Mlp.create ~in_dim:3
       [
         Layer.dense ~rng:r ~in_dim:3 ~out_dim:6;
-        Layer.relu;
+        Layer.leaky_relu ~slope:0.3 ();
         Layer.batch_norm ~momentum:0.3 ~dim:6 ();
         Layer.dense ~rng:r ~in_dim:6 ~out_dim:2;
       ]
@@ -780,14 +769,13 @@ let suite =
   [
     ("dense forward", `Quick, test_dense_forward);
     ("leaky relu forward", `Quick, test_leaky_relu_forward);
-    ("relu/tanh forward", `Quick, test_relu_tanh_forward);
+    ("tanh forward", `Quick, test_tanh_forward);
     ("batchnorm identity at init", `Quick, test_batch_norm_identity_init);
     ("batchnorm normalizes batch", `Quick, test_batch_norm_normalizes_batch);
     ("batchnorm running stats", `Quick, test_batch_norm_updates_running_stats);
     ("layer out_dim", `Quick, test_out_dim);
     ("gradient: dense+tanh", `Quick, test_grad_dense_tanh);
     ("gradient: leaky relu", `Quick, test_grad_leaky_relu);
-    ("gradient: relu", `Quick, test_grad_relu);
     ("gradient: batchnorm eval path", `Quick, test_grad_batchnorm_eval_path);
     ("gradient: batchnorm batch stats", `Quick, test_grad_batchnorm_batch_stats);
     ("input gradient", `Quick, test_backward_input_gradient);

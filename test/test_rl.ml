@@ -55,12 +55,6 @@ let test_buffer_sample_empty_raises () =
     (Invalid_argument "Replay_buffer.sample: empty") (fun () ->
       ignore (Replay_buffer.sample b rng ~batch_size:1))
 
-let test_buffer_clear () =
-  let b = Replay_buffer.create ~capacity:2 in
-  Replay_buffer.add b (tr [| 0. |] [| 0. |]);
-  Replay_buffer.clear b;
-  check_int "cleared" 0 (Replay_buffer.length b)
-
 (* ------------------------------------------------------------------ *)
 (* TD3 *)
 
@@ -267,25 +261,6 @@ let test_td3_truncation_bootstraps () =
     true
     (q_trunc > q_term +. 1.)
 
-let test_td3_save_load_actor () =
-  let rng = Prng.create 16 in
-  let agent = Td3.create ~rng (td3_config ~state_dim:2) in
-  let dir = Filename.temp_file "canopy" ".d" in
-  Sys.remove dir;
-  Td3.save agent ~dir;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f))
-        (Sys.readdir dir);
-      Sys.rmdir dir)
-    (fun () ->
-      let s = [| 0.2; 0.8 |] in
-      let before = (Td3.select_action agent s).(0) in
-      (* perturb the live actor, then restore from the checkpoint *)
-      Td3.load_actor agent (Filename.concat dir "actor.ckpt");
-      let after = (Td3.select_action agent s).(0) in
-      Alcotest.(check (float 1e-9)) "roundtrip" before after)
-
 (* ------------------------------------------------------------------ *)
 (* Snapshots: replay layout, full-agent capture, v2 container *)
 
@@ -432,7 +407,6 @@ let suite =
     ("buffer wraps", `Quick, test_buffer_wraps);
     ("buffer sample size", `Quick, test_buffer_sample_size);
     ("buffer sample empty", `Quick, test_buffer_sample_empty_raises);
-    ("buffer clear", `Quick, test_buffer_clear);
     ("td3 action bounds", `Quick, test_td3_action_bounds);
     ("td3 deterministic policy", `Quick, test_td3_deterministic_without_exploration);
     ("td3 warmup gate", `Quick, test_td3_update_noop_before_warmup);
@@ -442,7 +416,6 @@ let suite =
     ("td3 update counting", `Quick, test_td3_updates_counted);
     ("td3 batched = per-sample kernels", `Quick, test_td3_kernels_agree);
     ("td3 truncation bootstraps", `Slow, test_td3_truncation_bootstraps);
-    ("td3 save/load actor", `Quick, test_td3_save_load_actor);
     ("buffer iter storage order", `Quick, test_buffer_iter_storage_order);
     ("buffer of_seq roundtrip", `Quick, test_buffer_of_seq_roundtrip);
     ("buffer of_seq validates", `Quick, test_buffer_of_seq_validates);

@@ -24,19 +24,12 @@ let test_wraparound () =
 
 let test_duration_name () =
   check_int "duration" 300 (Trace.duration_ms two_step);
-  Alcotest.(check string) "name" "two" (Trace.name two_step);
-  Alcotest.(check string) "rename" "other"
-    (Trace.name (Trace.rename "other" two_step))
+  Alcotest.(check string) "name" "two" (Trace.name two_step)
 
 let test_aggregates () =
   check_float "avg" 30. (Trace.avg_mbps two_step);
   check_float "min" 10. (Trace.min_mbps two_step);
   check_float "max" 40. (Trace.max_mbps two_step)
-
-let test_scale () =
-  let s = Trace.scale 0.5 two_step in
-  check_float "scaled avg" 15. (Trace.avg_mbps s);
-  check_float "scaled at" 5. (Trace.mbps_at s 0)
 
 let test_constant () =
   let c = Trace.constant ~name:"c" ~duration_ms:1000 ~mbps:24. in
@@ -212,7 +205,6 @@ let suite =
     ("wraparound replay", `Quick, test_wraparound);
     ("duration/name", `Quick, test_duration_name);
     ("aggregates", `Quick, test_aggregates);
-    ("scale", `Quick, test_scale);
     ("constant trace", `Quick, test_constant);
     ("packets per ms", `Quick, test_packets_per_ms);
     ("invalid segments", `Quick, test_invalid_segments);

@@ -110,21 +110,6 @@ let test_prng_exponential_mean () =
   Array.iter (fun x -> check_bool "non-negative" true (x >= 0.)) xs;
   check_bool "mean near 1/rate" true (Float.abs (Stats.mean xs -. 2.) < 0.1)
 
-let test_prng_shuffle_permutes () =
-  let rng = Prng.create 37 in
-  let a = Array.init 20 Fun.id in
-  let b = Array.copy a in
-  Prng.shuffle rng b;
-  Array.sort Int.compare b;
-  Alcotest.(check (array int)) "same multiset" a b
-
-let test_prng_choose () =
-  let rng = Prng.create 41 in
-  let a = [| "x"; "y"; "z" |] in
-  for _ = 1 to 100 do
-    check_bool "member" true (Array.mem (Prng.choose rng a) a)
-  done
-
 (* ------------------------------------------------------------------ *)
 (* Stats *)
 
@@ -132,8 +117,7 @@ let test_percentile_simple () =
   let xs = [| 3.; 1.; 2.; 5.; 4. |] in
   check_float "p0 = min" 1. (Stats.percentile xs 0.);
   check_float "p100 = max" 5. (Stats.percentile xs 100.);
-  check_float "p50 = median" 3. (Stats.percentile xs 50.);
-  check_float "median fn" 3. (Stats.median xs)
+  check_float "p50 = median" 3. (Stats.percentile xs 50.)
 
 let test_percentile_interpolates () =
   let xs = [| 0.; 10. |] in
@@ -147,15 +131,6 @@ let test_percentile_empty_raises () =
   Alcotest.check_raises "empty raises"
     (Invalid_argument "Stats.percentile: empty sample") (fun () ->
       ignore (Stats.percentile [||] 50.))
-
-let test_summarize () =
-  let xs = Array.init 100 (fun i -> float_of_int (i + 1)) in
-  let s = Stats.summarize xs in
-  check_int "n" 100 s.Stats.n;
-  check_float "mean" 50.5 s.Stats.mean;
-  check_float "min" 1. s.Stats.min;
-  check_float "max" 100. s.Stats.max;
-  check_bool "p95 close" true (Float.abs (s.Stats.p95 -. 95.05) < 0.01)
 
 let test_stats_mean_empty () = check_float "mean empty" 0. (Stats.mean [||])
 
@@ -180,8 +155,7 @@ let test_jain_degenerate () =
 let test_clamp () =
   check_float "below" 1. (Mathx.clamp ~lo:1. ~hi:2. 0.);
   check_float "above" 2. (Mathx.clamp ~lo:1. ~hi:2. 5.);
-  check_float "inside" 1.5 (Mathx.clamp ~lo:1. ~hi:2. 1.5);
-  check_int "int clamp" 3 (Mathx.clamp_int ~lo:0 ~hi:3 7)
+  check_float "inside" 1.5 (Mathx.clamp ~lo:1. ~hi:2. 1.5)
 
 let test_lerp () =
   check_float "t=0" 2. (Mathx.lerp 2. 8. 0.);
@@ -196,8 +170,7 @@ let test_pow2_log2 () =
 
 let test_sign_round () =
   check_float "sign neg" (-1.) (Mathx.sign (-0.3));
-  check_float "sign zero" 0. (Mathx.sign 0.);
-  check_float "round_to" 3.14 (Mathx.round_to 2 3.14159)
+  check_float "sign zero" 0. (Mathx.sign 0.)
 
 let test_approx_equal () =
   check_bool "exact" true (Mathx.approx_equal 1. 1.);
@@ -367,13 +340,10 @@ let suite =
     ("prng gaussian moments", `Quick, test_prng_gaussian_moments);
     ("prng gaussian scaled", `Quick, test_prng_gaussian_scaled);
     ("prng exponential mean", `Quick, test_prng_exponential_mean);
-    ("prng shuffle permutes", `Quick, test_prng_shuffle_permutes);
-    ("prng choose membership", `Quick, test_prng_choose);
     ("percentile simple", `Quick, test_percentile_simple);
     ("percentile interpolates", `Quick, test_percentile_interpolates);
     ("percentile singleton", `Quick, test_percentile_singleton);
     ("percentile empty raises", `Quick, test_percentile_empty_raises);
-    ("summarize", `Quick, test_summarize);
     ("mean of empty", `Quick, test_stats_mean_empty);
     ("jain equal share", `Quick, test_jain_equal_share);
     ("jain single hog", `Quick, test_jain_single_hog);
