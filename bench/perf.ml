@@ -83,7 +83,8 @@ let kernels () =
       Canopy_nn.Mlp.actor ~rng ~in_dim:state_dim ~hidden ~out_dim:action_dim
     in
     let states = cycle ~seed:18 ~batch_size ~cols:state_dim in
-    fun () -> ignore (Canopy_nn.Mlp.forward_batch actor (snd (states ())))
+    let dst = Mat.create ~rows:batch_size ~cols:action_dim in
+    fun () -> Canopy_nn.Mlp.forward_batch ~dst actor (snd (states ()))
   in
   let make_critic_fit ~batch_size =
     let rng = Canopy_util.Prng.create 19 in
@@ -96,11 +97,12 @@ let kernels () =
               Float.cos (float_of_int ((k * batch_size) + i))))
     in
     let inv_n = 1. /. float_of_int batch_size in
+    let ws = Canopy_nn.Mlp.workspace critic in
     fun () ->
       let k, inputs = inputs () in
       let targets = targets.(k) in
       Canopy_nn.Mlp.zero_grad critic;
-      let preds, tape = Canopy_nn.Mlp.forward_train critic inputs in
+      let preds, tape = Canopy_nn.Mlp.forward_train ~ws critic inputs in
       let dout =
         Mat.init ~rows:batch_size ~cols:1 (fun i _ ->
             2. *. (Mat.get preds i 0 -. targets.(i)) *. inv_n)

@@ -27,85 +27,135 @@ let source_generation t = t.source_generation
 (* batch norm) into a single fused stage, flushed at each activation.  *)
 (* ------------------------------------------------------------------ *)
 
-(* The pending affine (w, b) is owned by the builder: compositions may
-   mutate it freely, but a dense layer adopted with no pending prefix
-   must be copied — the layer's arrays are mutable and live on in the
-   network. *)
-let adopt_dense pending (d : Layer.dense) =
+(* The builder's pending affine run [x ↦ pw·x + pb]. A dense layer that
+   opens a run is borrowed (its arrays are the network's, [slot] −1);
+   every composition writes its matrix into one of two slots of this
+   domain's builder arena, the other one than its operand's, and its
+   bias into a fresh vector. A flush copies the run out into a stage, so
+   no stage aliases the network or the arena. *)
+type pending = { pw : Mat.t; pb : Vec.t; slot : int }
+
+let build_key : Canopy_util.Scratch.t Domain.DLS.key =
+  Domain.DLS.new_key Canopy_util.Scratch.create
+
+let next_slot = function Some { slot = 0; _ } -> 1 | _ -> 0
+
+(* The square matrix with [d] on its diagonal, in arena slot [slot]. *)
+let diagonal arena ~slot d =
+  let n = Vec.dim d in
+  let w = Mat.scratch_mat arena ~slot ~rows:n ~cols:n in
+  let wd = Mat.raw w in
+  Array.fill wd 0 (n * n) 0.;
+  for i = 0 to n - 1 do
+    wd.((i * n) + i) <- d.(i)
+  done;
+  w
+
+let compose_dense arena pending (d : Layer.dense) =
   match pending with
-  | None -> (Mat.copy d.w, Vec.copy d.b)
-  | Some (w0, b0) ->
+  | None -> { pw = d.w; pb = d.b; slot = -1 }
+  | Some p ->
       (* (W·x + b) ∘ (W0·x + b0) = (W·W0)·x + (W·b0 + b) *)
-      let w = Mat.mat_mul d.w w0 in
-      let b = Mat.mat_vec d.w b0 in
+      let slot = next_slot pending in
+      let w =
+        Mat.scratch_mat arena ~slot ~rows:(Mat.rows d.w) ~cols:(Mat.cols p.pw)
+      in
+      Mat.mat_mul_into ~dst:w d.w p.pw;
+      let b = Mat.mat_vec d.w p.pb in
       Vec.axpy ~alpha:1. ~x:d.b ~y:b;
-      (w, b)
+      { pw = w; pb = b; slot }
 
 (* Inference-mode batch norm is x_i ↦ scale_i·x_i + shift_i with
    scale_i = γ_i/√(σ²_i + ε), shift_i = β_i − scale_i·μ_i — the same
    folding as [Ibp.propagate_layer] and [Layer.forward_eval]. Composing it
    onto a pending affine row-scales W and rewrites b per channel. *)
-let adopt_batch_norm pending ~dim (bn : Layer.batch_norm) =
+let compose_batch_norm arena pending ~dim (bn : Layer.batch_norm) =
   let scale =
     Vec.init dim (fun i -> bn.gamma.(i) /. sqrt (bn.running_var.(i) +. bn.eps))
   in
   let shift =
     Vec.init dim (fun i -> bn.beta.(i) -. (scale.(i) *. bn.running_mean.(i)))
   in
+  let slot = next_slot pending in
   match pending with
-  | None ->
-      let w =
-        Mat.init ~rows:dim ~cols:dim (fun i j ->
-            if i = j then scale.(i) else 0.)
-      in
-      (w, Vec.copy shift)
-  | Some (w0, b0) ->
-      let w =
-        Mat.init ~rows:dim ~cols:(Mat.cols w0) (fun i j ->
-            scale.(i) *. Mat.get w0 i j)
-      in
-      let b = Vec.init dim (fun i -> (scale.(i) *. b0.(i)) +. shift.(i)) in
-      (w, b)
+  | None -> { pw = diagonal arena ~slot scale; pb = shift; slot }
+  | Some p ->
+      let cols = Mat.cols p.pw in
+      let w = Mat.scratch_mat arena ~slot ~rows:dim ~cols in
+      let wd = Mat.raw w and pd = Mat.raw p.pw in
+      for i = 0 to dim - 1 do
+        for j = 0 to cols - 1 do
+          wd.((i * cols) + j) <- scale.(i) *. pd.((i * cols) + j)
+        done
+      done;
+      let b = Vec.init dim (fun i -> (scale.(i) *. p.pb.(i)) +. shift.(i)) in
+      { pw = w; pb = b; slot }
 
-let identity_affine dim =
-  ( Mat.init ~rows:dim ~cols:dim (fun i j -> if i = j then 1. else 0.),
-    Vec.create dim )
+let identity_affine arena dim =
+  { pw = diagonal arena ~slot:0 (Vec.init dim (fun _ -> 1.));
+    pb = Vec.create dim;
+    slot = 0 }
 
-let stage_of ~act (w, b) = { w; b; abs_w = Mat.abs w; act }
-
-let of_mlp net =
-  let source_generation = Mlp.generation net in
+(* Fold the layers into stages, handing each flushed run to [emit] in
+   stage order. *)
+let fold_stages net ~emit =
+  let arena = Domain.DLS.get build_key in
   let pending = ref None in
   let dim = ref (Mlp.in_dim net) in
-  let rev_stages = ref [] in
+  let k = ref 0 in
   let flush act =
-    let affine =
-      match !pending with Some wb -> wb | None -> identity_affine !dim
+    let p =
+      match !pending with Some p -> p | None -> identity_affine arena !dim
     in
     pending := None;
-    rev_stages := stage_of ~act affine :: !rev_stages
+    emit !k act p;
+    incr k
   in
   List.iter
     (fun layer ->
       match layer with
       | Layer.Dense d ->
-          pending := Some (adopt_dense !pending d);
+          pending := Some (compose_dense arena !pending d);
           dim := Mat.rows d.w
       | Layer.Batch_norm bn ->
-          pending := Some (adopt_batch_norm !pending ~dim:!dim bn)
+          pending := Some (compose_batch_norm arena !pending ~dim:!dim bn)
       | Layer.Leaky_relu slope -> flush (Leaky_relu slope)
       | Layer.Tanh -> flush Tanh)
     (Mlp.layers net);
   (* A trailing affine run (e.g. a critic's linear head) becomes a
      stage with no activation; nets ending in an activation need no
      extra stage. *)
-  (match !pending with Some _ -> flush Linear | None -> ());
+  match !pending with Some _ -> flush Linear | None -> ()
+
+let of_mlp net =
+  let source_generation = Mlp.generation net in
+  let rev_stages = ref [] in
+  fold_stages net ~emit:(fun _ act p ->
+      let w = Mat.copy p.pw in
+      let stage = { w; b = Vec.copy p.pb; abs_w = Mat.abs w; act } in
+      rev_stages := stage :: !rev_stages);
   {
     in_dim = Mlp.in_dim net;
     out_dim = Mlp.out_dim net;
     stages = List.rev !rev_stages;
     source_generation;
   }
+
+(* Re-extract [net] into the arrays of [ir], an earlier extraction of the
+   same network (so every stage keeps its shape), and return them as the
+   IR of the current generation. *)
+let refresh ir net =
+  let stages = Array.of_list ir.stages in
+  fold_stages net ~emit:(fun k _ p ->
+      let s = stages.(k) in
+      let w = Mat.raw s.w in
+      Array.blit (Mat.raw p.pw) 0 w 0 (Array.length w);
+      Array.blit p.pb 0 s.b 0 (Vec.dim s.b);
+      let a = Mat.raw s.abs_w in
+      for i = 0 to Array.length w - 1 do
+        a.(i) <- Float.abs w.(i)
+      done);
+  { ir with source_generation = Mlp.generation net }
 
 (* ------------------------------------------------------------------ *)
 (* Cache keyed on the network's physical identity and its parameter    *)
@@ -116,19 +166,28 @@ let of_mlp net =
 (* One cache slot per domain: pool workers certifying in parallel each
    memoize their own extraction instead of racing on a shared ref (the
    extraction is pure, so per-domain copies are merely a few redundant
-   [of_mlp] runs, never a correctness hazard). *)
-let cache_key : (Mlp.t * t) option ref Domain.DLS.key =
+   [of_mlp] runs, never a correctness hazard). The slot keeps the
+   current IR and the one before it; a new generation of the same
+   network is extracted into the older one's arrays, so a training run
+   that changes its actor every update allocates no new IR. *)
+let cache_key : (Mlp.t * t * t option) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
 let cached net =
   let cache = Domain.DLS.get cache_key in
   match !cache with
-  | Some (src, ir) when src == net && ir.source_generation = Mlp.generation net
-    ->
+  | Some (src, ir, _)
+    when src == net && ir.source_generation = Mlp.generation net ->
       ir
+  | Some (src, ir, older) when src == net ->
+      let ir' =
+        match older with Some old -> refresh old net | None -> of_mlp net
+      in
+      cache := Some (net, ir', Some ir);
+      ir'
   | _ ->
       let ir = of_mlp net in
-      cache := Some (net, ir);
+      cache := Some (net, ir, None);
       ir
 
 (* ------------------------------------------------------------------ *)

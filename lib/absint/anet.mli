@@ -34,7 +34,13 @@ val of_mlp : Mlp.t -> t
 val cached : Mlp.t -> t
 (** {!of_mlp} memoized against the network's physical identity and
     {!Mlp.generation}, so the many certify calls between two gradient
-    updates share one extraction. *)
+    updates share one extraction. Each domain keeps the current IR and
+    the one before it, and extracts a new generation of the same network
+    into the arrays of the one before, with the bits {!of_mlp} would
+    give: a training run whose actor changes every update allocates no
+    new IR. So an IR [cached] returns is valid until the same domain has
+    extracted two newer generations of its network; {!of_mlp}'s results
+    are never reused. *)
 
 val in_dim : t -> int
 val out_dim : t -> int

@@ -15,10 +15,12 @@
    (links never share state, so parallel execution is bit-identical to
    sequential by construction).
 
-   Trace lookups are hoisted: [run] precomputes one packets-per-ms table
-   per trace family (links sharing a trace by physical equality) and
-   every link of the family reads the shared table instead of calling
-   [Trace.packets_per_ms] per link per millisecond.
+   Trace lookups are hoisted: [run] fills one packets-per-ms table per
+   trace family (links sharing a trace by physical equality) and every
+   link of the family reads the shared table instead of calling
+   [Trace.packets_per_ms] per link per millisecond. The tables are
+   buffers of the fleet, grown to the longest call and refilled in
+   place, so a steady-state call allocates none.
 
    Queueing delays are kept as an exact per-flow histogram: RTTs are
    whole milliseconds, so one int bin per millisecond of RTT - minRTT
@@ -50,6 +52,9 @@ type t = {
      [fam_trace]/[fam_mtu] *)
   fam_trace : Trace.t array;
   fam_mtu : int array;
+  (* per family, the packets-per-ms table of the current [run] call;
+     empty until the first call, the slots replaced on growth *)
+  fam_ppms : float array array;
   (* [members.(l)] lists link l's flows in ascending order; [link.(i)]
      is flow i's link *)
   members : int array array;
@@ -209,6 +214,7 @@ let create ?start_ms ?link cfgs =
     now_ms = 0;
     fam_trace = Array.map fst fam_arr;
     fam_mtu = Array.map snd fam_arr;
+    fam_ppms = Array.init (Array.length fam_arr) (fun _ -> [||]);
     members;
     link;
     family;
@@ -595,18 +601,18 @@ let run ?after_tick t handlers ~ms =
   if ms < 0 then invalid_arg "Fleet.run: ms";
   if ms > 0 then begin
     let now0 = t.now_ms in
-    (* Shared read-only packets-per-ms table, one row per trace family:
-       row f, entry k is the family's delivery opportunities in
-       millisecond [now0 + 1 + k]. *)
-    let ppms_tab =
-      Array.init (Array.length t.fam_trace) (fun f ->
-          let tr = t.fam_trace.(f) and mtu = t.fam_mtu.(f) in
-          Array.init ms (fun k ->
-              Trace.packets_per_ms ~mtu_bytes:mtu tr (now0 + 1 + k)))
-    in
+    (* Shared read-only packets-per-ms tables, one per trace family,
+       filled before any link runs: entry k of family f's table is its
+       delivery opportunities in millisecond [now0 + 1 + k]. *)
+    for f = 0 to Array.length t.fam_ppms - 1 do
+      if Array.length t.fam_ppms.(f) < ms then
+        t.fam_ppms.(f) <- Array.create_float ms;
+      Trace.packets_per_ms_into ~mtu_bytes:t.fam_mtu.(f) t.fam_trace.(f)
+        ~first_ms:(now0 + 1) t.fam_ppms.(f) ~len:ms
+    done;
     let step_range ~lo ~hi =
       for l = lo to hi - 1 do
-        let tab = ppms_tab.(t.family.(l)) and fl = t.members.(l) in
+        let tab = t.fam_ppms.(t.family.(l)) and fl = t.members.(l) in
         for k = 0 to ms - 1 do
           tick_link t handlers l fl ~now:(now0 + k + 1) ~ppms_tab:tab
             ~ms_index:k;

@@ -97,20 +97,47 @@ let bn_update_running bn mu var =
       ((1. -. bn.momentum) *. bn.running_var.(i)) +. (bn.momentum *. var.(i))
   done
 
-(* The batched passes below run on the flat [Mat.raw] arrays with unsafe
-   accesses: shapes are validated at entry, every index is affine in loop
-   counters bounded by those shapes, and avoiding the per-element bounds
-   checks and closure calls of [Mat.get]/[Mat.init] is where most of the
-   batching speedup over the per-sample reference comes from. *)
+(* The batched passes below run on the flat [Mat.raw] arrays: shapes are
+   validated at entry, the element-wise work runs in [Elementwise]'s
+   kernels (AVX2 C where the host has it, the same bits either way), and
+   the few loops left here use unsafe accesses whose indices are affine
+   in loop counters bounded by those shapes. *)
 
-(* Leaky ReLU's two slopes, indexed by [Bool.to_int (v >= 0.)]: the
-   batched passes select with a multiply instead of a branch, which the
-   random signs of a training batch mispredict about half the time.
-   The bits are those of [if v >= 0. then v else slope *. v]: [v *. 1.]
-   is [v] for every value arithmetic produces (±0, ±∞ and quiet NaN
-   included), and a NaN compares false, so it takes the slope arm as
-   before. The per-sample reference passes keep the [if] form. *)
-let leaky_tab slope = [| slope; 1. |]
+(* The matrices and vectors one layer's training pass writes, kept by
+   the caller across passes ([Mlp.workspace]): a matrix is allocated the
+   first time a shape is asked for and reused while the shape holds, so
+   a steady-state pass allocates none. Slots: the forward output, the
+   batch-norm [xhat], the input gradient; the batch-norm vectors are
+   mu, var, inv_std and the backward's two column sums. *)
+type buffers = { mats : Mat.t option array; mutable stats : Vec.t array }
+
+let slot_out = 0
+let slot_xhat = 1
+let slot_dx = 2
+let buffers () = { mats = Array.make 3 None; stats = [||] }
+
+let take ws slot ~rows ~cols =
+  match ws.mats.(slot) with
+  | Some m when Mat.rows m = rows && Mat.cols m = cols -> m
+  | _ ->
+      let m = Mat.create_uninit ~rows ~cols in
+      ws.mats.(slot) <- Some m;
+      m
+
+let stats ws ~dim =
+  if Array.length ws.stats = 0 || Vec.dim ws.stats.(0) <> dim then
+    ws.stats <- Array.init 5 (fun _ -> Vec.create dim);
+  ws.stats
+
+(* Per-domain scratch arena for the eval passes' per-column batch-norm
+   coefficients (DESIGN §10 ownership rules): slot 0 holds the folded
+   [scale | shift] of [forward_eval], slot 1 the inverse deviations of
+   [forward_eval_into]. Each is fully written before it is read. *)
+let scratch_key : Canopy_util.Scratch.t Domain.DLS.key =
+  Domain.DLS.new_key Canopy_util.Scratch.create
+
+let coefficients ~slot ~len =
+  Canopy_util.Scratch.get (Domain.DLS.get scratch_key) ~slot ~len
 
 (* The element-wise activations, shared by the three batched forwards:
    [dst.(i) <- f x.(i)] over every cell. [dst] has [x]'s shape and may
@@ -118,117 +145,63 @@ let leaky_tab slope = [| slope; 1. |]
 let activate ~dst layer x =
   let xd = Mat.raw x and od = Mat.raw dst in
   match layer with
-  | Leaky_relu slope ->
-      let tab = leaky_tab slope in
-      for i = 0 to Array.length xd - 1 do
-        let v = Array.unsafe_get xd i in
-        Array.unsafe_set od i
-          (v *. Array.unsafe_get tab (Bool.to_int (v >= 0.)))
-      done
+  | Leaky_relu slope -> Elementwise.leaky ~slope xd ~dst:od
   | Tanh ->
       for i = 0 to Array.length xd - 1 do
         Array.unsafe_set od i (Float.tanh (Array.unsafe_get xd i))
       done
   | Dense _ | Batch_norm _ -> invalid_arg "Layer.activate: not an activation"
 
-(* An element-wise layer's output: [x] itself under [reuse_input]. *)
-let act_out ~reuse_input x =
-  if reuse_input then x else Mat.create_uninit ~rows:(Mat.rows x) ~cols:(Mat.cols x)
-
-let forward ?(reuse_input = false) layer x =
+let forward ?(reuse_input = false) ?(ws = buffers ()) layer x =
   let n = Mat.rows x in
   if n = 0 then invalid_arg "Layer.forward: empty batch";
   (* With [~reuse_input:true] the element-wise layers write their output
-     into [x]'s storage instead of allocating a fresh [batch × dim]
-     matrix. A 64×64 float array lands directly on the major heap, so
-     inside an MLP chain — where each layer's input is the previous
-     layer's freshly-allocated output — the reuse removes most of the
-     allocation churn of a training step. *)
+     into [x]'s storage instead of a buffer of their own. *)
   match layer with
   | Dense d ->
       if Mat.cols x <> Mat.cols d.w then invalid_arg "Layer.forward: dims";
       (* One bias-fused GEMM for the whole batch: y = x·wᵀ + b. The
          output shape differs from the input's and the cache needs [x]
          intact, so [reuse_input] does not apply. *)
-      let y = Mat.mat_mul_nt_bias x d.w d.b in
+      let y = take ws slot_out ~rows:n ~cols:(Mat.rows d.w) in
+      Mat.mat_mul_nt_bias_into ~dst:y x d.w d.b;
       (y, C_dense x)
   | Batch_norm bn ->
       let dim = Vec.dim bn.gamma in
       if Mat.cols x <> dim then invalid_arg "Layer.forward: dims";
-      let use_batch_stats = n > 1 in
-      let nf = float_of_int n in
-      let xd = Mat.raw x in
-      let gamma = bn.gamma and beta = bn.beta in
-      if use_batch_stats then begin
-        (* Column-wise mean/variance over the batch dimension, summed in
-           ascending sample order (matches the per-sample reference). *)
-        let mu = Vec.create dim and var = Vec.create dim in
-        let inv_n = 1. /. nf in
-        for b = 0 to n - 1 do
-          let base = b * dim in
-          for i = 0 to dim - 1 do
-            Array.unsafe_set mu i
-              (Array.unsafe_get mu i
-              +. (inv_n *. Array.unsafe_get xd (base + i)))
-          done
-        done;
-        for b = 0 to n - 1 do
-          let base = b * dim in
-          for i = 0 to dim - 1 do
-            let d = Array.unsafe_get xd (base + i) -. Array.unsafe_get mu i in
-            Array.unsafe_set var i (Array.unsafe_get var i +. (d *. d /. nf))
-          done
-        done;
-        let inv_std = Vec.init dim (fun i -> 1. /. sqrt (var.(i) +. bn.eps)) in
-        let xhat = Mat.create ~rows:n ~cols:dim in
-        let xh = Mat.raw xhat in
-        (* Normalize and scale-shift in one pass; [out] may alias [x]
-           (each cell is read before it is overwritten). *)
-        let out = if reuse_input then x else Mat.create ~rows:n ~cols:dim in
-        let od = Mat.raw out in
-        for b = 0 to n - 1 do
-          let base = b * dim in
-          for i = 0 to dim - 1 do
-            let h =
-              (Array.unsafe_get xd (base + i) -. Array.unsafe_get mu i)
-              *. Array.unsafe_get inv_std i
-            in
-            Array.unsafe_set xh (base + i) h;
-            Array.unsafe_set od (base + i)
-              ((Array.unsafe_get gamma i *. h) +. Array.unsafe_get beta i)
-          done
-        done;
-        bn_update_running bn mu var;
-        (out, C_bn { xhat; inv_std; batch_stats = true })
-      end
-      else begin
-        let inv_std =
-          Vec.init dim (fun i -> 1. /. sqrt (bn.running_var.(i) +. bn.eps))
-        in
-        let xhat = Mat.create ~rows:n ~cols:dim in
-        let xh = Mat.raw xhat and rm = bn.running_mean in
-        let out = if reuse_input then x else Mat.create ~rows:n ~cols:dim in
-        let od = Mat.raw out in
-        for b = 0 to n - 1 do
-          let base = b * dim in
-          for i = 0 to dim - 1 do
-            let h =
-              (Array.unsafe_get xd (base + i) -. Array.unsafe_get rm i)
-              *. Array.unsafe_get inv_std i
-            in
-            Array.unsafe_set xh (base + i) h;
-            Array.unsafe_set od (base + i)
-              ((Array.unsafe_get gamma i *. h) +. Array.unsafe_get beta i)
-          done
-        done;
-        (out, C_bn { xhat; inv_std; batch_stats = false })
-      end
+      let st = stats ws ~dim in
+      let inv_std = st.(2) in
+      let batch_stats = n > 1 in
+      (* Column-wise mean/variance over the batch dimension, summed in
+         ascending sample order (matches the per-sample reference); a
+         one-row batch has none and normalizes with the running ones. *)
+      let mu, var =
+        if batch_stats then begin
+          Elementwise.bn_stats (Mat.raw x) ~mu:st.(0) ~var:st.(1) ~rows:n ~dim;
+          (st.(0), st.(1))
+        end
+        else (bn.running_mean, bn.running_var)
+      in
+      for i = 0 to dim - 1 do
+        inv_std.(i) <- 1. /. sqrt (var.(i) +. bn.eps)
+      done;
+      let xhat = take ws slot_xhat ~rows:n ~cols:dim in
+      (* Normalize and scale-shift in one pass; [out] may alias [x]
+         (each cell is read before it is overwritten). *)
+      let out = if reuse_input then x else take ws slot_out ~rows:n ~cols:dim in
+      Elementwise.bn_normalize (Mat.raw x) ~mu ~inv_std ~gamma:bn.gamma
+        ~beta:bn.beta ~xhat:(Mat.raw xhat) ~out:(Mat.raw out) ~rows:n ~dim;
+      if batch_stats then bn_update_running bn mu var;
+      (out, C_bn { xhat; inv_std; batch_stats })
   | Leaky_relu _ | Tanh ->
       (* The cache holds the output. Tanh's backward reads its outputs;
          leaky ReLU is sign-preserving (but for inputs that underflow
          to -0, see [leaky_relu]), so its backward mask reads the same
          from the output as from the (under reuse, overwritten) input. *)
-      let out = act_out ~reuse_input x in
+      let out =
+        if reuse_input then x
+        else take ws slot_out ~rows:n ~cols:(Mat.cols x)
+      in
       activate ~dst:out layer x;
       (out, C_act out)
 
@@ -236,46 +209,48 @@ let forward ?(reuse_input = false) layer x =
    batch-norm, the xhat matrix that only backward consumes. The running
    statistics fold into one per-channel affine map — the same folded
    form the abstract interpreter uses for its batch-norm transfer. *)
-let forward_eval ?(reuse_input = false) layer x =
+let forward_eval ~dst layer x =
   let n = Mat.rows x in
-  if n = 0 then invalid_arg "Layer.forward: empty batch";
+  if n = 0 then invalid_arg "Layer.forward_eval: empty batch";
+  if Mat.rows dst <> n then invalid_arg "Layer.forward_eval: rows";
   match layer with
   | Dense d ->
-      if Mat.cols x <> Mat.cols d.w then invalid_arg "Layer.forward: dims";
-      Mat.mat_mul_nt_bias x d.w d.b
+      if Mat.cols x <> Mat.cols d.w || Mat.cols dst <> Mat.rows d.w then
+        invalid_arg "Layer.forward_eval: dims";
+      Mat.mat_mul_nt_bias_into ~dst x d.w d.b
   | Batch_norm bn ->
       let dim = Vec.dim bn.gamma in
-      if Mat.cols x <> dim then invalid_arg "Layer.forward: dims";
-      let scale =
-        Vec.init dim (fun i -> bn.gamma.(i) /. sqrt (bn.running_var.(i) +. bn.eps))
-      in
-      let shift =
-        Vec.init dim (fun i -> bn.beta.(i) -. (scale.(i) *. bn.running_mean.(i)))
-      in
-      let out = if reuse_input then x else Mat.create ~rows:n ~cols:dim in
-      let xd = Mat.raw x and od = Mat.raw out in
+      if Mat.cols x <> dim || Mat.cols dst <> dim then
+        invalid_arg "Layer.forward_eval: dims";
+      (* [scale] in cells [0, dim), [shift] in [dim, 2·dim). *)
+      let c = coefficients ~slot:0 ~len:(2 * dim) in
+      for i = 0 to dim - 1 do
+        let scale = bn.gamma.(i) /. sqrt (bn.running_var.(i) +. bn.eps) in
+        c.(i) <- scale;
+        c.(dim + i) <- bn.beta.(i) -. (scale *. bn.running_mean.(i))
+      done;
+      let xd = Mat.raw x and od = Mat.raw dst in
       for b = 0 to n - 1 do
         let base = b * dim in
         for i = 0 to dim - 1 do
           Array.unsafe_set od (base + i)
-            ((Array.unsafe_get scale i *. Array.unsafe_get xd (base + i))
-            +. Array.unsafe_get shift i)
+            ((Array.unsafe_get c i *. Array.unsafe_get xd (base + i))
+            +. Array.unsafe_get c (dim + i))
         done
-      done;
-      out
+      done
   | Leaky_relu _ | Tanh ->
-      let out = act_out ~reuse_input x in
-      activate ~dst:out layer x;
-      out
+      if Mat.cols x <> Mat.cols dst then invalid_arg "Layer.forward_eval: dims";
+      activate ~dst layer x
 
 (* Allocation-free batched eval forward, the inference pass: the dense
    arm runs the plain GEMM and adds the bias afterwards, the batch-norm
    arm the unfolded per-element expression [gamma·(x − mean)/std + beta]
-   at the running statistics. Every GEMM cell is one ascending-k chain
-   whichever kernel and chunking runs it, so each output row depends
-   only on its own input row: a one-row call ([Mlp.forward]) and a
-   fleet's thousand-row tick give a row the same bits. [dst] must not
-   alias [x]. *)
+   at the running statistics, with each column's [1/std] formed once
+   (the value every row of the column used to recompute). Every GEMM
+   cell is one ascending-k chain whichever kernel and chunking runs it,
+   so each output row depends only on its own input row: a one-row call
+   ([Mlp.forward]) and a fleet's thousand-row tick give a row the same
+   bits. [dst] must not alias [x]. *)
 let forward_eval_into ~dst layer x =
   let n = Mat.rows x in
   if n = 0 then invalid_arg "Layer.forward_eval_into: empty batch";
@@ -292,17 +267,19 @@ let forward_eval_into ~dst layer x =
       let dim = Vec.dim bn.gamma in
       if Mat.cols x <> dim || Mat.cols dst <> dim then
         invalid_arg "Layer.forward_eval_into: dims";
+      let inv = coefficients ~slot:1 ~len:dim in
+      for i = 0 to dim - 1 do
+        inv.(i) <- 1. /. sqrt (bn.running_var.(i) +. bn.eps)
+      done;
       let xd = Mat.raw x and od = Mat.raw dst in
-      let gamma = bn.gamma and beta = bn.beta in
-      let rm = bn.running_mean and rv = bn.running_var in
+      let gamma = bn.gamma and beta = bn.beta and rm = bn.running_mean in
       for b = 0 to n - 1 do
         let base = b * dim in
         for i = 0 to dim - 1 do
-          let inv = 1. /. sqrt (Array.unsafe_get rv i +. bn.eps) in
           Array.unsafe_set od (base + i)
             ((Array.unsafe_get gamma i
              *. (Array.unsafe_get xd (base + i) -. Array.unsafe_get rm i)
-             *. inv)
+             *. Array.unsafe_get inv i)
             +. Array.unsafe_get beta i)
         done
       done
@@ -312,13 +289,16 @@ let forward_eval_into ~dst layer x =
       activate ~dst layer x
 
 let backward ?(input_grad = true) ?(param_grads = true) ?(reuse_dout = false)
-    ?shards layer cache dout =
+    ?shards ?(ws = buffers ()) layer cache dout =
   let n = Mat.rows dout in
   (* With [~reuse_dout:true] the element-wise layers write their input
      gradient into [dout]'s storage (every cell is read before it is
-     overwritten), sparing one major-heap matrix per layer. Only valid
-     when the caller is done with [dout] — inside an MLP backward walk
-     each intermediate gradient is consumed exactly once. *)
+     overwritten) instead of a buffer of their own. Only valid when the
+     caller is done with [dout] — inside an MLP backward walk each
+     intermediate gradient is consumed exactly once. *)
+  let grad_out ~cols =
+    if reuse_dout then dout else take ws slot_dx ~rows:n ~cols
+  in
   match (layer, cache) with
   | Dense d, C_dense x ->
       if Mat.rows x <> n then invalid_arg "Layer.backward: batch size";
@@ -334,41 +314,45 @@ let backward ?(input_grad = true) ?(param_grads = true) ?(reuse_dout = false)
              Mat.col_sum_acc ~dst:d.db dout
          | Some shards ->
              (* Each shard's samples sum into that shard's accumulators,
-                with the bits of a pass over a copy of its rows. *)
+                overwriting them, with the bits of zeroing them and then
+                running a pass over a copy of its rows. *)
              Array.iter
                (fun (lo, hi, shard) ->
                  match shard with
                  | Dense s ->
-                     Mat.mat_mul_tn_acc ~samples:(lo, hi) ~dst:s.dw dout x;
-                     Mat.col_sum_acc ~samples:(lo, hi) ~dst:s.db dout
+                     Mat.mat_mul_tn ~samples:(lo, hi) ~dst:s.dw dout x;
+                     Mat.col_sum ~samples:(lo, hi) ~dst:s.db dout
                  | Batch_norm _ | Leaky_relu _ | Tanh ->
                      invalid_arg "Layer.backward: shard layer does not match")
                shards);
-      if input_grad then Mat.mat_mul dout d.w else dout
+      if input_grad then begin
+        let dx = take ws slot_dx ~rows:n ~cols:(Mat.cols d.w) in
+        Mat.mat_mul_into ~dst:dx dout d.w;
+        dx
+      end
+      else dout
   | Batch_norm bn, C_bn c ->
       let dim = Vec.dim bn.gamma in
       if Option.is_some shards then
         invalid_arg "Layer.backward: shards on a batch-norm layer";
       if Mat.rows c.xhat <> n then invalid_arg "Layer.backward: batch size";
       if Mat.cols dout <> dim then invalid_arg "Layer.backward: dims";
+      let st = stats ws ~dim in
       let dod = Mat.raw dout and xh = Mat.raw c.xhat in
-      (* Parameter gradients are identical in both statistic regimes. *)
-      let dgamma = bn.dgamma and dbeta = bn.dbeta in
-      if param_grads then
-        for b = 0 to n - 1 do
-          let base = b * dim in
-          for i = 0 to dim - 1 do
-            let g = Array.unsafe_get dod (base + i) in
-            Array.unsafe_set dgamma i
-              (Array.unsafe_get dgamma i
-              +. (g *. Array.unsafe_get xh (base + i)));
-            Array.unsafe_set dbeta i (Array.unsafe_get dbeta i +. g)
-          done
-        done;
-      if not c.batch_stats then begin
+      (* Parameter gradients are identical in both statistic regimes;
+         the two column sums serve the batch-statistics backward. *)
+      Elementwise.bn_backward_sums ~param_grads ~dout:dod ~xhat:xh
+        ~gamma:bn.gamma ~dgamma:bn.dgamma ~dbeta:bn.dbeta ~s1:st.(3)
+        ~s2:st.(4) ~rows:n ~dim;
+      let dx = grad_out ~cols:dim in
+      let dxd = Mat.raw dx and gamma = bn.gamma and istd = c.inv_std in
+      if c.batch_stats then
+        (* Full batch-norm backward through the batch mean and variance;
+           [dx] may be [dout], each cell read before it is written. *)
+        Elementwise.bn_backward_dx ~dout:dod ~xhat:xh ~gamma ~inv_std:istd
+          ~s1:st.(3) ~s2:st.(4) ~dx:dxd ~rows:n ~dim
+      else
         (* Running statistics are constants: the map is affine. *)
-        let dx = if reuse_dout then dout else Mat.create ~rows:n ~cols:dim in
-        let dxd = Mat.raw dx and gamma = bn.gamma and istd = c.inv_std in
         for b = 0 to n - 1 do
           let base = b * dim in
           for i = 0 to dim - 1 do
@@ -377,66 +361,18 @@ let backward ?(input_grad = true) ?(param_grads = true) ?(reuse_dout = false)
               *. Array.unsafe_get gamma i *. Array.unsafe_get istd i)
           done
         done;
-        dx
-      end
-      else begin
-        (* Full batch-norm backward through the batch mean and variance.
-           dxhat is element-wise in dout, so under reuse it overwrites
-           dout in place; the final dx map is element-wise in dxhat and
-           lands in the same storage again. *)
-        let nf = float_of_int n in
-        let sum_dxhat = Vec.create dim in
-        let sum_dxhat_xhat = Vec.create dim in
-        let dxhat = if reuse_dout then dout else Mat.create ~rows:n ~cols:dim in
-        let dxh = Mat.raw dxhat and gamma = bn.gamma in
-        for b = 0 to n - 1 do
-          let base = b * dim in
-          for i = 0 to dim - 1 do
-            Array.unsafe_set dxh (base + i)
-              (Array.unsafe_get dod (base + i) *. Array.unsafe_get gamma i)
-          done
-        done;
-        for b = 0 to n - 1 do
-          let base = b * dim in
-          for i = 0 to dim - 1 do
-            let g = Array.unsafe_get dxh (base + i) in
-            Array.unsafe_set sum_dxhat i (Array.unsafe_get sum_dxhat i +. g);
-            Array.unsafe_set sum_dxhat_xhat i
-              (Array.unsafe_get sum_dxhat_xhat i
-              +. (g *. Array.unsafe_get xh (base + i)))
-          done
-        done;
-        let dx = if reuse_dout then dxhat else Mat.create ~rows:n ~cols:dim in
-        let dxd = Mat.raw dx and istd = c.inv_std in
-        for b = 0 to n - 1 do
-          let base = b * dim in
-          for i = 0 to dim - 1 do
-            Array.unsafe_set dxd (base + i)
-              (Array.unsafe_get istd i /. nf
-              *. ((nf *. Array.unsafe_get dxh (base + i))
-                  -. Array.unsafe_get sum_dxhat i
-                  -. (Array.unsafe_get xh (base + i)
-                     *. Array.unsafe_get sum_dxhat_xhat i)))
-          done
-        done;
-        dx
-      end
-  | Leaky_relu slope, C_act x ->
-      if Mat.rows x <> n || Mat.cols x <> Mat.cols dout then
+      dx
+  | Leaky_relu slope, C_act y ->
+      if Mat.rows y <> n || Mat.cols y <> Mat.cols dout then
         invalid_arg "Layer.backward: dims";
-      let dx = if reuse_dout then dout else Mat.create ~rows:n ~cols:(Mat.cols dout) in
-      let dxd = Mat.raw dx and dod = Mat.raw dout and xd = Mat.raw x in
-      let tab = leaky_tab slope in
-      for i = 0 to Array.length dod - 1 do
-        Array.unsafe_set dxd i
-          (Array.unsafe_get dod i
-          *. Array.unsafe_get tab (Bool.to_int (Array.unsafe_get xd i >= 0.)))
-      done;
+      let dx = grad_out ~cols:(Mat.cols dout) in
+      Elementwise.leaky_backward ~slope ~out:(Mat.raw y) ~dout:(Mat.raw dout)
+        ~dst:(Mat.raw dx);
       dx
   | Tanh, C_act y ->
       if Mat.rows y <> n || Mat.cols y <> Mat.cols dout then
         invalid_arg "Layer.backward: dims";
-      let dx = if reuse_dout then dout else Mat.create ~rows:n ~cols:(Mat.cols dout) in
+      let dx = grad_out ~cols:(Mat.cols dout) in
       let dxd = Mat.raw dx and dod = Mat.raw dout and yd = Mat.raw y in
       for i = 0 to Array.length dod - 1 do
         let t = Array.unsafe_get yd i in

@@ -56,31 +56,43 @@ val tanh : t
 val out_dim : in_dim:int -> t -> int
 (** Output dimension of the layer given its input dimension. *)
 
-val forward : ?reuse_input:bool -> t -> Mat.t -> Mat.t * cache
+type buffers
+(** The matrices and vectors one layer's training pass writes: its
+    output, batch norm's [xhat] and statistics, and its input gradient.
+    Kept by the caller across passes ([Mlp.workspace]); a matrix is
+    allocated the first time a shape is asked for and reused while the
+    shape holds. A cache from {!forward} points into them, so it is
+    valid until the next {!forward} with the same buffers. *)
+
+val buffers : unit -> buffers
+(** Empty buffers: nothing is allocated until a pass asks. *)
+
+val forward : ?reuse_input:bool -> ?ws:buffers -> t -> Mat.t -> Mat.t * cache
 (** Batched training forward over a [batch × dim] activation matrix: a
     dense layer is one GEMM ([x·wᵀ] plus a bias broadcast), batch-norm
-    and activations are column/element-wise passes. A batch-norm layer
-    uses the batch statistics, and folds them into its running
-    statistics, when the batch has more than one row; a one-row batch
-    has no batch statistics and uses the running ones. With
-    [~reuse_input:true] (default false) an element-wise layer may write
-    its output into the input's storage instead of allocating — only
-    valid when the caller no longer needs the input values, as inside an
-    MLP chain where the input is the previous layer's freshly-allocated
-    output. Leaky ReLU selects [v] or [slope *. v] branch-free, as
-    [v *. [| slope; 1. |].(Bool.to_int (v >= 0.))]: the same bits for
-    every value arithmetic produces (±0, ±∞ and quiet NaN, which takes
-    the slope arm), in the same pass {!forward_eval} and
+    and activations are column/element-wise passes ([Elementwise]). A
+    batch-norm layer uses the batch statistics, and folds them into its
+    running statistics, when the batch has more than one row; a one-row
+    batch has no batch statistics and uses the running ones. The output
+    and cache live in [ws] (default: fresh buffers). With
+    [~reuse_input:true] (default false) an element-wise layer writes
+    its output into the input's storage instead — only valid when the
+    caller no longer needs the input values, as inside an MLP chain
+    where the input is the previous layer's output. Leaky ReLU selects
+    [v] or [slope *. v] branch-free ([Elementwise.leaky]): the same bits
+    for every value arithmetic produces (±0, ±∞ and quiet NaN, which
+    takes the slope arm), in the same pass {!forward_eval} and
     {!forward_eval_into} share. *)
 
-val forward_eval : ?reuse_input:bool -> t -> Mat.t -> Mat.t
+val forward_eval : dst:Mat.t -> t -> Mat.t -> unit
 (** Cache-free eval forward (batch norm at its running statistics, no
-    running-stat update) that skips the per-layer cache — in particular
-    the batch-norm xhat matrix only backward consumes. The dense layer
-    seeds its GEMM with the bias and the running statistics fold into
-    one per-channel affine map (the folded form the
-    abstract-interpretation transfers use), so results differ from
-    {!forward_eval_into} by rounding. [reuse_input] as in {!forward}. *)
+    running-stat update) into a caller-owned [batch × out_dim] matrix,
+    without allocating. The dense layer seeds its GEMM with the bias and
+    the running statistics fold into one per-channel affine map (the
+    folded form the abstract-interpretation transfers use), so results
+    differ from {!forward_eval_into} by rounding. [dst] may be the input
+    for an element-wise layer (batch norm, activations), never for a
+    dense one. *)
 
 val forward_eval_into : dst:Mat.t -> t -> Mat.t -> unit
 (** The inference forward: eval mode into a caller-owned
@@ -96,6 +108,7 @@ val backward :
   ?param_grads:bool ->
   ?reuse_dout:bool ->
   ?shards:(int * int * t) array ->
+  ?ws:buffers ->
   t ->
   cache ->
   Mat.t ->
@@ -107,25 +120,26 @@ val backward :
     layer skips the input-gradient GEMM and returns an unspecified
     matrix — only valid when the caller discards the result. With
     [~param_grads:false] (default true) the layer leaves its gradient
-    accumulators untouched and only the input gradient is computed. With
-    [~reuse_dout:true] (default false) an element-wise layer may write
-    the returned gradient into [dout]'s storage — only valid when the
-    caller is done with [dout], as inside an MLP backward walk where
-    each intermediate gradient is consumed exactly once.
+    accumulators untouched and only the input gradient is computed. The
+    returned gradient lives in [ws] (default: fresh buffers). With
+    [~reuse_dout:true] (default false) an element-wise layer writes
+    the returned gradient into [dout]'s storage instead — only valid
+    when the caller is done with [dout], as inside an MLP backward walk
+    where each intermediate gradient is consumed exactly once.
 
     With [~shards] a dense layer's parameter gradients go to the shard
     layers instead of its own accumulators: each [(lo, hi, shard)]
-    accumulates the weight-gradient GEMM and the bias column sums of
-    sample rows [lo..hi-1] into [shard]'s [dw]/[db], with the bits of a
-    [backward] over a copy of those rows (see [Mat.mat_mul_tn_acc]'s
-    [~samples]). Everything else, the input gradient included, runs once
-    over the whole batch. Each shard must be a dense layer of this
-    layer's shape (a {!grad_shadow}); a batch-norm layer rejects
-    [~shards] with [Invalid_argument].
+    overwrites [shard]'s [dw]/[db] with the weight-gradient GEMM and the
+    bias column sums of sample rows [lo..hi-1], with the bits of zeroing
+    them and running a [backward] over a copy of those rows (see
+    [Mat.mat_mul_tn]'s [~samples]). Everything else, the input gradient
+    included, runs once over the whole batch. Each shard must be a dense
+    layer of this layer's shape (a {!grad_shadow}); a batch-norm layer
+    rejects [~shards] with [Invalid_argument].
 
     The leaky-ReLU arm, like {!forward}'s, selects its slope by a
-    multiply with a two-entry table instead of a branch, with the bits of
-    the [if] form that {!backward_rows} keeps. *)
+    multiply instead of a branch ([Elementwise.leaky_backward]), with
+    the bits of the [if] form that {!backward_rows} keeps. *)
 
 val forward_rows : t -> Vec.t array -> Vec.t array * rows_cache
 (** Per-sample reference forward (the pre-batching implementation, one

@@ -60,28 +60,49 @@ let layers t = t.layers
 let generation t = t.generation
 let bump_generation t = t.generation <- t.generation + 1
 
-(* Inside a chain every intermediate activation is owned by the chain
-   (each layer's input is the previous layer's freshly-allocated output),
-   so element-wise layers may overwrite it in place. Only the caller's
-   input matrix — the first layer's input — must stay intact. *)
-let forward_batch t x =
-  if Mat.cols x <> t.in_dim then invalid_arg "Mlp.forward_batch: input dim";
-  let _, out =
-    List.fold_left
-      (fun (first, acc) layer ->
-        (false, Layer.forward_eval ~reuse_input:(not first) layer acc))
-      (true, x) t.layers
-  in
-  out
-
-(* Per-domain scratch arena of the inference pass, for one-row calls
-   and fleet ticks alike: slots 0/1 ping-pong the [batch × dim]
-   intermediates, the last layer writes straight into the caller's
-   destination. Every slot is fully overwritten before it is read back,
-   so a warm arena returns the same bits as a cold one (DESIGN §10
-   ownership rules). *)
+(* Per-domain scratch arena of the eval passes, for one-row calls and
+   fleet ticks alike. The inference pass ping-pongs its [batch × dim]
+   intermediates through slots 0/1; the target pass gives layer [i]'s
+   output slot [2 + i], so each slot sees one shape per net. The last
+   layer writes straight into the caller's destination. Every slot is
+   fully overwritten before it is read back, so a warm arena returns
+   the same bits as a cold one (DESIGN §10 ownership rules). *)
 let batch_scratch_key : Canopy_util.Scratch.t Domain.DLS.key =
   Domain.DLS.new_key Canopy_util.Scratch.create
+
+(* Inside a chain every intermediate activation is owned by the chain,
+   so element-wise layers overwrite it in place; a dense layer writes
+   its own slot. Only the caller's input matrix — the first layer's
+   input — must stay intact. *)
+let forward_batch ~dst t x =
+  let n = Mat.rows x in
+  if Mat.cols x <> t.in_dim then invalid_arg "Mlp.forward_batch: input dim";
+  if Mat.rows dst <> n || Mat.cols dst <> t.out_dim then
+    invalid_arg "Mlp.forward_batch: output shape";
+  let nlayers = List.length t.layers in
+  if nlayers = 0 then Array.blit (Mat.raw x) 0 (Mat.raw dst) 0 (n * t.in_dim)
+  else begin
+    let scratch = Domain.DLS.get batch_scratch_key in
+    ignore
+      (List.fold_left
+         (fun (i, dim, acc) layer ->
+           let od = Layer.out_dim ~in_dim:dim layer in
+           let out =
+             if i = nlayers - 1 then dst
+             else
+               match layer with
+               | Layer.Dense _ ->
+                   Mat.scratch_mat scratch ~slot:(2 + i) ~rows:n ~cols:od
+               | Layer.Batch_norm _ | Layer.Leaky_relu _ | Layer.Tanh ->
+                   if i = 0 then
+                     Mat.scratch_mat scratch ~slot:(2 + i) ~rows:n ~cols:od
+                   else acc
+           in
+           Layer.forward_eval ~dst:out layer acc;
+           (i + 1, od, out))
+         (0, t.in_dim, x) t.layers
+        : int * int * Mat.t)
+  end
 
 let forward_eval_into ~dst t x =
   let n = Mat.rows x in
@@ -117,35 +138,49 @@ let forward t x =
   forward_eval_into ~dst t (Mat.row_view x);
   Mat.raw dst
 
-type tape = Layer.cache list (* in layer order *)
+(* One layer's buffers per layer, in layer order. *)
+type workspace = Layer.buffers array
+
+let workspace t = Array.of_list (List.map (fun _ -> Layer.buffers ()) t.layers)
+
+(* The caches in layer order, and the workspace they point into. *)
+type tape = { caches : Layer.cache list; ws : workspace }
 
 (* Unlike {!forward_batch}, the training pass leaves caches behind:
    activation layers cache their own output matrix, so the next layer
    may only overwrite its input when the previous layer does not hold
-   on to it (dense caches its input, batch-norm a fresh xhat). The
+   on to it (dense caches its input, batch-norm its own xhat). The
    first layer's input is the caller's and is never reused. *)
 let train_reuse_ok = function
   | Some (Layer.Dense _ | Layer.Batch_norm _) -> true
   | Some (Layer.Leaky_relu _ | Layer.Tanh) | None -> false
 
-let forward_train t batch =
+let forward_train ?ws t batch =
   if Mat.cols batch <> t.in_dim then
     invalid_arg "Mlp.forward_train: input dim";
+  let ws =
+    match ws with
+    | None -> workspace t
+    | Some ws ->
+        if Array.length ws <> List.length t.layers then
+          invalid_arg "Mlp.forward_train: workspace shape";
+        ws
+  in
   (* Train mode advances batch-norm running statistics. *)
   bump_generation t;
-  let _, out, rev_caches =
+  let _, _, out, rev_caches =
     List.fold_left
-      (fun (prev, acc, caches) layer ->
+      (fun (p, prev, acc, caches) layer ->
         let out, cache =
-          Layer.forward ~reuse_input:(train_reuse_ok prev) layer acc
+          Layer.forward ~reuse_input:(train_reuse_ok prev) ~ws:ws.(p) layer acc
         in
-        (Some layer, out, cache :: caches))
-      (None, batch, []) t.layers
+        (p + 1, Some layer, out, cache :: caches))
+      (0, None, batch, []) t.layers
   in
-  (out, List.rev rev_caches)
+  (out, { caches = List.rev rev_caches; ws })
 
 let backward ?(input_grad = true) ?(param_grads = true) ?shards t tape dout =
-  let layers = Array.of_list t.layers and caches = Array.of_list tape in
+  let layers = Array.of_list t.layers and caches = Array.of_list tape.caches in
   let nl = Array.length layers in
   if Array.length caches <> nl then invalid_arg "Mlp.backward: tape length";
   let shard_layers =
@@ -168,7 +203,8 @@ let backward ?(input_grad = true) ?(param_grads = true) ?shards t tape dout =
     in
     grad :=
       Layer.backward ~input_grad:(p > 0 || input_grad) ~param_grads
-        ~reuse_dout:(p < nl - 1) ?shards layers.(p) caches.(p) !grad
+        ~reuse_dout:(p < nl - 1) ?shards ~ws:tape.ws.(p) layers.(p) caches.(p)
+        !grad
   done;
   !grad
 
@@ -256,12 +292,9 @@ let soft_update ~tau ~src ~dst =
       if List.length ss <> List.length ds then
         invalid_arg "Mlp.soft_update: layer mismatch";
       List.iter2
-        (fun s d ->
-          if Array.length s <> Array.length d then
+        (fun src dst ->
+          if Array.length src <> Array.length dst then
             invalid_arg "Mlp.soft_update: parameter size mismatch";
-          for i = 0 to Array.length s - 1 do
-            Array.unsafe_set d i
-              ((keep *. Array.unsafe_get d i) +. (tau *. Array.unsafe_get s i))
-          done)
+          Elementwise.lerp_into ~keep ~tau ~src ~dst)
         ss ds)
     src.layers dst.layers

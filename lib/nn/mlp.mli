@@ -60,21 +60,40 @@ val forward : t -> Vec.t -> Vec.t
     the sample ([Mat.row_view], no copy; the sample is only read),
     returning a fresh vector the caller owns. *)
 
-val forward_batch : t -> Mat.t -> Mat.t
+val forward_batch : dst:Mat.t -> t -> Mat.t -> unit
 (** Batched eval forward over a [batch × in_dim] matrix (no cache, no
-    running-stat update) into a fresh matrix: one bias-seeded GEMM per
-    dense layer, batch norm folded into one affine map per channel
-    ([Layer.forward_eval]), element-wise layers applied in place on the
-    chain's intermediates (the input matrix itself is never mutated).
-    The TD3 target pass. It differs from the inference forward
-    ({!forward}, {!forward_eval_into}) by rounding. *)
+    running-stat update) into a caller-owned [batch × out_dim] matrix:
+    one bias-seeded GEMM per dense layer, batch norm folded into one
+    affine map per channel ([Layer.forward_eval]), element-wise layers
+    applied in place on the chain's intermediates, which live in the
+    same per-domain scratch arena as {!forward_eval_into}'s (the input
+    matrix itself is never mutated; [dst] must not alias it). Allocates
+    nothing once the arena is warm. The TD3 target pass. It differs
+    from the inference forward ({!forward}, {!forward_eval_into}) by
+    rounding. *)
+
+type workspace
+(** The buffers a training pass writes — every layer's output, batch
+    norm's [xhat] and statistics, every input gradient — owned by the
+    caller and reused across passes, so a steady-state
+    {!forward_train}/{!backward} pair allocates no matrix. A workspace
+    belongs to no network: {!copy}, {!grad_shadow} and snapshots never
+    share or copy one. *)
+
+val workspace : t -> workspace
+(** An empty workspace for this net's layer stack; buffers are sized on
+    first use, and re-sized (allocated afresh) when the batch changes. *)
 
 type tape
-(** Activation record from a batched training-mode pass. *)
+(** Activation record from a batched training-mode pass. It points into
+    the pass's workspace, so it is valid until the next {!forward_train}
+    with that workspace. *)
 
-val forward_train : t -> Mat.t -> Mat.t * tape
+val forward_train : ?ws:workspace -> t -> Mat.t -> Mat.t * tape
 (** Training-mode forward over a [batch × in_dim] matrix; batch-norm
-    layers use batch statistics (batch > 1) and update running stats. *)
+    layers use batch statistics (batch > 1) and update running stats.
+    The output and the tape live in [ws] (default: a fresh workspace),
+    which must have been made for a net of this shape. *)
 
 val backward :
   ?input_grad:bool ->
@@ -85,7 +104,9 @@ val backward :
   Mat.t ->
   Mat.t
 (** Accumulates parameter gradients and returns input gradients, both as
-    [batch × dim] matrices. Pass [~input_grad:false] when the input
+    [batch × dim] matrices; the returned gradient lives in the tape's
+    workspace, valid until its next pass. Pass [~input_grad:false] when
+    the input
     gradient is not consumed (e.g. a critic fit): the first layer then
     skips its input-gradient GEMM and the return value is unspecified.
     Pass [~param_grads:false] when only the input gradient is consumed
@@ -93,9 +114,10 @@ val backward :
     its gradient accumulators.
 
     [~shards] splits only the parameter gradients: each
-    [(lo, hi, shadow)] accumulates the weight-gradient sums of sample
-    rows [lo..hi-1] into [shadow]'s accumulators (a {!grad_shadow} of
-    this net), and the net's own stay untouched. Every other pass runs
+    [(lo, hi, shadow)] overwrites [shadow]'s accumulators (a
+    {!grad_shadow} of this net) with the weight-gradient sums of sample
+    rows [lo..hi-1], every chain starting at +0, and the net's own stay
+    untouched. Every other pass runs
     once over the whole batch. Forwards and input gradients are
     row-local and every GEMM cell is one ascending-k chain, so when the
     shards cut the batch at multiples of 4 rows (the kernels' remainder

@@ -38,18 +38,8 @@ let step t params =
       let n = Array.length value in
       if Array.length grad <> n then invalid_arg "Optimizer.step: grad size";
       let s = slot_for t idx n in
-      let sm = s.m and sv = s.v in
-      (* Array lengths were validated above, so the flat accesses are in
-         bounds. *)
-      for i = 0 to n - 1 do
-        let g = Array.unsafe_get grad i in
-        let m = (beta1 *. Array.unsafe_get sm i) +. (one_m_b1 *. g) in
-        let v = (beta2 *. Array.unsafe_get sv i) +. (one_m_b2 *. g *. g) in
-        Array.unsafe_set sm i m;
-        Array.unsafe_set sv i v;
-        Array.unsafe_set value i
-          (Array.unsafe_get value i -. (step_size *. m /. (sqrt v +. eps')))
-      done)
+      Canopy_tensor.Elementwise.adam ~beta1 ~one_m_b1 ~beta2 ~one_m_b2
+        ~step_size ~eps:eps' ~value ~grad ~m:s.m ~v:s.v)
     params
 
 type snapshot = { step_count : int; moments : (int * float array * float array) list }

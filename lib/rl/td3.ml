@@ -55,6 +55,8 @@ type t = {
   mutable update_calls : int;
   critic1_shards : shards;
   critic2_shards : shards;
+  actor_params : (float array * float array) list;
+  ws : workspace;
 }
 
 (* Per-shard gradient shadows of a critic (parameters shared,
@@ -67,6 +69,30 @@ and shards = {
   plan : (int * int * Mlp.t) array;  (* (lo, hi, shadow) *)
   grads : float array array array;
   params : (float array * float array) list;  (* the first shadow's *)
+}
+
+(* Every matrix a batched update writes, built once by [create] from
+   [batch_size]: the minibatch rows, the target pass's inputs and
+   outputs, the Bellman targets, the critic input (a fit's, then the
+   actor step's), the policy-gradient seed and action gradients, and one
+   training workspace per trained net, so the tapes and gradients of a
+   steady-state update allocate nothing. The critic-1 workspace serves
+   its fit and then the actor step's conduit pass, whose forward begins
+   after the fit's tape is spent. *)
+and workspace = {
+  states : Mat.t;  (* batch × state_dim *)
+  next_states : Mat.t;  (* batch × state_dim *)
+  next_actions : Mat.t;  (* batch × action_dim, the target actor's *)
+  next_inputs : Mat.t;  (* batch × (state_dim + action_dim) *)
+  next_q1 : Mat.t;  (* batch × 1 *)
+  next_q2 : Mat.t;  (* batch × 1 *)
+  targets : float array;  (* batch *)
+  inputs : Mat.t;  (* batch × (state_dim + action_dim) *)
+  dout : Mat.t;  (* batch × 1 *)
+  daction : Mat.t;  (* batch × action_dim *)
+  actor_ws : Mlp.workspace;
+  critic1_ws : Mlp.workspace;
+  critic2_ws : Mlp.workspace;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -106,9 +132,29 @@ let make_shards critic n =
   let _, _, first = plan.(0) in
   { plan; grads; params = Mlp.params first }
 
+let make_workspace cfg ~actor ~critic1 ~critic2 =
+  let n = cfg.batch_size and sd = cfg.state_dim and ad = cfg.action_dim in
+  let mat cols = Mat.create ~rows:n ~cols in
+  {
+    states = mat sd;
+    next_states = mat sd;
+    next_actions = mat ad;
+    next_inputs = mat (sd + ad);
+    next_q1 = mat 1;
+    next_q2 = mat 1;
+    targets = Array.make n 0.;
+    inputs = mat (sd + ad);
+    dout = mat 1;
+    daction = mat ad;
+    actor_ws = Mlp.workspace actor;
+    critic1_ws = Mlp.workspace critic1;
+    critic2_ws = Mlp.workspace critic2;
+  }
+
 let create ~rng cfg =
   if cfg.state_dim <= 0 || cfg.action_dim <= 0 then
     invalid_arg "Td3.create: dims";
+  if cfg.batch_size <= 0 then invalid_arg "Td3.create: batch_size";
   let actor =
     Mlp.actor ~rng ~in_dim:cfg.state_dim ~hidden:cfg.hidden
       ~out_dim:cfg.action_dim
@@ -134,6 +180,9 @@ let create ~rng cfg =
     update_calls = 0;
     critic1_shards = make_shards critic1 cfg.batch_size;
     critic2_shards = make_shards critic2 cfg.batch_size;
+    (* The actor's arrays are only ever written in place. *)
+    actor_params = Mlp.params actor;
+    ws = make_workspace cfg ~actor ~critic1 ~critic2;
   }
 
 let actor t = t.actor
@@ -182,17 +231,15 @@ let bootstraps tr = not tr.Replay_buffer.terminal
 (* Batched kernels: one GEMM-backed pass per network per direction.    *)
 (* ------------------------------------------------------------------ *)
 
-(* A minibatch as one [n × dim] matrix, one transition per row. *)
-let rows_of batch ~dim field =
-  let n = Array.length batch in
-  let m = Mat.create_uninit ~rows:n ~cols:dim in
-  let d = Mat.raw m in
-  for i = 0 to n - 1 do
+(* A minibatch into the workspace's [n × dim] matrix [dst], one
+   transition per row. *)
+let rows_into dst batch field =
+  let dim = Mat.cols dst and d = Mat.raw dst in
+  for i = 0 to Array.length batch - 1 do
     let v = field batch.(i) in
     if Array.length v <> dim then invalid_arg "Td3.update: transition dims";
     Array.blit v 0 d (i * dim) dim
-  done;
-  m
+  done
 
 (* Pairwise tree reduction of the shard gradients into the first
    shard's: stride doubling merges (0,1) (2,3) … then (0,2) (4,6) …, so
@@ -205,10 +252,7 @@ let reduce_shards grads =
     while !i + !stride < nshards do
       let dst = grads.(!i) and src = grads.(!i + !stride) in
       for p = 0 to Array.length dst - 1 do
-        let gd = dst.(p) and gs = src.(p) in
-        for k = 0 to Array.length gd - 1 do
-          Array.unsafe_set gd k (Array.unsafe_get gd k +. Array.unsafe_get gs k)
-        done
+        Elementwise.add_into ~dst:dst.(p) src.(p)
       done;
       i := !i + (2 * !stride)
     done;
@@ -216,23 +260,23 @@ let reduce_shards grads =
   done
 
 (* One critic fit: a full-batch forward and squared-error backward whose
-   weight-gradient sums land per shard in the shadows, tree-reduce, then
-   clip/step through the reduced gradients (the shadow's [params] share
-   the critic's value arrays, so the optimizer updates the real network;
-   its moments are keyed by position, and the shadow's arrays have the
-   critic's shapes). The GEMMs fan out over the pool through
-   [Mat.plan_chunks], as every other pass does. *)
-let fit_critic critic shards opt inputs targets =
+   weight-gradient sums land per shard in the shadows (overwriting them,
+   so no shadow is zeroed first), tree-reduce, then clip/step through
+   the reduced gradients (the shadow's [params] share the critic's value
+   arrays, so the optimizer updates the real network; its moments are
+   keyed by position, and the shadow's arrays have the critic's shapes).
+   The GEMMs fan out over the pool through [Mat.plan_chunks], as every
+   other pass does. *)
+let fit_critic critic shards opt ws inputs targets =
   let n = Mat.rows inputs in
   let inv_n = 1. /. float_of_int n in
-  let preds, tape = Mlp.forward_train critic inputs in
+  let preds, tape = Mlp.forward_train ~ws critic inputs in
   (* The tape holds the output layer's input, not [preds]: the loss
      gradient overwrites the predictions in place. *)
   let pd = Mat.raw preds in
   for i = 0 to n - 1 do
     pd.(i) <- 2. *. (pd.(i) -. targets.(i)) *. inv_n
   done;
-  Array.iter (fun (_, _, shadow) -> Mlp.zero_grad shadow) shards.plan;
   ignore (Mlp.backward ~input_grad:false ~shards:shards.plan critic tape preds);
   reduce_shards shards.grads;
   Optimizer.clip_gradients ~norm:10. shards.params;
@@ -240,29 +284,28 @@ let fit_critic critic shards opt inputs targets =
   Mlp.bump_generation critic
 
 let critic_update_batched t (batch : Replay_buffer.transition array) =
-  let cfg = t.cfg in
+  let cfg = t.cfg and ws = t.ws in
   let n = Array.length batch in
   let sd = cfg.state_dim and ad = cfg.action_dim in
   let width = sd + ad in
-  let next_states =
-    rows_of batch ~dim:sd (fun tr -> tr.Replay_buffer.next_state)
-  in
+  rows_into ws.next_states batch (fun tr -> tr.Replay_buffer.next_state);
   (* Bellman targets with target-policy smoothing and clipped double-Q:
      the target critics read each next state followed by its smoothed
      target action. *)
-  let a' = Mat.raw (Mlp.forward_batch t.actor_target next_states) in
-  let next_inputs = Mat.create_uninit ~rows:n ~cols:width in
-  let ni = Mat.raw next_inputs in
+  Mlp.forward_batch ~dst:ws.next_actions t.actor_target ws.next_states;
+  let a' = Mat.raw ws.next_actions in
+  let ns = Mat.raw ws.next_states and ni = Mat.raw ws.next_inputs in
   for i = 0 to n - 1 do
-    Array.blit (Mat.raw next_states) (i * sd) ni (i * width) sd;
+    Array.blit ns (i * sd) ni (i * width) sd;
     for j = 0 to ad - 1 do
       ni.((i * width) + sd + j) <-
         clamp_action (a'.((i * ad) + j) +. smoothing_noise t)
     done
   done;
-  let q1' = Mat.raw (Mlp.forward_batch t.critic1_target next_inputs) in
-  let q2' = Mat.raw (Mlp.forward_batch t.critic2_target next_inputs) in
-  let targets = Array.make n 0. in
+  Mlp.forward_batch ~dst:ws.next_q1 t.critic1_target ws.next_inputs;
+  Mlp.forward_batch ~dst:ws.next_q2 t.critic2_target ws.next_inputs;
+  let q1' = Mat.raw ws.next_q1 and q2' = Mat.raw ws.next_q2 in
+  let targets = ws.targets in
   for i = 0 to n - 1 do
     let tr = batch.(i) in
     let bootstrap =
@@ -271,8 +314,7 @@ let critic_update_batched t (batch : Replay_buffer.transition array) =
     targets.(i) <- tr.reward +. bootstrap
   done;
   (* The critic input, state then action per row, written once. *)
-  let inputs = Mat.create_uninit ~rows:n ~cols:width in
-  let d = Mat.raw inputs in
+  let d = Mat.raw ws.inputs in
   Array.iteri
     (fun i tr ->
       if Array.length tr.Replay_buffer.action <> ad then
@@ -280,38 +322,49 @@ let critic_update_batched t (batch : Replay_buffer.transition array) =
       Array.blit tr.Replay_buffer.state 0 d (i * width) sd;
       Array.blit tr.action 0 d ((i * width) + sd) ad)
     batch;
-  fit_critic t.critic1 t.critic1_shards t.opt_critic1 inputs targets;
-  fit_critic t.critic2 t.critic2_shards t.opt_critic2 inputs targets
+  fit_critic t.critic1 t.critic1_shards t.opt_critic1 ws.critic1_ws ws.inputs
+    targets;
+  fit_critic t.critic2 t.critic2_shards t.opt_critic2 ws.critic2_ws ws.inputs
+    targets
 
 let actor_update_batched t (batch : Replay_buffer.transition array) =
-  let cfg = t.cfg in
+  let cfg = t.cfg and ws = t.ws in
   let n = Array.length batch in
-  let states =
-    rows_of batch ~dim:cfg.state_dim (fun tr -> tr.Replay_buffer.state)
-  in
+  let sd = cfg.state_dim and ad = cfg.action_dim in
+  let width = sd + ad in
+  rows_into ws.states batch (fun tr -> tr.Replay_buffer.state);
   Mlp.zero_grad t.actor;
-  let actions, actor_tape = Mlp.forward_train t.actor states in
+  let actions, actor_tape =
+    Mlp.forward_train ~ws:ws.actor_ws t.actor ws.states
+  in
   (* Deterministic policy gradient: maximize Q1(s, pi(s)), i.e. descend
      -Q1. The critic is only a conduit for gradients here: its backward
      computes input gradients alone and leaves its accumulators, which
-     its next fit zeroes, untouched. Its forward and input-gradient
+     the sharded fits never read, untouched. Its forward and input-gradient
      passes are row-local, and every GEMM cell is one ascending-k chain
      (DESIGN §7, §10), so no [daction] row depends on the batch it runs
      in. The actor's own passes are full-batch too, because batch norm
-     couples its samples. *)
-  let critic_inputs = Mat.concat_cols states actions in
-  let _, critic_tape = Mlp.forward_train t.critic1 critic_inputs in
-  let inv_n = 1. /. float_of_int n in
-  let dout = Mat.create_uninit ~rows:n ~cols:1 in
-  Mat.fill dout (-.inv_n);
-  let dinputs = Mlp.backward ~param_grads:false t.critic1 critic_tape dout in
-  let daction =
-    Mat.cols_slice dinputs ~pos:cfg.state_dim ~len:cfg.action_dim
+     couples its samples. The conduit's input, state then action per
+     row, reuses the fits' input matrix. *)
+  let ci = Mat.raw ws.inputs and st = Mat.raw ws.states in
+  let ac = Mat.raw actions in
+  for i = 0 to n - 1 do
+    Array.blit st (i * sd) ci (i * width) sd;
+    Array.blit ac (i * ad) ci ((i * width) + sd) ad
+  done;
+  let _, critic_tape =
+    Mlp.forward_train ~ws:ws.critic1_ws t.critic1 ws.inputs
   in
-  ignore (Mlp.backward ~input_grad:false t.actor actor_tape daction);
-  let params = Mlp.params t.actor in
-  Optimizer.clip_gradients ~norm:10. params;
-  Optimizer.step t.opt_actor params;
+  let inv_n = 1. /. float_of_int n in
+  Mat.fill ws.dout (-.inv_n);
+  let dinputs = Mlp.backward ~param_grads:false t.critic1 critic_tape ws.dout in
+  let di = Mat.raw dinputs and da = Mat.raw ws.daction in
+  for i = 0 to n - 1 do
+    Array.blit di ((i * width) + sd) da (i * ad) ad
+  done;
+  ignore (Mlp.backward ~input_grad:false t.actor actor_tape ws.daction);
+  Optimizer.clip_gradients ~norm:10. t.actor_params;
+  Optimizer.step t.opt_actor t.actor_params;
   Mlp.bump_generation t.actor
 
 (* ------------------------------------------------------------------ *)

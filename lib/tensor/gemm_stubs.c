@@ -7,13 +7,15 @@
    Every vector lane computes one output cell's accumulation chain. A
    lane is an output column, never k: the chain is seeded exactly as in
    the OCaml kernels (+0.0 for nn and nt, the bias for nt with bias, the
-   current dst cell for tn) and then steps acc = acc + a*b in ascending
+   current dst cell for tn, or +0.0 for tn when asked to overwrite) and
+   then steps acc = acc + a*b in ascending
    k, one _mm256_mul_pd and one _mm256_add_pd per step. Remainder rows
    and columns run the same chain in scalar C. So every cell is
    bit-identical to the OCaml kernels by construction (DESIGN §10).
    This holds only without contraction into fused multiply-adds: the
    build passes -ffp-contract=off and no -mfma, -march=native or
-   -ffast-math (test_tensor.ml checks lib/tensor/dune and this file).
+   -ffast-math (test_tensor.ml checks lib/tensor/dune and every stub
+   file).
 
    The OCaml kernels' zero-skips are kept exactly, with I4 and K4 the
    4-aligned cut-offs of the full dimensions (for tn, of the sample
@@ -175,16 +177,20 @@ AVX2 static void nt_avx2(const double *a, const double *panel, const double *b,
   }
 }
 
-/* One row of nn or tn: o[j] += sum over k of s[k*ss] * b[k*n + j] for
-   k in [0, nk), skipping s == 0 at k >= kskip. The caller seeds o
-   (zeros for nn, dst for tn). */
+/* Each chain's seed: +0.0 when zero is set, else the current o cell. */
+#define SEED(zero, p) ((zero) ? _mm256_setzero_pd() : LD(p))
+
+/* One row of nn or tn: o[j] = seed + sum over k of s[k*ss] * b[k*n + j]
+   for k in [0, nk), skipping s == 0 at k >= kskip. The seed is +0.0
+   when zero is set (nn, an overwriting tn) and the o cell otherwise. */
 AVX2 static void row_acc(const double *s, intnat ss, const double *b,
-                         double *o, intnat nk, intnat n, intnat kskip)
+                         double *o, intnat nk, intnat n, intnat kskip,
+                         intnat zero)
 {
   intnat j = 0;
   for (; j + 16 <= n; j += 16) {
-    __m256d c0 = LD(o + j), c1 = LD(o + j + 4), c2 = LD(o + j + 8),
-            c3 = LD(o + j + 12);
+    __m256d c0 = SEED(zero, o + j), c1 = SEED(zero, o + j + 4),
+            c2 = SEED(zero, o + j + 8), c3 = SEED(zero, o + j + 12);
     for (intnat k = 0; k < nk; k++) {
       double sv = s[k * ss];
       if (k >= kskip && sv == 0.0) continue;
@@ -201,7 +207,7 @@ AVX2 static void row_acc(const double *s, intnat ss, const double *b,
     ST(o + j + 12, c3);
   }
   for (; j + 4 <= n; j += 4) {
-    __m256d c = LD(o + j);
+    __m256d c = SEED(zero, o + j);
     for (intnat k = 0; k < nk; k++) {
       double sv = s[k * ss];
       if (k >= kskip && sv == 0.0) continue;
@@ -210,7 +216,7 @@ AVX2 static void row_acc(const double *s, intnat ss, const double *b,
     ST(o + j, c);
   }
   for (; j < n; j++) {
-    double c = o[j];
+    double c = zero ? 0.0 : o[j];
     for (intnat k = 0; k < nk; k++) {
       double sv = s[k * ss];
       if (k >= kskip && sv == 0.0) continue;
@@ -221,20 +227,21 @@ AVX2 static void row_acc(const double *s, intnat ss, const double *b,
 }
 
 /* Four rows of nn or tn over the same b: row r's scalars are
-   s[r*rs + k*ss]. Rows skip independently, at k >= kskip only. */
+   s[r*rs + k*ss]. Rows skip independently, at k >= kskip only. Seeds as
+   row_acc. */
 AVX2 static void rows4_acc(const double *s, intnat rs, intnat ss,
                            const double *b, double *o, intnat os, intnat nk,
-                           intnat n, intnat kskip)
+                           intnat n, intnat kskip, intnat zero)
 {
   double *o0 = o, *o1 = o0 + os, *o2 = o1 + os, *o3 = o2 + os;
   const double *s0 = s, *s1 = s0 + rs, *s2 = s1 + rs, *s3 = s2 + rs;
   intnat kfull = kskip < nk ? kskip : nk;
   intnat j = 0;
   for (; j + 8 <= n; j += 8) {
-    __m256d c0l = LD(o0 + j), c0h = LD(o0 + j + 4);
-    __m256d c1l = LD(o1 + j), c1h = LD(o1 + j + 4);
-    __m256d c2l = LD(o2 + j), c2h = LD(o2 + j + 4);
-    __m256d c3l = LD(o3 + j), c3h = LD(o3 + j + 4);
+    __m256d c0l = SEED(zero, o0 + j), c0h = SEED(zero, o0 + j + 4);
+    __m256d c1l = SEED(zero, o1 + j), c1h = SEED(zero, o1 + j + 4);
+    __m256d c2l = SEED(zero, o2 + j), c2h = SEED(zero, o2 + j + 4);
+    __m256d c3l = SEED(zero, o3 + j), c3h = SEED(zero, o3 + j + 4);
     const double *bk = b + j;
     intnat k = 0;
     for (; k < kfull; k++, bk += n) {
@@ -282,8 +289,8 @@ AVX2 static void rows4_acc(const double *s, intnat rs, intnat ss,
     ST(o3 + j + 4, c3h);
   }
   for (; j + 4 <= n; j += 4) {
-    __m256d c0 = LD(o0 + j), c1 = LD(o1 + j), c2 = LD(o2 + j),
-            c3 = LD(o3 + j);
+    __m256d c0 = SEED(zero, o0 + j), c1 = SEED(zero, o1 + j),
+            c2 = SEED(zero, o2 + j), c3 = SEED(zero, o3 + j);
     const double *bk = b + j;
     intnat k = 0;
     for (; k < kfull; k++, bk += n) {
@@ -307,7 +314,8 @@ AVX2 static void rows4_acc(const double *s, intnat rs, intnat ss,
     ST(o3 + j, c3);
   }
   for (; j < n; j++) {
-    double c0 = o0[j], c1 = o1[j], c2 = o2[j], c3 = o3[j];
+    double c0 = zero ? 0.0 : o0[j], c1 = zero ? 0.0 : o1[j],
+           c2 = zero ? 0.0 : o2[j], c3 = zero ? 0.0 : o3[j];
     const double *bk = b + j;
     intnat k = 0;
     for (; k < kfull; k++, bk += n) {
@@ -336,25 +344,26 @@ AVX2 static void nn_avx2(const double *a, const double *b, double *o,
                          intnat m, intnat kk, intnat n, intnat lo, intnat hi)
 {
   intnat i4 = m - m % 4, k4 = kk - kk % 4;
-  for (intnat c = lo * n; c < hi * n; c++) o[c] = 0.0;
   intnat i = lo;
   for (; i + 4 <= hi && i + 4 <= i4; i += 4)
-    rows4_acc(a + i * kk, kk, 1, b, o + i * n, n, kk, n, kk);
+    rows4_acc(a + i * kk, kk, 1, b, o + i * n, n, kk, n, kk, 1);
   for (; i < hi; i++)
-    row_acc(a + i * kk, 1, b, o + i * n, kk, n, i >= i4 ? k4 : kk);
+    row_acc(a + i * kk, 1, b, o + i * n, kk, n, i >= i4 ? k4 : kk, 1);
 }
 
-/* tn: o <- o + aᵀ·b over o's rows [lo, hi); a is nk × m, b is nk × n.
-   A sample range [klo, khi) of a longer a and b arrives as pointers
-   offset to row klo and nk = khi - klo, so K4 is the range's own. */
+/* tn: o <- o + aᵀ·b (o <- aᵀ·b when zero is set) over o's rows
+   [lo, hi); a is nk × m, b is nk × n. A sample range [klo, khi) of a
+   longer a and b arrives as pointers offset to row klo and
+   nk = khi - klo, so K4 is the range's own. */
 AVX2 static void tn_avx2(const double *a, const double *b, double *o,
-                         intnat nk, intnat m, intnat n, intnat lo, intnat hi)
+                         intnat nk, intnat m, intnat n, intnat lo, intnat hi,
+                         intnat zero)
 {
   intnat k4 = nk - nk % 4;
   intnat i = lo;
   for (; i + 4 <= hi; i += 4)
-    rows4_acc(a + i, 1, m, b, o + i * n, n, nk, n, k4);
-  for (; i < hi; i++) row_acc(a + i, m, b, o + i * n, nk, n, k4);
+    rows4_acc(a + i, 1, m, b, o + i * n, n, nk, n, k4, zero);
+  for (; i < hi; i++) row_acc(a + i, m, b, o + i * n, nk, n, k4, zero);
 }
 
 #endif /* CANOPY_X86_64 */
@@ -392,11 +401,11 @@ value canopy_gemm_nn(value dst, value a, value b, intnat m, intnat kk,
 }
 
 value canopy_gemm_tn(value dst, value a, value b, intnat klo, intnat khi,
-                     intnat m, intnat n, intnat lo, intnat hi)
+                     intnat m, intnat n, intnat lo, intnat hi, intnat zero)
 {
 #ifdef CANOPY_X86_64
   tn_avx2(FLOATS(a) + klo * m, FLOATS(b) + klo * n, FLOATS(dst), khi - klo,
-          m, n, lo, hi);
+          m, n, lo, hi, zero);
 #endif
   return Val_unit;
 }
@@ -427,5 +436,5 @@ value canopy_gemm_tn_byte(value *argv, int argn)
   return canopy_gemm_tn(argv[0], argv[1], argv[2], Long_val(argv[3]),
                         Long_val(argv[4]), Long_val(argv[5]),
                         Long_val(argv[6]), Long_val(argv[7]),
-                        Long_val(argv[8]));
+                        Long_val(argv[8]), Long_val(argv[9]));
 }

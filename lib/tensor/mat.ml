@@ -249,10 +249,8 @@ let plan_chunks ~rows ~row_flops =
    touch no global state, so the pool may run them on any domain. The
    OCaml kernels stay as the small-shape path, the path on every other
    host, and the oracle the tests hold the C kernels to. The choice is
-   made once, here, from the CPU and the float array layout. *)
-
-external avx2_supported : unit -> bool = "canopy_gemm_avx2_supported"
-[@@noalloc]
+   made once, in [Elementwise], from the CPU and the float array
+   layout, for the GEMMs and the element-wise kernels alike. *)
 
 external c_nt_pack :
   float array -> (int[@untagged]) -> (int[@untagged]) -> float array -> unit
@@ -295,12 +293,11 @@ external c_tn :
   (int[@untagged]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
+  (int[@untagged]) ->
   unit = "canopy_gemm_tn_byte" "canopy_gemm_tn"
 [@@noalloc]
 
-(* The stubs read float arrays as packed doubles. *)
-let avx2 =
-  avx2_supported () && Obj.tag (Obj.repr [| 0. |]) = Obj.double_array_tag
+let avx2 = Elementwise.avx2
 
 let gemm_kernel () = if avx2 then "avx2" else "ocaml"
 
@@ -571,21 +568,17 @@ let mat_mul_nt a b =
   out
 
 let mat_mul_nt_bias_into ~dst a b bias =
-  if a.cols <> b.cols then invalid_arg "Mat.mat_mul_nt_bias: dims";
-  if Array.length bias <> b.rows then invalid_arg "Mat.mat_mul_nt_bias: bias";
+  if a.cols <> b.cols then invalid_arg "Mat.mat_mul_nt_bias_into: dims";
+  if Array.length bias <> b.rows then
+    invalid_arg "Mat.mat_mul_nt_bias_into: bias";
   if dst.rows <> a.rows || dst.cols <> b.rows then
     invalid_arg "Mat.mat_mul_nt_bias_into: dst";
   nt_dispatch ~dst a b ~bias:(Some bias)
     ~row_flops:(mat_mul_nt_row_flops a b)
 
-let mat_mul_nt_bias a b bias =
-  if a.cols <> b.cols then invalid_arg "Mat.mat_mul_nt_bias: dims";
-  let dst = create_uninit ~rows:a.rows ~cols:b.rows in
-  mat_mul_nt_bias_into ~dst a b bias;
-  dst
-
 (* dst <- dst + aᵀ · b, the batched weight-gradient kernel
-   (dw += doutᵀ · x). Register-blocked over four samples (rows of [a]/[b])
+   (dw += doutᵀ · x), or dst <- aᵀ · b when [zero] (below).
+   Register-blocked over four samples (rows of [a]/[b])
    per pass; the four per-sample products are added to a cell one after
    the other, so each cell is one chain seeded with its [dst] value in
    ascending sample order. Samples past the last 4-group skip zero
@@ -682,7 +675,10 @@ let mat_mul_tn_acc_block ~dst a b ~klo ~khi ~lo ~hi =
    cell's accumulation chain is unchanged — bit-identical. *)
 let tn_ib = 64
 
-let tn_range_ocaml ~dst a b ~klo ~khi ~lo ~hi =
+(* With [zero] the chains start at +0 instead of the [dst] cells: the
+   OCaml path fills the rows first, which gives the same bits. *)
+let tn_range_ocaml ~zero ~dst a b ~klo ~khi ~lo ~hi =
+  if zero then Array.fill dst.data (lo * dst.cols) ((hi - lo) * dst.cols) 0.;
   let i = ref lo in
   while !i < hi do
     let bhi = min hi (!i + tn_ib) in
@@ -690,9 +686,10 @@ let tn_range_ocaml ~dst a b ~klo ~khi ~lo ~hi =
     i := bhi
   done
 
-let tn_range ~dst a b ~klo ~khi ~lo ~hi =
-  if avx2 then c_tn dst.data a.data b.data klo khi a.cols b.cols lo hi
-  else tn_range_ocaml ~dst a b ~klo ~khi ~lo ~hi
+let tn_range ~zero ~dst a b ~klo ~khi ~lo ~hi =
+  if avx2 then
+    c_tn dst.data a.data b.data klo khi a.cols b.cols lo hi (Bool.to_int zero)
+  else tn_range_ocaml ~zero ~dst a b ~klo ~khi ~lo ~hi
 
 (* Flops per output row of a tn call over [samples] samples. *)
 let mat_mul_tn_row_flops ~samples b = 2 * samples * b.cols
@@ -705,19 +702,24 @@ let sample_range name a = function
         invalid_arg ("Mat." ^ name ^ ": samples");
       (klo, khi)
 
-let mat_mul_tn_acc ?samples ~dst a b =
-  if a.rows <> b.rows then invalid_arg "Mat.mat_mul_tn_acc: dims";
+let tn_dispatch name ~zero ?samples ~dst a b =
+  if a.rows <> b.rows then invalid_arg ("Mat." ^ name ^ ": dims");
   if dst.rows <> a.cols || dst.cols <> b.cols then
-    invalid_arg "Mat.mat_mul_tn_acc: dst";
-  let klo, khi = sample_range "mat_mul_tn_acc" a samples in
+    invalid_arg ("Mat." ^ name ^ ": dst");
+  let klo, khi = sample_range name a samples in
   match
     plan_chunks ~rows:a.cols
       ~row_flops:(mat_mul_tn_row_flops ~samples:(khi - klo) b)
   with
   | Some chunk ->
       Canopy_util.Pool.parallel_for_chunks ~chunk a.cols (fun ~lo ~hi ->
-          tn_range ~dst a b ~klo ~khi ~lo ~hi)
-  | None -> tn_range ~dst a b ~klo ~khi ~lo:0 ~hi:a.cols
+          tn_range ~zero ~dst a b ~klo ~khi ~lo ~hi)
+  | None -> tn_range ~zero ~dst a b ~klo ~khi ~lo:0 ~hi:a.cols
+
+let mat_mul_tn_acc ~dst a b = tn_dispatch "mat_mul_tn_acc" ~zero:false ~dst a b
+
+let mat_mul_tn ?samples ~dst a b =
+  tn_dispatch "mat_mul_tn" ~zero:true ?samples ~dst a b
 
 let outer_acc m y x =
   if m.rows <> Array.length y || m.cols <> Array.length x then
@@ -743,17 +745,13 @@ let add_row m v =
     done
   done
 
-let col_sum_acc ?samples ~dst m =
-  if m.cols <> Array.length dst then invalid_arg "Mat.col_sum_acc: dims";
-  let klo, khi = sample_range "col_sum_acc" m samples in
-  let d = m.data in
-  for i = klo to khi - 1 do
-    let base = i * m.cols in
-    for j = 0 to m.cols - 1 do
-      Array.unsafe_set dst j
-        (Array.unsafe_get dst j +. Array.unsafe_get d (base + j))
-    done
-  done
+let col_sums name ~zero ?samples ~dst m =
+  if m.cols <> Array.length dst then invalid_arg ("Mat." ^ name ^ ": dims");
+  let lo, hi = sample_range name m samples in
+  Elementwise.col_sum ~zero ~dst m.data ~cols:m.cols ~lo ~hi
+
+let col_sum_acc ~dst m = col_sums "col_sum_acc" ~zero:false ~dst m
+let col_sum ?samples ~dst m = col_sums "col_sum" ~zero:true ?samples ~dst m
 
 let map_into ~dst f m =
   check_same "map_into" dst m;
@@ -776,24 +774,6 @@ let of_rows rows_a =
     set_row m i rows_a.(i)
   done;
   m
-
-let concat_cols a b =
-  if a.rows <> b.rows then invalid_arg "Mat.concat_cols: rows";
-  let out = create ~rows:a.rows ~cols:(a.cols + b.cols) in
-  for i = 0 to a.rows - 1 do
-    Array.blit a.data (i * a.cols) out.data (i * out.cols) a.cols;
-    Array.blit b.data (i * b.cols) out.data ((i * out.cols) + a.cols) b.cols
-  done;
-  out
-
-let cols_slice m ~pos ~len =
-  if pos < 0 || len <= 0 || pos + len > m.cols then
-    invalid_arg "Mat.cols_slice: range";
-  let out = create ~rows:m.rows ~cols:len in
-  for i = 0 to m.rows - 1 do
-    Array.blit m.data ((i * m.cols) + pos) out.data (i * len) len
-  done;
-  out
 
 let sub_rows m ~lo ~hi =
   if lo < 0 || hi > m.rows || lo >= hi then invalid_arg "Mat.sub_rows: range";
@@ -863,10 +843,10 @@ module Kernel = struct
     check "nn_ocaml" ~ok:(nn_ok ~dst a b) ~rows:a.rows ~lo ~hi;
     nn_range_ocaml ~dst a b ~lo ~hi
 
-  let tn_ocaml ?samples ~dst a b ~lo ~hi =
+  let tn_ocaml ?samples ?(zero = false) ~dst a b ~lo ~hi =
     check "tn_ocaml" ~ok:(tn_ok ~dst a b) ~rows:a.cols ~lo ~hi;
     let klo, khi = sample_range "Kernel.tn_ocaml" a samples in
-    tn_range_ocaml ~dst a b ~klo ~khi ~lo ~hi
+    tn_range_ocaml ~zero ~dst a b ~klo ~khi ~lo ~hi
 
   let nt_avx2 ~dst a b bias ~lo ~hi =
     check_avx2 "nt_avx2";
@@ -878,9 +858,9 @@ module Kernel = struct
     check "nn_avx2" ~ok:(nn_ok ~dst a b) ~rows:a.rows ~lo ~hi;
     nn_range ~dst a b ~lo ~hi
 
-  let tn_avx2 ?samples ~dst a b ~lo ~hi =
+  let tn_avx2 ?samples ?(zero = false) ~dst a b ~lo ~hi =
     check_avx2 "tn_avx2";
     check "tn_avx2" ~ok:(tn_ok ~dst a b) ~rows:a.cols ~lo ~hi;
     let klo, khi = sample_range "Kernel.tn_avx2" a samples in
-    tn_range ~dst a b ~klo ~khi ~lo ~hi
+    tn_range ~zero ~dst a b ~klo ~khi ~lo ~hi
 end

@@ -55,27 +55,29 @@ val mat_mul_nt : t -> t -> t
 val mat_mul_nt_into : dst:t -> t -> t -> unit
 (** Allocation-free {!mat_mul_nt} into [dst] ([a.rows × b.rows]). *)
 
-val mat_mul_nt_bias : t -> t -> Vec.t -> t
-(** [mat_mul_nt_bias a b bias] is [a·bᵀ] with [bias] (length [rows b])
-    added to every row — the fused dense forward
-    [x·wᵀ + b]. The bias seeds the accumulator instead of being added
-    after the dot product, so results differ from
-    {!mat_mul_nt}-then-{!add_row} by rounding only. *)
-
 val mat_mul_nt_bias_into : dst:t -> t -> t -> Vec.t -> unit
-(** Allocation-free {!mat_mul_nt_bias} into [dst] ([a.rows × b.rows]).
-    With {!mat_mul_nt_into} these are the two kernels of the batched
+(** [mat_mul_nt_bias_into ~dst a b bias] is [dst <- a·bᵀ] with [bias]
+    (length [rows b]) added to every row ([dst] is [a.rows × b.rows]) —
+    the fused dense forward [x·wᵀ + b]. The bias seeds the accumulator
+    instead of being added after the dot product, so results differ
+    from {!mat_mul_nt_into}-then-{!add_row} by rounding only. With
+    {!mat_mul_nt_into} these are the two kernels of the batched
     abstract-interpretation engine: centers go through the bias form,
     radii through the plain [r·|W|ᵀ] form. *)
 
-val mat_mul_tn_acc : ?samples:int * int -> dst:t -> t -> t -> unit
+val mat_mul_tn_acc : dst:t -> t -> t -> unit
 (** [mat_mul_tn_acc ~dst a b] accumulates [dst <- dst + aᵀ·b]; requires
     [rows a = rows b] and [dst] of shape [a.cols × b.cols]. The batched
     weight-gradient kernel ([dw += doutᵀ·x]). Each cell is one chain
     seeded with its [dst] value that adds the per-sample products in
     ascending sample order, so it matches a row-ascending sequence of
     {!outer_acc} calls except where {!outer_acc}'s skip of zero [y]
-    entries shows (a −0 cell, a non-finite [x]).
+    entries shows (a −0 cell, a non-finite [x]). *)
+
+val mat_mul_tn : ?samples:int * int -> dst:t -> t -> t -> unit
+(** [mat_mul_tn ~dst a b] overwrites [dst <- aᵀ·b]: {!mat_mul_tn_acc}
+    with every chain seeded with +0 instead of its [dst] cell, so the
+    bits of filling [dst] with zeros and then accumulating.
 
     [~samples:(lo, hi)] sums only the samples (rows of [a] and [b])
     [lo..hi-1], with the bits of the same call on a copy of those rows:
@@ -139,11 +141,15 @@ val add_row : t -> Vec.t -> unit
 (** [add_row m v] adds the row vector [v] to every row of [m] in place
     (bias broadcast); requires [cols m = dim v]. *)
 
-val col_sum_acc : ?samples:int * int -> dst:Vec.t -> t -> unit
+val col_sum_acc : dst:Vec.t -> t -> unit
 (** [col_sum_acc ~dst m] accumulates each column sum of [m] into [dst]
     ([dst.(j) += Σ_i m.(i).(j)], ascending [i]); the batched bias
-    gradient. [~samples:(lo, hi)] sums rows [lo..hi-1] only, as
-    {!mat_mul_tn_acc}. *)
+    gradient. Runs [Elementwise.col_sum]. *)
+
+val col_sum : ?samples:int * int -> dst:Vec.t -> t -> unit
+(** {!col_sum_acc} with each chain seeded with +0: overwrites [dst] with
+    the column sums, as {!mat_mul_tn} does the products.
+    [~samples:(lo, hi)] sums rows [lo..hi-1] only, as {!mat_mul_tn}. *)
 
 val map_into : dst:t -> (float -> float) -> t -> unit
 (** Element-wise map into a preallocated matrix of the same shape
@@ -155,14 +161,6 @@ val set_row : t -> int -> Vec.t -> unit
 val of_rows : Vec.t array -> t
 (** Pack an array of equal-length rows into a fresh [n × dim] matrix.
     Like {!of_arrays} but blit-based; rows must be non-empty. *)
-
-val concat_cols : t -> t -> t
-(** [concat_cols a b] is the horizontal concatenation [a | b]; requires
-    equal row counts. Used to build [(state | action)] critic inputs. *)
-
-val cols_slice : t -> pos:int -> len:int -> t
-(** [cols_slice m ~pos ~len] copies columns [pos..pos+len-1] into a fresh
-    matrix (e.g. the action block of a critic input gradient). *)
 
 val sub_rows : t -> lo:int -> hi:int -> t
 (** [sub_rows m ~lo ~hi] copies rows [lo..hi-1] into a fresh
@@ -193,8 +191,10 @@ val approx_equal : ?eps:float -> t -> t -> bool
     ([nt], [bias = None] for the plain form), {!mat_mul_into} ([nn]) and
     {!mat_mul_tn_acc} ([tn]), over output rows [[lo, hi)] with [lo] a
     multiple of 4 ([tn]'s output rows are [dst]'s, i.e. columns of
-    [a]; its [?samples] is {!mat_mul_tn_acc}'s). The [_ocaml] kernels are the path on hosts without AVX2 and
-    the oracle the [_avx2] ones are tested against; the dispatchers pick
+    [a]; its [?samples] is {!mat_mul_tn}'s, and [~zero:true] seeds
+    every chain with +0 as {!mat_mul_tn} does). The [_ocaml] kernels are
+    the path on hosts without AVX2 and the oracle the [_avx2] ones are
+    tested against; the dispatchers pick
     between them. Each raises [Invalid_argument] on a shape or range
     mismatch, and the [_avx2] ones also when {!gemm_kernel} is not
     ["avx2"]. *)
@@ -202,11 +202,11 @@ module Kernel : sig
   val nt_ocaml : dst:t -> t -> t -> Vec.t option -> lo:int -> hi:int -> unit
   val nn_ocaml : dst:t -> t -> t -> lo:int -> hi:int -> unit
   val tn_ocaml :
-    ?samples:int * int -> dst:t -> t -> t -> lo:int -> hi:int -> unit
+    ?samples:int * int -> ?zero:bool -> dst:t -> t -> t -> lo:int -> hi:int -> unit
   val nt_avx2 : dst:t -> t -> t -> Vec.t option -> lo:int -> hi:int -> unit
   val nn_avx2 : dst:t -> t -> t -> lo:int -> hi:int -> unit
   val tn_avx2 :
-    ?samples:int * int -> dst:t -> t -> t -> lo:int -> hi:int -> unit
+    ?samples:int * int -> ?zero:bool -> dst:t -> t -> t -> lo:int -> hi:int -> unit
 end
 
 val raw : t -> float array

@@ -70,6 +70,18 @@ let packets_per_ms ~mtu_bytes t ms =
   (* mbps → bytes/ms is ×125. *)
   mbps_at t ms *. 125. /. float_of_int mtu_bytes
 
+(* The same value as [packets_per_ms] for each millisecond, written
+   straight into the float array, so no float is boxed. *)
+let packets_per_ms_into ~mtu_bytes t ~first_ms dst ~len =
+  if first_ms < 0 then invalid_arg "Trace.packets_per_ms_into: negative time";
+  if len < 0 || len > Array.length dst then
+    invalid_arg "Trace.packets_per_ms_into: len";
+  let mtu = float_of_int mtu_bytes in
+  for k = 0 to len - 1 do
+    let ms = (first_ms + k) mod t.duration_ms in
+    Array.unsafe_set dst k (t.mbps.(segment_index t ms) *. 125. /. mtu)
+  done
+
 let to_mahimahi ~mtu_bytes t =
   let buf = Buffer.create 4096 in
   let credit = ref 0. in

@@ -33,6 +33,14 @@ val packets_per_ms : mtu_bytes:int -> t -> int -> float
 (** Delivery opportunities (MTU-sized packets) available during the given
     millisecond. *)
 
+val packets_per_ms_into :
+  mtu_bytes:int -> t -> first_ms:int -> float array -> len:int -> unit
+(** [packets_per_ms_into ~mtu_bytes t ~first_ms dst ~len] writes
+    [packets_per_ms ~mtu_bytes t (first_ms + k)] into [dst.(k)] for
+    [k < len], the same bits, without allocating. Raises
+    [Invalid_argument] if [first_ms < 0] or [len] is negative or past
+    [dst]'s length. *)
+
 val to_mahimahi : mtu_bytes:int -> t -> string
 (** Render one full period in Mahimahi's packet-delivery-opportunity
     format: one line per opportunity carrying its millisecond timestamp. *)

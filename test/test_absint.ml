@@ -397,6 +397,44 @@ let test_anet_cache_tracks_generation () =
   check_bool "old snapshot is stale" true
     (Anet.source_generation ir < Anet.source_generation ir')
 
+(* [cached] extracts each new generation into the arrays of the IR two
+   generations back: every extraction must have [of_mlp]'s bits, and the
+   IR of the generation before must keep its own. *)
+let test_anet_cached_refresh_bits () =
+  let rng = Prng.create 63 in
+  let net = random_net rng in
+  let batch =
+    Canopy_tensor.Mat.init ~rows:4 ~cols:6 (fun i j ->
+        Float.sin (float_of_int ((i * 6) + j)))
+  in
+  let bits ir =
+    List.concat_map
+      (fun (s : Anet.stage) ->
+        List.map Int64.bits_of_float
+          (Array.to_list (Canopy_tensor.Mat.raw s.w)
+          @ Array.to_list s.b
+          @ Array.to_list (Canopy_tensor.Mat.raw s.abs_w)))
+      (Anet.stages ir)
+  in
+  let previous = ref None in
+  for step = 1 to 5 do
+    (* New batch-norm statistics and new weights: a new generation. *)
+    ignore (Mlp.forward_train net batch);
+    List.iter (fun (v, _) -> v.(0) <- v.(0) +. 0.01) (Mlp.params net);
+    Mlp.bump_generation net;
+    let ir = Anet.cached net in
+    Alcotest.(check (list int64))
+      (Printf.sprintf "generation %d: cached = of_mlp" step)
+      (bits (Anet.of_mlp net)) (bits ir);
+    Option.iter
+      (fun (ir0, bits0) ->
+        Alcotest.(check (list int64))
+          (Printf.sprintf "generation %d: previous IR intact" step)
+          bits0 (bits ir0))
+      !previous;
+    previous := Some (ir, bits ir)
+  done
+
 let test_anet_point_box_is_exact () =
   let rng = Prng.create 67 in
   let net = random_net rng in
@@ -651,6 +689,7 @@ let suite =
     ("anet batched = single", `Quick, test_anet_batched_matches_single);
     ("anet zonotope IR path", `Quick, test_anet_zonotope_ir_path);
     ("anet cache tracks generation", `Quick, test_anet_cache_tracks_generation);
+    ("anet cached refresh = of_mlp (bits)", `Quick, test_anet_cached_refresh_bits);
     ("anet point box exact", `Quick, test_anet_point_box_is_exact);
     ("anet dimension mismatch", `Quick, test_anet_dimension_mismatch);
     ("anet dead radius columns = dense", `Quick,

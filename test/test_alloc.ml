@@ -21,8 +21,11 @@ open Canopy_util
 module Mlp = Canopy_nn.Mlp
 module Td3 = Canopy_rl.Td3
 module Fleet = Canopy_netsim.Fleet
+module Fleet_env = Canopy_orca.Fleet_env
 module Env = Canopy_netsim.Env
 module Trace = Canopy_trace.Trace
+module Policy = Canopy.Policy
+module Mat = Canopy_tensor.Mat
 
 (* Runs [f] with a one-domain default pool, so no GEMM or link sweep
    fans out and every word is allocated by the calling domain. *)
@@ -78,16 +81,54 @@ let test_mlp_forward () =
   within "Mlp.forward, minor" ~budget:156. minor;
   within "Mlp.forward, major" ~budget:0. major
 
+(* The serving tick's batched inference: the same actor over a
+   264-row state matrix, serve_clean's fleet size. *)
+let test_predict_rows () =
+  at_one_domain @@ fun () ->
+  let actor = Mlp.actor ~rng:(Prng.create 5) ~in_dim:35 ~hidden:64 ~out_dim:1 in
+  let rows = 264 in
+  let x =
+    Mat.init ~rows ~cols:35 (fun i j -> Float.sin (float_of_int ((i * 35) + j)))
+  in
+  let dst = Mat.create ~rows ~cols:1 in
+  let policy = `Mlp actor in
+  Policy.predict_rows_into ~dst policy x;
+  let minor, major =
+    words_per_call ~n:200 (fun () -> Policy.predict_rows_into ~dst policy x)
+  in
+  within "Policy.predict_rows_into, minor" ~budget:200. minor;
+  within "Policy.predict_rows_into, major" ~budget:0. major
+
+(* Re-extracting the verifier IR of the trainer's actor for a new
+   generation, as certificate-in-the-loop training does after every actor
+   update: the cache extracts into the arrays of the IR two generations
+   back, so no stage matrix is allocated (a fresh extraction allocated
+   19 014 direct major words). *)
+let test_anet_refresh () =
+  at_one_domain @@ fun () ->
+  let actor = Mlp.actor ~rng:(Prng.create 5) ~in_dim:35 ~hidden:64 ~out_dim:1 in
+  let refresh () =
+    Mlp.bump_generation actor;
+    ignore (Canopy_absint.Anet.cached actor)
+  in
+  (* The first two generations fill the cache's two IRs. *)
+  refresh ();
+  refresh ();
+  let minor, major = words_per_call ~n:200 refresh in
+  within "Anet.cached refresh, minor" ~budget:1_321. minor;
+  within "Anet.cached refresh, major" ~budget:0. major
+
 (* One-flow links on one constant 24 Mbps trace with Cubic handlers: the
-   minor and direct-major words per link·ms of a 4 000-ms [Fleet.run],
-   after 2 s of warm-up. Nearly all of it is the call's [ppms_tab], one
-   packets-per-ms entry per trace family and millisecond, not the
-   handlers: a call allocates 16 024 minor words at 1, 16 and 64 links
-   alike (4.0 per ms: each entry is a boxed float from [Array.init]'s
-   closure plus one from [Trace.packets_per_ms]'s return), and the
-   4 001-word table itself goes straight to the major heap. So the
-   64-link budgets below are that one table spread over 64 links, and
-   the one-link shape that train and evaluate run pays it whole. *)
+   minor and direct-major words per link·ms of a steady 4 000-ms
+   [Fleet.run], after 2 s of warm-up. The per-family packets-per-ms
+   table is a buffer of the fleet: the first call longer than any before
+   grows it (one [ms]-float array, straight to the major heap: 4 001
+   words for the first 4 000-ms call), and every later call refills it
+   in place, unboxed. So the warm-up ends with one call of the measured
+   length, and what the steady call allocates is not the table. Before
+   the buffer, every call rebuilt it: 16 024 minor words (two boxed
+   floats per entry) and the 4 001-word table per call, at any link
+   count. *)
 let fleet_run_words ~links =
   let ms = 4_000 in
   let trace = Trace.constant ~name:"c" ~duration_ms:10_000 ~mbps:24. in
@@ -108,6 +149,7 @@ let fleet_run_words ~links =
           (Canopy_cc.Cubic.to_controller (Canopy_cc.Cubic.create ())))
   in
   Fleet.run fleet handlers ~ms:2_000;
+  Fleet.run fleet handlers ~ms;
   let minor, major =
     words_per_call ~n:1 (fun () -> Fleet.run fleet handlers ~ms)
   in
@@ -117,17 +159,44 @@ let fleet_run_words ~links =
 let test_fleet_run () =
   at_one_domain @@ fun () ->
   let minor, major = fleet_run_words ~links:64 in
-  within "Fleet.run per link·ms, minor" ~budget:0.064 minor;
-  within "Fleet.run per link·ms, major" ~budget:0.016 major
+  within "Fleet.run per link·ms, minor" ~budget:3.55e-5 minor;
+  within "Fleet.run per link·ms, major" ~budget:0. major
 
 let test_fleet_run_one_link () =
   at_one_domain @@ fun () ->
   let minor, major = fleet_run_words ~links:1 in
-  within "Fleet.run one link, per ms, minor" ~budget:4.05 minor;
-  within "Fleet.run one link, per ms, major" ~budget:1.011 major
+  within "Fleet.run one link, per ms, minor" ~budget:0.00227 minor;
+  within "Fleet.run one link, per ms, major" ~budget:0. major
+
+(* Agent flows on their own one-flow links (constant 24 Mbps, minRTT
+   40 ms, 2-BDP buffers, 40 ms decisions): the words per flow of a
+   steady [Fleet_env.step], after 20 warm-up steps. *)
+let test_fleet_env_step () =
+  at_one_domain @@ fun () ->
+  let flows = 64 in
+  let trace = Trace.constant ~name:"c" ~duration_ms:60_000 ~mbps:24. in
+  let cfg =
+    Canopy_orca.Agent_env.default_config ~trace ~min_rtt_ms:40
+      ~buffer_pkts:160 ~duration_ms:60_000
+  in
+  let env = Fleet_env.create (Array.make flows cfg) in
+  let actions = Array.make flows 0. in
+  for _ = 1 to 20 do
+    ignore (Fleet_env.step env ~actions)
+  done;
+  let steps = 50 in
+  let minor, major =
+    words_per_call ~n:steps (fun () -> ignore (Fleet_env.step env ~actions))
+  in
+  let per_flow x = x /. float_of_int flows in
+  within "Fleet_env.step per flow, minor" ~budget:144.7 (per_flow minor);
+  within "Fleet_env.step per flow, major" ~budget:0. (per_flow major)
 
 (* One policy period (two updates: both critics twice, the actor and the
-   targets once) at the trainer's shape. *)
+   targets once) at the trainer's shape. Every matrix an update writes
+   lives in the agent's workspace or a scratch arena, so nothing goes to
+   the major heap; before them a period allocated 176 239 direct major
+   words (13 593 minor). *)
 let test_td3_update () =
   at_one_domain @@ fun () ->
   let state_dim = 35 and action_dim = 1 in
@@ -162,14 +231,17 @@ let test_td3_update () =
     period ()
   done;
   let minor, major = words_per_call ~n:100 period in
-  within "Td3.update policy period, minor" ~budget:13_630. minor;
-  within "Td3.update policy period, major" ~budget:178_000. major
+  within "Td3.update policy period, minor" ~budget:10_188. minor;
+  within "Td3.update policy period, major" ~budget:0. major
 
 let suite =
   [
     ("Scratch.get front hit", `Quick, test_scratch_front_hit);
     ("Mlp.forward per call", `Quick, test_mlp_forward);
+    ("Policy.predict_rows_into per call", `Quick, test_predict_rows);
+    ("Anet.cached refresh per generation", `Quick, test_anet_refresh);
     ("Fleet.run per link·ms", `Quick, test_fleet_run);
     ("Fleet.run one link, per ms", `Quick, test_fleet_run_one_link);
+    ("Fleet_env.step per flow", `Quick, test_fleet_env_step);
     ("Td3.update per policy period", `Quick, test_td3_update);
   ]

@@ -307,7 +307,9 @@ let test_leaky_batched_matches_rows_bits () =
       check_bits (name "forward") want (Mat.raw out);
       let reused, _ = Layer.forward ~reuse_input:true layer (Mat.copy x) in
       check_bits (name "forward, reused input") want (Mat.raw reused);
-      check_bits (name "forward_eval") want (Mat.raw (Layer.forward_eval layer x));
+      let folded = Mat.create ~rows:7 ~cols:9 in
+      Layer.forward_eval ~dst:folded layer x;
+      check_bits (name "forward_eval") want (Mat.raw folded);
       let dst = Mat.create ~rows:7 ~cols:9 in
       Layer.forward_eval_into ~dst layer x;
       check_bits (name "forward_eval_into") want (Mat.raw dst);
@@ -384,7 +386,8 @@ let test_forward_batch_matches_forward1 () =
     Array.init 6 (fun i ->
         Array.init 3 (fun j -> Float.sin (float_of_int ((i * 3) + j))))
   in
-  let out = Mlp.forward_batch net (Mat.of_rows rows) in
+  let out = Mat.create ~rows:6 ~cols:1 in
+  Mlp.forward_batch ~dst:out net (Mat.of_rows rows);
   Array.iteri
     (fun i x ->
       Alcotest.(check (array (float 1e-9)))

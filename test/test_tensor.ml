@@ -137,17 +137,9 @@ let test_mat_row_ops () =
   Mat.map_into ~dst:m (fun x -> -.x) m;
   Alcotest.check vec "map_into in place" [| 1.; 2. |] (Mat.row m 0)
 
-let test_mat_pack_slice () =
+let test_mat_pack () =
   let m = Mat.of_rows [| [| 1.; 2. |]; [| 3.; 4. |] |] in
-  Alcotest.check mat "of_rows" (Mat.of_arrays [| [| 1.; 2. |]; [| 3.; 4. |] |]) m;
-  let c = Mat.concat_cols m (Mat.of_arrays [| [| 5. |]; [| 6. |] |]) in
-  Alcotest.check mat "concat_cols"
-    (Mat.of_arrays [| [| 1.; 2.; 5. |]; [| 3.; 4.; 6. |] |])
-    c;
-  Alcotest.check mat "cols_slice middle"
-    (Mat.of_arrays [| [| 2. |]; [| 4. |] |])
-    (Mat.cols_slice c ~pos:1 ~len:1);
-  Alcotest.check mat "cols_slice roundtrip" m (Mat.cols_slice c ~pos:0 ~len:2)
+  Alcotest.check mat "of_rows" (Mat.of_arrays [| [| 1.; 2. |]; [| 3.; 4. |] |]) m
 
 let test_mat_kernel_dim_checks () =
   let a = Mat.create ~rows:2 ~cols:3 in
@@ -159,10 +151,7 @@ let test_mat_kernel_dim_checks () =
       Mat.mat_mul_tn_acc ~dst:(Mat.create ~rows:3 ~cols:3) a
         (Mat.create ~rows:3 ~cols:3));
   Alcotest.check_raises "add_row dims" (Invalid_argument "Mat.add_row: dims")
-    (fun () -> Mat.add_row a [| 1. |]);
-  Alcotest.check_raises "concat rows"
-    (Invalid_argument "Mat.concat_cols: rows") (fun () ->
-      ignore (Mat.concat_cols a (Mat.create ~rows:3 ~cols:1)))
+    (fun () -> Mat.add_row a [| 1. |])
 
 let test_mat_outer_acc () =
   let m = Mat.create ~rows:2 ~cols:3 in
@@ -402,6 +391,220 @@ let qcheck_kernels =
         mat_bits_equal want got && mat_bits_equal want copied);
   ]
 
+(* The overwriting tn ([~zero:true], [Mat.mat_mul_tn]): every chain
+   starts at +0 whatever [dst] held, with the bits of zero-filling [dst]
+   and accumulating, and the C kernel matches the OCaml one. *)
+let qcheck_tn_zero =
+  let open QCheck.Gen in
+  kernel_oracle ~name:"avx2 tn = ocaml tn, overwriting (bits)"
+    ~gen:
+      (let* m, k, n = gen_shape in
+       let* a = gen_entries k m and* b = gen_entries k n in
+       let* garbage = gen_entries m n in
+       let* cuts = gen_cuts m in
+       let* samples =
+         option
+           (let* klo = int_range 0 (k - 1) in
+            let* len = int_range 1 (k - klo) in
+            return (klo, klo + len))
+       in
+       return (m, k, n, (a, b, garbage, cuts, samples)))
+    (fun (m, _, n, (a, b, garbage, cuts, samples)) ->
+      let want = Mat.copy garbage and got = Mat.copy garbage in
+      let filled = Mat.create ~rows:m ~cols:n in
+      Mat.Kernel.tn_ocaml ?samples ~zero:true ~dst:want a b ~lo:0 ~hi:m;
+      run_chunked cuts (Mat.Kernel.tn_avx2 ?samples ~zero:true ~dst:got a b);
+      Mat.Kernel.tn_ocaml ?samples ~dst:filled a b ~lo:0 ~hi:m;
+      mat_bits_equal want got && mat_bits_equal want filled)
+
+(* ------------------------------------------------------------------ *)
+(* Element-wise C kernels against their OCaml loops, bit for bit *)
+
+module Ew = Elementwise
+
+(* Cells mixing ordinary values with ±0, subnormals (some whose product
+   with a leaky slope underflows to -0), ±∞ and NaN of both signs. *)
+let gen_special =
+  QCheck.Gen.(
+    frequency
+      [
+        (10, float_range (-4.) 4.);
+        (1, oneofl [ 0.; -0. ]);
+        (1, oneofl [ 4.9e-324; -4.9e-324; -1e-322; -2.2e-310; 1e-308 ]);
+        ( 1,
+          oneofl [ Float.infinity; Float.neg_infinity; Float.nan; -.Float.nan ]
+        );
+      ])
+
+let gen_cells n = QCheck.Gen.(array_size (return n) gen_special)
+
+(* Lengths 1..41 and widths 1..21 take every value mod 4, so every
+   vector body ends in a scalar tail of 0 to 3 cells. *)
+let gen_len = QCheck.Gen.int_range 1 41
+let gen_dim = QCheck.Gen.int_range 1 21
+let gen_slope = QCheck.Gen.oneofl [ 0.01; 0.3 ]
+let cells_equal a b =
+  Array.length a = Array.length b && Array.for_all2 same_bits a b
+let fresh n = Array.make n 7.
+
+let ew_oracle ~name gen run =
+  QCheck.Test.make ~name ~count:300
+    (QCheck.make ~print:(fun (label, _) -> label) gen)
+    (fun (_, case) -> (not Ew.avx2) || run case)
+
+let qcheck_elementwise =
+  let open QCheck.Gen in
+  let label fmt = Printf.sprintf fmt in
+  [
+    ew_oracle ~name:"elementwise leaky = ocaml (bits, in place too)"
+      (let* n = gen_len and* slope = gen_slope and* alias = bool in
+       let* x = gen_cells n in
+       return (label "n %d slope %g alias %b" n slope alias, (slope, x, alias)))
+      (fun (slope, x, alias) ->
+        let n = Array.length x in
+        let want = fresh n in
+        Ew.Ocaml.leaky ~slope x ~dst:want;
+        let got = if alias then Array.copy x else fresh n in
+        Ew.leaky ~slope (if alias then got else x) ~dst:got;
+        cells_equal want got);
+    (* The mask comes from the forward's output, so an input whose slope
+       product underflows to -0 takes the positive arm in both paths
+       (the exception Layer.leaky_relu states). *)
+    ew_oracle ~name:"elementwise leaky backward = ocaml (bits, -0 underflow)"
+      (let* n = gen_len and* slope = gen_slope and* alias = bool in
+       let* x = gen_cells n and* dout = gen_cells n in
+       return
+         ( label "n %d slope %g alias %b" n slope alias,
+           (slope, x, dout, alias) ))
+      (fun (slope, x, dout, alias) ->
+        let n = Array.length x in
+        let out = fresh n in
+        Ew.Ocaml.leaky ~slope x ~dst:out;
+        let want = fresh n in
+        Ew.Ocaml.leaky_backward ~slope ~out ~dout ~dst:want;
+        let got = if alias then Array.copy dout else fresh n in
+        Ew.leaky_backward ~slope ~out
+          ~dout:(if alias then got else dout)
+          ~dst:got;
+        let underflow_positive i =
+          (not (x.(i) < 0. && out.(i) = 0.)) || same_bits got.(i) dout.(i)
+        in
+        cells_equal want got && List.for_all underflow_positive (List.init n Fun.id));
+    ew_oracle ~name:"elementwise add_into = ocaml (bits)"
+      (let* n = gen_len in
+       let* dst = gen_cells n and* src = gen_cells n in
+       return (label "n %d" n, (dst, src)))
+      (fun (dst, src) ->
+        let want = Array.copy dst and got = Array.copy dst in
+        Ew.Ocaml.add_into ~dst:want src;
+        Ew.add_into ~dst:got src;
+        cells_equal want got);
+    ew_oracle ~name:"elementwise lerp_into = ocaml (bits)"
+      (let* n = gen_len and* keep = gen_special and* tau = gen_special in
+       let* dst = gen_cells n and* src = gen_cells n in
+       return (label "n %d keep %h tau %h" n keep tau, (keep, tau, dst, src)))
+      (fun (keep, tau, dst, src) ->
+        let want = Array.copy dst and got = Array.copy dst in
+        Ew.Ocaml.lerp_into ~keep ~tau ~src ~dst:want;
+        Ew.lerp_into ~keep ~tau ~src ~dst:got;
+        cells_equal want got);
+    ew_oracle ~name:"elementwise adam = ocaml (bits)"
+      (let* n = gen_len in
+       let* value = gen_cells n and* grad = gen_cells n and* m = gen_cells n in
+       let* v = gen_cells n in
+       let* step_size = oneof [ return 1e-3; float_range 0. 1.; gen_special ] in
+       let* eps = oneofl [ 1e-8; 0.; 3e-11 ] in
+       return
+         ( label "n %d step %h eps %h" n step_size eps,
+           (value, grad, m, v, step_size, eps) ))
+      (fun (value, grad, m, v, step_size, eps) ->
+        let run adam =
+          let value = Array.copy value and m = Array.copy m and v = Array.copy v in
+          adam ~beta1:0.9 ~one_m_b1:0.1 ~beta2:0.999 ~one_m_b2:(1. -. 0.999)
+            ~step_size ~eps ~value ~grad ~m ~v;
+          [ value; m; v ]
+        in
+        List.for_all2 cells_equal (run Ew.Ocaml.adam) (run Ew.adam));
+    ew_oracle ~name:"elementwise col_sum = ocaml (bits, ranges, seeds)"
+      (let* rows = int_range 1 12 and* cols = gen_len and* zero = bool in
+       let* src = gen_cells (rows * cols) and* dst = gen_cells cols in
+       let* lo = int_range 0 rows in
+       let* hi = int_range lo rows in
+       return
+         ( label "%dx%d rows %d..%d zero %b" rows cols lo hi zero,
+           (src, dst, cols, lo, hi, zero) ))
+      (fun (src, dst, cols, lo, hi, zero) ->
+        let want = Array.copy dst and got = Array.copy dst in
+        Ew.Ocaml.col_sum ~zero ~dst:want src ~cols ~lo ~hi;
+        Ew.col_sum ~zero ~dst:got src ~cols ~lo ~hi;
+        cells_equal want got);
+    ew_oracle ~name:"elementwise bn_stats = ocaml (bits)"
+      (let* rows = int_range 1 12 and* dim = gen_dim in
+       let* x = gen_cells (rows * dim) in
+       return (label "%dx%d" rows dim, (x, rows, dim)))
+      (fun (x, rows, dim) ->
+        let run stats =
+          let mu = fresh dim and var = fresh dim in
+          stats x ~mu ~var ~rows ~dim;
+          [ mu; var ]
+        in
+        List.for_all2 cells_equal (run Ew.Ocaml.bn_stats) (run Ew.bn_stats));
+    ew_oracle ~name:"elementwise bn_normalize = ocaml (bits, in place too)"
+      (let* rows = int_range 1 12 and* dim = gen_dim and* alias = bool in
+       let* x = gen_cells (rows * dim) in
+       let* mu = gen_cells dim and* inv_std = gen_cells dim in
+       let* gamma = gen_cells dim and* beta = gen_cells dim in
+       return
+         ( label "%dx%d alias %b" rows dim alias,
+           (x, mu, inv_std, gamma, beta, rows, dim, alias) ))
+      (fun (x, mu, inv_std, gamma, beta, rows, dim, alias) ->
+        let run normalize ~alias =
+          let x = Array.copy x and xhat = fresh (rows * dim) in
+          let out = if alias then x else fresh (rows * dim) in
+          normalize x ~mu ~inv_std ~gamma ~beta ~xhat ~out ~rows ~dim;
+          [ xhat; out ]
+        in
+        List.for_all2 cells_equal
+          (run Ew.Ocaml.bn_normalize ~alias:false)
+          (run Ew.bn_normalize ~alias));
+    ew_oracle ~name:"elementwise bn_backward_sums = ocaml (bits)"
+      (let* rows = int_range 1 12 and* dim = gen_dim and* param_grads = bool in
+       let* dout = gen_cells (rows * dim) and* xhat = gen_cells (rows * dim) in
+       let* gamma = gen_cells dim and* dgamma = gen_cells dim in
+       let* dbeta = gen_cells dim in
+       return
+         ( label "%dx%d param_grads %b" rows dim param_grads,
+           (dout, xhat, gamma, dgamma, dbeta, rows, dim, param_grads) ))
+      (fun (dout, xhat, gamma, dgamma, dbeta, rows, dim, param_grads) ->
+        let run sums =
+          let dgamma = Array.copy dgamma and dbeta = Array.copy dbeta in
+          let s1 = fresh dim and s2 = fresh dim in
+          sums ~param_grads ~dout ~xhat ~gamma ~dgamma ~dbeta ~s1 ~s2 ~rows ~dim;
+          [ dgamma; dbeta; s1; s2 ]
+        in
+        List.for_all2 cells_equal
+          (run Ew.Ocaml.bn_backward_sums)
+          (run Ew.bn_backward_sums));
+    ew_oracle ~name:"elementwise bn_backward_dx = ocaml (bits, in place too)"
+      (let* rows = int_range 1 12 and* dim = gen_dim and* alias = bool in
+       let* dout = gen_cells (rows * dim) and* xhat = gen_cells (rows * dim) in
+       let* gamma = gen_cells dim and* inv_std = gen_cells dim in
+       let* s1 = gen_cells dim and* s2 = gen_cells dim in
+       return
+         ( label "%dx%d alias %b" rows dim alias,
+           (dout, xhat, gamma, inv_std, s1, s2, rows, dim, alias) ))
+      (fun (dout, xhat, gamma, inv_std, s1, s2, rows, dim, alias) ->
+        let run dx_pass ~alias =
+          let dout = Array.copy dout in
+          let dx = if alias then dout else fresh (rows * dim) in
+          dx_pass ~dout ~xhat ~gamma ~inv_std ~s1 ~s2 ~dx ~rows ~dim;
+          dx
+        in
+        cells_equal
+          (run Ew.Ocaml.bn_backward_dx ~alias:false)
+          (run Ew.bn_backward_dx ~alias));
+  ]
+
 let test_kernel_checks () =
   let a = Mat.create ~rows:5 ~cols:3 and b = Mat.create ~rows:2 ~cols:3 in
   let dst = Mat.create ~rows:5 ~cols:2 in
@@ -472,13 +675,31 @@ let strip_comments ~dune src =
   code 0;
   Buffer.contents b
 
+(* The C files a dune file builds: the words of its [(names ...)]. *)
+let stub_names dune =
+  let key = "(names" in
+  let rec find i =
+    if i + String.length key > String.length dune then
+      Alcotest.fail "lib/tensor/dune: no (names ...) field"
+    else if String.equal (String.sub dune i (String.length key)) key then
+      i + String.length key
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = String.index_from dune start ')' in
+  String.sub dune start (stop - start)
+  |> String.split_on_char ' '
+  |> List.concat_map (String.split_on_char '\n')
+  |> List.map String.trim
+  |> List.filter (fun w -> not (String.equal w ""))
+
 let test_no_float_contraction () =
   let dune =
     strip_comments ~dune:true (read_file (repo_file "lib/tensor/dune"))
   in
-  let stubs =
-    strip_comments ~dune:false (read_file (repo_file "lib/tensor/gemm_stubs.c"))
-  in
+  let names = stub_names dune in
+  if not (List.mem "gemm_stubs" names && List.mem "elementwise_stubs" names)
+  then Alcotest.fail "lib/tensor/dune: a C kernel file left (names ...)";
   let fail fmt = Printf.ksprintf (fun msg -> Alcotest.fail msg) fmt in
   if not (contains dune "-ffp-contract=off") then
     fail "lib/tensor/dune: C flags lack -ffp-contract=off";
@@ -488,10 +709,16 @@ let test_no_float_contraction () =
     [ "-mfma"; "-march=native"; "-ffast-math"; "-Ofast";
       "-funsafe-math-optimizations" ];
   List.iter
-    (fun construct ->
-      if contains stubs construct then
-        fail "lib/tensor/gemm_stubs.c uses %s" construct)
-    [ "fmadd"; "fmsub"; "#pragma GCC optimize" ]
+    (fun name ->
+      let file = "lib/tensor/" ^ name ^ ".c" in
+      let stubs = strip_comments ~dune:false (read_file (repo_file file)) in
+      List.iter
+        (fun construct ->
+          if contains stubs construct then fail "%s uses %s" file construct)
+        [ "fmadd"; "fmsub"; "fnmadd"; "fnmsub"; "__builtin_fma"; "fma(";
+          "#pragma GCC optimize"; "#pragma STDC FP_CONTRACT ON";
+          "optimize(" ])
+    names
 
 let suite =
   [
@@ -512,7 +739,7 @@ let suite =
     ("mat mat_mul_nt", `Quick, test_mat_mul_nt);
     ("mat mat_mul_tn_acc", `Quick, test_mat_mul_tn_acc);
     ("mat row ops", `Quick, test_mat_row_ops);
-    ("mat pack/concat/slice", `Quick, test_mat_pack_slice);
+    ("mat pack", `Quick, test_mat_pack);
     ("mat kernel dim checks", `Quick, test_mat_kernel_dim_checks);
     ("mat outer_acc", `Quick, test_mat_outer_acc);
     ("mat raw shares storage", `Quick, test_mat_raw_shares);
@@ -520,4 +747,5 @@ let suite =
     ("mat kernel range checks", `Quick, test_kernel_checks);
     ("mat no float contraction in C kernels", `Quick, test_no_float_contraction);
   ]
-  @ List.map QCheck_alcotest.to_alcotest (qcheck @ qcheck_kernels)
+  @ List.map QCheck_alcotest.to_alcotest
+      (qcheck @ qcheck_kernels @ (qcheck_tn_zero :: qcheck_elementwise))
