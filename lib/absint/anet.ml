@@ -217,21 +217,15 @@ let forward t x =
    the same arithmetic as [Box.map_monotone], applied to every cell of
    the [K × dim] batch at once. The activation is matched once, outside
    the loop, so each cell runs inline float code: no closure call and no
-   boxed float per endpoint. Each branch restates [act_fn]'s formula. *)
+   boxed float per endpoint. Leaky ReLU is [Elementwise.interval_leaky]
+   (an AVX2 kernel where the GEMMs have one, the same bits); each arm
+   restates [act_fn]'s formula. *)
 let apply_act_batch act c r =
   let cd = Mat.raw c and rd = Mat.raw r in
   let n = Array.length cd in
   match act with
   | Linear -> ()
-  | Leaky_relu slope ->
-      for i = 0 to n - 1 do
-        let ci = Array.unsafe_get cd i and ri = Array.unsafe_get rd i in
-        let l = ci -. ri and h = ci +. ri in
-        let lo = if l >= 0. then l else slope *. l
-        and hi = if h >= 0. then h else slope *. h in
-        Array.unsafe_set cd i (0.5 *. (hi +. lo));
-        Array.unsafe_set rd i (0.5 *. (hi -. lo))
-      done
+  | Leaky_relu slope -> Elementwise.interval_leaky ~slope ~center:cd ~radius:rd
   | Tanh ->
       for i = 0 to n - 1 do
         let ci = Array.unsafe_get cd i and ri = Array.unsafe_get rd i in
@@ -253,6 +247,22 @@ let scratch_key : Canopy_util.Scratch.t Domain.DLS.key =
 
 let stage_slot s = 2 + (2 * s)
 
+(* Per-domain column-index buffers of the radius GEMM, DLS-owned like the
+   arena: [live_key] holds the live columns of the stage being
+   propagated, [input_live_key] those of a certificate's input rows.
+   [output_intervals_rows] fills the latter before any pool region, and
+   workers only read it there, as they read the rows themselves. *)
+let live_key : int array ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [||])
+
+let input_live_key : int array ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [||])
+
+let buffer key n =
+  let b = Domain.DLS.get key in
+  if Array.length !b < n then b := Array.make n 0;
+  !b
+
 (* Column [j] of a row-major [rows × cols] buffer holds a nonzero in some
    row. Live columns usually answer on row 0; only dead ones are scanned
    to the end. *)
@@ -263,41 +273,46 @@ let live_column d ~rows ~cols j =
   done;
   !i < rows
 
-(* The radius GEMM r' = r·|W|ᵀ over the live input columns only. A column
-   is dead when its radius is ±0 in every row (a certificate's point
-   dimensions). Each of its terms is then r·|w| = ±0, since |W| is finite,
-   and adding ±0 to an accumulator chain that starts at +0 changes
-   nothing: such a chain never reaches −0, and x + ±0 = x otherwise. The
-   GEMM sums every cell in ascending column order, so summing the live
-   columns alone, in the same order, returns the full GEMM's bits. *)
-let radius_gemm scratch ~dst r abs_w =
-  let rows = Mat.rows r and cols = Mat.cols r in
-  let rd = Mat.raw r in
-  let live = ref 0 in
+(* The live columns of [r], ascending, into [live]; returns their count. *)
+let scan_live r live =
+  let rows = Mat.rows r and cols = Mat.cols r and rd = Mat.raw r in
+  let n = ref 0 in
   for j = 0 to cols - 1 do
-    if live_column rd ~rows ~cols j then incr live
+    if live_column rd ~rows ~cols j then begin
+      Array.unsafe_set live !n j;
+      incr n
+    end
   done;
-  let live = !live in
-  if live = cols then Mat.mat_mul_nt_into ~dst r abs_w
-  else if live = 0 then Mat.fill dst 0.
+  !n
+
+(* The radius GEMM r' = r·|W|ᵀ over the live input columns only, the
+   first [n_live] of [live]. A column is dead when its radius is ±0 in
+   every row (a certificate's point dimensions). Each of its terms is
+   then r·|w| = ±0, since |W| is finite, and adding ±0 to an accumulator
+   chain that starts at +0 changes nothing: such a chain never reaches
+   −0, and x + ±0 = x otherwise. The GEMM sums every cell in ascending
+   column order, so summing any ascending set of columns that holds the
+   live ones returns the full GEMM's bits. *)
+let radius_gemm scratch ~dst r abs_w ~live ~n_live =
+  let rows = Mat.rows r and cols = Mat.cols r in
+  if n_live = cols then Mat.mat_mul_nt_into ~dst r abs_w
+  else if n_live = 0 then Mat.fill dst 0.
   else begin
     let out = Mat.rows abs_w in
-    let r' = Mat.scratch_mat scratch ~slot:0 ~rows ~cols:live in
-    let w' = Mat.scratch_mat scratch ~slot:1 ~rows:out ~cols:live in
-    let rd' = Mat.raw r' and wd = Mat.raw abs_w and wd' = Mat.raw w' in
-    let l = ref 0 in
-    for j = 0 to cols - 1 do
-      if live_column rd ~rows ~cols j then begin
-        for i = 0 to rows - 1 do
-          Array.unsafe_set rd' ((i * live) + !l)
-            (Array.unsafe_get rd ((i * cols) + j))
-        done;
-        for o = 0 to out - 1 do
-          Array.unsafe_set wd' ((o * live) + !l)
-            (Array.unsafe_get wd ((o * cols) + j))
-        done;
-        incr l
-      end
+    let r' = Mat.scratch_mat scratch ~slot:0 ~rows ~cols:n_live in
+    let w' = Mat.scratch_mat scratch ~slot:1 ~rows:out ~cols:n_live in
+    let rd = Mat.raw r and rd' = Mat.raw r' in
+    let wd = Mat.raw abs_w and wd' = Mat.raw w' in
+    for l = 0 to n_live - 1 do
+      let j = Array.unsafe_get live l in
+      for i = 0 to rows - 1 do
+        Array.unsafe_set rd' ((i * n_live) + l)
+          (Array.unsafe_get rd ((i * cols) + j))
+      done;
+      for o = 0 to out - 1 do
+        Array.unsafe_set wd' ((o * n_live) + l)
+          (Array.unsafe_get wd ((o * cols) + j))
+      done
     done;
     Mat.mat_mul_nt_into ~dst r' w'
   end
@@ -308,28 +323,35 @@ let radius_gemm scratch ~dst r abs_w =
    path. Soundness of the radius GEMM: each output radius is a
    non-negatively weighted sum of input radii, so it is the exact image
    of the interval under the affine map up to the same rounding as the
-   per-slice [Box.affine] reference (see DESIGN.md §8).
+   per-slice [Box.affine] reference (see DESIGN.md §8). The first stage
+   reads its live columns from [input_live] (its first [n_input_live]
+   cells) and every later one scans its own input.
 
    The result aliases the last stage's scratch slots: callers must
    consume (copy out of) it before this domain's next call. *)
-let propagate_batch t ~centers ~radii =
+let propagate_batch t ~centers ~radii ~input_live ~n_input_live =
   let scratch = Domain.DLS.get scratch_key in
-  let _, result =
-    List.fold_left
-      (fun (s, (c, r)) stage ->
+  let rec go s c r = function
+    | [] -> (c, r)
+    | stage :: rest ->
         let rows = Mat.rows c and cols = Mat.rows stage.w in
         let c' = Mat.scratch_mat scratch ~slot:(stage_slot s) ~rows ~cols in
         let r' =
           Mat.scratch_mat scratch ~slot:(stage_slot s + 1) ~rows ~cols
         in
         Mat.mat_mul_nt_bias_into ~dst:c' c stage.w stage.b;
-        radius_gemm scratch ~dst:r' r stage.abs_w;
+        if s = 0 then
+          radius_gemm scratch ~dst:r' r stage.abs_w ~live:input_live
+            ~n_live:n_input_live
+        else begin
+          let live = buffer live_key (Mat.cols r) in
+          radius_gemm scratch ~dst:r' r stage.abs_w ~live
+            ~n_live:(scan_live r live)
+        end;
         apply_act_batch stage.act c' r';
-        (s + 1, (c', r')))
-      (0, (centers, radii))
-      t.stages
+        go (s + 1) c' r' rest
   in
-  result
+  go 0 centers radii t.stages
 
 let check_box t box =
   if Box.dim box <> t.in_dim then invalid_arg "Anet.propagate: input dim"
@@ -341,7 +363,11 @@ let batch_of_boxes boxes =
 let propagate t box =
   check_box t box;
   let centers, radii = batch_of_boxes [| box |] in
-  let c, r = propagate_batch t ~centers ~radii in
+  let input_live = buffer input_live_key t.in_dim in
+  let c, r =
+    propagate_batch t ~centers ~radii ~input_live
+      ~n_input_live:(scan_live radii input_live)
+  in
   Box.make ~center:(Mat.row c 0) ~dev:(Mat.row r 0)
 
 (* Per-box cost of the batched transfer, for the parallel-dispatch
@@ -360,16 +386,18 @@ let per_box_flops t =
 
 (* Rows [lo, hi) of the workload through the batched transfer, results
    into [out]. Each output row of the stage GEMMs depends only on the
-   matching input row, and the live-column gather is bit-neutral per row,
-   so a sub-batch reproduces the full batch's rows bit for bit — chunking
-   the workload cannot change any interval (DESIGN §10). A chunk copies
-   its rows out; the whole workload runs in place. *)
-let output_intervals_range t ~centers ~radii out ~lo ~hi =
+   matching input row, and the live-column gather is bit-neutral per row
+   (a chunk gathers the whole workload's live columns, a superset of its
+   own), so a sub-batch reproduces the full batch's rows bit for bit —
+   chunking the workload cannot change any interval (DESIGN §10). A chunk
+   copies its rows out; the whole workload runs in place. *)
+let output_intervals_range t ~centers ~radii ~input_live ~n_input_live out
+    ~lo ~hi =
   let centers, radii =
     if lo = 0 && hi = Mat.rows centers then (centers, radii)
     else (Mat.sub_rows centers ~lo ~hi, Mat.sub_rows radii ~lo ~hi)
   in
-  let c, r = propagate_batch t ~centers ~radii in
+  let c, r = propagate_batch t ~centers ~radii ~input_live ~n_input_live in
   let cd = Mat.raw c and rd = Mat.raw r in
   for k = lo to hi - 1 do
     let ck = cd.(k - lo) and rk = rd.(k - lo) in
@@ -384,12 +412,29 @@ let output_intervals_rows t ~centers ~radii =
     || Mat.cols centers <> t.in_dim
     || Mat.cols radii <> t.in_dim
   then invalid_arg "Anet.output_intervals_rows: shape";
-  let rd = Mat.raw radii in
-  for i = 0 to Array.length rd - 1 do
-    let d = rd.(i) in
-    if d < 0. || Float.is_nan d then
-      invalid_arg "Anet.output_intervals_rows: deviation"
+  (* One pass over the radii: reject a negative or NaN one, and mark
+     each column that holds a nonzero; the marks then compact in place
+     into the ascending live columns the first radius GEMM gathers. *)
+  let cols = t.in_dim and rd = Mat.raw radii in
+  let input_live = buffer input_live_key cols in
+  Array.fill input_live 0 cols 0;
+  for i = 0 to n - 1 do
+    let base = i * cols in
+    for j = 0 to cols - 1 do
+      let d = Array.unsafe_get rd (base + j) in
+      if d < 0. || Float.is_nan d then
+        invalid_arg "Anet.output_intervals_rows: deviation";
+      if d <> 0. then Array.unsafe_set input_live j 1
+    done
   done;
+  let n_input_live = ref 0 in
+  for j = 0 to cols - 1 do
+    if Array.unsafe_get input_live j = 1 then begin
+      Array.unsafe_set input_live !n_input_live j;
+      incr n_input_live
+    end
+  done;
+  let n_input_live = !n_input_live in
   let out = Array.make n (Interval.make 0. 0.) in
   (* A chunk is at least [Mat.nt_c_rows] boxes tall, so its stage GEMMs
      run the C kernel rather than the OCaml one; a workload that one such
@@ -402,8 +447,11 @@ let output_intervals_rows t ~centers ~radii =
   (match chunk with
   | Some chunk when n > chunk ->
       Canopy_util.Pool.parallel_for_chunks ~chunk n
-        (output_intervals_range t ~centers ~radii out)
-  | Some _ | None -> output_intervals_range t ~centers ~radii out ~lo:0 ~hi:n);
+        (output_intervals_range t ~centers ~radii ~input_live ~n_input_live
+           out)
+  | Some _ | None ->
+      output_intervals_range t ~centers ~radii ~input_live ~n_input_live out
+        ~lo:0 ~hi:n);
   out
 
 let output_intervals t boxes =

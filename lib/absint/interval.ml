@@ -59,21 +59,24 @@ let leaky_relu ~slope t =
   if slope < 0. || slope > 1. then invalid_arg "Interval.leaky_relu: slope";
   monotone (fun x -> if x >= 0. then x else slope *. x) t
 
+(* [intersect]'s bounds, read in place rather than through an option. *)
 let overlap_fraction ~target out =
-  match intersect target out with
-  | None -> 0.
-  | Some inter ->
-      if subset out target then 1.
-      else if is_point out then 1. (* point on the boundary of target *)
-      else width inter /. width out
+  let lo = Float.max target.lo out.lo and hi = Float.min target.hi out.hi in
+  if lo > hi then 0.
+  else if subset out target then 1.
+  else if is_point out then 1. (* point on the boundary of target *)
+  else (hi -. lo) /. width out
+
+let slice t ~n i =
+  if n <= 0 || i < 0 || i >= n then invalid_arg "Interval.slice";
+  let w = width t /. float_of_int n in
+  let lo = t.lo +. (float_of_int i *. w) in
+  let hi = if i = n - 1 then t.hi else lo +. w in
+  make lo hi
 
 let split t n =
   if n <= 0 then invalid_arg "Interval.split: n";
-  let w = width t /. float_of_int n in
-  List.init n (fun i ->
-      let lo = t.lo +. (float_of_int i *. w) in
-      let hi = if i = n - 1 then t.hi else lo +. w in
-      make lo hi)
+  List.init n (slice t ~n)
 
 let sample rng t = Canopy_util.Prng.uniform rng t.lo t.hi
 

@@ -46,10 +46,6 @@ val mul : t -> t -> t
 val div_scalar : t -> float -> t
 (** Division by a non-zero scalar. *)
 
-val monotone : (float -> float) -> t -> t
-(** Lift a non-decreasing function exactly. The caller is responsible for
-    monotonicity. *)
-
 val pow2 : t -> t
 (** [2^x], exact (monotone). *)
 
@@ -66,6 +62,10 @@ val split : t -> int -> t list
 (** [split t n] partitions [t] into [n] equal-width, contiguous
     sub-intervals (the symbolic components of Section 5). Requires
     [n > 0]. *)
+
+val slice : t -> n:int -> int -> t
+(** [slice t ~n i] is element [i] of [split t n], computed alone.
+    Requires [0 <= i < n]. *)
 
 val sample : Canopy_util.Prng.t -> t -> float
 (** Uniform sample from the interval. *)

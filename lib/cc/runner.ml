@@ -1,6 +1,5 @@
 module Env = Canopy_netsim.Env
 module Fleet = Canopy_netsim.Fleet
-module Stats = Canopy_util.Stats
 
 type metrics = {
   scheme : string;
@@ -87,11 +86,10 @@ let run ?series_bin_ms ?(impairments = Env.no_impairments) ~trace ~min_rtt_ms
   in
   Fleet.run ~after_tick fleet [| handlers |] ~ms:duration_ms;
   let st = Fleet.stats fleet ~flow:0 in
-  let qdelays = Fleet.qdelay_array_ms fleet ~flow:0 in
-  (* Delays and RTTs are whole milliseconds, so these means are exact
-     integer sums divided once: the same bits as a fold over the per-ack
-     samples in arrival order. *)
-  let rtts = Array.map (fun q -> q +. float_of_int min_rtt_ms) qdelays in
+  (* Delays and RTTs are whole milliseconds, so the means are exact
+     integer sums divided once, and the p95 reads its two order statistics
+     off the histogram: the bits of [Stats.mean] and [Stats.percentile]
+     over the per-ack samples, with no per-packet array (DESIGN §12). *)
   let metrics =
     {
       scheme = controller.Controller.name;
@@ -103,8 +101,9 @@ let run ?series_bin_ms ?(impairments = Env.no_impairments) ~trace ~min_rtt_ms
         /. (float_of_int duration_ms /. 1000.);
       avg_qdelay_ms = Fleet.avg_qdelay_ms fleet ~flow:0;
       p95_qdelay_ms =
-        (if Array.length qdelays = 0 then 0. else Stats.percentile qdelays 95.);
-      avg_rtt_ms = Stats.mean rtts;
+        (if st.delivered = 0 then 0.
+         else Fleet.qdelay_percentile_ms fleet ~flow:0 95.);
+      avg_rtt_ms = Fleet.avg_rtt_ms fleet ~flow:0;
       loss_rate = Fleet.loss_rate fleet ~flow:0;
       delivered_pkts = st.delivered;
       dropped_pkts = st.dropped;

@@ -31,13 +31,6 @@ let delay_indices ~history =
   List.init history (fun frame ->
       (frame * Observation.feature_count) + Observation.delay_index)
 
-(* Abstract image of the window under Eq. 1 for an abstract action: the
-   map a ↦ clamp(2^{2a}·CWND_TCP) is monotone non-decreasing in a. *)
-let cwnd_interval ~cwnd_tcp action =
-  Interval.monotone
-    (fun a -> Fleet_env.cwnd_of_action ~action:a ~cwnd_tcp)
-    action
-
 (* The single domain/engine dispatch of the certification stack: certify
    and certify_adaptive both obtain abstract action bounds here, so a new
    domain (or engine) is added in exactly one place. *)
@@ -66,13 +59,29 @@ let target_of_case property case =
   | Property.Performance _, Property.Noise ->
       invalid_arg "Certify.target_of_case"
 
+let case_ordinal = function
+  | Property.Large_delay -> 0
+  | Property.Small_delay -> 1
+  | Property.Noise -> 2
+
+(* The postcondition of each of the property's cases, indexed by
+   [case_ordinal] and built once per certificate; the cell of a case the
+   property lacks holds a point no component reads. *)
+let targets_of property =
+  let targets = Array.make 3 (Interval.of_point 0.) in
+  List.iter
+    (fun case -> targets.(case_ordinal case) <- target_of_case property case)
+    (Property.cases property);
+  targets
+
 (* Model-independent part of a step-certificate context: everything the
    component rows and the CWND postcondition check need.  The
    model-specific part (MLP + abstract engine, or distilled tree) only
    supplies abstract action intervals per component. *)
 type step_ctx = {
   property : Property.t;
-  delay_indices : int list;
+  targets : Interval.t array;  (* [targets_of property] *)
+  delay_indices : int array;
   state : float array;
   cwnd_tcp : float;
   prev_cwnd : float;
@@ -82,38 +91,57 @@ type step_ctx = {
 (* The full evaluation context of an MLP step certificate. *)
 type ctx = { engine : engine; domain : domain; actor : Mlp.t; step : step_ctx }
 
+(* Per-domain scratch arena of certificate assembly (DESIGN §8): slots 0
+   and 1 hold a step's [K × in_dim] component centers and radii (a tree
+   certificate turns them into its boxes' corners), slots 2 and 3 a tree
+   certificate's K action bounds. The arena is DLS-owned, so only its
+   domain writes them; every certificate overwrites each cell before
+   reading it, and nothing a certificate returns aliases them, so they are
+   dead once the call returns (an engine's pool workers only read the
+   rows, inside the call). *)
+let rows_key : Canopy_util.Scratch.t Domain.DLS.key =
+  Domain.DLS.new_key Canopy_util.Scratch.create
+
 (* The one component-row builder. Row [k] of the [K × in_dim] center and
    radius matrices is job [k]'s abstract input: the concrete state as a
    point (radius +0), with each delay dimension replaced by the slice
-   (performance) or its multiplicative image (robustness). *)
+   (performance) or its multiplicative image (robustness). The matrices
+   live in this domain's [rows_key] arena. *)
 let component_rows step jobs =
   let rows = Array.length jobs and cols = Array.length step.state in
-  let centers = Mat.create_uninit ~rows ~cols
-  and radii = Mat.create_uninit ~rows ~cols in
+  let arena = Domain.DLS.get rows_key in
+  let centers = Mat.scratch_mat arena ~slot:0 ~rows ~cols
+  and radii = Mat.scratch_mat arena ~slot:1 ~rows ~cols in
   let cd = Mat.raw centers and rd = Mat.raw radii in
-  Array.iteri
-    (fun k (case, _, slice) ->
-      let base = k * cols in
-      Array.blit step.state 0 cd base cols;
-      Array.fill rd base cols 0.;
-      List.iter
-        (fun idx ->
-          let iv =
-            match case with
-            | Property.Large_delay | Property.Small_delay -> slice
-            | Property.Noise -> Interval.scale step.state.(idx) slice
-          in
-          cd.(base + idx) <- Interval.midpoint iv;
-          rd.(base + idx) <- Interval.radius iv)
-        step.delay_indices)
-    jobs;
+  for k = 0 to rows - 1 do
+    let case, _, slice = jobs.(k) in
+    let base = k * cols in
+    Array.blit step.state 0 cd base cols;
+    Array.fill rd base cols 0.;
+    for m = 0 to Array.length step.delay_indices - 1 do
+      let idx = step.delay_indices.(m) in
+      let iv =
+        match case with
+        | Property.Large_delay | Property.Small_delay -> slice
+        | Property.Noise -> Interval.scale step.state.(idx) slice
+      in
+      cd.(base + idx) <- Interval.midpoint iv;
+      rd.(base + idx) <- Interval.radius iv
+    done
+  done;
   (centers, radii)
 
 (* Finish a component from its abstract action: push through the CWND map
-   of Eq. 1 and compare against the postcondition (Eq. 7). *)
+   of Eq. 1, which is monotone in the action, and compare against the
+   postcondition (Eq. 7). *)
 let finish_component step case index slice action =
-  let target = target_of_case step.property case in
-  let cwnd = cwnd_interval ~cwnd_tcp:step.cwnd_tcp action in
+  let target = step.targets.(case_ordinal case) in
+  let cwnd_tcp = step.cwnd_tcp in
+  let cwnd =
+    Interval.make
+      (Fleet_env.cwnd_of_action ~action:(Interval.lo action) ~cwnd_tcp)
+      (Fleet_env.cwnd_of_action ~action:(Interval.hi action) ~cwnd_tcp)
+  in
   let output =
     match case with
     | Property.Large_delay | Property.Small_delay ->
@@ -167,7 +195,8 @@ let make_step_ctx ~property ~history ~state ~cwnd_tcp ~prev_cwnd ~raw_action
     =
   {
     property;
-    delay_indices = delay_indices ~history;
+    targets = targets_of property;
+    delay_indices = Array.of_list (delay_indices ~history);
     state;
     cwnd_tcp;
     prev_cwnd;
@@ -199,19 +228,24 @@ let validate ~what ~n_components ~history ~state ~cwnd_tcp ~prev_cwnd ~in_dim
       && Float.is_finite cwnd_tcp && Float.is_finite prev_cwnd)
   then invalid_arg (what ^ ": non-finite state")
 
+(* One pass over the components: per case, the distances summed in
+   component order from +0 (the bits of a fold over that case's list),
+   and the certified count. *)
 let summarize property components =
+  let sums = [| 0.; 0.; 0. |] and counts = [| 0; 0; 0 |] in
+  let certified_count = ref 0 in
+  for k = 0 to Array.length components - 1 do
+    let c = components.(k) in
+    let o = case_ordinal c.case in
+    sums.(o) <- sums.(o) +. c.distance;
+    counts.(o) <- counts.(o) + 1;
+    if c.certified then incr certified_count
+  done;
   let per_case_distance =
     List.map
       (fun case ->
-        let ds =
-          Array.to_list components
-          |> List.filter_map (fun c ->
-                 if c.case = case then Some c.distance else None)
-        in
-        let mean =
-          Canopy_util.Mathx.fsum_list ds /. float_of_int (List.length ds)
-        in
-        (case, mean))
+        let o = case_ordinal case in
+        (case, sums.(o) /. float_of_int counts.(o)))
       (Property.cases property)
   in
   (* Eq. 8: average the per-case distances. *)
@@ -219,9 +253,7 @@ let summarize property components =
     let ds = List.map snd per_case_distance in
     Canopy_util.Mathx.fsum_list ds /. float_of_int (List.length ds)
   in
-  let certified_count =
-    Array.fold_left (fun n c -> if c.certified then n + 1 else n) 0 components
-  in
+  let certified_count = !certified_count in
   {
     property;
     components;
@@ -232,15 +264,16 @@ let summarize property components =
     fcs = certified_count = Array.length components;
   }
 
+(* Job [k] is slice [k mod n] of case [k / n], the cases in
+   [Property.cases] order. *)
 let jobs_of_property property n_components =
-  Array.of_list
-    (List.concat_map
-       (fun case ->
-         let precondition = Property.precondition_delay property case in
-         List.mapi
-           (fun index slice -> (case, index, slice))
-           (Interval.split precondition n_components))
-       (Property.cases property))
+  let cases = Array.of_list (Property.cases property) in
+  let preconditions = Array.map (Property.precondition_delay property) cases in
+  Array.init (Array.length cases * n_components) (fun k ->
+      let c = k / n_components and index = k mod n_components in
+      ( cases.(c),
+        index,
+        Interval.slice preconditions.(c) ~n:n_components index ))
 
 let certify ?(engine = Batched) ?(domain = Box_domain) ~actor ~property
     ~n_components ~history ~state ~cwnd_tcp ~prev_cwnd () =
@@ -257,7 +290,7 @@ let certify ?(engine = Batched) ?(domain = Box_domain) ~actor ~property
    engine is involved: every leaf region is an axis-aligned box and its
    model one affine stage, so intersecting the component's input box with
    each leaf cell and bounding the affine model per term gives the exact
-   hull of reachable outputs ([Tree.output_interval ~exact:true]) — the
+   hull of reachable outputs ([Tree.output_intervals ~exact:true]) — the
    verifier distance is exact, not conservative.  [~conservative:true]
    instead bounds every leaf over the whole input box (what a
    structure-blind interval engine would compute), for side-by-side
@@ -265,7 +298,8 @@ let certify ?(engine = Batched) ?(domain = Box_domain) ~actor ~property
    conservative one, so exact certified rates dominate.  The abstract
    action is clamped to [-1, 1] exactly as the serving path clamps the
    concrete prediction.  Each component's box is read off its row as
-   [c − e, c + e] into two arrays reused across the components. *)
+   [c − e, c + e], in place, and all of them go down the tree in one
+   descent. *)
 let certify_tree ?(conservative = false) ~tree ~property ~n_components ~history
     ~state ~cwnd_tcp ~prev_cwnd () =
   validate ~what:"Certify.certify_tree" ~n_components ~history ~state
@@ -276,24 +310,26 @@ let certify_tree ?(conservative = false) ~tree ~property ~n_components ~history
       ~raw_action:(fun () -> Canopy_distill.Tree.predict tree state)
   in
   let jobs = jobs_of_property property n_components in
-  let centers, radii = component_rows step jobs in
-  let d = Array.length state in
-  let cd = Mat.raw centers and rd = Mat.raw radii in
-  let lo = Array.make d 0. and hi = Array.make d 0. in
+  let rows = Array.length jobs in
+  let corners_lo, corners_hi = component_rows step jobs in
+  let lo = Mat.raw corners_lo and hi = Mat.raw corners_hi in
+  for i = 0 to Array.length lo - 1 do
+    let c = lo.(i) and e = hi.(i) in
+    lo.(i) <- c -. e;
+    hi.(i) <- c +. e
+  done;
+  let arena = Domain.DLS.get rows_key in
+  let out_lo = Canopy_util.Scratch.get arena ~slot:2 ~len:rows
+  and out_hi = Canopy_util.Scratch.get arena ~slot:3 ~len:rows in
+  Canopy_distill.Tree.output_intervals ~exact:(not conservative) tree ~lo ~hi
+    ~rows ~out_lo ~out_hi;
   summarize property
     (Array.mapi
        (fun k (case, index, slice) ->
-         for j = 0 to d - 1 do
-           let c = cd.((k * d) + j) and e = rd.((k * d) + j) in
-           lo.(j) <- c -. e;
-           hi.(j) <- c +. e
-         done;
-         let raw =
-           Canopy_distill.Tree.output_interval ~exact:(not conservative) tree
-             ~lo ~hi
+         let action =
+           Interval.make (clamp_action out_lo.(k)) (clamp_action out_hi.(k))
          in
-         finish_component step case index slice
-           (Interval.monotone clamp_action raw))
+         finish_component step case index slice action)
        jobs)
 
 (* Adaptive subdivision (Section 8, future work (ii)): start from a
@@ -397,11 +433,6 @@ let pp ppf (t : t) =
 type refutation =
   | Violation of { state : float array; output : float }
   | Unknown
-
-let case_ordinal = function
-  | Property.Large_delay -> 0
-  | Property.Small_delay -> 1
-  | Property.Noise -> 2
 
 let refute ?(samples = 64) ~rng ~actor ~history ~state ~cwnd_tcp ~prev_cwnd
     component =

@@ -171,8 +171,11 @@ let eval_policy ?(name = "canopy") ?noise ?certificate ?refute_rng ?shield
         :: !steps;
     finished := res.finished
   done;
-  let qdelays = Agent_env.qdelay_array_ms env in
   let st = Agent_env.env_stats env in
+  (* Delay statistics straight from the exact histogram: the mean is its
+     integer sum divided once and the p95 reads two order statistics, the
+     bits of [Stats.mean] and [Stats.percentile] over the per-packet
+     delays (DESIGN §12). *)
   let result =
     {
       scheme = name;
@@ -182,9 +185,9 @@ let eval_policy ?(name = "canopy") ?noise ?certificate ?refute_rng ?shield
         float_of_int st.Canopy_netsim.Env.delivered
         *. float_of_int Canopy_netsim.Env.default_mtu *. 8. /. 1e6
         /. (float_of_int link.duration_ms /. 1000.);
-      avg_qdelay_ms = Stats.mean qdelays;
+      avg_qdelay_ms = Agent_env.avg_qdelay_ms env;
       p95_qdelay_ms =
-        (if Array.length qdelays = 0 then 0. else Stats.percentile qdelays 95.);
+        (if st.delivered = 0 then 0. else Agent_env.qdelay_percentile_ms env 95.);
       loss_rate = Agent_env.loss_rate env;
       fcc =
         (if certificate = None || !nsteps = 0 then None

@@ -148,63 +148,139 @@ let predict_rows_into ~dst t x =
 (* ------------------------------------------------------------------ *)
 (* Interval bounds                                                     *)
 
-(* One depth-first descent from the root carries the current cell in
-   [cell_lo]/[cell_hi], closed on both sides (the boundary x = threshold
-   belongs to both children: a measure-zero over-approximation that keeps
-   every bound sound), tightened on the way down and restored on the way
-   back.  A child is pruned as soon as its cell misses the box on the
-   split feature; cells only shrink going down, so no pruned subtree holds
-   a leaf whose cell meets the box, and a leaf on a contradictory path is
-   never reached.  At a reached leaf every dimension meets the box: the
-   tightened ones were checked after their last split, the rest are
-   unconstrained.  With [~exact:false] the cell stays unconstrained and
-   every leaf is bounded over the whole box.  The box arrives as its
-   corner arrays [lo]/[hi], so callers never build interval records. *)
-let output_interval ?(exact = true) t ~lo ~hi =
+(* Bounds of [rows] boxes, row [k] being [lo.(k·d + j), hi.(k·d + j)]
+   over dimension [j], into [out_lo.(k)]/[out_hi.(k)].
+
+   One depth-first descent from the root, over the hull of the boxes,
+   carries the current cell in [cell_lo]/[cell_hi], closed on both sides
+   (the boundary x = threshold belongs to both children: a measure-zero
+   over-approximation that keeps every bound sound), tightened on the way
+   down and restored on the way back.  A child is pruned as soon as its
+   cell misses the hull on the split feature; cells only shrink going
+   down, so no pruned subtree holds a leaf whose cell meets a box, and a
+   leaf on a contradictory path is never reached.  A box's own descent
+   would reach a leaf exactly when the leaf's final cell meets the box on
+   every dimension (the last check on each split feature reads the final
+   cell, the earlier ones follow from it, and an unsplit dimension is
+   unbounded), and pruning is monotone in the box, so every leaf it would
+   reach is reached here, in the same order; at each, the boxes whose
+   dimensions all meet the cell are bounded and the rest skipped.  With
+   [~exact:false] the cell stays unconstrained and every leaf is bounded
+   over every whole box.
+
+   A box's bound of a leaf is [bias + coef . x] over box ∩ cell: each
+   term's extremum is at an endpoint, accumulated in [predict_into]'s
+   order, so the bound equals the float evaluation at the minimizing or
+   maximizing corner; a zero coefficient contributes +0 even where
+   box ∩ cell is unbounded (0 * inf would poison the bound with NaN).  A
+   dimension on which every box has the same bits (a certificate's point
+   dimensions) has the same term in every box, so its term is formed
+   once per leaf; only the others are formed per box.  The hull folds
+   with [Float.min]/[Float.max], which give the same bits in any leaf
+   order, signed zeros included. *)
+let bound_rows ~what ~exact t ~lo ~hi ~rows ~out_lo ~out_hi =
   let d = t.in_dim in
-  if Array.length lo <> d || Array.length hi <> d then
-    invalid_arg "Tree.output_interval: bad box dim";
+  if
+    rows < 1
+    || Array.length lo <> rows * d
+    || Array.length hi <> rows * d
+  then invalid_arg (what ^ ": bad box dim");
+  if Array.length out_lo < rows || Array.length out_hi < rows then
+    invalid_arg (what ^ ": bad output length");
+  (* One pass per dimension: does some box differ from box 0 on it, and
+     is every box's [lo <= hi] (NaN corners rejected)? A box that has box
+     0's bits passes with box 0. A dimension no box differs on has box
+     0's bits in every box, which is then their hull; the others go to
+     [vary], ascending, and their hull is folded. *)
+  let[@inline] same x y = x = y && (x <> 0. || 1. /. x = 1. /. y) in
+  let bad () = invalid_arg (what ^ ": bad box") in
+  let hull_lo = Array.sub lo 0 d and hull_hi = Array.sub hi 0 d in
+  let varies = Array.make d false in
+  let vary = Array.make d 0 and n_vary = ref 0 in
   for j = 0 to d - 1 do
-    (* also rejects NaN corners *)
-    if not (lo.(j) <= hi.(j)) then invalid_arg "Tree.output_interval: bad box"
+    let l0 = lo.(j) and h0 = hi.(j) in
+    if not (l0 <= h0) then bad ();
+    (* no NaN in box 0, so [same] is bit equality *)
+    let k = ref 1 in
+    while
+      !k < rows
+      && same (Array.unsafe_get lo ((!k * d) + j)) l0
+      && same (Array.unsafe_get hi ((!k * d) + j)) h0
+    do
+      incr k
+    done;
+    if !k < rows then begin
+      varies.(j) <- true;
+      vary.(!n_vary) <- j;
+      incr n_vary;
+      for k = !k to rows - 1 do
+        let l = Array.unsafe_get lo ((k * d) + j)
+        and h = Array.unsafe_get hi ((k * d) + j) in
+        if not (l <= h) then bad ();
+        hull_lo.(j) <- Float.min hull_lo.(j) l;
+        hull_hi.(j) <- Float.max hull_hi.(j) h
+      done
+    end
   done;
+  let n_vary = !n_vary in
   let cell_lo = Array.make d neg_infinity in
   let cell_hi = Array.make d infinity in
-  (* running hull; min/max fold in any leaf order to the same bits *)
-  let out = [| infinity; neg_infinity |] in
-  (* Tight bound of [bias + coef . x] over box ∩ cell: each term's
-     extremum is at an endpoint, accumulated in the same order as
-     [predict_into], so the bound equals the float evaluation at the
-     minimizing/maximizing corner. *)
-  let bound_leaf l =
-    let base = l * d in
-    let acc_lo = ref t.bias.(l) and acc_hi = ref t.bias.(l) in
-    for j = 0 to d - 1 do
+  Array.fill out_lo 0 rows infinity;
+  Array.fill out_hi 0 rows neg_infinity;
+  (* Each dimension's (low, high) term of the leaf being bounded: the
+     shared ones set once per leaf, the varying ones per box. *)
+  let term_lo = Array.make d 0. and term_hi = Array.make d 0. in
+  (* Dimension [j] of the box at offset [row] against the cell: false
+     when they miss, else its term of the leaf at [base] is set. *)
+  let clip_term ~base ~row j =
+    let a = Float.max lo.(row + j) cell_lo.(j)
+    and b = Float.min hi.(row + j) cell_hi.(j) in
+    if not (a <= b) then false
+    else begin
       let c = t.coef.(base + j) in
-      (* zero coefficients contribute exactly 0 even where box ∩ cell is
-         unbounded (0 * inf would otherwise poison the bound with NaN) *)
       if c = 0. then begin
-        acc_lo := !acc_lo +. 0.;
-        acc_hi := !acc_hi +. 0.
+        term_lo.(j) <- 0.;
+        term_hi.(j) <- 0.
       end
       else begin
-        let a = c *. Float.max lo.(j) cell_lo.(j)
-        and b = c *. Float.min hi.(j) cell_hi.(j) in
+        let a = c *. a and b = c *. b in
         if a <= b then begin
-          acc_lo := !acc_lo +. a;
-          acc_hi := !acc_hi +. b
+          term_lo.(j) <- a;
+          term_hi.(j) <- b
         end
         else begin
-          acc_lo := !acc_lo +. b;
-          acc_hi := !acc_hi +. a
+          term_lo.(j) <- b;
+          term_hi.(j) <- a
         end
-      end
+      end;
+      true
+    end
+  in
+  let bound_leaf l =
+    let base = l * d in
+    (* every box meets the cell on a shared dimension: the hull did *)
+    for j = 0 to d - 1 do
+      if not varies.(j) then ignore (clip_term ~base ~row:0 j : bool)
     done;
-    out.(0) <- Float.min out.(0) !acc_lo;
-    out.(1) <- Float.max out.(1) !acc_hi
+    for k = 0 to rows - 1 do
+      let row = k * d in
+      let v = ref 0 in
+      while !v < n_vary && clip_term ~base ~row vary.(!v) do
+        incr v
+      done;
+      if !v = n_vary then begin
+        let acc_lo = ref t.bias.(l) and acc_hi = ref t.bias.(l) in
+        for j = 0 to d - 1 do
+          acc_lo := !acc_lo +. term_lo.(j);
+          acc_hi := !acc_hi +. term_hi.(j)
+        done;
+        out_lo.(k) <- Float.min out_lo.(k) !acc_lo;
+        out_hi.(k) <- Float.max out_hi.(k) !acc_hi
+      end
+    done
   in
   let meets f =
-    Float.max lo.(f) cell_lo.(f) <= Float.min hi.(f) cell_hi.(f)
+    Float.max hull_lo.(f) cell_lo.(f) <= Float.min hull_hi.(f) cell_hi.(f)
   in
   let rec descend i =
     let f = t.feature.(i) in
@@ -225,9 +301,19 @@ let output_interval ?(exact = true) t ~lo ~hi =
   else
     for l = 0 to n_leaves t - 1 do
       bound_leaf l
-    done;
-  (* some leaf is always reached: the one [predict] routes any box point to *)
-  Interval.make out.(0) out.(1)
+    done
+(* some leaf is always reached by every box: the one [predict] routes
+   any of its points to *)
+
+let output_intervals ?(exact = true) t ~lo ~hi ~rows ~out_lo ~out_hi =
+  bound_rows ~what:"Tree.output_intervals" ~exact t ~lo ~hi ~rows ~out_lo
+    ~out_hi
+
+let output_interval ?(exact = true) t ~lo ~hi =
+  let out_lo = [| 0. |] and out_hi = [| 0. |] in
+  bound_rows ~what:"Tree.output_interval" ~exact t ~lo ~hi ~rows:1 ~out_lo
+    ~out_hi;
+  Interval.make out_lo.(0) out_hi.(0)
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint format: "canopy-tree v1" (hex floats, strict parse)      *)

@@ -69,7 +69,8 @@ val output_interval :
     arrays, not interval records, so a certificate reads each
     component's box straight off its center/radius row as [c − e] and
     [c + e].  Raises [Invalid_argument] on a length mismatch or when some
-    [lo.(j) <= hi.(j)] fails (including NaN corners).
+    [lo.(j) <= hi.(j)] fails (including NaN corners).  It is
+    [output_intervals] of one box.
 
     Each leaf's region is an axis-aligned cell, the conjunction of the
     split half-spaces on its root path, closed on both sides: the boundary
@@ -88,6 +89,26 @@ val output_interval :
     conservative reading a structure-blind engine would produce, O(n_leaves
     * in_dim).  The exact interval is always contained in the conservative
     one. *)
+
+val output_intervals :
+  ?exact:bool ->
+  t ->
+  lo:float array ->
+  hi:float array ->
+  rows:int ->
+  out_lo:float array ->
+  out_hi:float array ->
+  unit
+(** [output_interval] of [rows] boxes at once: box [k] spans
+    [\[lo.(k·in_dim + j), hi.(k·in_dim + j)\]] over dimension [j], and its
+    bound goes to [out_lo.(k)] and [out_hi.(k)] with the bits
+    [output_interval] gives it alone.  One descent over the hull of the
+    boxes reaches every leaf some box's descent would; at each, only the
+    boxes whose dimensions all meet the leaf's cell are bounded, and a
+    dimension on which every box has the same bits has its term formed
+    once per leaf.  Raises [Invalid_argument] unless [rows >= 1], [lo]
+    and [hi] hold [rows * in_dim] cells with every [lo <= hi], and the
+    outputs hold at least [rows] cells. *)
 
 val to_string : t -> string
 (** Serialize in the ["canopy-tree v1"] checkpoint format: a magic line,

@@ -656,6 +656,15 @@ let avg_qdelay_ms t ~flow =
   if t.delivered.(flow) = 0 then 0.
   else float_of_int t.qd_sum_ms.(flow) /. float_of_int t.delivered.(flow)
 
+let avg_rtt_ms t ~flow =
+  let n = t.delivered.(flow) in
+  if n = 0 then 0.
+  else float_of_int (t.qd_sum_ms.(flow) + (t.min_rtt.(flow) * n)) /. float_of_int n
+
+let qdelay_percentile_ms t ~flow p =
+  Canopy_util.Stats.histogram_percentile t.qd_hist.(flow)
+    ~n:t.delivered.(flow) p
+
 let qdelay_array_ms t ~flow =
   let out = Array.make t.delivered.(flow) 0. in
   let k = ref 0 in

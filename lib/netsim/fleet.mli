@@ -110,6 +110,15 @@ val loss_rate : t -> flow:int -> float
 val avg_qdelay_ms : t -> flow:int -> float
 (** Mean queueing delay over all acked packets; [0.] before any ack. *)
 
+val avg_rtt_ms : t -> flow:int -> float
+(** Mean RTT over all acked packets; [0.] before any ack. *)
+
+val qdelay_percentile_ms : t -> flow:int -> float -> float
+(** [qdelay_percentile_ms t ~flow p] is [Canopy_util.Stats.percentile]
+    of the flow's queueing delays, read from the histogram by cumulative
+    bin counts: the same bits, with no per-packet array. Raises
+    [Invalid_argument] before any ack, and for [p] outside [\[0,100\]]. *)
+
 val qdelay_array_ms : t -> flow:int -> float array
 (** Every acked packet's queueing delay (RTT − minRTT), ascending: one
     entry per delivered packet. *)

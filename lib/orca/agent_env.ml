@@ -68,5 +68,7 @@ let cwnd_tcp t = Fleet_env.cwnd_tcp t.fenv ~flow:0
 let env_stats t = Fleet.stats (fleet t) ~flow:0
 let utilization t = Fleet.utilization (fleet t) ~flow:0
 let qdelay_array_ms t = Fleet.qdelay_array_ms (fleet t) ~flow:0
+let avg_qdelay_ms t = Fleet.avg_qdelay_ms (fleet t) ~flow:0
+let qdelay_percentile_ms t p = Fleet.qdelay_percentile_ms (fleet t) ~flow:0 p
 let loss_rate t = Fleet.loss_rate (fleet t) ~flow:0
 let thr_scale_mbps t = Fleet_env.thr_scale_mbps t.fenv ~flow:0

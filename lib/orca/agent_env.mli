@@ -69,6 +69,11 @@ val state : t -> float array
 val env_stats : t -> Canopy_netsim.Env.stats
 val utilization : t -> float
 val qdelay_array_ms : t -> float array
+val avg_qdelay_ms : t -> float
+
+val qdelay_percentile_ms : t -> float -> float
+(** [Fleet.qdelay_percentile_ms] of the flow: read from the histogram. *)
+
 val loss_rate : t -> float
 
 val thr_scale_mbps : t -> float

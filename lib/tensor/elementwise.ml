@@ -1,4 +1,5 @@
-(* Element-wise passes of the training step, over flat float arrays.
+(* Element-wise passes of the training step and of the certifier's
+   interval transfer, over flat float arrays.
 
    Each pass has an OCaml loop and an AVX2 C kernel
    (elementwise_stubs.c) in which one vector lane is one cell running
@@ -28,6 +29,11 @@ external c_leaky_backward :
   (float[@unboxed]) ->
   (int[@untagged]) ->
   unit = "canopy_ew_leaky_backward_byte" "canopy_ew_leaky_backward"
+[@@noalloc]
+
+external c_interval_leaky :
+  float array -> float array -> (float[@unboxed]) -> (int[@untagged]) -> unit
+  = "canopy_ew_interval_leaky_byte" "canopy_ew_interval_leaky"
 [@@noalloc]
 
 external c_add : float array -> float array -> (int[@untagged]) -> unit
@@ -129,6 +135,10 @@ let check_leaky x ~dst = check "leaky: lengths" (len dst = len x)
 let check_leaky_backward ~out ~dout ~dst =
   check "leaky_backward: lengths" (len out = len dout && len dst = len dout)
 
+let check_interval_leaky ~center ~radius =
+  check "interval_leaky: lengths" (len center = len radius);
+  check "interval_leaky: center aliases radius" (center != radius)
+
 let check_add ~dst src = check "add_into: lengths" (len src = len dst)
 let check_lerp ~src ~dst = check "lerp_into: lengths" (len src = len dst)
 
@@ -196,6 +206,21 @@ module Ocaml = struct
       Array.unsafe_set dst i
         (Array.unsafe_get dout i
         *. Array.unsafe_get tab (Bool.to_int (Array.unsafe_get out i >= 0.)))
+    done
+
+  (* The interval image of leaky ReLU over center-radius cells, in
+     place: lo = f(c − r), hi = f(c + r), then c = (hi + lo)/2 and
+     r = (hi − lo)/2, the endpoint formula of a monotone map. Here f
+     branches on [>= 0.]; the kernel selects the same operand. *)
+  let interval_leaky ~slope ~center ~radius =
+    check_interval_leaky ~center ~radius;
+    for i = 0 to len center - 1 do
+      let ci = Array.unsafe_get center i and ri = Array.unsafe_get radius i in
+      let l = ci -. ri and h = ci +. ri in
+      let lo = if l >= 0. then l else slope *. l
+      and hi = if h >= 0. then h else slope *. h in
+      Array.unsafe_set center i (0.5 *. (hi +. lo));
+      Array.unsafe_set radius i (0.5 *. (hi -. lo))
     done
 
   let add_into ~dst src =
@@ -322,6 +347,13 @@ let leaky_backward ~slope ~out ~dout ~dst =
     c_leaky_backward out dout dst slope (len dout)
   end
   else Ocaml.leaky_backward ~slope ~out ~dout ~dst
+
+let interval_leaky ~slope ~center ~radius =
+  if avx2 then begin
+    check_interval_leaky ~center ~radius;
+    c_interval_leaky center radius slope (len center)
+  end
+  else Ocaml.interval_leaky ~slope ~center ~radius
 
 let add_into ~dst src =
   if avx2 then begin

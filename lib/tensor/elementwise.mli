@@ -1,6 +1,7 @@
-(** Element-wise passes of the training step over flat float arrays:
-    leaky ReLU forward and backward, the batch-norm training forward and
-    backward, column sums, Adam, and two vector updates.
+(** Element-wise passes over flat float arrays: of the training step
+    (leaky ReLU forward and backward, the batch-norm training forward and
+    backward, column sums, Adam, and two vector updates) and of the
+    certifier (leaky ReLU over center–radius intervals).
 
     Each entry runs an AVX2 C kernel when {!avx2} holds and its OCaml
     loop ({!Ocaml}) otherwise. In a kernel one vector lane is one cell
@@ -23,6 +24,13 @@ val leaky_backward :
   slope:float -> out:float array -> dout:float array -> dst:float array -> unit
 (** [dst.(i) <- dout.(i) *. (if out.(i) >= 0. then 1. else slope)], the
     mask read from the forward's output. [dst] may be [dout]. *)
+
+val interval_leaky :
+  slope:float -> center:float array -> radius:float array -> unit
+(** The interval image of leaky ReLU over center–radius cells, in place:
+    with [l = c − r], [h = c + r] and [f v = if v >= 0. then v else
+    slope *. v], [center.(i) <- 0.5 *. (f h +. f l)] and
+    [radius.(i) <- 0.5 *. (f h -. f l)]. The two arrays must be distinct. *)
 
 val add_into : dst:float array -> float array -> unit
 (** [dst.(i) <- dst.(i) +. src.(i)]. *)
@@ -127,6 +135,9 @@ module Ocaml : sig
     dout:float array ->
     dst:float array ->
     unit
+
+  val interval_leaky :
+    slope:float -> center:float array -> radius:float array -> unit
 
   val add_into : dst:float array -> float array -> unit
 

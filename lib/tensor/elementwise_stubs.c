@@ -1,7 +1,8 @@
-/* AVX2 element-wise passes of the training step (see elementwise.ml):
+/* AVX2 element-wise passes (see elementwise.ml): of the training step,
    leaky ReLU forward and backward, the batch-norm training forward and
    backward over a [n × dim] batch, column sums, Adam, and the two
-   vector updates (dst += src, dst = keep*dst + tau*src).
+   vector updates (dst += src, dst = keep*dst + tau*src); and of the
+   certifier, leaky ReLU over center-radius intervals.
 
    One vector lane is one cell, never a reduction axis: every lane runs
    exactly the OCaml loop's IEEE operations on its cell, in the same
@@ -77,6 +78,35 @@ AVX2 static void leaky_backward(const double *y, const double *g, double *o,
   for (; i + 4 <= n; i += 4)
     ST(o + i, MUL(LD(g + i), LEAKY_FACTOR(LD(y + i), s, one)));
   for (; i < n; i++) o[i] = g[i] * (y[i] >= 0.0 ? 1.0 : slope);
+}
+
+/* The interval image of leaky ReLU over center-radius cells, in place:
+     l = c - r, h = c + r, lo = (l >= 0 ? l : slope*l),
+     hi = (h >= 0 ? h : slope*h), c = 0.5*(hi + lo), r = 0.5*(hi - lo).
+   Each arm is selected, not multiplied by 1.0, exactly as the OCaml loop
+   branches: the slope product is formed in every lane and the blend keeps
+   the operand itself where the compare holds. */
+AVX2 static void interval_leaky(double *c, double *r, double slope, intnat n)
+{
+  __m256d s = SET1(slope), half = SET1(0.5), zero = _mm256_setzero_pd();
+  intnat i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m256d ci = LD(c + i), ri = LD(r + i);
+    __m256d l = SUB(ci, ri), h = ADD(ci, ri);
+    __m256d lo = _mm256_blendv_pd(MUL(s, l), l,
+                                  _mm256_cmp_pd(l, zero, _CMP_GE_OQ));
+    __m256d hi = _mm256_blendv_pd(MUL(s, h), h,
+                                  _mm256_cmp_pd(h, zero, _CMP_GE_OQ));
+    ST(c + i, MUL(half, ADD(hi, lo)));
+    ST(r + i, MUL(half, SUB(hi, lo)));
+  }
+  for (; i < n; i++) {
+    double l = c[i] - r[i], h = c[i] + r[i];
+    double lo = l >= 0.0 ? l : slope * l;
+    double hi = h >= 0.0 ? h : slope * h;
+    c[i] = 0.5 * (hi + lo);
+    r[i] = 0.5 * (hi - lo);
+  }
 }
 
 /* d[i] = d[i] + s[i]. */
@@ -322,6 +352,14 @@ value canopy_ew_leaky_backward(value y, value g, value o, double slope,
   return Val_unit;
 }
 
+value canopy_ew_interval_leaky(value c, value r, double slope, intnat n)
+{
+#ifdef CANOPY_X86_64
+  interval_leaky(FLOATS(c), FLOATS(r), slope, n);
+#endif
+  return Val_unit;
+}
+
 value canopy_ew_add(value d, value s, intnat n)
 {
 #ifdef CANOPY_X86_64
@@ -414,6 +452,11 @@ value canopy_ew_leaky_backward_byte(value y, value g, value o, value slope,
                                     value n)
 {
   return canopy_ew_leaky_backward(y, g, o, Double_val(slope), Long_val(n));
+}
+
+value canopy_ew_interval_leaky_byte(value c, value r, value slope, value n)
+{
+  return canopy_ew_interval_leaky(c, r, Double_val(slope), Long_val(n));
 }
 
 value canopy_ew_add_byte(value d, value s, value n)

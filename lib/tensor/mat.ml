@@ -525,33 +525,39 @@ let nt_range_ocaml ~dst a b ~bias ~lo ~hi =
    domain-count one. *)
 let nt_c_rows = 12
 
-(* The range kernel the shape rule picks for one nt call. The C kernel
-   first packs the 8-row tiles of [b] k-major into the calling domain's
-   scratch slot 0; the panel is written before any parallel region and
-   workers read it through the region closure, published by the pool's
-   mutex pair. *)
-let nt_c ~dst a b ~bias =
-  let inner = a.cols in
+(* The C kernel first packs the 8-row tiles of [b] k-major into the
+   calling domain's scratch slot 0; the panel is written before any
+   parallel region and workers read it through the region closure,
+   published by the pool's mutex pair. *)
+let nt_pack b ~inner =
   let scratch = Domain.DLS.get scratch_key in
   let len = max 1 ((b.rows - (b.rows land 7)) * inner) in
   let panel = Scratch.get scratch ~slot:0 ~len in
   c_nt_pack b.data b.rows inner panel;
-  let seeds = match bias with Some v -> v | None -> b.data in
-  let seeded = match bias with Some _ -> 1 | None -> 0 in
-  fun ~lo ~hi ->
-    c_nt a.data panel b.data seeds seeded dst.data inner b.rows lo hi
+  panel
 
-let nt_kernel ~dst a b ~bias =
-  if avx2 && a.rows >= nt_c_rows then nt_c ~dst a b ~bias
-  else fun ~lo ~hi -> nt_range_ocaml ~dst a b ~bias ~lo ~hi
+let nt_c ~dst a b ~bias panel ~lo ~hi =
+  match bias with
+  | Some v -> c_nt a.data panel b.data v 1 dst.data a.cols b.rows lo hi
+  | None -> c_nt a.data panel b.data b.data 0 dst.data a.cols b.rows lo hi
 
 (* Shared dispatcher for the nt family: the kernel by shape, then
-   sequential vs chunked by the planner. Both axes preserve bits. *)
+   sequential vs chunked by the planner. Both axes preserve bits. The
+   sequential path calls its range kernel directly, so it builds no
+   closure. *)
 let nt_dispatch ~dst a b ~bias ~row_flops =
-  let run = nt_kernel ~dst a b ~bias in
+  let c_kernel = avx2 && a.rows >= nt_c_rows in
   match plan_chunks ~rows:a.rows ~row_flops with
-  | Some chunk -> Canopy_util.Pool.parallel_for_chunks ~chunk a.rows run
-  | None -> run ~lo:0 ~hi:a.rows
+  | Some chunk ->
+      let run =
+        if c_kernel then nt_c ~dst a b ~bias (nt_pack b ~inner:a.cols)
+        else nt_range_ocaml ~dst a b ~bias
+      in
+      Canopy_util.Pool.parallel_for_chunks ~chunk a.rows run
+  | None ->
+      if c_kernel then
+        nt_c ~dst a b ~bias (nt_pack b ~inner:a.cols) ~lo:0 ~hi:a.rows
+      else nt_range_ocaml ~dst a b ~bias ~lo:0 ~hi:a.rows
 
 let mat_mul_nt_row_flops a b = 2 * a.cols * b.rows
 
@@ -851,7 +857,7 @@ module Kernel = struct
   let nt_avx2 ~dst a b bias ~lo ~hi =
     check_avx2 "nt_avx2";
     check "nt_avx2" ~ok:(nt_ok ~dst a b bias) ~rows:a.rows ~lo ~hi;
-    nt_c ~dst a b ~bias ~lo ~hi
+    nt_c ~dst a b ~bias (nt_pack b ~inner:a.cols) ~lo ~hi
 
   let nn_avx2 ~dst a b ~lo ~hi =
     check_avx2 "nn_avx2";

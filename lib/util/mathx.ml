@@ -9,8 +9,12 @@ let approx_equal ?(eps = 1e-9) a b =
   diff <= eps || diff <= eps *. Float.max (Float.abs a) (Float.abs b)
 
 let is_finite x = Float.is_finite x
-let log2 x = log x /. log 2.
-let pow2 x = Float.exp (x *. log 2.)
+(* [log 2.], bound once: a C external is never constant-folded, so
+   writing it inside [pow2] called libm's [log] on every call. *)
+let ln2 = log 2.
+
+let log2 x = log x /. ln2
+let pow2 x = Float.exp (x *. ln2)
 let sign x = if x > 0. then 1. else if x < 0. then -1. else 0.
 
 let sum = Array.fold_left ( +. ) 0.

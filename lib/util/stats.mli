@@ -22,3 +22,10 @@ val percentile : float array -> float -> float
     between closest ranks. The input array is not modified. Raises
     [Invalid_argument] on an empty array. *)
 
+val histogram_percentile : int array -> n:int -> float -> float
+(** [histogram_percentile counts ~n p] is [percentile xs p] for the [n]
+    samples of which [counts.(v)] equal [float_of_int v] ([n] must be
+    the sum of the counts): the same rank and interpolation arithmetic,
+    reading its two order statistics by cumulative counts, with no
+    per-sample array. Raises [Invalid_argument] when [n = 0], for [p]
+    outside [\[0,100\]], and when the counts sum below [n]. *)

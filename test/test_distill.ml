@@ -388,6 +388,85 @@ let test_output_interval_sound_and_exact () =
        (bound zero box)
        (reference_interval ~exact:true (nodes_of zero) ~d box))
 
+(* [Tree.output_intervals] over certificate-shaped box sets, row by row
+   against the all-leaves reference, in bits, exact and conservative.
+   The rows share their point dimensions (some ±0, some on a split
+   threshold; a point c is the box [c − 0, c + 0], so a −0 point reads
+   [−0, +0] as a certificate builds it) and differ over the delay
+   dimensions; in some sets one point dimension also differs in a few
+   rows, sometimes only in the sign of a zero. The second tree has −0
+   biases and reads only that dimension, so the sign of a zero there
+   shows in the bound's bits. *)
+let test_output_intervals_rows_exact () =
+  let history = 5 in
+  let d = history * Canopy_orca.Observation.feature_count in
+  let fitted, _, _ = fitted_tree ~d ~seed:11 () in
+  let signed_dim = 3 in
+  let signed =
+    let coef = Array.make (2 * d) 0. in
+    coef.(signed_dim) <- 1.;
+    coef.(d + signed_dim) <- -2.;
+    Tree.build ~in_dim:d ~feature:[| 0; -1; -1 |]
+      ~threshold:[| 0.5; 0.; 0. |] ~left:[| 1; 0; 0 |] ~right:[| 2; 0; 0 |]
+      ~leaf:[| -1; 0; 1 |] ~coef ~bias:[| -0.; -0. |]
+  in
+  let delay = Certify.delay_indices ~history in
+  let rng = Prng.create 17 in
+  List.iter
+    (fun (name, tree, odd_dim) ->
+      let t = nodes_of tree in
+      let thresholds = t.threshold in
+      for _ = 1 to 150 do
+        let rows = 1 + Prng.int rng 40 in
+        let point () =
+          match Prng.int rng 6 with
+          | 0 -> 0.
+          | 1 -> -0.
+          | 2 -> thresholds.(Prng.int rng (Array.length thresholds))
+          | _ -> Prng.float rng 1.
+        in
+        let base = Array.init d (fun _ -> point ()) in
+        let odd_dim = Option.value odd_dim ~default:(Prng.int rng d) in
+        let odd = Prng.bool rng in
+        let lo = Array.make (rows * d) 0. and hi = Array.make (rows * d) 0. in
+        for k = 0 to rows - 1 do
+          let a = Prng.float rng 1. and w = 0.3 *. Prng.float rng 1. in
+          for j = 0 to d - 1 do
+            let l, h =
+              if List.mem j delay then (a, a +. w)
+              else if odd && j = odd_dim && Prng.int rng 3 = 0 then
+                match Prng.int rng 3 with
+                | 0 -> (-0., -0.)
+                | 1 -> (0., 0.)
+                | _ -> (-0., 0.)
+              else (base.(j) -. 0., base.(j) +. 0.)
+            in
+            lo.((k * d) + j) <- l;
+            hi.((k * d) + j) <- h
+          done
+        done;
+        List.iter
+          (fun exact ->
+            let out_lo = Array.make rows nan and out_hi = Array.make rows nan in
+            Tree.output_intervals ~exact tree ~lo ~hi ~rows ~out_lo ~out_hi;
+            for k = 0 to rows - 1 do
+              let box =
+                Array.init d (fun j ->
+                    Interval.make lo.((k * d) + j) hi.((k * d) + j))
+              in
+              if
+                not
+                  (same_bits
+                     (Interval.make out_lo.(k) out_hi.(k))
+                     (reference_interval ~exact t ~d box))
+              then
+                Alcotest.failf "%s, exact %b, %d rows: row %d differs" name
+                  exact rows k
+            done)
+          [ true; false ]
+      done)
+    [ ("fitted", fitted, None); ("signed zero", signed, Some signed_dim) ]
+
 (* A leaf whose root path contradicts itself (left on x0 < 0, then right
    on x0 >= 1) has an empty cell.  It is never reached: its model must
    not widen the bound, and its empty cell must not make bounding or
@@ -697,6 +776,9 @@ let suite =
     ( "output interval sound + exact (10k boxes)",
       `Quick,
       test_output_interval_sound_and_exact );
+    ( "output intervals of box sets = reference (bits)",
+      `Quick,
+      test_output_intervals_rows_exact );
     ( "output interval skips dead leaves",
       `Quick,
       test_output_interval_dead_leaf );

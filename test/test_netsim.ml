@@ -461,6 +461,14 @@ let test_qdelay_histogram_exact () =
       (bits (Fleet.avg_qdelay_ms env ~flow:0) = bits (Stats.mean seen));
     check_bool (tag "p95 bits") true
       (bits (Stats.percentile qd 95.) = bits (Stats.percentile seen 95.));
+    check_bool (tag "histogram p95 bits") true
+      (bits (Fleet.qdelay_percentile_ms env ~flow:0 95.)
+      = bits (Stats.percentile seen 95.));
+    check_bool (tag "avg_rtt_ms bits") true
+      (bits (Fleet.avg_rtt_ms env ~flow:0)
+      = bits
+          (Stats.mean
+             (Array.map (fun q -> q +. float_of_int cfg.min_rtt_ms) seen)));
     qd
   in
   ignore (check_link "clean" (impaired_cfg ()));
@@ -527,6 +535,41 @@ let qcheck_netsim =
         let qd = qdelays env in
         Array.length qd = (stats env).Env.delivered
         && Array.for_all (fun q -> q >= 0.) qd);
+    (* The delay statistics read off the histogram (the mean as its
+       integer sums divided once, the percentiles by cumulative bin
+       counts) have the bits of [Stats] over the per-packet array, from
+       runs too short for any ack or long enough for a standing queue;
+       before any ack the percentile raises as [Stats.percentile] does. *)
+    Test.make ~name:"histogram delay statistics = Stats of qdelay_array_ms (bits)"
+      ~count:80
+      (make
+         ~print:(fun (mbps, cwnd, buffer, min_rtt, ms, p) ->
+           Printf.sprintf "mbps %g cwnd %g buffer %d min_rtt %d ms %d p %g" mbps
+             cwnd buffer min_rtt ms p)
+         Gen.(
+           let* mbps = float_range 1. 100. in
+           let* cwnd = float_range 2. 800. in
+           let* buffer = int_range 2 400 in
+           let* min_rtt = int_range 4 100 in
+           let* ms = oneof [ int_range 1 120; int_range 120 3000 ] in
+           let* p = oneof [ oneofl [ 0.; 95.; 100. ]; float_range 0. 100. ] in
+           return (mbps, cwnd, buffer, min_rtt, ms, p)))
+      (fun (mbps, cwnd, buffer, min_rtt, ms, p) ->
+        let env = make_env ~mbps ~min_rtt ~buffer ~cwnd ~duration:4000 () in
+        run env ~ms;
+        let qd = qdelays env in
+        let bits x = Int64.bits_of_float x in
+        let rtts = Array.map (fun q -> q +. float_of_int min_rtt) qd in
+        bits (Fleet.avg_qdelay_ms env ~flow:0) = bits (Stats.mean qd)
+        && bits (Fleet.avg_rtt_ms env ~flow:0) = bits (Stats.mean rtts)
+        &&
+        if Array.length qd = 0 then
+          match Fleet.qdelay_percentile_ms env ~flow:0 p with
+          | _ -> false
+          | exception Invalid_argument _ -> true
+        else
+          bits (Fleet.qdelay_percentile_ms env ~flow:0 p)
+          = bits (Stats.percentile qd p));
   ]
 
 let suite = suite @ List.map QCheck_alcotest.to_alcotest qcheck_netsim

@@ -490,6 +490,34 @@ let qcheck_elementwise =
           (not (x.(i) < 0. && out.(i) = 0.)) || same_bits got.(i) dout.(i)
         in
         cells_equal want got && List.for_all underflow_positive (List.init n Fun.id));
+    (* The certifier's interval leaky ReLU, in place over both arrays:
+       cells whose radius is the center or its negation (endpoints
+       exactly 0, 2c or -2c), overflowing endpoints and halvings near
+       the largest float, and subnormals whose halving rounds. *)
+    ew_oracle ~name:"elementwise interval_leaky = ocaml (bits, in place)"
+      (let* n = gen_len and* slope = gen_slope in
+       let big = oneofl [ 1.7e308; -1.7e308; Float.max_float ] in
+       let gen_pair =
+         let* c = frequency [ (6, gen_special); (1, big) ] in
+         frequency
+           [
+             (4, map (fun r -> (c, r)) gen_special);
+             (1, map (fun r -> (c, r)) big);
+             (1, return (c, c));
+             (1, return (c, -.c));
+             (1, return (c, Float.abs c));
+           ]
+       in
+       let* cells = array_size (return n) gen_pair in
+       return
+         ( label "n %d slope %g" n slope,
+           (slope, Array.map fst cells, Array.map snd cells) ))
+      (fun (slope, center, radius) ->
+        let want_c = Array.copy center and want_r = Array.copy radius in
+        Ew.Ocaml.interval_leaky ~slope ~center:want_c ~radius:want_r;
+        let got_c = Array.copy center and got_r = Array.copy radius in
+        Ew.interval_leaky ~slope ~center:got_c ~radius:got_r;
+        cells_equal want_c got_c && cells_equal want_r got_r);
     ew_oracle ~name:"elementwise add_into = ocaml (bits)"
       (let* n = gen_len in
        let* dst = gen_cells n and* src = gen_cells n in

@@ -127,6 +127,19 @@ let test_percentile_interpolates () =
 let test_percentile_singleton () =
   check_float "singleton" 42. (Stats.percentile [| 42. |] 95.)
 
+let test_histogram_percentile_rejects () =
+  let raises name msg f =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  raises "empty" "Stats.percentile: empty sample" (fun () ->
+      Stats.histogram_percentile [| 0; 0 |] ~n:0 50.);
+  raises "p above 100" "Stats.percentile: p" (fun () ->
+      Stats.histogram_percentile [| 2 |] ~n:2 100.5);
+  raises "p NaN" "Stats.percentile: p" (fun () ->
+      Stats.histogram_percentile [| 2 |] ~n:2 Float.nan);
+  raises "counts below n" "Stats.histogram_percentile: counts sum below n"
+    (fun () -> Stats.histogram_percentile [| 1; 0; 1 |] ~n:5 100.)
+
 let test_percentile_empty_raises () =
   Alcotest.check_raises "empty raises"
     (Invalid_argument "Stats.percentile: empty sample") (fun () ->
@@ -192,6 +205,46 @@ let qcheck =
         let lo = Array.fold_left Float.min a.(0) a in
         let hi = Array.fold_left Float.max a.(0) a in
         v >= lo -. 1e-9 && v <= hi +. 1e-9);
+    (* A histogram's percentile against the sorted array it stands for,
+       in bits: counts with long empty runs, a single sample, and p at
+       0, 95, 100 or anywhere in between. *)
+    Test.make ~name:"histogram_percentile = percentile of the samples (bits)"
+      ~count:500
+      (make
+         ~print:(fun (counts, p) ->
+           Printf.sprintf "counts [%s] p %h"
+             (String.concat ";" (Array.to_list (Array.map string_of_int counts)))
+             p)
+         Gen.(
+           let* len = oneof [ int_range 1 8; int_range 8 300 ] in
+           let* counts =
+             oneof
+               [
+                 (* one sample in some bin *)
+                 (let* v = int_range 0 (len - 1) in
+                  return (Array.init len (fun i -> if i = v then 1 else 0)));
+                 array_size (return len)
+                   (frequency [ (6, return 0); (1, int_range 1 30) ]);
+               ]
+           in
+           let* p = oneof [ oneofl [ 0.; 95.; 100. ]; float_range 0. 100. ] in
+           return (counts, p)))
+      (fun (counts, p) ->
+        let n = Array.fold_left ( + ) 0 counts in
+        let samples =
+          Array.concat
+            (Array.to_list
+               (Array.mapi (fun v c -> Array.make c (float_of_int v)) counts))
+        in
+        if n = 0 then
+          match Canopy_util.Stats.histogram_percentile counts ~n p with
+          | _ -> false
+          | exception Invalid_argument _ -> true
+        else
+          Int64.equal
+            (Int64.bits_of_float
+               (Canopy_util.Stats.histogram_percentile counts ~n p))
+            (Int64.bits_of_float (Canopy_util.Stats.percentile samples p)));
     Test.make ~name:"clamp is idempotent and bounded" ~count:200
       (triple (float_range (-100.) 100.) (float_range (-100.) 100.)
          (float_range (-200.) 200.))
@@ -344,6 +397,7 @@ let suite =
     ("percentile interpolates", `Quick, test_percentile_interpolates);
     ("percentile singleton", `Quick, test_percentile_singleton);
     ("percentile empty raises", `Quick, test_percentile_empty_raises);
+    ("histogram percentile rejects", `Quick, test_histogram_percentile_rejects);
     ("mean of empty", `Quick, test_stats_mean_empty);
     ("jain equal share", `Quick, test_jain_equal_share);
     ("jain single hog", `Quick, test_jain_single_hog);
