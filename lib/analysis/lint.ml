@@ -38,7 +38,17 @@ let rules =
     ( "bare-min-max",
       "bare `min`/`max` is the polymorphic comparison, a C call per use \
        without flambda; the per-packet layers (lib/netsim, lib/cc, \
-       lib/orca) use Int.min/Int.max or Float.min/Float.max" );
+       lib/orca) use Int.min/Int.max on ints and a typed comparison on \
+       floats (`if v > c then c else v`), since Float.min/Float.max call \
+       caml_signbit too" );
+    ( "float-c-call",
+      "`Float.min`/`Float.max` call caml_signbit whenever their first \
+       comparison fails, and `Float.floor`/`Float.ceil` call libm: a C \
+       call per use on the per-packet layers (lib/netsim, lib/cc, \
+       lib/orca); against a constant bound c >= +0 write `if v > c then c \
+       else v` for min and `if v <= c then c else v` for max, truncate a \
+       value known to be >= 0 with int_of_float instead of flooring it, \
+       or waive a per-tick or set-up site inline with its reason" );
   ]
 
 let is_ident_char = function
@@ -210,6 +220,17 @@ let check_bare_min_max line =
     Some (List.assoc "bare-min-max" rules)
   else None
 
+(* [Float.min]/[max]/[floor]/[ceil] as whole tokens, applied or passed
+   as values ([Array.fold_left Float.max]); [Float.max_float] and
+   [Float.min_num] are other tokens. *)
+let check_float_c_call line =
+  if
+    List.exists
+      (fun id -> bare_occurrences line id <> [])
+      [ "Float.min"; "Float.max"; "Float.floor"; "Float.ceil" ]
+  then Some (List.assoc "float-c-call" rules)
+  else None
+
 let check_mlp_layer_walk line =
   if contains line "Mlp.layers" then Some (List.assoc "mlp-layer-walk" rules)
   else None
@@ -261,8 +282,9 @@ let check_raw_domain_spawn line =
    pool; the pool implementation itself is the one sanctioned spawner. *)
 let raw_domain_spawn_exempt path = Filename.basename path = "pool.ml"
 
-(* [bare-min-max] covers only the per-packet layers, where a polymorphic
-   compare on every ACK or millisecond is a measured cost. It flags any
+(* [bare-min-max] and [float-c-call] cover only the per-packet layers,
+   where a C call on every ACK or millisecond is a measured cost
+   (DESIGN §12, "The per-packet path"). [bare-min-max] flags any
    argument type: [float-min-max] elsewhere only sees float literals. *)
 let per_packet_layer path =
   List.exists
@@ -286,7 +308,11 @@ let line_rules_for path =
     else line_rules @ [ ("raw-domain-spawn", check_raw_domain_spawn) ]
   in
   if per_packet_layer path then
-    line_rules @ [ ("bare-min-max", check_bare_min_max) ]
+    line_rules
+    @ [
+        ("bare-min-max", check_bare_min_max);
+        ("float-c-call", check_float_c_call);
+      ]
   else line_rules
 
 let check_source ~path contents =

@@ -101,7 +101,9 @@ let update_cwnd t =
     | Probe_bw -> probe_gains.(t.phase) *. bdp
     | Probe_rtt -> min_cwnd
   in
-  t.x.cwnd <- Float.max min_cwnd target
+  (* [Float.max min_cwnd target] as one comparison: the bound is
+     positive and not NaN, so the two agree on every [target]. *)
+  t.x.cwnd <- (if target <= min_cwnd then min_cwnd else target)
 
 let advance_state t ~now_ms =
   (match t.mode with
@@ -165,12 +167,14 @@ let on_acks t ~now_ms ~rtt_ms ~first_seq:_ ~count ~delivered =
     (* Delivery-rate sample once per (estimated) RTT. *)
     let rtprop = if x.rt_prop_ms = Float.infinity then 10. else x.rt_prop_ms in
     let epoch_ms = now_ms - t.epoch_start_ms in
-    if float_of_int epoch_ms >= Float.max 1. rtprop then begin
+    let sample_ms = if rtprop <= 1. then 1. else rtprop in
+    if float_of_int epoch_ms >= sample_ms then begin
       let rate =
         float_of_int (delivered - t.epoch_delivered) /. float_of_int epoch_ms
       in
+      let window_rtt = if rtprop <= 10. then 10. else rtprop in
       Wfilter.push t.bw_filter ~now_ms
-        ~window_ms:(bw_window_factor * int_of_float (Float.max 10. rtprop))
+        ~window_ms:(bw_window_factor * int_of_float window_rtt)
         rate;
       t.epoch_start_ms <- now_ms;
       t.epoch_delivered <- delivered;
@@ -187,7 +191,8 @@ let on_loss t ~now_ms:_ ~count =
   (* BBR is not loss-driven; it only backs off slightly on sustained
      loss to bound queue build-up in small buffers. *)
   for _ = 1 to count do
-    t.x.cwnd <- Float.max min_cwnd (t.x.cwnd *. 0.95)
+    let w = t.x.cwnd *. 0.95 in
+    t.x.cwnd <- (if w <= min_cwnd then min_cwnd else w)
   done
 
 let to_controller t =

@@ -21,6 +21,11 @@ val in_slow_start : t -> bool
 val w_max : t -> float
 (** Window size at the last loss event (the cubic anchor point). *)
 
+val srtt_ms : t -> float
+(** Smoothed RTT in ms: the EWMA [srtt <- 7/8 srtt + 1/8 rtt] over every
+    ACK seen, seeded by the first ACK's RTT; 0 before any ACK. The Orca
+    monitor reads it as the kernel's srtt. *)
+
 val force_cwnd : t -> float -> unit
 (** Clamp the internal window, used when an external agent caps the
     effective window far below Cubic's suggestion for long periods and the

@@ -28,13 +28,15 @@ let on_acks t ~now_ms:_ ~rtt_ms ~first_seq:_ ~count ~delivered:_ =
   done
 
 (* As in Cubic, the >= 5 ms guard makes every loss after the first of a
-   millisecond a no-op, so one reaction stands for the whole run. *)
+   millisecond a no-op, so one reaction stands for the whole run. The
+   floors are [Float.max c v] as one comparison, as in Cubic. *)
 let on_loss t ~now_ms ~count:_ =
   let x = t.x in
-  let guard_ms = int_of_float (Float.max 5. x.srtt_ms) in
+  let guard_ms = int_of_float (if x.srtt_ms <= 5. then 5. else x.srtt_ms) in
   if now_ms - t.last_loss_ms >= guard_ms then begin
     t.last_loss_ms <- now_ms;
-    x.cwnd <- Float.max 2. (x.cwnd /. 2.);
+    let w = x.cwnd /. 2. in
+    x.cwnd <- (if w <= 2. then 2. else w);
     x.ssthresh <- x.cwnd
   end
 

@@ -49,15 +49,19 @@ let on_acks t ~now_ms ~rtt_ms ~first_seq:_ ~count ~delivered:_ =
     then begin
       let avg_rtt = x.epoch_rtt_sum /. float_of_int t.epoch_acks in
       let diff = x.cwnd *. (1. -. (x.base_rtt_ms /. avg_rtt)) in
+      (* The floor at 2 is [Float.max 2. w] as one comparison, as in
+         Cubic: the bound is positive and not NaN. *)
+      let w = x.cwnd -. 1. in
+      let shrunk = if w <= 2. then 2. else w in
       if t.in_slow_start then begin
         if diff > x.alpha then begin
           t.in_slow_start <- false;
-          x.cwnd <- Float.max 2. (x.cwnd -. 1.)
+          x.cwnd <- shrunk
         end
         else x.cwnd <- x.cwnd +. 1.
       end
       else if diff < x.alpha then x.cwnd <- x.cwnd +. 1.
-      else if diff > x.beta then x.cwnd <- Float.max 2. (x.cwnd -. 1.);
+      else if diff > x.beta then x.cwnd <- shrunk;
       t.epoch_start_ms <- now_ms;
       x.epoch_rtt_sum <- 0.;
       t.epoch_acks <- 0
@@ -73,11 +77,13 @@ let on_acks t ~now_ms ~rtt_ms ~first_seq:_ ~count ~delivered:_ =
 let on_loss t ~now_ms ~count =
   let x = t.x in
   for _ = 1 to count do
-    if now_ms - t.last_loss_ms >= int_of_float (Float.max 5. x.base_rtt_ms)
+    let base = x.base_rtt_ms in
+    if now_ms - t.last_loss_ms >= int_of_float (if base <= 5. then 5. else base)
     then begin
       t.last_loss_ms <- now_ms;
       t.in_slow_start <- false;
-      x.cwnd <- Float.max 2. (x.cwnd *. 0.75)
+      let w = x.cwnd *. 0.75 in
+      x.cwnd <- (if w <= 2. then 2. else w)
     end
   done
 

@@ -78,9 +78,13 @@ let cwnd t =
      the smoothed one: sizing by an inflated sRTT would create a positive
      feedback loop (queueing grows the window grows the queue). *)
   let rtt = if t.x.min_rtt_ms = Float.infinity then 40. else t.x.min_rtt_ms in
-  Float.max 2. (effective_rate t *. rtt)
+  let w = effective_rate t *. rtt in
+  if w <= 2. then 2. else w
 
-let rtt_estimate t = Float.max 10. t.x.srtt_ms
+(* Here, in [cwnd] above and in [interval_utility] below, [Float.max c
+   v] is written as one comparison, as in Cubic: each bound is a
+   constant >= +0, not NaN. *)
+let rtt_estimate t = if t.x.srtt_ms <= 10. then 10. else t.x.srtt_ms
 
 (* A rate change only manifests in the ACK stream one RTT later, so each
    monitor interval starts with a one-RTT warmup whose ACKs are ignored
@@ -102,8 +106,9 @@ let interval_utility t ~duration_ms =
     in
     let total = t.mi_acks + t.mi_losses in
     let loss = float_of_int t.mi_losses /. float_of_int (Int.max 1 total) in
+    let rising = if latency_gradient <= 0. then 0. else latency_gradient in
     (x ** t.x.utility_exponent)
-    -. (latency_weight *. x *. Float.max 0. latency_gradient)
+    -. (latency_weight *. x *. rising)
     -. (loss_weight *. x *. loss)
   end
 
@@ -136,7 +141,8 @@ let close_interval t ~now_ms =
       (* Confidence amplification: consecutive same-direction moves take
          larger steps; a direction flip resets the step size. *)
       if sign <> 0. && sign = t.x.last_gradient_sign then
-        t.x.step_size <- Float.min 0.5 (t.x.step_size *. 1.5)
+        let s = t.x.step_size *. 1.5 in
+        t.x.step_size <- (if s > 0.5 then 0.5 else s)
       else t.x.step_size <- 0.05;
       t.x.last_gradient_sign <- sign;
       set_rate t (t.x.rate +. (sign *. t.x.step_size *. t.x.rate));

@@ -264,13 +264,14 @@ let create ?start_ms ?link cfgs =
 let flows t = t.n
 let now_ms t = t.now_ms
 let cwnd t ~flow = t.cwnd.(flow)
-(* A NaN would pass [Float.max] and an infinity would reach
+(* A NaN would pass the floor at 1 and an infinity would reach
    [int_of_float] in [quota] (on x86-64, +inf becomes [min_int] there,
-   then a window of 1): both fail here instead. *)
+   then a window of 1): both fail here instead. On a finite [w] the
+   comparison is [Float.max 1. w] without its [caml_signbit] call. *)
 let set_cwnd t ~flow w =
   if not (Float.is_finite w) then
     invalid_arg "Fleet.set_cwnd: non-finite window";
-  t.cwnd.(flow) <- Float.max 1. w
+  t.cwnd.(flow) <- (if w > 1. then w else 1.)
 let inflight t ~flow = t.inflight.(flow)
 let queue_len t ~flow = t.q_len.(t.link.(flow))
 let sent t ~flow = t.sent.(flow)
@@ -435,11 +436,13 @@ let process_return_path t (handlers : Env.handlers array) i ~now =
   done
 
 (* Packets flow [i] may still send at [now]: what its window leaves,
-   nothing before its start time. *)
+   nothing before its start time. The window is at least 1 ([create]
+   and [set_cwnd] see to it), and truncation is floor on [0, inf], so
+   [int_of_float] alone gives the whole packets without libm's [floor]. *)
 let[@inline] quota t i ~now =
   if now < t.start_ms.(i) then 0
   else begin
-    let window = Int.max 1 (int_of_float (Float.floor t.cwnd.(i))) in
+    let window = Int.max 1 (int_of_float t.cwnd.(i)) in
     window - t.inflight.(i)
   end
 
@@ -517,7 +520,10 @@ let drain_bottleneck t l ~now ~ppms_tab ~ms_index =
   let ppms = ppms_tab.(ms_index) in
   t.capacity_pkts.(l) <- t.capacity_pkts.(l) +. ppms;
   t.credit.(l) <- t.credit.(l) +. ppms;
-  let opportunities = int_of_float (Float.floor t.credit.(l)) in
+  (* The credit is never negative: trace rates are checked to be >= 0,
+     and [c - floor c] is not negative either. So truncation is its
+     floor, as in [quota]. *)
+  let opportunities = int_of_float t.credit.(l) in
   t.credit.(l) <- t.credit.(l) -. float_of_int opportunities;
   let left = ref (Int.min opportunities t.q_len.(l)) in
   let per_packet = t.per_packet.(l) in
@@ -646,7 +652,11 @@ let stats t ~flow =
 let utilization t ~flow =
   let capacity = capacity_pkts t ~flow in
   if capacity <= 0. then 0.
-  else Float.min 1. (float_of_int t.delivered.(flow) /. capacity)
+  else begin
+    (* Once per flow after a run, off the per-millisecond path. *)
+    let u = float_of_int t.delivered.(flow) /. capacity in
+    Float.min 1. u (* lint-ignore: float-c-call *)
+  end
 
 let loss_rate t ~flow =
   if t.sent.(flow) = 0 then 0.

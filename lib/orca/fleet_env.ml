@@ -263,10 +263,15 @@ let step ?observe ?ms (t : t) ~actions =
     | Some _ -> ()
     | None ->
         let obs =
-          Monitor.take t.monitor.(i) ~now_ms:now ~cwnd_pkts:cwnd_enforced.(i)
+          Monitor.take t.monitor.(i) ~now_ms:now
+            ~srtt_ms:(Canopy_cc.Cubic.srtt_ms t.cubic.(i))
+            ~cwnd_pkts:cwnd_enforced.(i)
         in
         (match observe with Some f -> f i obs | None -> ());
-        t.thr_scale.(i) <- Float.max t.thr_scale.(i) obs.Observation.thr_mbps;
+        (* Once per flow and interval; the running max of two variables. *)
+        let thr = obs.Observation.thr_mbps in
+        t.thr_scale.(i) <-
+          Float.max t.thr_scale.(i) thr (* lint-ignore: float-c-call *);
         (* Overwrite the oldest frame in place and advance the ring head. *)
         let off = (i * t.history * fc) + (t.hist_head.(i) * fc) in
         Observation.features_into ~thr_scale_mbps:t.thr_scale.(i) obs

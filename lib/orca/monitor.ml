@@ -1,11 +1,7 @@
 (* The per-ACK floats live in an all-float record, which OCaml stores
    flat: a store writes the double in place, with no boxing and no
    write barrier. *)
-type floats = {
-  mutable rtt_sum_ms : float;
-  mutable srtt_ms : float;
-  mutable last_noise : float;
-}
+type floats = { mutable rtt_sum_ms : float; mutable last_noise : float }
 
 type t = {
   min_rtt_ms : int;
@@ -27,34 +23,35 @@ let create ?delay_noise ~min_rtt_ms () =
     acks = 0;
     losses = 0;
     last_take_ms = 0;
-    x = { rtt_sum_ms = 0.; srtt_ms = 0.; last_noise = 1. };
+    x = { rtt_sum_ms = 0.; last_noise = 1. };
   }
 
+(* One addition per run. The sum only ever holds whole milliseconds
+   below 2^53, so adding [count * rtt_ms] at once is exact: the same
+   float as [count] additions of [rtt_ms]. *)
 let on_acks t ~now_ms:_ ~rtt_ms ~first_seq:_ ~count ~delivered:_ =
   t.acks <- t.acks + count;
-  let x = t.x in
-  let rtt = float_of_int rtt_ms in
-  for _ = 1 to count do
-    x.rtt_sum_ms <- x.rtt_sum_ms +. rtt;
-    x.srtt_ms <-
-      (if x.srtt_ms = 0. then rtt else (0.875 *. x.srtt_ms) +. (0.125 *. rtt))
-  done
+  t.x.rtt_sum_ms <- t.x.rtt_sum_ms +. float_of_int (count * rtt_ms)
 
 let on_loss t ~now_ms:_ ~count = t.losses <- t.losses + count
 
 let handlers t =
   { Canopy_netsim.Env.on_acks = on_acks t; on_loss = on_loss t }
 
-let srtt_ms t = t.x.srtt_ms
 let last_qdelay_noise t = t.x.last_noise
 
-let take t ~now_ms ~cwnd_pkts =
+let take t ~now_ms ~srtt_ms ~cwnd_pkts =
   let interval_ms = Int.max 1 (now_ms - t.last_take_ms) in
   let avg_rtt =
     if t.acks = 0 then float_of_int t.min_rtt_ms
     else t.x.rtt_sum_ms /. float_of_int t.acks
   in
-  let qdelay = Float.max 0. (avg_rtt -. float_of_int t.min_rtt_ms) in
+  (* [Float.max 0. d] as one comparison: the bound is +0, so a -0 or NaN
+     [d] gives what the stdlib's [max] gives. *)
+  let qdelay =
+    let d = avg_rtt -. float_of_int t.min_rtt_ms in
+    if d <= 0. then 0. else d
+  in
   let noise =
     match t.delay_noise with
     | None -> 1.
@@ -73,7 +70,7 @@ let take t ~now_ms ~cwnd_pkts =
       avg_qdelay_ms = qdelay *. noise;
       n_acks = t.acks;
       interval_ms;
-      srtt_ms = (if t.x.srtt_ms = 0. then avg_rtt else t.x.srtt_ms);
+      srtt_ms = (if srtt_ms = 0. then avg_rtt else srtt_ms);
       cwnd_pkts;
       min_rtt_ms = float_of_int t.min_rtt_ms;
     }

@@ -18,8 +18,8 @@ val create :
     delay by a uniform factor in [\[1−mu, 1+mu\]]. *)
 
 val on_acks : t -> Canopy_netsim.Env.acks_handler
-(** Count a run of [count] acknowledged packets and fold each one's RTT
-    into the interval sum and the smoothed RTT, one by one. *)
+(** Count a run of [count] acknowledged packets and add their RTTs to
+    the interval sum, in O(1): the float the per-ACK additions give. *)
 
 val on_loss : t -> Canopy_netsim.Env.loss_handler
 (** Count [count] lost packets. *)
@@ -29,13 +29,14 @@ val handlers : t -> Canopy_netsim.Env.handlers
     backbone controller's). The per-packet paths call {!on_acks} and
     {!on_loss} directly from one per-flow closure instead. *)
 
-val take : t -> now_ms:int -> cwnd_pkts:float -> Observation.t
+val take :
+  t -> now_ms:int -> srtt_ms:float -> cwnd_pkts:float -> Observation.t
 (** Close the current interval: build the observation and reset the
-    accumulators. [cwnd_pkts] is the effective window that was enforced
-    during the interval. *)
-
-val srtt_ms : t -> float
-(** Current smoothed RTT (EWMA over all ACKs seen). *)
+    accumulators. [srtt_ms] is the sender's smoothed RTT, as Orca's
+    monitor reads the kernel's ([Canopy_cc.Cubic.srtt_ms] of the flow's
+    backbone, which sees the same ACKs); 0 (no ACK yet) reports the
+    interval's average RTT instead. [cwnd_pkts] is the effective window
+    that was enforced during the interval. *)
 
 val last_qdelay_noise : t -> float
 (** The noise factor applied to the most recent observation (1.0 when

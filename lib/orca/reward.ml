@@ -11,7 +11,9 @@ let create ?(config = default_config) () =
 let thr_max_mbps t = t.thr_max_mbps
 
 let of_observation t (o : Observation.t) =
-  t.thr_max_mbps <- Float.max t.thr_max_mbps o.thr_mbps;
+  (* Once per flow and interval; the running max of two variables. *)
+  t.thr_max_mbps <-
+    Float.max t.thr_max_mbps o.thr_mbps (* lint-ignore: float-c-call *);
   if t.thr_max_mbps <= 0. then 0.
   else begin
     let d_min = o.min_rtt_ms in

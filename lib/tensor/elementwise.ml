@@ -190,10 +190,26 @@ module Ocaml = struct
      signs of a training batch mispredict about half the time. The bits
      are those of [if v >= 0. then v else slope *. v]: [v *. 1.] is [v]
      for every value arithmetic produces (±0, ±∞ and quiet NaN
-     included), and a NaN compares false, so it takes the slope arm. *)
+     included), and a NaN compares false, so it takes the slope arm.
+
+     The table of the last slope seen is kept: a network's slope is a
+     constant, so its passes build no table. A published table is never
+     written, so domains that race on the cell at worst each build one;
+     the slope is matched bit for bit, so a -0 slope is not a +0 one. *)
+  let slope_tab = Atomic.make [| 0.; 1. |]
+
+  let tab_of slope =
+    let tab = Atomic.get slope_tab in
+    if Int64.bits_of_float tab.(0) = Int64.bits_of_float slope then tab
+    else begin
+      let tab = [| slope; 1. |] in
+      Atomic.set slope_tab tab;
+      tab
+    end
+
   let leaky ~slope x ~dst =
     check_leaky x ~dst;
-    let tab = [| slope; 1. |] in
+    let tab = tab_of slope in
     for i = 0 to len x - 1 do
       let v = Array.unsafe_get x i in
       Array.unsafe_set dst i (v *. Array.unsafe_get tab (Bool.to_int (v >= 0.)))
@@ -201,7 +217,7 @@ module Ocaml = struct
 
   let leaky_backward ~slope ~out ~dout ~dst =
     check_leaky_backward ~out ~dout ~dst;
-    let tab = [| slope; 1. |] in
+    let tab = tab_of slope in
     for i = 0 to len dout - 1 do
       Array.unsafe_set dst i
         (Array.unsafe_get dout i

@@ -133,7 +133,7 @@ let test_lint_bare_min_max () =
     (at fleet "let c = max 1. w\n");
   Alcotest.(check (list string)) "typed, fields, definitions, comments" []
     (at fleet
-       "let w = Int.max 1 n and f = Float.min 1. x\n\
+       "let w = Int.max 1 n and f = if x > 1. then 1. else x\n\
         type r = { min : int; max : int }\n\
         let r = { min; max }\n\
         let max = 3\n\
@@ -143,6 +143,36 @@ let test_lint_bare_min_max () =
     (at (p [ "lib"; "core"; "eval.ml" ]) "let i = max 20 rtt\n");
   Alcotest.(check (list string)) "waivable inline" []
     (at fleet "let w = max 1 n (* lint-ignore: bare-min-max *)\n")
+
+let test_lint_float_c_call () =
+  let p parts = String.concat Filename.dir_sep parts in
+  let at path src = rules_of (Lint.check_source ~path src) in
+  let cubic = p [ "lib"; "cc"; "cubic.ml" ] in
+  List.iter
+    (fun (path, src) ->
+      Alcotest.(check (list string)) src [ "float-c-call" ] (at path src))
+    [
+      (cubic, "x.cwnd <- Float.min max_cwnd (x.cwnd +. 1.)\n");
+      (cubic, "let w = Float.max 2. (x.cwnd *. beta) in\n");
+      (p [ "lib"; "netsim"; "fleet.ml" ], "let k = Float.floor c in\n");
+      (p [ "lib"; "orca"; "monitor.ml" ], "let b = Float.ceil x in\n");
+      (* passed as a value *)
+      (cubic, "let m = Array.fold_left Float.max 0. a\n");
+    ];
+  Alcotest.(check (list string)) "next to int_of_float"
+    [ "float-c-call"; "int-of-float" ]
+    (at (p [ "lib"; "netsim"; "fleet.ml" ])
+       "let w = int_of_float (Float.floor c) in\n");
+  Alcotest.(check (list string)) "other names, typed forms, comments" []
+    (at cubic
+       "let big = Float.max_float and tiny = Float.min_float\n\
+        let m = Float.min_num a b and f = Float.is_finite x\n\
+        let w = if v > max_cwnd then max_cwnd else v\n\
+        (* Float.min max_cwnd v *)\n");
+  Alcotest.(check (list string)) "other layers untouched" []
+    (at (p [ "lib"; "core"; "eval.ml" ]) "let u = Float.min 1. x\n");
+  Alcotest.(check (list string)) "waivable inline" []
+    (at cubic "let m = Float.max a b (* lint-ignore: float-c-call *)\n")
 
 let test_lint_array_make_scalar_clean () =
   let fixture =
@@ -561,6 +591,7 @@ let suite =
     ("lint: non-atomic write", `Quick, test_lint_non_atomic_write);
     ("lint: raw domain spawn", `Quick, test_lint_raw_domain_spawn);
     ("lint: bare min/max in per-packet layers", `Quick, test_lint_bare_min_max);
+    ("lint: float C calls in per-packet layers", `Quick, test_lint_float_c_call);
     ("lint: Array.make scalar clean", `Quick, test_lint_array_make_scalar_clean);
     ("lint: typed comparators clean", `Quick, test_lint_typed_comparators_clean);
     ("lint: comments/strings ignored", `Quick,

@@ -26,6 +26,16 @@ let test_cubic_slow_start_growth () =
   done;
   check_float "one packet per ack" 15. (Cubic.cwnd c)
 
+(* The smoothed RTT the Orca monitor reads: seeded by the first ACK's
+   RTT, then the 7/8-1/8 EWMA per ACK. *)
+let test_cubic_srtt_ewma () =
+  let c = Cubic.create () in
+  check_float "none before an ack" 0. (Cubic.srtt_ms c);
+  ack ~now:1 ~rtt:40 (Cubic.on_acks c);
+  check_float "first rtt seeds srtt" 40. (Cubic.srtt_ms c);
+  ack ~now:2 ~rtt:80 (Cubic.on_acks c);
+  check_float "ewma" ((0.875 *. 40.) +. (0.125 *. 80.)) (Cubic.srtt_ms c)
+
 let test_cubic_loss_reaction () =
   let c = Cubic.create ~initial_cwnd:100. () in
   ack (Cubic.on_acks c);
@@ -343,6 +353,46 @@ let vivace_suite =
 (* ------------------------------------------------------------------ *)
 (* Property-based invariants over the controllers *)
 
+(* The one-comparison forms the per-packet layers write for
+   [Float.min c v] and [Float.max c v] when [c] is a constant >= +0 and
+   not NaN (DESIGN §12, "The per-packet path"). *)
+let cap c v = if v > c then c else v
+let floor_at c v = if v <= c then c else v
+
+let same_bits a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* A bound: every constant the controllers and the link use, a random
+   one, the smallest subnormal and +∞. A value: ±0, ±∞, NaN of both
+   signs, subnormals, the extremes, the bound, its neighbours and its
+   negation, or any float. *)
+let gen_bound_and_value =
+  QCheck.Gen.(
+    let* c =
+      frequency
+        [
+          (4, oneofl [ 0.; 0.5; 1.; 2.; 4.; 5.; 10.; 100_000. ]);
+          (2, float_range 0. 1e6);
+          (1, oneofl [ 4.9e-324; Float.infinity ]);
+        ]
+    in
+    let* v =
+      frequency
+        [
+          ( 3,
+            oneofl
+              [
+                0.; -0.; Float.infinity; Float.neg_infinity; Float.nan;
+                -.Float.nan; 4.9e-324; -4.9e-324; 1e-310; -1e-310;
+                Float.min_float; Float.max_float; -.Float.max_float;
+              ] );
+          (3, oneofl [ c; Float.succ c; Float.pred c; -.c ]);
+          (2, float_range (-1e6) 1e6);
+          (1, float);
+        ]
+    in
+    return (c, v))
+
 let qcheck_cc =
   let open QCheck in
   let ack_stream =
@@ -454,6 +504,13 @@ let qcheck_cc =
     runs_test "vegas" (fun () -> Vegas.to_controller (Vegas.create ()));
     runs_test "bbr" (fun () -> Bbr.to_controller (Bbr.create ()));
     runs_test "vivace" (fun () -> Vivace.to_controller (Vivace.create ()));
+    Test.make ~name:"constant-bound min/max forms = Float.min/max (bits)"
+      ~count:2_000
+      (make ~print:(fun (c, v) -> Printf.sprintf "c %h v %h" c v)
+         gen_bound_and_value)
+      (fun (c, v) ->
+        same_bits (cap c v) (Float.min c v)
+        && same_bits (floor_at c v) (Float.max c v));
   ]
 
 let suite =
@@ -463,4 +520,5 @@ let suite =
       ( "bbr max filter keeps an older max",
         `Quick,
         test_bbr_max_filter_keeps_older_max );
+      ("cubic srtt ewma", `Quick, test_cubic_srtt_ewma);
     ]

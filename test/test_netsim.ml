@@ -266,6 +266,40 @@ let test_deterministic_replay () =
   in
   check_bool "identical runs" true (replay () = replay ())
 
+(* The link truncates its window and credit where it floored them: the
+   two agree on [0, inf] and on NaN, which is every value the window
+   (>= 1) and the credit (>= 0) can hold. Values that separate them
+   elsewhere: ±0, subnormals, just below and above whole numbers, 2^52
+   and up (every float there is whole), past the int range, ±∞ and NaN
+   of both signs. *)
+let gen_nonneg =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          oneofl
+            [
+              0.; -0.; 4.9e-324; 1e-310; Float.min_float; Float.pred 1.; 1.;
+              Float.succ 1.; 2.5; Float.pred 4096.; 0x1p52; 0x1p52 +. 1.;
+              0x1p53; 0x1p62; 0x1p63; 1e300; Float.max_float;
+              Float.infinity; Float.nan; -.Float.nan;
+            ] );
+        (3, float_range 0. 10_000.);
+        (1, map Float.abs float);
+      ])
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Truncation is not floor below 0: on (-1, 0) it gives 0 where floor
+   gives -1. The window and credit never go there. *)
+let test_truncation_precondition () =
+  List.iter
+    (fun x ->
+      check_int (Printf.sprintf "%h truncates" x) 0 (int_of_float x);
+      check_int (Printf.sprintf "%h floors" x) (-1)
+        (int_of_float (Float.floor x)))
+    [ -0.5; Float.pred 0.; Float.succ (-1.) ]
+
 let suite =
   [
     ("bdp computation", `Quick, test_bdp_pkts);
@@ -279,6 +313,7 @@ let suite =
     ("full utilization with big window", `Quick, test_full_utilization_with_big_window);
     ("packet conservation", `Quick, test_packet_conservation);
     ("set_cwnd clamps", `Quick, test_set_cwnd_clamps);
+    ("truncation is floor only from 0", `Quick, test_truncation_precondition);
     ("non-finite windows rejected", `Quick, test_set_cwnd_rejects_non_finite);
     ("ack times monotone", `Quick, test_acks_monotone_time);
     ("ack delivered counter", `Quick, test_ack_seq_delivered_consistency);
@@ -504,6 +539,31 @@ let suite = suite @ impairment_suite
 let qcheck_netsim =
   let open QCheck in
   [
+    Test.make ~name:"int_of_float = floor on [0, inf] and NaN" ~count:1_000
+      (make ~print:(Printf.sprintf "%h") gen_nonneg)
+      (fun x -> int_of_float x = int_of_float (Float.floor x));
+    (* [set_cwnd]'s [if w > 1. then w else 1.] on the finite windows it
+       accepts, against the stdlib's [Float.max 1. w]. *)
+    Test.make ~name:"set_cwnd floor = Float.max 1. (bits)" ~count:1_000
+      (make ~print:(Printf.sprintf "%h")
+         Gen.(
+           frequency
+             [
+               ( 2,
+                 oneofl
+                   [
+                     1.; -1.; Float.pred 1.; Float.succ 1.; -0.; 4.9e-324;
+                     -4.9e-324; Float.max_float; -.Float.max_float;
+                   ] );
+               (2, float_range (-10.) 10.);
+               (1, float);
+             ]))
+      (fun w ->
+        (not (Float.is_finite w))
+        ||
+        let env = make_env () in
+        Fleet.set_cwnd env ~flow:0 w;
+        bits_equal (Fleet.cwnd env ~flow:0) (Float.max 1. w));
     Test.make ~name:"delivery never exceeds offered capacity" ~count:50
       (make
          Gen.(

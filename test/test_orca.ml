@@ -92,7 +92,7 @@ let test_monitor_accumulates () =
   h.Env.on_acks ~now_ms:10 ~rtt_ms:30 ~first_seq:0 ~count:1 ~delivered:1;
   h.Env.on_acks ~now_ms:20 ~rtt_ms:40 ~first_seq:1 ~count:1 ~delivered:2;
   h.Env.on_loss ~now_ms:25 ~count:1;
-  let o = Monitor.take m ~now_ms:40 ~cwnd_pkts:12. in
+  let o = Monitor.take m ~now_ms:40 ~srtt_ms:0. ~cwnd_pkts:12. in
   check_int "acks" 2 o.Observation.n_acks;
   check_int "losses" 1 o.Observation.loss_pkts;
   check_int "interval" 40 o.Observation.interval_ms;
@@ -106,23 +106,27 @@ let test_monitor_resets_between_intervals () =
   let m = Monitor.create ~min_rtt_ms:20 () in
   let h = Monitor.handlers m in
   h.Env.on_acks ~now_ms:10 ~rtt_ms:30 ~first_seq:0 ~count:1 ~delivered:1;
-  ignore (Monitor.take m ~now_ms:20 ~cwnd_pkts:10.);
-  let o = Monitor.take m ~now_ms:40 ~cwnd_pkts:10. in
+  ignore (Monitor.take m ~now_ms:20 ~srtt_ms:0. ~cwnd_pkts:10.);
+  let o = Monitor.take m ~now_ms:40 ~srtt_ms:0. ~cwnd_pkts:10. in
   check_int "fresh interval" 0 o.Observation.n_acks;
   check_int "interval relative" 20 o.Observation.interval_ms
 
 let test_monitor_empty_interval_qdelay_zero () =
   let m = Monitor.create ~min_rtt_ms:20 () in
-  let o = Monitor.take m ~now_ms:20 ~cwnd_pkts:10. in
+  let o = Monitor.take m ~now_ms:20 ~srtt_ms:0. ~cwnd_pkts:10. in
   check_float "no acks -> zero qdelay" 0. o.Observation.avg_qdelay_ms
 
-let test_monitor_srtt_ewma () =
+(* The sender's smoothed RTT passes through; with none yet (0) the
+   interval's average RTT stands in. *)
+let test_monitor_srtt_from_sender () =
   let m = Monitor.create ~min_rtt_ms:20 () in
   let h = Monitor.handlers m in
-  h.Env.on_acks ~now_ms:1 ~rtt_ms:40 ~first_seq:0 ~count:1 ~delivered:1;
-  check_float "first rtt seeds srtt" 40. (Monitor.srtt_ms m);
-  h.Env.on_acks ~now_ms:2 ~rtt_ms:80 ~first_seq:1 ~count:1 ~delivered:2;
-  check_float "ewma" ((0.875 *. 40.) +. (0.125 *. 80.)) (Monitor.srtt_ms m)
+  h.Env.on_acks ~now_ms:10 ~rtt_ms:30 ~first_seq:0 ~count:2 ~delivered:2;
+  let o = Monitor.take m ~now_ms:20 ~srtt_ms:0. ~cwnd_pkts:10. in
+  check_float "no srtt: average rtt" 30. o.Observation.srtt_ms;
+  h.Env.on_acks ~now_ms:30 ~rtt_ms:50 ~first_seq:2 ~count:1 ~delivered:3;
+  let o = Monitor.take m ~now_ms:40 ~srtt_ms:33.5 ~cwnd_pkts:10. in
+  check_float "sender's srtt" 33.5 o.Observation.srtt_ms
 
 let test_monitor_noise_bounds () =
   let rng = Prng.create 77 in
@@ -130,7 +134,7 @@ let test_monitor_noise_bounds () =
   let h = Monitor.handlers m in
   for i = 1 to 50 do
     h.Env.on_acks ~now_ms:i ~rtt_ms:60 ~first_seq:i ~count:1 ~delivered:i;
-    let o = Monitor.take m ~now_ms:(i * 20) ~cwnd_pkts:10. in
+    let o = Monitor.take m ~now_ms:(i * 20) ~srtt_ms:0. ~cwnd_pkts:10. in
     let noise = Monitor.last_qdelay_noise m in
     check_bool "noise within ±5%" true (noise >= 0.95 && noise <= 1.05);
     check_bool "qdelay perturbed accordingly" true
@@ -140,7 +144,7 @@ let test_monitor_noise_bounds () =
 
 let test_monitor_no_noise_factor_one () =
   let m = Monitor.create ~min_rtt_ms:20 () in
-  ignore (Monitor.take m ~now_ms:20 ~cwnd_pkts:10.);
+  ignore (Monitor.take m ~now_ms:20 ~srtt_ms:0. ~cwnd_pkts:10.);
   check_float "factor 1" 1. (Monitor.last_qdelay_noise m)
 
 (* A run of ACKs or losses leaves the monitor where the same events one
@@ -166,8 +170,8 @@ let test_monitor_runs_match_single_events () =
       Monitor.on_loss b ~now_ms ~count:1
     done;
     if step mod 8 = 0 then begin
-      let oa = Monitor.take a ~now_ms ~cwnd_pkts:10.
-      and ob = Monitor.take b ~now_ms ~cwnd_pkts:10. in
+      let oa = Monitor.take a ~now_ms ~srtt_ms:0. ~cwnd_pkts:10.
+      and ob = Monitor.take b ~now_ms ~srtt_ms:0. ~cwnd_pkts:10. in
       let fields (o : Observation.t) =
         List.map Int64.bits_of_float
           [
@@ -187,6 +191,184 @@ let test_monitor_rejects_bad_noise () =
   Alcotest.check_raises "mu >= 1"
     (Invalid_argument "Monitor.create: noise amplitude") (fun () ->
       ignore (Monitor.create ~delay_noise:(Prng.create 1, 1.5) ~min_rtt_ms:20 ()))
+
+(* The monitor as it was before it summed a run in one addition and
+   read the sender's smoothed RTT: the interval's RTT sum and its own
+   srtt EWMA, folded in one ACK at a time (no noise). The oracles below
+   hold [Monitor] plus the backbone's [Cubic.srtt_ms] to it. *)
+module Per_ack_monitor = struct
+  type t = {
+    min_rtt_ms : int;
+    mutable acks : int;
+    mutable losses : int;
+    mutable last_take_ms : int;
+    mutable rtt_sum_ms : float;
+    mutable srtt_ms : float;
+  }
+
+  let create ~min_rtt_ms =
+    {
+      min_rtt_ms;
+      acks = 0;
+      losses = 0;
+      last_take_ms = 0;
+      rtt_sum_ms = 0.;
+      srtt_ms = 0.;
+    }
+
+  let on_acks t ~rtt_ms ~count =
+    t.acks <- t.acks + count;
+    let rtt = float_of_int rtt_ms in
+    for _ = 1 to count do
+      t.rtt_sum_ms <- t.rtt_sum_ms +. rtt;
+      t.srtt_ms <-
+        (if t.srtt_ms = 0. then rtt
+         else (0.875 *. t.srtt_ms) +. (0.125 *. rtt))
+    done
+
+  let on_loss t ~count = t.losses <- t.losses + count
+
+  let take t ~now_ms ~cwnd_pkts =
+    let interval_ms = Int.max 1 (now_ms - t.last_take_ms) in
+    let avg_rtt =
+      if t.acks = 0 then float_of_int t.min_rtt_ms
+      else t.rtt_sum_ms /. float_of_int t.acks
+    in
+    let qdelay = Float.max 0. (avg_rtt -. float_of_int t.min_rtt_ms) in
+    let thr_mbps =
+      float_of_int t.acks *. float_of_int Env.default_mtu *. 8. /. 1e6
+      /. (float_of_int interval_ms /. 1000.)
+    in
+    let obs =
+      {
+        Observation.thr_mbps;
+        loss_pkts = t.losses;
+        avg_qdelay_ms = qdelay *. 1.;
+        n_acks = t.acks;
+        interval_ms;
+        srtt_ms = (if t.srtt_ms = 0. then avg_rtt else t.srtt_ms);
+        cwnd_pkts;
+        min_rtt_ms = float_of_int t.min_rtt_ms;
+      }
+    in
+    t.acks <- 0;
+    t.losses <- 0;
+    t.rtt_sum_ms <- 0.;
+    t.last_take_ms <- now_ms;
+    obs
+end
+
+(* Every field of an observation, as bits. *)
+let obs_bits (o : Observation.t) =
+  List.map Int64.bits_of_float
+    [
+      o.thr_mbps;
+      float_of_int o.loss_pkts;
+      o.avg_qdelay_ms;
+      float_of_int o.n_acks;
+      float_of_int o.interval_ms;
+      o.srtt_ms;
+      o.cwnd_pkts;
+      o.min_rtt_ms;
+    ]
+
+let same_obs a b = List.equal Int64.equal (obs_bits a) (obs_bits b)
+
+(* A fleet episode against its replica with the per-ACK monitor: 64
+   agent flows on their own links (every suite trace, minRTT 20-50 ms,
+   1-3 BDP buffers, random actions) through [Fleet_env], and the same
+   links stepped by hand the way [Fleet_env.step] steps them (Eq. 1's
+   window forced on Cubic and the link, Cubic refreshing the link's
+   window after every millisecond), with Cubic and [Per_ack_monitor] on
+   each flow. Every observation [Fleet_env] takes must be the replica's,
+   bit for bit; its srtt is the replica monitor's own EWMA, so a
+   [Fleet_env] that read Cubic's srtt at the wrong time fails. *)
+let test_fleet_env_matches_per_ack_monitor () =
+  let flows = 64 and interval_ms = 40 and duration_ms = 1_600 in
+  let traces = Array.of_list (Canopy_trace.Suite.all ~duration_ms ()) in
+  let cfgs =
+    Array.init flows (fun i ->
+        let trace = traces.(i mod Array.length traces) in
+        let min_rtt_ms = 20 + (10 * (i mod 4)) in
+        let bdp =
+          Env.bdp_pkts ~mbps:(Trace.avg_mbps trace) ~min_rtt_ms
+            ~mtu_bytes:Env.default_mtu
+        in
+        {
+          (Agent_env.default_config ~trace ~min_rtt_ms
+             ~buffer_pkts:(Int.max 2 (bdp * (1 + (i mod 3))))
+             ~duration_ms)
+          with
+          interval_ms = Some interval_ms;
+        })
+  in
+  let env = Fleet_env.create cfgs in
+  let fleet =
+    Canopy_netsim.Fleet.create
+      (Array.map
+         (fun (c : Agent_env.config) ->
+           {
+             Env.trace = c.trace;
+             min_rtt_ms = c.min_rtt_ms;
+             buffer_pkts = c.buffer_pkts;
+             mtu_bytes = Env.default_mtu;
+             initial_cwnd = 10.;
+             impairments = c.impairments;
+           })
+         cfgs)
+  in
+  let cubic = Array.init flows (fun _ -> Canopy_cc.Cubic.create ()) in
+  let mon =
+    Array.map
+      (fun (c : Agent_env.config) ->
+        Per_ack_monitor.create ~min_rtt_ms:c.min_rtt_ms)
+      cfgs
+  in
+  let handlers =
+    Array.init flows (fun i ->
+        {
+          Env.on_acks =
+            (fun ~now_ms ~rtt_ms ~first_seq ~count ~delivered ->
+              Canopy_cc.Cubic.on_acks cubic.(i) ~now_ms ~rtt_ms ~first_seq
+                ~count ~delivered;
+              Per_ack_monitor.on_acks mon.(i) ~rtt_ms ~count);
+          on_loss =
+            (fun ~now_ms ~count ->
+              Canopy_cc.Cubic.on_loss cubic.(i) ~now_ms ~count;
+              Per_ack_monitor.on_loss mon.(i) ~count);
+        })
+  in
+  let after_tick i =
+    Canopy_netsim.Fleet.set_cwnd fleet ~flow:i
+      (Canopy_cc.Cubic.cwnd cubic.(i))
+  in
+  let rng = Prng.create 29 in
+  let steps = ref 0 and losses = ref 0 and mismatched = ref 0 in
+  while not (Fleet_env.finished env) do
+    let actions = Array.init flows (fun _ -> Prng.uniform rng (-1.) 1.) in
+    let got = Array.make flows None in
+    let r =
+      Fleet_env.step env ~actions ~observe:(fun i o -> got.(i) <- Some o)
+    in
+    Array.iteri
+      (fun i w ->
+        Canopy_cc.Cubic.force_cwnd cubic.(i) w;
+        Canopy_netsim.Fleet.set_cwnd fleet ~flow:i w)
+      r.cwnd_enforced;
+    Canopy_netsim.Fleet.run ~after_tick fleet handlers ~ms:interval_ms;
+    let now_ms = Canopy_netsim.Fleet.now_ms fleet in
+    for i = 0 to flows - 1 do
+      let want =
+        Per_ack_monitor.take mon.(i) ~now_ms ~cwnd_pkts:r.cwnd_enforced.(i)
+      in
+      losses := !losses + want.loss_pkts;
+      if not (same_obs want (Option.get got.(i))) then incr mismatched
+    done;
+    incr steps
+  done;
+  check_int "whole episode" (duration_ms / interval_ms) !steps;
+  check_bool "losses reached the monitors" true (!losses > 0);
+  check_int "observations off the per-ACK monitor's" 0 !mismatched
 
 (* ------------------------------------------------------------------ *)
 (* Reward (Eqs. 2-3) *)
@@ -391,13 +573,16 @@ let suite =
     ("monitor accumulates", `Quick, test_monitor_accumulates);
     ("monitor resets", `Quick, test_monitor_resets_between_intervals);
     ("monitor empty interval", `Quick, test_monitor_empty_interval_qdelay_zero);
-    ("monitor srtt ewma", `Quick, test_monitor_srtt_ewma);
+    ("monitor srtt from sender", `Quick, test_monitor_srtt_from_sender);
     ("monitor noise bounds", `Quick, test_monitor_noise_bounds);
     ("monitor noise disabled", `Quick, test_monitor_no_noise_factor_one);
     ("monitor rejects bad noise", `Quick, test_monitor_rejects_bad_noise);
     ( "monitor runs = single events",
       `Quick,
       test_monitor_runs_match_single_events );
+    ( "fleet episode = per-ACK monitor (bits)",
+      `Quick,
+      test_fleet_env_matches_per_ack_monitor );
     ("reward tracks throughput", `Quick, test_reward_increases_with_throughput);
     ("reward punishes delay", `Quick, test_reward_decreases_with_delay);
     ("reward forgiveness band", `Quick, test_reward_forgiveness_band);
@@ -436,7 +621,47 @@ let qcheck_orca =
       let* min_rtt = float_range 2. 400. in
       return (obs ~thr ~loss ~qdelay ~n ~m ~srtt ~cwnd ~min_rtt ()))
   in
+  (* Random runs of (gap ms, rtt ms, count, is_loss); an observation is
+     taken after every fifth. Monitor plus Cubic's srtt against the
+     per-ACK monitor. Counts up to 1 000 and RTTs up to 10 s make the
+     RTT sum large, still far below 2^53. *)
+  let gen_runs =
+    Gen.(
+      list_size (1 -- 120)
+        (quad (int_range 0 30) (int_range 1 10_000) (int_range 1 1_000) bool))
+  in
   [
+    Test.make ~name:"monitor + cubic srtt = per-ACK monitor (bits)"
+      ~count:300 (make gen_runs)
+      (fun runs ->
+        let m = Monitor.create ~min_rtt_ms:20 ()
+        and c = Canopy_cc.Cubic.create ()
+        and want = Per_ack_monitor.create ~min_rtt_ms:20 in
+        let now_ms = ref 0 and delivered = ref 0 in
+        List.for_all
+          (fun (k, (gap, rtt_ms, count, is_loss)) ->
+            now_ms := !now_ms + gap;
+            let now_ms = !now_ms in
+            if is_loss then begin
+              Monitor.on_loss m ~now_ms ~count;
+              Canopy_cc.Cubic.on_loss c ~now_ms ~count;
+              Per_ack_monitor.on_loss want ~count
+            end
+            else begin
+              let first_seq = !delivered in
+              delivered := !delivered + count;
+              Monitor.on_acks m ~now_ms ~rtt_ms ~first_seq ~count
+                ~delivered:!delivered;
+              Canopy_cc.Cubic.on_acks c ~now_ms ~rtt_ms ~first_seq ~count
+                ~delivered:!delivered;
+              Per_ack_monitor.on_acks want ~rtt_ms ~count
+            end;
+            k mod 5 <> 4
+            || same_obs
+                 (Monitor.take m ~now_ms ~srtt_ms:(Canopy_cc.Cubic.srtt_ms c)
+                    ~cwnd_pkts:10.)
+                 (Per_ack_monitor.take want ~now_ms ~cwnd_pkts:10.))
+          (List.mapi (fun k run -> (k, run)) runs));
     Test.make ~name:"features always in [0,1]" ~count:300 (make gen_obs)
       (fun o ->
         let f = Observation.to_features ~thr_scale_mbps:100. o in

@@ -193,6 +193,33 @@ let test_approx_equal () =
 (* ------------------------------------------------------------------ *)
 (* Property-based *)
 
+(* [Mathx.clamp] as it was before its [float] annotation: the same code,
+   polymorphic, so each comparison is the polymorphic compare. *)
+let poly_clamp ~lo ~hi x =
+  assert (lo <= hi);
+  if x < lo then lo else if x > hi then hi else x
+
+(* The result's bits, or the rejection of an unordered or reversed
+   range. *)
+let clamp_outcome f =
+  match f () with
+  | v -> Some (Int64.bits_of_float v)
+  | exception Assert_failure _ -> None
+
+let gen_clamp_special =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 2,
+          oneofl
+            [
+              0.; -0.; 1.; -1.; Float.infinity; Float.neg_infinity; Float.nan;
+              -.Float.nan; 4.9e-324; -4.9e-324; Float.max_float;
+            ] );
+        (2, float_range (-10.) 10.);
+        (1, float);
+      ])
+
 let qcheck =
   let open QCheck in
   [
@@ -245,6 +272,15 @@ let qcheck =
             (Int64.bits_of_float
                (Canopy_util.Stats.histogram_percentile counts ~n p))
             (Int64.bits_of_float (Canopy_util.Stats.percentile samples p)));
+    Test.make ~name:"float clamp = polymorphic clamp (bits, assert)"
+      ~count:2_000
+      (make
+         ~print:(fun (lo, hi, x) -> Printf.sprintf "lo %h hi %h x %h" lo hi x)
+         Gen.(triple gen_clamp_special gen_clamp_special gen_clamp_special))
+      (fun (lo, hi, x) ->
+        Option.equal Int64.equal
+          (clamp_outcome (fun () -> Mathx.clamp ~lo ~hi x))
+          (clamp_outcome (fun () -> poly_clamp ~lo ~hi x)));
     Test.make ~name:"clamp is idempotent and bounded" ~count:200
       (triple (float_range (-100.) 100.) (float_range (-100.) 100.)
          (float_range (-200.) 200.))
