@@ -5,10 +5,10 @@
 open Harness
 
 (* ------------------------------------------------------------------ *)
-(* kernels: batched vs per-sample training kernels (BENCH_train_step) *)
+(* kernels: the training step's batched kernels (BENCH_train_step) *)
 
 let kernels () =
-  header "kernels: batched vs per-sample training-step timings";
+  header "kernels: training-step timings";
   let module Td3 = Canopy_rl.Td3 in
   let state_dim = history * Canopy_orca.Observation.feature_count in
   let action_dim = 1 in
@@ -30,7 +30,7 @@ let kernels () =
   let policy_period =
     (Td3.default_config ~state_dim ~action_dim).Td3.policy_delay
   in
-  let make_update kernel ~batch_size =
+  let make_update ~batch_size =
     let rng = Canopy_util.Prng.create 11 in
     let agent =
       Td3.create ~rng
@@ -56,7 +56,7 @@ let kernels () =
     done;
     fun () ->
       for _ = 1 to policy_period do
-        Td3.update ~kernel agent
+        Td3.update agent
       done
   in
   (* The single-pass rows cycle through [batches] distinct seeded
@@ -122,19 +122,11 @@ let kernels () =
       ( "td3_update_batched_b64",
         64,
         policy_period,
-        make_update Td3.Batched ~batch_size:64 );
+        make_update ~batch_size:64 );
       ( "td3_update_batched_b256",
         256,
         policy_period,
-        make_update Td3.Batched ~batch_size:256 );
-      ( "td3_update_per_sample_b64",
-        64,
-        policy_period,
-        make_update Td3.Per_sample ~batch_size:64 );
-      ( "td3_update_per_sample_b256",
-        256,
-        policy_period,
-        make_update Td3.Per_sample ~batch_size:256 );
+        make_update ~batch_size:256 );
     ]
   in
   let rows =
@@ -143,52 +135,26 @@ let kernels () =
       ~quota:(if !smoke_mode then 0.05 else 2.0)
       (List.map (fun (name, _, per_op, f) -> (name, per_op, f)) tests)
   in
-  let speedup b =
-    match
-      ( List.assoc_opt (Printf.sprintf "td3_update_per_sample_b%d" b) rows,
-        List.assoc_opt (Printf.sprintf "td3_update_batched_b%d" b) rows )
-    with
-    | Some ref_ns, Some bat_ns when bat_ns > 0. -> Some (ref_ns /. bat_ns)
-    | _ -> None
-  in
-  let s64 = speedup 64 and s256 = speedup 256 in
-  List.iter
-    (fun (b, s) ->
-      match s with
-      | Some s ->
-          Format.printf "TD3 update speedup, batched vs per-sample, b%d: %.2fx%s@."
-            b s
-            (if b = 64 && not !smoke_mode then
-               if s >= 3. then "  (>= 3x: OK)" else "  (below 3x target!)"
-             else "")
-      | None -> ())
-    [ (64, s64); (256, s256) ];
   write_record "train_step"
-    ([
-       ("hidden", int hidden);
-       ("state_dim", int state_dim);
-       ("action_dim", int action_dim);
-       ( "entries",
-         Json.Arr
-           (List.filter_map
-              (fun (name, batch, _, _) ->
-                Option.map
-                  (fun ns ->
-                    Json.Obj
-                      [
-                        ("name", Json.Str name);
-                        ("batch", int batch);
-                        ("ns_per_op", fixed 1 ns);
-                      ])
-                  (List.assoc_opt name rows))
-              tests) );
-     ]
-    @ List.filter_map
-        (fun (b, s) ->
-          Option.map
-            (fun s -> (Printf.sprintf "speedup_update_b%d" b, fixed 3 s))
-            s)
-        [ (64, s64); (256, s256) ])
+    [
+      ("hidden", int hidden);
+      ("state_dim", int state_dim);
+      ("action_dim", int action_dim);
+      ( "entries",
+        Json.Arr
+          (List.filter_map
+             (fun (name, batch, _, _) ->
+               Option.map
+                 (fun ns ->
+                   Json.Obj
+                     [
+                       ("name", Json.Str name);
+                       ("batch", int batch);
+                       ("ns_per_op", fixed 1 ns);
+                     ])
+                 (List.assoc_opt name rows))
+             tests) );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* certify: batched IR engine vs per-slice reference, the evaluate-shaped
@@ -404,8 +370,8 @@ let par_probes ~state_dim probe =
       let run_td3 d =
         Td3.restore agent snap0;
         under d (fun () ->
-            Td3.update ~kernel:Td3.Batched agent;
-            Td3.update ~kernel:Td3.Batched agent);
+            Td3.update agent;
+            Td3.update agent);
         let snap = Td3.snapshot agent in
         List.concat_map
           (fun (_, net) ->

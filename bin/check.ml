@@ -9,7 +9,7 @@
    - deadcode:   lib/ exports no other module uses and optional
                  arguments no outside caller passes; same baseline file,
                  same exactness contract. Also lists the exports only
-                 tests reach.
+                 tests reach and the optional arguments only tests pass.
    - audit:      differential soundness sanitizer for the abstract
                  transformers backing every certificate.
    - netcheck:   static shape/finiteness validation of checkpoints.
@@ -175,10 +175,14 @@ let dead_owns rule = List.mem_assoc rule A.Deadcode.rules
 let run_deadcode root baseline_path update_baseline =
   let report = A.Deadcode.run ~root () in
   List.iter (Format.printf "test-only: %s@.") report.A.Deadcode.test_only;
+  List.iter (Format.printf "test-only knob: %s@.")
+    report.A.Deadcode.test_knobs;
   Format.printf
-    "deadcode: %d export(s) over %d file(s), %d that no program reaches@."
+    "deadcode: %d export(s) over %d file(s), %d that no program reaches, \
+     %d optional argument(s) only tests pass@."
     report.A.Deadcode.exports report.A.Deadcode.checked_files
-    (List.length report.A.Deadcode.test_only);
+    (List.length report.A.Deadcode.test_only)
+    (List.length report.A.Deadcode.test_knobs);
   gate ~pass:"deadcode" ~baseline_path ~update_baseline ~owns:dead_owns
     report.A.Deadcode.diags
 

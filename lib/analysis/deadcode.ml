@@ -3,8 +3,9 @@
    program (bin/, bench/, examples/, perfbench/) or at least by a test.
    An export with no outside user is weight every later refactor has to
    carry; an optional argument no outside caller passes is a constant
-   wearing a knob. Exports only tests reach are reported, not failed:
-   they are the oracles and observation hooks the tests lean on. *)
+   wearing a knob. Exports only tests reach, and knobs only tests turn,
+   are reported, not failed: they are the oracles and observation hooks
+   the tests lean on, and the next constants to consider. *)
 
 let unused_rule = "unused-export"
 let optional_rule = "unpassed-optional"
@@ -126,6 +127,7 @@ let passed_labels (ts : Lexer.token array) i =
 type report = {
   diags : Diagnostic.t list;
   test_only : string list;
+  test_knobs : string list;
   exports : int;
   checked_files : int;
 }
@@ -181,7 +183,7 @@ let check_files files =
             && (role <> Lib || r.Callgraph.v_module <> m.Callgraph.m_name)
           then
             Hashtbl.add uses (key_of r)
-              (m.Callgraph.lexed.Lexer.tokens, r.Callgraph.v_tok))
+              (role, m.Callgraph.lexed.Lexer.tokens, r.Callgraph.v_tok))
         (refs m ~start:0 ~stop:max_int))
     sources;
   (* What the programs reach: their files, then every definition (a
@@ -222,7 +224,7 @@ let check_files files =
         | [] -> [ diag unused_rule x x.line (qualified x) ]
         | sites ->
             let passed =
-              List.concat_map (fun (ts, tok) -> passed_labels ts tok) sites
+              List.concat_map (fun (_, ts, tok) -> passed_labels ts tok) sites
             in
             List.filter_map
               (fun (label, line) ->
@@ -230,6 +232,26 @@ let check_files files =
                 else Some (diag optional_rule x line (qualified x ^ " ?" ^ label)))
               x.optionals)
       exports
+  in
+  (* Knobs only tests turn: the optional arguments of a program-reached
+     export that test/ call sites pass and no other outside site does. *)
+  let test_knobs =
+    List.concat_map
+      (fun x ->
+        let passed test =
+          List.concat_map
+            (fun (role, ts, tok) ->
+              if (role = Test) = test then passed_labels ts tok else [])
+            (Hashtbl.find_all uses x.key)
+        in
+        let by_tests = passed true and elsewhere = passed false in
+        List.filter_map
+          (fun (label, _) ->
+            if List.mem label by_tests && not (List.mem label elsewhere) then
+              Some (qualified x ^ " ?" ^ label)
+            else None)
+          x.optionals)
+      (List.filter (fun x -> Hashtbl.mem reached x.key) exports)
   in
   let test_only =
     List.filter_map
@@ -242,6 +264,7 @@ let check_files files =
   {
     diags = List.sort Diagnostic.compare diags;
     test_only = List.sort String.compare test_only;
+    test_knobs = List.sort String.compare test_knobs;
     exports = List.length exports;
     checked_files = List.length lexed;
   }

@@ -13,7 +13,9 @@
       call site outside the defining module passes.
 
     The report also lists, without failing, the exports that are used
-    outside their module but that no program reaches ({!report.test_only}).
+    outside their module but that no program reaches ({!report.test_only}),
+    and the optional arguments of program-reached exports that only
+    tests pass ({!report.test_knobs}).
 
     Approximations (DESIGN §11): references are token-level, so a value
     reached only through a function value, a first-class module or a
@@ -41,6 +43,10 @@ type report = {
       (** exports used outside their module that no program reaches —
           tests, or library code only tests reach — qualified
           ([Mat.Kernel.nt_ocaml]) and sorted *)
+  test_knobs : string list;
+      (** optional arguments of exports some program reaches that
+          outside call sites pass only from [test/], qualified with the
+          label ([Layer.leaky_relu ?slope]) and sorted *)
   exports : int;
   checked_files : int;
 }

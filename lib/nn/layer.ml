@@ -25,20 +25,6 @@ type cache =
   | C_bn of { xhat : Mat.t; inv_std : Vec.t; batch_stats : bool }
   | C_act of Mat.t (* an activation's outputs *)
 
-(* Per-sample reference caches (one Vec.t per sample). Kept as an
-   independently-implemented path so the batched kernels can be
-   equivalence-tested against it, and so the bench can quantify the
-   batching speedup. *)
-type rows_cache =
-  | R_dense of Vec.t array
-  | R_bn of {
-      xhat : Vec.t array;
-      inv_std : Vec.t;
-      batch_stats : bool;
-    }
-  | R_leaky of float * Vec.t array
-  | R_tanh of Vec.t array (* outputs *)
-
 let dense ~rng ~in_dim ~out_dim =
   if in_dim <= 0 || out_dim <= 0 then invalid_arg "Layer.dense: dims";
   (* He initialization suits the (leaky-)ReLU activations used here. *)
@@ -70,12 +56,11 @@ let batch_norm ?(momentum = 0.1) ?(eps = 1e-5) ~dim () =
       eps;
     }
 
-(* A positive slope keeps the activation sign-preserving, which the
-   batched cache relies on (backward reads its mask from the output).
-   The one exception is a negative input so small that its product with
-   the slope rounds to -0: the output then reads as >= 0, and backward
-   takes the positive arm where the per-sample reference takes the
-   slope (DESIGN §7). *)
+(* A positive slope keeps every input's sign bit in the output: a
+   negative input stays negative even where its slope product underflows
+   to -0, -0 stays -0 and a NaN keeps its sign. The batched backward
+   relies on it: it reads its slope from the sign bit of the cached
+   output, which selects the arm the input's sign bit would (DESIGN §7). *)
 let leaky_relu ?(slope = 0.01) () =
   if slope <= 0. then invalid_arg "Layer.leaky_relu: slope must be positive";
   Leaky_relu slope
@@ -173,7 +158,7 @@ let forward ?(reuse_input = false) ?(ws = buffers ()) layer x =
       let inv_std = st.(2) in
       let batch_stats = n > 1 in
       (* Column-wise mean/variance over the batch dimension, summed in
-         ascending sample order (matches the per-sample reference); a
+         ascending sample order (as the per-sample oracle sums); a
          one-row batch has none and normalizes with the running ones. *)
       let mu, var =
         if batch_stats then begin
@@ -195,9 +180,9 @@ let forward ?(reuse_input = false) ?(ws = buffers ()) layer x =
       (out, C_bn { xhat; inv_std; batch_stats })
   | Leaky_relu _ | Tanh ->
       (* The cache holds the output. Tanh's backward reads its outputs;
-         leaky ReLU is sign-preserving (but for inputs that underflow
-         to -0, see [leaky_relu]), so its backward mask reads the same
-         from the output as from the (under reuse, overwritten) input. *)
+         leaky ReLU keeps the sign bit (see [leaky_relu]), so its
+         backward mask reads the same from the output as from the (under
+         reuse, overwritten) input. *)
       let out =
         if reuse_input then x
         else take ws slot_out ~rows:n ~cols:(Mat.cols x)
@@ -382,146 +367,6 @@ let backward ?(input_grad = true) ?(param_grads = true) ?(reuse_dout = false)
       dx
   | (Dense _ | Batch_norm _ | Leaky_relu _ | Tanh), _ ->
       invalid_arg "Layer.backward: cache does not match layer"
-
-(* ------------------------------------------------------------------ *)
-(* Per-sample reference passes (the pre-batching implementation) *)
-
-let forward_rows layer batch =
-  let n = Array.length batch in
-  if n = 0 then invalid_arg "Layer.forward_rows: empty batch";
-  match layer with
-  | Dense d ->
-      let out =
-        Array.map
-          (fun x ->
-            let y = Mat.mat_vec d.w x in
-            Vec.axpy ~alpha:1. ~x:d.b ~y;
-            y)
-          batch
-      in
-      (out, R_dense batch)
-  | Batch_norm bn ->
-      let dim = Vec.dim bn.gamma in
-      if n > 1 then begin
-        let mu = Vec.create dim and var = Vec.create dim in
-        Array.iter (fun x -> Vec.axpy ~alpha:(1. /. float_of_int n) ~x ~y:mu)
-          batch;
-        Array.iter
-          (fun x ->
-            for i = 0 to dim - 1 do
-              let d = x.(i) -. mu.(i) in
-              var.(i) <- var.(i) +. (d *. d /. float_of_int n)
-            done)
-          batch;
-        let inv_std = Vec.init dim (fun i -> 1. /. sqrt (var.(i) +. bn.eps)) in
-        let xhat =
-          Array.map
-            (fun x -> Vec.init dim (fun i -> (x.(i) -. mu.(i)) *. inv_std.(i)))
-            batch
-        in
-        let out =
-          Array.map
-            (fun xh ->
-              Vec.init dim (fun i -> (bn.gamma.(i) *. xh.(i)) +. bn.beta.(i)))
-            xhat
-        in
-        bn_update_running bn mu var;
-        (out, R_bn { xhat; inv_std; batch_stats = true })
-      end
-      else begin
-        let inv_std =
-          Vec.init dim (fun i -> 1. /. sqrt (bn.running_var.(i) +. bn.eps))
-        in
-        let xhat =
-          Array.map
-            (fun x ->
-              Vec.init dim (fun i ->
-                  (x.(i) -. bn.running_mean.(i)) *. inv_std.(i)))
-            batch
-        in
-        let out =
-          Array.map
-            (fun xh ->
-              Vec.init dim (fun i -> (bn.gamma.(i) *. xh.(i)) +. bn.beta.(i)))
-            xhat
-        in
-        (out, R_bn { xhat; inv_std; batch_stats = false })
-      end
-  | Leaky_relu slope ->
-      let leaky = Array.map (fun v -> if v >= 0. then v else slope *. v) in
-      (Array.map leaky batch, R_leaky (slope, batch))
-  | Tanh ->
-      let out = Array.map (Array.map Float.tanh) batch in
-      (out, R_tanh out)
-
-let backward_rows layer cache dout =
-  match (layer, cache) with
-  | Dense d, R_dense xs ->
-      let n = Array.length xs in
-      if Array.length dout <> n then
-        invalid_arg "Layer.backward_rows: batch size";
-      for b = 0 to n - 1 do
-        Mat.outer_acc d.dw dout.(b) xs.(b);
-        Vec.axpy ~alpha:1. ~x:dout.(b) ~y:d.db
-      done;
-      Array.map (fun dy -> Mat.mat_tvec d.w dy) dout
-  | Batch_norm bn, R_bn c ->
-      let n = Array.length c.xhat in
-      let dim = Vec.dim bn.gamma in
-      if Array.length dout <> n then
-        invalid_arg "Layer.backward_rows: batch size";
-      (* Parameter gradients are identical in both statistic regimes. *)
-      for b = 0 to n - 1 do
-        for i = 0 to dim - 1 do
-          bn.dgamma.(i) <- bn.dgamma.(i) +. (dout.(b).(i) *. c.xhat.(b).(i));
-          bn.dbeta.(i) <- bn.dbeta.(i) +. dout.(b).(i)
-        done
-      done;
-      if not c.batch_stats then
-        (* Running statistics are constants: the map is affine. *)
-        Array.map
-          (fun dy ->
-            Vec.init dim (fun i -> dy.(i) *. bn.gamma.(i) *. c.inv_std.(i)))
-          dout
-      else begin
-        (* Full batch-norm backward through the batch mean and variance. *)
-        let nf = float_of_int n in
-        let sum_dxhat = Vec.create dim in
-        let sum_dxhat_xhat = Vec.create dim in
-        let dxhat =
-          Array.map
-            (fun dy -> Vec.init dim (fun i -> dy.(i) *. bn.gamma.(i)))
-            dout
-        in
-        for b = 0 to n - 1 do
-          for i = 0 to dim - 1 do
-            sum_dxhat.(i) <- sum_dxhat.(i) +. dxhat.(b).(i);
-            sum_dxhat_xhat.(i) <-
-              sum_dxhat_xhat.(i) +. (dxhat.(b).(i) *. c.xhat.(b).(i))
-          done
-        done;
-        Array.mapi
-          (fun b _ ->
-            Vec.init dim (fun i ->
-                c.inv_std.(i) /. nf
-                *. ((nf *. dxhat.(b).(i))
-                    -. sum_dxhat.(i)
-                    -. (c.xhat.(b).(i) *. sum_dxhat_xhat.(i)))))
-          dout
-      end
-  | Leaky_relu slope, R_leaky (slope', xs) ->
-      assert (slope = slope');
-      Array.mapi
-        (fun b dy ->
-          Array.mapi (fun i g -> if xs.(b).(i) >= 0. then g else slope *. g) dy)
-        dout
-  | Tanh, R_tanh ys ->
-      Array.mapi
-        (fun b dy ->
-          Array.mapi (fun i g -> g *. (1. -. (ys.(b).(i) *. ys.(b).(i)))) dy)
-        dout
-  | (Dense _ | Batch_norm _ | Leaky_relu _ | Tanh), _ ->
-      invalid_arg "Layer.backward_rows: cache does not match layer"
 
 let zero_grad = function
   | Dense d ->

@@ -37,10 +37,6 @@ type cache
 (** Opaque per-layer activation cache produced by {!forward} and consumed
     by {!backward}. *)
 
-type rows_cache
-(** Cache of the per-sample reference path ({!forward_rows} /
-    {!backward_rows}). *)
-
 val dense : rng:Canopy_util.Prng.t -> in_dim:int -> out_dim:int -> t
 (** He-initialized fully-connected layer. *)
 
@@ -139,15 +135,9 @@ val backward :
 
     The leaky-ReLU arm, like {!forward}'s, selects its slope by a
     multiply instead of a branch ([Elementwise.leaky_backward]), with
-    the bits of the [if] form that {!backward_rows} keeps. *)
-
-val forward_rows : t -> Vec.t array -> Vec.t array * rows_cache
-(** Per-sample reference forward (the pre-batching implementation, one
-    [mat_vec] per sample). Semantically identical to {!forward} — kept as
-    an independent implementation for equivalence tests and benchmarks. *)
-
-val backward_rows : t -> rows_cache -> Vec.t array -> Vec.t array
-(** Per-sample reference backward; see {!forward_rows}. *)
+    the slope where the cached output's sign bit is set: the bits of
+    the per-sample oracle's [if] on the input's sign bit
+    ([test/oracle.ml]). *)
 
 val zero_grad : t -> unit
 val params : t -> (float array * float array) list

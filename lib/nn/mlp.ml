@@ -208,31 +208,6 @@ let backward ?(input_grad = true) ?(param_grads = true) ?shards t tape dout =
   done;
   !grad
 
-type rows_tape = Layer.rows_cache list (* in layer order *)
-
-let forward_train_rows t batch =
-  Array.iter
-    (fun x ->
-      if Vec.dim x <> t.in_dim then
-        invalid_arg "Mlp.forward_train_rows: input dim")
-    batch;
-  bump_generation t;
-  let out, rev_caches =
-    List.fold_left
-      (fun (acc, caches) layer ->
-        let out, cache = Layer.forward_rows layer acc in
-        (out, cache :: caches))
-      (batch, []) t.layers
-  in
-  (out, List.rev rev_caches)
-
-let backward_rows t tape dout =
-  let rev_layers = List.rev t.layers in
-  let rev_caches = List.rev tape in
-  List.fold_left2
-    (fun grad layer cache -> Layer.backward_rows layer cache grad)
-    dout rev_layers rev_caches
-
 let zero_grad t = List.iter Layer.zero_grad t.layers
 let params t = List.concat_map Layer.params t.layers
 

@@ -126,16 +126,6 @@ val backward :
     ([Layer.backward]); a data-parallel fit then reduces the shadows in
     a tree of its own choosing. *)
 
-type rows_tape
-(** Activation record from the per-sample reference pass. *)
-
-val forward_train_rows : t -> Vec.t array -> Vec.t array * rows_tape
-(** Per-sample reference implementation of {!forward_train} (one
-    [mat_vec] per sample); kept for equivalence tests and benchmarks. *)
-
-val backward_rows : t -> rows_tape -> Vec.t array -> Vec.t array
-(** Per-sample reference implementation of {!backward}. *)
-
 val zero_grad : t -> unit
 val params : t -> (float array * float array) list
 val param_count : t -> int

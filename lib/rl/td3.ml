@@ -37,8 +37,6 @@ let default_config ~state_dim ~action_dim =
     warmup = 256;
   }
 
-type kernel = Batched | Per_sample
-
 type t = {
   cfg : config;
   rng : Prng.t;
@@ -213,9 +211,10 @@ let q_eval critic state action =
 let q_values t ~state ~action =
   (q_eval t.critic1 state action, q_eval t.critic2 state action)
 
-(* Target-policy smoothing noise, clipped. Both kernels draw this in
-   row-major order (per transition, then per action dimension) so their
-   PRNG streams — and hence their parameter trajectories — coincide. *)
+(* Target-policy smoothing noise, clipped, drawn in row-major order (per
+   transition, then per action dimension). The per-sample oracle in
+   test/oracle.ml draws it in the same order, so the two share one PRNG
+   stream and, to rounding, one parameter trajectory. *)
 let smoothing_noise t =
   let cfg = t.cfg in
   Canopy_util.Mathx.clamp ~lo:(-.cfg.noise_clip) ~hi:cfg.noise_clip
@@ -228,7 +227,7 @@ let smoothing_noise t =
 let bootstraps tr = not tr.Replay_buffer.terminal
 
 (* ------------------------------------------------------------------ *)
-(* Batched kernels: one GEMM-backed pass per network per direction.    *)
+(* The update: one GEMM-backed pass per network per direction.         *)
 (* ------------------------------------------------------------------ *)
 
 (* A minibatch into the workspace's [n × dim] matrix [dst], one
@@ -283,7 +282,7 @@ let fit_critic critic shards opt ws inputs targets =
   Optimizer.step opt shards.params;
   Mlp.bump_generation critic
 
-let critic_update_batched t (batch : Replay_buffer.transition array) =
+let critic_update t (batch : Replay_buffer.transition array) =
   let cfg = t.cfg and ws = t.ws in
   let n = Array.length batch in
   let sd = cfg.state_dim and ad = cfg.action_dim in
@@ -327,7 +326,7 @@ let critic_update_batched t (batch : Replay_buffer.transition array) =
   fit_critic t.critic2 t.critic2_shards t.opt_critic2 ws.critic2_ws ws.inputs
     targets
 
-let actor_update_batched t (batch : Replay_buffer.transition array) =
+let actor_update t (batch : Replay_buffer.transition array) =
   let cfg = t.cfg and ws = t.ws in
   let n = Array.length batch in
   let sd = cfg.state_dim and ad = cfg.action_dim in
@@ -367,92 +366,22 @@ let actor_update_batched t (batch : Replay_buffer.transition array) =
   Optimizer.step t.opt_actor t.actor_params;
   Mlp.bump_generation t.actor
 
-(* ------------------------------------------------------------------ *)
-(* Per-sample reference kernels (the pre-batching implementation).     *)
-(* Kept as an independent code path for equivalence tests and the      *)
-(* batched-vs-reference benchmark.                                     *)
-(* ------------------------------------------------------------------ *)
-
-let critic_update_per_sample t (batch : Replay_buffer.transition array) =
-  let cfg = t.cfg in
-  let n = Array.length batch in
-  let targets = Array.make n 0. in
-  for i = 0 to n - 1 do
-    let tr = batch.(i) in
-    let a' = Mlp.forward t.actor_target tr.Replay_buffer.next_state in
-    let a' = Array.map (fun x -> clamp_action (x +. smoothing_noise t)) a' in
-    let q1 = q_eval t.critic1_target tr.next_state a' in
-    let q2 = q_eval t.critic2_target tr.next_state a' in
-    let bootstrap =
-      if bootstraps tr then cfg.gamma *. Float.min q1 q2 else 0.
-    in
-    targets.(i) <- tr.reward +. bootstrap
-  done;
-  let inputs =
-    Array.map (fun tr -> Array.append tr.Replay_buffer.state tr.action) batch
-  in
-  let fit critic opt =
-    Mlp.zero_grad critic;
-    let preds, tape = Mlp.forward_train_rows critic inputs in
-    let dout =
-      Array.mapi
-        (fun i q -> [| 2. *. (q.(0) -. targets.(i)) /. float_of_int n |])
-        preds
-    in
-    ignore (Mlp.backward_rows critic tape dout);
-    let params = Mlp.params critic in
-    Optimizer.clip_gradients ~norm:10. params;
-    Optimizer.step opt params;
-    Mlp.bump_generation critic
-  in
-  fit t.critic1 t.opt_critic1;
-  fit t.critic2 t.opt_critic2
-
-let actor_update_per_sample t (batch : Replay_buffer.transition array) =
-  let cfg = t.cfg in
-  let n = Array.length batch in
-  let states = Array.map (fun tr -> tr.Replay_buffer.state) batch in
-  Mlp.zero_grad t.actor;
-  let actions, actor_tape = Mlp.forward_train_rows t.actor states in
-  Mlp.zero_grad t.critic1;
-  let critic_inputs =
-    Array.mapi (fun i s -> Array.append s actions.(i)) states
-  in
-  let _, critic_tape = Mlp.forward_train_rows t.critic1 critic_inputs in
-  (* Each row needs its own gradient cell: [Array.make n [| ... |]] would
-     alias one array across all rows, so every in-place write during
-     backprop would be applied n times. *)
-  let dout = Array.init n (fun _ -> [| -1. /. float_of_int n |]) in
-  let dinputs = Mlp.backward_rows t.critic1 critic_tape dout in
-  let daction =
-    Array.map (fun din -> Array.sub din cfg.state_dim cfg.action_dim) dinputs
-  in
-  ignore (Mlp.backward_rows t.actor actor_tape daction);
-  let params = Mlp.params t.actor in
-  Optimizer.clip_gradients ~norm:10. params;
-  Optimizer.step t.opt_actor params;
-  Mlp.bump_generation t.actor
-
 let soft_updates t =
   let tau = t.cfg.tau in
   Mlp.soft_update ~tau ~src:t.actor ~dst:t.actor_target;
   Mlp.soft_update ~tau ~src:t.critic1 ~dst:t.critic1_target;
   Mlp.soft_update ~tau ~src:t.critic2 ~dst:t.critic2_target
 
-let update ?(kernel = Batched) t =
+let update t =
   if Replay_buffer.length t.buffer >= max t.cfg.warmup t.cfg.batch_size
   then begin
     t.update_calls <- t.update_calls + 1;
     let batch =
       Replay_buffer.sample t.buffer t.rng ~batch_size:t.cfg.batch_size
     in
-    (match kernel with
-    | Batched -> critic_update_batched t batch
-    | Per_sample -> critic_update_per_sample t batch);
+    critic_update t batch;
     if t.update_calls mod t.cfg.policy_delay = 0 then begin
-      (match kernel with
-      | Batched -> actor_update_batched t batch
-      | Per_sample -> actor_update_per_sample t batch);
+      actor_update t batch;
       soft_updates t
     end
   end

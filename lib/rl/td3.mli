@@ -45,25 +45,15 @@ val select_action : ?explore:bool -> t -> float array -> float array
 val observe : t -> Replay_buffer.transition -> unit
 (** Record a transition; cheap, no learning. *)
 
-type kernel =
-  | Batched  (** GEMM-backed minibatch kernels; the deployed hot path *)
-  | Per_sample
-      (** one [mat_vec] per sample — the pre-batching reference
-          implementation, kept for equivalence tests and benchmarks *)
-
-val update : ?kernel:kernel -> t -> unit
+val update : t -> unit
 (** One TD3 gradient step (both critics; actor and targets every
-    [policy_delay] calls). No-op until [warmup] transitions have been
-    observed. [kernel] (default {!Batched}) selects the implementation;
-    both draw PRNG noise in the same order and their parameter updates
-    agree to rounding, not bit for bit: the batched target pass seeds
-    each GEMM cell with the bias instead of adding it last, and the
-    batched critic fit sums its weight gradients per 16-row shard and
-    then reduces the shards through a tree, where the reference sums
-    every sample in one chain. After four updates from one seed (state
-    35, hidden 64), 4.0% of the six networks' parameters differ in their
-    bits at batch 16 and 4.7% at batch 64, by at most 1e-12. The batched
-    kernel's own bits do not depend on the domain count. *)
+    [policy_delay] calls) on batched GEMM passes. No-op until [warmup]
+    transitions have been observed. Its bits do not depend on the domain
+    count. It agrees to rounding with the per-sample test oracle
+    ([test/oracle.ml]), which draws the same minibatch and noise: the
+    target pass seeds each GEMM cell with the bias, and a critic fit
+    sums its weight gradients per 16-row shard and reduces the shards
+    through a tree, where the oracle sums every sample in one chain. *)
 
 val q_values : t -> state:float array -> action:float array -> float * float
 (** [(Q1, Q2)] of a (state, action) pair under the live critics, eval

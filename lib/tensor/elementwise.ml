@@ -221,7 +221,8 @@ module Ocaml = struct
     for i = 0 to len dout - 1 do
       Array.unsafe_set dst i
         (Array.unsafe_get dout i
-        *. Array.unsafe_get tab (Bool.to_int (Array.unsafe_get out i >= 0.)))
+        *. Array.unsafe_get tab
+             (Bool.to_int (not (Float.sign_bit (Array.unsafe_get out i)))))
     done
 
   (* The interval image of leaky ReLU over center-radius cells, in

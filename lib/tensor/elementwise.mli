@@ -22,8 +22,10 @@ val leaky : slope:float -> float array -> dst:float array -> unit
 
 val leaky_backward :
   slope:float -> out:float array -> dout:float array -> dst:float array -> unit
-(** [dst.(i) <- dout.(i) *. (if out.(i) >= 0. then 1. else slope)], the
-    mask read from the forward's output. [dst] may be [dout]. *)
+(** [dst.(i) <- dout.(i) *. (if Float.sign_bit out.(i) then slope else
+    1.)]: the mask is the sign bit of the forward's output, which is the
+    input's, so −0, a negative NaN and a negative input whose slope
+    product underflows to −0 take the slope. [dst] may be [dout]. *)
 
 val interval_leaky :
   slope:float -> center:float array -> radius:float array -> unit

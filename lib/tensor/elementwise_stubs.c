@@ -17,9 +17,13 @@
    build passes -ffp-contract=off and no -mfma, -march=native or
    -ffast-math (test_tensor.ml checks lib/tensor/dune and this file).
 
-   The leaky select compares with _CMP_GE_OQ (ordered, quiet): false for
-   NaN, true for -0, as OCaml's [v >= 0.] is. It multiplies by 1.0 or the
-   slope, as the OCaml table select does.
+   The leaky forward's select compares with _CMP_GE_OQ (ordered, quiet):
+   false for NaN, true for -0, as OCaml's [v >= 0.] is. The backward's
+   select is the sign bit of the forward's output, which blendv reads
+   straight from the output lanes, as the OCaml loop reads
+   Float.sign_bit: -0, a negative NaN and a negative input whose slope
+   product underflowed to -0 all take the slope. Both multiply by 1.0
+   or the slope, as the OCaml table select does.
 
    Like the GEMM stubs these are [@@noalloc] externals over flat float
    arrays: they allocate nothing, raise nothing and touch no global
@@ -29,6 +33,7 @@
 
 #define CAML_NAME_SPACE
 #include <caml/mlvalues.h>
+#include <math.h>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define CANOPY_X86_64 1
@@ -68,16 +73,16 @@ AVX2 static void leaky(const double *x, double *o, double slope, intnat n)
   }
 }
 
-/* o[i] = g[i] * (y[i] >= 0 ? 1 : slope), the mask read from the
-   forward's output y; o may be g. */
+/* o[i] = g[i] * (signbit(y[i]) ? slope : 1), the mask read from the
+   sign bit of the forward's output y; o may be g. */
 AVX2 static void leaky_backward(const double *y, const double *g, double *o,
                                 double slope, intnat n)
 {
   __m256d s = SET1(slope), one = SET1(1.0);
   intnat i = 0;
   for (; i + 4 <= n; i += 4)
-    ST(o + i, MUL(LD(g + i), LEAKY_FACTOR(LD(y + i), s, one)));
-  for (; i < n; i++) o[i] = g[i] * (y[i] >= 0.0 ? 1.0 : slope);
+    ST(o + i, MUL(LD(g + i), _mm256_blendv_pd(one, s, LD(y + i))));
+  for (; i < n; i++) o[i] = g[i] * (signbit(y[i]) ? slope : 1.0);
 }
 
 /* The interval image of leaky ReLU over center-radius cells, in place:

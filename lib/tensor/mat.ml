@@ -73,19 +73,6 @@ let mat_vec m x =
   done;
   out
 
-let mat_tvec m y =
-  if m.rows <> Array.length y then invalid_arg "Mat.mat_tvec: dims";
-  let out = Array.make m.cols 0. in
-  for i = 0 to m.rows - 1 do
-    let base = i * m.cols in
-    let yi = y.(i) in
-    if yi <> 0. then
-      for j = 0 to m.cols - 1 do
-        out.(j) <- out.(j) +. (m.data.(base + j) *. yi)
-      done
-  done;
-  out
-
 (* The batched kernels below validate every dimension up front and then
    run on the flat arrays with unsafe accesses: the index arithmetic is
    affine in loop counters whose bounds were just checked, and dropping
@@ -726,19 +713,6 @@ let mat_mul_tn_acc ~dst a b = tn_dispatch "mat_mul_tn_acc" ~zero:false ~dst a b
 
 let mat_mul_tn ?samples ~dst a b =
   tn_dispatch "mat_mul_tn" ~zero:true ?samples ~dst a b
-
-let outer_acc m y x =
-  if m.rows <> Array.length y || m.cols <> Array.length x then
-    invalid_arg "Mat.outer_acc: dims";
-  for i = 0 to m.rows - 1 do
-    let yi = y.(i) in
-    if yi <> 0. then begin
-      let base = i * m.cols in
-      for j = 0 to m.cols - 1 do
-        m.data.(base + j) <- m.data.(base + j) +. (yi *. x.(j))
-      done
-    end
-  done
 
 let add_row m v =
   if m.cols <> Array.length v then invalid_arg "Mat.add_row: dims";

@@ -36,9 +36,6 @@ val abs : t -> t
 val mat_vec : t -> Vec.t -> Vec.t
 (** [mat_vec m x] is [m * x]; requires [cols m = dim x]. *)
 
-val mat_tvec : t -> Vec.t -> Vec.t
-(** [mat_tvec m y] is [mᵀ * y]; requires [rows m = dim y]. *)
-
 val mat_mul : t -> t -> t
 
 val mat_mul_into : dst:t -> t -> t -> unit
@@ -71,7 +68,8 @@ val mat_mul_tn_acc : dst:t -> t -> t -> unit
     weight-gradient kernel ([dw += doutᵀ·x]). Each cell is one chain
     seeded with its [dst] value that adds the per-sample products in
     ascending sample order, so it matches a row-ascending sequence of
-    {!outer_acc} calls except where {!outer_acc}'s skip of zero [y]
+    outer-product accumulations (the per-sample oracle's, in
+    [test/oracle.ml]) except where that oracle's skip of zero [y]
     entries shows (a −0 cell, a non-finite [x]). *)
 
 val mat_mul_tn : ?samples:int * int -> dst:t -> t -> t -> unit
@@ -132,10 +130,6 @@ val plan_chunks : rows:int -> row_flops:int -> int option
     a pool task or when the pool has no workers. The decision and the
     chunk size depend only on the arguments and the process-global
     grain, never on the domain count. *)
-
-val outer_acc : t -> Vec.t -> Vec.t -> unit
-(** [outer_acc m y x] accumulates the outer product [y xᵀ] into [m]
-    ([m.(i).(j) += y.(i) * x.(j)]); used for weight gradients. *)
 
 val add_row : t -> Vec.t -> unit
 (** [add_row m v] adds the row vector [v] to every row of [m] in place

@@ -78,6 +78,21 @@ let test_optional_passed_inside_only () =
   Alcotest.check pairs "passed by an outside caller" []
     (findings (files "let () = print_int (Canopy_a.Alpha.f ~k:4 3)\n"))
 
+let test_test_only_knob () =
+  let r =
+    Deadcode.check_files
+      (alpha ~mli:"val f : ?k:int -> ?j:int -> int -> int\n"
+         ~ml:"let f ?(k = 1) ?(j = 2) x = x + k + j\n"
+      @ [
+          ("bin/main.ml", "let () = print_int (Canopy_a.Alpha.f ~j:3 4)\n");
+          ( "test/test_alpha.ml",
+            "let () = ignore (Canopy_a.Alpha.f ~k:5 ~j:6 7)\n" );
+        ])
+  in
+  Alcotest.(check (list string)) "?k passed by tests only, ?j from bin/ too"
+    [ "Alpha.f ?k" ] r.Deadcode.test_knobs;
+  check_bool "no finding" true (r.Deadcode.diags = [])
+
 let suite =
   [
     Alcotest.test_case "unused export is a finding" `Quick test_unused_export;
@@ -88,4 +103,6 @@ let suite =
       test_submodule_path_use;
     Alcotest.test_case "optional passed only inside is a finding" `Quick
       test_optional_passed_inside_only;
+    Alcotest.test_case "knob only tests turn reported, not a finding" `Quick
+      test_test_only_knob;
   ]

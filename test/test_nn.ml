@@ -183,8 +183,8 @@ let test_backward_input_gradient () =
   Alcotest.(check (array (float 1e-9))) "input grad" [| 4.; 6. |] (Mat.row dx 0)
 
 (* ------------------------------------------------------------------ *)
-(* Batched kernels vs the per-sample reference path. The batched
-   implementation accumulates in the same order as the reference, so the
+(* Batched kernels vs the per-sample oracle ([Oracle]). The batched
+   implementation accumulates in the same order as the oracle, so the
    two must agree to ~1e-9 (in practice bitwise) — otherwise the
    verifier's certificates would describe a different network than the
    one training deploys. *)
@@ -220,10 +220,10 @@ let batched_vs_rows_once net ~n ~in_dim ~out_dim ~seed =
       Alcotest.(check bool) "param grads untouched" true
         (Array.for_all (fun x -> Float.equal x 7.) g))
     (Mlp.params conduit);
-  (* per-sample reference pass *)
+  (* per-sample oracle pass *)
   Mlp.zero_grad refnet;
-  let out_r, rtape = Mlp.forward_train_rows refnet rows in
-  let din_r = Mlp.backward_rows refnet rtape dout_rows in
+  let out_r, rtape = Oracle.mlp_forward_rows refnet rows in
+  let din_r = Oracle.mlp_backward_rows refnet rtape dout_rows in
   let check_rows what m vs =
     Array.iteri
       (fun i v ->
@@ -272,10 +272,11 @@ let test_batched_matches_rows_relu_stack () =
   batched_vs_rows_once net ~n:9 ~in_dim:3 ~out_dim:2 ~seed:31
 
 (* Leaky ReLU's batched passes select their slope with a multiply by a
-   two-entry table, where the per-sample reference keeps the [if]. The
+   two-entry table, where the per-sample oracle keeps the [if]. The
    bits must agree on every value arithmetic produces: ±0, ±∞, both
-   signs of quiet NaN, subnormals and random signs, for inputs and for
-   incoming gradients alike. *)
+   signs of quiet NaN, subnormals (some whose slope product underflows
+   to -0) and random signs, for inputs and for incoming gradients
+   alike. *)
 let specials =
   [| 0.; -0.; Float.infinity; Float.neg_infinity; Float.nan; -.Float.nan;
      4.9e-324; -4.9e-324; 2.2e-308; -1e-310; 1e-300; -2.5e-320 |]
@@ -300,7 +301,7 @@ let test_leaky_batched_matches_rows_bits () =
       let rows = special_rows ~seed:7 ~rows:7 ~cols:9 in
       let douts = special_rows ~seed:8 ~rows:7 ~cols:9 in
       let x = Mat.of_rows rows and dout = Mat.of_rows douts in
-      let want_rows, rcache = Layer.forward_rows layer rows in
+      let want_rows, rcache = Oracle.forward_rows layer rows in
       let want = Mat.raw (Mat.of_rows want_rows) in
       let name what = Printf.sprintf "slope %g: %s" slope what in
       let out, cache = Layer.forward layer x in
@@ -313,18 +314,12 @@ let test_leaky_batched_matches_rows_bits () =
       let dst = Mat.create ~rows:7 ~cols:9 in
       Layer.forward_eval_into ~dst layer x;
       check_bits (name "forward_eval_into") want (Mat.raw dst);
-      (* The batched backward reads its mask from the cached output: a
-         negative input whose slope product rounds to -0 then compares
-         as >= 0 and takes the positive arm, where the reference, which
-         reads the input, takes the slope. Every other cell must match
-         the reference. *)
-      let reference = Mat.raw (Mat.of_rows (Layer.backward_rows layer rcache douts)) in
-      let xs = Mat.raw x and gs = Mat.raw dout and outs = Mat.raw out in
+      (* The batched backward reads the sign bit of the cached output,
+         the oracle that of the input: the same bit, so every cell
+         matches, a negative input whose slope product underflows to -0
+         included. *)
       let want_dx =
-        Array.mapi
-          (fun i r ->
-            if xs.(i) < 0. && outs.(i) = 0. then gs.(i) *. 1. else r)
-          reference
+        Mat.raw (Mat.of_rows (Oracle.backward_rows layer rcache douts))
       in
       check_bits (name "backward") want_dx
         (Mat.raw (Layer.backward layer cache dout));
@@ -755,10 +750,8 @@ let test_generation_counter () =
   Alcotest.(check int) "eval forward does not bump" 0 (Mlp.generation net);
   ignore (Mlp.forward_train net (Mat.of_arrays [| [| 0.1; 0.2; 0.3 |] |]));
   Alcotest.(check int) "forward_train bumps" 1 (Mlp.generation net);
-  ignore (Mlp.forward_train_rows net [| [| 0.1; 0.2; 0.3 |] |]);
-  Alcotest.(check int) "forward_train_rows bumps" 2 (Mlp.generation net);
   Mlp.bump_generation net;
-  Alcotest.(check int) "explicit bump" 3 (Mlp.generation net)
+  Alcotest.(check int) "explicit bump" 2 (Mlp.generation net)
 
 let test_generation_soft_update_bumps_dst () =
   let src = Mlp.actor ~rng:(rng ()) ~in_dim:3 ~hidden:4 ~out_dim:1 in

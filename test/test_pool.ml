@@ -353,8 +353,8 @@ let test_td3_parallel_update_bit_exact () =
   let snap0 = Td3.snapshot agent in
   let run () =
     Td3.restore agent snap0;
-    Td3.update ~kernel:Td3.Batched agent;
-    Td3.update ~kernel:Td3.Batched agent;
+    Td3.update agent;
+    Td3.update agent;
     let snap = Td3.snapshot agent in
     List.concat_map
       (fun (_, net) ->

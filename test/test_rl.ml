@@ -168,51 +168,80 @@ let rand_vec rng n =
   done;
   v
 
+(* Every array of a network's state: the learned parameters, then the
+   batch-norm running statistics. *)
+let net_state net =
+  List.map fst (Canopy_nn.Mlp.params net)
+  @ List.concat_map
+      (function
+        | Canopy_nn.Layer.Batch_norm bn -> [ bn.running_mean; bn.running_var ]
+        | _ -> [])
+      (Canopy_nn.Mlp.layers net)
+
 let test_td3_kernels_agree () =
-  (* Batched and per-sample kernels draw PRNG noise in the same order, so
-     two agents with identical seeds and replay contents follow the same
-     parameter trajectory to rounding under either kernel. Not bit for
-     bit: the batched target pass seeds each GEMM cell with the bias,
-     and the batched critic fit reduces per-shard gradient sums through
-     a tree, so a few percent of the parameters differ in their last
-     bits after a handful of updates. *)
-  let make () =
-    let rng = Prng.create 42 in
-    let agent = Td3.create ~rng (td3_config ~state_dim:3) in
-    let data = Prng.create 43 in
-    for i = 1 to 128 do
-      Td3.observe agent
-        {
-          Replay_buffer.state = rand_vec data 3;
-          action = rand_vec data 1;
-          reward = Prng.uniform data (-1.) 1.;
-          next_state = rand_vec data 3;
-          terminal = i mod 7 = 0;
-          truncated = i mod 5 = 0;
-        }
-    done;
-    agent
-  in
-  let batched = make () and reference = make () in
-  for _ = 1 to 12 do
-    Td3.update ~kernel:Td3.Batched batched;
-    Td3.update ~kernel:Td3.Per_sample reference
-  done;
-  check_int "both updated" (Td3.updates_done reference)
-    (Td3.updates_done batched);
-  List.iteri
-    (fun pi ((v_b, _), (v_r, _)) ->
-      Alcotest.(check (array (float 1e-9)))
-        (Printf.sprintf "actor param %d" pi)
-        v_r v_b)
-    (List.combine
-       (Canopy_nn.Mlp.params (Td3.actor batched))
-       (Canopy_nn.Mlp.params (Td3.actor reference)));
-  let s = [| 0.2; -0.4; 0.6 |] in
-  Alcotest.(check (array (float 1e-9)))
-    "greedy action"
-    (Td3.select_action reference s)
-    (Td3.select_action batched s)
+  (* The batched update against the per-sample oracle ([Oracle]): both
+     draw the minibatch and the smoothing noise in the same order, so
+     two agents with one seed and one replay buffer follow one
+     trajectory to rounding. Not bit for bit: the batched target pass
+     seeds each GEMM cell with the bias, and the batched critic fit
+     reduces per-shard gradient sums through a tree. After twelve
+     updates at batch 16, 32 and 64 (one, two and four critic shards)
+     the whole snapshots agree: the six networks and the three Adam
+     moment sets to 1e-9; the PRNG state, the update count and the
+     replay contents exactly. *)
+  List.iter
+    (fun batch_size ->
+      let cfg = { (td3_config ~state_dim:3) with batch_size } in
+      let make () =
+        let agent = Td3.create ~rng:(Prng.create 42) cfg in
+        let data = Prng.create 43 in
+        for i = 1 to 128 do
+          Td3.observe agent
+            {
+              Replay_buffer.state = rand_vec data 3;
+              action = rand_vec data 1;
+              reward = Prng.uniform data (-1.) 1.;
+              next_state = rand_vec data 3;
+              terminal = i mod 7 = 0;
+              truncated = i mod 5 = 0;
+            }
+        done;
+        agent
+      in
+      let batched = make () and reference = make () in
+      for _ = 1 to 12 do
+        Td3.update batched;
+        Oracle.td3_update cfg reference
+      done;
+      let b = Td3.snapshot batched and r = Td3.snapshot reference in
+      let close what =
+        Alcotest.(check (array (float 1e-9)))
+          (Printf.sprintf "b%d %s" batch_size what)
+      in
+      List.iter2
+        (fun (name, nb) (_, nr) ->
+          List.iteri
+            (fun k (want, got) ->
+              close (Printf.sprintf "%s array %d" name k) want got)
+            (List.combine (net_state nr) (net_state nb)))
+        b.Td3.nets r.Td3.nets;
+      List.iter2
+        (fun (name, (got : Canopy_nn.Optimizer.snapshot)) (_, want) ->
+          check_int (name ^ " steps") want.Canopy_nn.Optimizer.step_count
+            got.step_count;
+          List.iter2
+            (fun (k, m, v) (_, m', v') ->
+              close (Printf.sprintf "%s slot %d m" name k) m' m;
+              close (Printf.sprintf "%s slot %d v" name k) v' v)
+            got.moments want.moments)
+        b.Td3.moments r.Td3.moments;
+      let what s = Printf.sprintf "b%d %s" batch_size s in
+      check_bool (what "prng state") true
+        (Int64.equal r.Td3.rng_state b.Td3.rng_state);
+      check_int (what "update count") r.Td3.update_count b.Td3.update_count;
+      check_bool (what "replay contents") true
+        (r.Td3.transitions = b.Td3.transitions && r.Td3.cursor = b.Td3.cursor))
+    [ 16; 32; 64 ]
 
 let test_td3_truncation_bootstraps () =
   (* Time-limit bias: a transition with reward 1 looping on one state has

