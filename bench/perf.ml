@@ -314,7 +314,7 @@ let par_probes ~state_dim probe =
       let mat rows cols =
         Mat.init ~rows ~cols (fun _ _ -> Canopy_util.Prng.uniform rng (-1.) 1.)
       in
-      (* 37 rows trips the packed-panel nt path (>= 12 rows), so this
+      (* 37 rows trips the packed-panel nt path (>= 3 rows), so this
          probe pins the B-panel packing + 4x4 micro-kernel, not just the
          direct loops. *)
       let a = mat 37 29 and b = mat 41 29 in

@@ -236,30 +236,26 @@ let apply_act_batch act c r =
 
 (* Per-domain scratch arena of the batched transfer. Ownership per
    DESIGN §10: the arena is DLS-owned, so only this domain writes these
-   buffers. Slots 0 and 1 hold the live-column gathers of a radius GEMM
-   ([r] and [|W|]); slots (2 + 2s, 3 + 2s) hold stage [s]'s output centers
-   and radii. Every slot is reused across calls (and across the
-   full-size/tail chunk shapes of a pool region, via the arena's
-   per-length caching) and every cell is overwritten before it is read,
-   so a warm arena returns the same bits as a cold one. *)
+   buffers. Slot 0 holds the live-column gather of |W| for a radius GEMM
+   and slot 1 that of its radii; slots 2 and 3 the first stage's inputs
+   (the center rows and the radius block over the set's varying
+   columns); slots (4 + 2s, 5 + 2s) stage [s]'s output centers and
+   radii. Every slot is reused across calls (and across the full-size/
+   tail chunk shapes of a pool region, via the arena's per-length
+   caching) and every cell is overwritten before it is read, so a warm
+   arena returns the same bits as a cold one. *)
 let scratch_key : Canopy_util.Scratch.t Domain.DLS.key =
   Domain.DLS.new_key Canopy_util.Scratch.create
 
-let stage_slot s = 2 + (2 * s)
+let stage_slot s = 4 + (2 * s)
 
-(* Per-domain column-index buffers of the radius GEMM, DLS-owned like the
-   arena: [live_key] holds the live columns of the stage being
-   propagated, [input_live_key] those of a certificate's input rows.
-   [output_intervals_rows] fills the latter before any pool region, and
-   workers only read it there, as they read the rows themselves. *)
+(* Per-domain buffer of the live columns of the stage being propagated,
+   DLS-owned like the arena. *)
 let live_key : int array ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [||])
 
-let input_live_key : int array ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [||])
-
-let buffer key n =
-  let b = Domain.DLS.get key in
+let live_buffer n =
+  let b = Domain.DLS.get live_key in
   if Array.length !b < n then b := Array.make n 0;
   !b
 
@@ -285,52 +281,94 @@ let scan_live r live =
   done;
   !n
 
-(* The radius GEMM r' = r·|W|ᵀ over the live input columns only, the
-   first [n_live] of [live]. A column is dead when its radius is ±0 in
-   every row (a certificate's point dimensions). Each of its terms is
-   then r·|w| = ±0, since |W| is finite, and adding ±0 to an accumulator
-   chain that starts at +0 changes nothing: such a chain never reaches
-   −0, and x + ±0 = x otherwise. The GEMM sums every cell in ascending
-   column order, so summing any ascending set of columns that holds the
-   live ones returns the full GEMM's bits. *)
+(* The radius GEMM r' = r·|W|ᵀ over an ascending set of input columns,
+   the first [n_live] of [live], whose radii [r] holds as its columns. A
+   column left out is dead: its radius is ±0 in every row (a
+   certificate's point dimensions). Each of its terms is then r·|w| =
+   ±0, since |W| is finite, and adding ±0 to an accumulator chain that
+   starts at +0 changes nothing: such a chain never reaches −0, and
+   x + ±0 = x otherwise. The GEMM sums every cell in ascending column
+   order, so summing any ascending set of columns that holds the live
+   ones returns the full GEMM's bits. *)
 let radius_gemm scratch ~dst r abs_w ~live ~n_live =
-  let rows = Mat.rows r and cols = Mat.cols r in
+  let cols = Mat.cols abs_w in
   if n_live = cols then Mat.mat_mul_nt_into ~dst r abs_w
   else if n_live = 0 then Mat.fill dst 0.
   else begin
     let out = Mat.rows abs_w in
-    let r' = Mat.scratch_mat scratch ~slot:0 ~rows ~cols:n_live in
-    let w' = Mat.scratch_mat scratch ~slot:1 ~rows:out ~cols:n_live in
-    let rd = Mat.raw r and rd' = Mat.raw r' in
+    let w' = Mat.scratch_mat scratch ~slot:0 ~rows:out ~cols:n_live in
     let wd = Mat.raw abs_w and wd' = Mat.raw w' in
-    for l = 0 to n_live - 1 do
-      let j = Array.unsafe_get live l in
-      for i = 0 to rows - 1 do
-        Array.unsafe_set rd' ((i * n_live) + l)
-          (Array.unsafe_get rd ((i * cols) + j))
-      done;
-      for o = 0 to out - 1 do
+    for o = 0 to out - 1 do
+      for l = 0 to n_live - 1 do
         Array.unsafe_set wd' ((o * n_live) + l)
-          (Array.unsafe_get wd ((o * cols) + j))
+          (Array.unsafe_get wd ((o * cols) + Array.unsafe_get live l))
       done
     done;
-    Mat.mat_mul_nt_into ~dst r' w'
+    Mat.mat_mul_nt_into ~dst r w'
   end
 
-(* One fused stage over the whole batch: two GEMMs — c' = c·Wᵀ + b and
-   r' = r·|W|ᵀ — then the elementwise activation. |W| is precomputed at
-   extraction, so no per-slice [Mat.abs] allocation survives in the hot
-   path. Soundness of the radius GEMM: each output radius is a
-   non-negatively weighted sum of input radii, so it is the exact image
-   of the interval under the affine map up to the same rounding as the
-   per-slice [Box.affine] reference (see DESIGN.md §8). The first stage
-   reads its live columns from [input_live] (its first [n_input_live]
-   cells) and every later one scans its own input.
+(* A later stage's radius GEMM: the live columns of its input [r], one
+   scan, then their gather. *)
+let hidden_radius_gemm scratch ~dst r abs_w =
+  let rows = Mat.rows r and cols = Mat.cols r in
+  let live = live_buffer cols in
+  let n_live = scan_live r live in
+  if n_live = cols || n_live = 0 then
+    radius_gemm scratch ~dst r abs_w ~live ~n_live
+  else begin
+    let r' = Mat.scratch_mat scratch ~slot:1 ~rows ~cols:n_live in
+    let rd = Mat.raw r and rd' = Mat.raw r' in
+    for i = 0 to rows - 1 do
+      for l = 0 to n_live - 1 do
+        Array.unsafe_set rd' ((i * n_live) + l)
+          (Array.unsafe_get rd ((i * cols) + Array.unsafe_get live l))
+      done
+    done;
+    radius_gemm scratch ~dst r' abs_w ~live ~n_live
+  end
 
-   The result aliases the last stage's scratch slots: callers must
-   consume (copy out of) it before this domain's next call. *)
-let propagate_batch t ~centers ~radii ~input_live ~n_input_live =
+(* Boxes [lo, hi) of a set as the first stage's inputs: the center rows
+   its center GEMM reads (the point, with each varying column's center
+   in place) and the radius block over the varying columns alone, which
+   is its radius GEMM's input (one unread column when none varies). The
+   columns left out have radius +0, so the varying ones are an ascending
+   superset of the live ones. *)
+let input_rows scratch (set : Box.set) ~lo ~hi =
+  let rows = hi - lo and dim = Vec.dim set.point in
+  let n = Array.length set.vary in
+  let c = Mat.scratch_mat scratch ~slot:2 ~rows ~cols:dim in
+  let cd = Mat.raw c in
+  for k = 0 to rows - 1 do
+    let base = k * dim and src = (lo + k) * n in
+    Array.blit set.point 0 cd base dim;
+    for m = 0 to n - 1 do
+      Array.unsafe_set cd
+        (base + Array.unsafe_get set.vary m)
+        (Array.unsafe_get set.centers (src + m))
+    done
+  done;
+  let r = Mat.scratch_mat scratch ~slot:3 ~rows ~cols:(Int.max n 1) in
+  Array.blit set.radii (lo * n) (Mat.raw r) 0 (rows * n);
+  (c, r)
+
+(* Boxes [lo, hi) of a set through every fused stage: two GEMMs per
+   stage — c' = c·Wᵀ + b and r' = r·|W|ᵀ — then the elementwise
+   activation. |W| is precomputed at extraction, so no per-slice
+   [Mat.abs] allocation survives in the hot path. Soundness of the
+   radius GEMM: each output radius is a non-negatively weighted sum of
+   input radii, so it is the exact image of the interval under the
+   affine map up to the same rounding as the per-slice [Box.affine]
+   reference (see DESIGN.md §8). The first stage's radius GEMM runs over
+   the set's varying columns and every later one scans its own input.
+
+   Each output row depends only on the matching input row, so a range
+   reproduces the whole set's rows bit for bit. The result aliases this
+   domain's scratch slots: callers must consume (copy out of) it before
+   its next call. *)
+let propagate_set t (set : Box.set) ~lo ~hi =
   let scratch = Domain.DLS.get scratch_key in
+  let c, r = input_rows scratch set ~lo ~hi in
+  let n = Array.length set.vary in
   let rec go s c r = function
     | [] -> (c, r)
     | stage :: rest ->
@@ -341,33 +379,33 @@ let propagate_batch t ~centers ~radii ~input_live ~n_input_live =
         in
         Mat.mat_mul_nt_bias_into ~dst:c' c stage.w stage.b;
         if s = 0 then
-          radius_gemm scratch ~dst:r' r stage.abs_w ~live:input_live
-            ~n_live:n_input_live
-        else begin
-          let live = buffer live_key (Mat.cols r) in
-          radius_gemm scratch ~dst:r' r stage.abs_w ~live
-            ~n_live:(scan_live r live)
-        end;
+          radius_gemm scratch ~dst:r' r stage.abs_w ~live:set.vary ~n_live:n
+        else hidden_radius_gemm scratch ~dst:r' r stage.abs_w;
         apply_act_batch stage.act c' r';
         go (s + 1) c' r' rest
   in
-  go 0 centers radii t.stages
+  match t.stages with
+  | [] ->
+      (* A network without layers maps each box to itself: its radius
+         rows, in slot 1 since no radius GEMM runs. *)
+      let rows = hi - lo and dim = t.in_dim in
+      let r' = Mat.scratch_mat scratch ~slot:1 ~rows ~cols:dim in
+      let rd = Mat.raw r and rd' = Mat.raw r' in
+      Mat.fill r' 0.;
+      for k = 0 to rows - 1 do
+        for m = 0 to n - 1 do
+          rd'.((k * dim) + set.vary.(m)) <- rd.((k * n) + m)
+        done
+      done;
+      (c, r')
+  | stages -> go 0 c r stages
 
 let check_box t box =
   if Box.dim box <> t.in_dim then invalid_arg "Anet.propagate: input dim"
 
-let batch_of_boxes boxes =
-  ( Mat.of_rows (Array.map Box.center boxes),
-    Mat.of_rows (Array.map Box.dev boxes) )
-
 let propagate t box =
   check_box t box;
-  let centers, radii = batch_of_boxes [| box |] in
-  let input_live = buffer input_live_key t.in_dim in
-  let c, r =
-    propagate_batch t ~centers ~radii ~input_live
-      ~n_input_live:(scan_live radii input_live)
-  in
+  let c, r = propagate_set t (Box.set_of_boxes [| box |]) ~lo:0 ~hi:1 in
   Box.make ~center:(Mat.row c 0) ~dev:(Mat.row r 0)
 
 (* Per-box cost of the batched transfer, for the parallel-dispatch
@@ -384,82 +422,48 @@ let per_box_flops t =
       acc + Mat.mat_mul_nt_row_flops stage.abs_w stage.w)
     0 t.stages
 
-(* Rows [lo, hi) of the workload through the batched transfer, results
-   into [out]. Each output row of the stage GEMMs depends only on the
-   matching input row, and the live-column gather is bit-neutral per row
-   (a chunk gathers the whole workload's live columns, a superset of its
-   own), so a sub-batch reproduces the full batch's rows bit for bit —
-   chunking the workload cannot change any interval (DESIGN §10). A chunk
-   copies its rows out; the whole workload runs in place. *)
-let output_intervals_range t ~centers ~radii ~input_live ~n_input_live out
-    ~lo ~hi =
-  let centers, radii =
-    if lo = 0 && hi = Mat.rows centers then (centers, radii)
-    else (Mat.sub_rows centers ~lo ~hi, Mat.sub_rows radii ~lo ~hi)
-  in
-  let c, r = propagate_batch t ~centers ~radii ~input_live ~n_input_live in
+(* Boxes [lo, hi) of the set through the batched transfer, results into
+   [out]. A chunk builds its own input rows in its domain's arena, and a
+   sub-range reproduces the whole set's rows bit for bit, so chunking
+   the workload cannot change any interval (DESIGN §10). *)
+let output_intervals_range t set out ~lo ~hi =
+  let c, r = propagate_set t set ~lo ~hi in
   let cd = Mat.raw c and rd = Mat.raw r in
   for k = lo to hi - 1 do
     let ck = cd.(k - lo) and rk = rd.(k - lo) in
     out.(k) <- Interval.make (ck -. rk) (ck +. rk)
   done
 
-let output_intervals_rows t ~centers ~radii =
-  if t.out_dim <> 1 then invalid_arg "Anet.output_intervals_rows: out_dim";
-  let n = Mat.rows centers in
-  if
-    Mat.rows radii <> n
-    || Mat.cols centers <> t.in_dim
-    || Mat.cols radii <> t.in_dim
-  then invalid_arg "Anet.output_intervals_rows: shape";
-  (* One pass over the radii: reject a negative or NaN one, and mark
-     each column that holds a nonzero; the marks then compact in place
-     into the ascending live columns the first radius GEMM gathers. *)
-  let cols = t.in_dim and rd = Mat.raw radii in
-  let input_live = buffer input_live_key cols in
-  Array.fill input_live 0 cols 0;
-  for i = 0 to n - 1 do
-    let base = i * cols in
-    for j = 0 to cols - 1 do
-      let d = Array.unsafe_get rd (base + j) in
-      if d < 0. || Float.is_nan d then
-        invalid_arg "Anet.output_intervals_rows: deviation";
-      if d <> 0. then Array.unsafe_set input_live j 1
-    done
-  done;
-  let n_input_live = ref 0 in
-  for j = 0 to cols - 1 do
-    if Array.unsafe_get input_live j = 1 then begin
-      Array.unsafe_set input_live !n_input_live j;
-      incr n_input_live
-    end
-  done;
-  let n_input_live = !n_input_live in
+(* Each chunk packs every stage's weights for its own GEMMs, so a chunk
+   is kept a dozen boxes tall to spread that packing: at hidden 256 the
+   grain alone would cut a certificate into 4-box chunks at two domains,
+   and each would pack the 256×256 weights for itself. *)
+let min_chunk_rows = 12
+
+let output_intervals_rows t (set : Box.set) =
+  let what = "Anet.output_intervals_rows" in
+  if t.out_dim <> 1 then invalid_arg (what ^ ": out_dim");
+  Box.check_set ~what ~dim:t.in_dim set;
+  let n = set.rows in
   let out = Array.make n (Interval.make 0. 0.) in
-  (* A chunk is at least [Mat.nt_c_rows] boxes tall, so its stage GEMMs
-     run the C kernel rather than the OCaml one; a workload that one such
-     chunk covers runs sequentially. Both rules read only shapes and the
-     grain, like [plan_chunks]. *)
+  (* A chunk is at least [min_chunk_rows] boxes tall; a workload that
+     one such chunk covers runs sequentially. Both rules read only shapes
+     and the grain, like [plan_chunks]. *)
   let chunk =
-    Option.map (Int.max Mat.nt_c_rows)
+    Option.map (Int.max min_chunk_rows)
       (Mat.plan_chunks ~rows:n ~row_flops:(per_box_flops t))
   in
   (match chunk with
   | Some chunk when n > chunk ->
       Canopy_util.Pool.parallel_for_chunks ~chunk n
-        (output_intervals_range t ~centers ~radii ~input_live ~n_input_live
-           out)
-  | Some _ | None ->
-      output_intervals_range t ~centers ~radii ~input_live ~n_input_live out
-        ~lo:0 ~hi:n);
+        (output_intervals_range t set out)
+  | Some _ | None -> output_intervals_range t set out ~lo:0 ~hi:n);
   out
 
 let output_intervals t boxes =
   if t.out_dim <> 1 then invalid_arg "Anet.output_intervals: out_dim";
   Array.iter (check_box t) boxes;
   if Array.length boxes = 0 then [||]
-  else
-    let centers, radii = batch_of_boxes boxes in
-    output_intervals_rows t ~centers ~radii
+  else output_intervals_rows t (Box.set_of_boxes boxes)
 
 let output_interval t box = (output_intervals t [| box |]).(0)

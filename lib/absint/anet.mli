@@ -6,7 +6,8 @@
     once per parameter generation ({!cached}); the abstract domains then
     propagate through three fused stages instead of eight layers, and the
     batched center–radius transfer ({!output_intervals_rows}) evaluates a
-    whole [K]-box workload as two GEMMs per stage:
+    whole [K]-box workload, given in factored form ({!Box.set}), as two
+    GEMMs per stage:
     [c' = c·Wᵀ + b], [r' = r·|W|ᵀ].
 
     Walking [Mlp.layers] anywhere else is forbidden by the
@@ -58,26 +59,27 @@ val propagate : t -> Box.t -> Box.t
     batched transfer). Sound for the same reason as [Ibp.propagate];
     bounds agree with it to reassociation rounding. *)
 
-val output_intervals_rows :
-  t -> centers:Mat.t -> radii:Mat.t -> Interval.t array
-(** Batched scalar-output bound over a workload given as two
-    [K × in_dim] matrices: row [k] of [centers] and [radii] is box [k]'s
-    center and deviation. Every stage pushes the whole workload through
-    two GEMMs ([c' = c·Wᵀ + b], [r' = r·|W|ᵀ]) plus one elementwise
-    activation pass; large workloads are split into pool chunks, which
-    is bit-neutral. The radius GEMM skips every input column whose
-    radius is ±0 in every row (the point dimensions of a certificate):
-    with finite [|W|] and radii ≥ 0 each skipped term is ±0, and adding
-    ±0 to a chain that starts at +0 changes no bit, so the result equals
-    the dense GEMM's exactly. Raises [Invalid_argument] unless
-    [out_dim t = 1], both matrices are [K × in_dim t], and every radius
-    is non-negative and not NaN (as {!Box.make}). *)
+val output_intervals_rows : t -> Box.set -> Interval.t array
+(** Batched scalar-output bound over a factored workload
+    ({!Box.set}): box [k] is the set's point with its own center and
+    radius on each varying column. The first stage's center GEMM reads
+    [K × in_dim] center rows built from the point; every stage pushes the
+    whole workload through two GEMMs ([c' = c·Wᵀ + b], [r' = r·|W|ᵀ])
+    plus one elementwise activation pass; large workloads are split into
+    pool chunks, which is bit-neutral. The first radius GEMM sums over
+    the varying columns only and every later one skips the columns whose
+    radius is ±0 in every row: with finite [|W|] and radii ≥ 0 each
+    skipped term is ±0, and adding ±0 to a chain that starts at +0
+    changes no bit, so the result equals the dense GEMM's exactly.
+    Raises [Invalid_argument] unless [out_dim t = 1] and the set passes
+    {!Box.check_set} at [in_dim t] (["...: shape"], and ["...: deviation"]
+    on a negative or NaN radius, as {!Box.make}). *)
 
 val output_intervals : t -> Box.t array -> Interval.t array
-(** {!output_intervals_rows} over an array of boxes, whose centers and
-    deviations become the rows: there is one propagation path. Raises
-    [Invalid_argument] unless [out_dim t = 1] and every box matches
-    [in_dim t]. *)
+(** {!output_intervals_rows} over an array of boxes, as the set in which
+    every column varies ({!Box.set_of_boxes}): there is one propagation
+    path. Raises [Invalid_argument] unless [out_dim t = 1] and every box
+    matches [in_dim t]. *)
 
 val output_interval : t -> Box.t -> Interval.t
 (** [output_intervals] on a single box. *)

@@ -77,3 +77,51 @@ let pp ppf t =
     Interval.pp ppf (dimension t i)
   done;
   Format.fprintf ppf "}@]"
+
+type set = {
+  rows : int;
+  point : Vec.t;
+  vary : int array;
+  centers : float array;
+  radii : float array;
+}
+
+let check_set ~what ~dim s =
+  let n = Array.length s.vary in
+  let ascending = ref true in
+  for m = 0 to n - 1 do
+    let j = s.vary.(m) in
+    if j < 0 || j >= dim || (m > 0 && j <= s.vary.(m - 1)) then
+      ascending := false
+  done;
+  if
+    not
+      (s.rows >= 1 && Vec.dim s.point = dim && !ascending
+      && Array.length s.centers = s.rows * n
+      && Array.length s.radii = s.rows * n)
+  then invalid_arg (what ^ ": shape");
+  for i = 0 to Array.length s.radii - 1 do
+    if not (s.radii.(i) >= 0.) then invalid_arg (what ^ ": deviation")
+  done
+
+let set_of_boxes boxes =
+  let rows = Array.length boxes in
+  if rows = 0 then invalid_arg "Box.set_of_boxes: empty";
+  let n = dim boxes.(0) in
+  let centers = Array.make (rows * n) 0. and radii = Array.make (rows * n) 0. in
+  Array.iteri
+    (fun k b ->
+      if dim b <> n then invalid_arg "Box.set_of_boxes: dims";
+      Array.blit b.c 0 centers (k * n) n;
+      Array.blit b.e 0 radii (k * n) n)
+    boxes;
+  { rows; point = Vec.create n; vary = Array.init n Fun.id; centers; radii }
+
+let of_set s k =
+  let n = Array.length s.vary in
+  let center = Vec.copy s.point and dev = Vec.create (Vec.dim s.point) in
+  for m = 0 to n - 1 do
+    center.(s.vary.(m)) <- s.centers.((k * n) + m);
+    dev.(s.vary.(m)) <- s.radii.((k * n) + m)
+  done;
+  make ~center ~dev

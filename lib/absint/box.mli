@@ -48,3 +48,39 @@ val sample : Canopy_util.Prng.t -> t -> Vec.t
 
 val equal : ?eps:float -> t -> t -> bool
 val pp : Format.formatter -> t -> unit
+
+(** {2 Factored box sets}
+
+    [K] boxes that share one point on every column but a few, on which
+    each box has its own center and radius: a certificate's component
+    boxes are the agent state with its delay columns replaced, so both
+    certificate engines take this form (DESIGN.md §8). Dense boxes are
+    the case in which every column varies. *)
+
+type set = {
+  rows : int;  (** the number of boxes, at least 1 *)
+  point : Vec.t;
+      (** the boxes' center on each column not in [vary], where their
+          radius is +0; the cells of varying columns are not read *)
+  vary : int array;  (** the varying columns, strictly ascending *)
+  centers : float array;
+      (** [rows × n] cells, [n = Array.length vary], row-major: box
+          [k]'s center on column [vary.(m)] is [centers.(k·n + m)] *)
+  radii : float array;  (** the matching radii, laid out as [centers] *)
+}
+
+val check_set : what:string -> dim:int -> set -> unit
+(** Raises [Invalid_argument (what ^ ": shape")] unless [rows >= 1],
+    [point] has [dim] cells, [vary] is strictly ascending within
+    [\[0, dim)] and [centers] and [radii] hold [rows × n] cells each, and
+    [Invalid_argument (what ^ ": deviation")] on a negative or NaN radius
+    (−0 is a zero radius, as in {!make}). *)
+
+val set_of_boxes : t array -> set
+(** The boxes as a set in which every column varies. Raises
+    [Invalid_argument] on an empty array or boxes of differing
+    dimensions. *)
+
+val of_set : set -> int -> t
+(** Box [k] of the set, [0 <= k < rows], as {!make} builds it (and
+    rejects a negative or NaN radius). *)

@@ -45,10 +45,13 @@ let rules =
       "`Float.min`/`Float.max` call caml_signbit whenever their first \
        comparison fails, and `Float.floor`/`Float.ceil` call libm: a C \
        call per use on the per-packet layers (lib/netsim, lib/cc, \
-       lib/orca); against a constant bound c >= +0 write `if v > c then c \
-       else v` for min and `if v <= c then c else v` for max, truncate a \
-       value known to be >= 0 with int_of_float instead of flooring it, \
-       or waive a per-tick or set-up site inline with its reason" );
+       lib/orca) and in the distilled tree's interval bound (lib/distill), \
+       whose per-box loops run several hundred times per certificate; \
+       against a constant bound c >= +0 write `if v > c then c else v` \
+       for min and `if v <= c then c else v` for max, compare both ways \
+       where signed zeros matter, truncate a value known to be >= 0 with \
+       int_of_float instead of flooring it, or waive a per-tick, set-up \
+       or NaN-fallback site inline with its reason" );
   ]
 
 let is_ident_char = function
@@ -282,17 +285,22 @@ let check_raw_domain_spawn line =
    pool; the pool implementation itself is the one sanctioned spawner. *)
 let raw_domain_spawn_exempt path = Filename.basename path = "pool.ml"
 
-(* [bare-min-max] and [float-c-call] cover only the per-packet layers,
-   where a C call on every ACK or millisecond is a measured cost
-   (DESIGN §12, "The per-packet path"). [bare-min-max] flags any
-   argument type: [float-min-max] elsewhere only sees float literals. *)
-let per_packet_layer path =
+(* [bare-min-max] and [float-c-call] cover the per-packet layers, where
+   a C call on every ACK or millisecond is a measured cost (DESIGN §12,
+   "The per-packet path"); [float-c-call] also covers lib/distill, whose
+   tree bound clips and folds every box at every leaf it reaches
+   (DESIGN §14). [bare-min-max] flags any argument type: [float-min-max]
+   elsewhere only sees float literals. *)
+let under dirs path =
   List.exists
     (fun dir ->
       String.starts_with
         ~prefix:(Filename.concat "lib" dir ^ Filename.dir_sep)
         path)
-    [ "netsim"; "cc"; "orca" ]
+    dirs
+
+let per_packet_layer = under [ "netsim"; "cc"; "orca" ]
+let float_c_call_layer = under [ "netsim"; "cc"; "orca"; "distill" ]
 
 let line_rules_for path =
   let line_rules =
@@ -307,12 +315,13 @@ let line_rules_for path =
     if raw_domain_spawn_exempt path then line_rules
     else line_rules @ [ ("raw-domain-spawn", check_raw_domain_spawn) ]
   in
-  if per_packet_layer path then
-    line_rules
-    @ [
-        ("bare-min-max", check_bare_min_max);
-        ("float-c-call", check_float_c_call);
-      ]
+  let line_rules =
+    if per_packet_layer path then
+      line_rules @ [ ("bare-min-max", check_bare_min_max) ]
+    else line_rules
+  in
+  if float_c_call_layer path then
+    line_rules @ [ ("float-c-call", check_float_c_call) ]
   else line_rules
 
 let check_source ~path contents =

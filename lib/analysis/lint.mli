@@ -22,11 +22,13 @@
       the polymorphic comparison costs a C call per ACK; use
       [Int.min]/[Int.max], or a typed comparison on floats;
     - [float-c-call]: [Float.min], [Float.max], [Float.floor] or
-      [Float.ceil] under the same layers, applied or passed as a value:
+      [Float.ceil] under the same layers and [lib/distill] (the
+      distilled tree's interval bound), applied or passed as a value:
       the first two call [caml_signbit] whenever their first comparison
       fails, the last two call libm. Write the one-comparison form
-      against a constant bound, truncate a non-negative value, or waive
-      a per-tick or set-up site inline.
+      against a constant bound, compare both ways where signed zeros
+      matter, truncate a non-negative value, or waive a per-tick,
+      set-up or NaN-fallback site inline.
 
     All rules run on token-stripped source — the {!Lexer} token stream
     rendered with comments, strings (including [{|...|}] quoted

@@ -1,4 +1,3 @@
-open Canopy_tensor
 open Canopy_nn
 open Canopy_absint
 module Observation = Canopy_orca.Observation
@@ -92,44 +91,39 @@ type step_ctx = {
 type ctx = { engine : engine; domain : domain; actor : Mlp.t; step : step_ctx }
 
 (* Per-domain scratch arena of certificate assembly (DESIGN §8): slots 0
-   and 1 hold a step's [K × in_dim] component centers and radii (a tree
-   certificate turns them into its boxes' corners), slots 2 and 3 a tree
-   certificate's K action bounds. The arena is DLS-owned, so only its
-   domain writes them; every certificate overwrites each cell before
-   reading it, and nothing a certificate returns aliases them, so they are
-   dead once the call returns (an engine's pool workers only read the
-   rows, inside the call). *)
+   and 1 hold a step's [K × history] component centers and radii over the
+   delay columns, slots 2 and 3 a tree certificate's K action bounds. The
+   arena is DLS-owned, so only its domain writes them; every certificate
+   overwrites each cell before reading it, and nothing a certificate
+   returns aliases them, so they are dead once the call returns (an
+   engine's pool workers only read them, inside the call). *)
 let rows_key : Canopy_util.Scratch.t Domain.DLS.key =
   Domain.DLS.new_key Canopy_util.Scratch.create
 
-(* The one component-row builder. Row [k] of the [K × in_dim] center and
-   radius matrices is job [k]'s abstract input: the concrete state as a
-   point (radius +0), with each delay dimension replaced by the slice
-   (performance) or its multiplicative image (robustness). The matrices
-   live in this domain's [rows_key] arena. *)
-let component_rows step jobs =
-  let rows = Array.length jobs and cols = Array.length step.state in
+(* The one component-set builder. Job [k]'s abstract input is the
+   concrete state as a point (radius +0), with each delay column replaced
+   by the slice (performance) or its multiplicative image (robustness):
+   the factored set of the engines ([Box.set]), whose [K × history]
+   centers and radii live in this domain's [rows_key] arena. *)
+let component_set step jobs : Box.set =
+  let rows = Array.length jobs and vary = step.delay_indices in
+  let n = Array.length vary in
   let arena = Domain.DLS.get rows_key in
-  let centers = Mat.scratch_mat arena ~slot:0 ~rows ~cols
-  and radii = Mat.scratch_mat arena ~slot:1 ~rows ~cols in
-  let cd = Mat.raw centers and rd = Mat.raw radii in
+  let centers = Canopy_util.Scratch.get arena ~slot:0 ~len:(rows * n)
+  and radii = Canopy_util.Scratch.get arena ~slot:1 ~len:(rows * n) in
   for k = 0 to rows - 1 do
     let case, _, slice = jobs.(k) in
-    let base = k * cols in
-    Array.blit step.state 0 cd base cols;
-    Array.fill rd base cols 0.;
-    for m = 0 to Array.length step.delay_indices - 1 do
-      let idx = step.delay_indices.(m) in
+    for m = 0 to n - 1 do
       let iv =
         match case with
         | Property.Large_delay | Property.Small_delay -> slice
-        | Property.Noise -> Interval.scale step.state.(idx) slice
+        | Property.Noise -> Interval.scale step.state.(vary.(m)) slice
       in
-      cd.(base + idx) <- Interval.midpoint iv;
-      rd.(base + idx) <- Interval.radius iv
+      centers.((k * n) + m) <- Interval.midpoint iv;
+      radii.((k * n) + m) <- Interval.radius iv
     done
   done;
-  (centers, radii)
+  { rows; point = step.state; vary; centers; radii }
 
 (* Finish a component from its abstract action: push through the CWND map
    of Eq. 1, which is monotone in the action, and compare against the
@@ -164,18 +158,17 @@ let finish_component step case index slice action =
 
 (* Evaluate a workload of (case, index, slice) jobs in one engine call:
    with the batched engine, every slice of every case goes through the
-   network together, straight from the component rows. The other engines
-   take [Box.make] views of the same rows. *)
+   network together, straight from the component set. The other engines
+   take [Box.of_set] views of the same set. *)
 let components_of_jobs ctx jobs =
-  let centers, radii = component_rows ctx.step jobs in
+  let set = component_set ctx.step jobs in
   let actions =
     match (ctx.engine, ctx.domain) with
     | Batched, Box_domain ->
-        Anet.output_intervals_rows (Anet.cached ctx.actor) ~centers ~radii
+        Anet.output_intervals_rows (Anet.cached ctx.actor) set
     | _ ->
         output_intervals ~engine:ctx.engine ~domain:ctx.domain ~actor:ctx.actor
-          (Array.init (Array.length jobs) (fun k ->
-               Box.make ~center:(Mat.row centers k) ~dev:(Mat.row radii k)))
+          (Array.init set.rows (Box.of_set set))
   in
   Array.mapi
     (fun k (case, index, slice) ->
@@ -297,8 +290,9 @@ let certify ?(engine = Batched) ?(domain = Box_domain) ~actor ~property
    comparison; the exact action interval is always a subset of the
    conservative one, so exact certified rates dominate.  The abstract
    action is clamped to [-1, 1] exactly as the serving path clamps the
-   concrete prediction.  Each component's box is read off its row as
-   [c − e, c + e], in place, and all of them go down the tree in one
+   concrete prediction.  The tree reads each component's box off the
+   component set as [c − e, c + e] over the delay columns and
+   [s − 0, s + 0] elsewhere, and all of them go down the tree in one
    descent. *)
 let certify_tree ?(conservative = false) ~tree ~property ~n_components ~history
     ~state ~cwnd_tcp ~prev_cwnd () =
@@ -311,18 +305,11 @@ let certify_tree ?(conservative = false) ~tree ~property ~n_components ~history
   in
   let jobs = jobs_of_property property n_components in
   let rows = Array.length jobs in
-  let corners_lo, corners_hi = component_rows step jobs in
-  let lo = Mat.raw corners_lo and hi = Mat.raw corners_hi in
-  for i = 0 to Array.length lo - 1 do
-    let c = lo.(i) and e = hi.(i) in
-    lo.(i) <- c -. e;
-    hi.(i) <- c +. e
-  done;
   let arena = Domain.DLS.get rows_key in
   let out_lo = Canopy_util.Scratch.get arena ~slot:2 ~len:rows
   and out_hi = Canopy_util.Scratch.get arena ~slot:3 ~len:rows in
-  Canopy_distill.Tree.output_intervals ~exact:(not conservative) tree ~lo ~hi
-    ~rows ~out_lo ~out_hi;
+  Canopy_distill.Tree.output_intervals ~exact:(not conservative) tree
+    (component_set step jobs) ~out_lo ~out_hi;
   summarize property
     (Array.mapi
        (fun k (case, index, slice) ->

@@ -10,10 +10,10 @@
     interval that is compared against the postcondition with the interval
     distance D of Eq. 7.
 
-    A certificate builds its component boxes once, as two flat
-    [K × in_dim] center/radius matrices filled straight from the state;
-    every engine, and the tree certifier, reads those rows (DESIGN.md
-    §8). *)
+    A certificate describes its component boxes once, in factored form
+    ({!Canopy_absint.Box.set}: the state, the delay columns and a
+    [K × history] block of centers and radii); every engine, and the
+    tree certifier, reads that set (DESIGN.md §8). *)
 
 open Canopy_nn
 open Canopy_absint

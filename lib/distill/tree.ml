@@ -148,8 +148,66 @@ let predict_rows_into ~dst t x =
 (* ------------------------------------------------------------------ *)
 (* Interval bounds                                                     *)
 
-(* Bounds of [rows] boxes, row [k] being [lo.(k·d + j), hi.(k·d + j)]
-   over dimension [j], into [out_lo.(k)]/[out_hi.(k)].
+(* [Float.min] and [Float.max] as comparisons: the same result for every
+   pair of operands, signed zeros included (the minimum of −0 and +0 is
+   −0, their maximum +0), with the stdlib's own call, which reads sign
+   bits through caml_signbit, left to an operand that is NaN. *)
+let[@inline] fmin x y =
+  if x < y then x
+  else if y < x then y
+  else if x = y then if x = 0. && 1. /. x < 0. then x else y
+  else (* a NaN operand *) Float.min x y (* lint-ignore: float-c-call *)
+
+let[@inline] fmax x y =
+  if x > y then x
+  else if y > x then y
+  else if x = y then if x = 0. && 1. /. x < 0. then y else x
+  else (* a NaN operand *) Float.max x y (* lint-ignore: float-c-call *)
+
+(* Per-domain scratch arena of the bounds, DLS-owned (DESIGN §10): slots
+   0 and 1 hold a set's hull corners, slots 2 and 3 its boxes' corners
+   over the varying columns, slots 4 and 5 the descent's cell and slots
+   6 and 7 each column's terms of the leaf being bounded. A call
+   overwrites every cell before reading it, and nothing it returns
+   aliases them. *)
+let bounds_key : Canopy_util.Scratch.t Domain.DLS.key =
+  Domain.DLS.new_key Canopy_util.Scratch.create
+
+(* Column [j] of a box, [src_lo.(i), src_hi.(i)], against the cell
+   [cell_lo.(j), cell_hi.(j)]: false when they miss, else [j]'s term of
+   the leaf whose coefficients start at [base] goes to [term_lo.(j)] and
+   [term_hi.(j)]. Inlined into the bound's loops, so no float is boxed;
+   the bound keeps every index in range. *)
+let[@inline] clip_term t ~base ~cell_lo ~cell_hi ~term_lo ~term_hi j src_lo
+    src_hi i =
+  let a = fmax (Array.unsafe_get src_lo i) (Array.unsafe_get cell_lo j)
+  and b = fmin (Array.unsafe_get src_hi i) (Array.unsafe_get cell_hi j) in
+  if not (a <= b) then false
+  else begin
+    let c = Array.unsafe_get t.coef (base + j) in
+    if c = 0. then begin
+      Array.unsafe_set term_lo j 0.;
+      Array.unsafe_set term_hi j 0.
+    end
+    else begin
+      let a = c *. a and b = c *. b in
+      if a <= b then begin
+        Array.unsafe_set term_lo j a;
+        Array.unsafe_set term_hi j b
+      end
+      else begin
+        Array.unsafe_set term_lo j b;
+        Array.unsafe_set term_hi j a
+      end
+    end;
+    true
+  end
+
+(* Bounds of [rows] boxes into [out_lo.(k)]/[out_hi.(k)]. Box [k] spans
+   [lo.(k·n + m), hi.(k·n + m)] on varying column [vary.(m)] ([n]
+   varying columns, ascending) and [hull_lo.(j), hull_hi.(j)] on every
+   other column [j], where all boxes agree; on a varying column,
+   [hull_lo]/[hull_hi] hold the hull of the boxes' corners.
 
    One depth-first descent from the root, over the hull of the boxes,
    carries the current cell in [cell_lo]/[cell_hi], closed on both sides
@@ -164,7 +222,8 @@ let predict_rows_into ~dst t x =
    cell, the earlier ones follow from it, and an unsplit dimension is
    unbounded), and pruning is monotone in the box, so every leaf it would
    reach is reached here, in the same order; at each, the boxes whose
-   dimensions all meet the cell are bounded and the rest skipped.  With
+   varying columns all meet the cell are bounded and the rest skipped
+   (every box meets it on a shared column, as the hull did).  With
    [~exact:false] the cell stays unconstrained and every leaf is bounded
    over every whole box.
 
@@ -173,114 +232,55 @@ let predict_rows_into ~dst t x =
    order, so the bound equals the float evaluation at the minimizing or
    maximizing corner; a zero coefficient contributes +0 even where
    box ∩ cell is unbounded (0 * inf would poison the bound with NaN).  A
-   dimension on which every box has the same bits (a certificate's point
-   dimensions) has the same term in every box, so its term is formed
-   once per leaf; only the others are formed per box.  The hull folds
-   with [Float.min]/[Float.max], which give the same bits in any leaf
-   order, signed zeros included. *)
-let bound_rows ~what ~exact t ~lo ~hi ~rows ~out_lo ~out_hi =
-  let d = t.in_dim in
-  if
-    rows < 1
-    || Array.length lo <> rows * d
-    || Array.length hi <> rows * d
-  then invalid_arg (what ^ ": bad box dim");
-  if Array.length out_lo < rows || Array.length out_hi < rows then
-    invalid_arg (what ^ ": bad output length");
-  (* One pass per dimension: does some box differ from box 0 on it, and
-     is every box's [lo <= hi] (NaN corners rejected)? A box that has box
-     0's bits passes with box 0. A dimension no box differs on has box
-     0's bits in every box, which is then their hull; the others go to
-     [vary], ascending, and their hull is folded. *)
-  let[@inline] same x y = x = y && (x <> 0. || 1. /. x = 1. /. y) in
-  let bad () = invalid_arg (what ^ ": bad box") in
-  let hull_lo = Array.sub lo 0 d and hull_hi = Array.sub hi 0 d in
-  let varies = Array.make d false in
-  let vary = Array.make d 0 and n_vary = ref 0 in
-  for j = 0 to d - 1 do
-    let l0 = lo.(j) and h0 = hi.(j) in
-    if not (l0 <= h0) then bad ();
-    (* no NaN in box 0, so [same] is bit equality *)
-    let k = ref 1 in
-    while
-      !k < rows
-      && same (Array.unsafe_get lo ((!k * d) + j)) l0
-      && same (Array.unsafe_get hi ((!k * d) + j)) h0
-    do
-      incr k
-    done;
-    if !k < rows then begin
-      varies.(j) <- true;
-      vary.(!n_vary) <- j;
-      incr n_vary;
-      for k = !k to rows - 1 do
-        let l = Array.unsafe_get lo ((k * d) + j)
-        and h = Array.unsafe_get hi ((k * d) + j) in
-        if not (l <= h) then bad ();
-        hull_lo.(j) <- Float.min hull_lo.(j) l;
-        hull_hi.(j) <- Float.max hull_hi.(j) h
-      done
-    end
-  done;
-  let n_vary = !n_vary in
-  let cell_lo = Array.make d neg_infinity in
-  let cell_hi = Array.make d infinity in
+   shared column has the same term in every box, formed once per leaf;
+   only the varying ones are formed per box.  The hull folds with
+   [fmin]/[fmax], which give the same bits in any leaf order, signed
+   zeros included. *)
+let bound ~exact t ~hull_lo ~hull_hi ~vary ~lo ~hi ~rows ~out_lo ~out_hi =
+  let d = t.in_dim and n = Array.length vary in
+  let arena = Domain.DLS.get bounds_key in
+  let scratch slot = Canopy_util.Scratch.get arena ~slot ~len:d in
+  let cell_lo = scratch 4 and cell_hi = scratch 5 in
+  let term_lo = scratch 6 and term_hi = scratch 7 in
+  Array.fill cell_lo 0 d neg_infinity;
+  Array.fill cell_hi 0 d infinity;
   Array.fill out_lo 0 rows infinity;
   Array.fill out_hi 0 rows neg_infinity;
-  (* Each dimension's (low, high) term of the leaf being bounded: the
-     shared ones set once per leaf, the varying ones per box. *)
-  let term_lo = Array.make d 0. and term_hi = Array.make d 0. in
-  (* Dimension [j] of the box at offset [row] against the cell: false
-     when they miss, else its term of the leaf at [base] is set. *)
-  let clip_term ~base ~row j =
-    let a = Float.max lo.(row + j) cell_lo.(j)
-    and b = Float.min hi.(row + j) cell_hi.(j) in
-    if not (a <= b) then false
-    else begin
-      let c = t.coef.(base + j) in
-      if c = 0. then begin
-        term_lo.(j) <- 0.;
-        term_hi.(j) <- 0.
-      end
-      else begin
-        let a = c *. a and b = c *. b in
-        if a <= b then begin
-          term_lo.(j) <- a;
-          term_hi.(j) <- b
-        end
-        else begin
-          term_lo.(j) <- b;
-          term_hi.(j) <- a
-        end
-      end;
-      true
-    end
-  in
   let bound_leaf l =
     let base = l * d in
-    (* every box meets the cell on a shared dimension: the hull did *)
+    (* every box meets the cell on a shared column: the hull did *)
+    let m = ref 0 in
     for j = 0 to d - 1 do
-      if not varies.(j) then ignore (clip_term ~base ~row:0 j : bool)
+      if !m < n && vary.(!m) = j then incr m
+      else
+        ignore
+          (clip_term t ~base ~cell_lo ~cell_hi ~term_lo ~term_hi j hull_lo
+             hull_hi j
+            : bool)
     done;
     for k = 0 to rows - 1 do
-      let row = k * d in
-      let v = ref 0 in
-      while !v < n_vary && clip_term ~base ~row vary.(!v) do
-        incr v
+      let row = k * n in
+      let m = ref 0 in
+      while
+        !m < n
+        && clip_term t ~base ~cell_lo ~cell_hi ~term_lo ~term_hi
+             (Array.unsafe_get vary !m) lo hi (row + !m)
+      do
+        incr m
       done;
-      if !v = n_vary then begin
+      if !m = n then begin
         let acc_lo = ref t.bias.(l) and acc_hi = ref t.bias.(l) in
         for j = 0 to d - 1 do
-          acc_lo := !acc_lo +. term_lo.(j);
-          acc_hi := !acc_hi +. term_hi.(j)
+          acc_lo := !acc_lo +. Array.unsafe_get term_lo j;
+          acc_hi := !acc_hi +. Array.unsafe_get term_hi j
         done;
-        out_lo.(k) <- Float.min out_lo.(k) !acc_lo;
-        out_hi.(k) <- Float.max out_hi.(k) !acc_hi
+        out_lo.(k) <- fmin out_lo.(k) !acc_lo;
+        out_hi.(k) <- fmax out_hi.(k) !acc_hi
       end
     done
   in
   let meets f =
-    Float.max hull_lo.(f) cell_lo.(f) <= Float.min hull_hi.(f) cell_hi.(f)
+    fmax hull_lo.(f) cell_lo.(f) <= fmin hull_hi.(f) cell_hi.(f)
   in
   let rec descend i =
     let f = t.feature.(i) in
@@ -305,14 +305,68 @@ let bound_rows ~what ~exact t ~lo ~hi ~rows ~out_lo ~out_hi =
 (* some leaf is always reached by every box: the one [predict] routes
    any of its points to *)
 
-let output_intervals ?(exact = true) t ~lo ~hi ~rows ~out_lo ~out_hi =
-  bound_rows ~what:"Tree.output_intervals" ~exact t ~lo ~hi ~rows ~out_lo
-    ~out_hi
+(* A set's corners: [s − 0, s + 0] on each shared column (the bits of a
+   point read as c − e, c + e with e = +0, so a −0 coordinate spans
+   [−0, +0]), and [c − e, c + e] per box on each varying column, folded
+   into the hull as they are formed. *)
+let output_intervals ?(exact = true) t (set : Canopy_absint.Box.set) ~out_lo
+    ~out_hi =
+  let what = "Tree.output_intervals" in
+  Canopy_absint.Box.check_set ~what ~dim:t.in_dim set;
+  let rows = set.rows and vary = set.vary in
+  if Array.length out_lo < rows || Array.length out_hi < rows then
+    invalid_arg (what ^ ": bad output length");
+  let d = t.in_dim and n = Array.length vary in
+  let bad () = invalid_arg (what ^ ": bad box") in
+  let arena = Domain.DLS.get bounds_key in
+  let hull_lo = Canopy_util.Scratch.get arena ~slot:0 ~len:d
+  and hull_hi = Canopy_util.Scratch.get arena ~slot:1 ~len:d in
+  let m = ref 0 in
+  for j = 0 to d - 1 do
+    if !m < n && vary.(!m) = j then incr m
+    else begin
+      let s = set.point.(j) in
+      let l = s -. 0. and h = s +. 0. in
+      if not (l <= h) then bad ();
+      hull_lo.(j) <- l;
+      hull_hi.(j) <- h
+    end
+  done;
+  let len = Int.max 1 (rows * n) in
+  let lo = Canopy_util.Scratch.get arena ~slot:2 ~len
+  and hi = Canopy_util.Scratch.get arena ~slot:3 ~len in
+  for m = 0 to n - 1 do
+    let j = vary.(m) in
+    for k = 0 to rows - 1 do
+      let i = (k * n) + m in
+      let c = set.centers.(i) and e = set.radii.(i) in
+      let l = c -. e and h = c +. e in
+      if not (l <= h) then bad ();
+      lo.(i) <- l;
+      hi.(i) <- h;
+      if k = 0 then begin
+        hull_lo.(j) <- l;
+        hull_hi.(j) <- h
+      end
+      else begin
+        hull_lo.(j) <- fmin hull_lo.(j) l;
+        hull_hi.(j) <- fmax hull_hi.(j) h
+      end
+    done
+  done;
+  bound ~exact t ~hull_lo ~hull_hi ~vary ~lo ~hi ~rows ~out_lo ~out_hi
 
+(* One box, given by its corners: the case in which no column varies. *)
 let output_interval ?(exact = true) t ~lo ~hi =
+  let what = "Tree.output_interval" in
+  if Array.length lo <> t.in_dim || Array.length hi <> t.in_dim then
+    invalid_arg (what ^ ": bad box dim");
+  for j = 0 to t.in_dim - 1 do
+    if not (lo.(j) <= hi.(j)) then invalid_arg (what ^ ": bad box")
+  done;
   let out_lo = [| 0. |] and out_hi = [| 0. |] in
-  bound_rows ~what:"Tree.output_interval" ~exact t ~lo ~hi ~rows:1 ~out_lo
-    ~out_hi;
+  bound ~exact t ~hull_lo:lo ~hull_hi:hi ~vary:[||] ~lo:[||] ~hi:[||] ~rows:1
+    ~out_lo ~out_hi;
   Interval.make out_lo.(0) out_hi.(0)
 
 (* ------------------------------------------------------------------ *)

@@ -65,12 +65,10 @@ val output_interval :
   hi:float array ->
   Canopy_absint.Interval.t
 (** Bound the tree output over the input box [\[lo.(j), hi.(j)\]] per
-    dimension (both of length [in_dim]).  The box comes as two corner
-    arrays, not interval records, so a certificate reads each
-    component's box straight off its center/radius row as [c − e] and
-    [c + e].  Raises [Invalid_argument] on a length mismatch or when some
-    [lo.(j) <= hi.(j)] fails (including NaN corners).  It is
-    [output_intervals] of one box.
+    dimension (both of length [in_dim]).  Raises [Invalid_argument] on a
+    length mismatch or when some [lo.(j) <= hi.(j)] fails (including NaN
+    corners).  It runs {!output_intervals}' bound on one box in which no
+    column varies.
 
     Each leaf's region is an axis-aligned cell, the conjunction of the
     split half-spaces on its root path, closed on both sides: the boundary
@@ -93,22 +91,23 @@ val output_interval :
 val output_intervals :
   ?exact:bool ->
   t ->
-  lo:float array ->
-  hi:float array ->
-  rows:int ->
+  Canopy_absint.Box.set ->
   out_lo:float array ->
   out_hi:float array ->
   unit
-(** [output_interval] of [rows] boxes at once: box [k] spans
-    [\[lo.(k·in_dim + j), hi.(k·in_dim + j)\]] over dimension [j], and its
-    bound goes to [out_lo.(k)] and [out_hi.(k)] with the bits
-    [output_interval] gives it alone.  One descent over the hull of the
-    boxes reaches every leaf some box's descent would; at each, only the
-    boxes whose dimensions all meet the leaf's cell are bounded, and a
-    dimension on which every box has the same bits has its term formed
-    once per leaf.  Raises [Invalid_argument] unless [rows >= 1], [lo]
-    and [hi] hold [rows * in_dim] cells with every [lo <= hi], and the
-    outputs hold at least [rows] cells. *)
+(** {!output_interval} of a factored set of boxes ({!Canopy_absint.Box.set},
+    a certificate's component boxes): box [k] spans [\[s − 0, s + 0\]] on
+    each shared column, [s] the set's point (so a −0 coordinate spans
+    [\[−0, +0\]]), and [\[c − e, c + e\]] on each varying column, from its
+    own center [c] and radius [e].  Its bound goes to [out_lo.(k)] and
+    [out_hi.(k)] with the bits [output_interval] gives those corners
+    alone.  One descent over the hull of the boxes reaches every leaf some
+    box's descent would; at each, only the boxes whose varying columns
+    all meet the leaf's cell are bounded, and a shared column has its
+    term formed once per leaf.  Raises [Invalid_argument] unless the set
+    passes {!Canopy_absint.Box.check_set} at [in_dim] (["...: shape"] or
+    ["...: deviation"]), every corner is ordered and NaN-free
+    (["...: bad box"]), and the outputs hold at least [rows] cells. *)
 
 val to_string : t -> string
 (** Serialize in the ["canopy-tree v1"] checkpoint format: a magic line,

@@ -215,15 +215,33 @@ module Ocaml = struct
       Array.unsafe_set dst i (v *. Array.unsafe_get tab (Bool.to_int (v >= 0.)))
     done
 
+  (* The slope's index for each cell is 1 when [out]'s sign bit is
+     clear, so −0 takes the slope. The main pass makes no C call and no
+     branch: it indexes by [not (v < 0.)], which is that bit for every
+     nonzero number and 1 for a zero or a NaN, whose cells it therefore
+     writes as [dout *. 1.], [dout]'s own value. A second pass runs only
+     when such a cell exists, and multiplies by the slope the cells whose
+     sign bit is set after all: a −0, by the sign of its reciprocal
+     (1/−0 is −∞), and a NaN, by [Float.sign_bit]. Their product is then
+     [dout *. slope] even when [dst] aliases [dout]. *)
   let leaky_backward ~slope ~out ~dout ~dst =
     check_leaky_backward ~out ~dout ~dst;
     let tab = tab_of slope in
+    let nonzero_numbers = ref 1 in
     for i = 0 to len dout - 1 do
+      let v = Array.unsafe_get out i in
+      let negative = Bool.to_int (v < 0.) in
       Array.unsafe_set dst i
-        (Array.unsafe_get dout i
-        *. Array.unsafe_get tab
-             (Bool.to_int (not (Float.sign_bit (Array.unsafe_get out i)))))
-    done
+        (Array.unsafe_get dout i *. Array.unsafe_get tab (1 - negative));
+      nonzero_numbers :=
+        !nonzero_numbers land (negative lor Bool.to_int (v > 0.))
+    done;
+    if !nonzero_numbers = 0 then
+      for i = 0 to len dout - 1 do
+        let v = Array.unsafe_get out i in
+        if if v = 0. then 1. /. v < 0. else v <> v && Float.sign_bit v then
+          Array.unsafe_set dst i (Array.unsafe_get dst i *. slope)
+      done
 
   (* The interval image of leaky ReLU over center-radius cells, in
      place: lo = f(c − r), hi = f(c + r), then c = (hi + lo)/2 and

@@ -507,10 +507,14 @@ let nt_range_ocaml ~dst a b ~bias ~lo ~hi =
   done
 
 (* Below this many [a] rows the C kernel's per-call packing of [b] is
-   not worth amortizing (1-row forwards, 10-row certificates): the
-   direct OCaml kernel runs instead. A shape threshold, never a
-   domain-count one. *)
-let nt_c_rows = 12
+   not worth amortizing: the direct OCaml kernel runs instead. Timed at
+   the certificate shapes ([b] 64×35, 64×64 and 1×64), the C kernel
+   with its packing won on all three from 3 rows on, and lost the
+   64×64 one at 1 row (about 2.1–2.4 µs against 1.3–1.7) and sometimes
+   at 2; so 1- and 2-row calls (an actor forward per decision) stay in
+   OCaml and a 10-row training certificate runs in C. A shape
+   threshold, never a domain-count one. *)
+let nt_c_rows = 3
 
 (* The C kernel first packs the 8-row tiles of [b] k-major into the
    calling domain's scratch slot 0; the panel is written before any

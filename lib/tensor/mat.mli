@@ -89,13 +89,6 @@ val gemm_kernel : unit -> string
     ["ocaml"] when they run in OCaml (no AVX2, or float arrays not
     stored flat). Fixed at program start; both give the same bits. *)
 
-val nt_c_rows : int
-(** The fewest [a] rows for which an nt call ({!mat_mul_nt_into},
-    {!mat_mul_nt_bias_into}) runs the C kernel when {!gemm_kernel} is
-    ["avx2"]; shorter calls run in OCaml. A caller that cuts rows into
-    chunks keeps the chunks at least this tall to stay on the C
-    kernel. *)
-
 (** {2 Parallel dispatch}
 
     {!mat_mul_into}, {!mat_mul_nt_into} / {!mat_mul_nt_bias_into} and

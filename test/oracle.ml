@@ -298,3 +298,245 @@ let td3_update (cfg : Td3.config) agent =
         update_count;
       }
   end
+
+(* ------------------------------------------------------------------ *)
+(* Certificate engines over dense rows *)
+
+(* A distilled tree's arrays, read back from its checkpoint text (hex
+   floats, exact). *)
+type tree_nodes = {
+  feature : int array;
+  threshold : float array;
+  left : int array;
+  right : int array;
+  leaf : int array;
+  coef : float array;
+  bias : float array;
+}
+
+let tree_nodes_of tree =
+  let module Tree = Canopy_distill.Tree in
+  let lines =
+    Array.of_list (String.split_on_char '\n' (Tree.to_string tree))
+  in
+  let n = Tree.n_nodes tree and l = Tree.n_leaves tree in
+  let d = Tree.in_dim tree in
+  let words k = String.split_on_char ' ' lines.(k) in
+  let t =
+    {
+      feature = Array.make n (-1);
+      threshold = Array.make n 0.;
+      left = Array.make n 0;
+      right = Array.make n 0;
+      leaf = Array.make n (-1);
+      coef = Array.make (l * d) 0.;
+      bias = Array.make l 0.;
+    }
+  in
+  (* magic and three header lines, then one line per node *)
+  for i = 0 to n - 1 do
+    match words (4 + i) with
+    | [ "split"; f; thr; lc; rc ] ->
+        t.feature.(i) <- int_of_string f;
+        t.threshold.(i) <- float_of_string thr;
+        t.left.(i) <- int_of_string lc;
+        t.right.(i) <- int_of_string rc
+    | [ "leaf"; id ] -> t.leaf.(i) <- int_of_string id
+    | _ -> failwith "Oracle.tree_nodes_of: malformed node line"
+  done;
+  for li = 0 to l - 1 do
+    List.iteri
+      (fun j w ->
+        if j < d then t.coef.((li * d) + j) <- float_of_string w
+        else t.bias.(li) <- float_of_string w)
+      (words (4 + n + li))
+  done;
+  t
+
+(* The tree's bound of [rows] boxes given as dense corner rows, box [k]
+   spanning [lo.(k·d + j), hi.(k·d + j)] on column [j], as
+   [Tree.output_intervals] ran it before it took factored sets: one pass
+   per column finds whether some box differs from box 0 on it (the
+   shared columns' terms are formed once per leaf, the others per box)
+   and folds the hull; one descent over the hull then bounds, at each
+   reached leaf, the boxes whose varying columns all meet its cell. *)
+let tree_bound_rows ~exact t ~d ~lo ~hi ~rows ~out_lo ~out_hi =
+  let[@inline] same x y = x = y && (x <> 0. || 1. /. x = 1. /. y) in
+  let bad () = invalid_arg "Oracle.tree_bound_rows: bad box" in
+  let hull_lo = Array.sub lo 0 d and hull_hi = Array.sub hi 0 d in
+  let varies = Array.make d false in
+  let vary = Array.make d 0 and n_vary = ref 0 in
+  for j = 0 to d - 1 do
+    let l0 = lo.(j) and h0 = hi.(j) in
+    if not (l0 <= h0) then bad ();
+    let k = ref 1 in
+    while
+      !k < rows
+      && same lo.((!k * d) + j) l0
+      && same hi.((!k * d) + j) h0
+    do
+      incr k
+    done;
+    if !k < rows then begin
+      varies.(j) <- true;
+      vary.(!n_vary) <- j;
+      incr n_vary;
+      for k = !k to rows - 1 do
+        let l = lo.((k * d) + j) and h = hi.((k * d) + j) in
+        if not (l <= h) then bad ();
+        hull_lo.(j) <- Float.min hull_lo.(j) l;
+        hull_hi.(j) <- Float.max hull_hi.(j) h
+      done
+    end
+  done;
+  let n_vary = !n_vary in
+  let cell_lo = Array.make d neg_infinity in
+  let cell_hi = Array.make d infinity in
+  Array.fill out_lo 0 rows infinity;
+  Array.fill out_hi 0 rows neg_infinity;
+  let term_lo = Array.make d 0. and term_hi = Array.make d 0. in
+  let clip_term ~base ~row j =
+    let a = Float.max lo.(row + j) cell_lo.(j)
+    and b = Float.min hi.(row + j) cell_hi.(j) in
+    if not (a <= b) then false
+    else begin
+      let c = t.coef.(base + j) in
+      if c = 0. then begin
+        term_lo.(j) <- 0.;
+        term_hi.(j) <- 0.
+      end
+      else begin
+        let a = c *. a and b = c *. b in
+        if a <= b then begin
+          term_lo.(j) <- a;
+          term_hi.(j) <- b
+        end
+        else begin
+          term_lo.(j) <- b;
+          term_hi.(j) <- a
+        end
+      end;
+      true
+    end
+  in
+  let bound_leaf l =
+    let base = l * d in
+    for j = 0 to d - 1 do
+      if not varies.(j) then ignore (clip_term ~base ~row:0 j : bool)
+    done;
+    for k = 0 to rows - 1 do
+      let row = k * d in
+      let v = ref 0 in
+      while !v < n_vary && clip_term ~base ~row vary.(!v) do
+        incr v
+      done;
+      if !v = n_vary then begin
+        let acc_lo = ref t.bias.(l) and acc_hi = ref t.bias.(l) in
+        for j = 0 to d - 1 do
+          acc_lo := !acc_lo +. term_lo.(j);
+          acc_hi := !acc_hi +. term_hi.(j)
+        done;
+        out_lo.(k) <- Float.min out_lo.(k) !acc_lo;
+        out_hi.(k) <- Float.max out_hi.(k) !acc_hi
+      end
+    done
+  in
+  let meets f =
+    Float.max hull_lo.(f) cell_lo.(f) <= Float.min hull_hi.(f) cell_hi.(f)
+  in
+  let rec descend i =
+    let f = t.feature.(i) in
+    if f < 0 then bound_leaf t.leaf.(i)
+    else begin
+      let thr = t.threshold.(i) in
+      let saved = cell_hi.(f) in
+      if thr < saved then cell_hi.(f) <- thr;
+      if meets f then descend t.left.(i);
+      cell_hi.(f) <- saved;
+      let saved = cell_lo.(f) in
+      if thr > saved then cell_lo.(f) <- thr;
+      if meets f then descend t.right.(i);
+      cell_lo.(f) <- saved
+    end
+  in
+  if exact then descend 0
+  else
+    for l = 0 to Array.length t.bias - 1 do
+      bound_leaf l
+    done
+
+(* The verifier IR's batched transfer over dense [K × in_dim] center and
+   radius rows, as [Anet.output_intervals_rows] ran it before it took
+   factored sets: one scan of the input radii rejects a negative or NaN
+   one, and every stage's radius GEMM sums over its input's live columns
+   only (a nonzero in some row), gathered. The activation is the
+   endpoint formula per cell. *)
+let anet_rows ir ~centers ~radii =
+  Array.iter
+    (fun e ->
+      if not (e >= 0.) then invalid_arg "Oracle.anet_rows: deviation")
+    (Mat.raw radii);
+  let live_of r =
+    let rows = Mat.rows r and cols = Mat.cols r and rd = Mat.raw r in
+    List.init cols Fun.id
+    |> List.filter (fun j ->
+           List.exists
+             (fun i -> rd.((i * cols) + j) <> 0.)
+             (List.init rows Fun.id))
+    |> Array.of_list
+  in
+  let gather m live =
+    Mat.init ~rows:(Mat.rows m) ~cols:(Array.length live) (fun i l ->
+        Mat.get m i live.(l))
+  in
+  let c, r =
+    List.fold_left
+      (fun (c, r) (stage : Canopy_absint.Anet.stage) ->
+        let rows = Mat.rows c and cols = Mat.rows stage.w in
+        let c' = Mat.create ~rows ~cols and r' = Mat.create ~rows ~cols in
+        Mat.mat_mul_nt_bias_into ~dst:c' c stage.w stage.b;
+        let live = live_of r in
+        if Array.length live = 0 then Mat.fill r' 0.
+        else
+          Mat.mat_mul_nt_into ~dst:r' (gather r live)
+            (gather stage.abs_w live);
+        let endpoints f =
+          let cd = Mat.raw c' and rd = Mat.raw r' in
+          Array.iteri
+            (fun i ci ->
+              let lo = f (ci -. rd.(i)) and hi = f (ci +. rd.(i)) in
+              cd.(i) <- 0.5 *. (hi +. lo);
+              rd.(i) <- 0.5 *. (hi -. lo))
+            cd
+        in
+        (match stage.act with
+        | Canopy_absint.Anet.Linear -> ()
+        | Canopy_absint.Anet.Leaky_relu slope ->
+            endpoints (fun x -> if x >= 0. then x else slope *. x)
+        | Canopy_absint.Anet.Tanh -> endpoints Float.tanh);
+        (c', r'))
+      (centers, radii)
+      (Canopy_absint.Anet.stages ir)
+  in
+  Array.init (Mat.rows c) (fun k ->
+      let ck = Mat.get c k 0 and rk = Mat.get r k 0 in
+      Canopy_absint.Interval.make (ck -. rk) (ck +. rk))
+
+(* A factored set's boxes as dense rows: centers and radii (the point
+   with radius +0 off the varying columns), and the corners c − e and
+   c + e a certificate read off them. *)
+let dense_rows (set : Canopy_absint.Box.set) =
+  let d = Array.length set.point and n = Array.length set.vary in
+  let centers = Mat.init ~rows:set.rows ~cols:d (fun _ j -> set.point.(j)) in
+  let radii = Mat.create ~rows:set.rows ~cols:d in
+  for k = 0 to set.rows - 1 do
+    Array.iteri
+      (fun m j ->
+        Mat.set centers k j set.centers.((k * n) + m);
+        Mat.set radii k j set.radii.((k * n) + m))
+      set.vary
+  done;
+  let corner op =
+    Array.map2 op (Mat.raw centers) (Mat.raw radii)
+  in
+  (centers, radii, corner ( -. ), corner ( +. ))

@@ -489,15 +489,49 @@ let same_interval_bits a b =
   Int64.bits_of_float (Interval.lo a) = Int64.bits_of_float (Interval.lo b)
   && Int64.bits_of_float (Interval.hi a) = Int64.bits_of_float (Interval.hi b)
 
-(* The radius GEMM skips input columns whose radius is ±0 in every row;
-   the result must keep every bit of the dense transfer. Workloads:
-   certificate-shaped (a point state, ±0 entries included, with only the
-   five delay dimensions symbolic), all-dead (every radius ±0) and
-   none-dead. Nets: the actor after batch-norm updates, a critic (linear
-   head) and a steeper leaky-ReLU stack, so every activation branch runs. *)
+(* The factored engine over a set, the dense transfer and the dense-row
+   oracle over its expanded rows: all three must agree in bits. *)
+let factored_matches_dense ir (set : Box.set) =
+  let centers, radii, _, _ = Oracle.dense_rows set in
+  let got = Anet.output_intervals_rows ir set in
+  let dense = dense_output_intervals ir ~centers ~radii in
+  let oracle = Oracle.anet_rows ir ~centers ~radii in
+  let first_miss =
+    List.find_opt
+      (fun k ->
+        not
+          (same_interval_bits dense.(k) got.(k)
+          && same_interval_bits oracle.(k) got.(k)))
+      (List.init set.rows Fun.id)
+  in
+  Option.map (fun k -> (k, dense.(k), oracle.(k), got.(k))) first_miss
+
+(* A set of [rows] boxes with [point], [vary], and each varying cell's
+   center and radius drawn by [cell k m]. *)
+let make_set ~rows ~point ~vary cell =
+  let n = Array.length vary in
+  let centers = Array.make (rows * n) 0. and radii = Array.make (rows * n) 0. in
+  for k = 0 to rows - 1 do
+    for m = 0 to n - 1 do
+      let c, r = cell k m in
+      centers.((k * n) + m) <- c;
+      radii.((k * n) + m) <- r
+    done
+  done;
+  { Box.rows; point; vary; centers; radii }
+
+(* The first radius GEMM sums over the set's varying columns and the later
+   ones skip each column whose radius is ±0 in every row; the result must
+   keep every bit of the dense transfer and of the dense-row engine.
+   Workloads: certificate-shaped (a point state, ±0 entries included,
+   with the five delay columns varying), the same with one delay column
+   dead in every row (varying but not live), no varying column, and
+   every column varying with every radius ±0, none ±0, or one live cell.
+   Nets: the actor after batch-norm updates, a critic (linear head) and a
+   steeper leaky-ReLU stack, so every activation branch runs. *)
 let test_anet_dead_columns_match_dense () =
   let rng = Prng.create 73 in
-  let d = 35 and delay = [ 0; 7; 14; 21; 28 ] in
+  let d = 35 and delay = [| 0; 7; 14; 21; 28 |] in
   let actor = Mlp.actor ~rng ~in_dim:d ~hidden:16 ~out_dim:1 in
   ignore
     (Mlp.forward_train actor
@@ -525,32 +559,32 @@ let test_anet_dead_columns_match_dense () =
         | 0 -> signed_zero ()
         | _ -> Prng.uniform rng (-1.) 1.)
   in
-  let certificate_shaped k =
-    let s = state () in
-    let centers = Mat.init ~rows:k ~cols:d (fun _ j -> s.(j)) in
-    let radii = Mat.init ~rows:k ~cols:d (fun _ _ -> signed_zero ()) in
-    for row = 0 to k - 1 do
-      List.iter
-        (fun j ->
-          Mat.set centers row j (Prng.float rng 1.);
-          Mat.set radii row j (Prng.float rng 0.1))
-        delay
-    done;
-    (centers, radii)
+  let all = Array.init d Fun.id in
+  let certificate_shaped rows =
+    make_set ~rows ~point:(state ()) ~vary:delay (fun _ _ ->
+        (Prng.float rng 1., Prng.float rng 0.1))
   in
-  let all_dead k =
-    ( Mat.init ~rows:k ~cols:d (fun _ _ -> Prng.uniform rng (-1.) 1.),
-      Mat.init ~rows:k ~cols:d (fun _ _ -> signed_zero ()) )
+  let one_dead_delay rows =
+    make_set ~rows ~point:(state ()) ~vary:delay (fun _ m ->
+        ( Prng.float rng 1.,
+          if m = 2 then signed_zero () else Prng.float rng 0.1 ))
   in
-  let none_dead k =
-    ( Mat.init ~rows:k ~cols:d (fun _ _ -> Prng.uniform rng (-1.) 1.),
-      Mat.init ~rows:k ~cols:d (fun _ _ -> 1e-3 +. Prng.float rng 0.3) )
+  let no_varying rows =
+    make_set ~rows ~point:(state ()) ~vary:[||] (fun _ _ -> assert false)
+  in
+  let all_dead rows =
+    make_set ~rows ~point:(state ()) ~vary:all (fun _ _ ->
+        (Prng.uniform rng (-1.) 1., signed_zero ()))
+  in
+  let none_dead rows =
+    make_set ~rows ~point:(state ()) ~vary:all (fun _ _ ->
+        (Prng.uniform rng (-1.) 1., 1e-3 +. Prng.float rng 0.3))
   in
   (* One live entry in a column otherwise dead keeps the column. *)
-  let one_live k =
-    let centers, radii = all_dead k in
-    Mat.set radii (k - 1) 3 0.25;
-    (centers, radii)
+  let one_live rows =
+    make_set ~rows ~point:(state ()) ~vary:all (fun k m ->
+        ( Prng.uniform rng (-1.) 1.,
+          if k = rows - 1 && m = 3 then 0.25 else signed_zero () ))
   in
   List.iter
     (fun net ->
@@ -558,19 +592,18 @@ let test_anet_dead_columns_match_dense () =
       List.iter
         (fun (name, workload) ->
           List.iter
-            (fun k ->
-              let centers, radii = workload k in
-              let want = dense_output_intervals ir ~centers ~radii in
-              let got = Anet.output_intervals_rows ir ~centers ~radii in
-              Array.iteri
-                (fun i w ->
-                  if not (same_interval_bits w got.(i)) then
-                    Alcotest.failf "%s K=%d row %d: dense %a, rows %a" name k
-                      i Interval.pp w Interval.pp got.(i))
-                want)
+            (fun rows ->
+              match factored_matches_dense ir (workload rows) with
+              | None -> ()
+              | Some (k, dense, oracle, got) ->
+                  Alcotest.failf "%s K=%d row %d: dense %a, oracle %a, set %a"
+                    name rows k Interval.pp dense Interval.pp oracle
+                    Interval.pp got)
             [ 1; 5; 14; 100 ])
         [
           ("certificate-shaped", certificate_shaped);
+          ("one dead delay column", one_dead_delay);
+          ("no varying column", no_varying);
           ("all-dead", all_dead);
           ("none-dead", none_dead);
           ("one-live", one_live);
@@ -580,25 +613,28 @@ let test_anet_dead_columns_match_dense () =
 let test_anet_rows_rejects_bad_input () =
   let rng = Prng.create 79 in
   let ir = Anet.of_mlp (random_net rng) in
-  let rows k cols v = Mat.init ~rows:k ~cols (fun _ _ -> v) in
-  let raises name msg centers radii =
+  let set ?(rows = 3) ?(point = Array.make 6 0.) ?(vary = [| 1; 4 |])
+      ?(radius = 0.1) () =
+    make_set ~rows ~point ~vary (fun k m ->
+        (0., if k = rows - 1 && m = 1 then radius else 0.1))
+  in
+  let raises name msg set =
     Alcotest.check_raises name (Invalid_argument msg) (fun () ->
-        ignore (Anet.output_intervals_rows ir ~centers ~radii))
+        ignore (Anet.output_intervals_rows ir set))
   in
   let shape = "Anet.output_intervals_rows: shape"
   and deviation = "Anet.output_intervals_rows: deviation" in
-  raises "columns" shape (rows 3 5 0.) (rows 3 5 0.);
-  raises "radius columns" shape (rows 3 6 0.) (rows 3 5 0.);
-  raises "rows" shape (rows 3 6 0.) (rows 4 6 0.);
-  let with_radius v =
-    let r = rows 3 6 0.1 in
-    Mat.set r 2 4 v;
-    r
-  in
-  raises "negative radius" deviation (rows 3 6 0.) (with_radius (-1e-300));
-  raises "NaN radius" deviation (rows 3 6 0.) (with_radius Float.nan);
+  raises "point length" shape (set ~point:(Array.make 5 0.) ());
+  raises "column out of range" shape (set ~vary:[| 1; 6 |] ());
+  raises "negative column" shape (set ~vary:[| -1; 4 |] ());
+  raises "columns not ascending" shape (set ~vary:[| 4; 1 |] ());
+  raises "repeated column" shape (set ~vary:[| 4; 4 |] ());
+  raises "no rows" shape { (set ()) with rows = 0 };
+  raises "short block" shape { (set ()) with radii = Array.make 5 0.1 };
+  raises "negative radius" deviation (set ~radius:(-1e-300) ());
+  raises "NaN radius" deviation (set ~radius:Float.nan ());
   (* -0. is a zero radius, as [Box.make] has it *)
-  ignore (Anet.output_intervals_rows ir ~centers:(rows 3 6 0.) ~radii:(with_radius (-0.)))
+  ignore (Anet.output_intervals_rows ir (set ~radius:(-0.) ()))
 
 (* ------------------------------------------------------------------ *)
 (* Property-based *)
@@ -653,6 +689,33 @@ let qcheck =
       (fun (a, b) ->
         let h = Interval.hull a b in
         Interval.subset a h && Interval.subset b h);
+    (* Random sets over a 6-input actor: any ascending varying columns
+       (none and all included), ±0 point cells and radii, and a
+       varying column dead in every row. *)
+    Test.make ~name:"anet factored rows = dense-row oracle (bits)" ~count:200
+      (make Gen.(int_bound 1_000_000))
+      (fun seed ->
+        let rng = Prng.create seed in
+        let ir = Anet.of_mlp (random_net rng) in
+        let d = Anet.in_dim ir in
+        let zero () = if Prng.bool rng then 0. else -0. in
+        let value () =
+          if Prng.int rng 4 = 0 then zero () else Prng.uniform rng (-1.) 1.
+        in
+        let vary =
+          Array.of_list
+            (List.filter (fun _ -> Prng.bool rng) (List.init d Fun.id))
+        in
+        let dead = Prng.int rng (d + 1) in
+        let rows = 1 + Prng.int rng 20 in
+        let set =
+          make_set ~rows ~point:(Array.init d (fun _ -> value ())) ~vary
+            (fun _ m ->
+              ( value (),
+                if m = dead || Prng.int rng 4 = 0 then zero ()
+                else Prng.float rng 0.5 ))
+        in
+        factored_matches_dense ir set = None);
   ]
 
 let suite =

@@ -280,8 +280,10 @@ let test_td3_update () =
   within "Td3.update policy period, major" ~budget:0. major
 
 (* One step certificate at the evaluation's N = 50 (performance
-   property, history 5): the component rows, the tree's action bounds and
-   the engines' stage buffers live in per-domain scratch arenas, so what
+   property, history 5): the component set's centers and radii, the
+   tree's action bounds and the engines' buffers (the MLP's center rows
+   and stages, the tree's corners, cell and terms) live in per-domain
+   scratch arenas, so what
    a certificate allocates is its result (100 component records and their
    intervals) and a few per-call words; nothing goes to the major heap
    (before, each certificate took 7.0 k direct major words for two fresh
@@ -322,7 +324,7 @@ let test_certify_tree () =
         Canopy.Certify.certify_tree ~tree ~property ~n_components ~history
           ~state ~cwnd_tcp ~prev_cwnd ())
   in
-  within "Certify.certify_tree N=50, minor" ~budget:7_960. minor;
+  within "Certify.certify_tree N=50, minor" ~budget:7_666. minor;
   within "Certify.certify_tree N=50, major" ~budget:0. major
 
 (* One Cubic evaluation cell on a 1-s suite link (30 ms, 2 BDP), as

@@ -174,6 +174,30 @@ let test_lint_float_c_call () =
   Alcotest.(check (list string)) "waivable inline" []
     (at cubic "let m = Float.max a b (* lint-ignore: float-c-call *)\n")
 
+(* [float-c-call] covers lib/distill too, where the tree bound runs its
+   per-box clips and folds; [bare-min-max] stays with the per-packet
+   layers. *)
+let test_lint_float_c_call_distill () =
+  let p parts = String.concat Filename.dir_sep parts in
+  let at path src = rules_of (Lint.check_source ~path src) in
+  let tree = p [ "lib"; "distill"; "tree.ml" ] in
+  List.iter
+    (fun src ->
+      Alcotest.(check (list string)) src [ "float-c-call" ] (at tree src))
+    [
+      "let a = Float.max lo.(i) cell_lo.(j)\n";
+      "out_lo.(k) <- Float.min out_lo.(k) acc\n";
+      "let h = Array.fold_left Float.max neg_infinity xs\n";
+    ];
+  Alcotest.(check (list string)) "fit.ml too" [ "float-c-call" ]
+    (at (p [ "lib"; "distill"; "fit.ml" ]) "let f = Float.floor x\n");
+  Alcotest.(check (list string)) "comparison forms and bare max" []
+    (at tree
+       "let m = if x < y then x else if y < x then y else x\n\
+        let n = Array.make (max l 1) false\n");
+  Alcotest.(check (list string)) "NaN fallback waived inline" []
+    (at tree "else Float.min x y (* lint-ignore: float-c-call *)\n")
+
 let test_lint_array_make_scalar_clean () =
   let fixture =
     "let a = Array.make n 0.\n\
@@ -628,4 +652,6 @@ let suite =
      test_bench_torn_baseline_fails);
     ("bench-report: torn history skipped", `Quick,
      test_bench_torn_history_skipped);
+    ("lint: float C calls in the tree bound", `Quick,
+     test_lint_float_c_call_distill);
   ]

@@ -188,7 +188,7 @@ let test_checkpoint_rejects_corruption () =
    the leaf model bounded over box ∩ cell, leaf by leaf.  The tree's
    arrays are read back from its checkpoint text (hex floats, exact). *)
 
-type nodes = {
+type nodes = Oracle.tree_nodes = {
   feature : int array;
   threshold : float array;
   left : int array;
@@ -198,43 +198,7 @@ type nodes = {
   bias : float array;
 }
 
-let nodes_of tree =
-  let lines =
-    Array.of_list (String.split_on_char '\n' (Tree.to_string tree))
-  in
-  let n = Tree.n_nodes tree and l = Tree.n_leaves tree in
-  let d = Tree.in_dim tree in
-  let words k = String.split_on_char ' ' lines.(k) in
-  let t =
-    {
-      feature = Array.make n (-1);
-      threshold = Array.make n 0.;
-      left = Array.make n 0;
-      right = Array.make n 0;
-      leaf = Array.make n (-1);
-      coef = Array.make (l * d) 0.;
-      bias = Array.make l 0.;
-    }
-  in
-  (* magic and three header lines, then one line per node *)
-  for i = 0 to n - 1 do
-    match words (4 + i) with
-    | [ "split"; f; thr; lc; rc ] ->
-        t.feature.(i) <- int_of_string f;
-        t.threshold.(i) <- float_of_string thr;
-        t.left.(i) <- int_of_string lc;
-        t.right.(i) <- int_of_string rc
-    | [ "leaf"; id ] -> t.leaf.(i) <- int_of_string id
-    | _ -> Alcotest.fail "nodes_of: malformed node line"
-  done;
-  for li = 0 to l - 1 do
-    List.iteri
-      (fun j w ->
-        if j < d then t.coef.((li * d) + j) <- float_of_string w
-        else t.bias.(li) <- float_of_string w)
-      (words (4 + n + li))
-  done;
-  t
+let nodes_of = Oracle.tree_nodes_of
 
 (* The leaf's closed cell: per dimension, the interval implied by the
    split constraints on its root path. *)
@@ -388,18 +352,99 @@ let test_output_interval_sound_and_exact () =
        (bound zero box)
        (reference_interval ~exact:true (nodes_of zero) ~d box))
 
-(* [Tree.output_intervals] over certificate-shaped box sets, row by row
-   against the all-leaves reference, in bits, exact and conservative.
-   The rows share their point dimensions (some ±0, some on a split
-   threshold; a point c is the box [c − 0, c + 0], so a −0 point reads
-   [−0, +0] as a certificate builds it) and differ over the delay
-   dimensions; in some sets one point dimension also differs in a few
-   rows, sometimes only in the sign of a zero. The second tree has −0
-   biases and reads only that dimension, so the sign of a zero there
-   shows in the bound's bits. *)
-let test_output_intervals_rows_exact () =
-  let history = 5 in
-  let d = history * Canopy_orca.Observation.feature_count in
+(* Factored sets of certificate-shaped boxes over [d] columns. The point
+   has some coordinates ±0 and some on a split threshold (a point c is
+   the box [c − 0, c + 0], so a −0 point reads [−0, +0]). Families: the
+   delay columns varying by one slice per box (performance) or by its
+   image scaled by the point (robustness), in some sets with [odd_dim]
+   also passed as varying and differing only in the sign of a zero in a
+   few boxes; one box; no varying column; and every column varying. *)
+let random_set rng ~d ~delay ~thresholds ~odd_dim =
+  let point () =
+    match Prng.int rng 6 with
+    | 0 -> 0.
+    | 1 -> -0.
+    | 2 -> thresholds.(Prng.int rng (Array.length thresholds))
+    | _ -> Prng.float rng 1.
+  in
+  let signed_zero () = if Prng.bool rng then 0. else -0. in
+  let base = Array.init d (fun _ -> point ()) in
+  let rows = if Prng.int rng 5 = 0 then 1 else 1 + Prng.int rng 40 in
+  let slices =
+    Array.init rows (fun _ ->
+        let a = Prng.float rng 1. in
+        Interval.make a (a +. (0.3 *. Prng.float rng 1.)))
+  in
+  let family = Prng.int rng 5 in
+  let odd = family < 2 && Prng.bool rng && not (List.mem odd_dim delay) in
+  if odd then base.(odd_dim) <- signed_zero ();
+  let vary =
+    match family with
+    | 0 | 1 ->
+        Array.of_list
+          (List.sort_uniq Int.compare
+             (if odd then odd_dim :: delay else delay))
+    | 2 -> [||]
+    | _ -> Array.init d Fun.id
+  in
+  let cell k j =
+    if family >= 3 then
+      if Prng.bool rng then (base.(j), 0.)
+      else (point (), Prng.float rng 0.3)
+    else if j = odd_dim && odd then
+      if Prng.int rng 3 = 0 then (signed_zero (), signed_zero ())
+      else (base.(j), 0.)
+    else
+      let iv =
+        if family = 0 then slices.(k) else Interval.scale base.(j) slices.(k)
+      in
+      (Interval.midpoint iv, Interval.radius iv)
+  in
+  let n = Array.length vary in
+  let centers = Array.make (rows * n) 0. and radii = Array.make (rows * n) 0. in
+  for k = 0 to rows - 1 do
+    Array.iteri
+      (fun m j ->
+        let c, e = cell k j in
+        centers.((k * n) + m) <- c;
+        radii.((k * n) + m) <- e)
+      vary
+  done;
+  { Canopy_absint.Box.rows; point = base; vary; centers; radii }
+
+(* The rows of [set] where [Tree.output_intervals] and the dense-row
+   oracle over the set's corners differ in bits, exact or conservative
+   (and, with [~reference], where either differs from the all-leaves
+   reference). *)
+let factored_misses ?(reference = false) tree t ~d
+    (set : Canopy_absint.Box.set) =
+  let _, _, lo, hi = Oracle.dense_rows set in
+  let rows = set.rows in
+  List.concat_map
+    (fun exact ->
+      let out_lo = Array.make rows nan and out_hi = Array.make rows nan in
+      Tree.output_intervals ~exact tree set ~out_lo ~out_hi;
+      let o_lo = Array.make rows nan and o_hi = Array.make rows nan in
+      Oracle.tree_bound_rows ~exact t ~d ~lo ~hi ~rows ~out_lo:o_lo
+        ~out_hi:o_hi;
+      List.filter_map
+        (fun k ->
+          let got = Interval.make out_lo.(k) out_hi.(k) in
+          let ok =
+            same_bits got (Interval.make o_lo.(k) o_hi.(k))
+            && ((not reference)
+               || same_bits got
+                    (reference_interval ~exact t ~d
+                       (Array.init d (fun j ->
+                            Interval.make lo.((k * d) + j) hi.((k * d) + j)))))
+          in
+          if ok then None else Some (exact, k))
+        (List.init rows Fun.id))
+    [ true; false ]
+
+(* The fitted tree and one with −0 biases that reads only column 3, so
+   the sign of a zero there shows in the bound's bits. *)
+let bound_trees ~d =
   let fitted, _, _ = fitted_tree ~d ~seed:11 () in
   let signed_dim = 3 in
   let signed =
@@ -410,62 +455,97 @@ let test_output_intervals_rows_exact () =
       ~threshold:[| 0.5; 0.; 0. |] ~left:[| 1; 0; 0 |] ~right:[| 2; 0; 0 |]
       ~leaf:[| -1; 0; 1 |] ~coef ~bias:[| -0.; -0. |]
   in
+  [ ("fitted", fitted, None); ("signed zero", signed, Some signed_dim) ]
+
+(* [Tree.output_intervals] over certificate-shaped box sets, row by row
+   against the all-leaves reference and the dense-row oracle, in bits,
+   exact and conservative. *)
+let test_output_intervals_rows_exact () =
+  let history = 5 in
+  let d = history * Canopy_orca.Observation.feature_count in
   let delay = Certify.delay_indices ~history in
   let rng = Prng.create 17 in
   List.iter
     (fun (name, tree, odd_dim) ->
       let t = nodes_of tree in
-      let thresholds = t.threshold in
       for _ = 1 to 150 do
-        let rows = 1 + Prng.int rng 40 in
-        let point () =
-          match Prng.int rng 6 with
-          | 0 -> 0.
-          | 1 -> -0.
-          | 2 -> thresholds.(Prng.int rng (Array.length thresholds))
-          | _ -> Prng.float rng 1.
-        in
-        let base = Array.init d (fun _ -> point ()) in
         let odd_dim = Option.value odd_dim ~default:(Prng.int rng d) in
-        let odd = Prng.bool rng in
-        let lo = Array.make (rows * d) 0. and hi = Array.make (rows * d) 0. in
-        for k = 0 to rows - 1 do
-          let a = Prng.float rng 1. and w = 0.3 *. Prng.float rng 1. in
-          for j = 0 to d - 1 do
-            let l, h =
-              if List.mem j delay then (a, a +. w)
-              else if odd && j = odd_dim && Prng.int rng 3 = 0 then
-                match Prng.int rng 3 with
-                | 0 -> (-0., -0.)
-                | 1 -> (0., 0.)
-                | _ -> (-0., 0.)
-              else (base.(j) -. 0., base.(j) +. 0.)
-            in
-            lo.((k * d) + j) <- l;
-            hi.((k * d) + j) <- h
-          done
-        done;
-        List.iter
-          (fun exact ->
-            let out_lo = Array.make rows nan and out_hi = Array.make rows nan in
-            Tree.output_intervals ~exact tree ~lo ~hi ~rows ~out_lo ~out_hi;
-            for k = 0 to rows - 1 do
-              let box =
-                Array.init d (fun j ->
-                    Interval.make lo.((k * d) + j) hi.((k * d) + j))
-              in
-              if
-                not
-                  (same_bits
-                     (Interval.make out_lo.(k) out_hi.(k))
-                     (reference_interval ~exact t ~d box))
-              then
-                Alcotest.failf "%s, exact %b, %d rows: row %d differs" name
-                  exact rows k
-            done)
-          [ true; false ]
+        let set =
+          random_set rng ~d ~delay ~thresholds:t.threshold ~odd_dim
+        in
+        match factored_misses ~reference:true tree t ~d set with
+        | [] -> ()
+        | (exact, k) :: _ ->
+            Alcotest.failf "%s, exact %b, %d rows, %d varying: row %d differs"
+              name exact set.rows (Array.length set.vary) k
       done)
-    [ ("fitted", fitted, None); ("signed zero", signed, Some signed_dim) ]
+    (bound_trees ~d)
+
+(* A 3-column tree whose splits sit at +0 and −0 and whose leaves read
+   every column, with −0 biases, and sets whose every coordinate, center
+   and radius is a signed zero: a bound is −0 only when every term is, so
+   the clips against the cell, the products and the hull fold show the
+   sign of each zero in the bits. *)
+let zero_tree =
+  Tree.build ~in_dim:3 ~feature:[| 0; 1; -1; -1; -1 |]
+    ~threshold:[| 0.; -0.; 0.; 0.; 0. |] ~left:[| 1; 3; 0; 0; 0 |]
+    ~right:[| 2; 4; 0; 0; 0 |] ~leaf:[| -1; -1; 0; 1; 2 |]
+    ~coef:[| 1.; 1.; 1.; -1.; 1.; -2.; 2.; -1.; -1. |]
+    ~bias:[| -0.; -0.; -0. |]
+
+(* One leaf reading every column: no clip hides the sign of a corner. *)
+let zero_leaf =
+  Tree.build ~in_dim:3 ~feature:[| -1 |] ~threshold:[| 0. |] ~left:[| 0 |]
+    ~right:[| 0 |] ~leaf:[| 0 |] ~coef:[| 1.; 1.; 1. |] ~bias:[| -0. |]
+
+let zero_set rng =
+  let zero () = if Prng.bool rng then 0. else -0. in
+  let rows = 1 + Prng.int rng 6 in
+  let vary =
+    Array.of_list (List.filter (fun _ -> Prng.bool rng) [ 0; 1; 2 ])
+  in
+  let cells = rows * Array.length vary in
+  {
+    Canopy_absint.Box.rows;
+    point = Array.init 3 (fun _ -> zero ());
+    vary;
+    centers = Array.init cells (fun _ -> zero ());
+    radii = Array.init cells (fun _ -> zero ());
+  }
+
+(* The factored bound against the dense-row oracle over random
+   certificate-shaped sets, both trees, and over signed-zero sets, both
+   zero trees, exact and conservative. *)
+let qcheck_factored_bound =
+  let d = 5 * Canopy_orca.Observation.feature_count in
+  let delay = Certify.delay_indices ~history:5 in
+  let trees =
+    lazy
+      (Array.of_list
+         (List.map (fun (_, tree, odd) -> (tree, nodes_of tree, odd))
+            (bound_trees ~d)))
+  in
+  let zeros =
+    lazy
+      (Array.map
+         (fun tree -> (tree, nodes_of tree))
+         [| zero_tree; zero_leaf |])
+  in
+  QCheck.Test.make ~name:"factored bound = dense-row oracle (bits)"
+    ~count:800
+    QCheck.(pair (int_bound 3) (int_bound 1_000_000))
+    (fun (which, seed) ->
+      let rng = Prng.create seed in
+      if which >= 2 then
+        let tree, t = (Lazy.force zeros).(which - 2) in
+        factored_misses tree t ~d:3 (zero_set rng) = []
+      else begin
+        let tree, t, odd = (Lazy.force trees).(which) in
+        let odd_dim = Option.value odd ~default:(Prng.int rng d) in
+        factored_misses tree t ~d
+          (random_set rng ~d ~delay ~thresholds:t.threshold ~odd_dim)
+        = []
+      end)
 
 (* A leaf whose root path contradicts itself (left on x0 < 0, then right
    on x0 >= 1) has an empty cell.  It is never reached: its model must
@@ -484,7 +564,42 @@ let test_output_interval_rejects_bad_box () =
     ~hi:[| 0.; 0.; 0.; 0. |];
   raises "lo > hi" "Tree.output_interval: bad box" ~lo:[| 0.; 1.; 0. |] ~hi:ok;
   raises "NaN corner" "Tree.output_interval: bad box" ~lo:ok
-    ~hi:[| 0.; Float.nan; 0. |]
+    ~hi:[| 0.; Float.nan; 0. |];
+  (* A set's radii must be non-negative and its corners ordered and
+     NaN-free, on shared and varying columns alike. *)
+  let set ?(rows = 2) ?(point = [| 0.; 0.; 0. |]) ?(center = 0.)
+      ?(radius = 0.1) () =
+    {
+      Canopy_absint.Box.rows;
+      point;
+      vary = [| 1 |];
+      centers = Array.init rows (fun k -> if k = rows - 1 then center else 0.);
+      radii = Array.init rows (fun k -> if k = rows - 1 then radius else 0.1);
+    }
+  in
+  let raises_set ?(out = 2) name msg set =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+        Tree.output_intervals tree set ~out_lo:(Array.make out 0.)
+          ~out_hi:(Array.make out 0.))
+  in
+  let shape = "Tree.output_intervals: shape"
+  and deviation = "Tree.output_intervals: deviation"
+  and bad = "Tree.output_intervals: bad box" in
+  raises_set "short point" shape (set ~point:[| 0.; 0. |] ());
+  raises_set "column out of range" shape { (set ()) with vary = [| 3 |] };
+  raises_set "short block" shape { (set ()) with centers = [| 0. |] };
+  raises_set "negative radius" deviation (set ~radius:(-1e-300) ());
+  raises_set "NaN radius" deviation (set ~radius:Float.nan ());
+  raises_set "NaN center" bad (set ~center:Float.nan ());
+  raises_set "infinite corners" bad
+    (set ~center:Float.infinity ~radius:Float.infinity ());
+  raises_set "NaN point" bad (set ~point:[| Float.nan; 0.; 0. |] ());
+  raises_set ~out:1 "short output" "Tree.output_intervals: bad output length"
+    (set ());
+  (* a varying column's point cell is not read *)
+  Tree.output_intervals tree
+    (set ~point:[| 0.; Float.nan; 0. |] ())
+    ~out_lo:(Array.make 2 0.) ~out_hi:(Array.make 2 0.)
 
 let test_output_interval_dead_leaf () =
   let d = 5 * Canopy_orca.Observation.feature_count in
@@ -798,4 +913,5 @@ let suite =
     ( "scalar vs fleet, both policy kinds",
       `Quick,
       test_scalar_vs_fleet_both_kinds );
+    QCheck_alcotest.to_alcotest qcheck_factored_bound;
   ]

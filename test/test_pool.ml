@@ -275,9 +275,10 @@ let test_gemm_bit_exact_coarser_chunks () =
       bits dst)
 
 let test_packed_and_blocked_gemm_scratch_bit_exact () =
-  (* Shapes big enough to trip the per-domain scratch machinery: >= 12
-     rows engages the packed-B panel of the nt kernels, > 128 shared
-     dims spans multiple k-blocks of [mat_mul_into]. Each domain count
+  (* Shapes big enough to trip the per-domain scratch machinery: >= 3
+     rows engage the packed-B panel of the nt kernels, > 128 shared dims
+     span multiple k-blocks of
+     [mat_mul_into]. Each domain count
      gets a fresh pool (cold arenas) and runs the kernel twice — the
      second call reuses warm panels, and both runs must equal the
      1-domain reference bit for bit. *)
