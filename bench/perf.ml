@@ -27,9 +27,7 @@ let kernels () =
      target nets on the last) — so every sample does identical work
      whatever phase the agent is in and however many ops bechamel packs
      into it; the table and JSON report per-update times. *)
-  let policy_period =
-    (Td3.default_config ~state_dim ~action_dim).Td3.policy_delay
-  in
+  let policy_period = Td3.policy_delay in
   let make_update ~batch_size =
     let rng = Canopy_util.Prng.create 11 in
     let agent =

@@ -6,10 +6,10 @@
    - racecheck:  token-level effect/race analysis of Pool-parallel
                  regions (shared-mutable-in-parallel); same baseline
                  file, same exactness contract.
-   - deadcode:   lib/ exports no other module uses and optional
-                 arguments no outside caller passes; same baseline file,
-                 same exactness contract. Also lists the exports only
-                 tests reach and the optional arguments only tests pass.
+   - deadcode:   lib/ exports no other module uses, optional arguments
+                 no outside caller passes and optional arguments only
+                 tests pass; same baseline file, same exactness
+                 contract. Also lists the exports only tests reach.
    - audit:      differential soundness sanitizer for the abstract
                  transformers backing every certificate.
    - netcheck:   static shape/finiteness validation of checkpoints.
@@ -175,23 +175,20 @@ let dead_owns rule = List.mem_assoc rule A.Deadcode.rules
 let run_deadcode root baseline_path update_baseline =
   let report = A.Deadcode.run ~root () in
   List.iter (Format.printf "test-only: %s@.") report.A.Deadcode.test_only;
-  List.iter (Format.printf "test-only knob: %s@.")
-    report.A.Deadcode.test_knobs;
   Format.printf
-    "deadcode: %d export(s) over %d file(s), %d that no program reaches, \
-     %d optional argument(s) only tests pass@."
+    "deadcode: %d export(s) over %d file(s), %d that no program reaches@."
     report.A.Deadcode.exports report.A.Deadcode.checked_files
-    (List.length report.A.Deadcode.test_only)
-    (List.length report.A.Deadcode.test_knobs);
+    (List.length report.A.Deadcode.test_only);
   gate ~pass:"deadcode" ~baseline_path ~update_baseline ~owns:dead_owns
     report.A.Deadcode.diags
 
 let deadcode_cmd =
   Cmd.v
     (Cmd.info "deadcode"
-       ~doc:"lib/ exports no other module uses and optional arguments no \
-             outside caller passes, rooted at the programs in bin/, \
-             bench/, examples/ and perfbench/")
+       ~doc:"lib/ exports no other module uses, optional arguments no \
+             outside caller passes and optional arguments only tests pass, \
+             rooted at the programs in bin/, bench/, examples/ and \
+             perfbench/")
     Term.(const run_deadcode $ root $ baseline_path $ update_baseline)
 
 (* --- audit ------------------------------------------------------------ *)

@@ -2,13 +2,14 @@
    exports should be used outside its own module, and reached by a
    program (bin/, bench/, examples/, perfbench/) or at least by a test.
    An export with no outside user is weight every later refactor has to
-   carry; an optional argument no outside caller passes is a constant
-   wearing a knob. Exports only tests reach, and knobs only tests turn,
-   are reported, not failed: they are the oracles and observation hooks
-   the tests lean on, and the next constants to consider. *)
+   carry; an optional argument no outside caller passes, or only tests
+   pass, is a constant wearing a knob. Exports only tests reach are
+   reported, not failed: they are the oracles and observation hooks the
+   tests lean on. *)
 
 let unused_rule = "unused-export"
 let optional_rule = "unpassed-optional"
+let test_optional_rule = "test-only-optional"
 
 let rules =
   [
@@ -18,6 +19,10 @@ let rules =
     ( optional_rule,
       "optional argument that no call site outside the defining module \
        passes; make it a constant" );
+    ( test_optional_rule,
+      "optional argument of a program-reached export that only test/ call \
+       sites pass; no program turns it, so make it a constant and let the \
+       tests reach other states through public behaviour" );
   ]
 
 let program_dirs = [ "bin"; "bench"; "examples"; "perfbench" ]
@@ -127,7 +132,6 @@ let passed_labels (ts : Lexer.token array) i =
 type report = {
   diags : Diagnostic.t list;
   test_only : string list;
-  test_knobs : string list;
   exports : int;
   checked_files : int;
 }
@@ -217,41 +221,34 @@ let check_files files =
     Diagnostic.make ~rule ~file:x.file ~line ~text
       (text ^ ": " ^ List.assoc rule rules)
   in
+  (* An optional argument no outside site passes is unpassed; one that
+     only test/ sites pass, on an export some program reaches, is a knob
+     only tests turn. *)
   let diags =
     List.concat_map
       (fun x ->
         match Hashtbl.find_all uses x.key with
         | [] -> [ diag unused_rule x x.line (qualified x) ]
         | sites ->
-            let passed =
-              List.concat_map (fun (_, ts, tok) -> passed_labels ts tok) sites
+            let passed test =
+              List.concat_map
+                (fun (role, ts, tok) ->
+                  if (role = Test) = test then passed_labels ts tok else [])
+                sites
             in
+            let by_tests = passed true and elsewhere = passed false in
+            let by_programs = Hashtbl.mem reached x.key in
             List.filter_map
               (fun (label, line) ->
-                if List.mem label passed then None
-                else Some (diag optional_rule x line (qualified x ^ " ?" ^ label)))
+                let text = qualified x ^ " ?" ^ label in
+                if List.mem label elsewhere then None
+                else if not (List.mem label by_tests) then
+                  Some (diag optional_rule x line text)
+                else if by_programs then
+                  Some (diag test_optional_rule x line text)
+                else None)
               x.optionals)
       exports
-  in
-  (* Knobs only tests turn: the optional arguments of a program-reached
-     export that test/ call sites pass and no other outside site does. *)
-  let test_knobs =
-    List.concat_map
-      (fun x ->
-        let passed test =
-          List.concat_map
-            (fun (role, ts, tok) ->
-              if (role = Test) = test then passed_labels ts tok else [])
-            (Hashtbl.find_all uses x.key)
-        in
-        let by_tests = passed true and elsewhere = passed false in
-        List.filter_map
-          (fun (label, _) ->
-            if List.mem label by_tests && not (List.mem label elsewhere) then
-              Some (qualified x ^ " ?" ^ label)
-            else None)
-          x.optionals)
-      (List.filter (fun x -> Hashtbl.mem reached x.key) exports)
   in
   let test_only =
     List.filter_map
@@ -264,7 +261,6 @@ let check_files files =
   {
     diags = List.sort Diagnostic.compare diags;
     test_only = List.sort String.compare test_only;
-    test_knobs = List.sort String.compare test_knobs;
     exports = List.length exports;
     checked_files = List.length lexed;
   }

@@ -5,17 +5,17 @@
     [bin/], [bench/], [examples/] and [perfbench/]; tests are the
     [.ml] files under [test/]. An export is a [val] or [external] in a
     [lib/] [.mli], at top level or inside a [module X : sig ... end]
-    submodule signature. Two kinds of finding, both gated through the
+    submodule signature. Three kinds of finding, all gated through the
     shared baseline like [lint] and [racecheck]:
     - [unused-export]: an export that no file outside its own module
       references (tests included);
     - [unpassed-optional]: an optional argument of an export that no
-      call site outside the defining module passes.
+      call site outside the defining module passes;
+    - [test-only-optional]: an optional argument of an export some
+      program reaches that outside call sites pass only from [test/].
 
     The report also lists, without failing, the exports that are used
-    outside their module but that no program reaches ({!report.test_only}),
-    and the optional arguments of program-reached exports that only
-    tests pass ({!report.test_knobs}).
+    outside their module but that no program reaches ({!report.test_only}).
 
     Approximations (DESIGN §11): references are token-level, so a value
     reached only through a function value, a first-class module or a
@@ -34,6 +34,9 @@ val unused_rule : string
 val optional_rule : string
 (** ["unpassed-optional"] *)
 
+val test_optional_rule : string
+(** ["test-only-optional"] *)
+
 val rules : (string * string) list
 (** Rule identifiers and their one-line messages. *)
 
@@ -43,10 +46,6 @@ type report = {
       (** exports used outside their module that no program reaches —
           tests, or library code only tests reach — qualified
           ([Mat.Kernel.nt_ocaml]) and sorted *)
-  test_knobs : string list;
-      (** optional arguments of exports some program reaches that
-          outside call sites pass only from [test/], qualified with the
-          label ([Layer.leaky_relu ?slope]) and sorted *)
   exports : int;
   checked_files : int;
 }

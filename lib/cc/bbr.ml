@@ -61,9 +61,9 @@ type t = {
   mutable last_probe_rtt_ms : int;
 }
 
-let create ?(initial_cwnd = 10.) () =
+let create () =
   {
-    x = { cwnd = initial_cwnd; rt_prop_ms = Float.infinity; full_bw = 0. };
+    x = { cwnd = 10.; rt_prop_ms = Float.infinity; full_bw = 0. };
     mode = Startup;
     bw_filter = Wfilter.create (fun a b -> a >= b);
     rt_prop_stamp_ms = 0;

@@ -3,6 +3,7 @@
 let c_cubic = 0.4
 let beta_cubic = 0.7
 let max_cwnd = 100_000.
+let initial_cwnd = 10.
 
 (* The per-ACK floats live in an all-float record, which OCaml stores
    flat: a store writes the double in place, with no boxing and no
@@ -21,7 +22,7 @@ type t = {
   mutable last_loss_ms : int;
 }
 
-let create ?(initial_cwnd = 10.) () =
+let create () =
   {
     x =
       {

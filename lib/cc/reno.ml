@@ -8,9 +8,9 @@ type floats = {
 
 type t = { x : floats; mutable last_loss_ms : int }
 
-let create ?(initial_cwnd = 10.) () =
+let create () =
   {
-    x = { cwnd = initial_cwnd; ssthresh = Float.infinity; srtt_ms = 0. };
+    x = { cwnd = 10.; ssthresh = Float.infinity; srtt_ms = 0. };
     last_loss_ms = -1_000_000;
   }
 

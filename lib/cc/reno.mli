@@ -5,7 +5,9 @@
 
 type t
 
-val create : ?initial_cwnd:float -> unit -> t
+val create : unit -> t
+(** A fresh flow: window 10 packets, in slow start. *)
+
 val on_acks : t -> Canopy_netsim.Env.acks_handler
 (** A run of ACKs: the same state as [count] single ACKs. *)
 

@@ -1,7 +1,6 @@
 (** Drive a congestion controller over a trace and collect the metrics
     the paper's evaluation reports (Section 6.1): average utilization,
-    average and p95 queueing delay, and loss rate — plus optional
-    per-bin time series for the motivating sending-rate figures. *)
+    average and p95 queueing delay, and loss rate. *)
 
 type metrics = {
   scheme : string;
@@ -16,28 +15,16 @@ type metrics = {
   dropped_pkts : int;
 }
 
-type series = {
-  bin_ms : int;
-  throughput_mbps : float array;  (** delivered rate per bin *)
-  capacity_mbps : float array;  (** offered capacity per bin *)
-  cwnd : float array;  (** effective window at each bin end *)
-  avg_qdelay_ms_bins : float array;  (** mean queueing delay per bin *)
-}
-(** Time-binned series of one run. *)
-
 val run :
-  ?series_bin_ms:int ->
-  ?impairments:Canopy_netsim.Env.impairments ->
   trace:Canopy_trace.Trace.t ->
   min_rtt_ms:int ->
   buffer_pkts:int ->
   duration_ms:int ->
   (unit -> Controller.t) ->
-  metrics * series option
+  metrics
 (** [run ~trace ... make_controller] simulates a fresh controller on a
-    fresh link. The controller's window suggestion is applied to the link
-    after every millisecond tick. [series_bin_ms] enables time-series
-    collection at the given resolution. *)
+    fresh, unimpaired link. The controller's window suggestion is
+    applied to the link after every millisecond tick. *)
 
 val buffer_of_bdp :
   bdp_multiplier:float ->

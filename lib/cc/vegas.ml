@@ -1,8 +1,10 @@
+(* The band Vegas keeps its queue estimate in, in packets. *)
+let alpha = 2.
+let beta = 4.
+
 (* All-float record: OCaml stores it flat, so the per-ACK stores
    neither box nor pass the write barrier. *)
 type floats = {
-  alpha : float;
-  beta : float;
   mutable cwnd : float;
   mutable base_rtt_ms : float;
   mutable epoch_rtt_sum : float;
@@ -16,14 +18,11 @@ type t = {
   mutable last_loss_ms : int;
 }
 
-let create ?(alpha = 2.) ?(beta = 4.) ?(initial_cwnd = 10.) () =
-  if alpha > beta then invalid_arg "Vegas.create: alpha > beta";
+let create () =
   {
     x =
       {
-        alpha;
-        beta;
-        cwnd = initial_cwnd;
+        cwnd = 10.;
         base_rtt_ms = Float.infinity;
         epoch_rtt_sum = 0.;
       };
@@ -54,14 +53,14 @@ let on_acks t ~now_ms ~rtt_ms ~first_seq:_ ~count ~delivered:_ =
       let w = x.cwnd -. 1. in
       let shrunk = if w <= 2. then 2. else w in
       if t.in_slow_start then begin
-        if diff > x.alpha then begin
+        if diff > alpha then begin
           t.in_slow_start <- false;
           x.cwnd <- shrunk
         end
         else x.cwnd <- x.cwnd +. 1.
       end
-      else if diff < x.alpha then x.cwnd <- x.cwnd +. 1.
-      else if diff > x.beta then x.cwnd <- shrunk;
+      else if diff < alpha then x.cwnd <- x.cwnd +. 1.
+      else if diff > beta then x.cwnd <- shrunk;
       t.epoch_start_ms <- now_ms;
       x.epoch_rtt_sum <- 0.;
       t.epoch_acks <- 0

@@ -8,8 +8,9 @@
 
 type t
 
-val create : ?alpha:float -> ?beta:float -> ?initial_cwnd:float -> unit -> t
-(** Defaults: [alpha = 2.], [beta = 4.] packets. *)
+val create : unit -> t
+(** A fresh flow: window 10 packets, in slow start, with [alpha = 2]
+    and [beta = 4] packets. *)
 
 val on_acks : t -> Canopy_netsim.Env.acks_handler
 (** A run of ACKs: the same state as [count] single ACKs. *)

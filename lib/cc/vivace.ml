@@ -3,8 +3,9 @@ let min_rate = 0.02
 let max_rate = 200.
 let probe_epsilon = 0.05
 
-(* Utility weights from the Vivace paper: latency gradient (b) and loss
-   (c). *)
+(* Utility weights from the Vivace paper: throughput exponent (t),
+   latency gradient (b) and loss (c). *)
+let utility_exponent = 0.9
 let latency_weight = 900.
 let loss_weight = 11.35
 
@@ -16,7 +17,6 @@ type phase =
 (* All-float record: OCaml stores it flat, so the per-ACK stores
    neither box nor pass the write barrier. *)
 type floats = {
-  utility_exponent : float;
   mutable rate : float; (* pkts per ms, the decision variable *)
   mutable srtt_ms : float;
   mutable min_rtt_ms : float;
@@ -39,16 +39,11 @@ type t = {
   mutable mi_losses : int;
 }
 
-let create ?(utility_exponent = 0.9) ?(initial_rate_pkts_per_ms = 1.) () =
-  if utility_exponent <= 0. || utility_exponent >= 1. then
-    invalid_arg "Vivace.create: utility exponent";
+let create () =
   {
     x =
       {
-        utility_exponent;
-        rate =
-          Canopy_util.Mathx.clamp ~lo:min_rate ~hi:max_rate
-            initial_rate_pkts_per_ms;
+        rate = 1.;
         srtt_ms = 0.;
         min_rtt_ms = Float.infinity;
         mi_first_rtt = 0.;
@@ -107,7 +102,7 @@ let interval_utility t ~duration_ms =
     let total = t.mi_acks + t.mi_losses in
     let loss = float_of_int t.mi_losses /. float_of_int (Int.max 1 total) in
     let rising = if latency_gradient <= 0. then 0. else latency_gradient in
-    (x ** t.x.utility_exponent)
+    (x ** utility_exponent)
     -. (latency_weight *. x *. rising)
     -. (loss_weight *. x *. loss)
   end

@@ -421,8 +421,11 @@ type refutation =
   | Violation of { state : float array; output : float }
   | Unknown
 
-let refute ?(samples = 64) ~rng ~actor ~history ~state ~cwnd_tcp ~prev_cwnd
-    component =
+(* Delay values one refutation evaluates: the slice's two endpoints, its
+   midpoint and uniform draws. *)
+let refute_samples = 64
+
+let refute ~rng ~actor ~history ~state ~cwnd_tcp ~prev_cwnd component =
   if component.certified then Unknown
   else begin
     (* Derive a per-component stream via [Prng.split]: one draw advances
@@ -479,7 +482,7 @@ let refute ?(samples = 64) ~rng ~actor ~history ~state ~cwnd_tcp ~prev_cwnd
     consider (Interval.lo component.slice);
     consider (Interval.hi component.slice);
     consider (Interval.midpoint component.slice);
-    for _ = 4 to samples do
+    for _ = 4 to refute_samples do
       consider (Interval.sample rng component.slice)
     done;
     !witness

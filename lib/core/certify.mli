@@ -156,7 +156,6 @@ type refutation =
           be certified-able with a more precise domain *)
 
 val refute :
-  ?samples:int ->
   rng:Canopy_util.Prng.t ->
   actor:Mlp.t ->
   history:int ->
@@ -165,10 +164,10 @@ val refute :
   prev_cwnd:float ->
   component ->
   refutation
-(** [refute ... component] samples delay values (default 64) inside the
-    component's slice, evaluates the concrete policy, and returns the
-    worst concrete witness if any violates the postcondition (the
-    component's [target]). A returned
+(** [refute ... component] samples 64 delay values inside the
+    component's slice (its endpoints and midpoint first), evaluates the
+    concrete policy, and returns the worst concrete witness if any
+    violates the postcondition (the component's [target]). A returned
     [Violation] is a genuine property violation (no abstraction
     involved); [Unknown] leaves the component's status open. Certified
     components always return [Unknown].

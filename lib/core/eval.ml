@@ -211,7 +211,7 @@ let eval_policy ?(name = "canopy") ?noise ?certificate ?refute_rng ?shield
   (result, List.rev !steps)
 
 let eval_tcp ~name make link =
-  let metrics, _ =
+  let metrics =
     Canopy_cc.Runner.run ~trace:link.trace ~min_rtt_ms:link.min_rtt_ms
       ~buffer_pkts:(buffer_pkts link) ~duration_ms:link.duration_ms make
   in

@@ -1,21 +1,15 @@
 module Mat = Canopy_tensor.Mat
 
-type config = {
-  max_depth : int;
-  max_leaves : int;
-  min_samples_leaf : int;
-  candidate_splits : int;
-  ridge : float;
-}
+type config = { max_leaves : int; min_samples_leaf : int }
 
-let default_config =
-  {
-    max_depth = 8;
-    max_leaves = 64;
-    min_samples_leaf = 32;
-    candidate_splits = 32;
-    ridge = 1e-6;
-  }
+let default_config = { max_leaves = 64; min_samples_leaf = 32 }
+
+(* No split deeper than [max_depth]; at most [candidate_splits]
+   thresholds tried per feature; Tikhonov strength [ridge] for the leaf
+   models. *)
+let max_depth = 8
+let candidate_splits = 32
+let ridge = 1e-6
 
 (* Mutable build-time node: a frontier leaf owns the segment
    [seg_lo, seg_hi) of the global sample-index array until it is split. *)
@@ -42,7 +36,7 @@ let sse ~sum ~sum2 ~n =
 let best_split cfg ~raw ~d ~ys ~idx node =
   let lo = node.seg_lo and hi = node.seg_hi in
   let n = hi - lo in
-  if node.bdepth >= cfg.max_depth || n < 2 * cfg.min_samples_leaf then None
+  if node.bdepth >= max_depth || n < 2 * cfg.min_samples_leaf then None
   else begin
     let vals = Array.make n (0., 0., 0) in
     let pre_sum = Array.make (n + 1) 0. and pre_sum2 = Array.make (n + 1) 0. in
@@ -77,8 +71,8 @@ let best_split cfg ~raw ~d ~ys ~idx node =
         end
       done;
       let step =
-        if !n_positions <= cfg.candidate_splits then 1
-        else (!n_positions + cfg.candidate_splits - 1) / cfg.candidate_splits
+        if !n_positions <= candidate_splits then 1
+        else (!n_positions + candidate_splits - 1) / candidate_splits
       in
       List.iteri
         (fun pi k ->
@@ -163,7 +157,7 @@ let solve_inplace a b m =
 
 (* Ridge least-squares affine model for one leaf segment; falls back to the
    constant mean when the normal equations are degenerate. *)
-let fit_leaf cfg ~raw ~d ~ys ~idx ~lo ~hi ~coef ~bias ~leaf_id =
+let fit_leaf ~raw ~d ~ys ~idx ~lo ~hi ~coef ~bias ~leaf_id =
   let m = d + 1 in
   let n = hi - lo in
   let a = Array.make_matrix m m 0. and b = Array.make m 0. in
@@ -186,7 +180,7 @@ let fit_leaf cfg ~raw ~d ~ys ~idx ~lo ~hi ~coef ~bias ~leaf_id =
     for j = 0 to i - 1 do
       a.(i).(j) <- a.(j).(i)
     done;
-    a.(i).(i) <- a.(i).(i) +. (cfg.ridge *. float_of_int n)
+    a.(i).(i) <- a.(i).(i) +. (ridge *. float_of_int n)
   done;
   let mean =
     if n = 0 then 0.
@@ -285,7 +279,7 @@ let fit ?(config = default_config) ~xs ~ys () =
         let li = !next_leaf in
         incr next_leaf;
         leaf.(i) <- li;
-        fit_leaf cfg ~raw ~d ~ys ~idx ~lo:nd.seg_lo ~hi:nd.seg_hi ~coef ~bias
+        fit_leaf ~raw ~d ~ys ~idx ~lo:nd.seg_lo ~hi:nd.seg_hi ~coef ~bias
           ~leaf_id:li
   in
   emit root;

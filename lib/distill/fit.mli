@@ -2,16 +2,14 @@
 
     Splits greedily maximize variance reduction of the target (best-first
     over all frontier leaves, so the leaf budget goes where it pays most);
-    each final leaf gets a ridge-regularized least-squares affine model.
-    Fully deterministic: no randomness, ties broken by lowest feature /
-    candidate index. *)
+    each final leaf gets a ridge-regularized least-squares affine model
+    (Tikhonov strength 1e-6). No split goes deeper than 8, and at most 32
+    threshold candidates are tried per feature. Fully deterministic: no
+    randomness, ties broken by lowest feature / candidate index. *)
 
 type config = {
-  max_depth : int;  (** split no deeper than this (default 8) *)
   max_leaves : int;  (** total leaf budget (default 64) *)
   min_samples_leaf : int;  (** both children must keep this many (default 32) *)
-  candidate_splits : int;  (** threshold candidates per feature (default 32) *)
-  ridge : float;  (** Tikhonov strength for leaf models (default 1e-6) *)
 }
 
 val default_config : config

@@ -357,7 +357,7 @@ let output_intervals ?(exact = true) t (set : Canopy_absint.Box.set) ~out_lo
   bound ~exact t ~hull_lo ~hull_hi ~vary ~lo ~hi ~rows ~out_lo ~out_hi
 
 (* One box, given by its corners: the case in which no column varies. *)
-let output_interval ?(exact = true) t ~lo ~hi =
+let output_interval t ~lo ~hi =
   let what = "Tree.output_interval" in
   if Array.length lo <> t.in_dim || Array.length hi <> t.in_dim then
     invalid_arg (what ^ ": bad box dim");
@@ -365,8 +365,8 @@ let output_interval ?(exact = true) t ~lo ~hi =
     if not (lo.(j) <= hi.(j)) then invalid_arg (what ^ ": bad box")
   done;
   let out_lo = [| 0. |] and out_hi = [| 0. |] in
-  bound ~exact t ~hull_lo:lo ~hull_hi:hi ~vary:[||] ~lo:[||] ~hi:[||] ~rows:1
-    ~out_lo ~out_hi;
+  bound ~exact:true t ~hull_lo:lo ~hull_hi:hi ~vary:[||] ~lo:[||] ~hi:[||]
+    ~rows:1 ~out_lo ~out_hi;
   Interval.make out_lo.(0) out_hi.(0)
 
 (* ------------------------------------------------------------------ *)

@@ -59,7 +59,6 @@ val predict_rows_into : dst:Canopy_tensor.Mat.t -> t -> Canopy_tensor.Mat.t -> u
     row) at any domain count. *)
 
 val output_interval :
-  ?exact:bool ->
   t ->
   lo:float array ->
   hi:float array ->
@@ -67,26 +66,22 @@ val output_interval :
 (** Bound the tree output over the input box [\[lo.(j), hi.(j)\]] per
     dimension (both of length [in_dim]).  Raises [Invalid_argument] on a
     length mismatch or when some [lo.(j) <= hi.(j)] fails (including NaN
-    corners).  It runs {!output_intervals}' bound on one box in which no
-    column varies.
+    corners).  It runs {!output_intervals}' exact bound on one box in
+    which no column varies.
 
     Each leaf's region is an axis-aligned cell, the conjunction of the
     split half-spaces on its root path, closed on both sides: the boundary
     [x = threshold] belongs to both children, a measure-zero
     over-approximation that keeps every bound sound.
 
-    With [~exact:true] (default), one depth-first descent from the root
-    tightens the cell split by split and prunes every subtree whose cell
-    misses the box; each reached leaf's affine model is bounded over the
-    {e intersection} of the box with its cell — tight for one affine
-    stage, accumulated in [predict]'s term order — so the result is the
-    exact hull of reachable leaf ranges (up to closed-boundary ties).
-    Leaves on contradictory paths are never reached.  Cost: O(visited
-    nodes + reached leaves * in_dim).  With [~exact:false] every leaf is
-    bounded over the whole input box with no cell intersection — the
-    conservative reading a structure-blind engine would produce, O(n_leaves
-    * in_dim).  The exact interval is always contained in the conservative
-    one. *)
+    One depth-first descent from the root tightens the cell split by
+    split and prunes every subtree whose cell misses the box; each
+    reached leaf's affine model is bounded over the {e intersection} of
+    the box with its cell — tight for one affine stage, accumulated in
+    [predict]'s term order — so the result is the exact hull of
+    reachable leaf ranges (up to closed-boundary ties).  Leaves on
+    contradictory paths are never reached.  Cost: O(visited nodes +
+    reached leaves * in_dim). *)
 
 val output_intervals :
   ?exact:bool ->
@@ -104,7 +99,14 @@ val output_intervals :
     alone.  One descent over the hull of the boxes reaches every leaf some
     box's descent would; at each, only the boxes whose varying columns
     all meet the leaf's cell are bounded, and a shared column has its
-    term formed once per leaf.  Raises [Invalid_argument] unless the set
+    term formed once per leaf.
+
+    With [~exact:false] (default [true]) every leaf is bounded over the
+    whole box with no cell intersection — the conservative reading a
+    structure-blind engine would produce, O(n_leaves * in_dim) per box.
+    The exact interval is always contained in the conservative one.
+
+    Raises [Invalid_argument] unless the set
     passes {!Canopy_absint.Box.check_set} at [in_dim] (["...: shape"] or
     ["...: deviation"]), every corner is ordered and NaN-free
     (["...: bad box"]), and the outputs hold at least [rows] cells. *)

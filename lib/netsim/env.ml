@@ -5,25 +5,6 @@ type acks_handler =
 type loss_handler = now_ms:int -> count:int -> unit
 type handlers = { on_acks : acks_handler; on_loss : loss_handler }
 
-let null_handlers =
-  {
-    on_acks =
-      (fun ~now_ms:_ ~rtt_ms:_ ~first_seq:_ ~count:_ ~delivered:_ -> ());
-    on_loss = (fun ~now_ms:_ ~count:_ -> ());
-  }
-
-let chain a b =
-  {
-    on_acks =
-      (fun ~now_ms ~rtt_ms ~first_seq ~count ~delivered ->
-        a.on_acks ~now_ms ~rtt_ms ~first_seq ~count ~delivered;
-        b.on_acks ~now_ms ~rtt_ms ~first_seq ~count ~delivered);
-    on_loss =
-      (fun ~now_ms ~count ->
-        a.on_loss ~now_ms ~count;
-        b.on_loss ~now_ms ~count);
-  }
-
 type impairments = {
   random_loss : float;
   ack_jitter_ms : int;

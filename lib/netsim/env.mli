@@ -41,12 +41,6 @@ type loss_handler = now_ms:int -> count:int -> unit
 
 type handlers = { on_acks : acks_handler; on_loss : loss_handler }
 
-val null_handlers : handlers
-
-val chain : handlers -> handlers -> handlers
-(** Invoke both, first argument first. Each sees a whole run before the
-    other does, so the two must share no mutable state. *)
-
 type impairments = {
   random_loss : float;  (** probability of non-congestive packet loss *)
   ack_jitter_ms : int;  (** max extra delay added to each ACK's return *)

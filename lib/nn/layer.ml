@@ -41,7 +41,7 @@ let dense ~rng ~in_dim ~out_dim =
       db = Vec.create out_dim;
     }
 
-let batch_norm ?(momentum = 0.1) ?(eps = 1e-5) ~dim () =
+let batch_norm ~dim =
   if dim <= 0 then invalid_arg "Layer.batch_norm: dim";
   let ones = Vec.init dim (fun _ -> 1.) in
   Batch_norm
@@ -52,8 +52,8 @@ let batch_norm ?(momentum = 0.1) ?(eps = 1e-5) ~dim () =
       dbeta = Vec.create dim;
       running_mean = Vec.create dim;
       running_var = Vec.copy ones;
-      momentum;
-      eps;
+      momentum = 0.1;
+      eps = 1e-5;
     }
 
 (* A positive slope keeps every input's sign bit in the output: a
@@ -61,9 +61,7 @@ let batch_norm ?(momentum = 0.1) ?(eps = 1e-5) ~dim () =
    to -0, -0 stays -0 and a NaN keeps its sign. The batched backward
    relies on it: it reads its slope from the sign bit of the cached
    output, which selects the arm the input's sign bit would (DESIGN §7). *)
-let leaky_relu ?(slope = 0.01) () =
-  if slope <= 0. then invalid_arg "Layer.leaky_relu: slope must be positive";
-  Leaky_relu slope
+let leaky_relu = Leaky_relu 0.01
 let tanh = Tanh
 
 let out_dim ~in_dim = function

@@ -40,12 +40,14 @@ type cache
 val dense : rng:Canopy_util.Prng.t -> in_dim:int -> out_dim:int -> t
 (** He-initialized fully-connected layer. *)
 
-val batch_norm : ?momentum:float -> ?eps:float -> dim:int -> unit -> t
+val batch_norm : dim:int -> t
 (** Batch normalization initialized to the identity transform
-    (gamma = 1, beta = 0, running mean 0, running variance 1). *)
+    (gamma = 1, beta = 0, running mean 0, running variance 1), with
+    momentum 0.1 and eps 1e-5. A checkpoint may carry other values in
+    the record. *)
 
-val leaky_relu : ?slope:float -> unit -> t
-(** Default slope 0.01. *)
+val leaky_relu : t
+(** Slope 0.01; a checkpoint may carry another positive slope. *)
 
 val tanh : t
 

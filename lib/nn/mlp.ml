@@ -34,11 +34,11 @@ let actor ~rng ~in_dim ~hidden ~out_dim =
   create ~in_dim
     [
       Layer.dense ~rng ~in_dim ~out_dim:hidden;
-      Layer.batch_norm ~dim:hidden ();
-      Layer.leaky_relu ();
+      Layer.batch_norm ~dim:hidden;
+      Layer.leaky_relu;
       Layer.dense ~rng ~in_dim:hidden ~out_dim:hidden;
-      Layer.batch_norm ~dim:hidden ();
-      Layer.leaky_relu ();
+      Layer.batch_norm ~dim:hidden;
+      Layer.leaky_relu;
       Layer.dense ~rng ~in_dim:hidden ~out_dim;
       Layer.tanh;
     ]
@@ -48,9 +48,9 @@ let critic ~rng ~state_dim ~action_dim ~hidden =
   create ~in_dim
     [
       Layer.dense ~rng ~in_dim ~out_dim:hidden;
-      Layer.leaky_relu ();
+      Layer.leaky_relu;
       Layer.dense ~rng ~in_dim:hidden ~out_dim:hidden;
-      Layer.leaky_relu ();
+      Layer.leaky_relu;
       Layer.dense ~rng ~in_dim:hidden ~out_dim:1;
     ]
 

@@ -10,7 +10,6 @@ type config = Fleet_env.config = {
   interval_ms : int option;
   delay_noise : (Canopy_util.Prng.t * float) option;
   impairments : Env.impairments;
-  reward : Reward.config;
 }
 
 let default_config ~trace ~min_rtt_ms ~buffer_pkts ~duration_ms =
@@ -23,7 +22,6 @@ let default_config ~trace ~min_rtt_ms ~buffer_pkts ~duration_ms =
     interval_ms = None;
     delay_noise = None;
     impairments = Env.no_impairments;
-    reward = Reward.default_config;
   }
 
 let state_dim cfg = cfg.history * Observation.feature_count

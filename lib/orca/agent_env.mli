@@ -19,7 +19,6 @@ type config = Fleet_env.config = {
       (** multiplicative noise on the observed queueing delay *)
   impairments : Canopy_netsim.Env.impairments;
       (** link pathologies (random loss, ACK jitter, reordering) *)
-  reward : Reward.config;
 }
 
 val default_config :
@@ -28,7 +27,7 @@ val default_config :
   buffer_pkts:int ->
   duration_ms:int ->
   config
-(** history = 5, automatic interval, no noise, default reward. *)
+(** history = 5, automatic interval, no noise, no impairments. *)
 
 val state_dim : config -> int
 (** [history × Observation.feature_count]. *)

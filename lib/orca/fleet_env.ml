@@ -31,7 +31,6 @@ type config = {
   interval_ms : int option;
   delay_noise : (Canopy_util.Prng.t * float) option;
   impairments : Env.impairments;
-  reward : Reward.config;
 }
 
 let interval_of cfg =
@@ -170,8 +169,7 @@ let create ?link ?start_ms ?plain (cfgs : config array) =
     start_ms =
       (match start_ms with Some s -> Array.copy s | None -> Array.make n 0);
     monitor;
-    reward =
-      Array.map (fun (cfg : config) -> Reward.create ~config:cfg.reward ()) cfgs;
+    reward = Array.map (fun _ -> Reward.create ()) cfgs;
     handlers;
     after_tick;
     hist = Array.make (n * history * Observation.feature_count) 0.;

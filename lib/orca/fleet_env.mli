@@ -31,7 +31,6 @@ type config = {
       (** multiplicative noise on the observed queueing delay *)
   impairments : Canopy_netsim.Env.impairments;
       (** link pathologies (random loss, ACK jitter, reordering) *)
-  reward : Reward.config;
 }
 (** One episode. *)
 
@@ -54,8 +53,8 @@ val create :
   t
 (** One episode per config. All configs must agree on [history],
     decision interval and [duration_ms] (the batched tick runs the
-    whole fleet on one cadence); traces, buffers, minRTTs, impairments
-    and reward configs may differ per flow. [link] and [start_ms] go to
+    whole fleet on one cadence); traces, buffers, minRTTs and
+    impairments may differ per flow. [link] and [start_ms] go to
     [Canopy_netsim.Fleet.create] as they are: flows with equal
     [link.(i)] share one link and must agree on trace (physically),
     buffer and impairments; flow [i] sends nothing before

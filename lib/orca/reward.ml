@@ -1,12 +1,13 @@
-type config = { zeta : float; beta : float; clip_lo : float; clip_hi : float }
+(* Eqs. 2–3: the weight of loss against throughput (ζ), the forgiveness
+   band over the propagation floor (β) and the clip of the reward. *)
+let zeta = 5.
+let beta = 1.25
+let clip_lo = -1.
+let clip_hi = 1.
 
-let default_config = { zeta = 5.; beta = 1.25; clip_lo = -1.; clip_hi = 1. }
+type t = { mutable thr_max_mbps : float }
 
-type t = { cfg : config; mutable thr_max_mbps : float }
-
-let create ?(config = default_config) () =
-  if config.beta <= 1. then invalid_arg "Reward.create: beta";
-  { cfg = config; thr_max_mbps = 0. }
+let create () = { thr_max_mbps = 0. }
 
 let thr_max_mbps t = t.thr_max_mbps
 
@@ -19,7 +20,7 @@ let of_observation t (o : Observation.t) =
     let d_min = o.min_rtt_ms in
     let delay = o.avg_qdelay_ms +. d_min (* average RTT *) in
     let delay' =
-      if d_min <= delay && delay <= t.cfg.beta *. d_min then d_min else delay
+      if d_min <= delay && delay <= beta *. d_min then d_min else delay
     in
     let loss_mbps =
       float_of_int o.loss_pkts
@@ -27,8 +28,8 @@ let of_observation t (o : Observation.t) =
       /. (float_of_int o.interval_ms /. 1000.)
     in
     let r =
-      (o.thr_mbps -. (t.cfg.zeta *. loss_mbps))
+      (o.thr_mbps -. (zeta *. loss_mbps))
       /. delay' /. (t.thr_max_mbps /. d_min)
     in
-    Canopy_util.Mathx.clamp ~lo:t.cfg.clip_lo ~hi:t.cfg.clip_hi r
+    Canopy_util.Mathx.clamp ~lo:clip_lo ~hi:clip_hi r
   end

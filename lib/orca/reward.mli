@@ -3,22 +3,13 @@
     [R = ((THR − ζ·l) / DELAY') / (THR_max / d_min)] where [l] is the
     loss throughput, [DELAY'] forgives RTTs within [β·d_min] of the
     propagation floor, and [THR_max] normalizes by the best throughput
-    seen so far on the link. *)
-
-type config = {
-  zeta : float;  (** weight of loss relative to throughput *)
-  beta : float;  (** forgiveness band multiplier, > 1 *)
-  clip_lo : float;  (** lower clamp on the final reward *)
-  clip_hi : float;
-}
-
-val default_config : config
-(** ζ = 5, β = 1.25, clipped to [\[-1, 1\]]. *)
+    seen so far on the link. ζ = 5 and β = 1.25, and the reward is
+    clipped to [\[-1, 1\]]. *)
 
 type t
 (** Stateful: tracks THR_max across a training run. *)
 
-val create : ?config:config -> unit -> t
+val create : unit -> t
 val thr_max_mbps : t -> float
 
 val of_observation : t -> Observation.t -> float

@@ -10,14 +10,18 @@ type config = {
   tau : float;
   actor_lr : float;
   critic_lr : float;
-  policy_noise : float;
-  noise_clip : float;
-  policy_delay : int;
-  exploration_noise : float;
   batch_size : int;
   buffer_capacity : int;
   warmup : int;
 }
+
+(* TD3's standard smoothing and delay: target-policy noise std 0.2
+   clipped at 0.5, the actor and the targets every second update, and
+   behaviour noise std 0.1. *)
+let policy_noise = 0.2
+let noise_clip = 0.5
+let policy_delay = 2
+let exploration_noise = 0.1
 
 let default_config ~state_dim ~action_dim =
   {
@@ -28,10 +32,6 @@ let default_config ~state_dim ~action_dim =
     tau = 0.005;
     actor_lr = 1e-3;
     critic_lr = 1e-3;
-    policy_noise = 0.2;
-    noise_clip = 0.5;
-    policy_delay = 2;
-    exploration_noise = 0.1;
     batch_size = 64;
     buffer_capacity = 50_000;
     warmup = 256;
@@ -195,7 +195,7 @@ let select_action ?(explore = false) t state =
     Array.map
       (fun x ->
         clamp_action
-          (x +. Prng.gaussian_scaled t.rng ~mu:0. ~sigma:t.cfg.exploration_noise))
+          (x +. Prng.gaussian_scaled t.rng ~mu:0. ~sigma:exploration_noise))
       a
   else Array.map clamp_action a
 
@@ -216,9 +216,8 @@ let q_values t ~state ~action =
    test/oracle.ml draws it in the same order, so the two share one PRNG
    stream and, to rounding, one parameter trajectory. *)
 let smoothing_noise t =
-  let cfg = t.cfg in
-  Canopy_util.Mathx.clamp ~lo:(-.cfg.noise_clip) ~hi:cfg.noise_clip
-    (Prng.gaussian_scaled t.rng ~mu:0. ~sigma:cfg.policy_noise)
+  Canopy_util.Mathx.clamp ~lo:(-.noise_clip) ~hi:noise_clip
+    (Prng.gaussian_scaled t.rng ~mu:0. ~sigma:policy_noise)
 
 (* A transition bootstraps through its next state unless it landed in a
    true absorbing state. Time-limit truncation ([truncated = true]) is not
@@ -380,7 +379,7 @@ let update t =
       Replay_buffer.sample t.buffer t.rng ~batch_size:t.cfg.batch_size
     in
     critic_update t batch;
-    if t.update_calls mod t.cfg.policy_delay = 0 then begin
+    if t.update_calls mod policy_delay = 0 then begin
       actor_update t batch;
       soft_updates t
     end

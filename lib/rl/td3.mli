@@ -17,10 +17,6 @@ type config = {
   tau : float;  (** target-network soft-update rate *)
   actor_lr : float;
   critic_lr : float;
-  policy_noise : float;  (** target-policy smoothing std *)
-  noise_clip : float;
-  policy_delay : int;  (** critic updates per actor update *)
-  exploration_noise : float;  (** behaviour-policy Gaussian std *)
   batch_size : int;
   buffer_capacity : int;
   warmup : int;  (** transitions collected before updates start *)
@@ -28,8 +24,12 @@ type config = {
 
 val default_config : state_dim:int -> action_dim:int -> config
 (** Orca-flavoured defaults: hidden 64, gamma 0.99, tau 0.005, lrs 1e-3 /
-    1e-3, policy noise 0.2 clipped at 0.5, delay 2, exploration 0.1,
-    batch 64, buffer 50k, warmup 256. *)
+    1e-3, batch 64, buffer 50k, warmup 256. *)
+
+val policy_delay : int
+(** Critic updates per actor update: 2. The target-policy smoothing
+    noise (std 0.2, clipped at 0.5) and the behaviour noise (std 0.1)
+    are fixed too. *)
 
 type t
 
@@ -39,8 +39,9 @@ val actor : t -> Mlp.t
 (** The live policy network — what the verifier certifies. *)
 
 val select_action : ?explore:bool -> t -> float array -> float array
-(** Deterministic policy output, plus clipped Gaussian exploration noise
-    when [explore] is true (default false). *)
+(** Deterministic policy output, plus Gaussian exploration noise (std
+    0.1), clipped to the action range, when [explore] is true (default
+    false). *)
 
 val observe : t -> Replay_buffer.transition -> unit
 (** Record a transition; cheap, no learning. *)

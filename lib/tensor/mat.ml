@@ -743,30 +743,6 @@ let map_into ~dst f m =
     dst.data.(i) <- f m.data.(i)
   done
 
-let set_row m i v =
-  if i < 0 || i >= m.rows then invalid_arg "Mat.set_row: index";
-  if Array.length v <> m.cols then invalid_arg "Mat.set_row: dims";
-  Array.blit v 0 m.data (i * m.cols) m.cols
-
-let of_rows rows_a =
-  let n = Array.length rows_a in
-  if n = 0 then invalid_arg "Mat.of_rows: empty";
-  let cols = Array.length rows_a.(0) in
-  if cols = 0 then invalid_arg "Mat.of_rows: empty row";
-  let m = create ~rows:n ~cols in
-  for i = 0 to n - 1 do
-    set_row m i rows_a.(i)
-  done;
-  m
-
-let sub_rows m ~lo ~hi =
-  if lo < 0 || hi > m.rows || lo >= hi then invalid_arg "Mat.sub_rows: range";
-  {
-    rows = hi - lo;
-    cols = m.cols;
-    data = Array.sub m.data (lo * m.cols) ((hi - lo) * m.cols);
-  }
-
 (* A one-row matrix over the caller's vector: no copy, so it aliases
    [v] the way [scratch_mat] aliases its arena. *)
 let row_view v =

@@ -142,18 +142,6 @@ val map_into : dst:t -> (float -> float) -> t -> unit
 (** Element-wise map into a preallocated matrix of the same shape
     ([dst] and the source may be the same matrix). *)
 
-val set_row : t -> int -> Vec.t -> unit
-(** [set_row m i v] overwrites row [i] of [m] with [v] (blit). *)
-
-val of_rows : Vec.t array -> t
-(** Pack an array of equal-length rows into a fresh [n × dim] matrix.
-    Like {!of_arrays} but blit-based; rows must be non-empty. *)
-
-val sub_rows : t -> lo:int -> hi:int -> t
-(** [sub_rows m ~lo ~hi] copies rows [lo..hi-1] into a fresh
-    [(hi-lo) × cols] matrix (e.g. one chunk of certificate boxes).
-    Raises [Invalid_argument] unless [0 <= lo < hi <= rows m]. *)
-
 val row_view : Vec.t -> t
 (** [row_view v] is the one-row matrix over [v]'s own storage, without a
     copy: it aliases [v] as {!scratch_mat} aliases its arena, so writes

@@ -13,7 +13,7 @@ let of_segments ~name segments =
   List.iter
     (fun (dur, rate) ->
       if dur <= 0 then invalid_arg "Trace.of_segments: duration";
-      if rate < 0. || Float.is_nan rate then
+      if not (rate >= 0. && Float.is_finite rate) then
         invalid_arg "Trace.of_segments: rate")
     segments;
   let n = List.length segments in

@@ -11,7 +11,7 @@ val of_segments : name:string -> (int * float) list -> t
 (** [of_segments ~name segments] builds a trace from
     [(duration_ms, mbps)] pieces played in order. Raises
     [Invalid_argument] on an empty list, non-positive durations, or
-    negative rates. *)
+    rates that are negative, NaN or infinite. *)
 
 val constant : name:string -> duration_ms:int -> mbps:float -> t
 

@@ -203,7 +203,7 @@ let set_default p =
   default_pool := Some p;
   Mutex.unlock default_m
 
-let parallel_for_chunks ?pool ~chunk n f =
+let parallel_for_chunks ~chunk n f =
   if chunk <= 0 then invalid_arg "Pool.parallel_for_chunks: chunk";
   if n < 0 then invalid_arg "Pool.parallel_for_chunks: n";
   if in_task () then
@@ -214,7 +214,7 @@ let parallel_for_chunks ?pool ~chunk n f =
       let lo = i * chunk in
       f ~lo ~hi:(min n (lo + chunk))
     in
-    let pool = match pool with Some p -> p | None -> default () in
+    let pool = default () in
     if not pool.alive then invalid_arg "Pool: pool has been shut down";
     if pool.size = 1 || chunks = 1 then begin
       (* Degenerate path: same chunk decomposition, ascending order, on
@@ -231,16 +231,16 @@ let parallel_for_chunks ?pool ~chunk n f =
     else run_job pool { chunks; run; next = Atomic.make 0; completed = 0; error = None }
   end
 
-let map ?pool f arr =
+let map f arr =
   let n = Array.length arr in
   if n = 0 then [||]
   else begin
     let out = Array.make n None in
-    parallel_for_chunks ?pool ~chunk:1 n (fun ~lo ~hi ->
+    parallel_for_chunks ~chunk:1 n (fun ~lo ~hi ->
         for i = lo to hi - 1 do
           out.(i) <- Some (f arr.(i))
         done);
     Array.map (function Some v -> v | None -> assert false) out
   end
 
-let map_list ?pool f l = Array.to_list (map ?pool f (Array.of_list l))
+let map_list f l = Array.to_list (map f (Array.of_list l))

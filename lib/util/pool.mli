@@ -40,9 +40,9 @@ val shutdown : t -> unit
 
 val default : unit -> t
 (** The ambient pool, created on first use with [create ()] (so
-    [CANOPY_DOMAINS] sizes it) and torn down [at_exit]. Library code
-    (GEMM kernels, the certificate engine, evaluation sweeps) uses this
-    pool when no explicit one is given. *)
+    [CANOPY_DOMAINS] sizes it) and torn down [at_exit]. Every parallel
+    entry point below runs on it, and library code (GEMM kernels, the
+    certificate engine, evaluation sweeps) goes through them. *)
 
 val set_default : t -> unit
 (** Replace the ambient pool (the previous default, if any, keeps running
@@ -56,21 +56,23 @@ val in_task : unit -> bool
     reference instead of re-entering the pool. *)
 
 val parallel_for_chunks :
-  ?pool:t -> chunk:int -> int -> (lo:int -> hi:int -> unit) -> unit
+  chunk:int -> int -> (lo:int -> hi:int -> unit) -> unit
 (** [parallel_for_chunks ~chunk n f] covers [0 .. n-1] with the fixed
     chunks [\[0,chunk)], [\[chunk,2·chunk)], …, [\[·,n)] and calls
-    [f ~lo ~hi] exactly once per chunk, each chunk on exactly one domain.
-    The chunk list depends only on [n] and [chunk]. [f] must write only
-    state owned by its chunk. Exceptions raised by chunks are re-raised
-    in the caller — deterministically the one from the lowest-numbered
-    chunk — and the pool remains usable. Raises [Invalid_argument] if
-    [chunk <= 0], [n < 0], or when called from inside a pool task. *)
+    [f ~lo ~hi] exactly once per chunk, each chunk on exactly one domain
+    of the ambient pool ({!default}). The chunk list depends only on [n]
+    and [chunk]. [f] must write only state owned by its chunk.
+    Exceptions raised by chunks are re-raised in the caller —
+    deterministically the one from the lowest-numbered chunk — and the
+    pool remains usable. Raises [Invalid_argument] if
+    [chunk <= 0], [n < 0], when called from inside a pool task, or, for
+    [n > 0], when the ambient pool has been shut down. *)
 
-val map : ?pool:t -> ('a -> 'b) -> 'a array -> 'b array
+val map : ('a -> 'b) -> 'a array -> 'b array
 (** Parallel [Array.map], one task per element (elements are assumed
     coarse: links to evaluate, environments to build). Results are placed
     in input order; [f] runs exactly once per element. Same exception and
     reentrancy contract as {!parallel_for_chunks}. *)
 
-val map_list : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
+val map_list : ('a -> 'b) -> 'a list -> 'b list
 (** {!map} over a list, preserving order. *)

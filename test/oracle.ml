@@ -2,7 +2,9 @@
    per-sample passes of the layers, the networks and the TD3 update, and
    the two vector kernels under them. They share no code with the GEMM
    and element-wise kernels the library runs, which the tests hold to
-   them ([test_nn], [test_rl], [test_tensor]). *)
+   them ([test_nn], [test_rl], [test_tensor]). Also the dense-row
+   certificate engines, and the runner that records per-bin series over
+   impaired links ([test_golden] pins its digests). *)
 
 open Canopy_tensor
 open Canopy_nn
@@ -241,9 +243,10 @@ let td3_update (cfg : Td3.config) agent =
     let batch = Replay_buffer.sample buffer rng ~batch_size:cfg.batch_size in
     let n = Array.length batch in
     let clamp_action = Mathx.clamp ~lo:(-1.) ~hi:1. in
+    (* TD3's target smoothing: std 0.2, clipped at 0.5. *)
     let noise () =
-      Mathx.clamp ~lo:(-.cfg.noise_clip) ~hi:cfg.noise_clip
-        (Prng.gaussian_scaled rng ~mu:0. ~sigma:cfg.policy_noise)
+      Mathx.clamp ~lo:(-0.5) ~hi:0.5
+        (Prng.gaussian_scaled rng ~mu:0. ~sigma:0.2)
     in
     let q critic s a = (Mlp.forward critic (Array.append s a)).(0) in
     let target (tr : Replay_buffer.transition) =
@@ -267,7 +270,7 @@ let td3_update (cfg : Td3.config) agent =
     in
     fit_critic critic1 (List.assoc "opt_critic1" opts) inputs targets;
     fit_critic critic2 (List.assoc "opt_critic2" opts) inputs targets;
-    if update_count mod cfg.policy_delay = 0 then begin
+    if update_count mod Td3.policy_delay = 0 then begin
       (* Deterministic policy gradient through critic 1. *)
       Mlp.zero_grad actor;
       let actions, actor_tape = mlp_forward_rows actor states in
@@ -540,3 +543,140 @@ let dense_rows (set : Canopy_absint.Box.set) =
     Array.map2 op (Mat.raw centers) (Mat.raw radii)
   in
   (centers, radii, corner ( -. ), corner ( +. ))
+
+(* ------------------------------------------------------------------ *)
+(* Simulator handlers and the series runner *)
+
+module Env = Canopy_netsim.Env
+module Fleet = Canopy_netsim.Fleet
+module Controller = Canopy_cc.Controller
+module Runner = Canopy_cc.Runner
+
+let null_handlers =
+  {
+    Env.on_acks =
+      (fun ~now_ms:_ ~rtt_ms:_ ~first_seq:_ ~count:_ ~delivered:_ -> ());
+    on_loss = (fun ~now_ms:_ ~count:_ -> ());
+  }
+
+(* Invoke both, first argument first. Each sees a whole run before the
+   other does, so the two must share no mutable state. *)
+let chain (a : Env.handlers) (b : Env.handlers) =
+  {
+    Env.on_acks =
+      (fun ~now_ms ~rtt_ms ~first_seq ~count ~delivered ->
+        a.on_acks ~now_ms ~rtt_ms ~first_seq ~count ~delivered;
+        b.on_acks ~now_ms ~rtt_ms ~first_seq ~count ~delivered);
+    on_loss =
+      (fun ~now_ms ~count ->
+        a.on_loss ~now_ms ~count;
+        b.on_loss ~now_ms ~count);
+  }
+
+type series = {
+  bin_ms : int;
+  throughput_mbps : float array;  (* delivered rate per bin *)
+  capacity_mbps : float array;  (* offered capacity per bin *)
+  cwnd : float array;  (* effective window at each bin end *)
+  avg_qdelay_ms_bins : float array;  (* mean queueing delay per bin *)
+}
+
+(* The runner with link impairments and, with [series_bin_ms], per-bin
+   series of the run, from a second handler chained after the
+   controller's and a sample after every millisecond. [Runner.run] is
+   its clean case without series and must return its metrics bit for
+   bit. *)
+let runner_run ?series_bin_ms ?(impairments = Env.no_impairments) ~trace
+    ~min_rtt_ms ~buffer_pkts ~duration_ms make_controller =
+  if duration_ms <= 0 then invalid_arg "Oracle.runner_run: duration";
+  let controller = make_controller () in
+  let cfg =
+    {
+      Env.trace;
+      min_rtt_ms;
+      buffer_pkts;
+      mtu_bytes = Env.default_mtu;
+      initial_cwnd = controller.Controller.cwnd ();
+      impairments;
+    }
+  in
+  let fleet = Fleet.create [| cfg |] in
+  let bin_ms = Option.value ~default:0 series_bin_ms in
+  let nbins = if bin_ms > 0 then (duration_ms + bin_ms - 1) / bin_ms else 0 in
+  let thr_bins = Array.make (Int.max 1 nbins) 0. in
+  let cap_bins = Array.make (Int.max 1 nbins) 0. in
+  let cwnd_bins = Array.make (Int.max 1 nbins) 0. in
+  let qd_sum = Array.make (Int.max 1 nbins) 0. in
+  let qd_cnt = Array.make (Int.max 1 nbins) 0 in
+  let bin_of ms = Int.min (Int.max 0 ((ms - 1) / bin_ms)) (nbins - 1) in
+  let series_handlers =
+    if bin_ms = 0 then null_handlers
+    else
+      {
+        Env.on_acks =
+          (fun ~now_ms ~rtt_ms ~first_seq:_ ~count ~delivered:_ ->
+            let b = bin_of now_ms in
+            let q = float_of_int (Int.max 0 (rtt_ms - min_rtt_ms)) in
+            for _ = 1 to count do
+              thr_bins.(b) <- thr_bins.(b) +. 1.;
+              qd_sum.(b) <- qd_sum.(b) +. q
+            done;
+            qd_cnt.(b) <- qd_cnt.(b) + count);
+        on_loss = (fun ~now_ms:_ ~count:_ -> ());
+      }
+  in
+  let handlers = chain (Controller.handlers controller) series_handlers in
+  let ms = ref 0 in
+  let after_tick _ =
+    incr ms;
+    Fleet.set_cwnd fleet ~flow:0 (controller.Controller.cwnd ());
+    if bin_ms > 0 then begin
+      let b = bin_of !ms in
+      cwnd_bins.(b) <- Fleet.cwnd fleet ~flow:0;
+      cap_bins.(b) <-
+        cap_bins.(b) +. Canopy_trace.Trace.mbps_at trace (!ms - 1)
+    end
+  in
+  Fleet.run ~after_tick fleet [| handlers |] ~ms:duration_ms;
+  let st = Fleet.stats fleet ~flow:0 in
+  let metrics =
+    {
+      Runner.scheme = controller.Controller.name;
+      trace = Canopy_trace.Trace.name trace;
+      utilization = Fleet.utilization fleet ~flow:0;
+      avg_throughput_mbps =
+        float_of_int st.delivered
+        *. float_of_int Env.default_mtu *. 8. /. 1e6
+        /. (float_of_int duration_ms /. 1000.);
+      avg_qdelay_ms = Fleet.avg_qdelay_ms fleet ~flow:0;
+      p95_qdelay_ms =
+        (if st.delivered = 0 then 0.
+         else Fleet.qdelay_percentile_ms fleet ~flow:0 95.);
+      avg_rtt_ms = Fleet.avg_rtt_ms fleet ~flow:0;
+      loss_rate = Fleet.loss_rate fleet ~flow:0;
+      delivered_pkts = st.delivered;
+      dropped_pkts = st.dropped;
+    }
+  in
+  let series =
+    if bin_ms = 0 then None
+    else begin
+      let pkts_to_mbps pkts =
+        pkts *. float_of_int Env.default_mtu *. 8. /. 1e6
+        /. (float_of_int bin_ms /. 1000.)
+      in
+      Some
+        {
+          bin_ms;
+          throughput_mbps = Array.map pkts_to_mbps thr_bins;
+          capacity_mbps =
+            Array.map (fun sum -> sum /. float_of_int bin_ms) cap_bins;
+          cwnd = cwnd_bins;
+          avg_qdelay_ms_bins =
+            Array.init nbins (fun b ->
+                if qd_cnt.(b) = 0 then 0.
+                else qd_sum.(b) /. float_of_int qd_cnt.(b));
+        }
+    end
+  in
+  (metrics, series)

@@ -540,9 +540,9 @@ let test_anet_dead_columns_match_dense () =
     Mlp.create ~in_dim:d
       [
         Canopy_nn.Layer.dense ~rng ~in_dim:d ~out_dim:10;
-        Canopy_nn.Layer.leaky_relu ~slope:0.25 ();
+        Canopy_nn.Layer.Leaky_relu 0.25;
         Canopy_nn.Layer.dense ~rng ~in_dim:10 ~out_dim:1;
-        Canopy_nn.Layer.leaky_relu ~slope:0.25 ();
+        Canopy_nn.Layer.Leaky_relu 0.25;
       ]
   in
   let nets =

@@ -196,7 +196,9 @@ let test_cubic_on_acks_slow_start () =
   within "Cubic.on_acks 4-ACK run, slow start, major" ~budget:0. major
 
 let test_cubic_on_acks_avoidance () =
-  let c = Canopy_cc.Cubic.create ~initial_cwnd:100. () in
+  let c = Canopy_cc.Cubic.create () in
+  Canopy_cc.Cubic.on_acks c ~now_ms:0 ~rtt_ms:40 ~first_seq:0 ~count:90
+    ~delivered:90;
   let minor, major =
     ack_run_words
       ~setup:(fun () -> Canopy_cc.Cubic.on_loss c ~now_ms:1_000 ~count:1)
@@ -234,7 +236,7 @@ let test_fleet_env_step () =
     words_per_call ~n:steps (fun () -> ignore (Fleet_env.step env ~actions))
   in
   let per_flow x = x /. float_of_int flows in
-  within "Fleet_env.step per flow, minor" ~budget:144.7 (per_flow minor);
+  within "Fleet_env.step per flow, minor" ~budget:140.7 (per_flow minor);
   within "Fleet_env.step per flow, major" ~budget:0. (per_flow major)
 
 (* One policy period (two updates: both critics twice, the actor and the
@@ -276,7 +278,7 @@ let test_td3_update () =
     period ()
   done;
   let minor, major = words_per_call ~n:100 period in
-  within "Td3.update policy period, minor" ~budget:9_135. minor;
+  within "Td3.update policy period, minor" ~budget:8_876. minor;
   within "Td3.update policy period, major" ~budget:0. major
 
 (* One step certificate at the evaluation's N = 50 (performance
@@ -341,7 +343,7 @@ let test_eval_tcp () =
   in
   run ();
   let minor, major = words_per_call ~n:50 run in
-  within "Eval.eval_tcp 1-s cell, minor" ~budget:3_563. minor;
+  within "Eval.eval_tcp 1-s cell, minor" ~budget:3_522. minor;
   within "Eval.eval_tcp 1-s cell, major" ~budget:1_011. major
 
 let suite =

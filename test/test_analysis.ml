@@ -396,7 +396,7 @@ let test_netcheck_rejects_nonfinite_weight () =
 
 let test_netcheck_rejects_uninitialized_bn () =
   let bn =
-    match Layer.batch_norm ~dim:4 () with
+    match Layer.batch_norm ~dim:4 with
     | Layer.Batch_norm bn -> bn
     | _ -> assert false
   in

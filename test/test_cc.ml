@@ -18,8 +18,16 @@ let ack ?(now = 100) ?(rtt = 20) ?(seq = 0) ?(delivered = 1) on_acks =
 (* ------------------------------------------------------------------ *)
 (* Cubic *)
 
+(* A fresh Cubic (window 10, slow start) grown to window [w] by one run
+   of [w - 10] ACKs: one packet per ACK. *)
+let cubic_at ?(now = 100) ?(rtt = 20) w =
+  let c = Cubic.create () in
+  Cubic.on_acks c ~now_ms:now ~rtt_ms:rtt ~first_seq:0 ~count:(w - 10)
+    ~delivered:(w - 10);
+  c
+
 let test_cubic_slow_start_growth () =
-  let c = Cubic.create ~initial_cwnd:10. () in
+  let c = Cubic.create () in
   check_bool "starts in slow start" true (Cubic.in_slow_start c);
   for i = 1 to 5 do
     ack ~now:(100 + i) (Cubic.on_acks c)
@@ -37,7 +45,7 @@ let test_cubic_srtt_ewma () =
   check_float "ewma" ((0.875 *. 40.) +. (0.125 *. 80.)) (Cubic.srtt_ms c)
 
 let test_cubic_loss_reaction () =
-  let c = Cubic.create ~initial_cwnd:100. () in
+  let c = cubic_at 100 in
   ack (Cubic.on_acks c);
   Cubic.on_loss c ~now_ms:200 ~count:1;
   check_bool "multiplicative decrease" true (Cubic.cwnd c < 101.);
@@ -46,7 +54,7 @@ let test_cubic_loss_reaction () =
 
 let test_cubic_loss_guard () =
   (* A burst of drops within one RTT counts as a single event. *)
-  let c = Cubic.create ~initial_cwnd:100. () in
+  let c = cubic_at ~rtt:50 100 in
   ack ~rtt:50 (Cubic.on_acks c);
   Cubic.on_loss c ~now_ms:200 ~count:1;
   let after_first = Cubic.cwnd c in
@@ -57,7 +65,7 @@ let test_cubic_loss_guard () =
 
 let test_cubic_concave_recovery () =
   (* After a loss, congestion avoidance should climb back toward w_max. *)
-  let c = Cubic.create ~initial_cwnd:100. () in
+  let c = cubic_at 100 in
   ack ~now:100 ~rtt:20 (Cubic.on_acks c);
   Cubic.on_loss c ~now_ms:150 ~count:1;
   let floor = Cubic.cwnd c in
@@ -75,7 +83,7 @@ let test_cubic_force_cwnd () =
   check_float "clamped below" 2. (Cubic.cwnd c)
 
 let test_cubic_controller_wrapper () =
-  let c = Cubic.create ~initial_cwnd:10. () in
+  let c = Cubic.create () in
   let ctrl = Cubic.to_controller c in
   Alcotest.(check string) "name" "cubic" ctrl.Controller.name;
   ack ctrl.Controller.on_acks;
@@ -85,20 +93,23 @@ let test_cubic_controller_wrapper () =
 (* Reno *)
 
 let test_reno_slow_start_then_ca () =
-  let r = Reno.create ~initial_cwnd:2. () in
+  let r = Reno.create () in
   check_bool "slow start" true (Reno.in_slow_start r);
   Reno.on_loss r ~now_ms:100 ~count:1;
   check_bool "ca after loss" false (Reno.in_slow_start r);
-  check_float "halved" 2. (Reno.cwnd r);
+  check_float "halved" 5. (Reno.cwnd r);
   (* additive increase: +1/cwnd per ack *)
   ack ~now:200 (Reno.on_acks r);
-  check_float "ai" 2.5 (Reno.cwnd r)
+  check_float "ai" 5.2 (Reno.cwnd r)
 
+(* From 10 packets, the third loss would halve 2.5 below the floor. *)
 let test_reno_floor () =
-  let r = Reno.create ~initial_cwnd:2. () in
-  Reno.on_loss r ~now_ms:100 ~count:1;
-  Reno.on_loss r ~now_ms:500 ~count:1;
-  check_bool "never below 2" true (Reno.cwnd r >= 2.)
+  let r = Reno.create () in
+  List.iter
+    (fun now_ms -> Reno.on_loss r ~now_ms ~count:1)
+    [ 100; 200; 300; 500 ];
+  check_bool "never below 2" true (Reno.cwnd r >= 2.);
+  check_float "at the floor" 2. (Reno.cwnd r)
 
 (* ------------------------------------------------------------------ *)
 (* Vegas *)
@@ -111,7 +122,7 @@ let test_vegas_tracks_base_rtt () =
 
 let test_vegas_backs_off_on_delay () =
   (* Excess queueing (diff > beta) must shrink the window once per RTT. *)
-  let v = Vegas.create ~initial_cwnd:50. () in
+  let v = Vegas.create () in
   ack ~now:10 ~rtt:20 (Vegas.on_acks v);
   let before = Vegas.cwnd v in
   (* inflate RTT: diff = cwnd*(1 - 20/60) = large *)
@@ -121,7 +132,7 @@ let test_vegas_backs_off_on_delay () =
   check_bool "window reduced" true (Vegas.cwnd v < before)
 
 let test_vegas_grows_when_uncongested () =
-  let v = Vegas.create ~initial_cwnd:10. () in
+  let v = Vegas.create () in
   let before = Vegas.cwnd v in
   for i = 1 to 100 do
     ack ~now:(i * 2) ~rtt:20 (Vegas.on_acks v)
@@ -129,16 +140,29 @@ let test_vegas_grows_when_uncongested () =
   check_bool "window grew" true (Vegas.cwnd v > before)
 
 let test_vegas_loss_reaction () =
-  let v = Vegas.create ~initial_cwnd:40. () in
+  let v = Vegas.create () in
   ack ~rtt:20 (Vegas.on_acks v);
   let before = Vegas.cwnd v in
   Vegas.on_loss v ~now_ms:100 ~count:1;
   check_float "3/4 backoff" (0.75 *. before) (Vegas.cwnd v)
 
-let test_vegas_alpha_beta_validation () =
-  Alcotest.check_raises "alpha > beta"
-    (Invalid_argument "Vegas.create: alpha > beta") (fun () ->
-      ignore (Vegas.create ~alpha:5. ~beta:2. ()))
+(* Out of slow start (a loss at 10.5 packets leaves 7.875), one RTT's
+   queue estimate [diff = cwnd (1 - baseRTT / avgRTT)] adds a packet
+   below [alpha = 2], holds the window up to [beta = 4] and takes a
+   packet off above it. Second RTTs of 32, 34, 60 and 62 ms against the
+   20 ms base put diff at 1.82, 2.04, 3.94 and 4.03 packets. *)
+let test_vegas_alpha_beta_band () =
+  let after_epoch rtt =
+    let v = Vegas.create () in
+    ack ~now:0 ~rtt:20 (Vegas.on_acks v);
+    Vegas.on_loss v ~now_ms:1 ~count:1;
+    ack ~now:20 ~rtt (Vegas.on_acks v);
+    Vegas.cwnd v
+  in
+  check_float "below alpha: one more" 8.875 (after_epoch 32);
+  check_float "inside the band: held" 7.875 (after_epoch 34);
+  check_float "up to beta: held" 7.875 (after_epoch 60);
+  check_float "above beta: one less" 6.875 (after_epoch 62)
 
 (* ------------------------------------------------------------------ *)
 (* BBR *)
@@ -184,7 +208,7 @@ let test_bbr_cwnd_tracks_bdp () =
     (Bbr.cwnd b >= 25. && Bbr.cwnd b <= 60.)
 
 let test_bbr_loss_tolerant () =
-  let b = Bbr.create ~initial_cwnd:100. () in
+  let b = Bbr.create () in
   let before = Bbr.cwnd b in
   Bbr.on_loss b ~now_ms:10 ~count:1;
   check_bool "small reaction only" true (Bbr.cwnd b >= 0.9 *. before)
@@ -194,12 +218,9 @@ let test_bbr_loss_tolerant () =
 
 let closed_loop make =
   let trace = Trace.constant ~name:"c48" ~duration_ms:8000 ~mbps:48. in
-  let metrics, _ =
-    Runner.run ~trace ~min_rtt_ms:40
-      ~buffer_pkts:(Runner.buffer_of_bdp ~bdp_multiplier:2. ~trace ~min_rtt_ms:40)
-      ~duration_ms:8000 make
-  in
-  metrics
+  Runner.run ~trace ~min_rtt_ms:40
+    ~buffer_pkts:(Runner.buffer_of_bdp ~bdp_multiplier:2. ~trace ~min_rtt_ms:40)
+    ~duration_ms:8000 make
 
 let test_closed_loop_cubic_fills_link () =
   let m = closed_loop (fun () -> Cubic.to_controller (Cubic.create ())) in
@@ -225,19 +246,20 @@ let test_closed_loop_ordering () =
   check_bool "vegas beats cubic on delay" true
     (vegas.Runner.p95_qdelay_ms < cubic.Runner.p95_qdelay_ms)
 
+(* The per-bin series of the oracle runner, which [test_golden] pins. *)
 let test_runner_series () =
   let trace = Trace.constant ~name:"c12" ~duration_ms:2000 ~mbps:12. in
   let _, series =
-    Runner.run ~series_bin_ms:100 ~trace ~min_rtt_ms:20 ~buffer_pkts:50
+    Oracle.runner_run ~series_bin_ms:100 ~trace ~min_rtt_ms:20 ~buffer_pkts:50
       ~duration_ms:2000 (fun () -> Cubic.to_controller (Cubic.create ()))
   in
   match series with
   | None -> Alcotest.fail "expected series"
   | Some s ->
-      Alcotest.(check int) "bins" 20 (Array.length s.Runner.throughput_mbps);
-      check_float "capacity per bin" 12. s.Runner.capacity_mbps.(5);
+      Alcotest.(check int) "bins" 20 (Array.length s.Oracle.throughput_mbps);
+      check_float "capacity per bin" 12. s.Oracle.capacity_mbps.(5);
       check_bool "throughput bounded by capacity + slack" true
-        (Array.for_all (fun x -> x <= 20.) s.Runner.throughput_mbps)
+        (Array.for_all (fun x -> x <= 20.) s.Oracle.throughput_mbps)
 
 let test_buffer_of_bdp () =
   let trace = Trace.constant ~name:"c12" ~duration_ms:1000 ~mbps:12. in
@@ -261,7 +283,7 @@ let suite =
     ("vegas backs off on delay", `Quick, test_vegas_backs_off_on_delay);
     ("vegas grows uncongested", `Quick, test_vegas_grows_when_uncongested);
     ("vegas loss reaction", `Quick, test_vegas_loss_reaction);
-    ("vegas param validation", `Quick, test_vegas_alpha_beta_validation);
+    ("vegas alpha/beta band", `Quick, test_vegas_alpha_beta_band);
     ("bbr startup mode", `Quick, test_bbr_starts_in_startup);
     ("bbr estimates", `Quick, test_bbr_estimates);
     ("bbr leaves startup", `Quick, test_bbr_leaves_startup_on_plateau);
@@ -278,27 +300,28 @@ let suite =
 (* ------------------------------------------------------------------ *)
 (* PCC Vivace *)
 
-let test_vivace_validation () =
-  Alcotest.check_raises "exponent"
-    (Invalid_argument "Vivace.create: utility exponent") (fun () ->
-      ignore (Vivace.create ~utility_exponent:1.5 ()))
+(* A clean monitor interval (one RTT, no loss) scores the throughput
+   term alone, x^0.9: here 60 ACKs in the 20 ms after a 20 ms warmup,
+   x = 3 packets per ms. *)
+let test_vivace_utility_exponent () =
+  let v = Vivace.create () in
+  ack ~now:1 ~rtt:20 (Vivace.on_acks v);
+  Vivace.on_acks v ~now_ms:30 ~rtt_ms:20 ~first_seq:1 ~count:59 ~delivered:60;
+  ack ~now:40 ~rtt:20 (Vivace.on_acks v);
+  check_float "x ** 0.9" (3. ** 0.9) (Vivace.utility v)
 
 let test_vivace_rate_accessors () =
-  let v = Vivace.create ~initial_rate_pkts_per_ms:2. () in
-  check_float "initial rate" 2. (Vivace.rate_pkts_per_ms v);
+  let v = Vivace.create () in
+  check_float "initial rate" 1. (Vivace.rate_pkts_per_ms v);
   check_float "no utility yet" 0. (Vivace.utility v);
   check_bool "cwnd positive" true (Vivace.cwnd v >= 2.)
 
 let vivace_closed_loop ?(mbps = 48.) ?(ms = 15_000) () =
   let trace = Trace.constant ~name:"c" ~duration_ms:ms ~mbps in
-  let metrics, _ =
-    Runner.run ~trace ~min_rtt_ms:40
-      ~buffer_pkts:
-        (Runner.buffer_of_bdp ~bdp_multiplier:2. ~trace ~min_rtt_ms:40)
-      ~duration_ms:ms
-      (fun () -> Vivace.to_controller (Vivace.create ()))
-  in
-  metrics
+  Runner.run ~trace ~min_rtt_ms:40
+    ~buffer_pkts:(Runner.buffer_of_bdp ~bdp_multiplier:2. ~trace ~min_rtt_ms:40)
+    ~duration_ms:ms
+    (fun () -> Vivace.to_controller (Vivace.create ()))
 
 let test_vivace_fills_stable_link () =
   let m = vivace_closed_loop () in
@@ -312,7 +335,7 @@ let test_vivace_tracks_capacity_down () =
     Canopy_trace.Synthetic.step_fluctuation ~duration_ms:15_000
       ~period_ms:2_000 ~low_mbps:12. ~high_mbps:48. ()
   in
-  let m, _ =
+  let m =
     Runner.run ~trace ~min_rtt_ms:40
       ~buffer_pkts:
         (Runner.buffer_of_bdp ~bdp_multiplier:2. ~trace ~min_rtt_ms:40)
@@ -342,7 +365,7 @@ let test_vivace_utility_rewards_throughput () =
 
 let vivace_suite =
   [
-    ("vivace validation", `Quick, test_vivace_validation);
+    ("vivace utility exponent", `Quick, test_vivace_utility_exponent);
     ("vivace accessors", `Quick, test_vivace_rate_accessors);
     ("vivace fills stable link", `Quick, test_vivace_fills_stable_link);
     ("vivace tracks capacity down", `Quick, test_vivace_tracks_capacity_down);

@@ -616,7 +616,7 @@ let test_checkpoint_relu_rejected () =
   let rng = Prng.create 5 in
   let net =
     Mlp.create ~in_dim:2
-      [ Layer.dense ~rng ~in_dim:2 ~out_dim:3; Layer.leaky_relu ();
+      [ Layer.dense ~rng ~in_dim:2 ~out_dim:3; Layer.leaky_relu;
         Layer.dense ~rng ~in_dim:3 ~out_dim:1 ]
   in
   let text =

@@ -78,20 +78,28 @@ let test_optional_passed_inside_only () =
   Alcotest.check pairs "passed by an outside caller" []
     (findings (files "let () = print_int (Canopy_a.Alpha.f ~k:4 3)\n"))
 
+(* [g] no program reaches: its knob is a test's, like [g] itself, and
+   only the export is reported. *)
 let test_test_only_knob () =
   let r =
     Deadcode.check_files
-      (alpha ~mli:"val f : ?k:int -> ?j:int -> int -> int\n"
-         ~ml:"let f ?(k = 1) ?(j = 2) x = x + k + j\n"
+      (alpha
+         ~mli:"val f : ?k:int -> ?j:int -> int -> int\nval g : ?k:int -> int\n"
+         ~ml:"let f ?(k = 1) ?(j = 2) x = x + k + j\nlet g ?(k = 1) = k\n"
       @ [
           ("bin/main.ml", "let () = print_int (Canopy_a.Alpha.f ~j:3 4)\n");
           ( "test/test_alpha.ml",
-            "let () = ignore (Canopy_a.Alpha.f ~k:5 ~j:6 7)\n" );
+            "let () =\n\
+            \  ignore (Canopy_a.Alpha.f ~k:5 ~j:6 7 + Canopy_a.Alpha.g ~k:8)\n" );
         ])
   in
-  Alcotest.(check (list string)) "?k passed by tests only, ?j from bin/ too"
-    [ "Alpha.f ?k" ] r.Deadcode.test_knobs;
-  check_bool "no finding" true (r.Deadcode.diags = [])
+  Alcotest.check pairs "?k passed by tests only, ?j from bin/ too"
+    [ (Deadcode.test_optional_rule, "Alpha.f ?k") ]
+    (List.map
+       (fun (d : Diagnostic.t) -> (d.Diagnostic.rule, d.Diagnostic.text))
+       r.Deadcode.diags);
+  Alcotest.(check (list string)) "test-only export" [ "Alpha.g" ]
+    r.Deadcode.test_only
 
 let suite =
   [
@@ -103,6 +111,6 @@ let suite =
       test_submodule_path_use;
     Alcotest.test_case "optional passed only inside is a finding" `Quick
       test_optional_passed_inside_only;
-    Alcotest.test_case "knob only tests turn reported, not a finding" `Quick
+    Alcotest.test_case "knob only tests turn is a finding" `Quick
       test_test_only_knob;
   ]

@@ -67,7 +67,7 @@ let synthetic_data ~rng ~n ~d =
 let fitted_tree ?(n = 2_000) ?(d = 7) ?(max_leaves = 16) ~seed () =
   let rng = Prng.create seed in
   let xs, ys = synthetic_data ~rng ~n ~d in
-  let config = { Fit.default_config with max_leaves; min_samples_leaf = 16 } in
+  let config = { Fit.max_leaves; min_samples_leaf = 16 } in
   (Fit.fit ~config ~xs ~ys (), xs, ys)
 
 (* ------------------------------------------------------------------ *)
@@ -272,9 +272,20 @@ let reference_interval ~exact t ~d box =
 (* Leaf-bound exactness: reference bit-equality and sampling audit *)
 
 (* [Tree.output_interval] over a box given as interval records. *)
-let bound ?exact tree box =
-  Tree.output_interval ?exact tree ~lo:(Array.map Interval.lo box)
+let bound tree box =
+  Tree.output_interval tree ~lo:(Array.map Interval.lo box)
     ~hi:(Array.map Interval.hi box)
+
+(* The conservative reading, [Tree.output_intervals ~exact:false] on the
+   one-box set in which every column varies, and the box that set spans:
+   its corners c − e and c + e, which may round [box]'s by an ulp. *)
+let conservative_bound tree box =
+  let b = Canopy_absint.Box.of_intervals box in
+  let out_lo = [| 0. |] and out_hi = [| 0. |] in
+  Tree.output_intervals ~exact:false tree
+    (Canopy_absint.Box.set_of_boxes [| b |])
+    ~out_lo ~out_hi;
+  (Interval.make out_lo.(0) out_hi.(0), Canopy_absint.Box.to_intervals b)
 
 let same_bits a b =
   Int64.bits_of_float (Interval.lo a) = Int64.bits_of_float (Interval.lo b)
@@ -321,12 +332,12 @@ let test_output_interval_sound_and_exact () =
   let families = [| cube; certificate_shaped; on_thresholds |] in
   for i = 1 to 10_000 do
     let box = families.(i mod 3) () in
-    let exact = bound ~exact:true tree box in
-    let conservative = bound ~exact:false tree box in
+    let exact = bound tree box in
+    let conservative, spanned = conservative_bound tree box in
     check_bool "exact bits equal the reference" true
       (same_bits exact (reference_interval ~exact:true t ~d box));
     check_bool "conservative bits equal the reference" true
-      (same_bits conservative (reference_interval ~exact:false t ~d box));
+      (same_bits conservative (reference_interval ~exact:false t ~d spanned));
     (* soundness: every sampled point's prediction lies in the bound;
        half the coordinates snap to a box endpoint, hitting the ties *)
     for _ = 1 to 8 do
@@ -342,7 +353,7 @@ let test_output_interval_sound_and_exact () =
     done;
     (* the exact reading never widens past the conservative one *)
     check_bool "exact subset of conservative" true
-      (Interval.subset exact conservative)
+      (Interval.subset (bound tree spanned) conservative)
   done;
   (* zero coefficients add +0. like the reference, so a -0. bias reads
      as +0. (the fitted tree has no zero coefficient to show it) *)
@@ -624,7 +635,7 @@ let test_output_interval_dead_leaf () =
   check_bool "hull of the reachable leaves" true
     (Interval.lo exact = -1. && Interval.hi exact = 1.);
   check_bool "conservative reading still counts the dead leaf" true
-    (Interval.hi (bound ~exact:false tree box) = 100.);
+    (Interval.hi (fst (conservative_bound tree box)) = 100.);
   let c =
     Certify.certify_tree ~tree ~property:(Property.performance ())
       ~n_components:5 ~history:5 ~state:(Array.make d 0.5) ~cwnd_tcp:80.
@@ -643,7 +654,7 @@ let test_point_box_bit_exact () =
   for _ = 1 to 1_000 do
     let x = Array.init d (fun _ -> Prng.float rng 1.) in
     let box = Array.map Interval.of_point x in
-    let iv = bound ~exact:true tree box in
+    let iv = bound tree box in
     let y = Tree.predict tree x in
     if Interval.is_point iv then begin
       check_bool "lo bit-equal" true
@@ -674,9 +685,7 @@ let distilled_fixture =
     (let actor = Canopy.Trainer.load_actor (fixture "actor_h8.ckpt") in
      let cfgs = Array.init 4 (fun i -> agent_cfg ~duration_ms:2_000 i) in
      let xs, ys = Harvest.collect ~actor cfgs in
-     let config =
-       { Fit.default_config with max_leaves = 32; min_samples_leaf = 8 }
-     in
+     let config = { Fit.max_leaves = 32; min_samples_leaf = 8 } in
      (actor, Fit.fit ~config ~xs ~ys (), xs, ys))
 
 let test_fidelity_fixture_actor () =

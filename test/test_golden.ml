@@ -14,8 +14,10 @@
      [actor_h8.ckpt]; per step the state, the action and the reward,
      then the episode's link metrics; plus the first impaired episode
      with the action unshifted (a drop storm under jitter);
-   - [runner/...]: [Runner.run] metrics and time series for five TCP
-     baselines on the same links;
+   - [runner/...]: metrics and time series for five TCP baselines on
+     the same links, from the oracle runner ([Oracle.runner_run], with
+     series and impairments); the last case holds [Runner.run] to its
+     metrics on the clean links;
    - [fleet/...]: the ack and loss event streams and final counters of a
      5-flow fleet under a fixed window schedule, one flow impaired, and
      of three links with one impairment each (random loss, ACK jitter,
@@ -251,7 +253,7 @@ let test_agent_episodes () =
        @ [ unshifted_impaired_run () ]))
 
 (* ------------------------------------------------------------------ *)
-(* (b) TCP baselines through Runner *)
+(* (b) TCP baselines through the oracle runner *)
 
 let schemes =
   [
@@ -262,25 +264,32 @@ let schemes =
     ("vivace", Canopy.Eval.vivace_scheme);
   ]
 
-let runner_digest ~impairments ~trace ~min_rtt_ms ~buffer_pkts make =
-  let b = digest () in
-  let (m : Runner.metrics), series =
-    Runner.run ~series_bin_ms:100 ~impairments ~trace ~min_rtt_ms ~buffer_pkts
-      ~duration_ms:1_000 make
-  in
-  add_floats b
-    [|
+(* A run's metrics as the Int64 bits the digest takes, in its order. *)
+let metric_bits (m : Runner.metrics) =
+  List.map Int64.bits_of_float
+    [
       m.utilization;
       m.avg_throughput_mbps;
       m.avg_qdelay_ms;
       m.p95_qdelay_ms;
       m.avg_rtt_ms;
       m.loss_rate;
-    |];
-  add_int b m.delivered_pkts;
-  add_int b m.dropped_pkts;
+      float_of_int m.delivered_pkts;
+      float_of_int m.dropped_pkts;
+    ]
+
+let oracle_run ~impairments ~trace ~min_rtt_ms ~buffer_pkts make =
+  Oracle.runner_run ~series_bin_ms:100 ~impairments ~trace ~min_rtt_ms
+    ~buffer_pkts ~duration_ms:1_000 make
+
+let runner_digest ~impairments ~trace ~min_rtt_ms ~buffer_pkts make =
+  let b = digest () in
+  let m, series =
+    oracle_run ~impairments ~trace ~min_rtt_ms ~buffer_pkts make
+  in
+  List.iter (Buffer.add_int64_le b) (metric_bits m);
   Option.iter
-    (fun (s : Runner.series) ->
+    (fun (s : Oracle.series) ->
       add_floats b s.throughput_mbps;
       add_floats b s.capacity_mbps;
       add_floats b s.cwnd;
@@ -303,6 +312,28 @@ let test_runner_metrics () =
                links)
            schemes)
        variants)
+
+(* [Runner.run] on every clean link of the family: the oracle's metrics,
+   bit for bit, and the same names. *)
+let test_runner_matches_oracle () =
+  List.iter
+    (fun (scheme, make) ->
+      List.iter
+        (fun (name, trace, min_rtt_ms, buffer_pkts) ->
+          let want, _ =
+            oracle_run ~impairments:Env.no_impairments ~trace ~min_rtt_ms
+              ~buffer_pkts make
+          in
+          let got =
+            Runner.run ~trace ~min_rtt_ms ~buffer_pkts ~duration_ms:1_000 make
+          in
+          let what = Printf.sprintf "runner/clean/%s/%s" scheme name in
+          Alcotest.(check (list int64))
+            what (metric_bits want) (metric_bits got);
+          Alcotest.(check (pair string string))
+            (what ^ " names") (want.scheme, want.trace) (got.scheme, got.trace))
+        (suite_links ()))
+    schemes
 
 (* ------------------------------------------------------------------ *)
 (* (c) Fleet event streams *)
@@ -465,7 +496,7 @@ let refute_digest ~every ~actor ~property =
         Array.iter
           (fun c ->
             match
-              Certify.refute ~samples:16 ~rng ~actor ~history:5
+              Certify.refute ~rng ~actor ~history:5
                 ~state ~cwnd_tcp ~prev_cwnd c
             with
             | Certify.Violation { state; output } ->
@@ -592,7 +623,7 @@ let hetero_rtt_digests () =
   let bufs = Array.init n (fun _ -> digest ()) in
   let handlers =
     Array.init n (fun i ->
-        Env.chain (digest_events bufs.(i))
+        Oracle.chain (digest_events bufs.(i))
           (Canopy_cc.Controller.handlers ctrls.(i)))
   in
   let after_tick i =
@@ -767,4 +798,6 @@ let suite =
     Alcotest.test_case "certificates, engines x models x properties" `Quick
       test_certificates;
     Alcotest.test_case "td3 updates and a training run" `Quick test_td3;
+    Alcotest.test_case "runner = oracle metrics on the clean links (bits)"
+      `Quick test_runner_matches_oracle;
   ]

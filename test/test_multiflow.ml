@@ -37,7 +37,7 @@ let shared ?(flows = 2) ?mbps ?duration ?(min_rtt = 40) ?min_rtts ?buffer
     ~link:(Array.make (Array.length min_rtts) 0)
     (Array.map (fun min_rtt_ms -> { cfg with min_rtt_ms }) min_rtts)
 
-let null_handlers n = Array.make n Env.null_handlers
+let null_handlers n = Array.make n Oracle.null_handlers
 
 let per_flow f fleet = Array.init (Fleet.flows fleet) (fun flow -> f fleet ~flow)
 
@@ -173,8 +173,8 @@ let test_per_flow_feedback_isolated () =
   let handlers =
     Array.init 2 (fun i ->
         {
-          Env.null_handlers with
-          on_acks =
+          Oracle.null_handlers with
+          Env.on_acks =
             (fun ~now_ms:_ ~rtt_ms:_ ~first_seq:_ ~count ~delivered:_ ->
               acks.(i) <- acks.(i) + count);
         })
@@ -194,8 +194,8 @@ let test_rtt_reflects_per_flow_propagation () =
   let handlers =
     Array.init 2 (fun i ->
         {
-          Env.null_handlers with
-          on_acks =
+          Oracle.null_handlers with
+          Env.on_acks =
             (fun ~now_ms:_ ~rtt_ms ~first_seq:_ ~count:_ ~delivered:_ ->
               min_rtts.(i) <- Int.min min_rtts.(i) rtt_ms);
         })
@@ -252,7 +252,7 @@ let cubic_streams fleet ~ms =
   let bufs = Array.init n (fun _ -> Buffer.create 4096) in
   let ctrls = Array.init n (fun _ -> Cubic.to_controller (Cubic.create ())) in
   let handlers =
-    Array.init n (fun i -> Env.chain (record bufs.(i)) (Controller.handlers ctrls.(i)))
+    Array.init n (fun i -> Oracle.chain (record bufs.(i)) (Controller.handlers ctrls.(i)))
   in
   let after_tick i = Fleet.set_cwnd fleet ~flow:i (ctrls.(i).Controller.cwnd ()) in
   Fleet.run ~after_tick fleet handlers ~ms;

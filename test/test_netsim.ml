@@ -28,7 +28,7 @@ let make_env ?(mbps = 12.) ?(duration = 10_000) ?(min_rtt = 20)
       };
     |]
 
-let run ?(handlers = Env.null_handlers) env ~ms = Fleet.run env [| handlers |] ~ms
+let run ?(handlers = Oracle.null_handlers) env ~ms = Fleet.run env [| handlers |] ~ms
 let stats env = Fleet.stats env ~flow:0
 let qdelays env = Fleet.qdelay_array_ms env ~flow:0
 
@@ -66,8 +66,8 @@ let test_first_ack_timing () =
   let first_ack = ref (-1) in
   let handlers =
     {
-      Env.null_handlers with
-      on_acks =
+      Oracle.null_handlers with
+      Env.on_acks =
         (fun ~now_ms ~rtt_ms:_ ~first_seq:_ ~count:_ ~delivered:_ ->
           if !first_ack < 0 then first_ack := now_ms);
     }
@@ -87,8 +87,8 @@ let test_droptail_loss () =
   let losses = ref 0 in
   let handlers =
     {
-      Env.null_handlers with
-      on_loss = (fun ~now_ms:_ ~count -> losses := !losses + count);
+      Oracle.null_handlers with
+      Env.on_loss = (fun ~now_ms:_ ~count -> losses := !losses + count);
     }
   in
   run ~handlers env ~ms:2000;
@@ -164,8 +164,8 @@ let test_acks_monotone_time () =
   let last = ref 0 in
   let handlers =
     {
-      Env.null_handlers with
-      on_acks =
+      Oracle.null_handlers with
+      Env.on_acks =
         (fun ~now_ms ~rtt_ms:_ ~first_seq:_ ~count:_ ~delivered:_ ->
           check_bool "non-decreasing ack time" true (now_ms >= !last);
           last := now_ms);
@@ -178,8 +178,8 @@ let test_ack_seq_delivered_consistency () =
   let acks = ref 0 in
   let handlers =
     {
-      Env.null_handlers with
-      on_acks =
+      Oracle.null_handlers with
+      Env.on_acks =
         (fun ~now_ms:_ ~rtt_ms:_ ~first_seq:_ ~count ~delivered ->
           check_bool "non-empty run" true (count >= 1);
           for k = 0 to count - 1 do
@@ -198,8 +198,8 @@ let test_ack_runs_contiguous () =
   let next = ref 0 and calls = ref 0 in
   let handlers =
     {
-      Env.null_handlers with
-      on_acks =
+      Oracle.null_handlers with
+      Env.on_acks =
         (fun ~now_ms:_ ~rtt_ms:_ ~first_seq ~count ~delivered ->
           incr calls;
           check_int "run starts at the next seq" !next first_seq;
@@ -246,14 +246,14 @@ let test_chain_handlers () =
   let a = ref 0 and b = ref 0 in
   let mk r =
     {
-      Env.null_handlers with
-      on_acks =
+      Oracle.null_handlers with
+      Env.on_acks =
         (fun ~now_ms:_ ~rtt_ms:_ ~first_seq:_ ~count ~delivered:_ ->
           r := !r + count);
     }
   in
   let env = make_env ~cwnd:5. () in
-  run ~handlers:(Env.chain (mk a) (mk b)) env ~ms:500;
+  run ~handlers:(Oracle.chain (mk a) (mk b)) env ~ms:500;
   check_bool "both invoked" true (!a > 0);
   check_int "equally" !a !b
 
@@ -435,8 +435,8 @@ let test_reorder_out_of_order_acks () =
   let last_seq = ref (-1) in
   let handlers =
     {
-      Env.null_handlers with
-      on_acks =
+      Oracle.null_handlers with
+      Env.on_acks =
         (fun ~now_ms:_ ~rtt_ms:_ ~first_seq ~count ~delivered:_ ->
           if first_seq < !last_seq then out_of_order := true;
           last_seq := max !last_seq (first_seq + count - 1));
@@ -473,8 +473,8 @@ let test_qdelay_histogram_exact () =
     let samples = ref [] in
     let handlers =
       {
-        Env.null_handlers with
-        on_acks =
+        Oracle.null_handlers with
+        Env.on_acks =
           (fun ~now_ms:_ ~rtt_ms ~first_seq:_ ~count ~delivered:_ ->
             for _ = 1 to count do
               samples := float_of_int (rtt_ms - cfg.min_rtt_ms) :: !samples

@@ -8,6 +8,10 @@ let check_float = Alcotest.(check (float 1e-9))
 let check_bool = Alcotest.(check bool)
 let rng () = Canopy_util.Prng.create 1234
 
+(* A copy of rows [lo..hi-1] of [m]. *)
+let rows_of m ~lo ~hi =
+  Mat.init ~rows:(hi - lo) ~cols:(Mat.cols m) (fun i j -> Mat.get m (lo + i) j)
+
 (* ------------------------------------------------------------------ *)
 (* Layer forward semantics *)
 
@@ -16,7 +20,7 @@ let forward1 layer x =
   let dst =
     Mat.create ~rows:1 ~cols:(Layer.out_dim ~in_dim:(Array.length x) layer)
   in
-  Layer.forward_eval_into ~dst layer (Mat.of_rows [| x |]);
+  Layer.forward_eval_into ~dst layer (Mat.of_arrays [| x |]);
   Mat.row dst 0
 
 let test_dense_forward () =
@@ -32,8 +36,21 @@ let test_dense_forward () =
   let y = forward1 d [| 1.; 1. |] in
   Alcotest.(check (array (float 1e-9))) "dense" [| 3.5; 6.5 |] y
 
+(* A batch-norm layer of [dim] channels carrying another momentum or eps,
+   as a checkpoint may. *)
+let batch_norm_with ?momentum ?eps dim =
+  match Layer.batch_norm ~dim with
+  | Layer.Batch_norm bn ->
+      Layer.Batch_norm
+        {
+          bn with
+          momentum = Option.value momentum ~default:bn.momentum;
+          eps = Option.value eps ~default:bn.eps;
+        }
+  | _ -> assert false
+
 let test_leaky_relu_forward () =
-  let l = Layer.leaky_relu ~slope:0.1 () in
+  let l = Layer.Leaky_relu 0.1 in
   let y = forward1 l [| -2.; 0.; 3. |] in
   Alcotest.(check (array (float 1e-9))) "leaky" [| -0.2; 0.; 3. |] y
 
@@ -44,7 +61,7 @@ let test_tanh_forward () =
 
 let test_batch_norm_identity_init () =
   (* Fresh BN with running stats (mean 0, var 1) is ~identity in eval. *)
-  let bn = Layer.batch_norm ~eps:1e-12 ~dim:3 () in
+  let bn = batch_norm_with ~eps:1e-12 3 in
   let x = [| 0.5; -1.; 2. |] in
   let y = forward1 bn x in
   Array.iteri
@@ -52,7 +69,7 @@ let test_batch_norm_identity_init () =
     y
 
 let test_batch_norm_normalizes_batch () =
-  let bn = Layer.batch_norm ~dim:1 () in
+  let bn = Layer.batch_norm ~dim:1 in
   let batch = Mat.of_arrays [| [| 10. |]; [| 20. |]; [| 30. |] |] in
   let out, _ = Layer.forward bn batch in
   let o i = Mat.get out i 0 in
@@ -61,7 +78,7 @@ let test_batch_norm_normalizes_batch () =
   check_bool "ordered" true (o 0 < o 1 && o 1 < o 2)
 
 let test_batch_norm_updates_running_stats () =
-  match Layer.batch_norm ~momentum:0.5 ~dim:1 () with
+  match batch_norm_with ~momentum:0.5 1 with
   | Layer.Batch_norm bn as layer ->
       let batch = Mat.of_arrays [| [| 10. |]; [| 20. |] |] in
       ignore (Layer.forward layer batch);
@@ -129,7 +146,7 @@ let test_grad_leaky_relu () =
     Mlp.create ~in_dim:2
       [
         Layer.dense ~rng:r ~in_dim:2 ~out_dim:5;
-        Layer.leaky_relu ~slope:0.05 ();
+        Layer.Leaky_relu 0.05;
         Layer.dense ~rng:r ~in_dim:5 ~out_dim:1;
       ]
   in
@@ -143,8 +160,8 @@ let test_grad_batchnorm_eval_path () =
     Mlp.create ~in_dim:2
       [
         Layer.dense ~rng:r ~in_dim:2 ~out_dim:3;
-        Layer.batch_norm ~dim:3 ();
-        Layer.leaky_relu ();
+        Layer.batch_norm ~dim:3;
+        Layer.leaky_relu;
         Layer.dense ~rng:r ~in_dim:3 ~out_dim:1;
       ]
   in
@@ -160,7 +177,7 @@ let test_grad_batchnorm_batch_stats () =
     Mlp.create ~in_dim:2
       [
         Layer.dense ~rng:r ~in_dim:2 ~out_dim:3;
-        Layer.batch_norm ~momentum:0. ~dim:3 ();
+        batch_norm_with ~momentum:0. 3;
         Layer.tanh;
         Layer.dense ~rng:r ~in_dim:3 ~out_dim:1;
       ]
@@ -204,13 +221,13 @@ let batched_vs_rows_once net ~n ~in_dim ~out_dim ~seed =
   let conduit = Mlp.copy net in
   (* batched pass *)
   Mlp.zero_grad net;
-  let out_b, tape = Mlp.forward_train net (Mat.of_rows rows) in
-  let din_b = Mlp.backward net tape (Mat.of_rows dout_rows) in
+  let out_b, tape = Mlp.forward_train net (Mat.of_arrays rows) in
+  let din_b = Mlp.backward net tape (Mat.of_arrays dout_rows) in
   (* input gradients only: the same bits, and the accumulators (set to a
      sentinel) untouched *)
   List.iter (fun (_, g) -> Array.fill g 0 (Array.length g) 7.) (Mlp.params conduit);
-  let _, ctape = Mlp.forward_train conduit (Mat.of_rows rows) in
-  let din_c = Mlp.backward ~param_grads:false conduit ctape (Mat.of_rows dout_rows) in
+  let _, ctape = Mlp.forward_train conduit (Mat.of_arrays rows) in
+  let din_c = Mlp.backward ~param_grads:false conduit ctape (Mat.of_arrays dout_rows) in
   Alcotest.(check (array int64))
     "input grad without param grads (bits)"
     (Array.map Int64.bits_of_float (Mat.raw din_b))
@@ -264,8 +281,8 @@ let test_batched_matches_rows_relu_stack () =
     Mlp.create ~in_dim:3
       [
         Layer.dense ~rng:r ~in_dim:3 ~out_dim:6;
-        Layer.leaky_relu ~slope:0.3 ();
-        Layer.batch_norm ~momentum:0.3 ~dim:6 ();
+        Layer.Leaky_relu 0.3;
+        batch_norm_with ~momentum:0.3 6;
         Layer.dense ~rng:r ~in_dim:6 ~out_dim:2;
       ]
   in
@@ -297,12 +314,12 @@ let check_bits what want got =
 let test_leaky_batched_matches_rows_bits () =
   List.iter
     (fun slope ->
-      let layer = Layer.leaky_relu ~slope () in
+      let layer = Layer.Leaky_relu slope in
       let rows = special_rows ~seed:7 ~rows:7 ~cols:9 in
       let douts = special_rows ~seed:8 ~rows:7 ~cols:9 in
-      let x = Mat.of_rows rows and dout = Mat.of_rows douts in
+      let x = Mat.of_arrays rows and dout = Mat.of_arrays douts in
       let want_rows, rcache = Oracle.forward_rows layer rows in
-      let want = Mat.raw (Mat.of_rows want_rows) in
+      let want = Mat.raw (Mat.of_arrays want_rows) in
       let name what = Printf.sprintf "slope %g: %s" slope what in
       let out, cache = Layer.forward layer x in
       check_bits (name "forward") want (Mat.raw out);
@@ -319,7 +336,7 @@ let test_leaky_batched_matches_rows_bits () =
          matches, a negative input whose slope product underflows to -0
          included. *)
       let want_dx =
-        Mat.raw (Mat.of_rows (Oracle.backward_rows layer rcache douts))
+        Mat.raw (Mat.of_arrays (Oracle.backward_rows layer rcache douts))
       in
       check_bits (name "backward") want_dx
         (Mat.raw (Layer.backward layer cache dout));
@@ -364,9 +381,9 @@ let test_backward_shards_match_copies () =
       Array.iter
         (fun (lo, hi, shadow) ->
           let copy = Mlp.grad_shadow net in
-          let _, tape = Mlp.forward_train copy (Mat.sub_rows x ~lo ~hi) in
+          let _, tape = Mlp.forward_train copy (rows_of x ~lo ~hi) in
           ignore
-            (Mlp.backward ~input_grad:false copy tape (Mat.sub_rows dout ~lo ~hi));
+            (Mlp.backward ~input_grad:false copy tape (rows_of dout ~lo ~hi));
           List.iteri
             (fun p ((_, want), (_, got)) ->
               check_bits (Printf.sprintf "n %d rows %d..%d param %d" n lo hi p)
@@ -382,7 +399,7 @@ let test_forward_batch_matches_forward1 () =
         Array.init 3 (fun j -> Float.sin (float_of_int ((i * 3) + j))))
   in
   let out = Mat.create ~rows:6 ~cols:1 in
-  Mlp.forward_batch ~dst:out net (Mat.of_rows rows);
+  Mlp.forward_batch ~dst:out net (Mat.of_arrays rows);
   Array.iteri
     (fun i x ->
       Alcotest.(check (array (float 1e-9)))
@@ -402,7 +419,7 @@ let test_forward_batch_matches_forward1 () =
 let eval_net () =
   let net = Mlp.actor ~rng:(rng ()) ~in_dim:6 ~hidden:16 ~out_dim:2 in
   let warm =
-    Mat.of_rows
+    Mat.of_arrays
       (Array.init 8 (fun i ->
            Array.init 6 (fun j -> Float.cos (float_of_int ((i * 7) + j)))))
   in
@@ -422,7 +439,7 @@ let test_forward_eval_into_matches_forward () =
         Array.init 6 (fun j -> Float.sin (float_of_int ((i * 11) + j))))
   in
   let dst = Mat.create_uninit ~rows:17 ~cols:2 in
-  Mlp.forward_eval_into ~dst net (Mat.of_rows rows);
+  Mlp.forward_eval_into ~dst net (Mat.of_arrays rows);
   Array.iteri
     (fun i x ->
       check_bool
@@ -434,7 +451,7 @@ let test_forward_eval_into_matches_forward () =
 let test_forward_eval_into_warm_equals_cold () =
   let net = eval_net () in
   let x =
-    Mat.of_rows
+    Mat.of_arrays
       (Array.init 13 (fun i ->
            Array.init 6 (fun j -> Float.sin (float_of_int ((i * 5) + j)))))
   in
@@ -562,7 +579,7 @@ let test_mlp_regression_learns () =
     Mlp.create ~in_dim:1
       [
         Layer.dense ~rng:r ~in_dim:1 ~out_dim:16;
-        Layer.leaky_relu ();
+        Layer.leaky_relu;
         Layer.dense ~rng:r ~in_dim:16 ~out_dim:1;
       ]
   in
@@ -623,7 +640,7 @@ let test_checkpoint_preserves_running_stats () =
   let net =
     Mlp.create ~in_dim:2
       [ Layer.dense ~rng:(rng ()) ~in_dim:2 ~out_dim:2;
-        Layer.batch_norm ~dim:2 () ]
+        Layer.batch_norm ~dim:2 ]
   in
   (* push some batches through to move the running statistics *)
   ignore (Mlp.forward_train net (Mat.of_arrays [| [| 5.; 1. |]; [| 7.; -1. |] |]));

@@ -44,166 +44,146 @@ let test_pool_create_domains () =
   Pool.shutdown p1
 
 let test_pool_reused_across_calls () =
-  let p = Pool.create ~domains:2 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown p)
-    (fun () ->
-      (* Many regions on one pool: workers are spawned once and survive
-         between jobs; each region still covers every index exactly
-         once. *)
-      for _ = 1 to 20 do
-        let hits = Array.make 23 0 in
-        Pool.parallel_for_chunks ~pool:p ~chunk:4 23 (fun ~lo ~hi ->
-            for i = lo to hi - 1 do
-              hits.(i) <- hits.(i) + 1
-            done);
-        Array.iteri
-          (fun i h -> check_int (Printf.sprintf "index %d once" i) 1 h)
-          hits
-      done)
+  with_default_pool 2 (fun () ->
+    (* Many regions on one pool: workers are spawned once and survive
+       between jobs; each region still covers every index exactly
+       once. *)
+    for _ = 1 to 20 do
+      let hits = Array.make 23 0 in
+      Pool.parallel_for_chunks ~chunk:4 23 (fun ~lo ~hi ->
+          for i = lo to hi - 1 do
+            hits.(i) <- hits.(i) + 1
+          done);
+      Array.iteri
+        (fun i h -> check_int (Printf.sprintf "index %d once" i) 1 h)
+        hits
+    done)
 
 let test_pool_chunk_boundaries () =
   (* The chunk list is a pure function of (n, chunk): ceil(n/chunk)
      half-open ranges, the last one short. *)
-  let p = Pool.create ~domains:1 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown p)
-    (fun () ->
-      let ranges = ref [] in
-      Pool.parallel_for_chunks ~pool:p ~chunk:4 10 (fun ~lo ~hi ->
-          ranges := (lo, hi) :: !ranges);
-      Alcotest.(check (list (pair int int)))
-        "ceil(10/4) ranges in order"
-        [ (0, 4); (4, 8); (8, 10) ]
-        (List.rev !ranges);
-      Pool.parallel_for_chunks ~pool:p ~chunk:5 0 (fun ~lo:_ ~hi:_ ->
-          Alcotest.fail "no chunks for n = 0"))
+  with_default_pool 1 (fun () ->
+    let ranges = ref [] in
+    Pool.parallel_for_chunks ~chunk:4 10 (fun ~lo ~hi ->
+        ranges := (lo, hi) :: !ranges);
+    Alcotest.(check (list (pair int int)))
+      "ceil(10/4) ranges in order"
+      [ (0, 4); (4, 8); (8, 10) ]
+      (List.rev !ranges);
+    Pool.parallel_for_chunks ~chunk:5 0 (fun ~lo:_ ~hi:_ ->
+        Alcotest.fail "no chunks for n = 0"))
 
 let test_pool_invalid_args () =
-  let p = Pool.create ~domains:1 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown p)
-    (fun () ->
-      Alcotest.check_raises "chunk <= 0"
-        (Invalid_argument "Pool.parallel_for_chunks: chunk") (fun () ->
-          Pool.parallel_for_chunks ~pool:p ~chunk:0 4 (fun ~lo:_ ~hi:_ -> ()));
-      Alcotest.check_raises "n < 0"
-        (Invalid_argument "Pool.parallel_for_chunks: n") (fun () ->
-          Pool.parallel_for_chunks ~pool:p ~chunk:1 (-1) (fun ~lo:_ ~hi:_ ->
-              ())))
+  with_default_pool 1 (fun () ->
+    Alcotest.check_raises "chunk <= 0"
+      (Invalid_argument "Pool.parallel_for_chunks: chunk") (fun () ->
+        Pool.parallel_for_chunks ~chunk:0 4 (fun ~lo:_ ~hi:_ -> ()));
+    Alcotest.check_raises "n < 0"
+      (Invalid_argument "Pool.parallel_for_chunks: n") (fun () ->
+        Pool.parallel_for_chunks ~chunk:1 (-1) (fun ~lo:_ ~hi:_ ->
+            ())))
 
 let test_pool_worker_exception_propagates () =
-  let p = Pool.create ~domains:2 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown p)
-    (fun () ->
-      (* The lowest-index failure wins, whichever domain ran it. *)
-      check_bool "failure surfaces" true
-        (match
-           Pool.parallel_for_chunks ~pool:p ~chunk:1 8 (fun ~lo ~hi:_ ->
-               if lo >= 5 then failwith (Printf.sprintf "chunk %d" lo))
-         with
-        | () -> false
-        | exception Failure msg -> msg = "chunk 5");
-      (* ... and the pool is still usable afterwards. *)
-      let sum = ref 0 in
-      let m = Mutex.create () in
-      Pool.parallel_for_chunks ~pool:p ~chunk:2 10 (fun ~lo ~hi ->
-          let s = ref 0 in
-          for i = lo to hi - 1 do
-            s := !s + i
-          done;
-          Mutex.lock m;
-          sum := !sum + !s;
-          Mutex.unlock m);
-      check_int "usable after failure" 45 !sum)
+  with_default_pool 2 (fun () ->
+    (* The lowest-index failure wins, whichever domain ran it. *)
+    check_bool "failure surfaces" true
+      (match
+         Pool.parallel_for_chunks ~chunk:1 8 (fun ~lo ~hi:_ ->
+             if lo >= 5 then failwith (Printf.sprintf "chunk %d" lo))
+       with
+      | () -> false
+      | exception Failure msg -> msg = "chunk 5");
+    (* ... and the pool is still usable afterwards. *)
+    let sum = ref 0 in
+    let m = Mutex.create () in
+    Pool.parallel_for_chunks ~chunk:2 10 (fun ~lo ~hi ->
+        let s = ref 0 in
+        for i = lo to hi - 1 do
+          s := !s + i
+        done;
+        Mutex.lock m;
+        sum := !sum + !s;
+        Mutex.unlock m);
+    check_int "usable after failure" 45 !sum)
 
 let test_pool_multiple_failures_lowest_wins () =
-  let p = Pool.create ~domains:4 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown p)
-    (fun () ->
-      (* Every chunk fails concurrently: the surfaced exception must be
-         the lowest-numbered chunk's, not whichever domain lost the
-         race to raise first. *)
-      check_bool "all chunks fail, chunk 0 wins" true
-        (match
-           Pool.parallel_for_chunks ~pool:p ~chunk:1 8 (fun ~lo ~hi:_ ->
+  with_default_pool 4 (fun () ->
+    (* Every chunk fails concurrently: the surfaced exception must be
+       the lowest-numbered chunk's, not whichever domain lost the
+       race to raise first. *)
+    check_bool "all chunks fail, chunk 0 wins" true
+      (match
+         Pool.parallel_for_chunks ~chunk:1 8 (fun ~lo ~hi:_ ->
+             failwith (Printf.sprintf "chunk %d" lo))
+       with
+      | () -> false
+      | exception Failure msg -> msg = "chunk 0");
+    (* A scattered subset of failures: still the lowest index. *)
+    check_bool "scattered failures, lowest wins" true
+      (match
+         Pool.parallel_for_chunks ~chunk:1 10 (fun ~lo ~hi:_ ->
+             if lo = 3 || lo = 6 || lo = 9 then
                failwith (Printf.sprintf "chunk %d" lo))
-         with
-        | () -> false
-        | exception Failure msg -> msg = "chunk 0");
-      (* A scattered subset of failures: still the lowest index. *)
-      check_bool "scattered failures, lowest wins" true
-        (match
-           Pool.parallel_for_chunks ~pool:p ~chunk:1 10 (fun ~lo ~hi:_ ->
-               if lo = 3 || lo = 6 || lo = 9 then
-                 failwith (Printf.sprintf "chunk %d" lo))
-         with
-        | () -> false
-        | exception Failure msg -> msg = "chunk 3");
-      (* Repeated failing regions must not wedge the pool: workers park
-         and re-arm cleanly every time. *)
-      for round = 1 to 5 do
-        (match
-           Pool.parallel_for_chunks ~pool:p ~chunk:2 12 (fun ~lo ~hi:_ ->
-               if lo >= 4 then failwith "boom")
-         with
-        | () -> Alcotest.fail "region should have failed"
-        | exception Failure _ -> ());
-        let hits = Array.make 12 0 in
-        Pool.parallel_for_chunks ~pool:p ~chunk:3 12 (fun ~lo ~hi ->
-            for i = lo to hi - 1 do
-              hits.(i) <- hits.(i) + 1
-            done);
-        Array.iteri
-          (fun i h ->
-            check_int (Printf.sprintf "round %d index %d once" round i) 1 h)
-          hits
-      done)
+       with
+      | () -> false
+      | exception Failure msg -> msg = "chunk 3");
+    (* Repeated failing regions must not wedge the pool: workers park
+       and re-arm cleanly every time. *)
+    for round = 1 to 5 do
+      (match
+         Pool.parallel_for_chunks ~chunk:2 12 (fun ~lo ~hi:_ ->
+             if lo >= 4 then failwith "boom")
+       with
+      | () -> Alcotest.fail "region should have failed"
+      | exception Failure _ -> ());
+      let hits = Array.make 12 0 in
+      Pool.parallel_for_chunks ~chunk:3 12 (fun ~lo ~hi ->
+          for i = lo to hi - 1 do
+            hits.(i) <- hits.(i) + 1
+          done);
+      Array.iteri
+        (fun i h ->
+          check_int (Printf.sprintf "round %d index %d once" round i) 1 h)
+        hits
+    done)
 
 let test_pool_nested_rejected () =
-  let p = Pool.create ~domains:2 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown p)
-    (fun () ->
-      Alcotest.check_raises "nested parallel region"
-        (Invalid_argument "Pool.parallel_for_chunks: nested parallel call")
-        (fun () ->
-          Pool.parallel_for_chunks ~pool:p ~chunk:1 4 (fun ~lo:_ ~hi:_ ->
-              Pool.parallel_for_chunks ~pool:p ~chunk:1 2 (fun ~lo:_ ~hi:_ ->
-                  ())));
-      (* in_task is visible to kernels inside a task, reset outside. *)
-      check_bool "outside" false (Pool.in_task ());
-      let seen = ref false in
-      Pool.parallel_for_chunks ~pool:p ~chunk:4 4 (fun ~lo:_ ~hi:_ ->
-          seen := Pool.in_task ());
-      check_bool "inside" true !seen;
-      check_bool "reset" false (Pool.in_task ()))
+  with_default_pool 2 (fun () ->
+    Alcotest.check_raises "nested parallel region"
+      (Invalid_argument "Pool.parallel_for_chunks: nested parallel call")
+      (fun () ->
+        Pool.parallel_for_chunks ~chunk:1 4 (fun ~lo:_ ~hi:_ ->
+            Pool.parallel_for_chunks ~chunk:1 2 (fun ~lo:_ ~hi:_ ->
+                ())));
+    (* in_task is visible to kernels inside a task, reset outside. *)
+    check_bool "outside" false (Pool.in_task ());
+    let seen = ref false in
+    Pool.parallel_for_chunks ~chunk:4 4 (fun ~lo:_ ~hi:_ ->
+        seen := Pool.in_task ());
+    check_bool "inside" true !seen;
+    check_bool "reset" false (Pool.in_task ()))
 
 let test_pool_shutdown_idempotent () =
-  let p = Pool.create ~domains:2 () in
-  Pool.shutdown p;
-  Pool.shutdown p;
-  Alcotest.check_raises "use after shutdown"
-    (Invalid_argument "Pool: pool has been shut down") (fun () ->
-      Pool.parallel_for_chunks ~pool:p ~chunk:1 3 (fun ~lo:_ ~hi:_ -> ()))
+  with_default_pool 2 (fun () ->
+    let p = Pool.default () in
+    Pool.shutdown p;
+    Pool.shutdown p;
+    Alcotest.check_raises "use after shutdown"
+      (Invalid_argument "Pool: pool has been shut down") (fun () ->
+        Pool.parallel_for_chunks ~chunk:1 3 (fun ~lo:_ ~hi:_ -> ())))
 
 let test_pool_map_order () =
-  let p = Pool.create ~domains:4 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown p)
-    (fun () ->
-      let input = Array.init 57 (fun i -> i) in
-      let out = Pool.map ~pool:p (fun x -> (x * x) + 1) input in
-      Alcotest.(check (array int))
-        "order preserved"
-        (Array.map (fun x -> (x * x) + 1) input)
-        out;
-      Alcotest.(check (list string))
-        "map_list preserves order" [ "a!"; "b!"; "c!" ]
-        (Pool.map_list ~pool:p (fun s -> s ^ "!") [ "a"; "b"; "c" ]);
-      Alcotest.(check (array int)) "empty" [||] (Pool.map ~pool:p Fun.id [||]))
+  with_default_pool 4 (fun () ->
+    let input = Array.init 57 (fun i -> i) in
+    let out = Pool.map (fun x -> (x * x) + 1) input in
+    Alcotest.(check (array int))
+      "order preserved"
+      (Array.map (fun x -> (x * x) + 1) input)
+      out;
+    Alcotest.(check (list string))
+      "map_list preserves order" [ "a!"; "b!"; "c!" ]
+      (Pool.map_list (fun s -> s ^ "!") [ "a"; "b"; "c" ]);
+    Alcotest.(check (array int)) "empty" [||] (Pool.map Fun.id [||]))
 
 (* ------------------------------------------------------------------ *)
 (* Bit-exact GEMM: parallel row chunking vs the sequential kernels *)

@@ -14,14 +14,14 @@ let random_net rng =
   let in_dim = 2 + Prng.int rng 6 in
   let mid =
     match Prng.int rng 3 with
-    | 0 -> Layer.leaky_relu ~slope:0.3 ()
-    | 1 -> Layer.leaky_relu ~slope:0.05 ()
+    | 0 -> Layer.Leaky_relu 0.3
+    | 1 -> Layer.Leaky_relu 0.05
     | _ -> Layer.tanh
   in
   Mlp.create ~in_dim
     [
       Layer.dense ~rng ~in_dim ~out_dim:hidden;
-      Layer.batch_norm ~dim:hidden ();
+      Layer.batch_norm ~dim:hidden;
       mid;
       Layer.dense ~rng ~in_dim:hidden ~out_dim:1;
       Layer.tanh;

@@ -129,17 +129,28 @@ let test_mat_row_ops () =
   let dst = [| 1.; 1. |] in
   Mat.col_sum_acc ~dst m;
   Alcotest.check vec "col_sum_acc" [| 25.; 47. |] dst;
-  Mat.set_row m 0 [| -1.; -2. |];
-  Alcotest.check vec "set_row" [| -1.; -2. |] (Mat.row m 0);
+  Mat.set m 0 0 (-1.);
+  Mat.set m 0 1 (-2.);
+  Alcotest.check vec "set" [| -1.; -2. |] (Mat.row m 0);
   let sq = Mat.create ~rows:2 ~cols:2 in
   Mat.map_into ~dst:sq (fun x -> x *. x) m;
   Alcotest.check mat "map_into" (Mat.map (fun x -> x *. x) m) sq;
   Mat.map_into ~dst:m (fun x -> -.x) m;
   Alcotest.check vec "map_into in place" [| 1.; 2. |] (Mat.row m 0)
 
+(* [of_arrays] packs equal-length rows row-major into a fresh matrix. *)
 let test_mat_pack () =
-  let m = Mat.of_rows [| [| 1.; 2. |]; [| 3.; 4. |] |] in
-  Alcotest.check mat "of_rows" (Mat.of_arrays [| [| 1.; 2. |]; [| 3.; 4. |] |]) m
+  let rows = [| [| 1.; 2. |]; [| 3.; 4. |]; [| 5.; 6. |] |] in
+  let m = Mat.of_arrays rows in
+  Alcotest.(check (pair int int)) "shape" (3, 2) (Mat.rows m, Mat.cols m);
+  Alcotest.check vec "row-major" [| 1.; 2.; 3.; 4.; 5.; 6. |] (Mat.raw m);
+  rows.(0).(0) <- 9.;
+  Alcotest.check vec "a copy" [| 1.; 2. |] (Mat.row m 0);
+  Alcotest.check_raises "ragged" (Invalid_argument "Mat.of_arrays: ragged")
+    (fun () -> ignore (Mat.of_arrays [| [| 1. |]; [| 1.; 2. |] |]));
+  Alcotest.check_raises "empty row"
+    (Invalid_argument "Mat.of_arrays: empty row") (fun () ->
+      ignore (Mat.of_arrays [| [||] |]))
 
 let test_mat_kernel_dim_checks () =
   let a = Mat.create ~rows:2 ~cols:3 in
@@ -386,8 +397,11 @@ let qcheck_kernels =
         (match samples with
         | None -> Mat.Kernel.tn_ocaml ~dst:copied a b ~lo:0 ~hi:m
         | Some (lo, hi) ->
-            Mat.Kernel.tn_ocaml ~dst:copied (Mat.sub_rows a ~lo ~hi)
-              (Mat.sub_rows b ~lo ~hi) ~lo:0 ~hi:m);
+            let rows m =
+              Mat.init ~rows:(hi - lo) ~cols:(Mat.cols m) (fun i j ->
+                  Mat.get m (lo + i) j)
+            in
+            Mat.Kernel.tn_ocaml ~dst:copied (rows a) (rows b) ~lo:0 ~hi:m);
         mat_bits_equal want got && mat_bits_equal want copied);
   ]
 

@@ -49,7 +49,12 @@ let test_invalid_segments () =
       ignore (Trace.of_segments ~name:"x" [ (0, 1.) ]));
   Alcotest.check_raises "negative rate"
     (Invalid_argument "Trace.of_segments: rate") (fun () ->
-      ignore (Trace.of_segments ~name:"x" [ (10, -1.) ]))
+      ignore (Trace.of_segments ~name:"x" [ (10, -1.) ]));
+  (* An infinite rate would give [to_mahimahi] a credit that never runs
+     out. *)
+  Alcotest.check_raises "infinite rate"
+    (Invalid_argument "Trace.of_segments: rate") (fun () ->
+      ignore (Trace.of_segments ~name:"x" [ (10, 1.); (10, Float.infinity) ]))
 
 let test_of_mbps_array () =
   let t = Trace.of_mbps_array ~name:"arr" ~ms_per_sample:50 [| 10.; 20. |] in
